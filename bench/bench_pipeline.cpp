@@ -22,7 +22,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <iterator>
 #include <memory>
+#include <ostream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -333,6 +336,83 @@ void BM_EpochAdvanceFullRebuild(benchmark::State& state) {
   run_epoch_advance(state, core::EpochAdvanceMode::kFullRebuild);
 }
 BENCHMARK(BM_EpochAdvanceFullRebuild)->Unit(benchmark::kMillisecond);
+
+// --- Observation dump: ResultsDb::write_csv formatting throughput ----------
+
+/// Swallows every byte, counting them: the dump's formatting cost without
+/// the disk.
+class CountingNullStreambuf : public std::streambuf {
+ public:
+  std::size_t bytes = 0;
+
+ protected:
+  int overflow(int c) override {
+    ++bytes;
+    return traits_type::not_eof(c);
+  }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes += static_cast<std::size_t>(n);
+    return n;
+  }
+};
+
+/// A finalized store shaped like one paper vantage point's dump, at 1M
+/// rows: 25k sites x 40 rounds, mostly measured rows whose per-site v4/v6
+/// paths (2-6 hops, Zipf-popular among 6000 distinct paths) repeat every
+/// round, plus failure-status rows (DNS failures carry no paths).
+const core::ResultsDb& observation_store() {
+  static const std::unique_ptr<const core::ResultsDb> db = [] {
+    auto store = std::make_unique<core::ResultsDb>();
+    util::Rng rng(bench_seed());
+    std::vector<core::PathId> pool(6000);
+    std::vector<topo::Asn> hops;
+    for (core::PathId& id : pool) {
+      hops.resize(static_cast<std::size_t>(rng.uniform_int(2, 6)));
+      for (topo::Asn& a : hops) a = rng.uniform_u32(1, 4000);
+      id = store->paths().intern(hops);
+    }
+    const core::MonitorStatus other[] = {
+        core::MonitorStatus::kDnsFailed, core::MonitorStatus::kV6Only,
+        core::MonitorStatus::kV6DownloadFailed, core::MonitorStatus::kDifferentContent};
+    for (std::uint32_t site = 0; site < 25'000; ++site) {
+      const core::PathId v4 = pool[rng.zipf(pool.size(), 1.0) - 1];
+      const core::PathId v6 = pool[rng.zipf(pool.size(), 1.0) - 1];
+      for (std::uint32_t round = 0; round < 40; ++round) {
+        core::Observation o;
+        o.site = site;
+        o.round = round;
+        o.status = rng.chance(0.85) ? core::MonitorStatus::kMeasured
+                                    : other[rng.index(std::size(other))];
+        if (o.status != core::MonitorStatus::kDnsFailed) {
+          o.v4_speed_kBps = static_cast<float>(rng.lognormal_median(300.0, 1.0));
+          o.v6_speed_kBps = static_cast<float>(rng.lognormal_median(250.0, 1.2));
+          o.v4_samples = static_cast<std::uint16_t>(rng.uniform_int(3, 40));
+          o.v6_samples = static_cast<std::uint16_t>(rng.uniform_int(3, 40));
+          o.v4_path = v4;
+          o.v6_path = v6;
+          o.v4_origin = store->paths().path(v4).back();
+          o.v6_origin = store->paths().path(v6).back();
+        }
+        store->add(o);
+      }
+    }
+    store->finalize();
+    return store;
+  }();
+  return *db;
+}
+
+void BM_ObservationCsv(benchmark::State& state) {
+  const core::ResultsDb& db = observation_store();
+  CountingNullStreambuf sink;
+  std::ostream out(&sink);
+  for (auto _ : state) {
+    db.write_csv(out);
+    benchmark::DoNotOptimize(sink.bytes);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(sink.bytes));
+}
+BENCHMARK(BM_ObservationCsv)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -25,7 +25,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 #include <vector>
 
 #include "analysis/fallback_view.h"
@@ -66,18 +68,18 @@ core::FallbackPolicy parse_fallback(const char* arg) {
 
 /// Stream one store's observation dump straight to disk — no
 /// materialized copy, however many million rows the campaign produced.
-void dump_observations(const core::ResultsDb& db, const std::string& name) {
+/// Returns false, after saying why, when the file cannot be written.
+bool dump_observations(const core::ResultsDb& db, const std::string& name) {
   const std::string path = "full_study_out/observations_" + name + ".csv";
   std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
   try {
+    if (!out) throw IoError("cannot open for writing");
     db.write_csv(out);
   } catch (const IoError& e) {
     std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
+    return false;
   }
+  return true;
 }
 
 }  // namespace
@@ -118,6 +120,14 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  std::error_code dir_error;
+  std::filesystem::create_directories("full_study_out", dir_error);
+  if (dir_error) {
+    std::fprintf(stderr, "cannot create full_study_out/: %s\n",
+                 dir_error.message().c_str());
+    return 1;
+  }
+
   std::uint64_t seed = have_spec ? spec.world_seed : 2011;
   double scale = have_spec ? spec.scale : 1.0;
   if (pos.size() > 0) seed = std::strtoull(pos[0], nullptr, 10);
@@ -154,10 +164,7 @@ int main(int argc, char** argv) {
   // The flag overrides a scenario file's fallback.policy, like the
   // positional seed/scale/sink do their keys.
   if (fallback_arg != nullptr) cfg.monitor.fallback = parse_fallback(fallback_arg);
-  if (cfg.sink == core::SinkBackend::kSpool) {
-    util::write_file("full_study_out/.spool_dir", "");  // ensure dir exists
-    cfg.spool_dir = "full_study_out";
-  }
+  if (cfg.sink == core::SinkBackend::kSpool) cfg.spool_dir = "full_study_out";
   core::Campaign campaign(timeline, cfg);
   campaign.run();
   campaign.run_w6d();
@@ -167,9 +174,11 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < world.vantage_points.size(); ++i) {
     views.emplace_back(campaign.results(i));
     w6d_views.emplace_back(campaign.w6d_results(i));
-    dump_observations(campaign.results(i), world.vantage_points[i].name);
-    dump_observations(campaign.w6d_results(i),
-                      world.vantage_points[i].name + "_w6d");
+    if (!dump_observations(campaign.results(i), world.vantage_points[i].name) ||
+        !dump_observations(campaign.w6d_results(i),
+                           world.vantage_points[i].name + "_w6d")) {
+      return 1;
+    }
   }
   const auto reports = analysis::analyze_world(world, views);
   auto w6d_reports = analysis::analyze_world(world, w6d_views);

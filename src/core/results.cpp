@@ -1,8 +1,12 @@
 #include "core/results.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstring>
+#include <memory>
 #include <numeric>
 #include <sstream>
+#include <string_view>
 
 #include "util/contracts.h"
 #include "util/error.h"
@@ -53,13 +57,20 @@ std::size_t PathRegistry::size() const {
 
 std::string PathRegistry::to_string(PathId id) const {
   if (id == kNoPath) return "-";
-  std::ostringstream out;
-  const auto p = path(id);
+  const std::vector<topo::Asn>& p = path(id);  // deque storage: stable, immutable
+  if (p.empty()) return "(local)";
+  // "AS" + at most 10 digits + one separator per hop.
+  std::string out(p.size() * 13, '\0');
+  char* w = out.data();
+  char* const end = w + out.size();
   for (std::size_t i = 0; i < p.size(); ++i) {
-    if (i) out << ' ';
-    out << "AS" << p[i];
+    if (i) *w++ = ' ';
+    *w++ = 'A';
+    *w++ = 'S';
+    w = std::to_chars(w, end, p[i]).ptr;
   }
-  return p.empty() ? "(local)" : out.str();
+  out.resize(static_cast<std::size_t>(w - out.data()));
+  return out;
 }
 
 // --- Counters ---------------------------------------------------------------
@@ -261,31 +272,142 @@ void ResultsDb::finalize() {
   finalized_ = true;
 }
 
-void ResultsDb::write_rows_csv(std::ostream& out, const Observation* rows,
-                               std::size_t n) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    const Observation& o = rows[i];
-    out << o.site << ',' << o.round << ',' << monitor_status_name(o.status) << ','
-        << o.v4_speed_kBps << ',' << o.v6_speed_kBps << ',' << o.v4_samples << ','
-        << o.v6_samples << ',';
-    if (o.v4_origin != topo::kNoAs) out << o.v4_origin;
-    out << ',';
-    if (o.v6_origin != topo::kNoAs) out << o.v6_origin;
-    out << ',' << paths_.to_string(o.v4_path) << ',' << paths_.to_string(o.v6_path)
-        << '\n';
+namespace {
+
+/// Bytes the observation writer formats before one `ostream::write`
+/// hands them to the stream.
+constexpr std::size_t kCsvBlockBytes = std::size_t{64} << 10;
+/// Room reserved per row for the fields before its two paths; the worst
+/// case is 101 bytes: two uint32 ids (10 each), the longest status name
+/// (18), two `%.6g` floats (12 each, "-1.17549e-38"), two uint16 sample
+/// counts (5 each), two ASNs (10 each) and nine commas.
+constexpr std::size_t kRowFixedBytes = 128;
+
+/// Block-buffered observation-CSV formatter. Rows are formatted with
+/// `std::to_chars` into one fixed block; a full block goes to the stream
+/// in a single write, so the dump never holds more than a block of text.
+/// Each path id is rendered through PathRegistry::to_string at most once
+/// per dump and copied from that cache for every later row.
+class CsvRowWriter {
+ public:
+  CsvRowWriter(std::ostream& out, const PathRegistry& paths)
+      : out_(out),
+        paths_(paths),
+        block_(std::make_unique<char[]>(kCsvBlockBytes)),
+        pos_(block_.get()),
+        path_text_(paths.size()) {}
+
+  void put(std::string_view s) {
+    if (s.size() > room()) {
+      spill();
+      if (s.size() > kCsvBlockBytes) {
+        write(s.data(), s.size());
+        return;
+      }
+    }
+    std::memcpy(pos_, s.data(), s.size());
+    pos_ += s.size();
   }
-}
+
+  void row(const Observation& o) {
+    if (room() < kRowFixedBytes) spill();
+    number(o.site);
+    field(o.round);
+    field_text(monitor_status_name(o.status));
+    field_speed(o.v4_speed_kBps);
+    field_speed(o.v6_speed_kBps);
+    field(o.v4_samples);
+    field(o.v6_samples);
+    *pos_++ = ',';
+    if (o.v4_origin != topo::kNoAs) number(o.v4_origin);
+    *pos_++ = ',';
+    if (o.v6_origin != topo::kNoAs) number(o.v6_origin);
+    *pos_++ = ',';
+    put(path_text(o.v4_path));
+    put(",");
+    put(path_text(o.v6_path));
+    put("\n");
+  }
+
+  /// Write out the last block and flush the stream.
+  void finish() {
+    spill();
+    out_.flush();
+    check_stream();
+  }
+
+ private:
+  [[nodiscard]] std::size_t room() const {
+    return static_cast<std::size_t>(block_.get() + kCsvBlockBytes - pos_);
+  }
+
+  void spill() {
+    write(block_.get(), static_cast<std::size_t>(pos_ - block_.get()));
+    pos_ = block_.get();
+  }
+
+  void write(const char* data, std::size_t n) {
+    out_.write(data, static_cast<std::streamsize>(n));
+    check_stream();
+  }
+
+  /// A dump that hit a full disk or bad streambuf must surface — a
+  /// silently truncated CSV is indistinguishable from a small campaign.
+  /// Checked after every block, so a dead stream stops the dump there.
+  void check_stream() const {
+    if (out_.fail()) throw IoError("observation CSV write failed (stream in fail state)");
+  }
+
+  // The fixed-width fields below write into the row's reserved room.
+  template <typename Int>
+  void number(Int v) {
+    pos_ = std::to_chars(pos_, block_.get() + kCsvBlockBytes, v).ptr;
+  }
+  template <typename Int>
+  void field(Int v) {
+    *pos_++ = ',';
+    number(v);
+  }
+  void field_text(std::string_view s) {
+    *pos_++ = ',';
+    std::memcpy(pos_, s.data(), s.size());
+    pos_ += s.size();
+  }
+  /// `%.6g` of the float widened to double — the bytes `ostream << float`
+  /// produces under the default stream state, without locale or num_put.
+  void field_speed(float v) {
+    *pos_++ = ',';
+    pos_ = std::to_chars(pos_, block_.get() + kCsvBlockBytes, static_cast<double>(v),
+                         std::chars_format::general, 6)
+               .ptr;
+  }
+
+  std::string_view path_text(PathId id) {
+    if (id == kNoPath) return "-";
+    V6MON_REQUIRE(id < path_text_.size(), "path id out of range");
+    std::string& text = path_text_[id];
+    if (text.empty()) text = paths_.to_string(id);  // never empty once rendered
+    return text;
+  }
+
+  std::ostream& out_;
+  const PathRegistry& paths_;
+  std::unique_ptr<char[]> block_;
+  char* pos_;
+  std::vector<std::string> path_text_;  ///< Rendered paths, by id; "" = not yet.
+};
+
+}  // namespace
 
 void ResultsDb::write_csv(std::ostream& out) const {
-  out << "site,round,status,v4_speed_kBps,v6_speed_kBps,v4_samples,v6_samples,"
-         "v4_origin,v6_origin,v4_path,v6_path\n";
+  CsvRowWriter w(out, paths_);
+  w.put(
+      "site,round,status,v4_speed_kBps,v6_speed_kBps,v4_samples,v6_samples,"
+      "v4_origin,v6_origin,v4_path,v6_path\n");
   if (finalized_) {
     // Columns are already site-major and round-sorted: stream straight
     // through, one row at a time.
-    for (std::size_t i = 0; i < cols_.size(); ++i) {
-      const Observation o = cols_.row(i);
-      write_rows_csv(out, &o, 1);
-    }
+    for (std::size_t i = 0; i < cols_.size(); ++i) w.row(cols_.row(i));
   } else {
     // Unfinalized store (tests, partial dumps): order like the finalized
     // dump's grouping — sites ascending, insertion order within a site.
@@ -299,12 +421,9 @@ void ResultsDb::write_csv(std::ostream& out) const {
                      [](const Observation& a, const Observation& b) {
                        return a.site < b.site;
                      });
-    write_rows_csv(out, rows.data(), rows.size());
+    for (const Observation& o : rows) w.row(o);
   }
-  // A dump that hit a full disk or bad streambuf must surface — a
-  // silently truncated CSV is indistinguishable from a small campaign.
-  out.flush();
-  if (out.fail()) throw IoError("observation CSV write failed (stream in fail state)");
+  w.finish();
 }
 
 std::string ResultsDb::to_csv() const {

@@ -263,7 +263,8 @@ class ResultsDb {
   [[nodiscard]] bool finalized() const { return finalized_; }
 
   /// Stream the observation dump (sorted by site, round) as CSV — no
-  /// materialized copy of the rows.
+  /// materialized copy of the rows, at most one 64 KiB block of text in
+  /// memory. Throws IoError when the stream fails.
   void write_csv(std::ostream& out) const;
   /// Convenience wrapper over write_csv for small stores and tests.
   [[nodiscard]] std::string to_csv() const;
@@ -293,8 +294,6 @@ class ResultsDb {
   bool finalized_ = false;  ///< Phase-published (see cols_).
 
   RoundCounters& round_slot(std::uint32_t round) V6MON_REQUIRES(mu_);
-  void write_rows_csv(std::ostream& out, const Observation* rows,
-                      std::size_t n) const;
 };
 
 /// Read-only abstraction the analysis layer consumes: per-site series,

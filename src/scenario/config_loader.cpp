@@ -29,7 +29,6 @@ constexpr std::uint64_t kMaxMiniRounds = 100000;
 constexpr std::uint64_t kMaxDownloadBudget = 65535;  // Observation sample ceiling
 constexpr std::uint64_t kMaxRounds = 0xffffffffULL - 1;  // web::kNever is reserved
 constexpr std::uint64_t kMaxConnRetries = 100;  // transport::ConnParams cap
-constexpr double kMaxScale = 100.0;
 
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
   throw ParseError("scenario line " + std::to_string(line) + ": " + what);
@@ -163,10 +162,7 @@ ScenarioSpec parse_scenario(std::string_view text) {
       spec.world_seed = parse_u64(value, line_no);
     } else if (key == "world.scale") {
       spec.scale = parse_double(value, line_no);
-      if (!(spec.scale > 0.0) || spec.scale > kMaxScale) {
-        fail(line_no, "world.scale must be in (0, " +
-                          std::to_string(static_cast<int>(kMaxScale)) + "]");
-      }
+      validate_paper_scale(spec.scale);
     } else if (key == "campaign.seed") {
       c.seed = parse_u64(value, line_no);
       explicit_campaign_seed = true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "util/error.h"
 
@@ -21,8 +22,17 @@ std::vector<std::uint32_t> PaperCalendar::epoch_rounds(std::uint32_t interval) c
   return rounds;
 }
 
+void validate_paper_scale(double scale) {
+  if (scale > 0.0 && scale <= kMaxPaperScale) return;
+  std::ostringstream msg;
+  msg << "paper scale " << scale << " outside (0, " << kMaxPaperScale
+      << "]: larger worlds have more ASes than the 4096 /16s of the "
+         "16.0.0.0/4 IPv4 address pool";
+  throw ConfigError(msg.str());
+}
+
 WorldSpec paper_spec(std::uint64_t seed, double scale) {
-  if (scale <= 0.0 || scale > 4.0) throw ConfigError("paper scale out of range");
+  validate_paper_scale(scale);
   const PaperCalendar cal;
 
   WorldSpec spec;

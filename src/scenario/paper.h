@@ -40,9 +40,19 @@ struct PaperCalendar {
   [[nodiscard]] std::vector<std::uint32_t> epoch_rounds(std::uint32_t interval) const;
 };
 
+/// Largest scale a paper world can be built at. The address plan gives
+/// every AS one /16 of the 16.0.0.0/4 IPv4 pool (4096 slots), and a paper
+/// world has 24 + floor(240 s) + floor(2750 s) ASes: 10 tier-1s, 8 CDNs
+/// and 6 vantage points plus the scaled transit and stub tiers. That is
+/// 4090 ASes at s = 1.36 and 4119 at 1.37.
+inline constexpr double kMaxPaperScale = 1.36;
+
+/// Throws ConfigError naming the limit unless 0 < scale <= kMaxPaperScale.
+void validate_paper_scale(double scale);
+
 /// Scale factor: 1.0 builds the default reproduction world (hundreds of
 /// thousands of sites, thousands of ASes); smaller values shrink both for
-/// quick tests.
+/// quick tests. Bounded by kMaxPaperScale.
 [[nodiscard]] WorldSpec paper_spec(std::uint64_t seed, double scale = 1.0);
 
 /// Convenience: build the paper world.

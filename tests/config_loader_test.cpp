@@ -162,8 +162,11 @@ TEST(ConfigLoader, RejectsWithLineNumbers) {
 }
 
 TEST(ConfigLoader, RejectsOutOfDomainValues) {
-  EXPECT_THROW(parse_scenario("world.scale = 0\n"), ParseError);
-  EXPECT_THROW(parse_scenario("world.scale = 101\n"), ParseError);
+  // world.scale shares paper_spec's bound (scenario::kMaxPaperScale).
+  EXPECT_THROW(parse_scenario("world.scale = 0\n"), ConfigError);
+  EXPECT_THROW(parse_scenario("world.scale = 101\n"), ConfigError);
+  EXPECT_THROW(parse_scenario("world.scale = 1.37\n"), ConfigError);
+  EXPECT_DOUBLE_EQ(parse_scenario("world.scale = 1.36\n").scale, kMaxPaperScale);
   EXPECT_THROW(parse_scenario("campaign.threads = 5000\n"), ParseError);
   EXPECT_THROW(parse_scenario("monitor.max_downloads = 70000\n"), ParseError);
   EXPECT_THROW(parse_scenario("monitor.max_parallel_sites = 0\n"), ParseError);

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <limits>
+#include <sstream>
+#include <streambuf>
 
 #include "core/campaign.h"
 #include "core/monitor.h"
@@ -119,6 +124,201 @@ TEST(ResultsDb, CsvContainsObservations) {
   const std::string csv = db.to_csv();
   EXPECT_NE(csv.find("3,1,measured,50,45"), std::string::npos);
   EXPECT_NE(csv.find("AS5 AS12"), std::string::npos);
+}
+
+// --- Observation CSV byte format --------------------------------------------
+
+constexpr const char* kCsvHeader =
+    "site,round,status,v4_speed_kBps,v6_speed_kBps,v4_samples,v6_samples,"
+    "v4_origin,v6_origin,v4_path,v6_path\n";
+
+/// Independent oracle for the dump format: every field through a default
+/// `std::ostream <<` (floats at the stream's default `%.6g`) and paths
+/// through an ostringstream, exactly as the dump was first specified.
+std::string stream_oracle_csv(const PathRegistry& paths,
+                              const std::vector<Observation>& rows) {
+  auto path_text = [&paths](PathId id) -> std::string {
+    if (id == kNoPath) return "-";
+    const std::vector<topo::Asn>& p = paths.path(id);
+    if (p.empty()) return "(local)";
+    std::ostringstream s;
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      if (i) s << ' ';
+      s << "AS" << p[i];
+    }
+    return s.str();
+  };
+  std::ostringstream out;
+  out << kCsvHeader;
+  for (const Observation& o : rows) {
+    out << o.site << ',' << o.round << ',' << monitor_status_name(o.status) << ','
+        << o.v4_speed_kBps << ',' << o.v6_speed_kBps << ',' << o.v4_samples << ','
+        << o.v6_samples << ',';
+    if (o.v4_origin != topo::kNoAs) out << o.v4_origin;
+    out << ',';
+    if (o.v6_origin != topo::kNoAs) out << o.v6_origin;
+    out << ',' << path_text(o.v4_path) << ',' << path_text(o.v6_path) << '\n';
+  }
+  return out.str();
+}
+
+std::vector<std::string> csv_lines(const std::string& csv) {
+  std::vector<std::string> lines;
+  std::istringstream in(csv);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+void expect_same_rows(const std::string& actual, const std::string& expected) {
+  ASSERT_FALSE(actual.empty());
+  EXPECT_EQ(actual.back(), '\n');
+  const std::vector<std::string> a = csv_lines(actual);
+  const std::vector<std::string> e = csv_lines(expected);
+  ASSERT_EQ(a.size(), e.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i], e[i]) << "row " << i;
+  }
+  EXPECT_EQ(actual, expected);
+}
+
+/// Floats across every `%g` regime boundary: signed zero, denormals,
+/// the fixed/scientific switch at 1e-4 and 1e6, rounding carries into a
+/// new exponent, the float range ends, and the non-finite values.
+std::vector<float> regime_floats() {
+  using lim = std::numeric_limits<float>;
+  return {0.0f,        -0.0f,        lim::denorm_min(), -lim::denorm_min(),
+          lim::min(),  1e-5f,        9.999995e-5f,      0.0001f,
+          0.00012345f, 1.0f,         45.0f,             0.1f,
+          123456.0f,   999999.5f,    999999.4f,         1e6f,
+          1234567.0f,  3.4e38f,      lim::max(),        -273.15f,
+          lim::infinity(), -lim::infinity(), lim::quiet_NaN(), -lim::quiet_NaN()};
+}
+
+constexpr MonitorStatus kAllStatuses[] = {
+    MonitorStatus::kDnsFailed,         MonitorStatus::kV4Only,
+    MonitorStatus::kV6Only,            MonitorStatus::kV4DownloadFailed,
+    MonitorStatus::kV6DownloadFailed,  MonitorStatus::kDifferentContent,
+    MonitorStatus::kMeasured};
+
+/// A deterministic spread of rows over every field's edge values, plus
+/// `random_rows` rows of arbitrary float bit patterns (NaN payloads
+/// included) — enough bytes that the writer's buffer spills many times
+/// and rows straddle its boundaries. Sites ascend with insertion order.
+std::vector<Observation> edge_rows(PathRegistry& paths, std::size_t random_rows) {
+  const std::vector<float> floats = regime_floats();
+  const PathId path_ids[] = {kNoPath, paths.intern({}), paths.intern({7}),
+                             paths.intern({1, 22, 333, 4444, 4294967294u})};
+  const topo::Asn origins[] = {topo::kNoAs, 0, 65535, topo::kNoAs - 1};
+  const std::uint16_t samples[] = {0, 1, 9, 65535};
+  const std::uint32_t rounds[] = {0, 7, 0xfffffffeu, 0xffffffffu};
+
+  std::vector<Observation> rows;
+  std::uint64_t bits = 0x9e3779b97f4a7c15ULL;
+  for (std::size_t i = 0; i < floats.size() * floats.size() + random_rows; ++i) {
+    Observation o;
+    o.site = static_cast<std::uint32_t>(i / 3);
+    o.round = rounds[i % 4];
+    o.status = kAllStatuses[i % 7];
+    if (i < floats.size() * floats.size()) {
+      o.v4_speed_kBps = floats[i / floats.size()];
+      o.v6_speed_kBps = floats[i % floats.size()];
+    } else {
+      bits = bits * 6364136223846793005ULL + 1442695040888963407ULL;
+      const auto hi = static_cast<std::uint32_t>(bits >> 32);
+      const auto lo = static_cast<std::uint32_t>(bits);
+      std::memcpy(&o.v4_speed_kBps, &hi, sizeof hi);
+      std::memcpy(&o.v6_speed_kBps, &lo, sizeof lo);
+    }
+    o.v4_samples = samples[i % 4];
+    o.v6_samples = samples[(i / 4) % 4];
+    o.v4_origin = origins[i % 4];
+    o.v6_origin = origins[(i + 1) % 4];
+    o.v4_path = path_ids[i % 4];
+    o.v6_path = path_ids[(i / 5) % 4];
+    rows.push_back(o);
+  }
+  // One path longer than any buffer block.
+  std::vector<topo::Asn> huge(7000);
+  for (std::size_t i = 0; i < huge.size(); ++i) {
+    huge[i] = topo::kNoAs - 1 - static_cast<topo::Asn>(i);
+  }
+  rows[rows.size() / 2].v6_path = paths.intern(huge);
+  return rows;
+}
+
+TEST(ResultsCsv, FinalizedDumpMatchesStreamOracle) {
+  ResultsDb db;
+  for (const Observation& o : edge_rows(db.paths(), 20'000)) db.add(o);
+  db.finalize();
+  // The oracle reads rows back in the store's own (site, round) order.
+  std::vector<Observation> rows;
+  for (const std::uint32_t site : db.site_ids()) {
+    const SiteSeries s = db.series(site);
+    for (std::size_t i = 0; i < s.size(); ++i) rows.push_back(s[i]);
+  }
+  const std::string csv = db.to_csv();
+  EXPECT_GT(csv.size(), std::size_t{1} << 20);  // many buffer blocks
+  expect_same_rows(csv, stream_oracle_csv(db.paths(), rows));
+}
+
+TEST(ResultsCsv, UnfinalizedDumpMatchesStreamOracle) {
+  // Unfinalized stores dump sites ascending, insertion order within a
+  // site — here with the uint32 extremes a finalized store cannot hold
+  // (finalize() sizes a dense index by the largest site id).
+  ResultsDb db;
+  std::vector<Observation> rows = edge_rows(db.paths(), 0);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i].site = 0xffffffffu - static_cast<std::uint32_t>(i % 5);
+  }
+  for (const Observation& o : rows) db.add(o);
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const Observation& a, const Observation& b) {
+                     return a.site < b.site;
+                   });
+  expect_same_rows(db.to_csv(), stream_oracle_csv(db.paths(), rows));
+}
+
+TEST(ResultsCsv, EmptyStoreWritesHeaderOnly) {
+  ResultsDb db;
+  EXPECT_EQ(db.to_csv(), kCsvHeader);
+  db.finalize();
+  EXPECT_EQ(db.to_csv(), kCsvHeader);
+}
+
+/// Accepts `limit` bytes, then refuses everything — a disk that fills up
+/// partway through a dump.
+class FillingStreambuf : public std::streambuf {
+ public:
+  explicit FillingStreambuf(std::size_t limit) : limit_(limit) {}
+  std::size_t accepted = 0;
+
+ protected:
+  int overflow(int c) override {
+    if (c == traits_type::eof()) return traits_type::not_eof(c);
+    const char ch = traits_type::to_char_type(c);
+    return xsputn(&ch, 1) == 1 ? c : traits_type::eof();
+  }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    const auto take = std::min<std::size_t>(static_cast<std::size_t>(n), limit_ - accepted);
+    accepted += take;
+    return static_cast<std::streamsize>(take);
+  }
+
+ private:
+  std::size_t limit_;
+};
+
+TEST(ResultsCsv, MidDumpStreamFailureThrows) {
+  ResultsDb db;
+  for (const Observation& o : edge_rows(db.paths(), 20'000)) db.add(o);
+  db.finalize();
+  const std::size_t full_size = db.to_csv().size();
+  const std::size_t limit = 300'000;  // several buffer blocks in
+  ASSERT_GT(full_size, 4 * limit);
+  FillingStreambuf buf(limit);
+  std::ostream out(&buf);
+  EXPECT_THROW(db.write_csv(out), IoError);
+  EXPECT_EQ(buf.accepted, limit);
 }
 
 // --- Monitor pipeline on a small world -----------------------------------
@@ -349,6 +549,38 @@ TEST(Campaign, DeterministicAcrossThreadCounts) {
       EXPECT_EQ(obs1[i].v6_speed_kBps, obs8[i].v6_speed_kBps);
     }
   }
+}
+
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Campaign, ObservationCsvBytesPinned) {
+  // Every other CSV test compares one dump against another, which any
+  // formatter change passes trivially. These digests pin the bytes
+  // themselves: a change here is an output-format change.
+  const auto& w = small_world().world;
+  CampaignConfig cfg;
+  cfg.seed = 7;
+  cfg.threads = 2;
+  cfg.w6d_mini_rounds = 3;
+  Campaign campaign(w, cfg);
+  campaign.run();
+  campaign.run_w6d();
+  campaign.finalize();
+  std::string observations, w6d;
+  for (std::size_t vp = 0; vp < w.vantage_points.size(); ++vp) {
+    observations += campaign.results(vp).to_csv();
+    w6d += campaign.w6d_results(vp).to_csv();
+  }
+  EXPECT_GT(observations.size(), std::size_t{100'000});
+  EXPECT_EQ(fnv1a64(observations), 0x46c16c4f47ace918ULL) << observations.size() << " bytes";
+  EXPECT_EQ(fnv1a64(w6d), 0x351d3a5447e22b87ULL) << w6d.size() << " bytes";
 }
 
 }  // namespace

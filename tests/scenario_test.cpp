@@ -178,5 +178,26 @@ TEST(PaperScenario, RejectsBadScale) {
   EXPECT_THROW(paper_spec(1, 100.0), v6mon::ConfigError);
 }
 
+TEST(PaperScenario, LargestScaleBuilds) {
+  // The bound is tight: the address plan at kMaxPaperScale has room for
+  // every AS, and a handful more ASes exhaust the IPv4 prefix pool.
+  WorldSpec spec = paper_spec(2011, kMaxPaperScale);
+  spec.build_threads = 2;
+  const core::World world = build_world(spec);
+  EXPECT_LE(world.graph.num_ases(), 4096u);
+  EXPECT_GT(world.graph.num_ases(), 4096u - 10u);
+  spec.topology.num_stub += 4096 - world.graph.num_ases() + 1;
+  EXPECT_THROW((void)build_world(spec), v6mon::Error);
+}
+
+TEST(PaperScenario, ScaleAboveBoundNamesTheLimit) {
+  try {
+    (void)paper_spec(2011, 1.37);
+    FAIL() << "scale 1.37 accepted";
+  } catch (const v6mon::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("1.36"), std::string::npos) << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace v6mon::scenario
