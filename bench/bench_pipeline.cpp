@@ -164,24 +164,18 @@ void BM_FullCampaign(benchmark::State& state) {
 BENCHMARK(BM_FullCampaign)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond)
     ->MinTime(1.0);
 
-// --- Multi-VP scheduling: task graph vs per-round fork-join ----------------
+// --- Multi-VP scheduling ----------------------------------------------------
 //
-// The ISSUE 10 contract: with several vantage points sharing one pool,
-// the dependency-scheduled campaign (per-VP round chains, epoch gates
-// only where the world actually moves) must beat the legacy per-round
-// fork-join loop by >= 25% at 8 threads — tracked as the
-// BM_CampaignMultiVp/8 vs BM_CampaignMultiVpBarriered/8 ratio in the
-// committed JSON and gated by perf-smoke.
+// Several vantage points sharing one pool: the campaign runs per-VP
+// round chains as executor nodes, with epoch gates only where the world
+// actually moves.
 //
 // The fixture is deliberately NOT paper_spec: site throughput under the
 // paper's 200k-site catalog is BM_FullCampaign's job, and there the
-// per-round monitor work amortizes any scheduling cost. This pair
-// isolates the layer this contract is about — the scheduler — in the
-// regime the task graph exists for: many vantage points advancing
-// through many rounds whose individual work lists are small, where the
-// legacy loop pays a full fork-join (helper submits, sleeper wakeups,
-// 8-shard flush merges) per (vp, round) block and the graph runs each
-// block inline on its node.
+// per-round monitor work amortizes any scheduling cost. This fixture
+// isolates the scheduler in the regime the task graph exists for: many
+// vantage points advancing through many rounds whose individual work
+// lists are small, where each (vp, round) block runs inline on its node.
 
 scenario::WorldSpec multi_vp_spec() {
   scenario::WorldSpec spec;
@@ -223,11 +217,10 @@ core::World& multi_vp_world() {
   return world;
 }
 
-void run_campaign_multi_vp(benchmark::State& state, bool use_executor) {
+void BM_CampaignMultiVp(benchmark::State& state) {
   const core::World& world = multi_vp_world();
   core::CampaignConfig cfg = scenario::paper_campaign_config(bench_seed());
   cfg.threads = static_cast<std::size_t>(state.range(0));
-  cfg.use_executor = use_executor;
   for (auto _ : state) {
     state.PauseTiming();
     auto campaign = std::make_unique<core::Campaign>(world, cfg);
@@ -238,18 +231,8 @@ void run_campaign_multi_vp(benchmark::State& state, bool use_executor) {
   }
   state.counters["vps"] = static_cast<double>(world.vantage_points.size());
 }
-
-void BM_CampaignMultiVp(benchmark::State& state) {
-  run_campaign_multi_vp(state, /*use_executor=*/true);
-}
 BENCHMARK(BM_CampaignMultiVp)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond)
     ->MinTime(1.0);
-
-void BM_CampaignMultiVpBarriered(benchmark::State& state) {
-  run_campaign_multi_vp(state, /*use_executor=*/false);
-}
-BENCHMARK(BM_CampaignMultiVpBarriered)->Arg(1)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->MinTime(1.0);
 
 /// The measurement kernel in isolation: one family's repeat-until-CI
 /// download loop (batched simulate + precomputed gate table), over a

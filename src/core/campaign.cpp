@@ -9,6 +9,7 @@
 #include "core/world_timeline.h"
 #include "obs/metrics.h"
 #include "util/contracts.h"
+#include "util/error.h"
 #include "web/dns_backend.h"
 
 namespace v6mon::core {
@@ -49,20 +50,21 @@ const CampaignMetricIds& campaign_metric_ids() {
 /// pipeline frontier (low rounds finish first, unblocking their
 /// successors and the next epoch gate); the VP index breaks ties
 /// deterministically. Gate nodes take slot 0 of their round, ahead of
-/// the round's VP nodes. Rounds are capped at 2^20 by the spool format,
-/// so a 20-bit VP field can never collide with the next round.
+/// the round's VP nodes. run() caps the VP count below 2^20, so a 20-bit
+/// VP field can never collide with the next round.
 [[nodiscard]] std::uint64_t node_key(std::uint32_t round, std::size_t vp_slot) {
   return (static_cast<std::uint64_t>(round) << 20) |
          static_cast<std::uint64_t>(vp_slot);
 }
 
 /// Dispatch key in a *frozen* campaign (no gate nodes): VPs are the
-/// major axis, so a 1-thread pool replays the legacy VP-major frozen
-/// loop exactly and — more importantly — each vantage point's working
-/// set (monitor, resolved-site table, store) stays cache-hot through
-/// consecutive rounds instead of being evicted by six other VPs every
-/// round. Outputs are schedule-invariant either way (the determinism
-/// matrix pins it); the key choice is purely a locality decision.
+/// major axis, so a 1-thread pool runs the campaign vantage point by
+/// vantage point and each VP's working set (monitor, resolved-site
+/// table, store) stays cache-hot through consecutive rounds instead of
+/// being evicted by six other VPs every round. Rounds stay below
+/// kMaxCampaignRounds < 2^20, so the key is injective. Outputs are
+/// schedule-invariant either way (the determinism matrix pins it); the
+/// key choice is purely a locality decision.
 [[nodiscard]] std::uint64_t node_key_vp_major(std::uint32_t round,
                                               std::size_t vp) {
   return (static_cast<std::uint64_t>(vp) << 20) |
@@ -119,6 +121,11 @@ Campaign::SiteScanIndex::SiteScanIndex(const web::SiteCatalog& catalog) {
 Campaign::Campaign(const World& world, CampaignConfig config)
     : world_(world), config_(resolve(std::move(config))), pool_(config_.threads),
       scan_(world.catalog) {
+  if (world_.num_rounds >= kMaxCampaignRounds) {
+    throw ConfigError("world num_rounds " + std::to_string(world_.num_rounds) +
+                      " exceeds the campaign limit of " +
+                      std::to_string(kMaxCampaignRounds - 1));
+  }
   for (std::size_t vp = 0; vp < world_.vantage_points.size(); ++vp) {
     init_store(stores_.emplace_back(), vp, "");
     init_store(w6d_stores_.emplace_back(), vp, "_w6d");
@@ -184,7 +191,8 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
     dns::Resolver resolver(backend, config_.monitor.dns,
                            util::LazyRng(root.child_seed("dns", salt ^ site.id)));
     const std::uint64_t key =
-        ((static_cast<std::uint64_t>(vp_index) * 4096 + round) << 32) |
+        ((static_cast<std::uint64_t>(vp_index) * kMaxCampaignRounds + round)
+         << 32) |
         (site.id ^ salt);
     const Observation obs = monitor.monitor_site(
         site, round, resolver, root.child("monitor", key), lane.paths());
@@ -212,7 +220,7 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
       metrics.add(ids.ingest_rows);
     }
   };
-  if (graph_inline_sites_) {
+  if (graph_inline_sites_.load(std::memory_order_relaxed)) {
     // Executor-scheduled round with enough concurrent (vp, round) nodes
     // to cover every pool worker: fanning sites out would only enqueue
     // helpers that contend with other VPs' nodes for the same workers,
@@ -329,18 +337,13 @@ bool Campaign::graph_covers_pool() const {
 }
 
 void Campaign::run() {
-  if (!config_.use_executor) {
-    run_barriered();
-    return;
-  }
   // Dependency-graph schedule (DESIGN.md §15). Chain nodes per vantage
   // point — (vp, r) waits only on (vp, r-1) — so VPs pipeline through
   // their rounds concurrently. Every *pending* epoch round e gets one
   // advance_world(e) gate node wedged into all chains: it waits on every
-  // (vp, r < e) node and gates every (vp, r >= e) node, which is exactly
-  // the barrier the legacy round-major loop imposed — but only at epoch
-  // rounds, not at all of them. run_round's own pending-epoch REQUIRE
-  // stays satisfied on every schedule the edges admit.
+  // (vp, r < e) node and gates every (vp, r >= e) node, a barrier at
+  // epoch rounds only. run_round's own pending-epoch REQUIRE stays
+  // satisfied on every schedule the edges admit.
   const std::size_t num_vps = world_.vantage_points.size();
   if (num_vps == 0) return;
   V6MON_REQUIRE(num_vps < (1u << 20), "vantage point count exceeds key space");
@@ -379,31 +382,9 @@ void Campaign::run() {
       prev[vp] = node;
     }
   }
-  graph_inline_sites_ = graph_covers_pool();
+  graph_inline_sites_.store(graph_covers_pool(), std::memory_order_relaxed);
   exec.run();
-  graph_inline_sites_ = false;
-}
-
-void Campaign::run_barriered() {
-  if (timeline_ == nullptr || timeline_->empty()) {
-    // Frozen world: the original vantage-point-major loop, untouched —
-    // an empty-delta campaign runs exactly the pre-epoch code path.
-    for (std::size_t vp = 0; vp < world_.vantage_points.size(); ++vp) {
-      for (std::uint32_t round = 0; round <= world_.num_rounds; ++round) {
-        run_round(vp, round);
-      }
-    }
-    return;
-  }
-  // Evolving world: round-major so every vantage point observes round r
-  // under the same world version, and the advance happens while no
-  // measurement is in flight.
-  for (std::uint32_t round = 0; round <= world_.num_rounds; ++round) {
-    advance_world(round);
-    for (std::size_t vp = 0; vp < world_.vantage_points.size(); ++vp) {
-      run_round(vp, round);
-    }
-  }
+  graph_inline_sites_.store(false, std::memory_order_relaxed);
 }
 
 void Campaign::run_w6d_for_vp(std::size_t vp_index,
@@ -425,25 +406,6 @@ void Campaign::run_w6d_for_vp(std::size_t vp_index,
   }
 }
 
-void Campaign::run_w6d_on_graph(const std::vector<std::uint32_t>& participants) {
-  // One node per participating vantage point, no edges: a VP's whole
-  // mini-round sequence is one node, so mini ordering and the w6d-store
-  // -> regular-store lock order are inherited verbatim from the legacy
-  // path while different VPs' events run concurrently.
-  Executor exec(pool_);
-  bool any = false;
-  for (std::size_t vp = 0; vp < world_.vantage_points.size(); ++vp) {
-    if (world_.vantage_points[vp].start_round > world_.w6d_round) continue;
-    exec.add(node_key(0, vp + 1),
-             [this, vp, &participants] { run_w6d_for_vp(vp, participants); });
-    any = true;
-  }
-  if (!any) return;
-  graph_inline_sites_ = graph_covers_pool();
-  exec.run();
-  graph_inline_sites_ = false;
-}
-
 void Campaign::run_w6d() {
   if (world_.w6d_round == web::kNever) return;
   V6MON_REQUIRE(!finalized_, "run_w6d after finalize()");
@@ -455,14 +417,22 @@ void Campaign::run_w6d() {
   for (const web::Site& s : world_.catalog.sites()) {
     if (s.w6d_participant) participants.push_back(s.id);
   }
-  if (config_.use_executor) {
-    run_w6d_on_graph(participants);
-    return;
-  }
+  // One node per participating vantage point, no edges: a VP's whole
+  // mini-round sequence is one node, so mini ordering and the w6d-store
+  // -> regular-store lock order hold while different VPs' events run
+  // concurrently.
+  Executor exec(pool_);
+  bool any = false;
   for (std::size_t vp = 0; vp < world_.vantage_points.size(); ++vp) {
     if (world_.vantage_points[vp].start_round > world_.w6d_round) continue;
-    run_w6d_for_vp(vp, participants);
+    exec.add(node_key(0, vp + 1),
+             [this, vp, &participants] { run_w6d_for_vp(vp, participants); });
+    any = true;
   }
+  if (!any) return;
+  graph_inline_sites_.store(graph_covers_pool(), std::memory_order_relaxed);
+  exec.run();
+  graph_inline_sites_.store(false, std::memory_order_relaxed);
 }
 
 void Campaign::finalize() {

@@ -42,16 +42,15 @@ struct CampaignConfig {
   /// Results-ingest backend; a pure performance/memory knob (every
   /// backend reproduces the same bytes).
   SinkBackend sink = SinkBackend::kSharded;
-  /// Schedule run()/run_w6d() as a core::Executor dependency graph (one
-  /// node per (vantage point, round) block, world advances as gate
-  /// nodes) instead of the legacy barriered loops. Pure scheduling knob:
-  /// observables are byte-identical either way (the determinism matrix
-  /// pins it); off exists for A/B benchmarking and bisection.
-  bool use_executor = true;
   /// Directory for SinkBackend::kSpool files (vp<i>.spool and
   /// vp<i>_w6d.spool). Must exist and be writable.
   std::string spool_dir = ".";
 };
+
+/// Exclusive upper bound on World::num_rounds for a campaign. The
+/// per-site monitor stream key packs `vp * kMaxCampaignRounds + round`,
+/// so a larger round would hand vantage point vp + 1's stream to vp.
+inline constexpr std::uint32_t kMaxCampaignRounds = 4096;
 
 /// Runs the paper's measurement campaign: for every vantage point, one
 /// monitoring round per campaign round from the VP's start round onward,
@@ -59,6 +58,7 @@ struct CampaignConfig {
 /// samples, stored separately).
 class Campaign {
  public:
+  /// Throws ConfigError when world.num_rounds >= kMaxCampaignRounds.
   Campaign(const World& world, CampaignConfig config);
 
   /// Evolving-world campaign: the timeline owns the world and advances
@@ -68,19 +68,13 @@ class Campaign {
   /// byte-identical output, no epoch machinery on any path.
   Campaign(WorldTimeline& timeline, CampaignConfig config);
 
-  /// Run all regular rounds for all vantage points. With
-  /// `config.use_executor` (the default) the rounds execute as a
-  /// dependency graph: each (vantage point, round) block is an Executor
-  /// node depending on the same VP's previous round, so different VPs'
-  /// rounds pipeline concurrently; a non-empty timeline adds one
-  /// `advance_world(e)` gate node per pending epoch round e, depending
-  /// on every (vp, r < e) node and gating every (vp, r >= e) node — all
-  /// VPs observe round r under the same world version, exactly as the
-  /// legacy loops guaranteed with barriers. With the knob off the
-  /// original loops run: vantage-point-major for a frozen world,
-  /// round-major with a per-round advance for an evolving one.
-  /// Observation bytes are identical across all of it — every RNG
-  /// stream is keyed by (vp, round, site), never by schedule order.
+  /// Run all regular rounds for all vantage points as one Executor
+  /// dependency graph: each (vantage point, round) block is a node
+  /// depending on the same VP's previous round, and each pending epoch
+  /// round e adds an `advance_world(e)` gate node after every
+  /// (vp, r < e) node and before every (vp, r >= e) node, so all VPs
+  /// observe round r under the same world version. Every RNG stream is
+  /// keyed by (vp, round, site), never by schedule order.
   void run();
 
   /// Apply every pending world epoch with epoch round <= `round`:
@@ -97,8 +91,9 @@ class Campaign {
   /// one vantage point's store are serialized internally.
   void run_round(std::size_t vp_index, std::uint32_t round);
 
-  /// Run the World IPv6 Day special event for every vantage point.
-  /// No-op when the world has no W6D round.
+  /// Run the World IPv6 Day special event for every vantage point, one
+  /// executor node per vantage point. No-op when the world has no W6D
+  /// round.
   void run_w6d();
 
   [[nodiscard]] const ResultsDb& results(std::size_t vp_index) const {
@@ -166,15 +161,8 @@ class Campaign {
   void run_sites(std::size_t vp_index, std::uint32_t round,
                  const std::vector<std::uint32_t>& sites, ObservationSink& sink,
                  std::uint64_t salt);
-
-  /// The legacy (pre-executor) run loops, kept verbatim for A/B
-  /// benchmarking and as the bisection reference.
-  void run_barriered();
   void run_w6d_for_vp(std::size_t vp_index,
                       const std::vector<std::uint32_t>& participants);
-  /// Graph-mode w6d path (config_.use_executor); the regular-round graph
-  /// is built directly in run().
-  void run_w6d_on_graph(const std::vector<std::uint32_t>& participants);
   /// Whether executor-scheduled nodes should run their site loop inline
   /// (when graph-level VP parallelism already covers the pool) or fan
   /// sites out through parallel_index. Pure scheduling choice.
@@ -216,10 +204,11 @@ class Campaign {
   /// graph's node-level parallelism saturates the pool: run_sites then
   /// loops sites inline on the node's thread instead of paying a
   /// parallel_index fan-out whose helpers would find no free worker.
-  /// Written only by the coordinator before/after Executor::run()
-  /// (published to node threads through the pool's submission mutex);
-  /// purely a scheduling knob, invisible in every observable.
-  bool graph_inline_sites_ = false;
+  /// Written only by the coordinator before/after Executor::run(). Atomic
+  /// because run_round is public and may run on another thread while
+  /// run()/run_w6d() toggles it; relaxed, since it is purely a
+  /// scheduling knob, invisible in every observable.
+  std::atomic<bool> graph_inline_sites_{false};
 };
 
 }  // namespace v6mon::core

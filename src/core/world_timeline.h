@@ -30,11 +30,10 @@ enum class EpochAdvanceMode : std::uint8_t { kIncremental, kFullRebuild };
 /// byte-identical to one over the bare World.
 ///
 /// Not internally synchronized: `advance_to` mutates the world and must
-/// run while no measurement is in flight. Under the legacy barriered
-/// loops that quiescence is the round boundary; under the campaign's
-/// Executor graph it is structural — every advance runs inside a gate
-/// node whose edges order it after all (vp, r < e) nodes and before all
-/// (vp, r >= e) nodes, so the advance still executes globally exclusive.
+/// run while no measurement is in flight. In a campaign that quiescence
+/// is structural: every advance runs inside an Executor gate node whose
+/// edges order it after all (vp, r < e) nodes and before all (vp, r >= e)
+/// nodes, so the advance executes globally exclusive.
 /// The read-only accessors (`next_epoch_round`, `pending_epoch_rounds`,
 /// `world`, `current_epoch`) are safe to call from concurrently-running
 /// measurement nodes *between* advances: the gate edges (mutex-backed

@@ -172,8 +172,6 @@ ScenarioSpec parse_scenario(std::string_view text) {
       c.threads = static_cast<std::size_t>(v);
     } else if (key == "campaign.fast_path") {
       c.fast_path = parse_bool(value, line_no);
-    } else if (key == "campaign.executor") {
-      c.use_executor = parse_bool(value, line_no);
     } else if (key == "campaign.w6d_mini_rounds") {
       const std::uint64_t v = parse_u64(value, line_no);
       if (v > kMaxMiniRounds) fail(line_no, "campaign.w6d_mini_rounds out of range");

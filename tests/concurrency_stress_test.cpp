@@ -19,6 +19,7 @@
 #include "core/results.h"
 #include "core/sink.h"
 #include "core/thread_pool.h"
+#include "reference_schedule.h"
 #include "scenario/world_builder.h"
 #include "topo/generator.h"
 #include "transport/path_cache.h"
@@ -314,15 +315,11 @@ TEST(CampaignStress, W6dOverlappingOtherVpRoundsMatchesSerialRun) {
   CampaignConfig ref_cfg;
   ref_cfg.seed = 21;
   ref_cfg.threads = 1;
-  ref_cfg.use_executor = false;  // strictly serial legacy reference
   Campaign serial(w, ref_cfg);
-  serial.run();
-  serial.run_w6d();
-  serial.finalize();
+  run_reference_schedule(serial, /*evolving=*/false);
 
   CampaignConfig cfg = ref_cfg;
   cfg.threads = 2;
-  cfg.use_executor = true;
   Campaign overlapped(w, cfg);
   // VP 0's regular rounds complete up front; then VP 0's (and VP 1's)
   // W6D event runs while VP 1's regular rounds are still in flight on

@@ -11,6 +11,7 @@
 #include "core/monitor.h"
 #include "core/results.h"
 #include "core/thread_pool.h"
+#include "reference_schedule.h"
 #include "scenario/paper.h"
 #include "scenario/world_builder.h"
 #include "util/error.h"
@@ -551,15 +552,6 @@ TEST(Campaign, DeterministicAcrossThreadCounts) {
   }
 }
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 TEST(Campaign, ObservationCsvBytesPinned) {
   // Every other CSV test compares one dump against another, which any
   // formatter change passes trivially. These digests pin the bytes
@@ -581,6 +573,23 @@ TEST(Campaign, ObservationCsvBytesPinned) {
   EXPECT_GT(observations.size(), std::size_t{100'000});
   EXPECT_EQ(fnv1a64(observations), 0x46c16c4f47ace918ULL) << observations.size() << " bytes";
   EXPECT_EQ(fnv1a64(w6d), 0x351d3a5447e22b87ULL) << w6d.size() << " bytes";
+}
+
+TEST(Campaign, RejectsRoundCountAtMonitorKeyLimit) {
+  // The per-site monitor stream key packs vp * kMaxCampaignRounds + round,
+  // so round kMaxCampaignRounds at vp would reuse vp + 1's round-0 draws.
+  World w = small_world().world;
+  CampaignConfig cfg;
+  cfg.threads = 1;
+  w.num_rounds = kMaxCampaignRounds - 1;
+  EXPECT_NO_THROW({ Campaign accepted(w, cfg); });
+  w.num_rounds = kMaxCampaignRounds;
+  try {
+    Campaign rejected(w, cfg);
+    ADD_FAILURE() << "num_rounds = " << w.num_rounds << " was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("4095"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "analysis/report.h"
 #include "analysis/tables.h"
 #include "core/campaign.h"
+#include "reference_schedule.h"
 #include "scenario/world_builder.h"
 
 namespace v6mon::core {
@@ -149,14 +150,12 @@ TEST(Determinism, ThreadCountInvisibleUnderFailureInjection) {
 std::unique_ptr<Campaign> run_with(SinkBackend sink, unsigned threads,
                                    std::uint64_t seed, const std::string& spool_dir,
                                    double dns_timeout_prob = 0.0,
-                                   double dl_failure_prob = 0.0,
-                                   bool use_executor = true) {
+                                   double dl_failure_prob = 0.0) {
   CampaignConfig cfg;
   cfg.seed = seed;
   cfg.threads = threads;
   cfg.sink = sink;
   cfg.spool_dir = spool_dir;
-  cfg.use_executor = use_executor;
   if (sink == SinkBackend::kSpool) std::filesystem::create_directories(spool_dir);
   cfg.monitor.dns.timeout_prob = dns_timeout_prob;
   cfg.monitor.download.failure_prob = dl_failure_prob;
@@ -203,34 +202,42 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, SinkBackendMatrix,
 
 // --- Executor scheduling matrix --------------------------------------------
 //
-// The task-graph executor (ISSUE 10) is a scheduling layer, not a
-// semantic one: campaign.executor {on, off} must be as invisible as the
-// thread count. The reference cell is executor-off, threads=1, mutex
-// sink — the original strictly-serial loop — and every executor-on cell
-// across threads and sink backends must reproduce it byte for byte.
-// This is what licenses `use_executor = true` as the default.
+// The task-graph executor is a scheduling layer, not a semantic one. The
+// reference runs the campaign without it — mutex sink, one thread, the
+// serial per-round loop of reference_schedule.h — and every executor
+// cell across threads and sink backends must reproduce it byte for byte.
+
+std::unique_ptr<Campaign> run_reference(std::uint64_t seed,
+                                        double dns_timeout_prob = 0.0,
+                                        double dl_failure_prob = 0.0) {
+  CampaignConfig cfg;
+  cfg.seed = seed;
+  cfg.threads = 1;
+  cfg.sink = SinkBackend::kMutex;
+  cfg.monitor.dns.timeout_prob = dns_timeout_prob;
+  cfg.monitor.download.failure_prob = dl_failure_prob;
+  auto campaign = std::make_unique<Campaign>(tiny_world(), cfg);
+  run_reference_schedule(*campaign, /*evolving=*/false);
+  return campaign;
+}
+
 TEST(Determinism, ExecutorSchedulingInvisible) {
   const std::string dir = ::testing::TempDir();
-  const auto reference = run_with(SinkBackend::kMutex, 1, 2011, dir + "/xref",
-                                  0.0, 0.0, /*use_executor=*/false);
+  const auto reference = run_reference(2011);
   const struct {
     SinkBackend sink;
     unsigned threads;
-    bool executor;
     const char* tag;
   } cells[] = {
-      {SinkBackend::kMutex, 1, true, "mutex-t1-exec"},
-      {SinkBackend::kMutex, 8, true, "mutex-t8-exec"},
-      {SinkBackend::kMutex, 8, false, "mutex-t8-barrier"},
-      {SinkBackend::kSharded, 8, true, "sharded-t8-exec"},
-      {SinkBackend::kSharded, 8, false, "sharded-t8-barrier"},
-      {SinkBackend::kSpool, 8, true, "spool-t8-exec"},
-      {SinkBackend::kSpool, 8, false, "spool-t8-barrier"},
+      {SinkBackend::kMutex, 1, "mutex-t1-exec"},
+      {SinkBackend::kMutex, 8, "mutex-t8-exec"},
+      {SinkBackend::kSharded, 8, "sharded-t8-exec"},
+      {SinkBackend::kSpool, 8, "spool-t8-exec"},
   };
   for (const auto& cell : cells) {
     SCOPED_TRACE(cell.tag);
-    const auto run = run_with(cell.sink, cell.threads, 2011,
-                              dir + "/x-" + cell.tag, 0.0, 0.0, cell.executor);
+    const auto run =
+        run_with(cell.sink, cell.threads, 2011, dir + "/x-" + cell.tag);
     expect_identical_observables(*reference, *run);
     EXPECT_EQ(table4_csv(*reference), table4_csv(*run));
   }
@@ -241,10 +248,9 @@ TEST(Determinism, ExecutorSchedulingInvisible) {
 // be rounds ahead of VP-b when both draw from their streams).
 TEST(Determinism, ExecutorSchedulingInvisibleUnderFailureInjection) {
   const std::string dir = ::testing::TempDir();
-  const auto reference = run_with(SinkBackend::kMutex, 1, 404, dir + "/xfref",
-                                  0.2, 0.05, /*use_executor=*/false);
+  const auto reference = run_reference(404, 0.2, 0.05);
   const auto executor = run_with(SinkBackend::kSharded, 8, 404, dir + "/xf8",
-                                 0.2, 0.05, /*use_executor=*/true);
+                                 0.2, 0.05);
   expect_identical_observables(*reference, *executor);
   EXPECT_EQ(table4_csv(*reference), table4_csv(*executor));
 }

@@ -25,6 +25,7 @@
 
 #include "core/campaign.h"
 #include "core/world_delta.h"
+#include "reference_schedule.h"
 #include "scenario/evolution.h"
 #include "scenario/world_builder.h"
 #include "util/error.h"
@@ -91,12 +92,18 @@ struct EvolvingRun {
   std::unique_ptr<Campaign> campaign;
 };
 
-EvolvingRun run_evolving(const scenario::WorldSpec& spec, CampaignConfig cfg,
-                         EpochAdvanceMode mode = EpochAdvanceMode::kIncremental) {
+EvolvingRun start_evolving(const scenario::WorldSpec& spec, CampaignConfig cfg,
+                           EpochAdvanceMode mode = EpochAdvanceMode::kIncremental) {
   EvolvingRun run;
   run.timeline = std::make_unique<WorldTimeline>(scenario::build_timeline(spec));
   run.timeline->set_advance_mode(mode);
   run.campaign = std::make_unique<Campaign>(*run.timeline, std::move(cfg));
+  return run;
+}
+
+EvolvingRun run_evolving(const scenario::WorldSpec& spec, CampaignConfig cfg,
+                         EpochAdvanceMode mode = EpochAdvanceMode::kIncremental) {
+  EvolvingRun run = start_evolving(spec, std::move(cfg), mode);
   run.campaign->run();
   run.campaign->run_w6d();
   run.campaign->finalize();
@@ -134,47 +141,67 @@ TEST(WorldTimeline, EmptyTimelineCampaignIsByteIdenticalToFrozenWorld) {
 
 // --- 2. Evolving determinism matrix ----------------------------------------
 
+/// The serial reference (reference_schedule.h): mutex sink, one thread,
+/// round-major advance_world(r) + run_round(vp, r), then W6D.
+EvolvingRun run_evolving_reference(const scenario::WorldSpec& spec,
+                                   CampaignConfig cfg) {
+  cfg.threads = 1;
+  cfg.sink = SinkBackend::kMutex;
+  EvolvingRun run = start_evolving(spec, cfg);
+  run_reference_schedule(*run.campaign, /*evolving=*/true);
+  return run;
+}
+
 TEST(WorldTimeline, EvolvingCampaignThreadAndSinkInvisible) {
   const scenario::WorldSpec spec = evolving_spec();
-  // Reference: executor off — the legacy round-major loop whose barrier
-  // at every round boundary is the historical quiescence guarantee for
-  // advance_to. Every executor-on cell (gate-node quiescence instead)
-  // must reproduce it byte for byte, across threads and sinks.
+  // Reference: a barrier at every round boundary is the plainest
+  // quiescence guarantee for advance_to. Every executor cell (gate-node
+  // quiescence instead) must reproduce it byte for byte, across threads
+  // and sinks.
   CampaignConfig ref_cfg;
   ref_cfg.seed = 2011;
-  ref_cfg.threads = 1;
-  ref_cfg.sink = SinkBackend::kMutex;
-  ref_cfg.use_executor = false;
-  const auto reference = run_evolving(spec, ref_cfg);
+  const auto reference = run_evolving_reference(spec, ref_cfg);
   ASSERT_GT(reference.timeline->num_epochs(), 0u)
       << "evolving_spec produced no epochs; the matrix tests nothing";
   EXPECT_EQ(reference.timeline->current_epoch(), reference.timeline->num_epochs());
 
   const std::string dir = ::testing::TempDir();
   int cell = 0;
-  for (const bool use_exec : {true, false}) {
-    for (const unsigned threads : {1u, 8u}) {
-      for (const SinkBackend sink :
-           {SinkBackend::kMutex, SinkBackend::kSharded, SinkBackend::kSpool}) {
-        if (!use_exec && threads == 1 && sink == SinkBackend::kMutex) {
-          continue;  // the reference cell itself
-        }
-        SCOPED_TRACE("executor=" + std::to_string(use_exec) +
-                     " threads=" + std::to_string(threads) +
-                     " sink=" + std::to_string(static_cast<int>(sink)));
-        CampaignConfig cfg = ref_cfg;
-        cfg.threads = threads;
-        cfg.sink = sink;
-        cfg.use_executor = use_exec;
-        cfg.spool_dir = dir + "/evo" + std::to_string(cell++);
-        if (sink == SinkBackend::kSpool) {
-          std::filesystem::create_directories(cfg.spool_dir);
-        }
-        const auto run = run_evolving(spec, cfg);
-        expect_identical_observables(*reference.campaign, *run.campaign);
+  for (const unsigned threads : {1u, 8u}) {
+    for (const SinkBackend sink :
+         {SinkBackend::kMutex, SinkBackend::kSharded, SinkBackend::kSpool}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " sink=" + std::to_string(static_cast<int>(sink)));
+      CampaignConfig cfg = reference.campaign->config();
+      cfg.threads = threads;
+      cfg.sink = sink;
+      cfg.spool_dir = dir + "/evo" + std::to_string(cell++);
+      if (sink == SinkBackend::kSpool) {
+        std::filesystem::create_directories(cfg.spool_dir);
       }
+      const auto run = run_evolving(spec, cfg);
+      expect_identical_observables(*reference.campaign, *run.campaign);
     }
   }
+}
+
+// The bytes themselves, not only agreement between schedules. The
+// digests are those of Campaign's former built-in round-major loop, so
+// the reference schedule cannot drift from it.
+TEST(WorldTimeline, EvolvingCampaignCsvBytesPinned) {
+  CampaignConfig cfg;
+  cfg.seed = 2011;
+  cfg.w6d_mini_rounds = 3;
+  const auto reference = run_evolving_reference(evolving_spec(), cfg);
+  std::string observations, w6d;
+  for (std::size_t vp = 0; vp < reference.campaign->world().vantage_points.size();
+       ++vp) {
+    observations += reference.campaign->results(vp).to_csv();
+    w6d += reference.campaign->w6d_results(vp).to_csv();
+  }
+  EXPECT_EQ(fnv1a64(observations), 0x97805ae9a43da873ULL)
+      << observations.size() << " bytes";
+  EXPECT_EQ(fnv1a64(w6d), 0xe6acdec85faa8bf7ULL) << w6d.size() << " bytes";
 }
 
 // --- 3. Incremental == full rebuild, end to end ----------------------------

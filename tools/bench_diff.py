@@ -20,18 +20,8 @@ Two guard rails beyond the timing diff:
 When a run used --benchmark_repetitions, the median aggregate is used;
 otherwise the plain iteration row.
 
-A second mode, `--ratio NUM:DEN`, gates a *speedup ratio between two
-benchmarks of one JSON file* instead of diffing two files: the ISSUE 10
-executor contract (BM_CampaignMultiVpBarriered/8 over
-BM_CampaignMultiVp/8) must stay >= --ratio-floor (hard failure) and is
-expected to stay >= --ratio-contract (a `::warning` annotation below
-it — the contract band absorbs wall-clock noise on shared CI runners
-without letting the win silently erode to nothing). NUM and DEN match a
-benchmark by exact name or unique substring, so "BM_CampaignMultiVp/8"
-finds "BM_CampaignMultiVp/8/min_time:1.000".
-
 Exit status: 0 clean, 1 regression past tolerance / baseline benchmark
-missing from the candidate / ratio under the floor, 2 input/guard error.
+missing from the candidate, 2 input/guard error.
 """
 
 from __future__ import annotations
@@ -75,68 +65,10 @@ def check_release(context: dict, path: str, *, required: bool) -> str | None:
     return f"{path}: v6mon_build_type is {build!r}, need a Release build"
 
 
-def find_benchmark(times: dict[str, float], spec: str, path: str) -> tuple[str, float] | None:
-    """Resolve `spec` to one benchmark by exact name or unique substring."""
-    if spec in times:
-        return spec, times[spec]
-    hits = sorted(name for name in times if spec in name)
-    if len(hits) == 1:
-        return hits[0], times[hits[0]]
-    kind = "no benchmark matches" if not hits else f"ambiguous ({', '.join(hits)})"
-    print(f"error: {path}: {kind} for {spec!r}", file=sys.stderr)
-    return None
-
-
-def run_ratio_gate(args: argparse.Namespace) -> int:
-    """Gate `num/den` real_time of one JSON file against floor/contract."""
-    if args.candidate is not None:
-        print("error: --ratio takes a single JSON file", file=sys.stderr)
-        return 2
-    ctx, times = load_times(args.baseline)
-    if not args.no_require_release:
-        err = check_release(ctx, args.baseline, required=True)
-        if err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-    num_spec, _, den_spec = args.ratio.partition(":")
-    if not num_spec or not den_spec:
-        print("error: --ratio wants NUM:DEN benchmark names", file=sys.stderr)
-        return 2
-    num = find_benchmark(times, num_spec, args.baseline)
-    den = find_benchmark(times, den_spec, args.baseline)
-    if num is None or den is None:
-        return 2
-    if den[1] <= 0:
-        print(f"error: {den[0]} real_time is not positive", file=sys.stderr)
-        return 2
-    ratio = num[1] / den[1]
-    print(
-        f"{num[0]} / {den[0]} = {num[1]:.3f} / {den[1]:.3f} = {ratio:.3f}x "
-        f"(floor {args.ratio_floor:.2f}x, contract {args.ratio_contract:.2f}x)"
-    )
-    if ratio < args.ratio_floor:
-        print(
-            f"FAIL: ratio {ratio:.3f}x is under the hard floor "
-            f"{args.ratio_floor:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    if ratio < args.ratio_contract:
-        # GitHub Actions warning annotation: visible on the run summary
-        # without failing it — the contract band exists to absorb noise.
-        print(
-            f"::warning::{num[0]} / {den[0]} ratio {ratio:.3f}x is below the "
-            f"{args.ratio_contract:.2f}x contract (floor {args.ratio_floor:.2f}x)"
-        )
-        return 0
-    print(f"OK: ratio {ratio:.3f}x meets the {args.ratio_contract:.2f}x contract")
-    return 0
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("baseline", help="committed baseline JSON (or the single JSON in --ratio mode)")
-    parser.add_argument("candidate", nargs="?", default=None, help="freshly generated JSON")
+    parser.add_argument("baseline", help="committed baseline JSON")
+    parser.add_argument("candidate", help="freshly generated JSON")
     parser.add_argument(
         "--tolerance",
         type=float,
@@ -154,33 +86,7 @@ def main() -> int:
         action="store_true",
         help="skip the v6mon_build_type == release gate on the candidate",
     )
-    parser.add_argument(
-        "--ratio",
-        metavar="NUM:DEN",
-        default=None,
-        help="gate real_time(NUM)/real_time(DEN) of one JSON file instead "
-        "of diffing two files (exact names or unique substrings)",
-    )
-    parser.add_argument(
-        "--ratio-floor",
-        type=float,
-        default=1.1,
-        help="hard-fail when the --ratio speedup is below this (default 1.1)",
-    )
-    parser.add_argument(
-        "--ratio-contract",
-        type=float,
-        default=1.25,
-        help="emit a ::warning when the --ratio speedup is below this "
-        "(default 1.25)",
-    )
     args = parser.parse_args()
-
-    if args.ratio is not None:
-        return run_ratio_gate(args)
-    if args.candidate is None:
-        print("error: candidate JSON required outside --ratio mode", file=sys.stderr)
-        return 2
 
     base_ctx, base = load_times(args.baseline)
     cand_ctx, cand = load_times(args.candidate)

@@ -31,12 +31,12 @@ linter encodes the project's determinism rules as source checks:
         rule scans the surrounding 20 lines) or ALLOW with the lifetime
         argument
   D007  bare pool barrier (wait_idle / cv wait / thread join) in
-        campaign control flow (src/core/campaign.*) — since ISSUE 10
-        round ordering is expressed as Executor dependency edges, and an
-        inline barrier reintroduces the fork-join stalls the task graph
-        removed (and silently re-orders nothing the graph doesn't
-        already order); add an edge, or ALLOW with the reason the join
-        is not a scheduling barrier
+        campaign control flow (src/core/campaign.*) — campaign ordering
+        (rounds, epoch advances, W6D) lives only in the Executor graph,
+        so a bare wait_idle / join there orders nothing the graph does
+        not already order and brings back the fork-join stall between
+        (vp, round) blocks; add an edge, or ALLOW with the reason the
+        join is not a scheduling barrier
 
 Engine: a text-level lexer (comments/strings stripped, lines tracked).
 There is deliberately no semantic analysis — the rules are conservative
