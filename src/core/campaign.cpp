@@ -25,6 +25,8 @@ struct CampaignMetricIds {
   obs::MetricId sites_monitored = obs::metrics().counter("campaign.sites_monitored");
   obs::MetricId ingest_rows = obs::metrics().counter("ingest.rows");
   obs::MetricId ingest_flushes = obs::metrics().counter("ingest.flushes");
+  obs::MetricId dns_queries = obs::metrics().counter("dns.queries");
+  obs::MetricId dns_timeouts = obs::metrics().counter("dns.timeouts");
   obs::MetricId status[7] = {
       obs::metrics().counter("monitor.status.dns-failed"),
       obs::metrics().counter("monitor.status.v4-only"),
@@ -43,6 +45,18 @@ struct CampaignMetricIds {
 const CampaignMetricIds& campaign_metric_ids() {
   static const CampaignMetricIds ids;
   return ids;
+}
+
+/// DNS queries monitor_site issues per site decision: one A, one AAAA.
+constexpr std::uint64_t kQueriesPerSite = 2;
+
+/// Seed of the resolver stream behind one site's DNS timeout draws:
+/// salt 0 for regular rounds, the mini-round salt for W6D. The one
+/// definition run_sites and the fate fill share.
+[[nodiscard]] std::uint64_t dns_stream_seed(const util::Rng& root,
+                                            std::uint64_t salt,
+                                            std::uint32_t site_id) {
+  return root.child_seed("dns", salt ^ site_id);
 }
 
 /// Dispatch key of a (vantage point, round) node in an *evolving*
@@ -106,7 +120,7 @@ Campaign::SiteScanIndex::SiteScanIndex(const web::SiteCatalog& catalog) {
   first_seen.reserve(n);
   v6_from.reserve(n);
   v6_until.reserve(n);
-  from_cache.reserve(n);
+  flags.reserve(n);
   for (const web::Site& s : catalog.sites()) {
     // The scan indexes columns by position; the catalog guarantees
     // id == position, and everything here silently breaks if that drifts.
@@ -114,7 +128,7 @@ Campaign::SiteScanIndex::SiteScanIndex(const web::SiteCatalog& catalog) {
     first_seen.push_back(s.first_seen_round);
     v6_from.push_back(s.v6_from_round);
     v6_until.push_back(s.v6_until_round);
-    from_cache.push_back(s.from_dns_cache ? 1 : 0);
+    flags.push_back(s.from_dns_cache ? kViaDnsCache : 0);
   }
 }
 
@@ -185,11 +199,14 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
     // state; path ids are canonicalized at the round-boundary flush.
     ObservationSink::Lane& lane = sink.lane();
     const web::Site& site = world_.catalog.site(sites[i]);
-    // Every RNG stream is keyed per (site, round, salt) — never by chunk
-    // bounds or worker identity — so scheduling granularity is a pure
-    // performance knob and threads=1 reproduces threads=N bit-for-bit.
+    // Every RNG stream is keyed by data — never by chunk bounds or worker
+    // identity — so scheduling granularity is a pure performance knob and
+    // threads=1 reproduces threads=N bit-for-bit. The monitor stream is
+    // keyed per (vp, round, site, salt); the DNS timeout stream only per
+    // (site, salt), so in regular rounds a site draws the same timeouts
+    // at every round and vantage point (EXPERIMENTS.md, deviation 6).
     dns::Resolver resolver(backend, config_.monitor.dns,
-                           util::LazyRng(root.child_seed("dns", salt ^ site.id)));
+                           util::LazyRng(dns_stream_seed(root, salt, site.id)));
     const std::uint64_t key =
         ((static_cast<std::uint64_t>(vp_index) * kMaxCampaignRounds + round)
          << 32) |
@@ -245,6 +262,32 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
   metrics.merge_shards();
 }
 
+void Campaign::ensure_dns_fates() {
+  if (!config_.fast_path) return;
+  std::call_once(scan_.dns_fate_once, [this] {
+    const double p = config_.monitor.dns.timeout_prob;
+    // The resolver never draws at p == 0, so every fate stays clear and
+    // the pool need not wake (DESIGN.md §10 on why that matters).
+    if (!(p > 0.0)) return;
+    const std::size_t n = scan_.flags.size();
+    const util::Rng root(config_.seed);
+    // Replays the two draws a regular round's resolver makes, in query
+    // order.
+    constexpr std::size_t kBlock = 1024;
+    parallel_index(pool_, (n + kBlock - 1) / kBlock, [&](std::size_t block) {
+      const std::size_t end = std::min(n, (block + 1) * kBlock);
+      for (std::size_t id = block * kBlock; id < end; ++id) {
+        util::LazyRng rng(
+            dns_stream_seed(root, 0, static_cast<std::uint32_t>(id)));
+        const bool first_lost = dns::Resolver::draw_timeout(p, rng);
+        const bool second_lost = dns::Resolver::draw_timeout(p, rng);
+        if (first_lost) scan_.flags[id] |= SiteScanIndex::kFirstQueryLost;
+        if (second_lost) scan_.flags[id] |= SiteScanIndex::kSecondQueryLost;
+      }
+    });
+  });
+}
+
 void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
   V6MON_REQUIRE(vp_index < world_.vantage_points.size(),
                 "vantage point index out of range");
@@ -259,6 +302,7 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
   }
   const VantagePoint& vp = world_.vantage_points[vp_index];
   if (round < vp.start_round) return;
+  ensure_dns_fates();
   VpStore& store = stores_[vp_index];
   // One ingest epoch at a time per store: concurrent run_round calls on
   // the same vantage point serialize here, upholding the sink's
@@ -267,41 +311,65 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
   ObservationSink& sink = *store.sink;
   ObservationSink::Lane& lane = sink.lane();  // coordinator's own lane
 
-  // Collect this round's work list. The fast path settles v4-only sites
-  // inline: with no DNS failure injection their pipeline outcome is
-  // exactly kV4Only.
-  const bool can_fast_path =
-      config_.fast_path && config_.monitor.dns.timeout_prob == 0.0;
+  // Collect this round's work list. The fast path settles sites without
+  // an AAAA record inline when their DNS fate fixes the outcome: no
+  // query lost means exactly kV4Only, both lost exactly kDnsFailed. Only
+  // one-loss sites (whose outcome hangs on the monitor's query-order
+  // coin) and dual-stack sites run the pipeline.
   std::vector<std::uint32_t> work;
   std::uint64_t listed = 0;
-  std::uint64_t fast_pathed = 0;
+  std::uint64_t settled_v4 = 0;
+  std::uint64_t settled_failed = 0;
   // Columnar scan (same predicates as Site::in_list_at /
   // Site::dual_stack_at, over the packed schedule copies): this loop
   // touches every catalog site for every (vantage point, round) and is
   // memory-bound, so it reads 13 bytes per site instead of the Site rows.
   const std::size_t num_sites = scan_.first_seen.size();
   for (std::uint32_t id = 0; id < num_sites; ++id) {
-    if (scan_.from_cache[id] != 0 && !vp.uses_dns_cache_supplement) continue;
+    const std::uint8_t flags = scan_.flags[id];
+    if ((flags & SiteScanIndex::kViaDnsCache) != 0 &&
+        !vp.uses_dns_cache_supplement) {
+      continue;
+    }
     if (round < scan_.first_seen[id]) continue;
     ++listed;
-    if (can_fast_path &&
+    if (config_.fast_path &&
         !(scan_.v6_from[id] != web::kNever && round >= scan_.v6_from[id] &&
           round < scan_.v6_until[id])) {
-      ++fast_pathed;
-      continue;
+      const std::uint8_t fate = flags & SiteScanIndex::kFate;
+      if (fate == 0) {
+        ++settled_v4;
+        continue;
+      }
+      if (fate == SiteScanIndex::kFate) {
+        ++settled_failed;
+        continue;
+      }
     }
     work.push_back(id);
   }
-  if (fast_pathed != 0) {
-    // Fast-pathed sites still count toward the lane and status totals so
-    // outputs are invariant to the fast_path knob. Batched: the fast path
-    // covers the vast majority of the catalog, and per-site bookkeeping
-    // would cost more than the fast path itself — counters are additive,
-    // so one add of `fast_pathed` is byte-identical to that many adds.
-    lane.count_n(round, MonitorStatus::kV4Only, fast_pathed);
-    obs::metrics().add(campaign_metric_ids().fast_path_sites, fast_pathed);
-    obs::metrics().add(campaign_metric_ids().status_id(MonitorStatus::kV4Only),
-                       fast_pathed);
+  if (const std::uint64_t settled = settled_v4 + settled_failed; settled != 0) {
+    // Settled sites count exactly as monitor_site would have: lane and
+    // status totals, plus the two queries each would have issued (and
+    // lost, for kDnsFailed), so outputs, counters and dns_stats are
+    // invariant to the fast_path knob. Batched: the fast path covers the
+    // vast majority of the catalog, and per-site bookkeeping would cost
+    // more than the fast path itself — counters are additive, so one add
+    // per bucket is byte-identical to that many adds.
+    lane.count_n(round, MonitorStatus::kV4Only, settled_v4);
+    lane.count_n(round, MonitorStatus::kDnsFailed, settled_failed);
+    const std::uint64_t queries = kQueriesPerSite * settled;
+    const std::uint64_t timeouts = kQueriesPerSite * settled_failed;
+    DnsTally& tally = dns_tallies_[vp_index];
+    tally.queries.fetch_add(queries, std::memory_order_relaxed);
+    tally.timeouts.fetch_add(timeouts, std::memory_order_relaxed);
+    auto& metrics = obs::metrics();
+    const auto& ids = campaign_metric_ids();
+    metrics.add(ids.fast_path_sites, settled);
+    metrics.add(ids.status_id(MonitorStatus::kV4Only), settled_v4);
+    metrics.add(ids.status_id(MonitorStatus::kDnsFailed), settled_failed);
+    metrics.add(ids.dns_queries, queries);
+    metrics.add(ids.dns_timeouts, timeouts);
   }
   // Fast-pathed + queued sites together must account for every listed
   // site — losing work here silently skews every downstream table.
@@ -353,6 +421,8 @@ void Campaign::run() {
       if (r <= world_.num_rounds) gates.push_back(r);
     }
   }
+  // Before any node runs: the fill fans out over pool_ itself.
+  ensure_dns_fates();
   Executor exec(pool_);
   std::vector<Executor::NodeId> prev(num_vps, Executor::kNoNode);
   Executor::NodeId prev_gate = Executor::kNoNode;

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -32,9 +33,11 @@ struct CampaignConfig {
   /// Root seed for all measurement randomness (derives per-site streams,
   /// so results are independent of thread scheduling).
   std::uint64_t seed = 1;
-  /// Skip the full pipeline for sites without an AAAA record when no DNS
-  /// failure injection is configured (the outcome is provably kV4Only).
-  /// Purely an optimization; tests cover equivalence.
+  /// Settle sites without an AAAA record in the round scan instead of
+  /// running the full pipeline whenever their outcome is already fixed:
+  /// kV4Only when neither of their DNS queries times out, kDnsFailed when
+  /// both do (see Campaign::SiteScanIndex::flags). Purely an
+  /// optimization; tests cover equivalence at every timeout_prob.
   bool fast_path = true;
   /// Mini-rounds run during the World IPv6 Day event (the paper monitored
   /// participants every 30 minutes for the day).
@@ -74,7 +77,8 @@ class Campaign {
   /// round e adds an `advance_world(e)` gate node after every
   /// (vp, r < e) node and before every (vp, r >= e) node, so all VPs
   /// observe round r under the same world version. Every RNG stream is
-  /// keyed by (vp, round, site), never by schedule order.
+  /// keyed by data (vp, round, site; DNS loss by site alone), never by
+  /// schedule order.
   void run();
 
   /// Apply every pending world epoch with epoch round <= `round`:
@@ -88,7 +92,10 @@ class Campaign {
 
   /// Run one round for one vantage point (exposed for tests/examples).
   /// Safe to call concurrently from several threads — ingest epochs on
-  /// one vantage point's store are serialized internally.
+  /// one vantage point's store are serialized internally. The first
+  /// round of a campaign (here or in run()) fills in the per-site DNS
+  /// fates the fast path reads, over the campaign pool; racing first
+  /// callers wait for that one fill.
   void run_round(std::size_t vp_index, std::uint32_t round);
 
   /// Run the World IPv6 Day special event for every vantage point, one
@@ -141,17 +148,35 @@ class Campaign {
     util::Mutex epoch_mu;
   };
 
-  /// Columnar copy of the three per-site schedule fields the round scan
-  /// needs (list churn, AAAA window, supplement membership). The scan
+  /// Columnar copy of the per-site fields the round scan needs (list
+  /// churn, AAAA window, supplement membership, DNS fate). The scan
   /// visits every catalog site once per (vantage point, round); reading
   /// the full ~100-byte Site rows makes it a pure memory-bandwidth walk,
-  /// while these packed columns cut the traffic by ~8x. Built once at
+  /// while these packed columns cut the traffic by ~8x. Built at
   /// construction from the immutable catalog; site id == index.
   struct SiteScanIndex {
     std::vector<std::uint32_t> first_seen;
     std::vector<std::uint32_t> v6_from;
     std::vector<std::uint32_t> v6_until;
-    std::vector<std::uint8_t> from_cache;
+    /// One byte of flags per site (below). The fate bits are set once,
+    /// in parallel, by ensure_dns_fates (not here: the fill seeds one
+    /// MT19937-64 stream per site), and stay clear with the fast path
+    /// off or no DNS loss.
+    std::vector<std::uint8_t> flags;
+    std::once_flag dns_fate_once;
+
+    /// Listed only through the DNS-cache supplement.
+    static constexpr std::uint8_t kViaDnsCache = 1;
+    /// The site's DNS fate in a regular round: whether its first and its
+    /// second query time out. A regular round's resolver stream is
+    /// keyed by the site alone, so the fate is the same at every round
+    /// and vantage point. For a site without an AAAA record, no loss
+    /// means kV4Only and both queries lost kDnsFailed, whichever query
+    /// the monitor sends first; with one loss the outcome depends on
+    /// that order.
+    static constexpr std::uint8_t kFirstQueryLost = 2;
+    static constexpr std::uint8_t kSecondQueryLost = 4;
+    static constexpr std::uint8_t kFate = kFirstQueryLost | kSecondQueryLost;
 
     explicit SiteScanIndex(const web::SiteCatalog& catalog);
   };
@@ -163,6 +188,10 @@ class Campaign {
                  std::uint64_t salt);
   void run_w6d_for_vp(std::size_t vp_index,
                       const std::vector<std::uint32_t>& participants);
+  /// Set the fate bits of scan_.flags on first use (no-op with the fast
+  /// path off). Thread-safe: concurrent first callers block until the
+  /// one fill is done.
+  void ensure_dns_fates();
   /// Whether executor-scheduled nodes should run their site loop inline
   /// (when graph-level VP parallelism already covers the pool) or fan
   /// sites out through parallel_index. Pure scheduling choice.
@@ -184,7 +213,8 @@ class Campaign {
   /// site with a long CI loop) only ever delays its own worker.
   ThreadPool pool_;
   /// Per-VP DNS totals (see dns_stats). Relaxed atomics: workers add
-  /// their site-resolver's counts after each monitor_site; sums of
+  /// their site-resolver's counts after each monitor_site, and the round
+  /// scan adds the queries its settled sites would have issued; sums of
   /// non-negative integers are schedule-independent.
   struct DnsTally {
     std::atomic<std::uint64_t> queries{0};

@@ -50,7 +50,7 @@ QueryResult Resolver::resolve(std::string_view name, RecordType type,
     }
   }
 
-  if (options_.timeout_prob > 0.0 && rng_.get().chance(options_.timeout_prob)) {
+  if (draw_timeout(options_.timeout_prob, rng_)) {
     ++stats_.timeouts;
     obs::metrics().add(dns_metric_ids().timeouts);
     QueryResult r;

@@ -55,6 +55,14 @@ class Resolver {
   /// Drop all cached entries.
   void flush();
 
+  /// Whether the next uncached query is lost: the timeout draw resolve()
+  /// makes on its stream. No draw (and no engine seeding) at
+  /// timeout_prob == 0. Public so a caller can replay a stream's
+  /// verdicts without building a resolver.
+  [[nodiscard]] static bool draw_timeout(double timeout_prob, util::LazyRng& rng) {
+    return timeout_prob > 0.0 && rng.get().chance(timeout_prob);
+  }
+
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:

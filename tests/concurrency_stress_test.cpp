@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -341,6 +342,59 @@ TEST(CampaignStress, W6dOverlappingOtherVpRoundsMatchesSerialRun) {
     EXPECT_EQ(overlapped.results(vp).to_csv(), serial.results(vp).to_csv());
     EXPECT_EQ(overlapped.w6d_results(vp).to_csv(),
               serial.w6d_results(vp).to_csv());
+  }
+}
+
+// Under DNS loss the round scan reads a per-site DNS-fate column that is
+// filled on first use. Here the first use is four outer threads released
+// together, each calling run_round on its own (vp, round parity) chain
+// before any run(): they race the fill, and every scan must see the
+// finished column. Under TSan a scan that reads it without a
+// happens-before edge to the fill is a hard failure; on plain builds the
+// byte compare against the serial reference, which runs the full
+// monitor on every site and so never reads the column, catches a
+// missing or half-filled one.
+TEST(CampaignStress, ConcurrentFirstRoundsRaceDnsFateFill) {
+  const World& w = stress_world();
+  CampaignConfig ref_cfg;
+  ref_cfg.seed = 21;
+  ref_cfg.threads = 1;
+  ref_cfg.fast_path = false;
+  ref_cfg.monitor.dns.timeout_prob = 0.2;
+  Campaign serial(w, ref_cfg);
+  run_reference_schedule(serial, /*evolving=*/false);
+
+  CampaignConfig cfg = ref_cfg;
+  cfg.threads = 2;
+  cfg.fast_path = true;
+  Campaign raced(w, cfg);
+  constexpr std::uint32_t kOuter = 4;
+  const std::size_t num_vps = w.vantage_points.size();
+  std::latch start(kOuter);
+  std::vector<std::thread> outer;
+  for (std::uint32_t t = 0; t < kOuter; ++t) {
+    outer.emplace_back([&, t] {
+      const std::size_t vp = t % num_vps;
+      start.arrive_and_wait();
+      for (std::uint32_t round = t / 2; round <= w.num_rounds; round += 2) {
+        raced.run_round(vp, round);
+      }
+    });
+  }
+  for (std::thread& t : outer) t.join();
+  raced.run_w6d();
+  raced.finalize();
+
+  for (std::size_t vp = 0; vp < num_vps; ++vp) {
+    SCOPED_TRACE(w.vantage_points[vp].name);
+    EXPECT_EQ(raced.results(vp).to_csv(), serial.results(vp).to_csv());
+    for (std::uint32_t round = 0; round <= w.num_rounds; ++round) {
+      expect_equal_counters(counters_of(raced, vp, round),
+                            counters_of(serial, vp, round), vp, round);
+    }
+    EXPECT_EQ(raced.dns_stats(vp).queries, serial.dns_stats(vp).queries);
+    EXPECT_EQ(raced.dns_stats(vp).timeouts, serial.dns_stats(vp).timeouts);
+    EXPECT_GT(raced.dns_stats(vp).timeouts, 0u);
   }
 }
 

@@ -11,7 +11,10 @@
 #include "core/monitor.h"
 #include "core/results.h"
 #include "core/thread_pool.h"
+#include "core/world_timeline.h"
+#include "obs/metrics.h"
 #include "reference_schedule.h"
+#include "scenario/evolution.h"
 #include "scenario/paper.h"
 #include "scenario/world_builder.h"
 #include "util/error.h"
@@ -325,9 +328,9 @@ TEST(ResultsCsv, MidDumpStreamFailureThrows) {
 // --- Monitor pipeline on a small world -----------------------------------
 
 struct SmallWorld {
+  scenario::WorldSpec spec;
   core::World world;
   SmallWorld() {
-    scenario::WorldSpec spec;
     spec.seed = 99;
     spec.topology.num_tier1 = 4;
     spec.topology.num_transit = 30;
@@ -506,23 +509,127 @@ TEST(Campaign, EndToEndSmallWorld) {
   EXPECT_GT(campaign.w6d_results(1).num_sites(), 0u);
 }
 
-TEST(Campaign, FastPathMatchesFullPipeline) {
-  const auto& w = small_world().world;
-  CampaignConfig fast;
-  fast.seed = 7;
-  fast.fast_path = true;
-  fast.threads = 2;
-  CampaignConfig slow = fast;
-  slow.fast_path = false;
-  Campaign cf(w, fast), cs(w, slow);
-  cf.run_round(1, 5);
-  cs.run_round(1, 5);
-  const RoundCounters& a = cf.results(1).round_counters(5);
-  const RoundCounters& b = cs.results(1).round_counters(5);
+/// Everything a campaign exposes that the fast path must not change.
+struct CampaignObservables {
+  std::string csv;  ///< Every regular and W6D store's CSV, in VP order.
+  std::vector<RoundCounters> rounds;  ///< Per VP, per round 0..num_rounds.
+  std::vector<dns::Resolver::Stats> dns;
+  std::vector<FallbackStats> fallback;
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  std::uint64_t fast_path_sites = 0;
+};
+
+CampaignObservables run_for_observables(const World& world, WorldTimeline* timeline,
+                                        CampaignConfig cfg) {
+  auto& reg = obs::metrics();
+  reg.reset();
+  reg.set_enabled(true);
+  const auto campaign = timeline != nullptr
+                            ? std::make_unique<Campaign>(*timeline, std::move(cfg))
+                            : std::make_unique<Campaign>(world, std::move(cfg));
+  campaign->run();
+  campaign->run_w6d();
+  campaign->finalize();
+  CampaignObservables out;
+  for (std::size_t vp = 0; vp < world.vantage_points.size(); ++vp) {
+    out.csv += campaign->results(vp).to_csv();
+    out.csv += campaign->w6d_results(vp).to_csv();
+    for (std::uint32_t r = 0; r <= world.num_rounds; ++r) {
+      out.rounds.push_back(campaign->results(vp).round_counters(r));
+    }
+    out.dns.push_back(campaign->dns_stats(vp));
+    out.fallback.push_back(campaign->fallback_stats(vp));
+  }
+  for (const char* name :
+       {"dns.queries", "dns.cache_hits", "dns.timeouts", "dns.nxdomain",
+        "monitor.status.dns-failed", "monitor.status.v4-only",
+        "monitor.status.v6-only", "monitor.status.v4-download-failed",
+        "monitor.status.v6-download-failed", "monitor.status.different-content",
+        "monitor.status.measured"}) {
+    out.counters.emplace_back(name, reg.counter_value(name));
+  }
+  out.fast_path_sites = reg.counter_value("campaign.fast_path_sites");
+  reg.set_enabled(false);
+  reg.reset();
+  return out;
+}
+
+void expect_same_round_counters(const RoundCounters& a, const RoundCounters& b) {
   EXPECT_EQ(a.listed, b.listed);
   EXPECT_EQ(a.v4_only, b.v4_only);
+  EXPECT_EQ(a.v6_only, b.v6_only);
   EXPECT_EQ(a.dual, b.dual);
+  EXPECT_EQ(a.dns_failed, b.dns_failed);
   EXPECT_EQ(a.measured, b.measured);
+  EXPECT_EQ(a.different_content, b.different_content);
+  EXPECT_EQ(a.download_failed, b.download_failed);
+}
+
+void expect_same_fallback(const FallbackStats& a, const FallbackStats& b) {
+  EXPECT_EQ(a.evaluated, b.evaluated);
+  EXPECT_EQ(a.user_success, b.user_success);
+  EXPECT_EQ(a.used_v6, b.used_v6);
+  EXPECT_EQ(a.fell_back, b.fell_back);
+  EXPECT_EQ(a.both_failed, b.both_failed);
+  EXPECT_EQ(a.v6_timeout, b.v6_timeout);
+  EXPECT_EQ(a.v6_reset, b.v6_reset);
+  EXPECT_EQ(a.v6_noroute, b.v6_noroute);
+  EXPECT_EQ(a.added_latency_us, b.added_latency_us);
+  EXPECT_EQ(a.user_latency_us, b.user_latency_us);
+}
+
+// The fast path settles sites without an AAAA record in the round scan
+// (no DNS loss: v4-only; both queries lost: dns-failed). Sweep DNS loss
+// from none through total, on frozen and evolving worlds, and require
+// every observable to match the full pipeline.
+TEST(Campaign, FastPathMatchesFullPipeline) {
+  const SmallWorld& small = small_world();
+  scenario::WorldSpec evolving_spec = small.spec;
+  evolving_spec.evolution.enabled = true;
+  evolving_spec.evolution.delta_rate = 4.0;
+  evolving_spec.evolution.epoch_interval = 2;
+  evolving_spec.evolution.max_as_fraction = 0.05;
+  evolving_spec.evolution.depletion_round = 4;
+  for (const double timeout_prob : {0.0, 0.02, 0.3, 1.0}) {
+    for (const bool evolving : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "timeout_prob=" << timeout_prob
+                                      << " evolving=" << evolving);
+      CampaignConfig cfg;
+      cfg.seed = 7;
+      cfg.threads = 2;
+      cfg.w6d_mini_rounds = 2;
+      cfg.monitor.dns.timeout_prob = timeout_prob;
+      cfg.monitor.fallback = FallbackPolicy::kSequential;
+      const auto run = [&](bool fast_path) {
+        cfg.fast_path = fast_path;
+        if (!evolving) return run_for_observables(small.world, nullptr, cfg);
+        WorldTimeline timeline = scenario::build_timeline(evolving_spec);
+        EXPECT_FALSE(timeline.pending_epoch_rounds().empty());
+        return run_for_observables(timeline.world(), &timeline, cfg);
+      };
+      const CampaignObservables fast = run(true);
+      const CampaignObservables full = run(false);
+      EXPECT_GT(fast.fast_path_sites, 0u);
+      EXPECT_EQ(full.fast_path_sites, 0u);
+      EXPECT_EQ(fast.csv, full.csv);
+      ASSERT_EQ(fast.rounds.size(), full.rounds.size());
+      for (std::size_t i = 0; i < fast.rounds.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "round counters #" << i);
+        expect_same_round_counters(fast.rounds[i], full.rounds[i]);
+      }
+      ASSERT_EQ(fast.dns.size(), full.dns.size());
+      for (std::size_t vp = 0; vp < fast.dns.size(); ++vp) {
+        SCOPED_TRACE(testing::Message() << "vp=" << vp);
+        EXPECT_GT(fast.dns[vp].queries, 0u);
+        EXPECT_EQ(fast.dns[vp].queries, full.dns[vp].queries);
+        EXPECT_EQ(fast.dns[vp].cache_hits, full.dns[vp].cache_hits);
+        EXPECT_EQ(fast.dns[vp].timeouts, full.dns[vp].timeouts);
+        EXPECT_EQ(fast.dns[vp].nxdomain, full.dns[vp].nxdomain);
+        expect_same_fallback(fast.fallback[vp], full.fallback[vp]);
+      }
+      EXPECT_EQ(fast.counters, full.counters);
+    }
+  }
 }
 
 TEST(Campaign, DeterministicAcrossThreadCounts) {

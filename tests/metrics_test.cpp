@@ -286,10 +286,14 @@ std::string spool_dir() {
 struct CampaignRun {
   std::string counters;       ///< counters_json() after the full campaign.
   std::string observations;   ///< every store's CSV, concatenated.
+  std::uint64_t dns_queries = 0;
+  std::uint64_t sites_monitored = 0;
+  std::uint64_t fast_path_sites = 0;
 };
 
 CampaignRun run_instrumented(std::size_t threads, core::SinkBackend backend,
-                             bool with_metrics) {
+                             bool with_metrics, double timeout_prob = 0.05,
+                             bool fast_path = true) {
   // Materialize the shared world while metrics are still off: the lazy
   // first build would otherwise record rib_build counters into whichever
   // run happens to come first, breaking run-to-run comparability.
@@ -304,7 +308,8 @@ CampaignRun run_instrumented(std::size_t threads, core::SinkBackend backend,
   // DNS timeout injection rides along so the dns.timeouts export is
   // pinned by the same matrix (ISSUE 9: the per-resolver Stats must
   // reach the registry deterministically).
-  cfg.monitor.dns.timeout_prob = 0.05;
+  cfg.monitor.dns.timeout_prob = timeout_prob;
+  cfg.fast_path = fast_path;
   if (backend == core::SinkBackend::kSpool) cfg.spool_dir = spool_dir();
   core::Campaign campaign(small_world(), cfg);
   campaign.run();
@@ -314,6 +319,9 @@ CampaignRun run_instrumented(std::size_t threads, core::SinkBackend backend,
   out.counters = reg.counters_json();
   out.observations = campaign.results(0).to_csv();
   out.observations += campaign.w6d_results(0).to_csv();
+  out.dns_queries = reg.counter_value("dns.queries");
+  out.sites_monitored = reg.counter_value("campaign.sites_monitored");
+  out.fast_path_sites = reg.counter_value("campaign.fast_path_sites");
   reg.set_enabled(false);
   reg.reset();
   return out;
@@ -338,6 +346,24 @@ TEST(MetricsDeterminism, CountersIdenticalAcrossThreadsAndBackends) {
       const CampaignRun run = run_instrumented(threads, backend, true);
       EXPECT_EQ(run.counters, reference.counters);
       EXPECT_EQ(run.observations, reference.observations);
+      EXPECT_EQ(run.dns_queries, 2 * (run.sites_monitored + run.fast_path_sites));
+    }
+  }
+}
+
+// Every site decision issues one A and one AAAA query, whether the
+// monitor runs or the round scan settles the site: dns.queries must
+// count both paths, at any DNS loss and with the fast path on or off.
+TEST(MetricsDeterminism, DnsQueriesCoverEverySiteDecision) {
+  for (const double timeout_prob : {0.0, 0.05, 1.0}) {
+    for (const bool fast_path : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "timeout_prob=" << timeout_prob
+                                      << " fast_path=" << fast_path);
+      const CampaignRun run = run_instrumented(2, core::SinkBackend::kSharded,
+                                               true, timeout_prob, fast_path);
+      EXPECT_GT(run.sites_monitored, 0u);
+      EXPECT_EQ(run.fast_path_sites > 0, fast_path);
+      EXPECT_EQ(run.dns_queries, 2 * (run.sites_monitored + run.fast_path_sites));
     }
   }
 }
