@@ -253,6 +253,7 @@ int main(int argc, char** argv) {
 
   if (with_metrics) {
     auto& metrics = obs::metrics();
+    metrics.set_gauge("world.ases", static_cast<double>(world.graph.num_ases()));
     metrics.set_gauge("world.sites", static_cast<double>(world.catalog.sites().size()));
     metrics.set_gauge("world.rounds", static_cast<double>(world.num_rounds));
     metrics.set_gauge("campaign.threads",

@@ -1,0 +1,36 @@
+#pragma once
+
+#include <optional>
+#include <span>
+#include <vector>
+
+#include "bgp/rib.h"
+#include "bgp/route_computer.h"
+#include "ip/prefix.h"
+#include "topo/as_graph.h"
+
+namespace v6mon::bgp {
+
+// 6to4 anycast (RFC 3068): a router's table carries one 2002::/16 route
+// toward the *nearest* relay; the destination island never appears in the
+// AS path. This is why tunnelled IPv6 paths look 1-2 hops long while
+// performing like the whole underlay — the paper's Table 7 artifact.
+// scenario::build_ribs and core::WorldTimeline both elect through these
+// two functions, so a built world and an advanced one agree.
+
+/// The 6to4 prefix, 2002::/16.
+[[nodiscard]] const ip::Ipv6Prefix& six_to_four_prefix();
+
+/// ASes serving at least one live IPv6 tunnel pseudo-link (`v6_tunnel &&
+/// in_v6`), ascending. A relay whose tunnels were all retired serves no
+/// island and is never a candidate.
+[[nodiscard]] std::vector<topo::Asn> live_tunnel_relays(const topo::AsGraph& graph);
+
+/// The 2002::/16 route of a router in `src`, toward the relay with the
+/// shortest path among `relay_tables` (IPv6 tables toward each
+/// live_tunnel_relays entry, in that order); the earlier relay wins a tie.
+/// nullopt when no relay is reachable from `src`.
+[[nodiscard]] std::optional<RibEntry> six_to_four_route(
+    std::span<const RouteTable* const> relay_tables, topo::Asn src);
+
+}  // namespace v6mon::bgp

@@ -44,14 +44,54 @@ std::uint64_t tie_break_rank(std::uint64_t prefix, std::uint64_t index) {
 
 }  // namespace detail
 
-RouteTable::RouteTable(Asn dest, ip::Family family, std::size_t num_ases)
+SourceScope SourceScope::all(std::size_t num_ases) { return {num_ases, nullptr}; }
+
+SourceScope SourceScope::provider_closure(const FamilyView& view,
+                                          std::span<const Asn> sources) {
+  const std::size_t n = view.num_ases();
+  auto set = std::make_shared<Set>();
+  set->in.assign(n, 0);
+  std::vector<Asn> stack;
+  for (const Asn s : sources) {
+    if (s >= n) throw ConfigError("SourceScope: source AS out of range");
+    if (set->in[s] == 0) {
+      set->in[s] = 1;
+      stack.push_back(s);
+    }
+  }
+  while (!stack.empty()) {
+    const Asn u = stack.back();
+    stack.pop_back();
+    for (const FamilyView::Edge* e = view.edges_begin(u); e != view.edges_end(u); ++e) {
+      if (e->role != Role::kProvider || set->in[e->neighbor] != 0) continue;
+      set->in[e->neighbor] = 1;
+      stack.push_back(e->neighbor);
+    }
+  }
+  for (Asn a = 0; a < n; ++a) {
+    if (set->in[a] != 0) set->members.push_back(a);
+  }
+  return {n, std::move(set)};
+}
+
+bool SourceScope::operator==(const SourceScope& other) const {
+  if (num_ases_ != other.num_ases_ || size() != other.size()) return false;
+  for (std::size_t i = 0; i < size(); ++i) {
+    if ((*this)[i] != other[i]) return false;
+  }
+  return true;
+}
+
+RouteTable::RouteTable(Asn dest, ip::Family family, SourceScope scope)
     : dest_(dest),
       family_(family),
-      next_hop_(num_ases, kNoAs),
-      cls_(num_ases, RouteClass::kNone),
-      length_(num_ases, 0) {}
+      scope_(std::move(scope)),
+      next_hop_(scope_.num_ases(), kNoAs),
+      cls_(scope_.num_ases(), RouteClass::kNone),
+      length_(scope_.num_ases(), 0) {}
 
 std::vector<Asn> RouteTable::as_path(Asn src) const {
+  require_in_scope(src);
   std::vector<Asn> path;
   if (src == dest_ || cls_[src] == RouteClass::kNone) return path;
   path.reserve(length_[src]);
@@ -96,9 +136,15 @@ RouteTable compute_routes_to(const AsGraph& graph, ip::Family family, Asn dest) 
 }
 
 RouteTable compute_routes_to(const FamilyView& view, Asn dest) {
+  return compute_routes_to(view, dest, SourceScope::all(view.num_ases()));
+}
+
+RouteTable compute_routes_to(const FamilyView& view, Asn dest,
+                             const SourceScope& scope) {
   const std::size_t n = view.num_ases();
   if (dest >= n) throw ConfigError("compute_routes_to: destination out of range");
-  RouteTable t(dest, view.family(), n);
+  V6MON_REQUIRE(scope.num_ases() == n, "source scope built for another view");
+  RouteTable t(dest, view.family(), scope);
 
   // Final BGP tie-break between equal-preference, equal-length candidates.
   // Real routers fall back to router-id / route age — arbitrary but
@@ -160,8 +206,10 @@ RouteTable compute_routes_to(const FamilyView& view, Asn dest) {
   // ---- Stage 2: peer routes ----------------------------------------------
   // An AS without a customer route can reach `dest` through a peer that
   // has one (valley-free: a peer edge may only be followed by downhill
-  // edges — which a customer route is made of).
-  for (Asn x = 0; x < n; ++x) {
+  // edges — which a customer route is made of). Stage 1 is complete, so
+  // each scope member decides alone.
+  for (std::size_t i = 0; i < scope.size(); ++i) {
+    const Asn x = scope[i];
     if (t.cls_[x] == RouteClass::kCustomer || t.cls_[x] == RouteClass::kOrigin) continue;
     for (const FamilyView::Edge* e = view.edges_begin(x); e != view.edges_end(x);
          ++e) {
@@ -184,10 +232,13 @@ RouteTable compute_routes_to(const FamilyView& view, Asn dest) {
   // customers, and those provider routes chain further down. Dijkstra over
   // (length, asn) keyed pops; every AS already holding a customer/peer
   // route is a fixed seed (its selection cannot be displaced by a provider
-  // route — class preference dominates).
+  // route — class preference dominates). The scope is closed under
+  // providers, so relaxing only its members reproduces the full flood at
+  // each of them: a provider route depends only on the AS's providers.
   using Key = std::pair<std::uint32_t, Asn>;  // (selected length, asn)
   std::priority_queue<Key, std::vector<Key>, std::greater<>> pq;
-  for (Asn x = 0; x < n; ++x) {
+  for (std::size_t i = 0; i < scope.size(); ++i) {
+    const Asn x = scope[i];
     if (t.cls_[x] != RouteClass::kNone) pq.push({t.length_[x], x});
   }
   std::vector<char> finalized(n, 0);
@@ -200,6 +251,7 @@ RouteTable compute_routes_to(const FamilyView& view, Asn dest) {
          ++e) {
       if (e->role != Role::kCustomer) continue;  // u exports to its customers
       const Asn c = e->neighbor;
+      if (!scope.contains(c)) continue;
       if (t.cls_[c] == RouteClass::kOrigin || t.cls_[c] == RouteClass::kCustomer ||
           t.cls_[c] == RouteClass::kPeer) {
         continue;  // better class already selected

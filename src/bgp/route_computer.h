@@ -1,11 +1,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "ip/prefix.h"
 #include "topo/as_graph.h"
+#include "util/contracts.h"
 
 namespace v6mon::bgp {
 
@@ -62,7 +64,52 @@ class FamilyView {
   std::vector<Edge> edges_;
 };
 
-/// Best routes from *every* AS toward one destination AS, in one family.
+/// The source ASes a route table answers for. The RIB build reads each
+/// table only at the vantage points' ASes, so it converges over their
+/// *provider closure*: the sources plus every AS reachable from them
+/// over provider edges of the family view. That is exact at every
+/// member: a provider route at an AS depends only on that AS's
+/// providers (members too), and a member's next-hop chain leaves the
+/// closure only through a peer hop or a customer descent — routes that
+/// stage 1 of compute_routes_to fixes for every AS regardless of scope.
+/// Copies share one membership set.
+class SourceScope {
+ public:
+  /// Every AS of a `num_ases`-AS view: a full table.
+  [[nodiscard]] static SourceScope all(std::size_t num_ases);
+  /// `sources` plus every AS above them over `view`'s provider edges.
+  [[nodiscard]] static SourceScope provider_closure(
+      const FamilyView& view, std::span<const topo::Asn> sources);
+
+  [[nodiscard]] std::size_t num_ases() const { return num_ases_; }
+  /// Number of member ASes.
+  [[nodiscard]] std::size_t size() const {
+    return set_ ? set_->members.size() : num_ases_;
+  }
+  /// The i-th member in ascending ASN order, for i < size().
+  [[nodiscard]] topo::Asn operator[](std::size_t i) const {
+    return set_ ? set_->members[i] : static_cast<topo::Asn>(i);
+  }
+  [[nodiscard]] bool contains(topo::Asn a) const {
+    return a < num_ases_ && (!set_ || set_->in[a] != 0);
+  }
+  /// Same AS set, however each side is represented.
+  [[nodiscard]] bool operator==(const SourceScope& other) const;
+
+ private:
+  struct Set {
+    std::vector<topo::Asn> members;  ///< ascending
+    std::vector<std::uint8_t> in;    ///< size num_ases
+  };
+  SourceScope(std::size_t num_ases, std::shared_ptr<const Set> set)
+      : num_ases_(num_ases), set_(std::move(set)) {}
+
+  std::size_t num_ases_ = 0;
+  std::shared_ptr<const Set> set_;  ///< null: every AS
+};
+
+/// Best routes toward one destination AS, in one family, from every AS
+/// of a source scope (SourceScope::all for a full table).
 ///
 /// BGP convergence is destination-rooted, so this is the natural unit of
 /// computation: stage 1 propagates customer routes up provider chains,
@@ -72,20 +119,30 @@ class FamilyView {
 /// per-(AS, neighbor, destination) hash — deterministic, but spreading
 /// ties across neighbors the way router-id/route-age tie-breaks do in
 /// the wild.
+///
+/// Querying an AS outside the scope is a contract violation: the table
+/// holds no valid answer for it.
 class RouteTable {
  public:
-  RouteTable(topo::Asn dest, ip::Family family, std::size_t num_ases);
-
   [[nodiscard]] topo::Asn dest() const { return dest_; }
   [[nodiscard]] ip::Family family() const { return family_; }
 
   [[nodiscard]] bool reachable(topo::Asn src) const {
-    return cls_[src] != RouteClass::kNone;
+    return route_class(src) != RouteClass::kNone;
   }
-  [[nodiscard]] RouteClass route_class(topo::Asn src) const { return cls_[src]; }
+  [[nodiscard]] RouteClass route_class(topo::Asn src) const {
+    require_in_scope(src);
+    return cls_[src];
+  }
   /// AS-path length in edges (0 at the destination itself).
-  [[nodiscard]] unsigned path_length(topo::Asn src) const { return length_[src]; }
-  [[nodiscard]] topo::Asn next_hop(topo::Asn src) const { return next_hop_[src]; }
+  [[nodiscard]] unsigned path_length(topo::Asn src) const {
+    require_in_scope(src);
+    return length_[src];
+  }
+  [[nodiscard]] topo::Asn next_hop(topo::Asn src) const {
+    require_in_scope(src);
+    return next_hop_[src];
+  }
 
   /// Full AS_PATH from `src`: [first-hop, ..., dest]. Empty when src is
   /// the destination or has no route. Mirrors what `show ip bgp` would
@@ -97,27 +154,39 @@ class RouteTable {
   [[nodiscard]] bool operator==(const RouteTable&) const = default;
 
  private:
-  friend RouteTable compute_routes_to(const topo::AsGraph&, ip::Family, topo::Asn);
-  friend RouteTable compute_routes_to(const FamilyView&, topo::Asn);
+  RouteTable(topo::Asn dest, ip::Family family, SourceScope scope);
+  void require_in_scope(topo::Asn src) const {
+    V6MON_REQUIRE(scope_.contains(src), "route table queried outside its source scope");
+  }
+
+  friend RouteTable compute_routes_to(const FamilyView&, topo::Asn,
+                                      const SourceScope&);
   friend DeltaStats compute_routes_delta(const FamilyView&, RouteTable&,
                                          std::span<const EdgeChange>);
 
   topo::Asn dest_;
   ip::Family family_;
+  SourceScope scope_;
   std::vector<topo::Asn> next_hop_;
   std::vector<RouteClass> cls_;
   std::vector<std::uint16_t> length_;
 };
 
 /// Run the three-stage Gao-Rexford computation for one destination over a
-/// prebuilt family view. Pure: reads only `view`, so tables for different
-/// destinations can be computed concurrently against one shared view
-/// (scenario::build_ribs fans them out on a pool).
+/// prebuilt family view, answering for the ASes of `scope`. Stage 1 walks
+/// up from the destination over the whole view; stages 2 and 3 visit and
+/// relax scope members only. Pure: reads only `view` and `scope`, so tables for
+/// different destinations can be computed concurrently against one shared
+/// view (scenario::build_ribs fans them out on a pool).
+[[nodiscard]] RouteTable compute_routes_to(const FamilyView& view, topo::Asn dest,
+                                           const SourceScope& scope);
+
+/// The full table: scope = every AS of the view.
 [[nodiscard]] RouteTable compute_routes_to(const FamilyView& view, topo::Asn dest);
 
 /// Convenience for one-off computations: builds the family view, then
 /// delegates. Callers converging many destinations should build the
-/// FamilyView once and use the overload above.
+/// FamilyView once and use the overloads above.
 [[nodiscard]] RouteTable compute_routes_to(const topo::AsGraph& graph,
                                            ip::Family family, topo::Asn dest);
 

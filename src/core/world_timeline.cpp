@@ -4,6 +4,7 @@
 #include <set>
 #include <thread>
 
+#include "bgp/anycast.h"
 #include "core/thread_pool.h"
 #include "util/contracts.h"
 #include "util/error.h"
@@ -268,36 +269,18 @@ WorldChangeSummary WorldTimeline::apply_epoch(const EpochDeltas& epoch) {
   }
 
   // ---- 4. 6to4 anycast: re-elect each VP's nearest live relay -----------
-  bool relay_changed = tunnels_changed;
-  if (!relay_changed) {
-    for (std::uint32_t id = 0; id < g.num_links() && !relay_changed; ++id) {
-      const topo::AsLink& l = g.link(id);
-      if (l.v6_tunnel && l.in_v6 && changed.count(l.a) != 0) relay_changed = true;
-    }
-  }
+  const std::vector<Asn> relays = bgp::live_tunnel_relays(g);
+  const bool relay_changed =
+      tunnels_changed || std::any_of(relays.begin(), relays.end(),
+                                     [&](Asn r) { return changed.count(r) != 0; });
   if (relay_changed) {
-    std::set<Asn> relays;
-    for (std::uint32_t id = 0; id < g.num_links(); ++id) {
-      const topo::AsLink& l = g.link(id);
-      if (l.v6_tunnel && l.in_v6) relays.insert(l.a);
-    }
-    const ip::Ipv6Prefix six_to_four = ip::Ipv6Prefix::parse_or_throw("2002::/16");
+    std::vector<const bgp::RouteTable*> candidates;
+    for (const Asn r : relays) candidates.push_back(&v6_tables_.at(r));
     for (VantagePoint& vp : world_.vantage_points) {
-      const bgp::RouteTable* best = nullptr;
-      for (Asn r : relays) {
-        const bgp::RouteTable& t = v6_tables_.at(r);
-        if (!t.reachable(vp.asn)) continue;
-        if (best == nullptr || t.path_length(vp.asn) < best->path_length(vp.asn)) {
-          best = &t;
-        }
-      }
-      if (best != nullptr) {
-        bgp::RibEntry e;
-        e.origin = best->dest();
-        e.as_path = best->as_path(vp.asn);
-        vp.rib.add_v6(six_to_four, e);
+      if (auto e = bgp::six_to_four_route(candidates, vp.asn)) {
+        vp.rib.add_v6(bgp::six_to_four_prefix(), std::move(*e));
       } else {
-        vp.rib.erase_v6(six_to_four);
+        vp.rib.erase_v6(bgp::six_to_four_prefix());
       }
     }
   }

@@ -63,6 +63,7 @@ constexpr const char* kCounterNames[] = {
     "path_cache.lookups",
     "rib.dest_tables",
     "rib.routes",
+    "rib.scope_ases",
     "transport.download_failures",
     "transport.downloads",
 };

@@ -5,6 +5,7 @@
 #include <set>
 #include <thread>
 
+#include "bgp/anycast.h"
 #include "bgp/route_computer.h"
 #include "core/thread_pool.h"
 #include "obs/metrics.h"
@@ -114,15 +115,16 @@ std::size_t resolve_build_threads(std::size_t threads) {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-/// Destination-rooted route tables toward every AS in `dests`, computed
-/// concurrently into slots indexed like `dests` — completion order never
-/// shows in the result. All workers read one shared immutable FamilyView.
+/// Destination-rooted route tables toward every AS in `dests`, answering
+/// for `scope`, computed concurrently into slots indexed like `dests` —
+/// completion order never shows in the result. All workers read one
+/// shared immutable FamilyView.
 std::vector<std::optional<bgp::RouteTable>> compute_tables_parallel(
     core::ThreadPool& pool, const bgp::FamilyView& view,
-    const std::vector<Asn>& dests) {
+    const std::vector<Asn>& dests, const bgp::SourceScope& scope) {
   std::vector<std::optional<bgp::RouteTable>> tables(dests.size());
   core::parallel_index(pool, dests.size(), [&](std::size_t i) {
-    tables[i] = bgp::compute_routes_to(view, dests[i]);
+    tables[i] = bgp::compute_routes_to(view, dests[i], scope);
   });
   return tables;
 }
@@ -163,7 +165,8 @@ TunnelStats apply_tunnel_overlay(AsGraph& graph, std::size_t num_relays,
   // tunnel path metrics. Tables are independent per relay — fan out.
   core::ThreadPool pool(resolve_build_threads(threads));
   const bgp::FamilyView v4_view(graph, ip::Family::kIpv4);
-  const auto v4_to_relay = compute_tables_parallel(pool, v4_view, relay_pool);
+  const auto v4_to_relay = compute_tables_parallel(
+      pool, v4_view, relay_pool, bgp::SourceScope::all(v4_view.num_ases()));
 
   for (std::size_t i = 0; i < graph.num_ases(); ++i) {
     const Asn asn = static_cast<Asn>(i);
@@ -208,7 +211,7 @@ TunnelStats apply_tunnel_overlay(AsGraph& graph, std::size_t num_relays,
 void build_ribs(core::World& world, std::size_t threads) {
   const obs::TraceSpan rib_span(obs::Stage::kRibBuild);
   // Counted serially below, so plain tallies; added to the registry once
-  // at the end (both are functions of the world alone — deterministic).
+  // at the end (all are functions of the world alone — deterministic).
   std::uint64_t tables_built = 0;
   std::uint64_t routes_installed = 0;
   const AsGraph& g = world.graph;
@@ -218,39 +221,29 @@ void build_ribs(core::World& world, std::size_t threads) {
   const bgp::FamilyView v4_view(g, ip::Family::kIpv4);
   const bgp::FamilyView v6_view(g, ip::Family::kIpv6);
 
-  // --- 6to4 anycast (RFC 3068) ---------------------------------------------
-  // A router's table carries one 2002::/16 route toward the *nearest*
-  // relay; the destination island never appears in the AS path. This is
-  // why tunnelled IPv6 paths look 1-2 hops long while performing like the
-  // whole underlay — the paper's Table 7 artifact.
-  //
-  // The per-relay tables do not depend on the vantage point, so they are
-  // computed once (in parallel, ordered by relay ASN) instead of once per
-  // VP; each VP then just scans the shared tables for its nearest relay.
-  std::set<Asn> relays;
-  for (std::uint32_t id = 0; id < g.num_links(); ++id) {
-    if (g.link(id).v6_tunnel) relays.insert(g.link(id).a);
-  }
+  // Every table below is read only at the vantage points' ASes, so each
+  // family converges over their provider closure alone — a few dozen
+  // ASes instead of the whole graph, with identical routes there
+  // (bgp::SourceScope says why that is exact).
+  std::vector<Asn> vp_ases;
+  for (const core::VantagePoint& vp : world.vantage_points) vp_ases.push_back(vp.asn);
+  const auto v4_scope = bgp::SourceScope::provider_closure(v4_view, vp_ases);
+  const auto v6_scope = bgp::SourceScope::provider_closure(v6_view, vp_ases);
+
+  // 6to4 anycast (bgp/anycast.h). The per-relay tables do not depend on
+  // the vantage point, so they are computed once (in parallel, ordered by
+  // relay ASN) and every VP elects its nearest relay from them.
+  const std::vector<Asn> relays = bgp::live_tunnel_relays(g);
   if (!relays.empty()) {
-    const std::vector<Asn> relay_list(relays.begin(), relays.end());
-    const auto relay_tables = compute_tables_parallel(pool, v6_view, relay_list);
-    tables_built += relay_list.size();
-    const ip::Ipv6Prefix six_to_four = ip::Ipv6Prefix::parse_or_throw("2002::/16");
+    const auto relay_tables = compute_tables_parallel(pool, v6_view, relays, v6_scope);
+    tables_built += relays.size();
+    std::vector<const bgp::RouteTable*> candidates;
+    for (const auto& t : relay_tables) candidates.push_back(&*t);
     for (core::VantagePoint& vp : world.vantage_points) {
-      const bgp::RouteTable* best = nullptr;
-      for (const auto& table : relay_tables) {
-        const bgp::RouteTable& t = *table;
-        if (!t.reachable(vp.asn)) continue;
-        if (best == nullptr || t.path_length(vp.asn) < best->path_length(vp.asn)) {
-          best = &t;
-        }
+      if (auto e = bgp::six_to_four_route(candidates, vp.asn)) {
+        vp.rib.add_v6(bgp::six_to_four_prefix(), std::move(*e));
+        ++routes_installed;
       }
-      if (best == nullptr) continue;
-      bgp::RibEntry e;
-      e.origin = best->dest();
-      e.as_path = best->as_path(vp.asn);
-      vp.rib.add_v6(six_to_four, e);
-      ++routes_installed;
     }
   }
 
@@ -268,8 +261,10 @@ void build_ribs(core::World& world, std::size_t threads) {
 
   // Convergence fans out per destination (each table only reads the
   // graph); insertion into the VP tries stays serial and walks `dests` in
-  // sorted-ASN order, so the RIBs never see completion order. Windowed so
-  // peak memory stays O(batch) route tables rather than O(dests).
+  // sorted-ASN order, so the RIBs never see completion order. A scoped
+  // table still holds O(|AS|) state (stage 1 writes wherever the
+  // destination's providers lead), so the build is windowed to keep peak
+  // memory at O(batch) route tables rather than O(dests).
   struct DestTables {
     std::optional<bgp::RouteTable> v4;
     std::optional<bgp::RouteTable> v6;
@@ -281,9 +276,9 @@ void build_ribs(core::World& world, std::size_t threads) {
     tables.assign(count, DestTables{});
     core::parallel_index(pool, count, [&](std::size_t i) {
       const Asn dest = dests[window + i];
-      tables[i].v4 = bgp::compute_routes_to(v4_view, dest);
+      tables[i].v4 = bgp::compute_routes_to(v4_view, dest, v4_scope);
       if (g.node(dest).has_v6) {
-        tables[i].v6 = bgp::compute_routes_to(v6_view, dest);
+        tables[i].v6 = bgp::compute_routes_to(v6_view, dest, v6_scope);
       }
     });
     for (std::size_t i = 0; i < count; ++i) {
@@ -325,6 +320,7 @@ void build_ribs(core::World& world, std::size_t threads) {
   auto& metrics = obs::metrics();
   metrics.add(metrics.counter("rib.dest_tables"), tables_built);
   metrics.add(metrics.counter("rib.routes"), routes_installed);
+  metrics.add(metrics.counter("rib.scope_ases"), v4_scope.size() + v6_scope.size());
 }
 
 core::World build_world(const WorldSpec& spec) {

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "bgp/route_computer.h"
 #include "core/campaign.h"
 #include "core/monitor.h"
 #include "scenario/world_builder.h"
@@ -380,6 +381,50 @@ TEST(MetricsDeterminism, MetricsOnDoesNotPerturbObservations) {
   EXPECT_EQ(on.observations, off.observations);
   EXPECT_EQ(on.counters.find("\"campaign.sites_monitored\":0,"),
             std::string::npos);
+}
+
+// rib.scope_ases says how much of the graph the RIB build converged over:
+// the vantage points' provider closure, summed over both families. It is a
+// function of the world alone, so every build thread count reports it
+// exactly; rib.dest_tables and rib.routes keep counting whole tables and
+// installed routes.
+TEST(MetricsDeterminism, RibScopeAsesCountsVantageProviderClosure) {
+  core::World world = small_world();
+  const topo::AsGraph& g = world.graph;
+  std::vector<topo::Asn> vp_ases;
+  for (const core::VantagePoint& vp : world.vantage_points) vp_ases.push_back(vp.asn);
+  const std::size_t want =
+      bgp::SourceScope::provider_closure(bgp::FamilyView(g, ip::Family::kIpv4), vp_ases)
+          .size() +
+      bgp::SourceScope::provider_closure(bgp::FamilyView(g, ip::Family::kIpv6), vp_ases)
+          .size();
+  ASSERT_GE(want, 2 * vp_ases.size());
+  ASSERT_LT(want, 2 * g.num_ases());
+
+  auto& reg = obs::metrics();
+  std::uint64_t dest_tables = 0;
+  std::uint64_t routes = 0;
+  for (const std::size_t threads : {1u, 4u}) {
+    reg.reset();
+    reg.set_enabled(true);
+    std::size_t installed = 0;
+    for (core::VantagePoint& vp : world.vantage_points) vp.rib = bgp::Rib();
+    scenario::build_ribs(world, threads);
+    for (const core::VantagePoint& vp : world.vantage_points) {
+      installed += vp.rib.v4_routes() + vp.rib.v6_routes();
+    }
+    EXPECT_EQ(reg.counter_value("rib.scope_ases"), want) << "threads=" << threads;
+    EXPECT_EQ(reg.counter_value("rib.routes"), installed);
+    if (threads == 1) {
+      dest_tables = reg.counter_value("rib.dest_tables");
+      routes = reg.counter_value("rib.routes");
+    }
+    EXPECT_EQ(reg.counter_value("rib.dest_tables"), dest_tables);
+    EXPECT_EQ(reg.counter_value("rib.routes"), routes);
+  }
+  EXPECT_GT(dest_tables, 0u);
+  reg.set_enabled(false);
+  reg.reset();
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scenario/world_builder.h"
 #include "topo/generator.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -263,6 +264,122 @@ TEST_P(RandomTopologyPaths, AllPathsValid) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTopologyPaths,
                          ::testing::Values(21, 22, 23, 24, 25));
+
+/// Differential check of scoped convergence: for both families and every
+/// destination, a table scoped to the provider closure of a random source
+/// set must agree with the full table on class, length, next hop and
+/// AS_PATH at every scope member; the closure of every AS must be the full
+/// table itself.
+void expect_scoped_matches_full(const AsGraph& g, std::uint64_t seed) {
+  util::Rng pick(seed);
+  std::vector<Asn> every(g.num_ases());
+  for (Asn a = 0; a < g.num_ases(); ++a) every[a] = a;
+  for (const ip::Family family : {ip::Family::kIpv4, ip::Family::kIpv6}) {
+    const FamilyView view(g, family);
+    std::vector<Asn> sources(1 + pick.index(4));
+    for (Asn& s : sources) s = static_cast<Asn>(pick.index(g.num_ases()));
+    const SourceScope scope = SourceScope::provider_closure(view, sources);
+    const SourceScope whole = SourceScope::provider_closure(view, every);
+    ASSERT_LT(scope.size(), g.num_ases()) << "a random scope should be partial";
+    ASSERT_EQ(whole, SourceScope::all(g.num_ases()));
+    for (const Asn s : sources) EXPECT_TRUE(scope.contains(s));
+    for (std::size_t i = 0; i < scope.size(); ++i) {  // closed under providers
+      if (i > 0) {
+        ASSERT_LT(scope[i - 1], scope[i]);
+      }
+      for (const FamilyView::Edge* e = view.edges_begin(scope[i]);
+           e != view.edges_end(scope[i]); ++e) {
+        if (e->role == topo::Role::kProvider) {
+          EXPECT_TRUE(scope.contains(e->neighbor));
+        }
+      }
+    }
+
+    for (Asn dest = 0; dest < g.num_ases(); ++dest) {
+      const RouteTable full = compute_routes_to(view, dest);
+      const RouteTable scoped = compute_routes_to(view, dest, scope);
+      for (std::size_t i = 0; i < scope.size(); ++i) {
+        const Asn src = scope[i];
+        ASSERT_EQ(scoped.route_class(src), full.route_class(src))
+            << ip::family_name(family) << " dest=" << dest << " src=" << src;
+        ASSERT_EQ(scoped.path_length(src), full.path_length(src));
+        ASSERT_EQ(scoped.next_hop(src), full.next_hop(src));
+        ASSERT_EQ(scoped.as_path(src), full.as_path(src));
+      }
+      ASSERT_TRUE(compute_routes_to(view, dest, whole) == full)
+          << ip::family_name(family) << " dest=" << dest;
+    }
+  }
+}
+
+TEST_P(RandomTopologyPaths, ScopedTablesMatchFull) {
+  util::Rng rng(GetParam());
+  topo::TopologyParams params;
+  params.num_tier1 = 4;
+  params.num_transit = 30;
+  params.num_stub = 120;
+  const AsGraph g = topo::generate_topology(params, rng);
+  expect_scoped_matches_full(g, GetParam() + 2000);
+}
+
+// The same on a built world: VP uplink modes, the tunnel overlay, and
+// AS pairs joined by more than one link (a tunnel over an existing
+// adjacency, plus parallel peerings added here).
+TEST(RouteComputer, ScopedTablesMatchFullOnWorldWithTunnels) {
+  scenario::WorldSpec spec;
+  spec.seed = 8;
+  spec.topology.num_tier1 = 4;
+  spec.topology.num_transit = 25;
+  spec.topology.num_stub = 120;
+  spec.catalog.initial_sites = 300;
+  spec.catalog.num_rounds = 4;
+  spec.vantage_points = {
+      {.name = "A", .v6_mode = scenario::V6UplinkMode::kSubsetProviders},
+      {.name = "B", .region = Region::kEurope,
+       .v6_mode = scenario::V6UplinkMode::kSeparateProvider},
+  };
+  core::World world = scenario::build_world(spec);
+  AsGraph& g = world.graph;
+  std::size_t tunnels = 0;
+  const auto links = static_cast<std::uint32_t>(g.num_links());
+  for (std::uint32_t id = 0; id < links; ++id) {
+    const topo::AsLink l = g.link(id);
+    if (l.v6_tunnel) ++tunnels;
+    // Every seventh provider link gets a parallel peering in both families.
+    if (!l.v6_tunnel && l.rel == Relationship::kProviderCustomer && id % 7 == 0) {
+      g.add_link(l.a, l.b, Relationship::kPeerPeer, true, true, {});
+    }
+  }
+  ASSERT_GT(tunnels, 0u);
+  std::size_t multi_link_pairs = 0;
+  for (Asn u = 0; u < g.num_ases(); ++u) {
+    std::vector<Asn> seen;
+    for (const topo::Adjacency& adj : g.adjacencies(u)) seen.push_back(adj.neighbor);
+    std::sort(seen.begin(), seen.end());
+    if (std::adjacent_find(seen.begin(), seen.end()) != seen.end()) ++multi_link_pairs;
+  }
+  ASSERT_GT(multi_link_pairs, 0u);
+  expect_scoped_matches_full(g, 8);
+}
+
+#if V6MON_CONTRACT_LEVEL >= 1
+TEST(RouteComputer, QueryOutsideScopeIsContractViolation) {
+  Fixture f;
+  const FamilyView view(f.g, ip::Family::kIpv4);
+  const std::vector<Asn> sources{f.s1};
+  const SourceScope scope = SourceScope::provider_closure(view, sources);
+  EXPECT_EQ(scope.size(), 3u);  // s1, ta, t1a
+  const RouteTable t = compute_routes_to(view, f.s3, scope);
+  EXPECT_TRUE(t.reachable(f.s1));
+  EXPECT_EQ(t.as_path(f.s1), (std::vector<Asn>{f.ta, f.t1a, f.t1b, f.tc, f.s3}));
+  // tc lies on s1's path (stage 1 fixed its customer route) but is not in
+  // the scope: the table has no answer *for* tc.
+  EXPECT_THROW((void)t.reachable(f.tc), ContractError);
+  EXPECT_THROW((void)t.path_length(f.s2), ContractError);
+  EXPECT_THROW((void)t.next_hop(f.tb), ContractError);
+  EXPECT_THROW((void)t.as_path(f.s3), ContractError);
+}
+#endif
 
 // In IPv4 (fully connected underlay) every AS must reach every destination.
 TEST(RouteComputer, V4UniversalReachabilityOnGenerated) {

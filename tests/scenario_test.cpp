@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <tuple>
 
+#include "bgp/anycast.h"
 #include "bgp/route_computer.h"
+#include "core/world_timeline.h"
 #include "scenario/paper.h"
 #include "scenario/world_builder.h"
 #include "util/error.h"
@@ -129,6 +134,136 @@ TEST(WorldBuilder, TunnelMetricsDeriveFromUnderlay) {
     EXPECT_DOUBLE_EQ(l.tunnel_bandwidth_factor, 0.85);
     EXPECT_FALSE(l.in_v4);
     EXPECT_TRUE(l.in_v6);
+  }
+}
+
+/// Every route of a RIB as (prefix, origin, AS_PATH) rows, both families.
+using RibRows = std::vector<std::tuple<std::string, topo::Asn, std::vector<topo::Asn>>>;
+
+RibRows rib_rows(const bgp::Rib& rib) {
+  RibRows rows;
+  rib.for_each_v4([&](const ip::Ipv4Prefix& p, const bgp::RibEntry& e) {
+    rows.emplace_back(p.to_string(), e.origin, e.as_path);
+  });
+  rib.for_each_v6([&](const ip::Ipv6Prefix& p, const bgp::RibEntry& e) {
+    rows.emplace_back(p.to_string(), e.origin, e.as_path);
+  });
+  return rows;
+}
+
+/// What build_ribs must install, rebuilt from full route tables one
+/// destination at a time — no scopes, windows or thread pool.
+std::vector<bgp::Rib> reference_ribs(const core::World& world) {
+  const topo::AsGraph& g = world.graph;
+  std::vector<bgp::Rib> ribs(world.vantage_points.size());
+  std::set<topo::Asn> relays;
+  for (std::uint32_t id = 0; id < g.num_links(); ++id) {
+    if (g.link(id).v6_tunnel && g.link(id).in_v6) relays.insert(g.link(id).a);
+  }
+  for (std::size_t v = 0; v < ribs.size(); ++v) {
+    const topo::Asn src = world.vantage_points[v].asn;
+    std::optional<bgp::RouteTable> best;
+    for (const topo::Asn r : relays) {  // nearest relay, lowest ASN on a tie
+      auto t = bgp::compute_routes_to(g, ip::Family::kIpv6, r);
+      if (t.reachable(src) && (!best || t.path_length(src) < best->path_length(src))) {
+        best = std::move(t);
+      }
+    }
+    if (best) ribs[v].add_v6(bgp::six_to_four_prefix(), {best->dest(), best->as_path(src)});
+  }
+  std::set<topo::Asn> dests;
+  for (const web::Site& s : world.catalog.sites()) {
+    dests.insert(s.v4_as);
+    if (s.v6_from_round != web::kNever) dests.insert(s.v6_as);
+    if (const web::Hosting* h = world.catalog.relocation(s.id)) {
+      dests.insert(h->v4_as);
+      if (h->v6_as != topo::kNoAs) dests.insert(h->v6_as);
+    }
+  }
+  for (const topo::Asn d : dests) {
+    const topo::AsNode& dn = g.node(d);
+    const auto v4 = bgp::compute_routes_to(g, ip::Family::kIpv4, d);
+    const auto v6 = bgp::compute_routes_to(g, ip::Family::kIpv6, d);
+    for (std::size_t v = 0; v < ribs.size(); ++v) {
+      const topo::Asn src = world.vantage_points[v].asn;
+      if (v4.reachable(src)) {
+        for (const auto& p : dn.v4_prefixes) ribs[v].add_v4(p, {d, v4.as_path(src)});
+      }
+      if (dn.has_v6 && v6.reachable(src)) {
+        for (const auto& p : dn.v6_prefixes) {
+          if (!p.network().is_6to4()) ribs[v].add_v6(p, {d, v6.as_path(src)});
+        }
+      }
+    }
+  }
+  return ribs;
+}
+
+// build_ribs converges over the vantage points' provider closure only;
+// every route it installs must still be the full table's.
+TEST(WorldBuilder, RibsMatchFullTableReference) {
+  for (const std::size_t threads : {1u, 4u}) {
+    WorldSpec spec = paper_spec(2011, 0.1);
+    spec.build_threads = threads;
+    const core::World world = build_world(spec);
+    const std::vector<bgp::Rib> want = reference_ribs(world);
+    std::size_t six_to_four = 0;
+    for (std::size_t v = 0; v < world.vantage_points.size(); ++v) {
+      const bgp::Rib& got = world.vantage_points[v].rib;
+      EXPECT_EQ(got.v4_routes(), want[v].v4_routes());
+      EXPECT_EQ(got.v6_routes(), want[v].v6_routes());
+      EXPECT_EQ(rib_rows(got), rib_rows(want[v]))
+          << world.vantage_points[v].name << " threads=" << threads;
+      if (got.lookup_v6(ip::Ipv6Address::parse_or_throw("2002::1")) != nullptr) {
+        ++six_to_four;
+      }
+    }
+    EXPECT_GT(six_to_four, 0u) << "no vantage point carries a 2002::/16 route";
+  }
+}
+
+// The 6to4 anycast election must skip a relay whose tunnels were all
+// retired, in build_ribs and in the epoch engine alike — even though the
+// relay itself is still routed natively and was the nearest before.
+TEST(WorldBuilder, RetiredRelayIsNeverElected) {
+  const ip::Ipv6Address anycast = ip::Ipv6Address::parse_or_throw("2002::1");
+  core::World world = build_world(tiny_spec(6));
+  const topo::Asn vp_as = world.vantage_points[0].asn;
+  const bgp::RibEntry* before = world.vantage_points[0].rib.lookup_v6(anycast);
+  ASSERT_NE(before, nullptr);
+  const topo::Asn relay = before->origin;
+
+  core::EpochDeltas epoch;
+  epoch.round = 1;
+  for (std::uint32_t id = 0; id < world.graph.num_links(); ++id) {
+    const topo::AsLink& l = world.graph.link(id);
+    if (l.v6_tunnel && l.a == relay) {
+      core::WorldDelta d;
+      d.kind = core::WorldDeltaKind::kTunnelRetired;
+      d.link_id = id;
+      epoch.deltas.push_back(d);
+    }
+  }
+  ASSERT_FALSE(epoch.deltas.empty());
+  core::WorldTimeline timeline(world, {epoch}, /*build_threads=*/1);
+  (void)timeline.advance_to(1);
+  core::World& advanced = timeline.world();
+  const auto relays = bgp::live_tunnel_relays(advanced.graph);
+  EXPECT_EQ(std::count(relays.begin(), relays.end(), relay), 0);
+  ASSERT_TRUE(bgp::compute_routes_to(advanced.graph, ip::Family::kIpv6, relay)
+                  .reachable(vp_as))
+      << "the retired relay must stay natively reachable for this test to bite";
+
+  const bgp::RibEntry* evolved = advanced.vantage_points[0].rib.lookup_v6(anycast);
+  core::World rebuilt = advanced;
+  for (core::VantagePoint& vp : rebuilt.vantage_points) vp.rib = bgp::Rib();
+  build_ribs(rebuilt, 1);
+  const bgp::RibEntry* fresh = rebuilt.vantage_points[0].rib.lookup_v6(anycast);
+  ASSERT_EQ(evolved == nullptr, fresh == nullptr);
+  if (fresh != nullptr) {
+    EXPECT_NE(fresh->origin, relay);
+    EXPECT_EQ(evolved->origin, fresh->origin);
+    EXPECT_EQ(evolved->as_path, fresh->as_path);
   }
 }
 
