@@ -13,7 +13,7 @@ std::vector<topo::Asn> live_tunnel_relays(const topo::AsGraph& graph) {
   std::vector<topo::Asn> relays;
   for (std::uint32_t id = 0; id < graph.num_links(); ++id) {
     const topo::AsLink& l = graph.link(id);
-    if (l.v6_tunnel && l.in_v6) relays.push_back(l.a);
+    if (is_live_tunnel(l)) relays.push_back(l.a);
   }
   std::sort(relays.begin(), relays.end());
   relays.erase(std::unique(relays.begin(), relays.end()), relays.end());

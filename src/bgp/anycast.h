@@ -21,9 +21,15 @@ namespace v6mon::bgp {
 /// The 6to4 prefix, 2002::/16.
 [[nodiscard]] const ip::Ipv6Prefix& six_to_four_prefix();
 
-/// ASes serving at least one live IPv6 tunnel pseudo-link (`v6_tunnel &&
-/// in_v6`), ascending. A relay whose tunnels were all retired serves no
-/// island and is never a candidate.
+/// A tunnel pseudo-link that still carries IPv6. AsGraph::retire_tunnel
+/// clears `in_v6`: the relay stops serving that island.
+[[nodiscard]] inline bool is_live_tunnel(const topo::AsLink& l) {
+  return l.v6_tunnel && l.in_v6;
+}
+
+/// ASes serving at least one live tunnel (is_live_tunnel), ascending. A
+/// relay whose tunnels were all retired serves no island and is never a
+/// candidate.
 [[nodiscard]] std::vector<topo::Asn> live_tunnel_relays(const topo::AsGraph& graph);
 
 /// The 2002::/16 route of a router in `src`, toward the relay with the

@@ -83,9 +83,9 @@ class Campaign {
 
   /// Apply every pending world epoch with epoch round <= `round`:
   /// advances the timeline, then notifies each vantage point's monitor
-  /// (path-cache sweep + resolved-row invalidation) and refreshes the
-  /// campaign's packed site-schedule columns for sites that gained an
-  /// AAAA. Coordinator-only, quiescent: no run_round may be in flight.
+  /// (resolved-row invalidation) and refreshes the campaign's packed
+  /// site-schedule columns for sites that gained an AAAA.
+  /// Coordinator-only, quiescent: no run_round may be in flight.
   /// No-op without a timeline. run() calls this; exposed for tests and
   /// examples that drive rounds manually.
   void advance_world(std::uint32_t round);
@@ -111,6 +111,11 @@ class Campaign {
   }
   [[nodiscard]] const World& world() const { return world_; }
   [[nodiscard]] const CampaignConfig& config() const { return config_; }
+  /// One vantage point's measurement pipeline, for inspecting its
+  /// resolved-site rows. Quiescent callers only, like fallback_stats.
+  [[nodiscard]] const Monitor& monitor(std::size_t vp_index) const {
+    return monitors_.at(vp_index);
+  }
 
   /// Conn-layer verdict totals for one vantage point (ISSUE 9; zeros
   /// under FallbackPolicy::kNone). Deterministic across threads and sink

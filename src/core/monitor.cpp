@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "bgp/anycast.h"
 #include "obs/metrics.h"
 #include "transport/path.h"
 #include "util/contracts.h"
@@ -140,9 +141,7 @@ Monitor::Monitor(const World& world, const VantagePoint& vp, MonitorConfig confi
       sim_(config.download),
       conn_(config.conn),
       conn_needs_paths_(config.fallback != FallbackPolicy::kNone),
-      fallback_(std::make_unique<FallbackAccumulator>()),
-      path_cache_(std::make_unique<transport::PathCache>(
-          world.graph, vp.asn, config.path_quality_sigma)) {
+      fallback_(std::make_unique<FallbackAccumulator>()) {
   // Validate before building the gate table: an out-of-domain confidence
   // must surface as ConfigError, not as a contract violation inside
   // student_t_critical.
@@ -203,8 +202,16 @@ Monitor::FamilyMeasurement Monitor::measure_family(
   return m;
 }
 
+transport::PathCharacteristics Monitor::characterize(
+    const std::vector<topo::Asn>& as_path, ip::Family family) const {
+  transport::PathCharacteristics pc =
+      transport::characterize_path(world_.graph, vp_.asn, as_path, family);
+  pc.quality = transport::path_quality(as_path, config_.path_quality_sigma);
+  return pc;
+}
+
 bool Monitor::characterize_v6_path(ResolvedSiteRow& row) const {
-  row.v6_path = path_cache_->characteristics(row.v6_route->as_path, ip::Family::kIpv6);
+  row.v6_path = characterize(row.v6_route->as_path, ip::Family::kIpv6);
 
   // 6to4 anycast: the RIB's 2002::/16 route only reaches the relay — the
   // AS path *looks* 1-2 hops long. Packets then ride the IPv4 underlay to
@@ -215,7 +222,7 @@ bool Monitor::characterize_v6_path(ResolvedSiteRow& row) const {
     if (island.has_value()) {
       for (const topo::Adjacency& adj : world_.graph.adjacencies(*island)) {
         const topo::AsLink& l = world_.graph.link(adj.link_id);
-        if (l.v6_tunnel) {
+        if (bgp::is_live_tunnel(l)) {
           tunnel = &l;
           break;
         }
@@ -241,20 +248,18 @@ bool Monitor::characterize_v6_path(ResolvedSiteRow& row) const {
 }
 
 void Monitor::resolve_addresses(const ip::Ipv4Address& v4_addr,
-                                const ip::Ipv6Address& v6_addr, bool has_v6,
+                                const ip::Ipv6Address& v6_addr,
                                 ResolvedSiteRow& row) const {
   row.v4_addr = v4_addr;
   row.v6_addr = v6_addr;
   row.v4_route = vp_.rib.lookup_v4(v4_addr);
-  row.v6_route = has_v6 ? vp_.rib.lookup_v6(v6_addr) : nullptr;
+  row.v6_route = vp_.rib.lookup_v6(v6_addr);
   // Verdict precedence matches the original inline phase 2 exactly: null
   // v4 route, null v6 route, 6to4 without a relay leg, invalid v4 path,
   // invalid v6 path. Routes stay recorded even on failure — origins and
   // AS paths of the reachable side are still reported. Under a fallback
   // policy the surviving side's path is characterized even when the
-  // other side fails the gate (the conn layer dials it); under kNone
-  // the early returns skip exactly the work they always skipped, so the
-  // path-cache population — and its counters — are untouched.
+  // other side fails the gate (the conn layer dials it).
   if (row.v4_route == nullptr) {
     row.gate = MonitorStatus::kV4DownloadFailed;
     if (conn_needs_paths_ && row.v6_route != nullptr) {
@@ -265,16 +270,12 @@ void Monitor::resolve_addresses(const ip::Ipv4Address& v4_addr,
   if (row.v6_route == nullptr) {
     row.gate = MonitorStatus::kV6DownloadFailed;
     if (conn_needs_paths_) {
-      row.v4_path =
-          path_cache_->characteristics(row.v4_route->as_path, ip::Family::kIpv4);
+      row.v4_path = characterize(row.v4_route->as_path, ip::Family::kIpv4);
     }
     return;
   }
 
-  // Characterization + quality are pure per (path, family): served from
-  // the per-VP cache, computed once per campaign. Local copies — the 6to4
-  // adjustment is per-destination-address, not per-path.
-  row.v4_path = path_cache_->characteristics(row.v4_route->as_path, ip::Family::kIpv4);
+  row.v4_path = characterize(row.v4_route->as_path, ip::Family::kIpv4);
   if (!characterize_v6_path(row)) {
     row.gate = MonitorStatus::kV6DownloadFailed;  // no working relay leg
     return;
@@ -349,7 +350,6 @@ void Monitor::evaluate_fallback(const transport::PathCharacteristics* v4,
 
 void Monitor::on_world_change(const WorldChangeSummary& summary) {
   current_world_epoch_ = summary.epoch;
-  path_cache_->advance_epoch(summary.epoch, summary.touched_as);
 
   const auto path_touched = [&summary](const std::vector<topo::Asn>& path) {
     for (const topo::Asn a : path) {
@@ -457,14 +457,14 @@ Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
   // inline resolution, keeping the cache a pure performance layer).
   if (have_slot && !resolved_.filled(slot)) {
     ResolvedSiteRow fresh;
-    resolve_addresses(v4_addr, v6_addr, /*has_v6=*/true, fresh);
+    resolve_addresses(v4_addr, v6_addr, fresh);
     resolved_.fill(slot, fresh, current_world_epoch_);
   }
   ResolvedSiteRow local;
   const bool row_matches = have_slot && resolved_.filled(slot) &&
                            resolved_.v4_addr(slot) == v4_addr &&
                            resolved_.v6_addr(slot) == v6_addr;
-  if (!row_matches) resolve_addresses(v4_addr, v6_addr, /*has_v6=*/true, local);
+  if (!row_matches) resolve_addresses(v4_addr, v6_addr, local);
 
   const MonitorStatus gate = row_matches ? resolved_.gate(slot) : local.gate;
   const bgp::RibEntry* v4_route = row_matches ? resolved_.v4_route(slot) : local.v4_route;

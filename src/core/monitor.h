@@ -13,7 +13,7 @@
 #include "dns/resolver.h"
 #include "transport/connection.h"
 #include "transport/download.h"
-#include "transport/path_cache.h"
+#include "transport/path.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/thread_annotations.h"
@@ -84,8 +84,8 @@ struct MonitorConfig {
 /// the duration of a round (the World — mutated only inside epoch gate
 /// nodes, which the edges order against every reader) or internally
 /// synchronized per-instance state that no other VP can reach (the
-/// path cache, resolved-site table and fallback tally are members, one
-/// set per Monitor, one Monitor per VP).
+/// resolved-site table and fallback tally are members, one set per
+/// Monitor, one Monitor per VP).
 class Monitor {
  public:
   Monitor(const World& world, const VantagePoint& vp, MonitorConfig config);
@@ -102,11 +102,6 @@ class Monitor {
 
   [[nodiscard]] const MonitorConfig& config() const { return config_; }
   [[nodiscard]] const VantagePoint& vantage_point() const { return vp_; }
-  /// Cache effectiveness counters (each distinct (path, family) this VP
-  /// selects is characterized exactly once per Monitor lifetime).
-  [[nodiscard]] transport::PathCache::Stats path_cache_stats() const {
-    return path_cache_->stats();
-  }
 
   /// Accumulated conn-layer verdicts for this vantage point (zeros under
   /// FallbackPolicy::kNone). Deterministic in thread count: every field
@@ -146,10 +141,10 @@ class Monitor {
 
   [[nodiscard]] const ResolvedSiteTable& resolved_sites() const { return resolved_; }
 
-  /// Epoch-boundary cache maintenance (coordinator-only, quiescent): the
-  /// world just advanced to `summary.epoch`. Sweeps the path cache of
-  /// entries crossing touched ASes and invalidates resolved-site rows
-  /// whose cached IPv6 route (or absence of one) may no longer hold:
+  /// Epoch-boundary row maintenance (coordinator-only, quiescent): the
+  /// world just advanced to `summary.epoch`. Invalidates resolved-site
+  /// rows whose cached IPv6 route (or absence of one), and with it the
+  /// row's characterized paths, may no longer hold:
   ///
   ///   - rows routed through a touched AS, or to a changed destination;
   ///   - 6to4 rows and unrouted rows, whenever the v6 data plane changed
@@ -185,11 +180,15 @@ class Monitor {
 
  private:
   /// Phase-2 resolution against explicit addresses (the row content
-  /// shared by table fills and the inline fallback). `has_v6` gates the
-  /// v6-side work for sites that never publish an AAAA.
+  /// shared by table fills and the inline fallback).
   void resolve_addresses(const ip::Ipv4Address& v4_addr,
-                         const ip::Ipv6Address& v6_addr, bool has_v6,
+                         const ip::Ipv6Address& v6_addr,
                          ResolvedSiteRow& row) const;
+
+  /// characterize_path from this VP plus the path's quality factor. Runs
+  /// once per row fill: the resolved-site row is the memo.
+  [[nodiscard]] transport::PathCharacteristics characterize(
+      const std::vector<topo::Asn>& as_path, ip::Family family) const;
 
   /// Characterize the v6 side of a row with a v6 route, applying the
   /// hidden 6to4 relay leg. A 6to4 destination with no working relay
@@ -221,15 +220,10 @@ class Monitor {
   transport::ConnectionModel conn_;
   /// True when the fallback policy needs routed-side paths characterized
   /// even for rows whose phase-2 gate fails (the conn layer dials them);
-  /// false keeps resolve_addresses byte-identical to the kNone pipeline,
-  /// path-cache counters included.
+  /// false skips characterizing the routed side of a row whose gate
+  /// already failed, as the kNone pipeline always has.
   bool conn_needs_paths_ = false;
   std::unique_ptr<FallbackAccumulator> fallback_;
-  /// Memoized characterize_path + path_quality, shared by all worker
-  /// threads monitoring through this VP; lives exactly as long as the
-  /// Monitor (= the Campaign), matching the graph's immutability window.
-  /// unique_ptr keeps Monitor movable (the cache holds mutexes).
-  std::unique_ptr<transport::PathCache> path_cache_;
   /// Precomputed CI stopping gates for (ci_rel, confidence) over
   /// n in [2, max_downloads]; built after config validation.
   util::CiGateTable gates_;

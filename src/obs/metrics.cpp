@@ -59,8 +59,6 @@ constexpr const char* kCounterNames[] = {
     "monitor.status.v4-only",
     "monitor.status.v6-download-failed",
     "monitor.status.v6-only",
-    "path_cache.inserts",
-    "path_cache.lookups",
     "rib.dest_tables",
     "rib.routes",
     "rib.scope_ases",

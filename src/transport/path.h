@@ -35,7 +35,7 @@ struct PathCharacteristics {
 /// metrics. Keyed by the AS *sequence* alone — family-blind — so the two
 /// families of an SP site share one factor while DP sites draw independent
 /// ones (the paper's Fig. 3b / Table 11 reconciliation). Pure function of
-/// (as_path, sigma); PathCache memoizes it alongside characterize_path.
+/// (as_path, sigma).
 [[nodiscard]] double path_quality(const std::vector<topo::Asn>& as_path, double sigma);
 
 }  // namespace v6mon::transport

@@ -22,10 +22,7 @@
 #include "core/thread_pool.h"
 #include "reference_schedule.h"
 #include "scenario/world_builder.h"
-#include "topo/generator.h"
-#include "transport/path_cache.h"
 #include "util/error.h"
-#include "util/rng.h"
 
 namespace v6mon::core {
 namespace {
@@ -396,66 +393,6 @@ TEST(CampaignStress, ConcurrentFirstRoundsRaceDnsFateFill) {
     EXPECT_EQ(raced.dns_stats(vp).timeouts, serial.dns_stats(vp).timeouts);
     EXPECT_GT(raced.dns_stats(vp).timeouts, 0u);
   }
-}
-
-// Many threads hammering one PathCache with overlapping key sets: every
-// hit must return the exact value the first writer computed (first-writer-
-// wins semantics), and the entry count must equal the number of distinct
-// (path, family) keys — a torn insert or double-compute shows up in both.
-TEST(PathCacheStress, ConcurrentMixedLookupsAgreeWithSerialReference) {
-  util::Rng rng(321);
-  topo::TopologyParams params;
-  params.num_tier1 = 3;
-  params.num_transit = 15;
-  params.num_stub = 40;
-  const topo::AsGraph g = topo::generate_topology(params, rng);
-
-  // A pool of plausible AS paths (content matters, not routedness: the
-  // cache is a pure memo over characterize_path + path_quality).
-  std::vector<std::vector<topo::Asn>> paths;
-  util::Rng path_rng(654);
-  for (int i = 0; i < 64; ++i) {
-    std::vector<topo::Asn> p;
-    const std::size_t len = 1 + path_rng.index(5);
-    for (std::size_t h = 0; h < len; ++h) {
-      p.push_back(static_cast<topo::Asn>(path_rng.index(g.num_ases())));
-    }
-    paths.push_back(std::move(p));
-  }
-
-  transport::PathCache cache(g, /*src=*/0, /*quality_sigma=*/0.1);
-  // Serial reference values, computed through the same cache (pure, so
-  // first computation == every later one).
-  std::vector<transport::PathCharacteristics> ref_v4, ref_v6;
-  for (const auto& p : paths) {
-    ref_v4.push_back(cache.characteristics(p, ip::Family::kIpv4));
-    ref_v6.push_back(cache.characteristics(p, ip::Family::kIpv6));
-  }
-
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
-      util::Rng pick(static_cast<std::uint64_t>(1000 + t));
-      for (int i = 0; i < 2000; ++i) {
-        const std::size_t idx = pick.index(paths.size());
-        const bool v6 = pick.chance(0.5);
-        const auto got = cache.characteristics(
-            paths[idx], v6 ? ip::Family::kIpv6 : ip::Family::kIpv4);
-        const auto& want = v6 ? ref_v6[idx] : ref_v4[idx];
-        if (got.rtt_ms != want.rtt_ms || got.bottleneck_kBps != want.bottleneck_kBps ||
-            got.valid != want.valid || got.quality != want.quality) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.entries, paths.size() * 2);
-  EXPECT_EQ(stats.misses, paths.size() * 2);
-  EXPECT_GE(stats.lookups, paths.size() * 2 + 8 * 2000);
 }
 
 }  // namespace

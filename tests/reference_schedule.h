@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string_view>
 
 #include "core/campaign.h"
@@ -18,14 +19,20 @@ namespace v6mon::core {
 /// configured with threads = 1. Frozen worlds run vantage point by
 /// vantage point; evolving worlds run round by round, applying the
 /// round's epochs with advance_world(r) before any run_round(vp, r).
-inline void run_reference_schedule(Campaign& campaign, bool evolving) {
+/// `after_round(r)`, when given, runs once every vantage point has run
+/// round r — round-major order, so evolving worlds only.
+inline void run_reference_schedule(
+    Campaign& campaign, bool evolving,
+    const std::function<void(std::uint32_t)>& after_round = {}) {
   ASSERT_EQ(campaign.config().threads, 1u) << "the reference schedule is serial";
+  ASSERT_TRUE(evolving || !after_round) << "per-round hooks need round-major order";
   const World& world = campaign.world();
   const std::size_t num_vps = world.vantage_points.size();
   if (evolving) {
     for (std::uint32_t round = 0; round <= world.num_rounds; ++round) {
       campaign.advance_world(round);
       for (std::size_t vp = 0; vp < num_vps; ++vp) campaign.run_round(vp, round);
+      if (after_round) after_round(round);
     }
   } else {
     for (std::size_t vp = 0; vp < num_vps; ++vp) {

@@ -13,6 +13,9 @@
 //   4. Applied deltas leave the world self-consistent: granted AAAA
 //      addresses resolve to the granting AS in the origin map and the
 //      catalog windows open at the epoch round.
+//   5. Resolved-site rows that survive an epoch boundary still equal a
+//      fresh resolution against the advanced world, and a 6to4 island
+//      whose tunnel retired stops measuring over it.
 
 #include "core/world_timeline.h"
 
@@ -23,11 +26,13 @@
 #include <string>
 #include <vector>
 
+#include "bgp/anycast.h"
 #include "core/campaign.h"
 #include "core/world_delta.h"
 #include "reference_schedule.h"
 #include "scenario/evolution.h"
 #include "scenario/world_builder.h"
+#include "transport/path.h"
 #include "util/error.h"
 
 namespace v6mon::core {
@@ -266,6 +271,199 @@ TEST(WorldTimeline, AppliedEpochsKeepWorldSelfConsistent) {
   }
   EXPECT_EQ(timeline.current_epoch(), timeline.num_epochs());
   EXPECT_FALSE(timeline.next_epoch_round().has_value());
+}
+
+// --- 5. Row invalidation against a fresh resolution ------------------------
+
+void expect_same_route(const bgp::RibEntry* cached, const bgp::RibEntry* fresh) {
+  ASSERT_EQ(cached == nullptr, fresh == nullptr);
+  if (cached == nullptr) return;
+  EXPECT_EQ(cached->origin, fresh->origin);
+  EXPECT_EQ(cached->as_path, fresh->as_path);
+}
+
+void expect_same_path(const transport::PathCharacteristics& cached,
+                      const transport::PathCharacteristics& fresh) {
+  EXPECT_EQ(cached.valid, fresh.valid);
+  EXPECT_EQ(cached.rtt_ms, fresh.rtt_ms);
+  EXPECT_EQ(cached.bottleneck_kBps, fresh.bottleneck_kBps);
+  EXPECT_EQ(cached.as_hops, fresh.as_hops);
+  EXPECT_EQ(cached.underlying_hops, fresh.underlying_hops);
+  EXPECT_EQ(cached.via_tunnel, fresh.via_tunnel);
+  EXPECT_EQ(cached.quality, fresh.quality);
+}
+
+struct RowCheckCounts {
+  std::size_t survivors = 0;  ///< Rows checked after outliving a boundary.
+  std::size_t refills = 0;    ///< Rows checked after a boundary re-resolved them.
+};
+
+/// Runs an evolving campaign on the reference schedule and, after every
+/// round, checks each VP's filled resolved-site rows against a fresh
+/// resolution in the current world: the same RIB routes for the row's
+/// addresses, and — for every side resolve_addresses characterizes —
+/// the same characterize_path + path_quality. 6to4 v6 paths carry the
+/// hidden relay leg on top; RetiredTunnelFailsSixToFourSites covers
+/// them.
+RowCheckCounts check_rows_every_round(const scenario::WorldSpec& spec,
+                                      FallbackPolicy policy) {
+  CampaignConfig cfg;
+  cfg.seed = 2011;
+  cfg.threads = 1;
+  cfg.sink = SinkBackend::kMutex;
+  cfg.monitor.fallback = policy;
+  // kNone characterizes only rows routed in both families; a fallback
+  // policy also characterizes the routed side of a failed row.
+  const bool all_routed_sides = policy != FallbackPolicy::kNone;
+  EvolvingRun run = start_evolving(spec, cfg);
+  EXPECT_GT(run.timeline->num_epochs(), 0u);
+
+  RowCheckCounts counts;
+  const auto check_rows = [&](std::uint32_t round) {
+    SCOPED_TRACE("round=" + std::to_string(round));
+    const World& w = run.campaign->world();
+    const std::uint32_t epoch = run.timeline->current_epoch();
+    for (std::size_t vp = 0; vp < w.vantage_points.size(); ++vp) {
+      const VantagePoint& point = w.vantage_points[vp];
+      const auto fresh = [&](const bgp::RibEntry& route, ip::Family family) {
+        transport::PathCharacteristics pc =
+            transport::characterize_path(w.graph, point.asn, route.as_path, family);
+        pc.quality = transport::path_quality(route.as_path, cfg.monitor.path_quality_sigma);
+        return pc;
+      };
+      const ResolvedSiteTable& rows = run.campaign->monitor(vp).resolved_sites();
+      for (std::uint32_t slot = 0; slot < rows.size(); ++slot) {
+        if (!rows.filled(slot)) continue;
+        SCOPED_TRACE("vp=" + std::to_string(vp) +
+                     " site=" + std::to_string(rows.site_id(slot)));
+        ASSERT_LE(rows.world_epoch(slot), epoch);
+        if (rows.world_epoch(slot) < epoch) ++counts.survivors;
+        if (rows.world_epoch(slot) > 0) ++counts.refills;
+
+        const bgp::RibEntry* v4 = point.rib.lookup_v4(rows.v4_addr(slot));
+        const bgp::RibEntry* v6 = point.rib.lookup_v6(rows.v6_addr(slot));
+        expect_same_route(rows.v4_route(slot), v4);
+        expect_same_route(rows.v6_route(slot), v6);
+        const bool both = v4 != nullptr && v6 != nullptr;
+        if (v4 != nullptr && (both || all_routed_sides)) {
+          expect_same_path(rows.v4_path(slot), fresh(*v4, ip::Family::kIpv4));
+        }
+        if (v6 != nullptr && (both || all_routed_sides) &&
+            !rows.v6_addr(slot).is_6to4()) {
+          expect_same_path(rows.v6_path(slot), fresh(*v6, ip::Family::kIpv6));
+        }
+      }
+    }
+  };
+  run_reference_schedule(*run.campaign, /*evolving=*/true, check_rows);
+  EXPECT_EQ(run.timeline->current_epoch(), run.timeline->num_epochs());
+  return counts;
+}
+
+// The resolved-site rows are the only memo of RIB lookups and path
+// characterizations, and Monitor::on_world_change is their only
+// invalidation. Every filled row must equal a fresh resolution after
+// every round — in particular the rows stamped before the current
+// epoch, which survived at least one boundary. evolving_spec's dense
+// deltas touch nearly every path each epoch, so a sparser stream (where
+// most rows survive) runs too.
+TEST(WorldTimeline, SurvivingRowsMatchFreshResolutionAfterEveryEpoch) {
+  scenario::WorldSpec sparse = evolving_spec();
+  sparse.evolution.delta_rate = 1.0;
+  sparse.evolution.max_as_fraction = 0.02;
+  RowCheckCounts total;
+  for (const scenario::WorldSpec& spec : {evolving_spec(), sparse}) {
+    for (const FallbackPolicy policy :
+         {FallbackPolicy::kNone, FallbackPolicy::kSequential}) {
+      SCOPED_TRACE("delta_rate=" + std::to_string(spec.evolution.delta_rate) +
+                   " fallback=" + std::to_string(static_cast<int>(policy)));
+      const RowCheckCounts counts = check_rows_every_round(spec, policy);
+      total.survivors += counts.survivors;
+      total.refills += counts.refills;
+    }
+  }
+  // Not vacuous: rows both outlived boundaries and were re-resolved.
+  EXPECT_GT(total.survivors, 0u);
+  EXPECT_GT(total.refills, 0u);
+}
+
+// Retiring an island's only tunnel means its relay stops serving it
+// (AsGraph::retire_tunnel). The 2002::/16 anycast route survives while
+// other relays serve other islands, but a 6to4 site on the dark island
+// must fail its IPv6 side instead of measuring over the dead tunnel.
+TEST(WorldTimeline, RetiredTunnelFailsSixToFourSites) {
+  constexpr std::uint32_t kRetireRound = 4;
+  scenario::WorldSpec spec = tiny_spec();
+  spec.addresses.six_to_four_fraction = 0.5;  // enough 6to4 islands to pick from
+  World world = scenario::build_world(spec);
+  const auto island_of = [](const World& w, const web::Site& s) {
+    return w.origins.origin_v4(s.v6_addr.embedded_6to4_v4());
+  };
+  const auto live_tunnels = [](const World& w, topo::Asn island) {
+    std::vector<std::uint32_t> ids;
+    for (const topo::Adjacency& adj : w.graph.adjacencies(island)) {
+      if (bgp::is_live_tunnel(w.graph.link(adj.link_id))) ids.push_back(adj.link_id);
+    }
+    return ids;
+  };
+
+  // A site on a 6to4 island, dual-stack from before the retirement to
+  // the end of the campaign under one hosting.
+  const web::Site* site = nullptr;
+  for (const web::Site& s : world.catalog.sites()) {
+    if (s.v6_from_round >= kRetireRound || s.v6_until_round != web::kNever ||
+        s.first_seen_round > s.v6_from_round || s.step_from_path_change ||
+        !s.v6_addr.is_6to4()) {
+      continue;
+    }
+    const auto island = island_of(world, s);
+    if (island.has_value() && live_tunnels(world, *island).size() == 1) {
+      site = &s;
+      break;
+    }
+  }
+  ASSERT_NE(site, nullptr) << "no 6to4 site with a tunnel to retire";
+  const std::uint32_t site_id = site->id;
+  const topo::Asn island = *island_of(world, *site);
+  ASSERT_GT(bgp::live_tunnel_relays(world.graph).size(), 1u)
+      << "the anycast route must outlive the retired tunnel";
+
+  std::vector<EpochDeltas> epochs(1);
+  epochs[0].round = kRetireRound;
+  WorldDelta retire;
+  retire.kind = WorldDeltaKind::kTunnelRetired;
+  retire.link_id = live_tunnels(world, island).front();
+  epochs[0].deltas.push_back(retire);
+  WorldTimeline timeline(std::move(world), std::move(epochs));
+
+  CampaignConfig cfg;
+  cfg.seed = 2011;
+  cfg.threads = 1;
+  cfg.sink = SinkBackend::kMutex;
+  Campaign campaign(timeline, cfg);
+  std::size_t rows_before = 0;
+  std::size_t rows_after = 0;
+  run_reference_schedule(campaign, /*evolving=*/true, [&](std::uint32_t round) {
+    // VP-a monitors from round 0; its row for the site is refilled on
+    // the first round after the boundary.
+    const ResolvedSiteTable& rows = campaign.monitor(0).resolved_sites();
+    const std::uint32_t slot = rows.find(site_id, 0);
+    if (slot == ResolvedSiteTable::kNoSlot || !rows.filled(slot)) return;
+    SCOPED_TRACE("round=" + std::to_string(round));
+    ASSERT_NE(rows.v6_route(slot), nullptr) << "the 2002::/16 route is gone";
+    if (round < kRetireRound) {
+      EXPECT_TRUE(rows.v6_path(slot).valid);
+      EXPECT_TRUE(rows.v6_path(slot).via_tunnel);
+      ++rows_before;
+    } else {
+      EXPECT_TRUE(live_tunnels(campaign.world(), island).empty());
+      EXPECT_FALSE(rows.v6_path(slot).valid);
+      EXPECT_EQ(rows.gate(slot), MonitorStatus::kV6DownloadFailed);
+      ++rows_after;
+    }
+  });
+  EXPECT_GT(rows_before, 0u);
+  EXPECT_GT(rows_after, 0u);
 }
 
 // --- Constructor contract ---------------------------------------------------
