@@ -3,7 +3,7 @@
 // Times the four stages that dominate a full study — world construction,
 // RIB construction, one campaign round, and the analysis pass — at
 // thread counts 1 and 8, so the speedup of the parallel RIB fan-out and
-// the persistent campaign executor is a number in a JSON artifact rather
+// the persistent campaign pool is a number in a JSON artifact rather
 // than a claim in a commit message:
 //
 //   build/bench/bench_pipeline --benchmark_out=BENCH_pipeline.json
@@ -167,15 +167,15 @@ BENCHMARK(BM_FullCampaign)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond)
 // --- Multi-VP scheduling ----------------------------------------------------
 //
 // Several vantage points sharing one pool: the campaign runs per-VP
-// round chains as executor nodes, with epoch gates only where the world
-// actually moves.
+// round chains concurrently, with barriers only at epoch rounds, where
+// the world actually moves.
 //
 // The fixture is deliberately NOT paper_spec: site throughput under the
 // paper's 200k-site catalog is BM_FullCampaign's job, and there the
 // per-round monitor work amortizes any scheduling cost. This fixture
-// isolates the scheduler in the regime the task graph exists for: many
+// isolates the scheduler in the regime where it matters most: many
 // vantage points advancing through many rounds whose individual work
-// lists are small, where each (vp, round) block runs inline on its node.
+// lists are small, where each chain loops its sites inline.
 
 scenario::WorldSpec multi_vp_spec() {
   scenario::WorldSpec spec;

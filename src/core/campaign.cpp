@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <thread>
 
-#include "core/executor.h"
 #include "core/spool.h"
 #include "core/thread_pool.h"
 #include "core/world_timeline.h"
@@ -57,32 +56,6 @@ constexpr std::uint64_t kQueriesPerSite = 2;
                                             std::uint64_t salt,
                                             std::uint32_t site_id) {
   return root.child_seed("dns", salt ^ site_id);
-}
-
-/// Dispatch key of a (vantage point, round) node in an *evolving*
-/// campaign: rounds are the major axis so the ready-queue prefers the
-/// pipeline frontier (low rounds finish first, unblocking their
-/// successors and the next epoch gate); the VP index breaks ties
-/// deterministically. Gate nodes take slot 0 of their round, ahead of
-/// the round's VP nodes. run() caps the VP count below 2^20, so a 20-bit
-/// VP field can never collide with the next round.
-[[nodiscard]] std::uint64_t node_key(std::uint32_t round, std::size_t vp_slot) {
-  return (static_cast<std::uint64_t>(round) << 20) |
-         static_cast<std::uint64_t>(vp_slot);
-}
-
-/// Dispatch key in a *frozen* campaign (no gate nodes): VPs are the
-/// major axis, so a 1-thread pool runs the campaign vantage point by
-/// vantage point and each VP's working set (monitor, resolved-site
-/// table, store) stays cache-hot through consecutive rounds instead of
-/// being evicted by six other VPs every round. Rounds stay below
-/// kMaxCampaignRounds < 2^20, so the key is injective. Outputs are
-/// schedule-invariant either way (the determinism matrix pins it); the
-/// key choice is purely a locality decision.
-[[nodiscard]] std::uint64_t node_key_vp_major(std::uint32_t round,
-                                              std::size_t vp) {
-  return (static_cast<std::uint64_t>(vp) << 20) |
-         static_cast<std::uint64_t>(round);
 }
 
 }  // namespace
@@ -179,7 +152,8 @@ void Campaign::advance_world(std::uint32_t round) {
 
 void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
                          const std::vector<std::uint32_t>& sites,
-                         ObservationSink& sink, std::uint64_t salt) {
+                         ObservationSink& sink, std::uint64_t salt,
+                         bool inline_sites) {
   V6MON_REQUIRE(vp_index < monitors_.size(), "vantage point index out of range");
   if (sites.empty()) return;
   Monitor& monitor = monitors_[vp_index];
@@ -237,14 +211,12 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
       metrics.add(ids.ingest_rows);
     }
   };
-  if (graph_inline_sites_.load(std::memory_order_relaxed)) {
-    // Executor-scheduled round with enough concurrent (vp, round) nodes
-    // to cover every pool worker: fanning sites out would only enqueue
-    // helpers that contend with other VPs' nodes for the same workers,
-    // paying a submit + wakeup round-trip per block for nothing. Run the
-    // site loop on this node's thread; the graph supplies the
-    // parallelism. Same fn(i) sequence as parallel_index's serial path,
-    // so the observables cannot tell the difference.
+  if (inline_sites) {
+    // Enough concurrent vantage-point chains to cover every pool worker:
+    // fanning sites out would only enqueue helpers that contend with
+    // other VPs' chains for the same workers, paying a submit + wakeup
+    // round-trip per block for nothing. Same fn(i) sequence as
+    // parallel_index's serial path, so no observable can tell.
     for (std::size_t i = 0; i < sites.size(); ++i) monitor_one(i);
   } else {
     parallel_index(pool_, sites.size(), monitor_one);
@@ -289,6 +261,11 @@ void Campaign::ensure_dns_fates() {
 }
 
 void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
+  measure_round(vp_index, round, /*inline_sites=*/false);
+}
+
+void Campaign::measure_round(std::size_t vp_index, std::uint32_t round,
+                             bool inline_sites) {
   V6MON_REQUIRE(vp_index < world_.vantage_points.size(),
                 "vantage point index out of range");
   V6MON_REQUIRE(!finalized_, "run_round after finalize()");
@@ -385,80 +362,62 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
   // identically to vp=1, round=0.) The shuffle only permutes the work
   // list; every observable is keyed by (site, round), so outputs are
   // byte-identical under the rekey — tests/determinism_test.cpp pins the
-  // executor/threads/sink matrix against the serial mutex reference and
+  // schedule/threads/sink matrix against the serial mutex reference and
   // tests/rng_test.cpp pins the collision-freedom itself.
   util::Rng order =
       util::Rng(config_.seed).child("order", vp_index).child("round", round);
   order.shuffle(work);
 
-  run_sites(vp_index, round, work, sink, /*salt=*/0);
+  run_sites(vp_index, round, work, sink, /*salt=*/0, inline_sites);
 }
 
-bool Campaign::graph_covers_pool() const {
-  // With at least half a node per worker the graph keeps the pool busy
-  // on its own: any extra per-node fan-out would merely queue helpers
-  // behind other VPs' nodes. Below that (few VPs, wide pool) the nodes
-  // cannot saturate the workers, so sites still fan out inside each
-  // node — two-level scheduling.
-  return world_.vantage_points.size() >= 2 &&
-         config_.threads < 2 * world_.vantage_points.size();
+bool Campaign::chains_cover_pool(std::size_t active_vps) const {
+  // With at least half a chain per worker the VP chains keep the pool
+  // busy on their own: any extra per-round fan-out would merely queue
+  // helpers behind other VPs' chains. Below that (few active VPs, wide
+  // pool) the chains cannot saturate the workers, so sites still fan
+  // out inside each round — two-level scheduling.
+  return active_vps >= 2 && config_.threads < 2 * active_vps;
 }
 
 void Campaign::run() {
-  // Dependency-graph schedule (DESIGN.md §15). Chain nodes per vantage
-  // point — (vp, r) waits only on (vp, r-1) — so VPs pipeline through
-  // their rounds concurrently. Every *pending* epoch round e gets one
-  // advance_world(e) gate node wedged into all chains: it waits on every
-  // (vp, r < e) node and gates every (vp, r >= e) node, a barrier at
-  // epoch rounds only. run_round's own pending-epoch REQUIRE stays
-  // satisfied on every schedule the edges admit.
+  // Epoch-segment schedule (DESIGN.md §15). The pending epoch rounds cut
+  // [0, num_rounds] into segments; within one, every vantage point runs
+  // its rounds as an independent chain on parallel_index, and the
+  // segment's end is a full barrier where advance_world applies the
+  // epoch. So all VPs observe round r under the same world version, and
+  // run_round's pending-epoch REQUIRE holds on every schedule.
+  V6MON_REQUIRE(!finalized_, "run after finalize()");
   const std::size_t num_vps = world_.vantage_points.size();
   if (num_vps == 0) return;
-  V6MON_REQUIRE(num_vps < (1u << 20), "vantage point count exceeds key space");
-  std::vector<std::uint32_t> gates;
+  std::vector<std::uint32_t> ends;
   if (timeline_ != nullptr) {
     for (const std::uint32_t r : timeline_->pending_epoch_rounds()) {
-      if (r <= world_.num_rounds) gates.push_back(r);
+      if (r <= world_.num_rounds) ends.push_back(r);
     }
   }
-  // Before any node runs: the fill fans out over pool_ itself.
+  ends.push_back(world_.num_rounds + 1);
+  // Before any chain runs: the fill fans out over pool_ itself.
   ensure_dns_fates();
-  Executor exec(pool_);
-  std::vector<Executor::NodeId> prev(num_vps, Executor::kNoNode);
-  Executor::NodeId prev_gate = Executor::kNoNode;
-  std::size_t next_gate = 0;
-  for (std::uint32_t round = 0; round <= world_.num_rounds; ++round) {
-    Executor::NodeId gate = Executor::kNoNode;
-    if (next_gate < gates.size() && gates[next_gate] == round) {
-      ++next_gate;
-      gate = exec.add(node_key(round, 0),
-                      [this, round] { advance_world(round); });
-      // Gates chain (epochs apply in order) and wait for every VP's
-      // previous round — the world may only move while no measurement
-      // is in flight, the same quiescence the sinks' flush relies on.
-      if (prev_gate != Executor::kNoNode) exec.add_edge(prev_gate, gate);
-      for (std::size_t vp = 0; vp < num_vps; ++vp) {
-        if (prev[vp] != Executor::kNoNode) exec.add_edge(prev[vp], gate);
+  std::uint32_t lo = 0;
+  for (const std::uint32_t hi : ends) {
+    const auto active = static_cast<std::size_t>(
+        std::count_if(world_.vantage_points.begin(), world_.vantage_points.end(),
+                      [hi](const VantagePoint& vp) { return vp.start_round < hi; }));
+    const bool inline_sites = chains_cover_pool(active);
+    parallel_index(pool_, num_vps, [this, lo, hi, inline_sites](std::size_t vp) {
+      for (std::uint32_t round = lo; round < hi; ++round) {
+        measure_round(vp, round, inline_sites);
       }
-      prev_gate = gate;
-    }
-    for (std::size_t vp = 0; vp < num_vps; ++vp) {
-      const std::uint64_t key = gates.empty() ? node_key_vp_major(round, vp)
-                                              : node_key(round, vp + 1);
-      const Executor::NodeId node =
-          exec.add(key, [this, vp, round] { run_round(vp, round); });
-      if (prev[vp] != Executor::kNoNode) exec.add_edge(prev[vp], node);
-      if (gate != Executor::kNoNode) exec.add_edge(gate, node);
-      prev[vp] = node;
-    }
+    });
+    if (hi <= world_.num_rounds) advance_world(hi);
+    lo = hi;
   }
-  graph_inline_sites_.store(graph_covers_pool(), std::memory_order_relaxed);
-  exec.run();
-  graph_inline_sites_.store(false, std::memory_order_relaxed);
 }
 
 void Campaign::run_w6d_for_vp(std::size_t vp_index,
-                              const std::vector<std::uint32_t>& participants) {
+                              const std::vector<std::uint32_t>& participants,
+                              bool inline_sites) {
   VpStore& store = w6d_stores_[vp_index];
   util::LockGuard epoch(store.epoch_mu);
   // The monitor (and its resolved-site table) is shared with regular
@@ -472,7 +431,7 @@ void Campaign::run_w6d_for_vp(std::size_t vp_index,
     // ingest epoch, flushed at its end, so a site's mini-round
     // observations land in mini order.
     run_sites(vp_index, world_.w6d_round, participants, *store.sink,
-              /*salt=*/0x60d00000ULL + mini);
+              /*salt=*/0x60d00000ULL + mini, inline_sites);
   }
 }
 
@@ -487,22 +446,18 @@ void Campaign::run_w6d() {
   for (const web::Site& s : world_.catalog.sites()) {
     if (s.w6d_participant) participants.push_back(s.id);
   }
-  // One node per participating vantage point, no edges: a VP's whole
-  // mini-round sequence is one node, so mini ordering and the w6d-store
-  // -> regular-store lock order hold while different VPs' events run
+  // One chain per participating vantage point: a VP's whole mini-round
+  // sequence runs on one thread, so mini ordering and the w6d-store ->
+  // regular-store lock order hold while different VPs' events run
   // concurrently.
-  Executor exec(pool_);
-  bool any = false;
+  std::vector<std::size_t> vps;
   for (std::size_t vp = 0; vp < world_.vantage_points.size(); ++vp) {
-    if (world_.vantage_points[vp].start_round > world_.w6d_round) continue;
-    exec.add(node_key(0, vp + 1),
-             [this, vp, &participants] { run_w6d_for_vp(vp, participants); });
-    any = true;
+    if (world_.vantage_points[vp].start_round <= world_.w6d_round) vps.push_back(vp);
   }
-  if (!any) return;
-  graph_inline_sites_.store(graph_covers_pool(), std::memory_order_relaxed);
-  exec.run();
-  graph_inline_sites_.store(false, std::memory_order_relaxed);
+  const bool inline_sites = chains_cover_pool(vps.size());
+  parallel_index(pool_, vps.size(), [&](std::size_t i) {
+    run_w6d_for_vp(vps[i], participants, inline_sites);
+  });
 }
 
 void Campaign::finalize() {

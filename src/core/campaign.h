@@ -71,14 +71,14 @@ class Campaign {
   /// byte-identical output, no epoch machinery on any path.
   Campaign(WorldTimeline& timeline, CampaignConfig config);
 
-  /// Run all regular rounds for all vantage points as one Executor
-  /// dependency graph: each (vantage point, round) block is a node
-  /// depending on the same VP's previous round, and each pending epoch
-  /// round e adds an `advance_world(e)` gate node after every
-  /// (vp, r < e) node and before every (vp, r >= e) node, so all VPs
-  /// observe round r under the same world version. Every RNG stream is
-  /// keyed by data (vp, round, site; DNS loss by site alone), never by
-  /// schedule order.
+  /// Run all regular rounds for all vantage points as epoch segments:
+  /// the pending epoch rounds cut [0, num_rounds] into segments, each
+  /// vantage point runs a segment's rounds as one chain (VPs
+  /// concurrently, on parallel_index), and each segment ending at epoch
+  /// round e is followed by `advance_world(e)` once every chain is done,
+  /// so all VPs observe round r under the same world version. Every RNG
+  /// stream is keyed by data (vp, round, site; DNS loss by site alone),
+  /// never by schedule order. Throws ContractError after finalize().
   void run();
 
   /// Apply every pending world epoch with epoch round <= `round`:
@@ -99,8 +99,8 @@ class Campaign {
   void run_round(std::size_t vp_index, std::uint32_t round);
 
   /// Run the World IPv6 Day special event for every vantage point, one
-  /// executor node per vantage point. No-op when the world has no W6D
-  /// round.
+  /// chain of mini-rounds per vantage point (VPs concurrently). No-op
+  /// when the world has no W6D round.
   void run_w6d();
 
   [[nodiscard]] const ResultsDb& results(std::size_t vp_index) const {
@@ -188,19 +188,26 @@ class Campaign {
 
   /// Populate a freshly emplaced store in place (VpStore is immovable).
   void init_store(VpStore& store, std::size_t vp_index, const char* tag) const;
+  /// Measure `sites` for one vantage point and flush the ingest epoch.
+  /// `inline_sites` loops the sites on the calling thread instead of
+  /// fanning them out through parallel_index — a pure scheduling choice.
   void run_sites(std::size_t vp_index, std::uint32_t round,
                  const std::vector<std::uint32_t>& sites, ObservationSink& sink,
-                 std::uint64_t salt);
+                 std::uint64_t salt, bool inline_sites);
+  /// run_round's body, with run_sites' scheduling choice.
+  void measure_round(std::size_t vp_index, std::uint32_t round,
+                     bool inline_sites);
   void run_w6d_for_vp(std::size_t vp_index,
-                      const std::vector<std::uint32_t>& participants);
+                      const std::vector<std::uint32_t>& participants,
+                      bool inline_sites);
   /// Set the fate bits of scan_.flags on first use (no-op with the fast
   /// path off). Thread-safe: concurrent first callers block until the
   /// one fill is done.
   void ensure_dns_fates();
-  /// Whether executor-scheduled nodes should run their site loop inline
-  /// (when graph-level VP parallelism already covers the pool) or fan
-  /// sites out through parallel_index. Pure scheduling choice.
-  [[nodiscard]] bool graph_covers_pool() const;
+  /// Whether `active_vps` concurrent vantage-point chains already cover
+  /// the pool, so each chain should loop its sites inline rather than
+  /// fan them out through parallel_index. Pure scheduling choice.
+  [[nodiscard]] bool chains_cover_pool(std::size_t active_vps) const;
 
   /// Fill in config.threads when left at 0 (done before pool_ spins up).
   static CampaignConfig resolve(CampaignConfig config);
@@ -211,7 +218,7 @@ class Campaign {
   /// advance_world (quiescent round boundaries).
   WorldTimeline* timeline_ = nullptr;
   CampaignConfig config_;
-  /// One executor for the campaign's lifetime: rounds × VPs × mini-rounds
+  /// One pool for the campaign's lifetime: rounds × VPs × mini-rounds
   /// reuse its workers instead of constructing/joining a pool per
   /// run_sites call. Sites are handed out through parallel_index's atomic
   /// work-stealing counter, not fixed chunks, so a straggler (dual-stack
@@ -235,15 +242,6 @@ class Campaign {
   std::vector<Monitor> monitors_;
   SiteScanIndex scan_;
   bool finalized_ = false;
-  /// True while an executor graph is driving this campaign AND the
-  /// graph's node-level parallelism saturates the pool: run_sites then
-  /// loops sites inline on the node's thread instead of paying a
-  /// parallel_index fan-out whose helpers would find no free worker.
-  /// Written only by the coordinator before/after Executor::run(). Atomic
-  /// because run_round is public and may run on another thread while
-  /// run()/run_w6d() toggles it; relaxed, since it is purely a
-  /// scheduling knob, invisible in every observable.
-  std::atomic<bool> graph_inline_sites_{false};
 };
 
 }  // namespace v6mon::core

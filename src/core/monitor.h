@@ -75,14 +75,13 @@ struct MonitorConfig {
 /// immutable world, so results are identical however sites are scheduled
 /// across threads.
 /// Per-vantage-point measurement pipeline. Confinement audit (ISSUE 10,
-/// DESIGN.md §15): a Monitor belongs to exactly one VP, and under the
-/// campaign executor that VP's (vp, round) nodes are totally ordered by
-/// graph edges — so even though *different* VPs' blocks now overlap in
-/// time, no Monitor is ever entered by two rounds concurrently, and the
-/// pre-executor intra-round rules below are the only concurrency this
-/// class sees. Everything it shares across VPs is either immutable for
-/// the duration of a round (the World — mutated only inside epoch gate
-/// nodes, which the edges order against every reader) or internally
+/// DESIGN.md §15): a Monitor belongs to exactly one VP, and the campaign
+/// runs that VP's rounds as one chain on one thread — so even though
+/// *different* VPs' rounds overlap in time, no Monitor is ever entered
+/// by two rounds concurrently, and the intra-round rules below are the
+/// only concurrency this class sees. Everything it shares across VPs is
+/// either immutable for the duration of a round (the World — mutated
+/// only between epoch segments, while no chain runs) or internally
 /// synchronized per-instance state that no other VP can reach (the
 /// resolved-site table and fallback tally are members, one set per
 /// Monitor, one Monitor per VP).

@@ -62,10 +62,10 @@ struct ResolvedSiteRow {
 /// barrier publishes the rows to every later round.
 ///
 /// Cross-VP confinement (ISSUE 10): each table is owned by one VP's
-/// Monitor and only reached through it; the campaign executor totally
-/// orders that VP's round nodes with dependency edges, so overlapping
-/// *other* VPs' rounds never touch this table — the protocol above is
-/// unchanged by graph scheduling. The w6d path keeps it true by taking
+/// Monitor and only reached through it; the campaign runs that VP's
+/// rounds as one chain on one thread, so overlapping *other* VPs'
+/// rounds never touch this table — the protocol above is unchanged by
+/// cross-VP concurrency. The w6d path keeps it true by taking
 /// the regular store's epoch mutex inside the w6d store's
 /// (run_w6d_for_vp), so a VP's W6D mini-rounds and its regular rounds
 /// cannot interleave table growth either.

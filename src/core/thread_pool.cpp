@@ -9,18 +9,6 @@
 
 namespace v6mon::core {
 
-namespace {
-
-/// Min-heap order over (key, seq): std::push_heap builds a max-heap
-/// under its comparator, so "greater" yields smallest-first popping.
-struct LaterDispatch {
-  bool operator()(const auto& a, const auto& b) const {
-    return a.key != b.key ? a.key > b.key : a.seq > b.seq;
-  }
-};
-
-}  // namespace
-
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) throw ConfigError("ThreadPool needs at least one thread");
   workers_.reserve(threads);
@@ -49,17 +37,12 @@ void ThreadPool::shutdown() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  submit(0, std::move(task));
-}
-
-void ThreadPool::submit(std::uint64_t key, std::function<void()> task) {
   V6MON_ASSERT(task != nullptr, "ThreadPool::submit needs a callable task");
   {
     util::LockGuard lock(mu_);
     V6MON_REQUIRE(!stop_, "ThreadPool::submit after shutdown");
     if (stop_) throw Error("ThreadPool::submit after shutdown");
-    queue_.push_back(QueuedTask{key, next_seq_++, std::move(task)});
-    std::push_heap(queue_.begin(), queue_.end(), LaterDispatch{});
+    queue_.push_back(std::move(task));
   }
   cv_task_.notify_one();
 }
@@ -137,9 +120,8 @@ void ThreadPool::worker_loop() {
       util::UniqueLock lock(mu_);
       while (!(stop_ || !queue_.empty())) lock.wait(cv_task_);
       if (stop_ && queue_.empty()) return;
-      std::pop_heap(queue_.begin(), queue_.end(), LaterDispatch{});
-      task = std::move(queue_.back().fn);
-      queue_.pop_back();
+      task = std::move(queue_.front());
+      queue_.pop_front();
       ++active_;
       V6MON_ASSERT(active_ <= workers_.size(),
                    "more tasks in flight than worker threads");

@@ -2,7 +2,7 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
+#include <deque>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -14,17 +14,8 @@ namespace v6mon::core {
 /// Fixed-size worker pool. The paper's monitor is "multi-threaded so that
 /// multiple sites (no more than 25...) can be monitored in parallel" —
 /// this is that pool. Tasks must not throw (they are measurement closures
-/// that record their own failures).
-///
-/// Dispatch order: tasks are handed to workers lowest (key, submission
-/// sequence) first — a priority queue, not a FIFO. Plain `submit` uses
-/// key 0, which both preserves the historical FIFO behavior among
-/// unkeyed tasks and lets leaf work (parallel_index helpers) overtake
-/// queued coarse-grained Executor nodes, so an in-flight node's fan-out
-/// never starves behind nodes that have not started. The tie-break on
-/// the submission sequence makes the dispatch order a pure function of
-/// the submission order (deterministic ready-queue tie-breaking; which
-/// *worker* runs a task is of course still up to the OS).
+/// that record their own failures). Tasks dispatch in submission order
+/// (a FIFO); which *worker* runs a task is up to the OS.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t threads);
@@ -33,18 +24,12 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a task at key 0 (highest priority band). Precondition
-  /// (V6MON_REQUIRE, throws v6mon::Error in checked builds): the pool has
-  /// not been shut down — submitting after `shutdown()` / during
-  /// destruction is a programmer error, and silently dropping or running
-  /// such a task would race the joining workers.
+  /// Enqueue a task. Precondition (V6MON_REQUIRE, throws v6mon::Error in
+  /// checked builds): the pool has not been shut down — submitting after
+  /// `shutdown()` / during destruction is a programmer error, and
+  /// silently dropping or running such a task would race the joining
+  /// workers.
   void submit(std::function<void()> task) V6MON_EXCLUDES(mu_);
-
-  /// Enqueue a task with an explicit dispatch key: lower keys dispatch
-  /// first, equal keys in submission order. Same shutdown precondition
-  /// as the unkeyed overload.
-  void submit(std::uint64_t key, std::function<void()> task)
-      V6MON_EXCLUDES(mu_);
 
   /// Block until the queue is drained and all workers are idle. Safe to
   /// call from several threads; returns when the pool is *momentarily*
@@ -58,22 +43,12 @@ class ThreadPool {
   [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
 
  private:
-  /// One queued task. The heap orders by (key, seq): seq is a per-pool
-  /// monotonic counter, so equal-key tasks keep their submission order.
-  struct QueuedTask {
-    std::uint64_t key = 0;
-    std::uint64_t seq = 0;
-    std::function<void()> fn;
-  };
-
   void worker_loop() V6MON_EXCLUDES(mu_);
 
   util::Mutex mu_;
   std::condition_variable cv_task_;
   std::condition_variable cv_idle_;
-  /// Binary min-heap over (key, seq) via std::push_heap/std::pop_heap.
-  std::vector<QueuedTask> queue_ V6MON_GUARDED_BY(mu_);
-  std::uint64_t next_seq_ V6MON_GUARDED_BY(mu_) = 0;
+  std::deque<std::function<void()>> queue_ V6MON_GUARDED_BY(mu_);
   std::size_t active_ V6MON_GUARDED_BY(mu_) = 0;
   bool stop_ V6MON_GUARDED_BY(mu_) = false;
   /// Written once by the constructor before any worker runs, then only
@@ -96,12 +71,12 @@ class ThreadPool {
 ///
 /// Deadlock-free under nesting: the caller participates in the index
 /// loop itself and then waits only for indices some thread has already
-/// *claimed* — never for a queued helper that has not started. So
-/// Executor nodes running *on* pool workers may call parallel_index on
-/// the same pool even when every other worker is busy: the caller simply
-/// drains all n indices inline and the late helpers no-op. (The previous
-/// design waited for a fixed set of submitted helpers to finish, which
-/// deadlocks the moment all workers are occupied by tasks that are
+/// *claimed* — never for a queued helper that has not started. So a
+/// body running *on* a pool worker (a campaign's per-VP chain) may call
+/// parallel_index on the same pool even when every other worker is busy:
+/// the caller simply drains all n indices inline and the late helpers
+/// no-op. (Waiting for a fixed set of submitted helpers instead would
+/// deadlock the moment all workers are occupied by tasks that are
 /// themselves waiting.)
 void parallel_index(ThreadPool& pool, std::size_t n,
                     const std::function<void(std::size_t)>& fn);

@@ -31,14 +31,15 @@ enum class EpochAdvanceMode : std::uint8_t { kIncremental, kFullRebuild };
 ///
 /// Not internally synchronized: `advance_to` mutates the world and must
 /// run while no measurement is in flight. In a campaign that quiescence
-/// is structural: every advance runs inside an Executor gate node whose
-/// edges order it after all (vp, r < e) nodes and before all (vp, r >= e)
-/// nodes, so the advance executes globally exclusive.
+/// is structural: every advance runs on the calling thread between two
+/// epoch segments, after all (vp, r < e) rounds have returned and before
+/// any (vp, r >= e) round starts, so the advance executes globally
+/// exclusive.
 /// The read-only accessors (`next_epoch_round`, `pending_epoch_rounds`,
 /// `world`, `current_epoch`) are safe to call from concurrently-running
-/// measurement nodes *between* advances: the gate edges (mutex-backed
-/// scheduler bookkeeping) publish each advance's writes to every
-/// successor node, so no reader ever overlaps a writer.
+/// measurement chains *between* advances: parallel_index's completion
+/// handshake and the next segment's task submission (both mutex-backed)
+/// publish each advance's writes, so no reader ever overlaps a writer.
 class WorldTimeline {
  public:
   /// `epochs` must have strictly ascending, nonzero rounds (round 0 is
@@ -58,8 +59,8 @@ class WorldTimeline {
   /// Round of the next pending epoch, if any.
   [[nodiscard]] std::optional<std::uint32_t> next_epoch_round() const;
   /// Rounds of every still-pending epoch, strictly ascending (the
-  /// constructor enforces the order). The campaign executor builds one
-  /// world-advance gate node per entry.
+  /// constructor enforces the order). Campaign::run ends one epoch
+  /// segment at each entry.
   [[nodiscard]] std::vector<std::uint32_t> pending_epoch_rounds() const;
 
   void set_advance_mode(EpochAdvanceMode mode) { mode_ = mode; }

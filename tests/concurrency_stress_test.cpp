@@ -297,8 +297,9 @@ TEST(CampaignStress, OverlappingRoundsMatchSerialRun) {
   }
 }
 
-// The executor's W6D graph runs each vantage point's whole mini-round
-// sequence as one node, concurrent with nothing but *other* VPs' work.
+// Campaign::run_w6d runs each vantage point's whole mini-round sequence
+// as one parallel_index item, concurrent with nothing but *other* VPs'
+// work.
 // This test drives the harder overlap by hand: one VP's W6D event (w6d
 // store epoch_mu -> regular store epoch_mu, in that order) racing
 // another VP's regular rounds on the same shared Campaign and pool.

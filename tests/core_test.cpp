@@ -6,6 +6,8 @@
 #include <limits>
 #include <sstream>
 #include <streambuf>
+#include <string>
+#include <vector>
 
 #include "core/campaign.h"
 #include "core/monitor.h"
@@ -17,6 +19,7 @@
 #include "scenario/evolution.h"
 #include "scenario/paper.h"
 #include "scenario/world_builder.h"
+#include "util/contracts.h"
 #include "util/error.h"
 #include "web/dns_backend.h"
 
@@ -51,6 +54,36 @@ TEST(ThreadPool, ReusableAfterWait) {
 
 TEST(ThreadPool, RejectsZeroThreads) {
   EXPECT_THROW(ThreadPool(0), v6mon::ConfigError);
+}
+
+TEST(ParallelIndex, EveryIndexRunsExactlyOnce) {
+  ThreadPool pool(4);
+  constexpr std::size_t kN = 10'000;
+  std::vector<std::atomic<int>> hits(kN);
+  parallel_index(pool, kN, [&](std::size_t i) {
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(hits[i].load(std::memory_order_relaxed), 1) << "index " << i;
+  }
+}
+
+// The campaign's segment shape: an outer parallel_index over more items
+// (vantage-point chains) than workers, each nesting a parallel_index on
+// the same pool (its sites). Every worker is busy with an outer item, so
+// a nested call that waited for helpers to *start* would deadlock; with
+// caller participation each nested call drains its own indices inline.
+TEST(ParallelIndex, NestedOnSaturatedPoolCompletes) {
+  ThreadPool pool(4);
+  std::atomic<std::size_t> total{0};
+  constexpr std::size_t kOuter = 16;  // 4x oversubscribed
+  constexpr std::size_t kInner = 64;
+  parallel_index(pool, kOuter, [&](std::size_t) {
+    parallel_index(pool, kInner, [&](std::size_t) {
+      total.fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  EXPECT_EQ(total.load(), kOuter * kInner);
 }
 
 TEST(PathRegistry, InternsAndDeduplicates) {
@@ -681,6 +714,26 @@ TEST(Campaign, ObservationCsvBytesPinned) {
   EXPECT_EQ(fnv1a64(observations), 0x46c16c4f47ace918ULL) << observations.size() << " bytes";
   EXPECT_EQ(fnv1a64(w6d), 0x351d3a5447e22b87ULL) << w6d.size() << " bytes";
 }
+
+#if V6MON_CONTRACT_LEVEL >= 1
+
+// run() checks finalize() on the calling thread, before any round runs on
+// a pool worker: a contract violation thrown from inside a worker would
+// terminate the process instead of reaching the caller.
+TEST(Campaign, RunAfterFinalizeThrows) {
+  const auto& w = small_world().world;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    CampaignConfig cfg;
+    cfg.threads = threads;
+    Campaign campaign(w, cfg);
+    campaign.finalize();
+    EXPECT_THROW(campaign.run(), ContractError);
+    EXPECT_THROW(campaign.run_w6d(), ContractError);
+  }
+}
+
+#endif  // V6MON_CONTRACT_LEVEL >= 1
 
 TEST(Campaign, RejectsRoundCountAtMonitorKeyLimit) {
   // The per-site monitor stream key packs vp * kMaxCampaignRounds + round,

@@ -200,12 +200,15 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, SinkBackendMatrix,
                            return "Unknown";
                          });
 
-// --- Executor scheduling matrix --------------------------------------------
+// --- Campaign schedule matrix -----------------------------------------------
 //
-// The task-graph executor is a scheduling layer, not a semantic one. The
-// reference runs the campaign without it — mutex sink, one thread, the
-// serial per-round loop of reference_schedule.h — and every executor
-// cell across threads and sink backends must reproduce it byte for byte.
+// Campaign::run()'s schedule (concurrent per-VP round chains, sites
+// fanned out or looped inline) is a scheduling layer, not a semantic
+// one. The reference bypasses it — mutex sink, one thread, the serial
+// per-round loop of reference_schedule.h — and every cell across threads
+// and sink backends must reproduce it byte for byte. threads = 2 with
+// tiny_world's two VPs is the inline regime: both chains run at once and
+// each loops its sites on its own thread.
 
 std::unique_ptr<Campaign> run_reference(std::uint64_t seed,
                                         double dns_timeout_prob = 0.0,
@@ -230,6 +233,7 @@ TEST(Determinism, ExecutorSchedulingInvisible) {
     const char* tag;
   } cells[] = {
       {SinkBackend::kMutex, 1, "mutex-t1-exec"},
+      {SinkBackend::kSharded, 2, "sharded-t2-exec"},
       {SinkBackend::kMutex, 8, "mutex-t8-exec"},
       {SinkBackend::kSharded, 8, "sharded-t8-exec"},
       {SinkBackend::kSpool, 8, "spool-t8-exec"},
@@ -244,15 +248,15 @@ TEST(Determinism, ExecutorSchedulingInvisible) {
 }
 
 // Same matrix corner under failure injection: the RNG-hungriest paths,
-// now also crossing the executor's pipelined round boundaries (VP-a may
-// be rounds ahead of VP-b when both draw from their streams).
+// now also crossing independent round chains (VP-a may be rounds ahead
+// of VP-b when both draw from their streams).
 TEST(Determinism, ExecutorSchedulingInvisibleUnderFailureInjection) {
   const std::string dir = ::testing::TempDir();
   const auto reference = run_reference(404, 0.2, 0.05);
-  const auto executor = run_with(SinkBackend::kSharded, 8, 404, dir + "/xf8",
-                                 0.2, 0.05);
-  expect_identical_observables(*reference, *executor);
-  EXPECT_EQ(table4_csv(*reference), table4_csv(*executor));
+  const auto scheduled = run_with(SinkBackend::kSharded, 8, 404, dir + "/xf8",
+                                  0.2, 0.05);
+  expect_identical_observables(*reference, *scheduled);
+  EXPECT_EQ(table4_csv(*reference), table4_csv(*scheduled));
 }
 
 // The RIBs a campaign reads must themselves be schedule-free: building the

@@ -2,8 +2,8 @@
 
 // The serial reference every campaign schedule is compared against. It
 // drives a Campaign through its public per-round API in fixed loop
-// orders, so it stays independent of the Executor graph that
-// Campaign::run() builds.
+// orders, so it stays independent of the epoch-segment schedule that
+// Campaign::run() uses.
 
 #include <gtest/gtest.h>
 

@@ -160,9 +160,10 @@ EvolvingRun run_evolving_reference(const scenario::WorldSpec& spec,
 TEST(WorldTimeline, EvolvingCampaignThreadAndSinkInvisible) {
   const scenario::WorldSpec spec = evolving_spec();
   // Reference: a barrier at every round boundary is the plainest
-  // quiescence guarantee for advance_to. Every executor cell (gate-node
-  // quiescence instead) must reproduce it byte for byte, across threads
-  // and sinks.
+  // quiescence guarantee for advance_to. Every run() cell (barriers at
+  // epoch rounds only) must reproduce it byte for byte, across threads
+  // and sinks. threads = 2 covers both site regimes: the first segment
+  // has one active VP (sites fan out), later ones two (sites inline).
   CampaignConfig ref_cfg;
   ref_cfg.seed = 2011;
   const auto reference = run_evolving_reference(spec, ref_cfg);
@@ -172,7 +173,7 @@ TEST(WorldTimeline, EvolvingCampaignThreadAndSinkInvisible) {
 
   const std::string dir = ::testing::TempDir();
   int cell = 0;
-  for (const unsigned threads : {1u, 8u}) {
+  for (const unsigned threads : {1u, 2u, 8u}) {
     for (const SinkBackend sink :
          {SinkBackend::kMutex, SinkBackend::kSharded, SinkBackend::kSpool}) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +

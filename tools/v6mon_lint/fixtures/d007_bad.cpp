@@ -1,8 +1,9 @@
-// D007 fixture: bare barriers in campaign control flow. Since ISSUE 10
-// round/epoch ordering lives in the Executor's dependency graph; an
-// inline pool join or cv wait reintroduces the fork-join stall the
-// graph removed. (The selftest lints fixtures as if they were
-// src/core/campaign.cpp — in the real tree the rule fires only there.)
+// D007 fixture: bare barriers in campaign control flow. Round/epoch
+// ordering lives in the epoch-segment schedule (per-VP round chains on
+// parallel_index, a barrier at epoch rounds only); an inline pool join
+// or cv wait between rounds reintroduces the per-round fork-join stall.
+// (The selftest lints fixtures as if they were src/core/campaign.cpp —
+// in the real tree the rule fires only there.)
 
 struct Pool {
   void wait_idle();

@@ -1,26 +1,22 @@
-// D007 fixture (clean): campaign ordering expressed as Executor
-// dependency edges, plus the ALLOW escape for a join that is not a
-// scheduling barrier. Free functions named wait/join (no member access)
-// never match.
+// D007 fixture (clean): campaign ordering expressed as epoch segments —
+// per-VP round chains handed to parallel_index, the world advanced only
+// once a segment's chains are done — plus the ALLOW escape for a join
+// that is not a scheduling barrier. Free functions named wait/join (no
+// member access) never match.
 
-using NodeId = unsigned;
+struct Pool;
 
-struct Executor {
-  NodeId add(unsigned long long key, void (*body)());
-  void add_edge(NodeId before, NodeId after);
-  void run();
-};
+void parallel_index(Pool& pool, unsigned n, void (*body)(unsigned));
+void chain_body(unsigned vp);
+void advance_world(unsigned round);
 
-void round_body();
-void advance_body();
-
-// Ordering as graph structure: the gate waits on the previous round via
-// an edge, not via a pool join between the two submissions.
-void run_rounds(Executor& exec) {
-  const NodeId prev = exec.add(0, &round_body);
-  const NodeId gate = exec.add(1, &advance_body);
-  exec.add_edge(prev, gate);
-  exec.run();
+// Ordering as segment structure: the epoch advance follows the
+// parallel_index call that ran every chain up to it, not a pool join
+// between rounds.
+void run_rounds(Pool& pool, unsigned num_vps, unsigned epoch_round) {
+  parallel_index(pool, num_vps, &chain_body);
+  advance_world(epoch_round);
+  parallel_index(pool, num_vps, &chain_body);
 }
 
 struct SpoolWriter {
@@ -31,7 +27,7 @@ struct SpoolWriter {
 // round-scheduling barrier — ALLOW with that reason.
 void finalize(SpoolWriter& writer) {
   // V6MON_LINT_ALLOW(D007): teardown drain of the spool writer after
-  // the graph completed — no round ordering depends on it
+  // the last segment completed — no round ordering depends on it
   writer.join();
 }
 

@@ -32,11 +32,12 @@ linter encodes the project's determinism rules as source checks:
         argument
   D007  bare pool barrier (wait_idle / cv wait / thread join) in
         campaign control flow (src/core/campaign.*) — campaign ordering
-        (rounds, epoch advances, W6D) lives only in the Executor graph,
-        so a bare wait_idle / join there orders nothing the graph does
-        not already order and brings back the fork-join stall between
-        (vp, round) blocks; add an edge, or ALLOW with the reason the
-        join is not a scheduling barrier
+        (rounds, epoch advances, W6D) lives only in the epoch-segment
+        schedule: per-VP round chains on parallel_index, with a barrier
+        at epoch rounds only. A bare wait_idle / join there brings back
+        the per-round fork-join stall between (vp, round) blocks; keep
+        the wait at a segment end, or ALLOW with the reason the join is
+        not a scheduling barrier
 
 Engine: a text-level lexer (comments/strings stripped, lines tracked).
 There is deliberately no semantic analysis — the rules are conservative
@@ -545,8 +546,8 @@ def rule_d006(sf: SourceFile) -> list[Finding]:
 
 
 # Files (relative to the repo root) holding campaign control flow. D007
-# applies only here: the Executor's own implementation, the thread pool
-# and the sinks legitimately wait — the campaign layer must not.
+# applies only here: the thread pool, parallel_index and the sinks
+# legitimately wait — the campaign layer must not.
 CAMPAIGN_FILES = ("src/core/campaign.cpp", "src/core/campaign.h")
 
 D007_BARRIER_RE = re.compile(r"(?:\.|->)\s*(wait_idle|wait|join)\s*\(")
@@ -561,9 +562,10 @@ def rule_d007(sf: SourceFile) -> list[Finding]:
                 sf.line_of(m.start()),
                 "D007",
                 f"bare '{m.group(1)}' barrier in campaign control flow — "
-                "round and epoch ordering is the Executor's dependency "
-                "graph; express the wait as a graph edge (or ALLOW with "
-                "the reason this join is not a scheduling barrier)",
+                "round and epoch ordering is the epoch-segment schedule "
+                "(per-VP chains on parallel_index, barriers at epoch "
+                "rounds only); end a segment instead (or ALLOW with the "
+                "reason this join is not a scheduling barrier)",
             )
         )
     return findings
