@@ -39,6 +39,8 @@ struct AsPerf {
   /// Sites whose own v6/v4 difference is within tolerance (the zero-mode
   /// membership set, used by the cross-VP server-exoneration step).
   std::vector<std::uint32_t> comparable_sites;
+
+  bool operator==(const AsPerf&) const = default;
 };
 
 struct AsLevelParams {

@@ -4,6 +4,7 @@
 #include <span>
 #include <unordered_map>
 
+#include "core/thread_pool.h"
 #include "util/stats.h"
 #include "util/timeseries.h"
 
@@ -11,7 +12,9 @@ namespace v6mon::analysis {
 
 namespace {
 
-/// Most frequent value in a list (first-seen wins ties).
+/// Most frequent value in a list. On a tie the value that first *reached*
+/// the winning count wins, not the first one seen: A B B A gives B (B hits
+/// two at index 2, A only at index 3).
 template <typename T>
 T modal(const std::vector<T>& xs, T none) {
   if (xs.empty()) return none;
@@ -39,116 +42,131 @@ bool path_changed_around(const std::vector<core::PathId>& paths, std::size_t at)
   return modal(before, core::kNoPath) != modal(after, core::kNoPath);
 }
 
-}  // namespace
-
-std::vector<SiteAssessment> assess_sites(core::ObservationView view,
-                                         const AssessmentParams& params) {
-  std::vector<SiteAssessment> out;
-  out.reserve(view.num_sites());
-
-  // Reused across sites: the assessment only ever looks at one site's
-  // measured rounds at a time.
+/// Per-site scratch: the measured rounds of one site, reused across the
+/// sites of a block so the assessment allocates per block, not per site.
+struct Scratch {
   std::vector<double> v4_speeds, v6_speeds;
   std::vector<core::PathId> v4_paths, v6_paths;
   std::vector<topo::Asn> v4_origins, v6_origins;
+};
 
-  for (const std::uint32_t site_id : view.site_ids()) {
-    const core::SiteSeries series = view.series(site_id);
-    SiteAssessment a;
-    a.site = site_id;
+SiteAssessment assess_site(std::uint32_t site_id, const core::SiteSeries& series,
+                           const AssessmentParams& params, Scratch& sc) {
+  SiteAssessment a;
+  a.site = site_id;
 
-    // Collect measured rounds. The columnar store hands back one span
-    // per field, so this scan touches only the bytes it reads.
-    v4_speeds.clear();
-    v6_speeds.clear();
-    v4_paths.clear();
-    v6_paths.clear();
-    v4_origins.clear();
-    v6_origins.clear();
-    const std::span<const core::MonitorStatus> statuses = series.statuses();
-    for (std::size_t i = 0; i < series.size(); ++i) {
-      if (statuses[i] != core::MonitorStatus::kMeasured) continue;
-      v4_speeds.push_back(series.v4_speeds()[i]);
-      v6_speeds.push_back(series.v6_speeds()[i]);
-      v4_paths.push_back(series.v4_paths()[i]);
-      v6_paths.push_back(series.v6_paths()[i]);
-      v4_origins.push_back(series.v4_origins()[i]);
-      v6_origins.push_back(series.v6_origins()[i]);
-    }
-    a.rounds_measured = v4_speeds.size();
-    if (a.rounds_measured > 0) {
-      util::RunningStats v4, v6;
-      for (double s : v4_speeds) v4.add(s);
-      for (double s : v6_speeds) v6.add(s);
-      a.v4_speed = v4.mean();
-      a.v6_speed = v6.mean();
-      a.v4_path = modal(v4_paths, core::kNoPath);
-      a.v6_path = modal(v6_paths, core::kNoPath);
-      a.v4_origin = modal(v4_origins, topo::kNoAs);
-      a.v6_origin = modal(v6_origins, topo::kNoAs);
-    }
-
-    if (a.rounds_measured < params.min_rounds) {
-      a.outcome = SiteOutcome::kInsufficientSamples;
-      out.push_back(a);
-      continue;
-    }
-
-    // Sharp transitions (check both families; report the stronger signal).
-    const auto step_v4 =
-        util::detect_step(v4_speeds, params.step_window, params.step_threshold);
-    const auto step_v6 =
-        util::detect_step(v6_speeds, params.step_window, params.step_threshold);
-    const util::StepTransition* step = nullptr;
-    const std::vector<core::PathId>* step_paths = nullptr;
-    if (step_v4.direction != util::StepDirection::kNone) {
-      step = &step_v4;
-      step_paths = &v4_paths;
-    }
-    if (step_v6.direction != util::StepDirection::kNone &&
-        (step == nullptr ||
-         std::abs(step_v6.magnitude - 1.0) > std::abs(step->magnitude - 1.0))) {
-      step = &step_v6;
-      step_paths = &v6_paths;
-    }
-    if (step != nullptr) {
-      a.outcome = step->direction == util::StepDirection::kUp ? SiteOutcome::kStepUp
-                                                              : SiteOutcome::kStepDown;
-      a.path_changed_at_step = path_changed_around(*step_paths, step->change_index) ||
-                               path_changed_around(step_paths == &v4_paths ? v6_paths
-                                                                           : v4_paths,
-                                                   step->change_index);
-      out.push_back(a);
-      continue;
-    }
-
-    // Steady trends.
-    const auto trend_v4 = util::detect_trend(v4_speeds, params.trend_min_drift);
-    const auto trend_v6 = util::detect_trend(v6_speeds, params.trend_min_drift);
-    const auto trend = trend_v4 != util::Trend::kNone ? trend_v4 : trend_v6;
-    if (trend != util::Trend::kNone) {
-      a.outcome =
-          trend == util::Trend::kUp ? SiteOutcome::kTrendUp : SiteOutcome::kTrendDown;
-      out.push_back(a);
-      continue;
-    }
-
-    // Overall confidence target on both families' across-round means.
+  // Collect measured rounds. The columnar store hands back one span per
+  // field, so this scan touches only the bytes it reads.
+  sc.v4_speeds.clear();
+  sc.v6_speeds.clear();
+  sc.v4_paths.clear();
+  sc.v6_paths.clear();
+  sc.v4_origins.clear();
+  sc.v6_origins.clear();
+  const std::span<const core::MonitorStatus> statuses = series.statuses();
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    if (statuses[i] != core::MonitorStatus::kMeasured) continue;
+    sc.v4_speeds.push_back(series.v4_speeds()[i]);
+    sc.v6_speeds.push_back(series.v6_speeds()[i]);
+    sc.v4_paths.push_back(series.v4_paths()[i]);
+    sc.v6_paths.push_back(series.v6_paths()[i]);
+    sc.v4_origins.push_back(series.v4_origins()[i]);
+    sc.v6_origins.push_back(series.v6_origins()[i]);
+  }
+  a.rounds_measured = sc.v4_speeds.size();
+  if (a.rounds_measured > 0) {
     util::RunningStats v4, v6;
-    for (double s : v4_speeds) v4.add(s);
-    for (double s : v6_speeds) v6.add(s);
-    if (!v4.meets_relative_ci(params.ci_rel, params.confidence) ||
-        !v6.meets_relative_ci(params.ci_rel, params.confidence)) {
-      a.outcome = SiteOutcome::kInsufficientSamples;
-      out.push_back(a);
-      continue;
-    }
-
-    a.outcome = SiteOutcome::kKept;
-    out.push_back(a);
+    for (double s : sc.v4_speeds) v4.add(s);
+    for (double s : sc.v6_speeds) v6.add(s);
+    a.v4_speed = v4.mean();
+    a.v6_speed = v6.mean();
+    a.v4_path = modal(sc.v4_paths, core::kNoPath);
+    a.v6_path = modal(sc.v6_paths, core::kNoPath);
+    a.v4_origin = modal(sc.v4_origins, topo::kNoAs);
+    a.v6_origin = modal(sc.v6_origins, topo::kNoAs);
   }
 
-  // site_ids() is ascending, so the output is already sorted by site.
+  if (a.rounds_measured < params.min_rounds) {
+    a.outcome = SiteOutcome::kInsufficientSamples;
+    return a;
+  }
+
+  // Sharp transitions (check both families; report the stronger signal).
+  const auto step_v4 =
+      util::detect_step(sc.v4_speeds, params.step_window, params.step_threshold);
+  const auto step_v6 =
+      util::detect_step(sc.v6_speeds, params.step_window, params.step_threshold);
+  const util::StepTransition* step = nullptr;
+  const std::vector<core::PathId>* step_paths = nullptr;
+  if (step_v4.direction != util::StepDirection::kNone) {
+    step = &step_v4;
+    step_paths = &sc.v4_paths;
+  }
+  if (step_v6.direction != util::StepDirection::kNone &&
+      (step == nullptr ||
+       std::abs(step_v6.magnitude - 1.0) > std::abs(step->magnitude - 1.0))) {
+    step = &step_v6;
+    step_paths = &sc.v6_paths;
+  }
+  if (step != nullptr) {
+    a.outcome = step->direction == util::StepDirection::kUp ? SiteOutcome::kStepUp
+                                                            : SiteOutcome::kStepDown;
+    a.path_changed_at_step =
+        path_changed_around(*step_paths, step->change_index) ||
+        path_changed_around(step_paths == &sc.v4_paths ? sc.v6_paths : sc.v4_paths,
+                            step->change_index);
+    return a;
+  }
+
+  // Steady trends.
+  const auto trend_v4 = util::detect_trend(sc.v4_speeds, params.trend_min_drift);
+  const auto trend_v6 = util::detect_trend(sc.v6_speeds, params.trend_min_drift);
+  const auto trend = trend_v4 != util::Trend::kNone ? trend_v4 : trend_v6;
+  if (trend != util::Trend::kNone) {
+    a.outcome =
+        trend == util::Trend::kUp ? SiteOutcome::kTrendUp : SiteOutcome::kTrendDown;
+    return a;
+  }
+
+  // Overall confidence target on both families' across-round means.
+  util::RunningStats v4, v6;
+  for (double s : sc.v4_speeds) v4.add(s);
+  for (double s : sc.v6_speeds) v6.add(s);
+  a.outcome = v4.meets_relative_ci(params.ci_rel, params.confidence) &&
+                      v6.meets_relative_ci(params.ci_rel, params.confidence)
+                  ? SiteOutcome::kKept
+                  : SiteOutcome::kInsufficientSamples;
+  return a;
+}
+
+/// Sites per parallel work item. Small on purpose: a view of a few
+/// hundred sites (one VP of a small catalog) must still split into
+/// enough blocks to keep every worker busy.
+constexpr std::size_t kSiteBlock = 8;
+
+}  // namespace
+
+std::vector<SiteAssessment> assess_sites(core::ObservationView view,
+                                         const AssessmentParams& params,
+                                         core::ThreadPool* pool) {
+  // Each block assesses consecutive site_ids() entries into its own slots
+  // of a pre-sized vector, so the output is ascending by site id whatever
+  // the schedule.
+  const std::vector<std::uint32_t>& ids = view.site_ids();
+  std::vector<SiteAssessment> out(ids.size());
+  const auto run_block = [&](std::size_t b) {
+    Scratch scratch;
+    const std::size_t end = std::min(ids.size(), (b + 1) * kSiteBlock);
+    for (std::size_t k = b * kSiteBlock; k < end; ++k) {
+      out[k] = assess_site(ids[k], view.series(ids[k]), params, scratch);
+    }
+  };
+  const std::size_t blocks = (ids.size() + kSiteBlock - 1) / kSiteBlock;
+  if (pool == nullptr) {
+    for (std::size_t b = 0; b < blocks; ++b) run_block(b);
+  } else {
+    core::parallel_index(*pool, blocks, run_block);
+  }
   return out;
 }
 

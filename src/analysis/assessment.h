@@ -5,6 +5,10 @@
 
 #include "core/results.h"
 
+namespace v6mon::core {
+class ThreadPool;
+}  // namespace v6mon::core
+
 namespace v6mon::analysis {
 
 /// Why a site was kept for — or removed from — the analysis (the paper's
@@ -62,13 +66,20 @@ struct SiteAssessment {
   /// the correlation the paper reports ("in some of those cases, this
   /// transition was the result of a path change").
   bool path_changed_at_step = false;
+
+  bool operator==(const SiteAssessment&) const = default;
 };
 
 /// Assess every site that has measurement series in the view. The
 /// backing store must be finalized (series sorted by round); whether it
 /// was ingested in memory or replayed from a spool is invisible here.
 /// Output is ordered by ascending site id.
+///
+/// With a `pool`, blocks of consecutive sites are assessed concurrently
+/// (parallel_index); each site's assessment depends on its own series
+/// only, so the result is identical to the serial run (`pool` null).
 [[nodiscard]] std::vector<SiteAssessment> assess_sites(core::ObservationView view,
-                                                       const AssessmentParams& params);
+                                                       const AssessmentParams& params,
+                                                       core::ThreadPool* pool = nullptr);
 
 }  // namespace v6mon::analysis

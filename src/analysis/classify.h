@@ -31,6 +31,8 @@ struct ClassifiedSite {
   Category category = Category::kSp;
   /// For SL sites the (common) destination AS; for DL sites the IPv4 AS.
   topo::Asn dest_as = topo::kNoAs;
+
+  bool operator==(const ClassifiedSite&) const = default;
 };
 
 /// Classify assessed sites. Only sites with both origins known (i.e. the

@@ -1,15 +1,17 @@
 #include "analysis/report.h"
 
+#include "core/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace v6mon::analysis {
 
 VpReport analyze_vp(const std::string& name, core::ObservationView view,
-                    const AssessmentParams& ap, const AsLevelParams& lp) {
+                    const AssessmentParams& ap, const AsLevelParams& lp,
+                    core::ThreadPool* pool) {
   VpReport r;
   r.name = name;
   r.view = view;
-  r.assessments = assess_sites(view, ap);
+  r.assessments = assess_sites(view, ap, pool);
   for (const SiteAssessment& a : r.assessments) {
     (a.outcome == SiteOutcome::kKept ? r.kept : r.removed).push_back(a);
   }
@@ -27,10 +29,11 @@ std::vector<VpReport> analyze_world(const core::World& world,
                                     const AssessmentParams& ap,
                                     const AsLevelParams& lp) {
   const obs::TraceSpan span(obs::Stage::kAnalysis);
+  core::ThreadPool pool(core::resolve_threads(0));
   std::vector<VpReport> out;
   for (std::size_t i = 0; i < world.vantage_points.size() && i < views.size(); ++i) {
     if (!world.vantage_points[i].has_as_path) continue;
-    out.push_back(analyze_vp(world.vantage_points[i].name, views[i], ap, lp));
+    out.push_back(analyze_vp(world.vantage_points[i].name, views[i], ap, lp, &pool));
   }
   return out;
 }

@@ -35,14 +35,18 @@ struct VpReport {
 
 /// Run the full Fig. 4 pipeline over one vantage point's observations
 /// (the view's backing store must be finalized). A finalized ResultsDb
-/// converts implicitly.
+/// converts implicitly. `pool` fans the per-site sanitization out over
+/// site blocks (see assess_sites); null runs it serially.
 [[nodiscard]] VpReport analyze_vp(const std::string& name, core::ObservationView view,
                                   const AssessmentParams& ap = {},
-                                  const AsLevelParams& lp = {});
+                                  const AsLevelParams& lp = {},
+                                  core::ThreadPool* pool = nullptr);
 
 /// Analyze the AS_PATH-capable vantage points of a world in one call.
 /// `views[i]` pairs with `world.vantage_points[i]`; VPs without AS_PATH
-/// are skipped (they cannot feed the path-based methodology).
+/// are skipped (they cannot feed the path-based methodology). Sanitization
+/// runs on a pool of one worker per hardware thread; the reports do not
+/// depend on it (analyze_vp with a null pool is the serial reference).
 [[nodiscard]] std::vector<VpReport> analyze_world(
     const core::World& world, const std::vector<core::ObservationView>& views,
     const AssessmentParams& ap = {}, const AsLevelParams& lp = {});

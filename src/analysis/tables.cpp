@@ -1,6 +1,8 @@
 #include "analysis/tables.h"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 #include <set>
 
 #include "util/stats.h"
@@ -15,10 +17,31 @@ using util::TextTable;
 
 std::vector<Fig1Point> fig1_series(const web::SiteCatalog& catalog,
                                    std::uint32_t num_rounds) {
+  // One pass over the catalog into per-round difference arrays, then a
+  // prefix sum: O(sites + rounds). The counts equal those of
+  // SiteCatalog::reachability_at / listed_at, so the ratios are the same
+  // doubles. 64-bit indices keep kNever + 1 from wrapping, and a site
+  // without AAAA (v6_from_round = kNever) gets an empty window.
+  const std::uint64_t end = std::uint64_t{num_rounds} + 1;
+  std::vector<std::int64_t> listed_diff(end + 1, 0), v6_diff(end + 1, 0);
+  for (const web::Site& s : catalog.sites()) {
+    if (s.from_dns_cache) continue;
+    if (s.first_seen_round < end) ++listed_diff[s.first_seen_round];
+    const std::uint64_t lo = std::max(s.first_seen_round, s.v6_from_round);
+    const std::uint64_t hi = std::min(std::uint64_t{s.v6_until_round}, end);
+    if (lo >= hi) continue;
+    ++v6_diff[lo];
+    --v6_diff[hi];
+  }
   std::vector<Fig1Point> out;
-  out.reserve(num_rounds + 1);
+  out.reserve(end);
+  std::int64_t listed = 0, v6 = 0;
   for (std::uint32_t r = 0; r <= num_rounds; ++r) {
-    out.push_back({r, catalog.reachability_at(r), catalog.listed_at(r)});
+    listed += listed_diff[r];
+    v6 += v6_diff[r];
+    const double reach =
+        listed == 0 ? 0.0 : static_cast<double>(v6) / static_cast<double>(listed);
+    out.push_back({r, reach, static_cast<std::size_t>(listed)});
   }
   return out;
 }
@@ -41,20 +64,26 @@ std::vector<Fig3aBucket> fig3a_buckets(const web::SiteCatalog& catalog,
   static constexpr Def kDefs[] = {{"Top 10", 10},     {"Top 100", 100},
                                   {"Top 1k", 1'000},  {"Top 10k", 10'000},
                                   {"Top 100k", 100'000}, {"Top 1M", 0xffffffffu}};
+  constexpr std::size_t kBuckets = std::size(kDefs);
+  // One scan: each listed site counts once, into the tightest bucket
+  // that holds its rank; the nested totals are running sums of those.
+  std::array<std::size_t, kBuckets> sites{}, v6{};
+  for (const web::Site& s : catalog.sites()) {
+    if (s.from_dns_cache || s.rank == 0 || !s.in_list_at(round)) continue;
+    std::size_t b = 0;
+    while (s.rank > kDefs[b].max_rank) ++b;
+    ++sites[b];
+    if (s.dual_stack_at(round)) ++v6[b];
+  }
   std::vector<Fig3aBucket> out;
-  for (const Def& d : kDefs) {
-    Fig3aBucket b;
-    b.label = d.label;
-    std::size_t v6 = 0;
-    for (const web::Site& s : catalog.sites()) {
-      if (s.from_dns_cache || s.rank == 0 || s.rank > d.max_rank) continue;
-      if (!s.in_list_at(round)) continue;
-      ++b.sites;
-      if (s.dual_stack_at(round)) ++v6;
-    }
-    b.reachability =
-        b.sites == 0 ? 0.0 : static_cast<double>(v6) / static_cast<double>(b.sites);
-    out.push_back(std::move(b));
+  std::size_t total_sites = 0, total_v6 = 0;
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    total_sites += sites[b];
+    total_v6 += v6[b];
+    out.push_back({kDefs[b].label, total_sites,
+                   total_sites == 0 ? 0.0
+                                    : static_cast<double>(total_v6) /
+                                          static_cast<double>(total_sites)});
   }
   return out;
 }

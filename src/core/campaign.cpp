@@ -1,7 +1,6 @@
 #include "core/campaign.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "core/spool.h"
 #include "core/thread_pool.h"
@@ -63,8 +62,7 @@ constexpr std::uint64_t kQueriesPerSite = 2;
 CampaignConfig Campaign::resolve(CampaignConfig config) {
   config.monitor.validate();
   if (config.threads == 0) {
-    const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-    config.threads = std::min(config.monitor.max_parallel_sites, hw);
+    config.threads = std::min(config.monitor.max_parallel_sites, resolve_threads(0));
   }
   return config;
 }

@@ -55,6 +55,11 @@ void ThreadPool::wait_idle() {
   while (!(queue_.empty() && active_ == 0)) lock.wait(cv_idle_);
 }
 
+std::size_t resolve_threads(std::size_t threads) {
+  if (threads != 0) return threads;
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 void parallel_index(ThreadPool& pool, std::size_t n,
                     const std::function<void(std::size_t)>& fn) {
   V6MON_ASSERT(fn != nullptr, "parallel_index needs a callable body");

@@ -56,6 +56,12 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// The worker count a `threads` knob asks for: 0 means one per hardware
+/// thread (at least one); anything else is taken as given. The only
+/// reader of std::thread::hardware_concurrency in the tree (v6mon-lint
+/// D008), so every "0 = hardware" knob resolves the same way.
+[[nodiscard]] std::size_t resolve_threads(std::size_t threads);
+
 /// Run `fn(i)` for every i in [0, n) on the pool, handing indices out
 /// through a shared atomic counter (work stealing): a worker that finishes
 /// index i immediately claims the next unclaimed index, so one slow item

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <thread>
 
 #include "bgp/anycast.h"
 #include "core/thread_pool.h"
@@ -12,15 +11,6 @@
 namespace v6mon::core {
 
 using topo::Asn;
-
-namespace {
-
-std::size_t resolve_threads(std::size_t threads) {
-  if (threads != 0) return threads;
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
-}  // namespace
 
 WorldTimeline::WorldTimeline(World world, std::vector<EpochDeltas> epochs,
                              std::size_t build_threads)

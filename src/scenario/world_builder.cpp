@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <set>
-#include <thread>
 
 #include "bgp/anycast.h"
 #include "bgp/route_computer.h"
@@ -110,11 +109,6 @@ Asn attach_vantage_as(AsGraph& g, const VantageSpec& spec,
   return asn;
 }
 
-std::size_t resolve_build_threads(std::size_t threads) {
-  if (threads != 0) return threads;
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
 /// Destination-rooted route tables toward every AS in `dests`, answering
 /// for `scope`, computed concurrently into slots indexed like `dests` —
 /// completion order never shows in the result. All workers read one
@@ -163,7 +157,7 @@ TunnelStats apply_tunnel_overlay(AsGraph& graph, std::size_t num_relays,
 
   // IPv4 routes *to each relay* let us derive each island's underlying
   // tunnel path metrics. Tables are independent per relay — fan out.
-  core::ThreadPool pool(resolve_build_threads(threads));
+  core::ThreadPool pool(core::resolve_threads(threads));
   const bgp::FamilyView v4_view(graph, ip::Family::kIpv4);
   const auto v4_to_relay = compute_tables_parallel(
       pool, v4_view, relay_pool, bgp::SourceScope::all(v4_view.num_ases()));
@@ -215,7 +209,7 @@ void build_ribs(core::World& world, std::size_t threads) {
   std::uint64_t tables_built = 0;
   std::uint64_t routes_installed = 0;
   const AsGraph& g = world.graph;
-  core::ThreadPool pool(resolve_build_threads(threads));
+  core::ThreadPool pool(core::resolve_threads(threads));
   // One CSR projection per family, shared read-only by every convergence
   // worker below — the graph is frozen once build_ribs starts.
   const bgp::FamilyView v4_view(g, ip::Family::kIpv4);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "core/thread_pool.h"
 #include "util/rng.h"
 
 namespace v6mon::analysis {
@@ -198,6 +201,83 @@ TEST(Assessment, MultipleSitesSortedById) {
   EXPECT_EQ(out[0].site, 3u);
   EXPECT_EQ(out[1].site, 6u);
   EXPECT_EQ(out[2].site, 9u);
+}
+
+TEST(Assessment, ModalTieGoesToFirstValueToReachTopCount) {
+  // v4 paths A B B A: both values reach two, B first (at the third
+  // round). The modal rule keeps B, not the first-seen A; the committed
+  // goldens depend on this tie rule.
+  ResultsDb db;
+  const core::PathId a = db.paths().intern({1, 7});
+  const core::PathId b = db.paths().intern({2, 7});
+  const core::PathId v4_paths[] = {a, b, b, a};
+  for (std::uint32_t r = 0; r < 4; ++r) {
+    Observation o;
+    o.site = 1;
+    o.round = r;
+    o.status = MonitorStatus::kMeasured;
+    o.v4_speed_kBps = 50.0f;
+    o.v6_speed_kBps = 49.0f;
+    o.v4_path = v4_paths[r];
+    o.v6_path = a;
+    o.v4_origin = 7;
+    o.v6_origin = 7;
+    db.add(o);
+  }
+  db.finalize();
+  const auto out = assess_sites(db, {});
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].v4_path, b);
+  EXPECT_EQ(out[0].v6_path, a);
+}
+
+TEST(Assessment, PooledMatchesSerialOnEmptyView) {
+  core::ThreadPool pool(4);
+  ResultsDb db;
+  db.finalize();
+  EXPECT_TRUE(assess_sites(db, {}, &pool).empty());
+}
+
+TEST(Assessment, PooledMatchesSerialOnViewSmallerThanOneBlock) {
+  core::ThreadPool pool(4);
+  ResultsDb db;
+  db.paths().intern({1, 7});
+  add_series(db, 9, noisy(50.0, 20, 1), noisy(48.0, 20, 2));
+  add_series(db, 3, noisy(50.0, 3, 3), noisy(48.0, 3, 4));
+  add_series(db, 6, noisy(50.0, 8, 5, 40.0), noisy(48.0, 8, 6, 40.0));
+  db.finalize();
+  const auto serial = assess_sites(db, {});
+  ASSERT_EQ(serial.size(), 3u);
+  EXPECT_EQ(assess_sites(db, {}, &pool), serial);
+}
+
+TEST(Assessment, PooledMatchesSerialAcrossManyBlocks) {
+  // 37 sites: several full blocks plus a partial last one, with kept,
+  // insufficient, step and trend outcomes mixed across them.
+  ResultsDb db;
+  db.paths().intern({1, 7});
+  for (std::uint32_t site = 0; site < 37; ++site) {
+    const std::uint64_t seed = 100 + 2 * std::uint64_t{site};
+    std::vector<double> v4 = noisy(60.0, 30, seed);
+    if (site % 4 == 1) {
+      for (std::size_t r = 15; r < v4.size(); ++r) v4[r] *= 0.4;  // step down
+    } else if (site % 4 == 2) {
+      for (std::size_t r = 0; r < v4.size(); ++r) v4[r] += 1.5 * static_cast<double>(r);
+    } else if (site % 4 == 3) {
+      v4.resize(3);  // too few rounds
+    }
+    add_series(db, site * 5, v4, noisy(58.0, v4.size(), seed + 1));
+  }
+  db.finalize();
+  const auto serial = assess_sites(db, {});
+  ASSERT_EQ(serial.size(), 37u);
+  std::set<SiteOutcome> outcomes;
+  for (const SiteAssessment& a : serial) outcomes.insert(a.outcome);
+  EXPECT_GE(outcomes.size(), 3u);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    core::ThreadPool pool(threads);
+    EXPECT_EQ(assess_sites(db, {}, &pool), serial) << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/campaign.h"
+#include "core/thread_pool.h"
+#include "core/world_timeline.h"
+#include "scenario/evolution.h"
 #include "scenario/paper.h"
+#include "topo/address_plan.h"
+#include "topo/generator.h"
 
 namespace v6mon::analysis {
 namespace {
@@ -73,6 +80,242 @@ TEST(Tables, Fig3aHigherRanksMoreReachable) {
     EXPECT_GE(buckets[i].sites, buckets[i - 1].sites);
   }
   EXPECT_EQ(fig3a_table(buckets).rows(), 6u);
+}
+
+// --- Single-pass figures against the catalog's per-round scans ----------
+
+/// Fig. 3a by its definition: one catalog scan per nested rank bucket.
+std::vector<Fig3aBucket> naive_fig3a(const web::SiteCatalog& catalog,
+                                     std::uint32_t round) {
+  const std::pair<const char*, std::uint32_t> defs[] = {
+      {"Top 10", 10},        {"Top 100", 100},         {"Top 1k", 1'000},
+      {"Top 10k", 10'000},   {"Top 100k", 100'000},    {"Top 1M", 0xffffffffu}};
+  std::vector<Fig3aBucket> out;
+  for (const auto& [label, max_rank] : defs) {
+    Fig3aBucket b;
+    b.label = label;
+    std::size_t v6 = 0;
+    for (const web::Site& s : catalog.sites()) {
+      if (s.from_dns_cache || s.rank == 0 || s.rank > max_rank) continue;
+      if (!s.in_list_at(round)) continue;
+      ++b.sites;
+      if (s.dual_stack_at(round)) ++v6;
+    }
+    b.reachability =
+        b.sites == 0 ? 0.0 : static_cast<double>(v6) / static_cast<double>(b.sites);
+    out.push_back(b);
+  }
+  return out;
+}
+
+/// fig1_series and fig3a_buckets must reproduce the reference scans
+/// exactly: the same integers, hence bit-identical ratios.
+void expect_figures_match_scans(const web::SiteCatalog& catalog,
+                                std::uint32_t num_rounds) {
+  const auto series = fig1_series(catalog, num_rounds);
+  ASSERT_EQ(series.size(), num_rounds + 1);
+  for (std::uint32_t r = 0; r <= num_rounds; ++r) {
+    EXPECT_EQ(series[r].round, r);
+    EXPECT_EQ(series[r].listed, catalog.listed_at(r)) << "round " << r;
+    EXPECT_EQ(series[r].reachability, catalog.reachability_at(r)) << "round " << r;
+  }
+  for (std::uint32_t r = 0; r <= num_rounds + 1; ++r) {
+    const auto got = fig3a_buckets(catalog, r);
+    const auto want = naive_fig3a(catalog, r);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t b = 0; b < want.size(); ++b) {
+      EXPECT_EQ(got[b].label, want[b].label);
+      EXPECT_EQ(got[b].sites, want[b].sites) << want[b].label << " round " << r;
+      EXPECT_EQ(got[b].reachability, want[b].reachability)
+          << want[b].label << " round " << r;
+    }
+  }
+}
+
+TEST(Tables, SinglePassFiguresMatchScansOnTablesWorld) {
+  expect_figures_match_scans(study().world.catalog, study().world.num_rounds);
+}
+
+TEST(Tables, SinglePassFiguresMatchScansOnChurnedCatalog) {
+  util::Rng rng(11);
+  topo::TopologyParams tp;
+  tp.num_tier1 = 4;
+  tp.num_transit = 20;
+  tp.num_stub = 100;
+  topo::AsGraph graph = topo::generate_topology(tp, rng);
+  topo::assign_addresses(graph, {}, rng);
+  web::CatalogParams p;
+  p.initial_sites = 1500;
+  p.churn_per_round = 30;
+  p.num_rounds = 12;
+  p.dns_cache_sites = 200;
+  p.w6d_round = 6;
+  p.w6d_prob_top1k = 0.6;
+  p.w6d_prob_other = 0.2;
+  p.w6d_keep_prob = 0.0;  // every event-only participant leaves after one round
+  const auto catalog = web::SiteCatalog::generate(graph, p, rng);
+  // The shapes the difference arrays must get right are all present:
+  // late listings, unlisted supplemental sites with AAAA, and one-round
+  // [v6_from, v6_until) windows.
+  const auto& sites = catalog.sites();
+  EXPECT_TRUE(std::any_of(sites.begin(), sites.end(), [](const web::Site& s) {
+    return !s.from_dns_cache && s.first_seen_round > 0;
+  }));
+  EXPECT_TRUE(std::any_of(sites.begin(), sites.end(), [](const web::Site& s) {
+    return s.from_dns_cache && s.v6_from_round != web::kNever;
+  }));
+  EXPECT_TRUE(std::any_of(sites.begin(), sites.end(), [](const web::Site& s) {
+    return s.v6_from_round != web::kNever && s.v6_until_round == s.v6_from_round + 1;
+  }));
+  expect_figures_match_scans(catalog, static_cast<std::uint32_t>(p.num_rounds));
+}
+
+TEST(Tables, SinglePassFiguresMatchScansAfterGrantAaaaEpochs) {
+  scenario::WorldSpec spec;
+  spec.seed = 1103;
+  spec.topology.num_tier1 = 4;
+  spec.topology.num_transit = 25;
+  spec.topology.num_stub = 120;
+  spec.catalog.initial_sites = 2000;
+  spec.catalog.churn_per_round = 10;
+  spec.catalog.num_rounds = 8;
+  spec.w6d_round = 5;
+  spec.vantage_points = {{.name = "VP",
+                          .type = core::VantagePoint::Type::kAcademic,
+                          .region = topo::Region::kNorthAmerica,
+                          .start_round = 0,
+                          .has_as_path = true,
+                          .whitelisted = false,
+                          .uses_dns_cache_supplement = false,
+                          .num_v4_providers = 2,
+                          .v6_mode = scenario::V6UplinkMode::kSameProviders}};
+  spec.evolution.enabled = true;
+  spec.evolution.delta_rate = 4.0;
+  spec.evolution.epoch_interval = 2;
+  spec.evolution.max_as_fraction = 0.05;
+  spec.evolution.depletion_round = 4;
+  core::WorldTimeline timeline = scenario::build_timeline(spec);
+  const std::uint32_t last = timeline.world().num_rounds;
+  std::size_t granted = 0;
+  for (std::uint32_t round = 0; round <= last; ++round) {
+    const auto summaries = timeline.advance_to(round);
+    for (const core::WorldChangeSummary& summary : summaries) {
+      granted += summary.sites_gained_aaaa.size();
+    }
+    if (!summaries.empty()) expect_figures_match_scans(timeline.world().catalog, last);
+  }
+  EXPECT_GT(granted, 0u);
+}
+
+// --- Analysis thread invariance ------------------------------------------
+
+void expect_same_reports(const std::vector<VpReport>& a, const std::vector<VpReport>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].name, b[i].name);
+    EXPECT_EQ(a[i].assessments, b[i].assessments) << a[i].name;
+    EXPECT_EQ(a[i].kept, b[i].kept) << a[i].name;
+    EXPECT_EQ(a[i].removed, b[i].removed) << a[i].name;
+    EXPECT_EQ(a[i].kept_classified, b[i].kept_classified) << a[i].name;
+    EXPECT_EQ(a[i].removed_classified, b[i].removed_classified) << a[i].name;
+    EXPECT_EQ(a[i].sp_ases, b[i].sp_ases) << a[i].name;
+    EXPECT_EQ(a[i].dp_ases, b[i].dp_ases) << a[i].name;
+  }
+}
+
+/// Assessments come back in site_ids() order, whatever the pool did.
+void expect_site_order(const std::vector<VpReport>& reports) {
+  for (const VpReport& r : reports) {
+    const std::vector<std::uint32_t>& ids = r.view.site_ids();
+    ASSERT_EQ(r.assessments.size(), ids.size()) << r.name;
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      ASSERT_EQ(r.assessments[k].site, ids[k]) << r.name << " slot " << k;
+    }
+  }
+}
+
+std::vector<core::ObservationView> regular_views(const core::World& world,
+                                                 const core::Campaign& campaign) {
+  std::vector<core::ObservationView> views;
+  for (std::size_t i = 0; i < world.vantage_points.size(); ++i) {
+    views.emplace_back(campaign.results(i));
+  }
+  return views;
+}
+
+/// analyze_vp over every AS_PATH-capable VP, as analyze_world pairs them;
+/// a null pool is the serial reference.
+std::vector<VpReport> analyze_each(const core::World& world,
+                                   const std::vector<core::ObservationView>& views,
+                                   core::ThreadPool* pool) {
+  std::vector<VpReport> out;
+  for (std::size_t i = 0; i < world.vantage_points.size(); ++i) {
+    if (!world.vantage_points[i].has_as_path) continue;
+    out.push_back(analyze_vp(world.vantage_points[i].name, views[i], {}, {}, pool));
+  }
+  return out;
+}
+
+void expect_pool_invariant(const core::World& world,
+                           const std::vector<core::ObservationView>& views,
+                           const std::vector<VpReport>& serial) {
+  for (const std::size_t threads : {2u, 4u}) {
+    SCOPED_TRACE(threads);
+    core::ThreadPool pool(threads);
+    const auto pooled = analyze_each(world, views, &pool);
+    expect_site_order(pooled);
+    expect_same_reports(pooled, serial);
+  }
+}
+
+TEST(Tables, AnalysisIsThreadInvariantOnTablesWorld) {
+  const auto views = regular_views(study().world, *study().campaign);
+  const auto serial = analyze_each(study().world, views, nullptr);
+  expect_site_order(serial);
+  expect_same_reports(serial, study().reports);  // analyze_world's own pool
+  expect_pool_invariant(study().world, views, serial);
+}
+
+TEST(Tables, AnalysisIsThreadInvariantOnSixteenVpWorld) {
+  // Many small views (a few hundred sites per VP): the shape where only
+  // small site blocks give the pool anything to share.
+  scenario::WorldSpec spec;
+  spec.seed = 29;
+  spec.topology.num_tier1 = 4;
+  spec.topology.num_transit = 30;
+  spec.topology.num_stub = 150;
+  spec.catalog.initial_sites = 2000;
+  spec.catalog.churn_per_round = 2;
+  spec.catalog.num_rounds = 40;
+  spec.w6d_round = 20;
+  const scenario::V6UplinkMode modes[] = {scenario::V6UplinkMode::kSameProviders,
+                                          scenario::V6UplinkMode::kSubsetProviders,
+                                          scenario::V6UplinkMode::kSeparateProvider};
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    spec.vantage_points.push_back(
+        {.name = "VP-" + std::to_string(i),
+         .type = i % 2 == 0 ? core::VantagePoint::Type::kAcademic
+                            : core::VantagePoint::Type::kCommercial,
+         .region = i % 2 == 0 ? topo::Region::kNorthAmerica : topo::Region::kEurope,
+         .start_round = i % 4,
+         .has_as_path = true,
+         .whitelisted = false,
+         .uses_dns_cache_supplement = false,
+         .num_v4_providers = static_cast<int>(1 + i % 2),
+         .v6_mode = modes[i % 3]});
+  }
+  const core::World world = scenario::build_world(spec);
+  core::CampaignConfig cfg = scenario::paper_campaign_config(29);
+  cfg.threads = 4;
+  core::Campaign campaign(world, cfg);
+  campaign.run();
+  campaign.finalize();
+  const auto views = regular_views(world, campaign);
+  const auto serial = analyze_each(world, views, nullptr);
+  ASSERT_EQ(serial.size(), 16u);
+  for (const VpReport& r : serial) EXPECT_GT(r.assessments.size(), 100u) << r.name;
+  expect_site_order(serial);
+  expect_pool_invariant(world, views, serial);
 }
 
 TEST(Tables, Fig3bSamplesComparable) {

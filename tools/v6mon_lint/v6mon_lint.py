@@ -38,6 +38,10 @@ linter encodes the project's determinism rules as source checks:
         the per-round fork-join stall between (vp, round) blocks; keep
         the wait at a segment end, or ALLOW with the reason the join is
         not a scheduling barrier
+  D008  std::thread::hardware_concurrency outside
+        src/core/thread_pool.cpp — every "0 = hardware" thread knob
+        resolves through core::resolve_threads, so one rule decides how
+        many workers a default run gets
 
 Engine: a text-level lexer (comments/strings stripped, lines tracked).
 There is deliberately no semantic analysis — the rules are conservative
@@ -64,7 +68,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-ALL_RULES = ("D001", "D002", "D003", "D004", "D005", "D006", "D007")
+ALL_RULES = ("D001", "D002", "D003", "D004", "D005", "D006", "D007", "D008")
 
 # Directories (relative to the repo root) whose code feeds deterministic
 # outputs. D002 applies only here; the other rules apply everywhere.
@@ -571,6 +575,26 @@ def rule_d007(sf: SourceFile) -> list[Finding]:
     return findings
 
 
+# The one file allowed to read the hardware thread count (D008).
+THREAD_COUNT_FILE = "src/core/thread_pool.cpp"
+
+D008_HW_RE = re.compile(r"\bhardware_concurrency\s*\(")
+
+
+def rule_d008(sf: SourceFile) -> list[Finding]:
+    return [
+        Finding(
+            sf.path,
+            sf.line_of(m.start()),
+            "D008",
+            "hardware thread count read outside core::resolve_threads — "
+            "resolve a '0 = hardware' knob with core::resolve_threads so "
+            "every stage sizes its pool by one rule",
+        )
+        for m in D008_HW_RE.finditer(sf.clean)
+    ]
+
+
 RULES = {
     "D001": rule_d001,
     "D002": rule_d002,
@@ -579,6 +603,7 @@ RULES = {
     "D005": rule_d005,
     "D006": rule_d006,
     "D007": rule_d007,
+    "D008": rule_d008,
 }
 
 
@@ -645,6 +670,11 @@ def in_campaign_files(path: str, root: str) -> bool:
     return rel in CAMPAIGN_FILES
 
 
+def is_thread_count_file(path: str, root: str) -> bool:
+    rel = os.path.relpath(os.path.abspath(path), root).replace(os.sep, "/")
+    return rel == THREAD_COUNT_FILE
+
+
 def lint_file(
     path: str,
     rules: list[str],
@@ -666,6 +696,8 @@ def lint_file(
         if rule == "D002" and not deterministic_scope:
             continue
         if rule == "D007" and not campaign_scope:
+            continue
+        if rule == "D008" and is_thread_count_file(path, root):
             continue
         findings.extend(apply_allows(RULES[rule](sf), allows))
     findings.sort(key=lambda f: (f.line, f.rule))
