@@ -62,7 +62,7 @@ constexpr std::uint64_t kQueriesPerSite = 2;
 CampaignConfig Campaign::resolve(CampaignConfig config) {
   config.monitor.validate();
   if (config.threads == 0) {
-    config.threads = std::min(config.monitor.max_parallel_sites, resolve_threads(0));
+    config.threads = std::min(kMaxParallelSites, resolve_threads(0));
   }
   return config;
 }
@@ -159,7 +159,7 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
   const util::Rng root(config_.seed);
 
   // Resolved-site table slot assignment is coordinator-only (we hold this
-  // VP's ingest-epoch mutex): column growth must not race the workers'
+  // VP's ingest-epoch mutex): table growth must not race the workers'
   // lazy per-slot fills inside monitor_site below.
   {
     obs::TraceSpan span(obs::Stage::kSiteResolve);

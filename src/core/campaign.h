@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -25,10 +26,14 @@ enum class SinkBackend : std::uint8_t {
   kSpool,    ///< Out-of-core: binary spool files, replayed at finalize().
 };
 
+/// Default worker cap: the paper's tool monitors "no more than 25" sites
+/// in parallel.
+inline constexpr std::size_t kMaxParallelSites = 25;
+
 /// Campaign-level configuration.
 struct CampaignConfig {
   MonitorConfig monitor;
-  /// Worker threads; 0 = min(monitor.max_parallel_sites, hardware).
+  /// Worker threads; 0 = min(kMaxParallelSites, hardware).
   std::size_t threads = 0;
   /// Root seed for all measurement randomness (derives per-site streams,
   /// so results are independent of thread scheduling).

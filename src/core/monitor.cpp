@@ -35,7 +35,6 @@ void MonitorConfig::validate() const {
     throw ConfigError("max_downloads must fit uint16_t sample counters (<= 65535)");
   }
   if (fetch_retries == 0) throw ConfigError("fetch_retries must be >= 1");
-  if (max_parallel_sites == 0) throw ConfigError("max_parallel_sites must be >= 1");
   // Probability and physical-quantity domains (ISSUE 9 satellite): these
   // used to slip through and surface as contract violations (or silent
   // clamping) deep inside the download model.
@@ -362,9 +361,10 @@ void Monitor::on_world_change(const WorldChangeSummary& summary) {
     // Stale-row pointer reads are safe here: the RIB trie retains value
     // storage across erase/replace, and this runs on the quiescent
     // coordinator before any post-epoch reader.
-    const bgp::RibEntry* v6_route = resolved_.v6_route(slot);
+    const ResolvedSiteRow& row = resolved_.row(slot);
+    const bgp::RibEntry* v6_route = row.v6_route;
     bool stale;
-    if (v6_route == nullptr || resolved_.v6_addr(slot).is_6to4()) {
+    if (v6_route == nullptr || row.v6_addr.is_6to4()) {
       // No cached route: one may exist now. 6to4: the anycast election
       // and the island's hidden tunnel leg both change without the
       // cached path crossing a touched AS.
@@ -376,15 +376,13 @@ void Monitor::on_world_change(const WorldChangeSummary& summary) {
     if (stale) resolved_.invalidate(slot);
   }
 
+  // grant_aaaa rewrote the v6 addressing these rows derive from.
   for (const std::uint32_t site_id : summary.sites_gained_aaaa) {
-    const web::Site& site = world_.catalog.site(site_id);
     for (std::uint8_t hosting = 0; hosting <= 1; ++hosting) {
       const std::uint32_t slot = resolved_.find(site_id, hosting);
-      if (slot == ResolvedSiteTable::kNoSlot) continue;
-      // grant_aaaa rewrote v6_server_factor (and the v6 addressing the
-      // row derives from); the assign-time columns must follow.
-      resolved_.refresh_static(slot, site);
-      if (resolved_.filled(slot)) resolved_.invalidate(slot);
+      if (slot != ResolvedSiteTable::kNoSlot && resolved_.filled(slot)) {
+        resolved_.invalidate(slot);
+      }
     }
   }
 }
@@ -393,7 +391,7 @@ void Monitor::assign_resolve_slots(std::span<const std::uint32_t> sites,
                                    std::uint32_t round) {
   for (const std::uint32_t id : sites) {
     const web::Site& s = world_.catalog.site(id);
-    const std::uint8_t epoch = hosting_epoch(s, round);
+    const std::uint8_t epoch = s.hosting_epoch(round);
     if (resolved_.find(id, epoch) == ResolvedSiteTable::kNoSlot) {
       resolved_.assign(s, epoch);
     }
@@ -408,7 +406,7 @@ Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
   obs.round = round;
 
   // --- Phase 1: randomized A / AAAA queries -----------------------------
-  const std::uint32_t slot = resolved_.find(site.id, hosting_epoch(site, round));
+  const std::uint32_t slot = resolved_.find(site.id, site.hosting_epoch(round));
   const bool have_slot = slot != ResolvedSiteTable::kNoSlot;
   // The hostname depends only on the site id; reuse the slot's cached
   // string when one exists (one allocation per site-round otherwise).
@@ -453,34 +451,30 @@ Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
   // time a site reaches this phase its row is resolved and filled right
   // here — by the one worker monitoring the site this epoch, so fills
   // never race — and later rounds reuse it after validating the
-  // DNS-returned addresses against the row (a mismatch falls back to
-  // inline resolution, keeping the cache a pure performance layer).
+  // DNS-returned addresses against the row. A mismatch (or no slot)
+  // resolves into a per-call row and leaves the cached one as it is,
+  // keeping the cache a pure performance layer.
   if (have_slot && !resolved_.filled(slot)) {
     ResolvedSiteRow fresh;
     resolve_addresses(v4_addr, v6_addr, fresh);
     resolved_.fill(slot, fresh, current_world_epoch_);
   }
   ResolvedSiteRow local;
-  const bool row_matches = have_slot && resolved_.filled(slot) &&
-                           resolved_.v4_addr(slot) == v4_addr &&
-                           resolved_.v6_addr(slot) == v6_addr;
-  if (!row_matches) resolve_addresses(v4_addr, v6_addr, local);
+  const ResolvedSiteRow* row =
+      have_slot && resolved_.filled(slot) ? &resolved_.row(slot) : nullptr;
+  if (row == nullptr || row->v4_addr != v4_addr || row->v6_addr != v6_addr) {
+    resolve_addresses(v4_addr, v6_addr, local);
+    row = &local;
+  }
 
-  const MonitorStatus gate = row_matches ? resolved_.gate(slot) : local.gate;
-  const bgp::RibEntry* v4_route = row_matches ? resolved_.v4_route(slot) : local.v4_route;
-  const bgp::RibEntry* v6_route = row_matches ? resolved_.v6_route(slot) : local.v6_route;
-  if (v4_route != nullptr) {
-    obs.v4_origin = v4_route->origin;
-    if (vp_.has_as_path) obs.v4_path = paths.intern(v4_route->as_path);
+  if (row->v4_route != nullptr) {
+    obs.v4_origin = row->v4_route->origin;
+    if (vp_.has_as_path) obs.v4_path = paths.intern(row->v4_route->as_path);
   }
-  if (v6_route != nullptr) {
-    obs.v6_origin = v6_route->origin;
-    if (vp_.has_as_path) obs.v6_path = paths.intern(v6_route->as_path);
+  if (row->v6_route != nullptr) {
+    obs.v6_origin = row->v6_route->origin;
+    if (vp_.has_as_path) obs.v6_path = paths.intern(row->v6_route->as_path);
   }
-  const transport::PathCharacteristics& v4_path =
-      row_matches ? resolved_.v4_path(slot) : local.v4_path;
-  const transport::PathCharacteristics& v6_path =
-      row_matches ? resolved_.v6_path(slot) : local.v6_path;
 
   // Conn-establishment pass (ISSUE 9): every dual-stack site that got
   // this far is dialed per the fallback policy, gate verdict or not —
@@ -492,32 +486,29 @@ Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
   // the conn model expects.
   if (config_.fallback != FallbackPolicy::kNone) {
     util::Rng conn_rng = rng.child("conn");
-    evaluate_fallback(v4_route != nullptr ? &v4_path : nullptr,
-                      v6_route != nullptr ? &v6_path : nullptr, conn_rng);
+    evaluate_fallback(row->v4_route != nullptr ? &row->v4_path : nullptr,
+                      row->v6_route != nullptr ? &row->v6_path : nullptr, conn_rng);
   }
 
-  if (gate != MonitorStatus::kMeasured) {
-    obs.status = gate;
+  if (row->gate != MonitorStatus::kMeasured) {
+    obs.status = row->gate;
     return obs;
   }
 
   // --- Phase 3: identity check -------------------------------------------
-  // Sizes come back from the initial page fetch of each family. The
-  // cached page/rate columns hold exactly the original per-round
-  // derivations (float->double conversions included).
-  const double v4_page = row_matches ? resolved_.v4_page(slot) : site.page_kb;
-  const double v6_page = row_matches ? resolved_.v6_page(slot)
-                                     : site.page_kb * site.v6_page_ratio;
-  const double server_mult = site.server_multiplier_at(round);
-  const double v4_rate =
-      (row_matches ? resolved_.rate_base(slot) : site.server_rate_kBps) * server_mult;
-  const double v6_rate =
-      v4_rate * (row_matches ? resolved_.v6_rate_factor(slot) : site.v6_server_factor);
+  // Sizes come back from the initial page fetch of each family. Pages and
+  // rates come from the live catalog entry (which grant_aaaa rewrites).
+  const double v4_page = site.page_kb;
+  const double v6_page = site.page_kb * site.v6_page_ratio;
+  const double v4_rate = site.server_rate_kBps * site.server_multiplier_at(round);
+  const double v6_rate = v4_rate * site.v6_server_factor;
 
   // Hoist the draw-independent download math; attempts/failures accumulate
   // locally and flush once on every exit path.
-  const transport::PreparedDownload v4_prep = sim_.prepare(v4_path, v4_page, v4_rate);
-  const transport::PreparedDownload v6_prep = sim_.prepare(v6_path, v6_page, v6_rate);
+  const transport::PreparedDownload v4_prep =
+      sim_.prepare(row->v4_path, v4_page, v4_rate);
+  const transport::PreparedDownload v6_prep =
+      sim_.prepare(row->v6_path, v6_page, v6_rate);
   TallyFlusher tally;
 
   bool v4_fetched = false, v6_fetched = false;

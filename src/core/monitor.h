@@ -42,8 +42,6 @@ struct MonitorConfig {
   double path_quality_sigma = 0.55;
   /// Attempts allowed for the initial identity-phase fetches.
   std::size_t fetch_retries = 3;
-  /// Thread pool size ("no more than 25" in the paper).
-  std::size_t max_parallel_sites = 25;
 
   dns::Resolver::Options dns;
   transport::DownloadParams download;
@@ -112,7 +110,7 @@ class Monitor {
     return fallback_->stats;
   }
 
-  // --- Campaign-lifetime SoA site resolution (ISSUE 7) ------------------
+  // --- Campaign-lifetime resolved-site rows ------------------------------
   //
   // Everything monitor_site's phase 2 derives (RIB routes, characterized
   // + 6to4-adjusted paths, the phase-2 verdict) is a pure function of the
@@ -125,7 +123,7 @@ class Monitor {
   // to inline resolution on mismatch, so the cache is a pure performance
   // layer.
   //
-  // Concurrency: assign_resolve_slots grows the table columns and must be
+  // Concurrency: assign_resolve_slots grows the table and must be
   // serialized with every other use of this Monitor — Campaign holds the
   // vantage point's ingest-epoch mutex across each round. The lazy fills
   // are parallel-safe because a site appears at most once per work list,
@@ -133,7 +131,7 @@ class Monitor {
   // epoch's join barrier publishes rows to later rounds.
 
   /// Coordinator-only: ensure table slots exist for `sites` (catalog site
-  /// ids) at `round` before workers run (column growth must not race the
+  /// ids) at `round` before workers run (table growth must not race the
   /// lazy fills).
   void assign_resolve_slots(std::span<const std::uint32_t> sites,
                             std::uint32_t round);
@@ -149,8 +147,7 @@ class Monitor {
   ///   - 6to4 rows and unrouted rows, whenever the v6 data plane changed
   ///     at all (anycast re-election and relay retirement act at a
   ///     distance, so these are invalidated conservatively);
-  ///   - rows of sites that gained an AAAA this epoch, whose assign-time
-  ///     columns (v6 server factor) are also re-derived.
+  ///   - rows of sites that gained an AAAA this epoch.
   ///
   /// IPv4 state is never invalidated — the delta vocabulary is v6-only.
   /// Conservative invalidation is byte-safe: refills are deterministic

@@ -13,57 +13,27 @@ std::uint32_t ResolvedSiteTable::assign(const web::Site& site, std::uint8_t epoc
   const std::size_t key = static_cast<std::size_t>(site.id) * 2 + epoch;
   V6MON_REQUIRE(key < slot_of_.size(), "site id beyond the catalog the table was sized for");
   V6MON_REQUIRE(slot_of_[key] == kNoSlot, "slot already assigned");
-  const auto slot = static_cast<std::uint32_t>(site_id_.size());
-  site_id_.push_back(site.id);
-  epoch_.push_back(epoch);
-  filled_.push_back(0);
-  world_epoch_.push_back(0);
-  v4_addr_.emplace_back();
-  v6_addr_.emplace_back();
-  gate_.push_back(MonitorStatus::kMeasured);
-  v4_route_.push_back(nullptr);
-  v6_route_.push_back(nullptr);
-  v4_path_.emplace_back();
-  v6_path_.emplace_back();
-  hostname_.push_back(site.hostname());
-  // Exactly the derivations monitor_site's phase 3 performed per round:
-  // float->double conversions and the float v6-page product, so the cached
-  // values are bit-identical to the per-round originals.
-  v4_page_.push_back(site.page_kb);
-  v6_page_.push_back(site.page_kb * site.v6_page_ratio);
-  rate_base_.push_back(site.server_rate_kBps);
-  v6_rate_factor_.push_back(site.v6_server_factor);
+  const auto slot = static_cast<std::uint32_t>(slots_.size());
+  Slot& s = slots_.emplace_back();
+  s.hostname = site.hostname();
+  s.site_id = site.id;
   slot_of_[key] = slot;
   return slot;
 }
 
 void ResolvedSiteTable::fill(std::uint32_t slot, const ResolvedSiteRow& row,
                              std::uint32_t world_epoch) {
-  V6MON_REQUIRE(slot < site_id_.size(), "fill of an unassigned slot");
-  V6MON_ASSERT(filled_[slot] == 0, "slot filled twice");
-  v4_addr_[slot] = row.v4_addr;
-  v6_addr_[slot] = row.v6_addr;
-  gate_[slot] = row.gate;
-  v4_route_[slot] = row.v4_route;
-  v6_route_[slot] = row.v6_route;
-  v4_path_[slot] = row.v4_path;
-  v6_path_[slot] = row.v6_path;
-  world_epoch_[slot] = world_epoch;
-  filled_[slot] = 1;
+  V6MON_REQUIRE(slot < slots_.size(), "fill of an unassigned slot");
+  Slot& s = slots_[slot];
+  V6MON_ASSERT(!s.filled, "slot filled twice");
+  s.row = row;
+  s.world_epoch = world_epoch;
+  s.filled = true;
 }
 
 void ResolvedSiteTable::invalidate(std::uint32_t slot) {
-  V6MON_REQUIRE(slot < site_id_.size(), "invalidate of an unassigned slot");
-  filled_[slot] = 0;
-}
-
-void ResolvedSiteTable::refresh_static(std::uint32_t slot, const web::Site& site) {
-  V6MON_REQUIRE(slot < site_id_.size(), "refresh of an unassigned slot");
-  V6MON_REQUIRE(site.id == site_id_[slot], "refresh with the wrong site");
-  v4_page_[slot] = site.page_kb;
-  v6_page_[slot] = static_cast<double>(site.page_kb * site.v6_page_ratio);
-  rate_base_[slot] = site.server_rate_kBps;
-  v6_rate_factor_[slot] = site.v6_server_factor;
+  V6MON_REQUIRE(slot < slots_.size(), "invalidate of an unassigned slot");
+  slots_[slot].filled = false;
 }
 
 }  // namespace v6mon::core

@@ -149,12 +149,6 @@ void ResultsDb::add(const Observation& obs) {
   staging_.push_back(obs);
 }
 
-void ResultsDb::merge_rows(std::span<const Observation> batch) {
-  if (batch.empty()) return;
-  util::LockGuard lock(mu_);
-  staging_.insert(staging_.end(), batch.begin(), batch.end());
-}
-
 void ResultsDb::seal_staging() {
   if (staging_.empty()) return;
   staged_batches_.push_back(std::move(staging_));
@@ -164,7 +158,7 @@ void ResultsDb::seal_staging() {
 void ResultsDb::merge_rows(std::vector<Observation>&& batch) {
   if (batch.empty()) return;
   util::LockGuard lock(mu_);
-  // Seal any loose add()/span rows first so the batch lands after them.
+  // Seal any loose add() rows first so the batch lands after them.
   seal_staging();
   staged_batches_.push_back(std::move(batch));
 }

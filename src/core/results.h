@@ -225,12 +225,11 @@ class ResultsDb {
   void count(std::uint32_t round, MonitorStatus status, std::uint64_t n = 1);
   void count_listed(std::uint32_t round, std::uint64_t n);
 
-  /// Bulk ingest from a sink merge: one lock for the whole batch. The
-  /// batch's path ids must already refer to this database's registry.
-  void merge_rows(std::span<const Observation> batch);
-  /// Move-ingest a whole batch: O(1) — the vector is spliced into the
-  /// staging list, no row is copied. Relative order of add() rows and
-  /// merged batches is preserved.
+  /// Bulk ingest from a sink merge: one lock for the whole batch, and
+  /// O(1) — the vector is spliced into the staging list, no row is
+  /// copied. The batch's path ids must already refer to this database's
+  /// registry. Relative order of add() rows and merged batches is
+  /// preserved.
   void merge_rows(std::vector<Observation>&& batch);
   /// Fold per-round counter deltas in (indexed by round).
   void merge_counters(const std::vector<RoundCounters>& deltas);

@@ -34,7 +34,7 @@ enum class Stage : std::uint8_t {
   kRibBuild,         ///< BGP convergence + RIB insertion (world build).
   kIngestFlush,      ///< Round-boundary sink flush into the results store.
   kAnalysis,         ///< The Fig. 4 analysis pass over a finalized store.
-  kSiteResolve,      ///< Campaign-lifetime SoA site resolution (prefetch).
+  kSiteResolve,      ///< Resolved-site slot assignment (coordinator).
 };
 inline constexpr std::size_t kNumStages = 7;
 

@@ -200,12 +200,6 @@ ScenarioSpec parse_scenario(std::string_view text) {
       const std::uint64_t v = parse_u64(value, line_no);
       if (v > kMaxDownloadBudget) fail(line_no, "monitor.fetch_retries out of range");
       m.fetch_retries = static_cast<std::size_t>(v);
-    } else if (key == "monitor.max_parallel_sites") {
-      const std::uint64_t v = parse_u64(value, line_no);
-      if (v == 0 || v > kMaxThreads) {
-        fail(line_no, "monitor.max_parallel_sites out of range");
-      }
-      m.max_parallel_sites = static_cast<std::size_t>(v);
     } else if (key == "dns.cache_rounds") {
       const std::uint64_t v = parse_u64(value, line_no);
       if (v > 0xffffffffULL) fail(line_no, "dns.cache_rounds out of range");

@@ -179,7 +179,6 @@ core::CampaignConfig paper_campaign_config(std::uint64_t seed) {
   cfg.monitor.identity_threshold = 0.06;
   cfg.monitor.ci_rel = 0.10;
   cfg.monitor.confidence = 0.95;
-  cfg.monitor.max_parallel_sites = 25;
   return cfg;
 }
 

@@ -325,7 +325,7 @@ SiteCatalog SiteCatalog::generate(const topo::AsGraph& graph,
 }
 
 Hosting SiteCatalog::hosting_at(const Site& s, std::uint32_t round) const {
-  if (s.step_round != kNever && s.step_from_path_change && round >= s.step_round) {
+  if (s.hosting_epoch(round) == 1) {
     const auto it = relocations_.find(s.id);
     if (it != relocations_.end()) return it->second;
   }

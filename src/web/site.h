@@ -64,6 +64,16 @@ struct Site {
   /// paper's "different locations" (DL) category.
   [[nodiscard]] bool different_location() const { return v4_as != v6_as; }
 
+  /// Hosting epoch at a round: 0 = original hosting, 1 = the relocated
+  /// hosting of a `step_from_path_change` site at/after its step round.
+  /// A site's addresses are constant within a hosting epoch, so the
+  /// monitor's resolved-site rows are keyed on it.
+  [[nodiscard]] std::uint8_t hosting_epoch(std::uint32_t round) const {
+    const bool relocated =
+        step_round != kNever && step_from_path_change && round >= step_round;
+    return relocated ? 1 : 0;
+  }
+
   /// Server performance multiplier at a given round: non-stationarity only.
   [[nodiscard]] double server_multiplier_at(std::uint32_t round) const {
     double m = 1.0;

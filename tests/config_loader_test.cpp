@@ -25,8 +25,6 @@ TEST(ConfigLoader, EmptyTextYieldsPaperDefaults) {
   const core::CampaignConfig paper = paper_campaign_config(2011);
   EXPECT_EQ(spec.campaign.seed, paper.seed);
   EXPECT_DOUBLE_EQ(spec.campaign.monitor.ci_rel, paper.monitor.ci_rel);
-  EXPECT_EQ(spec.campaign.monitor.max_parallel_sites,
-            paper.monitor.max_parallel_sites);
   EXPECT_EQ(spec.campaign.sink, paper.sink);
 }
 
@@ -65,7 +63,6 @@ TEST(ConfigLoader, EveryKeyLands) {
       "monitor.max_downloads = 40\n"
       "monitor.path_quality_sigma = 0.1\n"
       "monitor.fetch_retries = 2\n"
-      "monitor.max_parallel_sites = 10\n"
       "dns.cache_rounds = 3\n"
       "dns.timeout_prob = 0.02\n"
       "download.setup_rtts = 4.5\n"
@@ -102,7 +99,6 @@ TEST(ConfigLoader, EveryKeyLands) {
   EXPECT_EQ(m.max_downloads, 40u);
   EXPECT_DOUBLE_EQ(m.path_quality_sigma, 0.1);
   EXPECT_EQ(m.fetch_retries, 2u);
-  EXPECT_EQ(m.max_parallel_sites, 10u);
   EXPECT_EQ(m.dns.cache_rounds, 3u);
   EXPECT_DOUBLE_EQ(m.dns.timeout_prob, 0.02);
   EXPECT_DOUBLE_EQ(m.download.setup_rtts, 4.5);
@@ -161,6 +157,20 @@ TEST(ConfigLoader, RejectsWithLineNumbers) {
   expect_fail("wo rld.seed = 1\n", "line 1");                  // invalid key
 }
 
+// The worker cap is core::kMaxParallelSites now; a scenario that still
+// sets the retired key must fail loudly rather than be silently ignored.
+TEST(ConfigLoader, RejectsRetiredMaxParallelSitesKey) {
+  try {
+    (void)parse_scenario("monitor.max_parallel_sites = 25\n");
+    FAIL() << "retired key accepted";
+  } catch (const ParseError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown key 'monitor.max_parallel_sites'"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("line 1"), std::string::npos) << what;
+  }
+}
+
 TEST(ConfigLoader, RejectsOutOfDomainValues) {
   // world.scale shares paper_spec's bound (scenario::kMaxPaperScale).
   EXPECT_THROW(parse_scenario("world.scale = 0\n"), ConfigError);
@@ -169,7 +179,6 @@ TEST(ConfigLoader, RejectsOutOfDomainValues) {
   EXPECT_DOUBLE_EQ(parse_scenario("world.scale = 1.36\n").scale, kMaxPaperScale);
   EXPECT_THROW(parse_scenario("campaign.threads = 5000\n"), ParseError);
   EXPECT_THROW(parse_scenario("monitor.max_downloads = 70000\n"), ParseError);
-  EXPECT_THROW(parse_scenario("monitor.max_parallel_sites = 0\n"), ParseError);
   EXPECT_THROW(parse_scenario("dns.cache_rounds = 4294967296\n"), ParseError);
   // Values the line parser accepts but MonitorConfig::validate rejects
   // surface as the same ConfigError a programmatic misconfiguration gets.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -749,6 +750,188 @@ TEST(Campaign, RejectsRoundCountAtMonitorKeyLimit) {
     ADD_FAILURE() << "num_rounds = " << w.num_rounds << " was accepted";
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("4095"), std::string::npos) << e.what();
+  }
+}
+
+// --- Resolved-site table and monitor_site's two read paths ---------------
+
+TEST(ResolvedSiteTable, FindOnUnassignedKeyReturnsNoSlot) {
+  ResolvedSiteTable table(4);
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.find(0, 0), ResolvedSiteTable::kNoSlot);
+  EXPECT_EQ(table.find(3, 1), ResolvedSiteTable::kNoSlot);
+  EXPECT_EQ(table.find(4, 0), ResolvedSiteTable::kNoSlot);  // beyond the catalog
+
+  web::Site site;
+  site.id = 2;
+  const std::uint32_t slot = table.assign(site, 1);
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.find(2, 1), slot);
+  EXPECT_EQ(table.find(2, 0), ResolvedSiteTable::kNoSlot);
+  EXPECT_EQ(table.site_id(slot), 2u);
+  EXPECT_EQ(table.hostname(slot), site.hostname());
+  EXPECT_FALSE(table.filled(slot));
+}
+
+#if V6MON_CONTRACT_LEVEL >= 1
+
+TEST(ResolvedSiteTable, AssignRejectsDuplicateAndOutOfCatalogKeys) {
+  ResolvedSiteTable table(4);
+  web::Site site;
+  site.id = 1;
+  (void)table.assign(site, 0);
+  EXPECT_THROW((void)table.assign(site, 0), ContractError);
+  EXPECT_THROW((void)table.assign(site, 2), ContractError);
+  site.id = 4;
+  EXPECT_THROW((void)table.assign(site, 0), ContractError);
+  EXPECT_EQ(table.size(), 1u);
+}
+
+#endif  // V6MON_CONTRACT_LEVEL >= 1
+
+TEST(ResolvedSiteTable, FillStampsWorldEpochAndInvalidateAllowsRefill) {
+  ResolvedSiteTable table(2);
+  web::Site site;
+  site.id = 1;
+  const std::uint32_t slot = table.assign(site, 0);
+
+  ResolvedSiteRow row;
+  row.v4_addr = ip::Ipv4Address(0x0a000001u);
+  row.gate = MonitorStatus::kV6DownloadFailed;
+  table.fill(slot, row, 3);
+  EXPECT_TRUE(table.filled(slot));
+  EXPECT_EQ(table.world_epoch(slot), 3u);
+  EXPECT_EQ(table.row(slot).v4_addr, row.v4_addr);
+  EXPECT_EQ(table.row(slot).gate, MonitorStatus::kV6DownloadFailed);
+
+  table.invalidate(slot);
+  EXPECT_FALSE(table.filled(slot));
+  row.gate = MonitorStatus::kMeasured;
+  table.fill(slot, row, 5);
+  EXPECT_TRUE(table.filled(slot));
+  EXPECT_EQ(table.world_epoch(slot), 5u);
+  EXPECT_EQ(table.row(slot).gate, MonitorStatus::kMeasured);
+}
+
+void expect_same_observation(const Observation& a, const Observation& b) {
+  EXPECT_EQ(a.site, b.site);
+  EXPECT_EQ(a.round, b.round);
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.v4_speed_kBps, b.v4_speed_kBps);
+  EXPECT_EQ(a.v6_speed_kBps, b.v6_speed_kBps);
+  EXPECT_EQ(a.v4_samples, b.v4_samples);
+  EXPECT_EQ(a.v6_samples, b.v6_samples);
+  EXPECT_EQ(a.v4_path, b.v4_path);
+  EXPECT_EQ(a.v6_path, b.v6_path);
+  EXPECT_EQ(a.v4_origin, b.v4_origin);
+  EXPECT_EQ(a.v6_origin, b.v6_origin);
+}
+
+// A Monitor reading table rows (slots assigned, filled on the first call,
+// reused on the second) and a Monitor without slots (every call resolves
+// into its per-call row) must agree field for field, with and without the
+// conn layer reading the rows' paths.
+TEST(Monitor, TableRowsMatchPerCallResolution) {
+  const World& w = small_world().world;
+  constexpr std::uint32_t kRound = 5;
+  std::vector<std::uint32_t> dual;
+  for (const web::Site& s : w.catalog.sites()) {
+    if (s.dual_stack_at(kRound)) dual.push_back(s.id);
+  }
+  ASSERT_GT(dual.size(), 100u);
+  const web::CatalogDnsBackend backend(w.catalog);
+  for (const FallbackPolicy policy : {FallbackPolicy::kNone, FallbackPolicy::kSequential}) {
+    MonitorConfig cfg;
+    cfg.fallback = policy;
+    for (const VantagePoint& vp : w.vantage_points) {
+      SCOPED_TRACE("vp=" + vp.name + " policy=" + std::to_string(static_cast<int>(policy)));
+      Monitor cached(w, vp, cfg);
+      Monitor uncached(w, vp, cfg);
+      cached.assign_resolve_slots(dual, kRound);
+      dns::Resolver cached_dns(backend, {}, util::Rng(1));
+      dns::Resolver uncached_dns(backend, {}, util::Rng(1));
+      PathRegistry cached_paths, uncached_paths;
+      for (const std::uint64_t pass : {0u, 1u}) {  // 0 fills the rows, 1 reuses them
+        for (const std::uint32_t id : dual) {
+          const web::Site& site = w.catalog.site(id);
+          const std::uint64_t seed = (pass << 32) | id;
+          const Observation a =
+              cached.monitor_site(site, kRound, cached_dns, util::Rng(seed), cached_paths);
+          const Observation b = uncached.monitor_site(site, kRound, uncached_dns,
+                                                      util::Rng(seed), uncached_paths);
+          SCOPED_TRACE("pass=" + std::to_string(pass) + " site=" + std::to_string(id));
+          expect_same_observation(a, b);
+        }
+        std::size_t filled = 0;
+        for (const std::uint32_t id : dual) {
+          const std::uint32_t slot =
+              cached.resolved_sites().find(id, w.catalog.site(id).hosting_epoch(kRound));
+          ASSERT_NE(slot, ResolvedSiteTable::kNoSlot);
+          if (cached.resolved_sites().filled(slot)) ++filled;
+        }
+        EXPECT_EQ(filled, dual.size());
+      }
+      EXPECT_EQ(uncached.resolved_sites().size(), 0u);
+      const FallbackStats fa = cached.fallback_stats();
+      const FallbackStats fb = uncached.fallback_stats();
+      expect_same_fallback(fa, fb);
+      EXPECT_EQ(fa.evaluated, policy == FallbackPolicy::kNone ? 0u : 2 * dual.size());
+    }
+  }
+}
+
+// A relocated site under a DNS cache: at its step round the hosting-epoch-1
+// row is filled from the cached pre-step answer, so once the cache expires
+// the fresh (relocated) answer no longer matches that row and
+// monitor_site must resolve into its per-call row instead of reading it.
+TEST(Monitor, MismatchedRowResolvesPerCall) {
+  const World& w = small_world().world;
+  constexpr std::uint32_t kCacheRounds = 2;
+  std::vector<const web::Site*> relocated;
+  for (const web::Site& s : w.catalog.sites()) {
+    const web::Hosting* moved = w.catalog.relocation(s.id);
+    if (moved == nullptr || moved->v4_as == s.v4_as || s.step_round == web::kNever) continue;
+    bool dual = true;
+    for (std::uint32_t r = s.step_round - 1; r <= s.step_round + kCacheRounds; ++r) {
+      dual = dual && s.dual_stack_at(r);
+    }
+    if (dual) relocated.push_back(&s);
+  }
+  ASSERT_FALSE(relocated.empty()) << "small world has no relocated dual-stack site";
+
+  MonitorConfig cfg;
+  cfg.dns.cache_rounds = kCacheRounds;
+  const web::CatalogDnsBackend backend(w.catalog);
+  for (const VantagePoint& vp : w.vantage_points) {
+    Monitor cached(w, vp, cfg);
+    Monitor uncached(w, vp, cfg);
+    dns::Resolver cached_dns(backend, cfg.dns, util::Rng(1));
+    dns::Resolver uncached_dns(backend, cfg.dns, util::Rng(1));
+    PathRegistry cached_paths, uncached_paths;
+    for (const web::Site* site : relocated) {
+      // One round before the step (caches the pre-step answer), the step
+      // round (cache hit: fills the epoch-1 row with pre-step addresses),
+      // then past expiry (fresh relocated answer: mismatch).
+      for (std::uint32_t r = site->step_round - 1; r <= site->step_round + kCacheRounds;
+           ++r) {
+        SCOPED_TRACE("vp=" + vp.name + " site=" + std::to_string(site->id) +
+                     " round=" + std::to_string(r));
+        const std::uint32_t id = site->id;
+        cached.assign_resolve_slots(std::span<const std::uint32_t>(&id, 1), r);
+        const std::uint64_t seed = (std::uint64_t{r} << 32) | id;
+        const Observation a =
+            cached.monitor_site(*site, r, cached_dns, util::Rng(seed), cached_paths);
+        const Observation b =
+            uncached.monitor_site(*site, r, uncached_dns, util::Rng(seed), uncached_paths);
+        expect_same_observation(a, b);
+      }
+      const ResolvedSiteTable& table = cached.resolved_sites();
+      const std::uint32_t slot = table.find(site->id, 1);
+      ASSERT_NE(slot, ResolvedSiteTable::kNoSlot);
+      ASSERT_TRUE(table.filled(slot));
+      EXPECT_EQ(table.row(slot).v4_addr, site->v4_addr);
+      EXPECT_NE(table.row(slot).v4_addr, w.catalog.relocation(site->id)->v4_addr);
+    }
   }
 }
 

@@ -207,7 +207,6 @@ TEST(MonitorConfigValidate, RejectsOutOfDomainConstants) {
   expect_bad([](core::MonitorConfig& c) { c.ci_rel = std::nan(""); });
   expect_bad([](core::MonitorConfig& c) { c.identity_threshold = -0.1; });
   expect_bad([](core::MonitorConfig& c) { c.fetch_retries = 0; });
-  expect_bad([](core::MonitorConfig& c) { c.max_parallel_sites = 0; });
   // Failure-injection and conn-layer domains (ISSUE 9): out-of-range
   // probabilities and negative physical quantities must die here, not
   // deep inside the download/connection models.

@@ -341,17 +341,17 @@ RowCheckCounts check_rows_every_round(const scenario::WorldSpec& spec,
         if (rows.world_epoch(slot) < epoch) ++counts.survivors;
         if (rows.world_epoch(slot) > 0) ++counts.refills;
 
-        const bgp::RibEntry* v4 = point.rib.lookup_v4(rows.v4_addr(slot));
-        const bgp::RibEntry* v6 = point.rib.lookup_v6(rows.v6_addr(slot));
-        expect_same_route(rows.v4_route(slot), v4);
-        expect_same_route(rows.v6_route(slot), v6);
+        const ResolvedSiteRow& row = rows.row(slot);
+        const bgp::RibEntry* v4 = point.rib.lookup_v4(row.v4_addr);
+        const bgp::RibEntry* v6 = point.rib.lookup_v6(row.v6_addr);
+        expect_same_route(row.v4_route, v4);
+        expect_same_route(row.v6_route, v6);
         const bool both = v4 != nullptr && v6 != nullptr;
         if (v4 != nullptr && (both || all_routed_sides)) {
-          expect_same_path(rows.v4_path(slot), fresh(*v4, ip::Family::kIpv4));
+          expect_same_path(row.v4_path, fresh(*v4, ip::Family::kIpv4));
         }
-        if (v6 != nullptr && (both || all_routed_sides) &&
-            !rows.v6_addr(slot).is_6to4()) {
-          expect_same_path(rows.v6_path(slot), fresh(*v6, ip::Family::kIpv6));
+        if (v6 != nullptr && (both || all_routed_sides) && !row.v6_addr.is_6to4()) {
+          expect_same_path(row.v6_path, fresh(*v6, ip::Family::kIpv6));
         }
       }
     }
@@ -451,15 +451,16 @@ TEST(WorldTimeline, RetiredTunnelFailsSixToFourSites) {
     const std::uint32_t slot = rows.find(site_id, 0);
     if (slot == ResolvedSiteTable::kNoSlot || !rows.filled(slot)) return;
     SCOPED_TRACE("round=" + std::to_string(round));
-    ASSERT_NE(rows.v6_route(slot), nullptr) << "the 2002::/16 route is gone";
+    const ResolvedSiteRow& row = rows.row(slot);
+    ASSERT_NE(row.v6_route, nullptr) << "the 2002::/16 route is gone";
     if (round < kRetireRound) {
-      EXPECT_TRUE(rows.v6_path(slot).valid);
-      EXPECT_TRUE(rows.v6_path(slot).via_tunnel);
+      EXPECT_TRUE(row.v6_path.valid);
+      EXPECT_TRUE(row.v6_path.via_tunnel);
       ++rows_before;
     } else {
       EXPECT_TRUE(live_tunnels(campaign.world(), island).empty());
-      EXPECT_FALSE(rows.v6_path(slot).valid);
-      EXPECT_EQ(rows.gate(slot), MonitorStatus::kV6DownloadFailed);
+      EXPECT_FALSE(row.v6_path.valid);
+      EXPECT_EQ(row.gate, MonitorStatus::kV6DownloadFailed);
       ++rows_after;
     }
   });
