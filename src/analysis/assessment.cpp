@@ -50,28 +50,26 @@ struct Scratch {
   std::vector<topo::Asn> v4_origins, v6_origins;
 };
 
-SiteAssessment assess_site(std::uint32_t site_id, const core::SiteSeries& series,
+SiteAssessment assess_site(std::uint32_t site_id, core::SiteSeries series,
                            const AssessmentParams& params, Scratch& sc) {
   SiteAssessment a;
   a.site = site_id;
 
-  // Collect measured rounds. The columnar store hands back one span per
-  // field, so this scan touches only the bytes it reads.
+  // Collect measured rounds.
   sc.v4_speeds.clear();
   sc.v6_speeds.clear();
   sc.v4_paths.clear();
   sc.v6_paths.clear();
   sc.v4_origins.clear();
   sc.v6_origins.clear();
-  const std::span<const core::MonitorStatus> statuses = series.statuses();
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    if (statuses[i] != core::MonitorStatus::kMeasured) continue;
-    sc.v4_speeds.push_back(series.v4_speeds()[i]);
-    sc.v6_speeds.push_back(series.v6_speeds()[i]);
-    sc.v4_paths.push_back(series.v4_paths()[i]);
-    sc.v6_paths.push_back(series.v6_paths()[i]);
-    sc.v4_origins.push_back(series.v4_origins()[i]);
-    sc.v6_origins.push_back(series.v6_origins()[i]);
+  for (const core::Observation& o : series) {
+    if (o.status != core::MonitorStatus::kMeasured) continue;
+    sc.v4_speeds.push_back(o.v4_speed_kBps);
+    sc.v6_speeds.push_back(o.v6_speed_kBps);
+    sc.v4_paths.push_back(o.v4_path);
+    sc.v6_paths.push_back(o.v6_path);
+    sc.v4_origins.push_back(o.v4_origin);
+    sc.v6_origins.push_back(o.v6_origin);
   }
   a.rounds_measured = sc.v4_speeds.size();
   if (a.rounds_measured > 0) {

@@ -76,31 +76,23 @@ LongitudinalView longitudinal_view(core::ObservationView view,
   // AS_PATH feed, failed lookups) are skipped, as in the paper.
   for (const std::uint32_t site : view.site_ids()) {
     const core::SiteSeries s = view.series(site);
-    const auto rounds = s.rounds();
-    const auto statuses = s.statuses();
-    const auto v4_origins = s.v4_origins();
-    const auto v6_origins = s.v6_origins();
-    const auto v4_paths = s.v4_paths();
-    const auto v6_paths = s.v6_paths();
     std::size_t i = 0;
     for (EpochWindow& w : out.windows) {
       // Series are sorted by round, so one forward pass covers all
       // windows; remember the last qualifying row inside this window.
-      std::size_t last = rounds.size();
-      while (i < rounds.size() && rounds[i] < w.to_round) {
-        if (rounds[i] >= w.from_round &&
-            statuses[i] == core::MonitorStatus::kMeasured &&
-            v4_origins[i] != topo::kNoAs && v6_origins[i] != topo::kNoAs) {
-          last = i;
+      const core::Observation* last = nullptr;
+      for (; i < s.size() && s[i].round < w.to_round; ++i) {
+        const core::Observation& o = s[i];
+        if (o.round >= w.from_round && o.status == core::MonitorStatus::kMeasured &&
+            o.v4_origin != topo::kNoAs && o.v6_origin != topo::kNoAs) {
+          last = &o;
         }
-        ++i;
       }
-      if (last == rounds.size()) continue;
-      if (v4_origins[last] != v6_origins[last]) {
+      if (last == nullptr) continue;
+      if (last->v4_origin != last->v6_origin) {
         ++w.dl;
-      } else if (v4_paths[last] != core::kNoPath &&
-                 v6_paths[last] != core::kNoPath) {
-        if (v4_paths[last] == v6_paths[last]) {
+      } else if (last->v4_path != core::kNoPath && last->v6_path != core::kNoPath) {
+        if (last->v4_path == last->v6_path) {
           ++w.sp;
         } else {
           ++w.dp;

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cstring>
 #include <memory>
-#include <numeric>
 #include <sstream>
 #include <string_view>
 
@@ -96,71 +95,18 @@ void apply_status(RoundCounters& c, MonitorStatus status, std::uint64_t n) {
   }
 }
 
-// --- ObservationColumns ------------------------------------------------------
-
-void ObservationColumns::reserve(std::size_t n) {
-  site.reserve(n);
-  round.reserve(n);
-  status.reserve(n);
-  v4_speed_kBps.reserve(n);
-  v6_speed_kBps.reserve(n);
-  v4_samples.reserve(n);
-  v6_samples.reserve(n);
-  v4_path.reserve(n);
-  v6_path.reserve(n);
-  v4_origin.reserve(n);
-  v6_origin.reserve(n);
-}
-
-void ObservationColumns::push_back(const Observation& o) {
-  site.push_back(o.site);
-  round.push_back(o.round);
-  status.push_back(o.status);
-  v4_speed_kBps.push_back(o.v4_speed_kBps);
-  v6_speed_kBps.push_back(o.v6_speed_kBps);
-  v4_samples.push_back(o.v4_samples);
-  v6_samples.push_back(o.v6_samples);
-  v4_path.push_back(o.v4_path);
-  v6_path.push_back(o.v6_path);
-  v4_origin.push_back(o.v4_origin);
-  v6_origin.push_back(o.v6_origin);
-}
-
-Observation ObservationColumns::row(std::size_t i) const {
-  Observation o;
-  o.site = site[i];
-  o.round = round[i];
-  o.status = status[i];
-  o.v4_speed_kBps = v4_speed_kBps[i];
-  o.v6_speed_kBps = v6_speed_kBps[i];
-  o.v4_samples = v4_samples[i];
-  o.v6_samples = v6_samples[i];
-  o.v4_path = v4_path[i];
-  o.v6_path = v6_path[i];
-  o.v4_origin = v4_origin[i];
-  o.v6_origin = v6_origin[i];
-  return o;
-}
-
 // --- ResultsDb ---------------------------------------------------------------
 
 void ResultsDb::add(const Observation& obs) {
   util::LockGuard lock(mu_);
-  staging_.push_back(obs);
+  V6MON_REQUIRE(!finalized_, "add() after finalize()");
+  rows_.push_back(obs);
 }
 
-void ResultsDb::seal_staging() {
-  if (staging_.empty()) return;
-  staged_batches_.push_back(std::move(staging_));
-  staging_ = {};
-}
-
-void ResultsDb::merge_rows(std::vector<Observation>&& batch) {
-  if (batch.empty()) return;
+void ResultsDb::merge_rows(std::span<const Observation> batch) {
   util::LockGuard lock(mu_);
-  // Seal any loose add() rows first so the batch lands after them.
-  seal_staging();
-  staged_batches_.push_back(std::move(batch));
+  V6MON_REQUIRE(!finalized_, "merge_rows() after finalize()");
+  rows_.insert(rows_.end(), batch.begin(), batch.end());
 }
 
 RoundCounters& ResultsDb::round_slot(std::uint32_t round) {
@@ -193,17 +139,17 @@ void ResultsDb::merge_counters(std::uint32_t round, const RoundCounters& delta) 
 
 SiteSeries ResultsDb::series(std::uint32_t site) const {
   V6MON_REQUIRE(finalized_, "series() requires a finalized ResultsDb");
-  if (site >= site_index_.size()) return {};
-  const SiteRef ref = site_index_[site];
-  if (ref.count == 0) return {};
-  return SiteSeries(&cols_, ref.offset, ref.count);
+  const auto it = std::lower_bound(site_ids_.begin(), site_ids_.end(), site);
+  if (it == site_ids_.end() || *it != site) return {};
+  const auto k = static_cast<std::size_t>(it - site_ids_.begin());
+  return SiteSeries(rows_.data() + site_begin_[k], site_begin_[k + 1] - site_begin_[k]);
 }
 
 const RoundCounters& ResultsDb::round_counters(std::uint32_t round) const {
   static const RoundCounters kEmpty{};
   // Surfaced by the thread-safety annotations (ISSUE 6): this read of
   // rounds_ used to rely on the read-after-ingest convention alone, but
-  // unlike the phase-published columns it shares a field with live
+  // unlike the phase-published rows it shares a field with live
   // ingest (count/merge_counters resize it) — so it takes the lock like
   // every other rounds_ access. The returned reference is stable only
   // once ingest has quiesced, as before.
@@ -214,55 +160,19 @@ const RoundCounters& ResultsDb::round_counters(std::uint32_t round) const {
 
 void ResultsDb::finalize() {
   util::LockGuard lock(mu_);
-  if (finalized_ && staging_.empty() && staged_batches_.empty()) return;
-
-  // Materialize every row: the already-finalized columns (when data
-  // arrives after a finalize) followed by the staged batches and loose
-  // rows, preserving insertion order — the per-site order the round
-  // sequence produced.
-  seal_staging();
-  std::size_t staged = 0;
-  for (const auto& b : staged_batches_) staged += b.size();
-  std::vector<Observation> rows;
-  rows.reserve(cols_.size() + staged);
-  for (std::size_t i = 0; i < cols_.size(); ++i) rows.push_back(cols_.row(i));
-  for (const auto& b : staged_batches_) rows.insert(rows.end(), b.begin(), b.end());
-  staged_batches_.clear();
-  staged_batches_.shrink_to_fit();
-
-  // Group by site, keeping insertion order within each site's run.
-  std::vector<std::size_t> idx(rows.size());
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  std::stable_sort(idx.begin(), idx.end(), [&rows](std::size_t a, std::size_t b) {
-    return rows[a].site < rows[b].site;
+  V6MON_REQUIRE(!finalized_, "finalize() called twice");
+  // Stable, so rows sharing one (site, round) — W6D mini-rounds, each a
+  // separate ingest epoch — keep their arrival order.
+  std::stable_sort(rows_.begin(), rows_.end(), [](const Observation& a, const Observation& b) {
+    return a.site != b.site ? a.site < b.site : a.round < b.round;
   });
-
-  cols_ = ObservationColumns{};
-  cols_.reserve(rows.size());
-  site_ids_.clear();
-  site_index_.clear();
-  if (!rows.empty()) {
-    site_index_.resize(rows[idx.back()].site + std::size_t{1});
-  }
-
-  std::vector<Observation> per_site;
-  std::size_t i = 0;
-  while (i < idx.size()) {
-    const std::uint32_t site = rows[idx[i]].site;
-    per_site.clear();
-    for (; i < idx.size() && rows[idx[i]].site == site; ++i) {
-      per_site.push_back(rows[idx[i]]);
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    if (i == 0 || rows_[i].site != rows_[i - 1].site) {
+      site_ids_.push_back(rows_[i].site);
+      site_begin_.push_back(i);
     }
-    // Sort each site's series by round (same call the row store made, so
-    // equal-round W6D mini-rounds land in the identical order and CSVs
-    // reproduce byte for byte).
-    std::sort(per_site.begin(), per_site.end(),
-              [](const Observation& a, const Observation& b) { return a.round < b.round; });
-    site_index_[site] = {static_cast<std::uint32_t>(cols_.size()),
-                         static_cast<std::uint32_t>(per_site.size())};
-    site_ids_.push_back(site);
-    for (const Observation& o : per_site) cols_.push_back(o);
   }
+  site_begin_.push_back(rows_.size());
   finalized_ = true;
 }
 
@@ -394,29 +304,12 @@ class CsvRowWriter {
 }  // namespace
 
 void ResultsDb::write_csv(std::ostream& out) const {
+  V6MON_REQUIRE(finalized_, "write_csv() requires a finalized ResultsDb");
   CsvRowWriter w(out, paths_);
   w.put(
       "site,round,status,v4_speed_kBps,v6_speed_kBps,v4_samples,v6_samples,"
       "v4_origin,v6_origin,v4_path,v6_path\n");
-  if (finalized_) {
-    // Columns are already site-major and round-sorted: stream straight
-    // through, one row at a time.
-    for (std::size_t i = 0; i < cols_.size(); ++i) w.row(cols_.row(i));
-  } else {
-    // Unfinalized store (tests, partial dumps): order like the finalized
-    // dump's grouping — sites ascending, insertion order within a site.
-    std::vector<Observation> rows;
-    {
-      util::LockGuard lock(mu_);
-      for (const auto& b : staged_batches_) rows.insert(rows.end(), b.begin(), b.end());
-      rows.insert(rows.end(), staging_.begin(), staging_.end());
-    }
-    std::stable_sort(rows.begin(), rows.end(),
-                     [](const Observation& a, const Observation& b) {
-                       return a.site < b.site;
-                     });
-    for (const Observation& o : rows) w.row(o);
-  }
+  for (const Observation& o : rows_) w.row(o);
   w.finish();
 }
 

@@ -138,83 +138,19 @@ inline RoundCounters& operator+=(RoundCounters& a, const RoundCounters& b) {
 /// byte-identical to `n` adds of one.
 void apply_status(RoundCounters& c, MonitorStatus status, std::uint64_t n = 1);
 
-/// Columnar (struct-of-arrays) observation storage. Analysis passes scan
-/// one or two fields of millions of rows — laid out per column those
-/// scans touch only the bytes they read.
-struct ObservationColumns {
-  std::vector<std::uint32_t> site;
-  std::vector<std::uint32_t> round;
-  std::vector<MonitorStatus> status;
-  std::vector<float> v4_speed_kBps;
-  std::vector<float> v6_speed_kBps;
-  std::vector<std::uint16_t> v4_samples;
-  std::vector<std::uint16_t> v6_samples;
-  std::vector<PathId> v4_path;
-  std::vector<PathId> v6_path;
-  std::vector<topo::Asn> v4_origin;
-  std::vector<topo::Asn> v6_origin;
-
-  [[nodiscard]] std::size_t size() const { return site.size(); }
-  void reserve(std::size_t n);
-  void push_back(const Observation& o);
-  /// Gather row i back into a struct (cheap: 11 indexed loads).
-  [[nodiscard]] Observation row(std::size_t i) const;
-};
-
-/// A read-only window onto one site's observations inside the columnar
-/// store: a contiguous [offset, offset+size) slice of every column,
-/// sorted by round. Cheap to copy (pointer + two indices).
-class SiteSeries {
- public:
-  SiteSeries() = default;
-  SiteSeries(const ObservationColumns* cols, std::size_t offset, std::size_t count)
-      : cols_(cols), off_(offset), n_(count) {}
-
-  [[nodiscard]] std::size_t size() const { return n_; }
-  [[nodiscard]] bool empty() const { return n_ == 0; }
-  [[nodiscard]] Observation operator[](std::size_t i) const {
-    return cols_->row(off_ + i);
-  }
-
-  [[nodiscard]] std::span<const std::uint32_t> rounds() const {
-    return {cols_->round.data() + off_, n_};
-  }
-  [[nodiscard]] std::span<const MonitorStatus> statuses() const {
-    return {cols_->status.data() + off_, n_};
-  }
-  [[nodiscard]] std::span<const float> v4_speeds() const {
-    return {cols_->v4_speed_kBps.data() + off_, n_};
-  }
-  [[nodiscard]] std::span<const float> v6_speeds() const {
-    return {cols_->v6_speed_kBps.data() + off_, n_};
-  }
-  [[nodiscard]] std::span<const PathId> v4_paths() const {
-    return {cols_->v4_path.data() + off_, n_};
-  }
-  [[nodiscard]] std::span<const PathId> v6_paths() const {
-    return {cols_->v6_path.data() + off_, n_};
-  }
-  [[nodiscard]] std::span<const topo::Asn> v4_origins() const {
-    return {cols_->v4_origin.data() + off_, n_};
-  }
-  [[nodiscard]] std::span<const topo::Asn> v6_origins() const {
-    return {cols_->v6_origin.data() + off_, n_};
-  }
-
- private:
-  const ObservationColumns* cols_ = nullptr;
-  std::size_t off_ = 0;
-  std::size_t n_ = 0;
-};
+/// A read-only window onto one site's observations: a contiguous run of
+/// the finalized store's rows, sorted by round.
+using SiteSeries = std::span<const Observation>;
 
 /// All results collected by one vantage point over a campaign. Mirrors
-/// the paper's per-vantage-point MySQL database.
+/// the paper's per-vantage-point MySQL database: one row per
+/// (site, round) observation.
 ///
-/// Two-stage layout (row-ingest, columnar-read): `add`/`merge_rows`
-/// append to a row-order staging buffer; `finalize()` groups staged rows
-/// by site, sorts each site's run by round, and rebuilds the immutable
-/// struct-of-arrays store plus a dense site index. All per-site read
-/// accessors require a finalized database.
+/// Two phases. During ingest `add`/`merge_rows` append rows in arrival
+/// order. `finalize()`, called once after ingest, stable-sorts the rows
+/// in place by (site, round) and indexes each site's run. Every read of
+/// the rows (`series`, `site_ids`, `write_csv`) requires a finalized
+/// database; every write of them requires an unfinalized one.
 class ResultsDb {
  public:
   /// Record a full observation (dual-stack sites). Thread-safe.
@@ -225,12 +161,11 @@ class ResultsDb {
   void count(std::uint32_t round, MonitorStatus status, std::uint64_t n = 1);
   void count_listed(std::uint32_t round, std::uint64_t n);
 
-  /// Bulk ingest from a sink merge: one lock for the whole batch, and
-  /// O(1) — the vector is spliced into the staging list, no row is
-  /// copied. The batch's path ids must already refer to this database's
+  /// Bulk ingest from a sink merge: appends the batch under one lock.
+  /// The batch's path ids must already refer to this database's
   /// registry. Relative order of add() rows and merged batches is
   /// preserved.
-  void merge_rows(std::vector<Observation>&& batch);
+  void merge_rows(std::span<const Observation> batch);
   /// Fold per-round counter deltas in (indexed by round).
   void merge_counters(const std::vector<RoundCounters>& deltas);
   /// Fold a single round's counter delta in (spool replay path).
@@ -255,15 +190,15 @@ class ResultsDb {
     return rounds_.size();
   }
 
-  /// Group staged rows by site, sort each site's series by round, and
-  /// (re)build the columnar store + dense site index. Idempotent; call
-  /// once after ingest, before analysis.
+  /// Sort the rows by (site, round) and index each site's run. Rows
+  /// sharing one (site, round) (W6D mini-rounds) keep their ingest
+  /// order. Call exactly once, after ingest and before analysis.
   void finalize();
   [[nodiscard]] bool finalized() const { return finalized_; }
 
   /// Stream the observation dump (sorted by site, round) as CSV — no
   /// materialized copy of the rows, at most one 64 KiB block of text in
-  /// memory. Throws IoError when the stream fails.
+  /// memory. Requires finalize(). Throws IoError when the stream fails.
   void write_csv(std::ostream& out) const;
   /// Convenience wrapper over write_csv for small stores and tests.
   [[nodiscard]] std::string to_csv() const;
@@ -271,26 +206,18 @@ class ResultsDb {
  private:
   mutable util::Mutex mu_;
   PathRegistry paths_;  ///< Internally synchronized (its own mutex).
-  /// Row-order ingest staging; drained into `cols_` by finalize().
-  /// Whole-batch merges land in `staged_batches_` (spliced, not
-  /// copied); `seal_staging()` keeps the two in global ingest order.
-  std::vector<Observation> staging_ V6MON_GUARDED_BY(mu_);
-  std::vector<std::vector<Observation>> staged_batches_ V6MON_GUARDED_BY(mu_);
-  void seal_staging() V6MON_REQUIRES(mu_);  ///< Move staging_ into staged_batches_.
-  /// Finalized site-major columnar store. Published by finalize() (which
-  /// holds mu_ while rebuilding) and read lock-free afterwards: ingest
+  /// Phase contract: appended under mu_ during ingest, sorted in place by
+  /// finalize() (which holds mu_), and read lock-free afterwards. Ingest
   /// and analysis are separate phases — Campaign::finalize() is the
-  /// barrier — so these fields are intentionally NOT lock-annotated.
-  ObservationColumns cols_;
-  /// Dense index: site id -> slice of `cols_` ({0,0} = absent).
-  struct SiteRef {
-    std::uint32_t offset = 0;
-    std::uint32_t count = 0;
-  };
-  std::vector<SiteRef> site_index_;       ///< Phase-published (see cols_).
-  std::vector<std::uint32_t> site_ids_;   ///< Sorted sites present; phase-published.
+  /// barrier — so `rows_` and the fields finalize() publishes are
+  /// intentionally NOT lock-annotated.
+  std::vector<Observation> rows_;
+  std::vector<std::uint32_t> site_ids_;  ///< Sorted sites present; phase-published.
+  /// site_ids_[k]'s rows are rows_[site_begin_[k], site_begin_[k + 1]);
+  /// one entry per site plus the end offset. Phase-published.
+  std::vector<std::size_t> site_begin_;
   std::vector<RoundCounters> rounds_ V6MON_GUARDED_BY(mu_);
-  bool finalized_ = false;  ///< Phase-published (see cols_).
+  bool finalized_ = false;  ///< Phase-published (see rows_).
 
   RoundCounters& round_slot(std::uint32_t round) V6MON_REQUIRES(mu_);
 };

@@ -80,8 +80,8 @@ void ShardedSinkBase::flush() {
         o.v6_path = s.remap_[o.v6_path];
       }
     }
-    merge_batch(std::move(s.staged_), s.counters_);
-    s.staged_.clear();  // normalize the moved-from buffer for the next epoch
+    merge_batch(s.staged_, s.counters_);
+    s.staged_.clear();  // keep the capacity: the next round refills it
     // Zero the deltas but keep the vector: the next round reuses the
     // allocation and merge treats all-zero rounds as no-ops.
     for (RoundCounters& c : s.counters_) c = RoundCounters{};

@@ -12,10 +12,11 @@ namespace v6mon::core {
 
 /// Where campaign workers write measurement outcomes — the seam between
 /// the monitoring pipeline (many threads, hot) and the results store
-/// (columnar, read-mostly). The paper's tool poured observations into a
-/// per-vantage-point MySQL database; v6mon decouples the same way so the
-/// ingest strategy (one mutex, per-worker shards, an out-of-core spool)
-/// can change without the monitor or the analysis noticing.
+/// (one sorted row vector per vantage point, read-mostly). The paper's
+/// tool poured observations into a per-vantage-point MySQL database;
+/// v6mon decouples the same way so the ingest strategy (one mutex,
+/// per-worker shards, an out-of-core spool) can change without the
+/// monitor or the analysis noticing.
 ///
 /// Threading contract:
 ///  * `lane()` / `Lane` methods may be called concurrently from any
@@ -120,11 +121,11 @@ class MutexSink final : public ObservationSink {
 ///
 /// Determinism: within one ingest epoch a site is monitored at most
 /// once, so per-site observation order is epoch order regardless of
-/// which shard a row landed in, and ResultsDb::finalize() groups rows
-/// by site — every downstream byte is invariant to thread count and to
-/// shard arrival order. Canonical path *ids* do depend on merge order;
-/// path *content* (the only registry observable that reaches output)
-/// does not.
+/// which shard a row landed in, and ResultsDb::finalize() stable-sorts
+/// rows by (site, round) — every downstream byte is invariant to thread
+/// count and to shard arrival order. Canonical path *ids* do depend on
+/// merge order; path *content* (the only registry observable that
+/// reaches output) does not.
 class ShardedSinkBase : public ObservationSink {
  public:
   ~ShardedSinkBase() override;
@@ -142,11 +143,11 @@ class ShardedSinkBase : public ObservationSink {
   /// Map one shard-local path (by content) to a canonical id in the
   /// flush target, registering it there on first sight.
   virtual PathId canonicalize(std::span<const topo::Asn> path) = 0;
-  /// Receive one shard's batch (by move — in-memory targets splice it
-  /// in without copying a row): rows carry canonical path ids; counters
+  /// Receive one shard's batch: rows carry canonical path ids; counters
   /// are per-round deltas since the previous flush (all-zero rounds are
-  /// no-ops).
-  virtual void merge_batch(std::vector<Observation>&& rows,
+  /// no-ops). The rows are only borrowed — the shard clears and reuses
+  /// its buffer after the call.
+  virtual void merge_batch(std::span<const Observation> rows,
                            const std::vector<RoundCounters>& counters) = 0;
 
  private:
@@ -200,9 +201,9 @@ class ShardedSink final : public ShardedSinkBase {
   PathId canonicalize(std::span<const topo::Asn> path) override {
     return db_->paths().intern(path);
   }
-  void merge_batch(std::vector<Observation>&& rows,
+  void merge_batch(std::span<const Observation> rows,
                    const std::vector<RoundCounters>& counters) override {
-    db_->merge_rows(std::move(rows));
+    db_->merge_rows(rows);
     db_->merge_counters(counters);
   }
 

@@ -17,13 +17,15 @@ constexpr std::uint8_t kTagCounters = 0x03;
 constexpr std::uint8_t kTagEnd = 0x04;
 
 /// Replay-side sanity caps. A spool is untrusted bytes (tests/fuzz/
-/// fuzz_spool.cpp), and ResultsDb sizes its round table and site index
-/// from the largest id it sees — without these caps a 40-byte file
-/// claiming round 2^32-1 makes finalize() resize to a 256 GB table.
-/// The limits are far above anything a real campaign writes (the paper
+/// fuzz_spool.cpp), and ResultsDb sizes its round-counter table from
+/// the largest round it sees — without the round cap a 40-byte file
+/// claiming round 2^32-1 makes replay resize to a 256 GB table. The
+/// limits are far above anything a real campaign writes (the paper
 /// catalog is 1M sites over ~370 rounds) but small enough that a
 /// hostile spool cannot cost more memory than its own byte count.
 constexpr std::uint32_t kMaxReplayHops = 1024;        ///< AS paths are dozens.
+/// Site ids size no table (the store keeps only the sites it holds);
+/// the cap stays as an input bound on what a campaign can write.
 constexpr std::uint32_t kMaxReplaySite = 1u << 24;    ///< 16M site ids.
 constexpr std::uint32_t kMaxReplayRound = 1u << 20;   ///< 1M rounds.
 
@@ -162,7 +164,7 @@ PathId SpoolSink::canonicalize(std::span<const topo::Asn> path) {
   return id;
 }
 
-void SpoolSink::merge_batch(std::vector<Observation>&& rows,
+void SpoolSink::merge_batch(std::span<const Observation> rows,
                             const std::vector<RoundCounters>& counters) {
   for (const Observation& o : rows) writer_.observation(o);
   for (std::uint32_t r = 0; r < counters.size(); ++r) {

@@ -86,7 +86,7 @@ class SpoolSink final : public ShardedSinkBase {
 
  protected:
   PathId canonicalize(std::span<const topo::Asn> path) override;
-  void merge_batch(std::vector<Observation>&& rows,
+  void merge_batch(std::span<const Observation> rows,
                    const std::vector<RoundCounters>& counters) override;
 
  private:
@@ -102,7 +102,8 @@ class SpoolSink final : public ShardedSinkBase {
 /// This is an untrusted-byte boundary (tests/fuzz/fuzz_spool.cpp):
 /// arbitrary input must either replay or throw — never crash, and never
 /// allocate out of proportion to the input (site/round/path-length
-/// fields are sanity-capped before they can size ResultsDb tables).
+/// fields are sanity-capped; the round cap bounds ResultsDb's
+/// round-counter table).
 void replay_spool(std::istream& in, ResultsDb& db);
 
 /// Convenience: open `path` and replay it. Throws v6mon::Error when the

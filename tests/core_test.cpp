@@ -138,8 +138,8 @@ TEST(ResultsDb, SeriesSortedByFinalize) {
   ASSERT_EQ(series.size(), 2u);
   EXPECT_EQ(series[0].round, 2u);
   EXPECT_EQ(series[1].round, 5u);
-  EXPECT_EQ(series.rounds()[0], 2u);  // span accessor sees the same order
-  EXPECT_EQ(series.statuses()[1], MonitorStatus::kMeasured);
+  EXPECT_EQ(series[0].site, 7u);
+  EXPECT_EQ(series[1].status, MonitorStatus::kMeasured);
   EXPECT_TRUE(db.series(8).empty());
   EXPECT_EQ(db.num_sites(), 1u);
   ASSERT_EQ(db.site_ids().size(), 1u);
@@ -159,10 +159,85 @@ TEST(ResultsDb, CsvContainsObservations) {
   o.v4_path = db.paths().intern({5, 12});
   o.v6_path = db.paths().intern({6, 12});
   db.add(o);
+  db.finalize();
   const std::string csv = db.to_csv();
   EXPECT_NE(csv.find("3,1,measured,50,45"), std::string::npos);
   EXPECT_NE(csv.find("AS5 AS12"), std::string::npos);
 }
+
+// W6D mini-rounds share one round number; a half-hourly day is 48 rows
+// per (site, round), and the W6D analysis (mean, step detection) reads
+// them in series order, so finalize() must keep their ingest order.
+TEST(ResultsDb, EqualRoundRowsKeepIngestOrder) {
+  ResultsDb db;
+  Observation o;
+  o.site = 4;
+  o.round = 3;
+  o.status = MonitorStatus::kMeasured;
+  constexpr int kRows = 20;
+  for (int i = 0; i < kRows; ++i) {
+    o.v4_speed_kBps = static_cast<float>(i + 1);
+    db.add(o);
+  }
+  db.finalize();
+  const SiteSeries series = db.series(4);
+  ASSERT_EQ(series.size(), static_cast<std::size_t>(kRows));
+  for (int i = 0; i < kRows; ++i) {
+    EXPECT_EQ(series[static_cast<std::size_t>(i)].v4_speed_kBps, static_cast<float>(i + 1))
+        << "row " << i;
+  }
+  std::istringstream csv(db.to_csv());
+  std::string line;
+  std::getline(csv, line);  // header
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(std::getline(csv, line));
+    EXPECT_EQ(line.rfind("4,3,measured," + std::to_string(i + 1) + ",", 0), 0u) << line;
+  }
+  EXPECT_FALSE(std::getline(csv, line));
+}
+
+TEST(ResultsDb, SeriesOfAbsentSiteIsEmpty) {
+  ResultsDb db;
+  Observation o;
+  for (const std::uint32_t site : {5u, 100u, 0xfffffff0u}) {
+    o.site = site;
+    db.add(o);
+  }
+  db.finalize();
+  EXPECT_EQ(db.site_ids(), (std::vector<std::uint32_t>{5u, 100u, 0xfffffff0u}));
+  for (const std::uint32_t site : {5u, 100u, 0xfffffff0u}) {
+    ASSERT_EQ(db.series(site).size(), 1u) << site;
+    EXPECT_EQ(db.series(site)[0].site, site);
+  }
+  for (const std::uint32_t absent : {0u, 4u, 6u, 50u, 101u, 0xffffffefu, 0xffffffffu}) {
+    EXPECT_TRUE(db.series(absent).empty()) << absent;
+  }
+}
+
+#if V6MON_CONTRACT_LEVEL >= 1
+
+TEST(ResultsDb, IngestAfterFinalizeIsContractError) {
+  ResultsDb db;
+  Observation o;
+  db.add(o);
+  db.finalize();
+  EXPECT_THROW(db.add(o), ContractError);
+  const std::vector<Observation> batch{o};
+  EXPECT_THROW(db.merge_rows(batch), ContractError);
+  EXPECT_THROW(db.finalize(), ContractError);
+  EXPECT_EQ(db.series(0).size(), 1u);  // the rejected rows never landed
+}
+
+TEST(ResultsDb, ReadsBeforeFinalizeAreContractErrors) {
+  ResultsDb db;
+  db.add(Observation{});
+  EXPECT_THROW((void)db.series(0), ContractError);
+  std::ostringstream out;
+  EXPECT_THROW(db.write_csv(out), ContractError);
+  EXPECT_TRUE(out.str().empty());
+}
+
+#endif  // V6MON_CONTRACT_LEVEL >= 1
 
 // --- Observation CSV byte format --------------------------------------------
 
@@ -299,28 +374,30 @@ TEST(ResultsCsv, FinalizedDumpMatchesStreamOracle) {
   expect_same_rows(csv, stream_oracle_csv(db.paths(), rows));
 }
 
-TEST(ResultsCsv, UnfinalizedDumpMatchesStreamOracle) {
-  // Unfinalized stores dump sites ascending, insertion order within a
-  // site — here with the uint32 extremes a finalized store cannot hold
-  // (finalize() sizes a dense index by the largest site id).
+TEST(ResultsCsv, TopSiteIdsDumpMatchesStreamOracle) {
+  // The store indexes only the sites it holds, so the largest uint32
+  // site ids finalize and dump like any other. Many rows share one
+  // (site, round): the dump keeps them in insertion order.
   ResultsDb db;
   std::vector<Observation> rows = edge_rows(db.paths(), 0);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     rows[i].site = 0xffffffffu - static_cast<std::uint32_t>(i % 5);
   }
   for (const Observation& o : rows) db.add(o);
+  db.finalize();
   std::stable_sort(rows.begin(), rows.end(),
                    [](const Observation& a, const Observation& b) {
-                     return a.site < b.site;
+                     return a.site != b.site ? a.site < b.site : a.round < b.round;
                    });
   expect_same_rows(db.to_csv(), stream_oracle_csv(db.paths(), rows));
 }
 
 TEST(ResultsCsv, EmptyStoreWritesHeaderOnly) {
   ResultsDb db;
-  EXPECT_EQ(db.to_csv(), kCsvHeader);
   db.finalize();
   EXPECT_EQ(db.to_csv(), kCsvHeader);
+  EXPECT_EQ(db.num_sites(), 0u);
+  EXPECT_TRUE(db.series(0).empty());
 }
 
 /// Accepts `limit` bytes, then refuses everything — a disk that fills up

@@ -29,7 +29,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   try {
     v6mon::core::replay_spool(in, db);
     // Inputs that replay must also survive the analysis handoff: the
-    // columnar finalize pass is where oversized ids would blow up.
+    // finalize sort and site index take whatever ids replay accepted.
     db.finalize();
   } catch (const v6mon::Error&) {
     // Rejected input — the expected outcome for almost all mutations.

@@ -232,14 +232,16 @@ TEST(MonitorConfigValidate, RejectsOutOfDomainConstants) {
 // ---------------------------------------------------------------------------
 
 TEST(ResultsCsv, WriteCsvSurfacesFailedStream) {
-  const core::ResultsDb db;  // header row alone is enough to hit the buf
+  core::ResultsDb db;  // header row alone is enough to hit the buf
+  db.finalize();
   FailingStreambuf buf;
   std::ostream out(&buf);
   EXPECT_THROW(db.write_csv(out), IoError);
 }
 
 TEST(ResultsCsv, WriteCsvToHealthyStreamStillWorks) {
-  const core::ResultsDb db;
+  core::ResultsDb db;
+  db.finalize();
   std::ostringstream out;
   EXPECT_NO_THROW(db.write_csv(out));
   EXPECT_NE(out.str().find("site,round,status"), std::string::npos);
