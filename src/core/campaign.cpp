@@ -48,6 +48,17 @@ const CampaignMetricIds& campaign_metric_ids() {
 /// DNS queries monitor_site issues per site decision: one A, one AAAA.
 constexpr std::uint64_t kQueriesPerSite = 2;
 
+/// run_sites fans a round out through parallel_index only when it has at
+/// least this many sites per pool worker; smaller rounds loop inline on
+/// the calling thread. Fanning out costs a helper submit and wake-up per
+/// worker, and a nested fan-out competes with other vantage points'
+/// chains for the same workers. The multi-VP study's rounds (median 25
+/// sites) measured slower fanned out, while the paper study's rounds
+/// (657 to 3,370 sites) gain from it: workers left idle at the end of a
+/// segment help the chains still running. At 4 threads the threshold
+/// (64) is 2.5x above the one median and 10x below the other minimum.
+constexpr std::size_t kFanOutSitesPerWorker = 16;
+
 /// Seed of the resolver stream behind one site's DNS timeout draws:
 /// salt 0 for regular rounds, the mini-round salt for W6D. The one
 /// definition run_sites and the fate fill share.
@@ -87,20 +98,34 @@ void Campaign::init_store(VpStore& store, std::size_t vp_index,
 }
 
 Campaign::SiteScanIndex::SiteScanIndex(const web::SiteCatalog& catalog) {
-  const std::size_t n = catalog.size();
-  first_seen.reserve(n);
-  v6_from.reserve(n);
-  v6_until.reserve(n);
-  flags.reserve(n);
-  for (const web::Site& s : catalog.sites()) {
-    // The scan indexes columns by position; the catalog guarantees
-    // id == position, and everything here silently breaks if that drifts.
-    V6MON_REQUIRE(s.id == first_seen.size(), "site id != catalog position");
-    first_seen.push_back(s.first_seen_round);
-    v6_from.push_back(s.v6_from_round);
-    v6_until.push_back(s.v6_until_round);
-    flags.push_back(s.from_dns_cache ? kViaDnsCache : 0);
+  flags.reserve(catalog.size());
+  for (std::vector<std::uint32_t>& counts : listed) {
+    counts.assign(kMaxCampaignRounds, 0);
   }
+  for (const web::Site& s : catalog.sites()) {
+    // Flags are indexed by position; the catalog guarantees id ==
+    // position, and everything here silently breaks if that drifts.
+    V6MON_REQUIRE(s.id == flags.size(), "site id != catalog position");
+    flags.push_back(s.from_dns_cache ? kViaDnsCache : 0);
+    if (s.first_seen_round < kMaxCampaignRounds) {
+      ++listed[s.from_dns_cache ? 1 : 0][s.first_seen_round];
+    }
+  }
+  // Histogram of first_seen_round -> sites listed by round r.
+  for (std::vector<std::uint32_t>& counts : listed) {
+    for (std::size_t r = 1; r < counts.size(); ++r) counts[r] += counts[r - 1];
+  }
+}
+
+std::uint64_t Campaign::SiteScanIndex::listed_at(std::uint32_t round,
+                                                 bool supplement) const {
+  return std::uint64_t{listed[0][round]} + (supplement ? listed[1][round] : 0);
+}
+
+Campaign::SiteScanIndex::Candidate Campaign::SiteScanIndex::candidate(
+    const web::Site& site) const {
+  return {site.id, site.first_seen_round, site.v6_from_round, site.v6_until_round,
+          flags[site.id]};
 }
 
 Campaign::Campaign(const World& world, CampaignConfig config)
@@ -136,22 +161,38 @@ Campaign::Campaign(WorldTimeline& timeline, CampaignConfig config)
 
 void Campaign::advance_world(std::uint32_t round) {
   if (timeline_ == nullptr) return;
+  // Built from the catalog before this advance, so that every site the
+  // epochs grant an AAAA record joins the walk below, even before the
+  // first round.
+  ensure_work_index();
   for (const WorldChangeSummary& summary : timeline_->advance_to(round)) {
     for (Monitor& monitor : monitors_) monitor.on_world_change(summary);
-    // The packed schedule columns copied the pre-grant AAAA windows; the
-    // round scan would otherwise fast-path granted sites forever.
+    // A granted site must join the round walk, or the count of settled
+    // sites would fast-path it forever.
+    std::vector<SiteScanIndex::Candidate>& rows = scan_.candidates;
+    const auto old_end = static_cast<std::ptrdiff_t>(rows.size());
     for (const std::uint32_t id : summary.sites_gained_aaaa) {
-      const web::Site& s = world_.catalog.site(id);
-      scan_.v6_from[id] = s.v6_from_round;
-      scan_.v6_until[id] = s.v6_until_round;
+      const SiteScanIndex::Candidate row = scan_.candidate(world_.catalog.site(id));
+      if (row.first_seen >= kMaxCampaignRounds) continue;
+      const auto it = std::lower_bound(
+          rows.begin(), rows.begin() + old_end, id,
+          [](const SiteScanIndex::Candidate& c, std::uint32_t v) { return c.id < v; });
+      if (it != rows.begin() + old_end && it->id == id) {
+        *it = row;  // Already walked for its DNS fate; now dual-stack too.
+      } else {
+        rows.push_back(row);
+      }
     }
+    // sites_gained_aaaa is sorted, so the appended rows are too.
+    std::inplace_merge(rows.begin(), rows.begin() + old_end, rows.end(),
+                       [](const SiteScanIndex::Candidate& a,
+                          const SiteScanIndex::Candidate& b) { return a.id < b.id; });
   }
 }
 
 void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
                          const std::vector<std::uint32_t>& sites,
-                         ObservationSink& sink, std::uint64_t salt,
-                         bool inline_sites) {
+                         ObservationSink& sink, std::uint64_t salt) {
   V6MON_REQUIRE(vp_index < monitors_.size(), "vantage point index out of range");
   if (sites.empty()) return;
   Monitor& monitor = monitors_[vp_index];
@@ -209,11 +250,8 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
       metrics.add(ids.ingest_rows);
     }
   };
-  if (inline_sites) {
-    // Enough concurrent vantage-point chains to cover every pool worker:
-    // fanning sites out would only enqueue helpers that contend with
-    // other VPs' chains for the same workers, paying a submit + wakeup
-    // round-trip per block for nothing. Same fn(i) sequence as
+  if (sites.size() < kFanOutSitesPerWorker * config_.threads) {
+    // Too few sites to pay for waking helpers. Same fn(i) sequence as
     // parallel_index's serial path, so no observable can tell.
     for (std::size_t i = 0; i < sites.size(); ++i) monitor_one(i);
   } else {
@@ -232,41 +270,48 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
   metrics.merge_shards();
 }
 
-void Campaign::ensure_dns_fates() {
-  if (!config_.fast_path) return;
-  std::call_once(scan_.dns_fate_once, [this] {
+void Campaign::ensure_work_index() {
+  std::call_once(scan_.build_once, [this] {
     const double p = config_.monitor.dns.timeout_prob;
     // The resolver never draws at p == 0, so every fate stays clear and
     // the pool need not wake (DESIGN.md §10 on why that matters).
-    if (!(p > 0.0)) return;
-    const std::size_t n = scan_.flags.size();
-    const util::Rng root(config_.seed);
-    // Replays the two draws a regular round's resolver makes, in query
-    // order.
-    constexpr std::size_t kBlock = 1024;
-    parallel_index(pool_, (n + kBlock - 1) / kBlock, [&](std::size_t block) {
-      const std::size_t end = std::min(n, (block + 1) * kBlock);
-      for (std::size_t id = block * kBlock; id < end; ++id) {
-        util::LazyRng rng(
-            dns_stream_seed(root, 0, static_cast<std::uint32_t>(id)));
-        const bool first_lost = dns::Resolver::draw_timeout(p, rng);
-        const bool second_lost = dns::Resolver::draw_timeout(p, rng);
-        if (first_lost) scan_.flags[id] |= SiteScanIndex::kFirstQueryLost;
-        if (second_lost) scan_.flags[id] |= SiteScanIndex::kSecondQueryLost;
+    if (config_.fast_path && p > 0.0) {
+      const std::size_t n = scan_.flags.size();
+      const util::Rng root(config_.seed);
+      // Replays the two draws a regular round's resolver makes, in query
+      // order.
+      constexpr std::size_t kBlock = 1024;
+      parallel_index(pool_, (n + kBlock - 1) / kBlock, [&](std::size_t block) {
+        const std::size_t end = std::min(n, (block + 1) * kBlock);
+        for (std::size_t id = block * kBlock; id < end; ++id) {
+          util::LazyRng rng(
+              dns_stream_seed(root, 0, static_cast<std::uint32_t>(id)));
+          const bool first_lost = dns::Resolver::draw_timeout(p, rng);
+          const bool second_lost = dns::Resolver::draw_timeout(p, rng);
+          if (first_lost) scan_.flags[id] |= SiteScanIndex::kFirstQueryLost;
+          if (second_lost) scan_.flags[id] |= SiteScanIndex::kSecondQueryLost;
+        }
+      });
+    }
+    // Every other listed site is kV4Only at every round, whatever the
+    // vantage point: the round counts it without visiting it.
+    for (const web::Site& s : world_.catalog.sites()) {
+      const SiteScanIndex::Candidate row = scan_.candidate(s);
+      if (row.first_seen >= kMaxCampaignRounds) continue;
+      if (!config_.fast_path || row.v6_from != web::kNever ||
+          (row.flags & SiteScanIndex::kFate) != 0) {
+        scan_.candidates.push_back(row);
       }
-    });
+    }
   });
 }
 
 void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
-  measure_round(vp_index, round, /*inline_sites=*/false);
-}
-
-void Campaign::measure_round(std::size_t vp_index, std::uint32_t round,
-                             bool inline_sites) {
   V6MON_REQUIRE(vp_index < world_.vantage_points.size(),
                 "vantage point index out of range");
   V6MON_REQUIRE(!finalized_, "run_round after finalize()");
+  // The per-site monitor stream key packs vp * kMaxCampaignRounds + round.
+  V6MON_REQUIRE(round < kMaxCampaignRounds, "round beyond the campaign limit");
   if (timeline_ != nullptr) {
     // Measuring a round with an unapplied epoch at or before it would
     // observe the wrong world version — the caller must advance first.
@@ -277,7 +322,7 @@ void Campaign::measure_round(std::size_t vp_index, std::uint32_t round,
   }
   const VantagePoint& vp = world_.vantage_points[vp_index];
   if (round < vp.start_round) return;
-  ensure_dns_fates();
+  ensure_work_index();
   VpStore& store = stores_[vp_index];
   // One ingest epoch at a time per store: concurrent run_round calls on
   // the same vantage point serialize here, upholding the sink's
@@ -292,90 +337,83 @@ void Campaign::measure_round(std::size_t vp_index, std::uint32_t round,
   // one-loss sites (whose outcome hangs on the monitor's query-order
   // coin) and dual-stack sites run the pipeline.
   std::vector<std::uint32_t> work;
-  std::uint64_t listed = 0;
-  std::uint64_t settled_v4 = 0;
-  std::uint64_t settled_failed = 0;
-  // Columnar scan (same predicates as Site::in_list_at /
-  // Site::dual_stack_at, over the packed schedule copies): this loop
-  // touches every catalog site for every (vantage point, round) and is
-  // memory-bound, so it reads 13 bytes per site instead of the Site rows.
-  const std::size_t num_sites = scan_.first_seen.size();
-  for (std::uint32_t id = 0; id < num_sites; ++id) {
-    const std::uint8_t flags = scan_.flags[id];
-    if ((flags & SiteScanIndex::kViaDnsCache) != 0 &&
-        !vp.uses_dns_cache_supplement) {
-      continue;
-    }
-    if (round < scan_.first_seen[id]) continue;
-    ++listed;
-    if (config_.fast_path &&
-        !(scan_.v6_from[id] != web::kNever && round >= scan_.v6_from[id] &&
-          round < scan_.v6_until[id])) {
-      const std::uint8_t fate = flags & SiteScanIndex::kFate;
-      if (fate == 0) {
-        ++settled_v4;
-        continue;
+  {
+    obs::TraceSpan span(obs::Stage::kWorkList);
+    const bool supplement = vp.uses_dns_cache_supplement;
+    std::uint64_t listed_candidates = 0;
+    std::uint64_t settled_v4 = 0;
+    std::uint64_t settled_failed = 0;
+    // Same predicates as Site::in_list_at / Site::dual_stack_at, over the
+    // candidates only, in ascending id order.
+    for (const SiteScanIndex::Candidate& c : scan_.candidates) {
+      if ((c.flags & SiteScanIndex::kViaDnsCache) != 0 && !supplement) continue;
+      if (round < c.first_seen) continue;
+      ++listed_candidates;
+      if (config_.fast_path &&
+          !(c.v6_from != web::kNever && round >= c.v6_from && round < c.v6_until)) {
+        const std::uint8_t fate = c.flags & SiteScanIndex::kFate;
+        if (fate == 0) {
+          ++settled_v4;
+          continue;
+        }
+        if (fate == SiteScanIndex::kFate) {
+          ++settled_failed;
+          continue;
+        }
       }
-      if (fate == SiteScanIndex::kFate) {
-        ++settled_failed;
-        continue;
-      }
+      work.push_back(c.id);
     }
-    work.push_back(id);
+    const std::uint64_t listed = scan_.listed_at(round, supplement);
+    // Fast-pathed + queued sites together must account for every listed
+    // site — losing work here silently skews every downstream table.
+    V6MON_ENSURE(listed_candidates <= listed,
+                 "candidates cannot exceed the listed population");
+    V6MON_ENSURE(work.size() <= listed,
+                 "work list cannot exceed the listed population");
+    // Every listed site the walk skipped is never dual-stack and loses
+    // no DNS query: kV4Only.
+    settled_v4 += listed - listed_candidates;
+    if (const std::uint64_t settled = settled_v4 + settled_failed; settled != 0) {
+      // Settled sites count exactly as monitor_site would have: lane and
+      // status totals, plus the two queries each would have issued (and
+      // lost, for kDnsFailed), so outputs, counters and dns_stats are
+      // invariant to the fast_path knob. Batched: the fast path covers
+      // the vast majority of the catalog, and per-site bookkeeping would
+      // cost more than the fast path itself — counters are additive, so
+      // one add per bucket is byte-identical to that many adds.
+      lane.count_n(round, MonitorStatus::kV4Only, settled_v4);
+      lane.count_n(round, MonitorStatus::kDnsFailed, settled_failed);
+      const std::uint64_t queries = kQueriesPerSite * settled;
+      const std::uint64_t timeouts = kQueriesPerSite * settled_failed;
+      DnsTally& tally = dns_tallies_[vp_index];
+      tally.queries.fetch_add(queries, std::memory_order_relaxed);
+      tally.timeouts.fetch_add(timeouts, std::memory_order_relaxed);
+      auto& metrics = obs::metrics();
+      const auto& ids = campaign_metric_ids();
+      metrics.add(ids.fast_path_sites, settled);
+      metrics.add(ids.status_id(MonitorStatus::kV4Only), settled_v4);
+      metrics.add(ids.status_id(MonitorStatus::kDnsFailed), settled_failed);
+      metrics.add(ids.dns_queries, queries);
+      metrics.add(ids.dns_timeouts, timeouts);
+    }
+    sink.count_listed(round, listed);
+
+    // Randomize monitoring order (the paper randomizes per round to avoid
+    // time-of-day bias). Chained derivation — one child per key component
+    // — so no (vp, round) pair can alias another however large either
+    // grows. (The packed `(vp << 20) | round` key this replaces collided
+    // at the spool format's round cap: vp=0, round=2^20 shuffled
+    // identically to vp=1, round=0.) The shuffle only permutes the work
+    // list; every observable is keyed by (site, round), so outputs are
+    // byte-identical under the rekey — tests/determinism_test.cpp pins the
+    // schedule/threads/sink matrix against the serial mutex reference and
+    // tests/rng_test.cpp pins the collision-freedom itself.
+    util::Rng order =
+        util::Rng(config_.seed).child("order", vp_index).child("round", round);
+    order.shuffle(work);
   }
-  if (const std::uint64_t settled = settled_v4 + settled_failed; settled != 0) {
-    // Settled sites count exactly as monitor_site would have: lane and
-    // status totals, plus the two queries each would have issued (and
-    // lost, for kDnsFailed), so outputs, counters and dns_stats are
-    // invariant to the fast_path knob. Batched: the fast path covers the
-    // vast majority of the catalog, and per-site bookkeeping would cost
-    // more than the fast path itself — counters are additive, so one add
-    // per bucket is byte-identical to that many adds.
-    lane.count_n(round, MonitorStatus::kV4Only, settled_v4);
-    lane.count_n(round, MonitorStatus::kDnsFailed, settled_failed);
-    const std::uint64_t queries = kQueriesPerSite * settled;
-    const std::uint64_t timeouts = kQueriesPerSite * settled_failed;
-    DnsTally& tally = dns_tallies_[vp_index];
-    tally.queries.fetch_add(queries, std::memory_order_relaxed);
-    tally.timeouts.fetch_add(timeouts, std::memory_order_relaxed);
-    auto& metrics = obs::metrics();
-    const auto& ids = campaign_metric_ids();
-    metrics.add(ids.fast_path_sites, settled);
-    metrics.add(ids.status_id(MonitorStatus::kV4Only), settled_v4);
-    metrics.add(ids.status_id(MonitorStatus::kDnsFailed), settled_failed);
-    metrics.add(ids.dns_queries, queries);
-    metrics.add(ids.dns_timeouts, timeouts);
-  }
-  // Fast-pathed + queued sites together must account for every listed
-  // site — losing work here silently skews every downstream table.
-  V6MON_ENSURE(work.size() <= listed,
-               "work list cannot exceed the listed population");
-  sink.count_listed(round, listed);
 
-  // Randomize monitoring order (the paper randomizes per round to avoid
-  // time-of-day bias). Chained derivation — one child per key component
-  // — so no (vp, round) pair can alias another however large either
-  // grows. (The packed `(vp << 20) | round` key this replaces collided
-  // at the spool format's round cap: vp=0, round=2^20 shuffled
-  // identically to vp=1, round=0.) The shuffle only permutes the work
-  // list; every observable is keyed by (site, round), so outputs are
-  // byte-identical under the rekey — tests/determinism_test.cpp pins the
-  // schedule/threads/sink matrix against the serial mutex reference and
-  // tests/rng_test.cpp pins the collision-freedom itself.
-  util::Rng order =
-      util::Rng(config_.seed).child("order", vp_index).child("round", round);
-  order.shuffle(work);
-
-  run_sites(vp_index, round, work, sink, /*salt=*/0, inline_sites);
-}
-
-bool Campaign::chains_cover_pool(std::size_t active_vps) const {
-  // With at least half a chain per worker the VP chains keep the pool
-  // busy on their own: any extra per-round fan-out would merely queue
-  // helpers behind other VPs' chains. Below that (few active VPs, wide
-  // pool) the chains cannot saturate the workers, so sites still fan
-  // out inside each round — two-level scheduling.
-  return active_vps >= 2 && config_.threads < 2 * active_vps;
+  run_sites(vp_index, round, work, sink, /*salt=*/0);
 }
 
 void Campaign::run() {
@@ -395,18 +433,12 @@ void Campaign::run() {
     }
   }
   ends.push_back(world_.num_rounds + 1);
-  // Before any chain runs: the fill fans out over pool_ itself.
-  ensure_dns_fates();
+  // Before any chain runs: the fate fill fans out over pool_ itself.
+  ensure_work_index();
   std::uint32_t lo = 0;
   for (const std::uint32_t hi : ends) {
-    const auto active = static_cast<std::size_t>(
-        std::count_if(world_.vantage_points.begin(), world_.vantage_points.end(),
-                      [hi](const VantagePoint& vp) { return vp.start_round < hi; }));
-    const bool inline_sites = chains_cover_pool(active);
-    parallel_index(pool_, num_vps, [this, lo, hi, inline_sites](std::size_t vp) {
-      for (std::uint32_t round = lo; round < hi; ++round) {
-        measure_round(vp, round, inline_sites);
-      }
+    parallel_index(pool_, num_vps, [this, lo, hi](std::size_t vp) {
+      for (std::uint32_t round = lo; round < hi; ++round) run_round(vp, round);
     });
     if (hi <= world_.num_rounds) advance_world(hi);
     lo = hi;
@@ -414,8 +446,7 @@ void Campaign::run() {
 }
 
 void Campaign::run_w6d_for_vp(std::size_t vp_index,
-                              const std::vector<std::uint32_t>& participants,
-                              bool inline_sites) {
+                              const std::vector<std::uint32_t>& participants) {
   VpStore& store = w6d_stores_[vp_index];
   util::LockGuard epoch(store.epoch_mu);
   // The monitor (and its resolved-site table) is shared with regular
@@ -429,7 +460,7 @@ void Campaign::run_w6d_for_vp(std::size_t vp_index,
     // ingest epoch, flushed at its end, so a site's mini-round
     // observations land in mini order.
     run_sites(vp_index, world_.w6d_round, participants, *store.sink,
-              /*salt=*/0x60d00000ULL + mini, inline_sites);
+              /*salt=*/0x60d00000ULL + mini);
   }
 }
 
@@ -452,10 +483,8 @@ void Campaign::run_w6d() {
   for (std::size_t vp = 0; vp < world_.vantage_points.size(); ++vp) {
     if (world_.vantage_points[vp].start_round <= world_.w6d_round) vps.push_back(vp);
   }
-  const bool inline_sites = chains_cover_pool(vps.size());
-  parallel_index(pool_, vps.size(), [&](std::size_t i) {
-    run_w6d_for_vp(vps[i], participants, inline_sites);
-  });
+  parallel_index(pool_, vps.size(),
+                 [&](std::size_t i) { run_w6d_for_vp(vps[i], participants); });
 }
 
 void Campaign::finalize() {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <deque>
@@ -88,8 +89,8 @@ class Campaign {
 
   /// Apply every pending world epoch with epoch round <= `round`:
   /// advances the timeline, then notifies each vantage point's monitor
-  /// (resolved-row invalidation) and refreshes the campaign's packed
-  /// site-schedule columns for sites that gained an AAAA.
+  /// (resolved-row invalidation) and adds sites that gained an AAAA to
+  /// the round walk's candidates.
   /// Coordinator-only, quiescent: no run_round may be in flight.
   /// No-op without a timeline. run() calls this; exposed for tests and
   /// examples that drive rounds manually.
@@ -99,8 +100,9 @@ class Campaign {
   /// Safe to call concurrently from several threads — ingest epochs on
   /// one vantage point's store are serialized internally. The first
   /// round of a campaign (here or in run()) fills in the per-site DNS
-  /// fates the fast path reads, over the campaign pool; racing first
-  /// callers wait for that one fill.
+  /// fates the fast path reads, over the campaign pool, and builds the
+  /// work-list index; racing first callers wait for that one build.
+  /// Requires round < kMaxCampaignRounds.
   void run_round(std::size_t vp_index, std::uint32_t round);
 
   /// Run the World IPv6 Day special event for every vantage point, one
@@ -158,22 +160,38 @@ class Campaign {
     util::Mutex epoch_mu;
   };
 
-  /// Columnar copy of the per-site fields the round scan needs (list
-  /// churn, AAAA window, supplement membership, DNS fate). The scan
-  /// visits every catalog site once per (vantage point, round); reading
-  /// the full ~100-byte Site rows makes it a pure memory-bandwidth walk,
-  /// while these packed columns cut the traffic by ~8x. Built at
-  /// construction from the immutable catalog; site id == index.
+  /// Everything a round's work list is built from, so that building it
+  /// costs O(work) instead of O(catalog). Sites that are never dual-stack
+  /// and whose DNS fate is clean settle as kV4Only at every round they
+  /// are listed; the index only *counts* them (per-round prefix sums of
+  /// list entries) and keeps packed rows for the remaining candidates,
+  /// which the round walks with the fast-path predicates. Site id ==
+  /// catalog position.
   struct SiteScanIndex {
-    std::vector<std::uint32_t> first_seen;
-    std::vector<std::uint32_t> v6_from;
-    std::vector<std::uint32_t> v6_until;
     /// One byte of flags per site (below). The fate bits are set once,
-    /// in parallel, by ensure_dns_fates (not here: the fill seeds one
+    /// in parallel, by ensure_work_index (not here: the fill seeds one
     /// MT19937-64 stream per site), and stay clear with the fast path
     /// off or no DNS loss.
     std::vector<std::uint8_t> flags;
-    std::once_flag dns_fate_once;
+    /// listed[c][r]: how many sites of supplement class c (0: listed
+    /// directly, 1: only through the DNS-cache supplement) have
+    /// first_seen_round <= r, for every round r < kMaxCampaignRounds.
+    /// A site first listed later can never be measured.
+    std::array<std::vector<std::uint32_t>, 2> listed;
+
+    /// A site the round walk visits, with the schedule fields it reads.
+    struct Candidate {
+      std::uint32_t id;
+      std::uint32_t first_seen;
+      std::uint32_t v6_from;
+      std::uint32_t v6_until;
+      std::uint8_t flags;
+    };
+    /// Sorted by id: every site with an AAAA window or a DNS-fate bit
+    /// (every site with the fast path off). Built on first use, after the
+    /// fate fill; advance_world adds the sites that gain an AAAA record.
+    std::vector<Candidate> candidates;
+    std::once_flag build_once;
 
     /// Listed only through the DNS-cache supplement.
     static constexpr std::uint8_t kViaDnsCache = 1;
@@ -189,30 +207,29 @@ class Campaign {
     static constexpr std::uint8_t kFate = kFirstQueryLost | kSecondQueryLost;
 
     explicit SiteScanIndex(const web::SiteCatalog& catalog);
+    /// Sites on the list at `round` for a vantage point with or without
+    /// the DNS-cache supplement.
+    [[nodiscard]] std::uint64_t listed_at(std::uint32_t round,
+                                          bool supplement) const;
+    /// The walk's row for `site`, read from the catalog's current state.
+    [[nodiscard]] Candidate candidate(const web::Site& site) const;
   };
 
   /// Populate a freshly emplaced store in place (VpStore is immovable).
   void init_store(VpStore& store, std::size_t vp_index, const char* tag) const;
   /// Measure `sites` for one vantage point and flush the ingest epoch.
-  /// `inline_sites` loops the sites on the calling thread instead of
-  /// fanning them out through parallel_index — a pure scheduling choice.
+  /// Fans the sites out through parallel_index, or loops them on the
+  /// calling thread when there are too few to pay for waking helpers
+  /// (kFanOutSitesPerWorker) — a pure scheduling choice.
   void run_sites(std::size_t vp_index, std::uint32_t round,
                  const std::vector<std::uint32_t>& sites, ObservationSink& sink,
-                 std::uint64_t salt, bool inline_sites);
-  /// run_round's body, with run_sites' scheduling choice.
-  void measure_round(std::size_t vp_index, std::uint32_t round,
-                     bool inline_sites);
+                 std::uint64_t salt);
   void run_w6d_for_vp(std::size_t vp_index,
-                      const std::vector<std::uint32_t>& participants,
-                      bool inline_sites);
-  /// Set the fate bits of scan_.flags on first use (no-op with the fast
-  /// path off). Thread-safe: concurrent first callers block until the
-  /// one fill is done.
-  void ensure_dns_fates();
-  /// Whether `active_vps` concurrent vantage-point chains already cover
-  /// the pool, so each chain should loop its sites inline rather than
-  /// fan them out through parallel_index. Pure scheduling choice.
-  [[nodiscard]] bool chains_cover_pool(std::size_t active_vps) const;
+                      const std::vector<std::uint32_t>& participants);
+  /// On first use: set the fate bits of scan_.flags (fast path on only),
+  /// then build scan_.candidates. Thread-safe: concurrent first callers
+  /// block until the one build is done.
+  void ensure_work_index();
 
   /// Fill in config.threads when left at 0 (done before pool_ spins up).
   static CampaignConfig resolve(CampaignConfig config);

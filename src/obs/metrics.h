@@ -35,8 +35,9 @@ enum class Stage : std::uint8_t {
   kIngestFlush,      ///< Round-boundary sink flush into the results store.
   kAnalysis,         ///< The Fig. 4 analysis pass over a finalized store.
   kSiteResolve,      ///< Resolved-site slot assignment (coordinator).
+  kWorkList,         ///< A round's work list: candidate walk + shuffle.
 };
-inline constexpr std::size_t kNumStages = 7;
+inline constexpr std::size_t kNumStages = 8;
 
 [[nodiscard]] constexpr const char* stage_name(Stage s) {
   switch (s) {
@@ -47,6 +48,7 @@ inline constexpr std::size_t kNumStages = 7;
     case Stage::kIngestFlush: return "ingest_flush";
     case Stage::kAnalysis: return "analysis";
     case Stage::kSiteResolve: return "site_resolve";
+    case Stage::kWorkList: return "work_list";
   }
   return "?";
 }

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <streambuf>
@@ -739,6 +741,137 @@ TEST(Campaign, FastPathMatchesFullPipeline) {
         expect_same_fallback(fast.fallback[vp], full.fallback[vp]);
       }
       EXPECT_EQ(fast.counters, full.counters);
+    }
+  }
+}
+
+// The round's work list counts most listed sites without visiting them
+// (per-round prefix sums) and walks only candidates. Sweep seeds, frozen
+// and evolving worlds, DNS loss and the fast path over a world with one
+// supplement and one plain vantage point, and hold every (VP, round) to
+// a brute-force count over the catalog.
+TEST(Campaign, WorkListInvariantSweep) {
+  const auto tiny_spec = [](std::uint64_t seed, bool evolving) {
+    scenario::WorldSpec spec = small_world().spec;
+    spec.seed = seed;
+    spec.catalog.initial_sites = 600;
+    spec.catalog.churn_per_round = 8;
+    spec.catalog.dns_cache_sites = 80;
+    spec.catalog.num_rounds = 8;
+    spec.w6d_round = web::kNever;  // Regular rounds only: the sums below.
+    spec.evolution.enabled = evolving;
+    spec.evolution.delta_rate = 4.0;
+    spec.evolution.epoch_interval = 2;
+    spec.evolution.max_as_fraction = 0.05;
+    spec.evolution.depletion_round = 4;
+    return spec;
+  };
+  struct Run {
+    std::vector<RoundCounters> rounds;  ///< Per VP, per round.
+    std::vector<dns::Resolver::Stats> dns;
+  };
+  for (const std::uint64_t seed : {3u, 17u}) {
+    for (const bool evolving : {false, true}) {
+      const scenario::WorldSpec spec = tiny_spec(seed, evolving);
+      const World frozen = scenario::build_world(spec);
+      // The first epoch that grants an AAAA record: the early cases apply
+      // it before the first round builds the work-list index.
+      std::uint32_t gain_round = web::kNever;
+      if (evolving) {
+        WorldTimeline probe = scenario::build_timeline(spec);
+        for (const WorldChangeSummary& s : probe.advance_to(
+                 static_cast<std::uint32_t>(spec.catalog.num_rounds))) {
+          if (!s.sites_gained_aaaa.empty()) {
+            gain_round = s.round;
+            break;
+          }
+        }
+        ASSERT_NE(gain_round, web::kNever) << "seed " << seed;
+      }
+      for (const double timeout_prob : {0.0, 0.02, 0.3, 1.0}) {
+        for (const bool early : {false, true}) {
+          if (early && !evolving) continue;
+          std::vector<Run> runs;
+          for (const bool fast_path : {true, false}) {
+            SCOPED_TRACE(testing::Message()
+                         << "seed=" << seed << " evolving=" << evolving
+                         << " timeout_prob=" << timeout_prob << " early=" << early
+                         << " fast_path=" << fast_path);
+            CampaignConfig cfg;
+            cfg.seed = seed;
+            cfg.threads = 2;
+            cfg.fast_path = fast_path;
+            cfg.monitor.dns.timeout_prob = timeout_prob;
+            auto& reg = obs::metrics();
+            reg.reset();
+            reg.set_enabled(true);
+            std::optional<WorldTimeline> timeline;
+            if (evolving) timeline.emplace(scenario::build_timeline(spec));
+            const World& world = evolving ? timeline->world() : frozen;
+            auto campaign = evolving ? std::make_unique<Campaign>(*timeline, cfg)
+                                     : std::make_unique<Campaign>(world, cfg);
+            if (early) campaign->advance_world(gain_round);
+            campaign->run();
+            campaign->finalize();
+
+            Run& run = runs.emplace_back();
+            std::uint64_t listed_sum = 0;
+            for (std::size_t v = 0; v < world.vantage_points.size(); ++v) {
+              const VantagePoint& vp = world.vantage_points[v];
+              const ResultsDb& db = campaign->results(v);
+              // At most one row per (site, round): no site is queued twice.
+              std::vector<std::uint64_t> rows(world.num_rounds + 1, 0);
+              for (const std::uint32_t site : db.site_ids()) {
+                const SiteSeries series = db.series(site);
+                for (std::size_t i = 0; i < series.size(); ++i) {
+                  ++rows.at(series[i].round);
+                  if (i > 0) {
+                    EXPECT_LT(series[i - 1].round, series[i].round) << site;
+                  }
+                }
+              }
+              for (std::uint32_t r = 0; r <= world.num_rounds; ++r) {
+                std::uint64_t expected = 0;
+                if (r >= vp.start_round) {
+                  for (const web::Site& s : world.catalog.sites()) {
+                    expected += s.in_list_at(r) &&
+                                (!s.from_dns_cache || vp.uses_dns_cache_supplement);
+                  }
+                }
+                const RoundCounters& c = db.round_counters(r);
+                EXPECT_EQ(c.listed, expected) << "vp " << v << " round " << r;
+                EXPECT_EQ(c.v4_only + c.v6_only + c.dual + c.dns_failed, c.listed)
+                    << "vp " << v << " round " << r;
+                EXPECT_LE(rows[r], c.listed) << "vp " << v << " round " << r;
+                listed_sum += c.listed;
+                run.rounds.push_back(c);
+              }
+              run.dns.push_back(campaign->dns_stats(v));
+            }
+            EXPECT_GT(listed_sum, 0u);
+            EXPECT_EQ(reg.counter_value("campaign.sites_monitored") +
+                          reg.counter_value("campaign.fast_path_sites"),
+                      listed_sum);
+            EXPECT_EQ(reg.counter_value("dns.queries"), 2 * listed_sum);
+            reg.set_enabled(false);
+            reg.reset();
+          }
+          // Settling a site is invisible: the fast path's counters equal
+          // the full pipeline's at every (VP, round).
+          SCOPED_TRACE(testing::Message() << "seed=" << seed << " evolving=" << evolving
+                                          << " timeout_prob=" << timeout_prob
+                                          << " early=" << early);
+          ASSERT_EQ(runs[0].rounds.size(), runs[1].rounds.size());
+          for (std::size_t i = 0; i < runs[0].rounds.size(); ++i) {
+            SCOPED_TRACE(testing::Message() << "round counters #" << i);
+            expect_same_round_counters(runs[0].rounds[i], runs[1].rounds[i]);
+          }
+          for (std::size_t v = 0; v < runs[0].dns.size(); ++v) {
+            EXPECT_EQ(runs[0].dns[v].queries, runs[1].dns[v].queries);
+            EXPECT_EQ(runs[0].dns[v].timeouts, runs[1].dns[v].timeouts);
+          }
+        }
+      }
     }
   }
 }

@@ -206,9 +206,21 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, SinkBackendMatrix,
 // fanned out or looped inline) is a scheduling layer, not a semantic
 // one. The reference bypasses it — mutex sink, one thread, the serial
 // per-round loop of reference_schedule.h — and every cell across threads
-// and sink backends must reproduce it byte for byte. threads = 2 with
-// tiny_world's two VPs is the inline regime: both chains run at once and
-// each loops its sites on its own thread.
+// and sink backends must reproduce it byte for byte. A round fans out
+// only with at least 16 sites per worker. Without DNS loss tiny_world's
+// regular rounds queue 56 to 492 sites (its dual-stack sites) and its
+// W6D mini-rounds 190, so in CampaignScheduleInvisible:
+//   threads = 1   runs every round serially (a one-worker pool);
+//   threads = 2   fans every round out (threshold 32), two chains at once;
+//   threads = 6   loops round 0 (56 sites) inline (threshold 96) and fans
+//                 out the other rounds and W6D;
+//   threads = 8   loops rounds 0-1 inline (threshold 128), fans out the
+//                 rest and W6D;
+//   threads = 16  loops rounds 0-3 and W6D inline (threshold 256) and
+//                 fans out rounds 4-8.
+// Both regimes are thus covered against the serial reference. Under
+// failure injection (p = 0.2) about a third of the listed sites lose one
+// query and join the work list, so every round fans out at threads = 8.
 
 std::unique_ptr<Campaign> run_reference(std::uint64_t seed,
                                         double dns_timeout_prob = 0.0,
@@ -224,7 +236,7 @@ std::unique_ptr<Campaign> run_reference(std::uint64_t seed,
   return campaign;
 }
 
-TEST(Determinism, ExecutorSchedulingInvisible) {
+TEST(Determinism, CampaignScheduleInvisible) {
   const std::string dir = ::testing::TempDir();
   const auto reference = run_reference(2011);
   const struct {
@@ -234,6 +246,8 @@ TEST(Determinism, ExecutorSchedulingInvisible) {
   } cells[] = {
       {SinkBackend::kMutex, 1, "mutex-t1-exec"},
       {SinkBackend::kSharded, 2, "sharded-t2-exec"},
+      {SinkBackend::kSharded, 6, "sharded-t6-exec"},
+      {SinkBackend::kSharded, 16, "sharded-t16-exec"},
       {SinkBackend::kMutex, 8, "mutex-t8-exec"},
       {SinkBackend::kSharded, 8, "sharded-t8-exec"},
       {SinkBackend::kSpool, 8, "spool-t8-exec"},
@@ -250,7 +264,7 @@ TEST(Determinism, ExecutorSchedulingInvisible) {
 // Same matrix corner under failure injection: the RNG-hungriest paths,
 // now also crossing independent round chains (VP-a may be rounds ahead
 // of VP-b when both draw from their streams).
-TEST(Determinism, ExecutorSchedulingInvisibleUnderFailureInjection) {
+TEST(Determinism, CampaignScheduleInvisibleUnderFailureInjection) {
   const std::string dir = ::testing::TempDir();
   const auto reference = run_reference(404, 0.2, 0.05);
   const auto scheduled = run_with(SinkBackend::kSharded, 8, 404, dir + "/xf8",

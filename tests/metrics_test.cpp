@@ -153,7 +153,7 @@ TEST(Metrics, CountersJsonIsSortedAndCoversAllStages) {
         "monitor.ci_exhausted", "stage.analysis.calls", "stage.dns_resolve.calls",
         "stage.identity_fetch.calls", "stage.ingest_flush.calls",
         "stage.repeat_downloads.calls", "stage.rib_build.calls",
-        "stage.site_resolve.calls"}) {
+        "stage.site_resolve.calls", "stage.work_list.calls"}) {
     const std::size_t pos = json.find(std::string("\"") + key + "\"");
     ASSERT_NE(pos, std::string::npos) << key;
     EXPECT_GT(pos, prev_pos) << key << " breaks sorted order";

@@ -37,6 +37,16 @@ Observation sample_obs(std::uint32_t site, std::uint32_t round, PathId v4,
   return o;
 }
 
+/// A spool path private to the running test: ctest runs each test as its
+/// own process, so a shared file name would let concurrent tests
+/// truncate or delete each other's spool.
+std::string test_spool_path(const std::string& stem) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/" + stem + "-" + info->test_suite_name() + "." +
+         info->name() + ".spool";
+}
+
 /// Drive any sink through one epoch with a handful of observations and
 /// counters, mimicking what a campaign round does.
 void drive(ObservationSink& sink) {
@@ -107,7 +117,7 @@ TEST(Sink, ShardedFlushCanonicalizesWholeRegistry) {
 }
 
 TEST(Sink, SpoolRoundTripMatchesMutexReference) {
-  const std::string path = ::testing::TempDir() + "/roundtrip.spool";
+  const std::string path = test_spool_path("roundtrip");
   ResultsDb mdb, sdb;
   MutexSink msink(mdb);
   drive(msink);
@@ -133,7 +143,7 @@ TEST(Sink, SpoolWriterRejectsUnopenablePath) {
 // --- Malformed spool streams ----------------------------------------------
 
 std::string valid_spool_bytes() {
-  const std::string path = ::testing::TempDir() + "/valid.spool";
+  const std::string path = test_spool_path("valid");
   {
     SpoolSink spool(path);
     drive(spool);

@@ -162,8 +162,9 @@ TEST(WorldTimeline, EvolvingCampaignThreadAndSinkInvisible) {
   // Reference: a barrier at every round boundary is the plainest
   // quiescence guarantee for advance_to. Every run() cell (barriers at
   // epoch rounds only) must reproduce it byte for byte, across threads
-  // and sinks. threads = 2 covers both site regimes: the first segment
-  // has one active VP (sites fan out), later ones two (sites inline).
+  // and sinks. A round fans its sites out only with at least 16 per
+  // worker: threads = 2 fans every round out, threads = 8 loops the
+  // smallest rounds inline and fans out the rest.
   CampaignConfig ref_cfg;
   ref_cfg.seed = 2011;
   const auto reference = run_evolving_reference(spec, ref_cfg);
