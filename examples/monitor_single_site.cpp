@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   core::MonitorConfig config;  // paper constants
   core::Monitor monitor(world, vp, config);
   web::CatalogDnsBackend backend(world.catalog);
-  dns::Resolver resolver(backend, config.dns, util::Rng(seed + 1));
+  dns::Resolver resolver(backend, config.dns, seed + 1);
   core::PathRegistry paths;
 
   const std::uint32_t round = 5;

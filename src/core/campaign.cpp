@@ -20,6 +20,8 @@ namespace {
 /// incremented exactly once per listed site per round).
 struct CampaignMetricIds {
   obs::MetricId fast_path_sites = obs::metrics().counter("campaign.fast_path_sites");
+  obs::MetricId fast_path_coin_sites =
+      obs::metrics().counter("campaign.fast_path_coin_sites");
   obs::MetricId sites_monitored = obs::metrics().counter("campaign.sites_monitored");
   obs::MetricId ingest_rows = obs::metrics().counter("ingest.rows");
   obs::MetricId ingest_flushes = obs::metrics().counter("ingest.flushes");
@@ -66,6 +68,20 @@ constexpr std::size_t kFanOutSitesPerWorker = 16;
                                             std::uint64_t salt,
                                             std::uint32_t site_id) {
   return root.child_seed("dns", salt ^ site_id);
+}
+
+/// Seed of monitor_site's stream for one site at one (vp, round): keyed
+/// per (vp, round, site, salt). The one definition run_sites and the
+/// round walk's query-order coin share.
+[[nodiscard]] std::uint64_t monitor_stream_seed(const util::Rng& root,
+                                                std::size_t vp_index,
+                                                std::uint32_t round,
+                                                std::uint64_t salt,
+                                                std::uint32_t site_id) {
+  const std::uint64_t key =
+      ((static_cast<std::uint64_t>(vp_index) * kMaxCampaignRounds + round) << 32) |
+      (site_id ^ salt);
+  return root.child_seed("monitor", key);
 }
 
 }  // namespace
@@ -219,13 +235,11 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
     // (site, salt), so in regular rounds a site draws the same timeouts
     // at every round and vantage point (EXPERIMENTS.md, deviation 6).
     dns::Resolver resolver(backend, config_.monitor.dns,
-                           util::LazyRng(dns_stream_seed(root, salt, site.id)));
-    const std::uint64_t key =
-        ((static_cast<std::uint64_t>(vp_index) * kMaxCampaignRounds + round)
-         << 32) |
-        (site.id ^ salt);
+                           dns_stream_seed(root, salt, site.id));
     const Observation obs = monitor.monitor_site(
-        site, round, resolver, root.child("monitor", key), lane.paths());
+        site, round, resolver,
+        util::Rng(monitor_stream_seed(root, vp_index, round, salt, site.id)),
+        lane.paths());
     lane.count(round, obs.status);
     // Per-VP DNS accounting (ISSUE 9 satellite): resolvers are per-site
     // temporaries, so their Stats would otherwise vanish here. Relaxed
@@ -284,8 +298,7 @@ void Campaign::ensure_work_index() {
       parallel_index(pool_, (n + kBlock - 1) / kBlock, [&](std::size_t block) {
         const std::size_t end = std::min(n, (block + 1) * kBlock);
         for (std::size_t id = block * kBlock; id < end; ++id) {
-          util::LazyRng rng(
-              dns_stream_seed(root, 0, static_cast<std::uint32_t>(id)));
+          util::Rng rng(dns_stream_seed(root, 0, static_cast<std::uint32_t>(id)));
           const bool first_lost = dns::Resolver::draw_timeout(p, rng);
           const bool second_lost = dns::Resolver::draw_timeout(p, rng);
           if (first_lost) scan_.flags[id] |= SiteScanIndex::kFirstQueryLost;
@@ -331,37 +344,52 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
   ObservationSink& sink = *store.sink;
   ObservationSink::Lane& lane = sink.lane();  // coordinator's own lane
 
-  // Collect this round's work list. The fast path settles sites without
-  // an AAAA record inline when their DNS fate fixes the outcome: no
-  // query lost means exactly kV4Only, both lost exactly kDnsFailed. Only
-  // one-loss sites (whose outcome hangs on the monitor's query-order
-  // coin) and dual-stack sites run the pipeline.
+  // Collect this round's work list. The fast path settles every site
+  // whose DNS fate decides its outcome: no query lost on a site without
+  // an AAAA record means exactly kV4Only, both lost exactly kDnsFailed,
+  // and with one query lost the monitor's query-order coin (drawn here
+  // from the site's own monitor stream) says whether the A or the AAAA
+  // was lost. Only dual-stack sites with a clean fate run the pipeline.
   std::vector<std::uint32_t> work;
   {
     obs::TraceSpan span(obs::Stage::kWorkList);
     const bool supplement = vp.uses_dns_cache_supplement;
+    const util::Rng root(config_.seed);
     std::uint64_t listed_candidates = 0;
     std::uint64_t settled_v4 = 0;
+    std::uint64_t settled_v6 = 0;
     std::uint64_t settled_failed = 0;
+    std::uint64_t both_lost = 0;
+    std::uint64_t coin_sites = 0;
     // Same predicates as Site::in_list_at / Site::dual_stack_at, over the
     // candidates only, in ascending id order.
     for (const SiteScanIndex::Candidate& c : scan_.candidates) {
       if ((c.flags & SiteScanIndex::kViaDnsCache) != 0 && !supplement) continue;
       if (round < c.first_seen) continue;
       ++listed_candidates;
-      if (config_.fast_path &&
-          !(c.v6_from != web::kNever && round >= c.v6_from && round < c.v6_until)) {
-        const std::uint8_t fate = c.flags & SiteScanIndex::kFate;
-        if (fate == 0) {
-          ++settled_v4;
-          continue;
-        }
-        if (fate == SiteScanIndex::kFate) {
-          ++settled_failed;
-          continue;
+      const bool dual =
+          c.v6_from != web::kNever && round >= c.v6_from && round < c.v6_until;
+      const std::uint8_t fate = c.flags & SiteScanIndex::kFate;
+      if (!config_.fast_path || (dual && fate == 0)) {
+        work.push_back(c.id);
+      } else if (fate == 0) {
+        ++settled_v4;
+      } else if (fate == SiteScanIndex::kFate) {
+        ++both_lost;
+        ++settled_failed;
+      } else {
+        ++coin_sites;
+        util::Rng monitor_rng(monitor_stream_seed(root, vp_index, round, 0, c.id));
+        const bool lost_a = (fate == SiteScanIndex::kFirstQueryLost) ==
+                            Monitor::a_query_first(monitor_rng);
+        if (!lost_a) {
+          ++settled_v4;  // The A answer arrives; the AAAA is lost.
+        } else if (dual) {
+          ++settled_v6;
+        } else {
+          ++settled_failed;  // A lost, AAAA NODATA.
         }
       }
-      work.push_back(c.id);
     }
     const std::uint64_t listed = scan_.listed_at(round, supplement);
     // Fast-pathed + queued sites together must account for every listed
@@ -373,25 +401,29 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
     // Every listed site the walk skipped is never dual-stack and loses
     // no DNS query: kV4Only.
     settled_v4 += listed - listed_candidates;
-    if (const std::uint64_t settled = settled_v4 + settled_failed; settled != 0) {
+    if (const std::uint64_t settled = settled_v4 + settled_v6 + settled_failed;
+        settled != 0) {
       // Settled sites count exactly as monitor_site would have: lane and
-      // status totals, plus the two queries each would have issued (and
-      // lost, for kDnsFailed), so outputs, counters and dns_stats are
-      // invariant to the fast_path knob. Batched: the fast path covers
+      // status totals, plus the two queries each would have issued and
+      // the ones it would have lost, so outputs, counters and dns_stats
+      // are invariant to the fast_path knob. Batched: the fast path covers
       // the vast majority of the catalog, and per-site bookkeeping would
       // cost more than the fast path itself — counters are additive, so
       // one add per bucket is byte-identical to that many adds.
       lane.count_n(round, MonitorStatus::kV4Only, settled_v4);
+      lane.count_n(round, MonitorStatus::kV6Only, settled_v6);
       lane.count_n(round, MonitorStatus::kDnsFailed, settled_failed);
       const std::uint64_t queries = kQueriesPerSite * settled;
-      const std::uint64_t timeouts = kQueriesPerSite * settled_failed;
+      const std::uint64_t timeouts = kQueriesPerSite * both_lost + coin_sites;
       DnsTally& tally = dns_tallies_[vp_index];
       tally.queries.fetch_add(queries, std::memory_order_relaxed);
       tally.timeouts.fetch_add(timeouts, std::memory_order_relaxed);
       auto& metrics = obs::metrics();
       const auto& ids = campaign_metric_ids();
       metrics.add(ids.fast_path_sites, settled);
+      metrics.add(ids.fast_path_coin_sites, coin_sites);
       metrics.add(ids.status_id(MonitorStatus::kV4Only), settled_v4);
+      metrics.add(ids.status_id(MonitorStatus::kV6Only), settled_v6);
       metrics.add(ids.status_id(MonitorStatus::kDnsFailed), settled_failed);
       metrics.add(ids.dns_queries, queries);
       metrics.add(ids.dns_timeouts, timeouts);
@@ -408,8 +440,7 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
     // byte-identical under the rekey — tests/determinism_test.cpp pins the
     // schedule/threads/sink matrix against the serial mutex reference and
     // tests/rng_test.cpp pins the collision-freedom itself.
-    util::Rng order =
-        util::Rng(config_.seed).child("order", vp_index).child("round", round);
+    util::Rng order = root.child("order", vp_index).child("round", round);
     order.shuffle(work);
   }
 

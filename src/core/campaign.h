@@ -39,11 +39,14 @@ struct CampaignConfig {
   /// Root seed for all measurement randomness (derives per-site streams,
   /// so results are independent of thread scheduling).
   std::uint64_t seed = 1;
-  /// Settle sites without an AAAA record in the round scan instead of
-  /// running the full pipeline whenever their outcome is already fixed:
-  /// kV4Only when neither of their DNS queries times out, kDnsFailed when
-  /// both do (see Campaign::SiteScanIndex::flags). Purely an
-  /// optimization; tests cover equivalence at every timeout_prob.
+  /// Settle every site whose regular-round DNS fate decides its outcome
+  /// in the round walk instead of running the full pipeline: kV4Only
+  /// for a site without an AAAA record that loses no query, kDnsFailed
+  /// when both queries are lost, and with one loss whatever the
+  /// monitor's query-order coin makes of it (see
+  /// Campaign::SiteScanIndex::kFate). Only dual-stack sites with a clean
+  /// fate run the pipeline. Purely an optimization; tests cover
+  /// equivalence at every timeout_prob.
   bool fast_path = true;
   /// Mini-rounds run during the World IPv6 Day event (the paper monitored
   /// participants every 30 minutes for the day).
@@ -198,10 +201,13 @@ class Campaign {
     /// The site's DNS fate in a regular round: whether its first and its
     /// second query time out. A regular round's resolver stream is
     /// keyed by the site alone, so the fate is the same at every round
-    /// and vantage point. For a site without an AAAA record, no loss
-    /// means kV4Only and both queries lost kDnsFailed, whichever query
-    /// the monitor sends first; with one loss the outcome depends on
-    /// that order.
+    /// and vantage point. Both queries lost means kDnsFailed, whichever
+    /// query the monitor sends first. With one loss, the monitor's
+    /// query-order coin (keyed per vp, round and site) says whether the
+    /// A is lost (kV6Only when dual-stack at the round, else kDnsFailed)
+    /// or the AAAA (kV4Only). No loss means kV4Only without an AAAA
+    /// record; only a dual-stack site with a clean fate runs the
+    /// pipeline.
     static constexpr std::uint8_t kFirstQueryLost = 2;
     static constexpr std::uint8_t kSecondQueryLost = 4;
     static constexpr std::uint8_t kFate = kFirstQueryLost | kSecondQueryLost;

@@ -414,8 +414,8 @@ Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
   if (!have_slot) host_storage = site.hostname();
   const std::string& host = have_slot ? resolved_.hostname(slot) : host_storage;
   // Order of the two queries is randomized like the tool randomizes its
-  // site order; it has no observable effect here but keeps draw parity.
-  const bool a_first = rng.chance(0.5);
+  // site order. It decides which query a one-loss resolver stream loses.
+  const bool a_first = a_query_first(rng);
   dns::QueryResult a_res, aaaa_res;
   {
     obs::TraceSpan span(obs::Stage::kDnsResolve);

@@ -97,6 +97,12 @@ class Monitor {
                                          dns::Resolver& resolver, util::Rng rng,
                                          PathRegistry& paths);
 
+  /// The query-order coin: monitor_site's first draw on its stream,
+  /// true when the A query goes out before the AAAA. The campaign's
+  /// round walk draws it too, to settle one-loss sites without the
+  /// pipeline.
+  [[nodiscard]] static bool a_query_first(util::Rng& rng) { return rng.chance(0.5); }
+
   [[nodiscard]] const MonitorConfig& config() const { return config_; }
   [[nodiscard]] const VantagePoint& vantage_point() const { return vp_; }
 

@@ -24,8 +24,8 @@ const DnsMetricIds& dns_metric_ids() {
 }  // namespace
 
 Resolver::Resolver(const AuthoritativeSource& source, Options options,
-                   util::LazyRng rng)
-    : source_(source), options_(options), rng_(std::move(rng)) {}
+                   std::uint64_t rng_seed)
+    : source_(source), options_(options), rng_(rng_seed) {}
 
 std::string Resolver::cache_key(std::string_view name, RecordType type) {
   std::string key(name);

@@ -43,11 +43,10 @@ class Resolver {
     std::uint64_t nxdomain = 0;
   };
 
-  /// `rng` drives timeout injection only; it is LazyRng so that the
-  /// common timeout_prob == 0 configuration never pays the engine
-  /// seeding (an eager util::Rng converts implicitly, engine state
-  /// preserved).
-  Resolver(const AuthoritativeSource& source, Options options, util::LazyRng rng);
+  /// `rng_seed` seeds the stream that drives timeout injection only. The
+  /// stream is built in place and seeds lazily, so the common
+  /// timeout_prob == 0 configuration never pays for it.
+  Resolver(const AuthoritativeSource& source, Options options, std::uint64_t rng_seed);
 
   /// Resolve `name`/`type` as of measurement round `round`.
   QueryResult resolve(std::string_view name, RecordType type, std::uint32_t round);
@@ -56,11 +55,10 @@ class Resolver {
   void flush();
 
   /// Whether the next uncached query is lost: the timeout draw resolve()
-  /// makes on its stream. No draw (and no engine seeding) at
-  /// timeout_prob == 0. Public so a caller can replay a stream's
-  /// verdicts without building a resolver.
-  [[nodiscard]] static bool draw_timeout(double timeout_prob, util::LazyRng& rng) {
-    return timeout_prob > 0.0 && rng.get().chance(timeout_prob);
+  /// makes on its stream. No draw at timeout_prob == 0. Public so a
+  /// caller can replay a stream's verdicts without building a resolver.
+  [[nodiscard]] static bool draw_timeout(double timeout_prob, util::Rng& rng) {
+    return timeout_prob > 0.0 && rng.chance(timeout_prob);
   }
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -73,7 +71,7 @@ class Resolver {
 
   const AuthoritativeSource& source_;
   Options options_;
-  util::LazyRng rng_;
+  util::Rng rng_;
   Stats stats_;
   std::unordered_map<std::string, CacheEntry> cache_;
 

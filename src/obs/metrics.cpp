@@ -37,6 +37,7 @@ std::uint64_t next_registry_id() {
 /// same sorted key set whether or not a stage ever ran (a counter that
 /// stays 0 is data; a counter that appears only in some runs is noise).
 constexpr const char* kCounterNames[] = {
+    "campaign.fast_path_coin_sites",
     "campaign.fast_path_sites",
     "campaign.sites_monitored",
     "conn.attempts",

@@ -1,8 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <random>
 #include <span>
 #include <string_view>
@@ -10,26 +10,38 @@
 
 namespace v6mon::util {
 
-/// MT19937-64 with lazy per-word generation. Produces the exact output
-/// sequence of std::mt19937_64 (same seeding recurrence, twist, and
-/// tempering — pinned against libstdc++ by the RNG tests), but runs the
-/// twist one word per draw instead of regenerating the whole 312-word
-/// block on the first draw after seeding. The monitoring hot path seeds
-/// a fresh per-(site, round) stream and consumes a few dozen words
-/// before discarding it; block regeneration would spend ~90% of its
-/// twist work on words nobody reads. Satisfies
-/// UniformRandomBitGenerator with the same min()/max() as
-/// std::mt19937_64, so <random> distributions over it draw identical
-/// values.
+/// MT19937-64 with lazy seeding and lazy per-word generation. Produces
+/// the exact output sequence of std::mt19937_64 (same seeding
+/// recurrence, twist, and tempering — pinned against libstdc++ by the
+/// RNG tests), but pays only for the words its draws read. The
+/// constructor stores the seed word alone. Draw i reads words i, i + 1
+/// and i + 156 (mod 312), so the first draw seeds words 1..156 and each
+/// later draw seeds at most one more, until all 312 are seeded after
+/// draw 155. The twist runs one word per draw instead of regenerating
+/// the whole 312-word block on the first draw. The monitoring hot path
+/// seeds a fresh per-(site, round) stream and often reads one word
+/// before discarding it, and an eager seeding plus block regeneration
+/// would spend most of its work on words nobody reads. A stream that
+/// never draws costs one word. Satisfies UniformRandomBitGenerator with
+/// the same min()/max() as std::mt19937_64, so <random> distributions
+/// over it draw identical values.
 class Mt64Engine {
  public:
   using result_type = std::uint64_t;
 
-  explicit Mt64Engine(result_type seed) {
-    state_[0] = seed;
-    for (std::uint32_t i = 1; i < kN; ++i) {
-      state_[i] = kInitMult * (state_[i - 1] ^ (state_[i - 1] >> 62)) + i;
+  explicit Mt64Engine(result_type seed) { state_[0] = seed; }
+  /// Copies carry the seeded words only: the rest are not yet set, and
+  /// the implicit copy would read them.
+  Mt64Engine(const Mt64Engine& other) : seeded_(other.seeded_), next_(other.next_) {
+    std::copy_n(other.state_.begin(), seeded_, state_.begin());
+  }
+  Mt64Engine& operator=(const Mt64Engine& other) {
+    if (this != &other) {
+      seeded_ = other.seeded_;
+      next_ = other.next_;
+      std::copy_n(other.state_.begin(), seeded_, state_.begin());
     }
+    return *this;
   }
 
   static constexpr result_type min() { return 0; }
@@ -38,6 +50,9 @@ class Mt64Engine {
   result_type operator()() {
     const std::uint32_t i = next_;
     next_ = i + 1 == kN ? 0 : i + 1;
+    // Only draws 0..155 find unseeded words, and each needs words up to
+    // i + kM (at most 311).
+    if (seeded_ < kN) seed_through(i + kM);
     // In-place single-step twist, equivalent to full-block regeneration:
     // position i reads positions i+1 and i+m (mod n), which the block
     // loop has either already rewritten (indices below i) or not yet
@@ -64,7 +79,21 @@ class Mt64Engine {
   static constexpr result_type kLowerMask = 0x7fffffffULL;
   static constexpr result_type kInitMult = 6364136223846793005ULL;
 
+  /// Run the seeding recurrence over words seeded_..last. The previous
+  /// word stays in a register: re-reading it from state_ puts a
+  /// store-to-load round trip on the serial chain.
+  void seed_through(std::uint32_t last) {
+    result_type prev = state_[seeded_ - 1];
+    for (std::uint32_t j = seeded_; j <= last; ++j) {
+      prev = kInitMult * (prev ^ (prev >> 62)) + j;
+      state_[j] = prev;
+    }
+    seeded_ = last + 1;
+  }
+
+  /// Words [0, seeded_) hold seeded (or already twisted) values.
   std::array<std::uint64_t, kN> state_;
+  std::uint32_t seeded_ = 1;
   std::uint32_t next_ = 0;
 };
 
@@ -84,10 +113,9 @@ class Rng {
   /// integer discriminator, e.g. a round or site index).
   [[nodiscard]] Rng child(std::string_view name, std::uint64_t index = 0) const;
 
-  /// Seed of the stream `child(name, index)` would produce, without the
-  /// engine seeding: `Rng(child_seed(...))` and `child(...)` are
-  /// bit-identical streams. Pairs with LazyRng for consumers that
-  /// usually never draw.
+  /// Seed of the stream `child(name, index)` would produce:
+  /// `Rng(child_seed(...))` and `child(...)` are bit-identical streams.
+  /// For consumers that build the stream in place, or only keep its seed.
   [[nodiscard]] std::uint64_t child_seed(std::string_view name,
                                          std::uint64_t index = 0) const;
 
@@ -160,31 +188,6 @@ class Rng {
  private:
   std::uint64_t seed_;
   Mt64Engine engine_;
-};
-
-/// Deferred-seeding handle on an Rng stream: holds only the 64-bit seed
-/// and constructs the engine (a ~2.5 KB MT19937-64 seeding, the expensive
-/// part) on first use. For consumers that usually never draw — e.g. a
-/// resolver whose timeout injection is off — stream setup drops from a
-/// full seeding to one hash. `LazyRng(seed).get()` is bit-identical to
-/// `Rng(seed)`; adopting an existing Rng preserves its engine state,
-/// already-consumed draws included.
-class LazyRng {
- public:
-  explicit LazyRng(std::uint64_t seed) : seed_(seed) {}
-  /*implicit*/ LazyRng(Rng rng) : seed_(rng.seed()), rng_(std::move(rng)) {}
-
-  [[nodiscard]] std::uint64_t seed() const { return seed_; }
-
-  /// The underlying stream, seeded on first call.
-  [[nodiscard]] Rng& get() {
-    if (!rng_.has_value()) rng_.emplace(seed_);
-    return *rng_;
-  }
-
- private:
-  std::uint64_t seed_;
-  std::optional<Rng> rng_;
 };
 
 /// Stable 64-bit FNV-1a hash used for seed derivation (not cryptographic).

@@ -248,7 +248,7 @@ TEST(CatalogDnsBackend, AnswersTrackAdoptionRound) {
   CatalogParams p = small_params();
   const auto cat = SiteCatalog::generate(w.graph, p, rng);
   const CatalogDnsBackend backend(cat);
-  dns::Resolver resolver(backend, {}, util::Rng(11));
+  dns::Resolver resolver(backend, {}, 11);
 
   // Find a site that adopts v6 mid-campaign.
   const Site* mid = nullptr;

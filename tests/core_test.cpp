@@ -488,7 +488,7 @@ TEST(Monitor, V4OnlySiteClassified) {
   const VantagePoint& vp = w.vantage_points[0];
   Monitor mon(w, vp, {});
   web::CatalogDnsBackend backend(w.catalog);
-  dns::Resolver resolver(backend, {}, util::Rng(1));
+  dns::Resolver resolver(backend, {}, 1);
 
   const web::Site* v4only = nullptr;
   for (const web::Site& s : w.catalog.sites()) {
@@ -508,7 +508,7 @@ TEST(Monitor, DualStackSiteMeasured) {
   const VantagePoint& vp = w.vantage_points[1];  // full-parity VP
   Monitor mon(w, vp, {});
   web::CatalogDnsBackend backend(w.catalog);
-  dns::Resolver resolver(backend, {}, util::Rng(1));
+  dns::Resolver resolver(backend, {}, 1);
   PathRegistry paths;
 
   int measured = 0, examined = 0;
@@ -537,7 +537,7 @@ TEST(Monitor, DifferentContentDetected) {
   cfg.download.failure_prob = 0.0;
   Monitor mon(w, vp, cfg);
   web::CatalogDnsBackend backend(w.catalog);
-  dns::Resolver resolver(backend, {}, util::Rng(1));
+  dns::Resolver resolver(backend, {}, 1);
   PathRegistry paths;
 
   const web::Site* diff = nullptr;
@@ -567,8 +567,8 @@ TEST(Monitor, DeterministicGivenSameRng) {
     }
   }
   ASSERT_NE(dual, nullptr);
-  dns::Resolver r1(backend, {}, util::Rng(5));
-  dns::Resolver r2(backend, {}, util::Rng(5));
+  dns::Resolver r1(backend, {}, 5);
+  dns::Resolver r2(backend, {}, 5);
   const auto a = mon.monitor_site(*dual, 5, r1, util::Rng(42), paths);
   const auto b = mon.monitor_site(*dual, 5, r2, util::Rng(42), paths);
   EXPECT_EQ(a.status, b.status);
@@ -581,7 +581,7 @@ TEST(Monitor, SeparateProviderVpYieldsDivergentPaths) {
   const VantagePoint& penn_like = w.vantage_points[0];
   Monitor mon(w, penn_like, {});
   web::CatalogDnsBackend backend(w.catalog);
-  dns::Resolver resolver(backend, {}, util::Rng(1));
+  dns::Resolver resolver(backend, {}, 1);
   PathRegistry paths;
 
   int same = 0, diff = 0;
@@ -749,7 +749,8 @@ TEST(Campaign, FastPathMatchesFullPipeline) {
 // (per-round prefix sums) and walks only candidates. Sweep seeds, frozen
 // and evolving worlds, DNS loss and the fast path over a world with one
 // supplement and one plain vantage point, and hold every (VP, round) to
-// a brute-force count over the catalog.
+// a brute-force count over the catalog. The fast-path runs drive the
+// rounds one by one; run() drives the full-pipeline runs.
 TEST(Campaign, WorkListInvariantSweep) {
   const auto tiny_spec = [](std::uint64_t seed, bool evolving) {
     scenario::WorldSpec spec = small_world().spec;
@@ -811,7 +812,52 @@ TEST(Campaign, WorkListInvariantSweep) {
             auto campaign = evolving ? std::make_unique<Campaign>(*timeline, cfg)
                                      : std::make_unique<Campaign>(world, cfg);
             if (early) campaign->advance_world(gain_round);
-            campaign->run();
+            if (fast_path) {
+              // One (VP, round) at a time, so that each one's monitored and
+              // coin-settled sites can be held to a brute-force count: the
+              // monitor runs exactly the dual-stack sites that lose no DNS
+              // query, and every one-loss site settles by its coin.
+              const util::Rng root(seed);
+              std::vector<int> lost(world.catalog.size());
+              for (const web::Site& s : world.catalog.sites()) {
+                util::Rng dns(root.child_seed("dns", s.id));
+                lost[s.id] = int{dns::Resolver::draw_timeout(timeout_prob, dns)} +
+                             int{dns::Resolver::draw_timeout(timeout_prob, dns)};
+              }
+              for (std::uint32_t r = 0; r <= world.num_rounds; ++r) {
+                campaign->advance_world(r);
+                for (std::size_t v = 0; v < world.vantage_points.size(); ++v) {
+                  const VantagePoint& vp = world.vantage_points[v];
+                  const std::uint64_t monitored_before =
+                      reg.counter_value("campaign.sites_monitored");
+                  const std::uint64_t coins_before =
+                      reg.counter_value("campaign.fast_path_coin_sites");
+                  campaign->run_round(v, r);
+                  std::uint64_t dual_clean = 0;
+                  std::uint64_t one_loss = 0;
+                  if (r >= vp.start_round) {
+                    for (const web::Site& s : world.catalog.sites()) {
+                      if (!s.in_list_at(r) ||
+                          (s.from_dns_cache && !vp.uses_dns_cache_supplement)) {
+                        continue;
+                      }
+                      dual_clean += lost[s.id] == 0 && s.dual_stack_at(r);
+                      one_loss += lost[s.id] == 1;
+                    }
+                  }
+                  EXPECT_EQ(reg.counter_value("campaign.sites_monitored") -
+                                monitored_before,
+                            dual_clean)
+                      << "vp " << v << " round " << r;
+                  EXPECT_EQ(reg.counter_value("campaign.fast_path_coin_sites") -
+                                coins_before,
+                            one_loss)
+                      << "vp " << v << " round " << r;
+                }
+              }
+            } else {
+              campaign->run();
+            }
             campaign->finalize();
 
             Run& run = runs.emplace_back();
@@ -1058,8 +1104,8 @@ TEST(Monitor, TableRowsMatchPerCallResolution) {
       Monitor cached(w, vp, cfg);
       Monitor uncached(w, vp, cfg);
       cached.assign_resolve_slots(dual, kRound);
-      dns::Resolver cached_dns(backend, {}, util::Rng(1));
-      dns::Resolver uncached_dns(backend, {}, util::Rng(1));
+      dns::Resolver cached_dns(backend, {}, 1);
+      dns::Resolver uncached_dns(backend, {}, 1);
       PathRegistry cached_paths, uncached_paths;
       for (const std::uint64_t pass : {0u, 1u}) {  // 0 fills the rows, 1 reuses them
         for (const std::uint32_t id : dual) {
@@ -1115,8 +1161,8 @@ TEST(Monitor, MismatchedRowResolvesPerCall) {
   for (const VantagePoint& vp : w.vantage_points) {
     Monitor cached(w, vp, cfg);
     Monitor uncached(w, vp, cfg);
-    dns::Resolver cached_dns(backend, cfg.dns, util::Rng(1));
-    dns::Resolver uncached_dns(backend, cfg.dns, util::Rng(1));
+    dns::Resolver cached_dns(backend, cfg.dns, 1);
+    dns::Resolver uncached_dns(backend, cfg.dns, 1);
     PathRegistry cached_paths, uncached_paths;
     for (const web::Site* site : relocated) {
       // One round before the step (caches the pre-step answer), the step

@@ -51,7 +51,7 @@ TEST(ZoneDb, NodataVsNxdomain) {
 
 TEST(Resolver, ResolvesAndCountsStats) {
   const ZoneDb db = make_zone();
-  Resolver r(db, {}, util::Rng(1));
+  Resolver r(db, {}, 1);
   const auto res = r.resolve("www.example.test", RecordType::kA, 0);
   EXPECT_TRUE(res.has_answers());
   EXPECT_EQ(res.rcode, Rcode::kOk);
@@ -64,7 +64,7 @@ TEST(Resolver, ResolvesAndCountsStats) {
 
 TEST(Resolver, NodataIsOkButEmpty) {
   const ZoneDb db = make_zone();
-  Resolver r(db, {}, util::Rng(1));
+  Resolver r(db, {}, 1);
   const auto res = r.resolve("v4.example.test", RecordType::kAaaa, 0);
   EXPECT_TRUE(res.ok());
   EXPECT_FALSE(res.has_answers());
@@ -72,7 +72,7 @@ TEST(Resolver, NodataIsOkButEmpty) {
 
 TEST(Resolver, CachingWithinTtl) {
   const ZoneDb db = make_zone();
-  Resolver r(db, {.cache_rounds = 2, .timeout_prob = 0.0}, util::Rng(1));
+  Resolver r(db, {.cache_rounds = 2, .timeout_prob = 0.0}, 1);
   EXPECT_FALSE(r.resolve("www.example.test", RecordType::kA, 0).from_cache);
   EXPECT_TRUE(r.resolve("www.example.test", RecordType::kA, 1).from_cache);
   // Round 2 = expiry (0 + 2): fresh query.
@@ -82,7 +82,7 @@ TEST(Resolver, CachingWithinTtl) {
 
 TEST(Resolver, CacheKeysIncludeType) {
   const ZoneDb db = make_zone();
-  Resolver r(db, {.cache_rounds = 5, .timeout_prob = 0.0}, util::Rng(1));
+  Resolver r(db, {.cache_rounds = 5, .timeout_prob = 0.0}, 1);
   (void)r.resolve("www.example.test", RecordType::kA, 0);
   const auto aaaa = r.resolve("www.example.test", RecordType::kAaaa, 0);
   EXPECT_FALSE(aaaa.from_cache);
@@ -92,7 +92,7 @@ TEST(Resolver, CacheKeysIncludeType) {
 
 TEST(Resolver, FlushDropsCache) {
   const ZoneDb db = make_zone();
-  Resolver r(db, {.cache_rounds = 10, .timeout_prob = 0.0}, util::Rng(1));
+  Resolver r(db, {.cache_rounds = 10, .timeout_prob = 0.0}, 1);
   (void)r.resolve("www.example.test", RecordType::kA, 0);
   r.flush();
   EXPECT_FALSE(r.resolve("www.example.test", RecordType::kA, 0).from_cache);
@@ -100,7 +100,7 @@ TEST(Resolver, FlushDropsCache) {
 
 TEST(Resolver, TimeoutInjection) {
   const ZoneDb db = make_zone();
-  Resolver r(db, {.cache_rounds = 0, .timeout_prob = 1.0}, util::Rng(1));
+  Resolver r(db, {.cache_rounds = 0, .timeout_prob = 1.0}, 1);
   const auto res = r.resolve("www.example.test", RecordType::kA, 0);
   EXPECT_EQ(res.rcode, Rcode::kTimeout);
   EXPECT_EQ(r.stats().timeouts, 1u);
@@ -108,7 +108,7 @@ TEST(Resolver, TimeoutInjection) {
 
 TEST(Resolver, TimeoutRateApproximatesConfig) {
   const ZoneDb db = make_zone();
-  Resolver r(db, {.cache_rounds = 0, .timeout_prob = 0.2}, util::Rng(2));
+  Resolver r(db, {.cache_rounds = 0, .timeout_prob = 0.2}, 2);
   int timeouts = 0;
   const int n = 5000;
   for (int i = 0; i < n; ++i) {

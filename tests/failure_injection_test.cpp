@@ -42,9 +42,9 @@ TEST(FailureInjection, DnsTimeoutsProduceDnsFailures) {
   CampaignConfig cfg;
   cfg.seed = 5;
   cfg.threads = 2;
-  // The fast path stays on: v4-only sites that lose both queries are
-  // settled as kDnsFailed in the round scan, one-loss sites still run
-  // the monitor.
+  // The fast path stays on: sites that lose both queries settle as
+  // kDnsFailed in the round walk, and one-loss sites settle by the
+  // monitor's query-order coin without running the monitor.
   cfg.monitor.dns.timeout_prob = 0.3;
   Campaign campaign(tiny_world(), cfg);
   campaign.run_round(0, 4);

@@ -149,8 +149,9 @@ TEST(Metrics, CountersJsonIsSortedAndCoversAllStages) {
   // when zero — a stable key set is what makes exports diffable.
   std::size_t prev_pos = 0;
   for (const char* key :
-       {"campaign.sites_monitored", "dns.queries", "ingest.flushes",
-        "monitor.ci_exhausted", "stage.analysis.calls", "stage.dns_resolve.calls",
+       {"campaign.fast_path_coin_sites", "campaign.sites_monitored",
+        "dns.queries", "ingest.flushes", "monitor.ci_exhausted",
+        "stage.analysis.calls", "stage.dns_resolve.calls",
         "stage.identity_fetch.calls", "stage.ingest_flush.calls",
         "stage.repeat_downloads.calls", "stage.rib_build.calls",
         "stage.site_resolve.calls", "stage.work_list.calls"}) {

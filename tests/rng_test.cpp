@@ -224,25 +224,31 @@ TEST(Rng, ChildSeedMatchesChild) {
   }
 }
 
-TEST(LazyRng, DeferredSeedingIsBitIdentical) {
-  LazyRng lazy(12345);
-  Rng eager(12345);
-  EXPECT_EQ(lazy.seed(), eager.seed());
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_EQ(lazy.get().uniform_u64(0, ~std::uint64_t{0}),
-              eager.uniform_u64(0, ~std::uint64_t{0}));
-  }
-}
-
-TEST(LazyRng, AdoptingAnRngPreservesConsumedDraws) {
-  Rng primed(777);
-  Rng twin(777);
-  (void)primed.uniform01();
-  (void)twin.uniform01();
-  LazyRng adopted(primed);  // implicit adoption keeps the engine state
-  for (int i = 0; i < 16; ++i) {
-    ASSERT_EQ(adopted.get().uniform_u64(0, ~std::uint64_t{0}),
-              twin.uniform_u64(0, ~std::uint64_t{0}));
+TEST(Mt64Engine, LazySeedingMatchesStdAtEveryStreamLength) {
+  // The engine seeds its words as draws first read them: draw i needs
+  // words up to i + 156, so 155/156/157 straddle the end of seeding and
+  // 311/312/313 the first twist block. At each length, a copy of the
+  // engine (Rng objects are copied mid-stream) and the original keep
+  // drawing the standard sequence; so does a copy-assigned engine.
+  // Length 0 is a stream that never drew, copied before its first draw.
+  constexpr std::uint64_t kSeed = 0x0123456789abcdef;
+  for (const int n : {0, 1, 155, 156, 157, 311, 312, 313, 1000}) {
+    std::mt19937_64 ref(kSeed);
+    Mt64Engine engine(kSeed);
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(engine(), ref()) << "n=" << n << " draw=" << i;
+    }
+    Mt64Engine copy = engine;
+    Mt64Engine assigned(1);
+    (void)assigned();
+    assigned = engine;
+    std::mt19937_64 ref_copy = ref;
+    for (int i = 0; i < 1000; ++i) {
+      const std::uint64_t want = ref();
+      ASSERT_EQ(engine(), want) << "n=" << n << " original draw=" << i;
+      ASSERT_EQ(copy(), want) << "n=" << n << " copy draw=" << i;
+      ASSERT_EQ(assigned(), ref_copy()) << "n=" << n << " assigned draw=" << i;
+    }
   }
 }
 
