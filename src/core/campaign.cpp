@@ -1,6 +1,9 @@
 #include "core/campaign.h"
 
 #include <algorithm>
+#include <array>
+#include <optional>
+#include <span>
 
 #include "core/spool.h"
 #include "core/thread_pool.h"
@@ -83,6 +86,34 @@ constexpr std::size_t kFanOutSitesPerWorker = 16;
       (site_id ^ salt);
   return root.child_seed("monitor", key);
 }
+
+/// Sites whose monitor streams are seeded together.
+constexpr std::size_t kLanes = util::Mt64Engine::kPrimeLanes;
+
+/// The monitor streams of up to kLanes sites at one (vp, round, salt),
+/// primed in lock-step: stream k draws exactly what
+/// Rng(monitor_stream_seed(..., ids[k])) draws. A fresh stream's first
+/// draw seeds 156 words in a serial chain; four interleaved chains cost
+/// little more than one.
+class MonitorStreams {
+ public:
+  MonitorStreams(const util::Rng& root, std::size_t vp_index, std::uint32_t round,
+                 std::uint64_t salt, std::span<const std::uint32_t> ids) {
+    V6MON_REQUIRE(ids.size() <= kLanes, "too many sites for one stream block");
+    std::array<util::Mt64Engine*, kLanes> engines{};
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      engines[k] =
+          &streams_[k].emplace(monitor_stream_seed(root, vp_index, round, salt, ids[k]))
+               .engine();
+    }
+    util::Mt64Engine::prime(std::span(engines.data(), ids.size()));
+  }
+
+  util::Rng& operator[](std::size_t k) { return *streams_[k]; }
+
+ private:
+  std::array<std::optional<util::Rng>, kLanes> streams_;
+};
 
 }  // namespace
 
@@ -223,23 +254,18 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
     monitor.assign_resolve_slots(sites, round);
   }
 
-  const auto monitor_one = [&](std::size_t i) {
+  const auto monitor_one = [&](std::uint32_t site_id, util::Rng&& rng) {
     // The worker's private lane: recording and counting touch no shared
     // state; path ids are canonicalized at the round-boundary flush.
     ObservationSink::Lane& lane = sink.lane();
-    const web::Site& site = world_.catalog.site(sites[i]);
-    // Every RNG stream is keyed by data — never by chunk bounds or worker
-    // identity — so scheduling granularity is a pure performance knob and
-    // threads=1 reproduces threads=N bit-for-bit. The monitor stream is
-    // keyed per (vp, round, site, salt); the DNS timeout stream only per
-    // (site, salt), so in regular rounds a site draws the same timeouts
-    // at every round and vantage point (EXPERIMENTS.md, deviation 6).
+    const web::Site& site = world_.catalog.site(site_id);
+    // The DNS timeout stream is keyed only per (site, salt), so in regular
+    // rounds a site draws the same timeouts at every round and vantage
+    // point (EXPERIMENTS.md, deviation 6).
     dns::Resolver resolver(backend, config_.monitor.dns,
                            dns_stream_seed(root, salt, site.id));
-    const Observation obs = monitor.monitor_site(
-        site, round, resolver,
-        util::Rng(monitor_stream_seed(root, vp_index, round, salt, site.id)),
-        lane.paths());
+    const Observation obs =
+        monitor.monitor_site(site, round, resolver, std::move(rng), lane.paths());
     lane.count(round, obs.status);
     // Per-VP DNS accounting (ISSUE 9 satellite): resolvers are per-site
     // temporaries, so their Stats would otherwise vanish here. Relaxed
@@ -264,12 +290,24 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
       metrics.add(ids.ingest_rows);
     }
   };
+  // Every RNG stream is keyed by data — never by block bounds or worker
+  // identity — so scheduling granularity is a pure performance knob and
+  // threads=1 reproduces threads=N bit-for-bit. The monitor streams are
+  // keyed per (vp, round, site, salt) and seeded a block at a time.
+  const auto monitor_block = [&](std::size_t block) {
+    const std::span<const std::uint32_t> ids =
+        std::span(sites).subspan(block * kLanes).first(
+            std::min(kLanes, sites.size() - block * kLanes));
+    MonitorStreams streams(root, vp_index, round, salt, ids);
+    for (std::size_t k = 0; k < ids.size(); ++k) monitor_one(ids[k], std::move(streams[k]));
+  };
+  const std::size_t blocks = (sites.size() + kLanes - 1) / kLanes;
   if (sites.size() < kFanOutSitesPerWorker * config_.threads) {
     // Too few sites to pay for waking helpers. Same fn(i) sequence as
     // parallel_index's serial path, so no observable can tell.
-    for (std::size_t i = 0; i < sites.size(); ++i) monitor_one(i);
+    for (std::size_t b = 0; b < blocks; ++b) monitor_block(b);
   } else {
-    parallel_index(pool_, sites.size(), monitor_one);
+    parallel_index(pool_, blocks, monitor_block);
   }
   // Round boundary: merge every worker shard into the backing store (or
   // stream it to the spool) in one deterministic pass.
@@ -361,6 +399,28 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
     std::uint64_t settled_failed = 0;
     std::uint64_t both_lost = 0;
     std::uint64_t coin_sites = 0;
+    // One-loss sites wait here until a block of streams can be primed
+    // together. The settled counts are sums, so settling them in blocks
+    // changes no total.
+    std::array<std::uint32_t, kLanes> coin_ids{};
+    std::array<bool, kLanes> coin_first_lost{};
+    std::array<bool, kLanes> coin_dual{};
+    std::size_t queued = 0;
+    const auto settle_coins = [&] {
+      MonitorStreams streams(root, vp_index, round, 0,
+                             std::span(coin_ids.data(), queued));
+      for (std::size_t k = 0; k < queued; ++k) {
+        const bool lost_a = coin_first_lost[k] == Monitor::a_query_first(streams[k]);
+        if (!lost_a) {
+          ++settled_v4;  // The A answer arrives; the AAAA is lost.
+        } else if (coin_dual[k]) {
+          ++settled_v6;
+        } else {
+          ++settled_failed;  // A lost, AAAA NODATA.
+        }
+      }
+      queued = 0;
+    };
     // Same predicates as Site::in_list_at / Site::dual_stack_at, over the
     // candidates only, in ascending id order.
     for (const SiteScanIndex::Candidate& c : scan_.candidates) {
@@ -379,18 +439,13 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
         ++settled_failed;
       } else {
         ++coin_sites;
-        util::Rng monitor_rng(monitor_stream_seed(root, vp_index, round, 0, c.id));
-        const bool lost_a = (fate == SiteScanIndex::kFirstQueryLost) ==
-                            Monitor::a_query_first(monitor_rng);
-        if (!lost_a) {
-          ++settled_v4;  // The A answer arrives; the AAAA is lost.
-        } else if (dual) {
-          ++settled_v6;
-        } else {
-          ++settled_failed;  // A lost, AAAA NODATA.
-        }
+        coin_ids[queued] = c.id;
+        coin_first_lost[queued] = fate == SiteScanIndex::kFirstQueryLost;
+        coin_dual[queued] = dual;
+        if (++queued == kLanes) settle_coins();
       }
     }
+    if (queued != 0) settle_coins();
     const std::uint64_t listed = scan_.listed_at(round, supplement);
     // Fast-pathed + queued sites together must account for every listed
     // site — losing work here silently skews every downstream table.

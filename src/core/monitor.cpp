@@ -399,7 +399,7 @@ void Monitor::assign_resolve_slots(std::span<const std::uint32_t> sites,
 }
 
 Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
-                                  dns::Resolver& resolver, util::Rng rng,
+                                  dns::Resolver& resolver, util::Rng&& rng,
                                   PathRegistry& paths) {
   Observation obs;
   obs.site = site.id;

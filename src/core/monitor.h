@@ -89,12 +89,14 @@ class Monitor {
 
   /// Run the pipeline for one site at one round. The resolver carries the
   /// caller's DNS cache/failure state; `rng` must be dedicated to this
-  /// (site, round) so threading cannot reorder draws. Non-const because
+  /// (site, round) so threading cannot reorder draws. The stream is
+  /// consumed, and taken by reference so that a primed engine
+  /// (Mt64Engine::prime) is never copied. Non-const because
   /// it lazily fills the site's resolved-site row on first successful
   /// resolution; safe to call concurrently for *distinct* sites (each
   /// slot is touched by exactly one caller per ingest epoch).
   [[nodiscard]] Observation monitor_site(const web::Site& site, std::uint32_t round,
-                                         dns::Resolver& resolver, util::Rng rng,
+                                         dns::Resolver& resolver, util::Rng&& rng,
                                          PathRegistry& paths);
 
   /// The query-order coin: monitor_site's first draw on its stream,

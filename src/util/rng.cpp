@@ -1,7 +1,9 @@
 #include "util/rng.h"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
+
+#include "util/contracts.h"
 
 namespace v6mon::util {
 
@@ -32,55 +34,145 @@ std::uint64_t Rng::child_seed(std::string_view name, std::uint64_t index) const 
   return hash_combine(seed_, name, index);
 }
 
+double word_to_double(std::uint64_t u) {
+  // Both 32-bit halves convert exactly and the scaled high half stays
+  // exact, so the one rounding is the sum's.
+  return static_cast<double>(static_cast<std::int64_t>(u >> 32)) * 0x1p32 +
+         static_cast<double>(static_cast<std::int64_t>(u & 0xffffffffU));
+}
+
+double word_to_unit(std::uint64_t u) {
+  // The largest double below 1.0: std::nextafter(1.0, 0.0).
+  constexpr double kBelowOne = 0x1.fffffffffffffp-1;
+  // One word divided by 2^64 (exact, a power of two). Words within 2^10
+  // of 2^64 round up to 1.0, which the clamp maps to the largest double
+  // below it, as libstdc++ does.
+  return std::min(word_to_double(u) * 0x1p-64, kBelowOne);
+}
+
+namespace {
+
+double canonical(Mt64Engine& engine) { return word_to_unit(engine()); }
+
+/// libstdc++'s normal_distribution: Marsaglia's polar method. Of the
+/// accepted pair it returns the y variate; the caller never sees the x
+/// variate, as a fresh std::normal_distribution per call discards it.
+double polar_normal(Mt64Engine& engine) {
+  double x = 0.0;
+  double y = 0.0;
+  double r2 = 0.0;
+  do {
+    x = 2.0 * canonical(engine) - 1.0;
+    y = 2.0 * canonical(engine) - 1.0;
+    r2 = x * x + y * y;
+  } while (r2 > 1.0 || r2 == 0.0);
+  return y * std::sqrt(-2 * std::log(r2) / r2);
+}
+
+/// libstdc++'s lognormal_distribution(mu, sigma): its inner normal(0, 1)
+/// keeps `* 1.0 + 0.0`, which turns a -0.0 variate into +0.0.
+double lognormal(Mt64Engine& engine, double mu, double sigma) {
+  return std::exp(sigma * (polar_normal(engine) * 1.0 + 0.0) + mu);
+}
+
+__extension__ typedef unsigned __int128 Wide;
+
+/// Uniform in [0, span]: libstdc++'s uniform_int_distribution over a
+/// 64-bit engine. A full-width span takes one raw word; any other runs
+/// Lemire's nearly-divisionless multiply-shift on span + 1 (Lemire, "Fast
+/// Random Integer Generation in an Interval", TOMACS 2019), which divides
+/// only when the first product's low word falls below the range.
+std::uint64_t bounded(Mt64Engine& engine, std::uint64_t span) {
+  if (span == ~std::uint64_t{0}) return engine();
+  const std::uint64_t range = span + 1;
+  Wide product = Wide{engine()} * range;
+  auto low = static_cast<std::uint64_t>(product);
+  if (low < range) {
+    const std::uint64_t threshold = (0 - range) % range;
+    while (low < threshold) {
+      product = Wide{engine()} * range;
+      low = static_cast<std::uint64_t>(product);
+    }
+  }
+  return static_cast<std::uint64_t>(product >> 64);
+}
+
+}  // namespace
+
+void Mt64Engine::prime(std::span<Mt64Engine* const> engines) {
+  V6MON_REQUIRE(engines.size() <= kPrimeLanes, "too many engines to prime at once");
+  if (engines.empty()) return;
+  // Spare lanes repeat the last engine: they write the same values to the
+  // same words.
+  std::array<result_type*, kPrimeLanes> words{};
+  std::array<result_type, kPrimeLanes> prev{};
+  for (std::size_t lane = 0; lane < kPrimeLanes; ++lane) {
+    Mt64Engine& e = *engines[std::min(lane, engines.size() - 1)];
+    V6MON_REQUIRE(e.seeded_ == 1 && e.next_ == 0, "prime needs a fresh engine");
+    words[lane] = e.state_.data();
+    prev[lane] = e.state_[0];
+  }
+  for (std::uint32_t j = 1; j <= kM; ++j) {
+    for (std::size_t lane = 0; lane < kPrimeLanes; ++lane) {
+      prev[lane] = kInitMult * (prev[lane] ^ (prev[lane] >> 62)) + j;
+      words[lane][j] = prev[lane];
+    }
+  }
+  for (Mt64Engine* e : engines) e->seeded_ = kM + 1;
+}
+
 std::uint64_t Rng::uniform_u64(std::uint64_t lo, std::uint64_t hi) {
-  assert(lo <= hi);
-  return std::uniform_int_distribution<std::uint64_t>(lo, hi)(engine_);
+  V6MON_REQUIRE(lo <= hi);
+  return bounded(engine_, hi - lo) + lo;
 }
 
 std::uint32_t Rng::uniform_u32(std::uint32_t lo, std::uint32_t hi) {
-  assert(lo <= hi);
-  return std::uniform_int_distribution<std::uint32_t>(lo, hi)(engine_);
+  V6MON_REQUIRE(lo <= hi);
+  return static_cast<std::uint32_t>(bounded(engine_, hi - lo) + lo);
 }
 
 int Rng::uniform_int(int lo, int hi) {
-  assert(lo <= hi);
-  return std::uniform_int_distribution<int>(lo, hi)(engine_);
+  V6MON_REQUIRE(lo <= hi);
+  // In 64-bit unsigned arithmetic, like libstdc++: a negative bound
+  // sign-extends, and the sum wraps back into int's range.
+  const auto ulo = static_cast<std::uint64_t>(lo);
+  const auto uhi = static_cast<std::uint64_t>(hi);
+  return static_cast<int>(bounded(engine_, uhi - ulo) + ulo);
 }
 
 std::size_t Rng::index(std::size_t size) {
-  assert(size > 0);
-  return std::uniform_int_distribution<std::size_t>(0, size - 1)(engine_);
+  V6MON_REQUIRE(size > 0);
+  return bounded(engine_, size - 1);
 }
 
 double Rng::uniform01() {
-  return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
+  // uniform(0.0, 1.0): the `* 1.0 + 0.0` is the identity on [0, 1).
+  return canonical(engine_);
 }
 
 double Rng::uniform(double lo, double hi) {
-  return std::uniform_real_distribution<double>(lo, hi)(engine_);
+  return canonical(engine_) * (hi - lo) + lo;
 }
 
 bool Rng::chance(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
-  return uniform01() < p;
+  return canonical(engine_) < p;
 }
 
 double Rng::normal(double mean, double stddev) {
-  return std::normal_distribution<double>(mean, stddev)(engine_);
+  return polar_normal(engine_) * stddev + mean;
 }
 
 double Rng::lognormal_median(double median, double sigma) {
-  assert(median > 0.0);
-  return std::lognormal_distribution<double>(std::log(median), sigma)(engine_);
+  V6MON_REQUIRE(median > 0.0);
+  return lognormal(engine_, std::log(median), sigma);
 }
 
 void Rng::fill_lognormal_median(double median, double sigma, std::span<double> out) {
-  assert(median > 0.0);
+  V6MON_REQUIRE(median > 0.0);
   const double mu = std::log(median);
-  for (double& x : out) {
-    x = std::lognormal_distribution<double>(mu, sigma)(engine_);
-  }
+  for (double& x : out) x = lognormal(engine_, mu, sigma);
 }
 
 void Rng::fill_chance(double p, std::span<std::uint8_t> out) {
@@ -92,16 +184,16 @@ void Rng::fill_chance(double p, std::span<std::uint8_t> out) {
     for (auto& b : out) b = 1;
     return;
   }
-  for (auto& b : out) b = uniform01() < p ? 1 : 0;
+  for (auto& b : out) b = canonical(engine_) < p ? 1 : 0;
 }
 
 double Rng::exponential(double mean) {
-  assert(mean > 0.0);
-  return std::exponential_distribution<double>(1.0 / mean)(engine_);
+  V6MON_REQUIRE(mean > 0.0);
+  return -std::log(1.0 - canonical(engine_)) / (1.0 / mean);
 }
 
 double Rng::pareto(double xmin, double alpha) {
-  assert(xmin > 0.0 && alpha > 0.0);
+  V6MON_REQUIRE(xmin > 0.0 && alpha > 0.0);
   double u = uniform01();
   // Guard against u == 0 which would yield infinity.
   if (u <= 0.0) u = 1e-300;
@@ -109,7 +201,7 @@ double Rng::pareto(double xmin, double alpha) {
 }
 
 std::uint64_t Rng::zipf(std::uint64_t n, double s) {
-  assert(n >= 1);
+  V6MON_REQUIRE(n >= 1);
   if (n == 1) return 1;
   // Inverse-CDF on the continuous envelope, then clamp. Accurate enough
   // for workload generation (exact normalization is not required).

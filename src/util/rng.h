@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <random>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -18,16 +17,23 @@ namespace v6mon::util {
 /// and i + 156 (mod 312), so the first draw seeds words 1..156 and each
 /// later draw seeds at most one more, until all 312 are seeded after
 /// draw 155. The twist runs one word per draw instead of regenerating
-/// the whole 312-word block on the first draw. The monitoring hot path
-/// seeds a fresh per-(site, round) stream and often reads one word
-/// before discarding it, and an eager seeding plus block regeneration
-/// would spend most of its work on words nobody reads. A stream that
-/// never draws costs one word. Satisfies UniformRandomBitGenerator with
-/// the same min()/max() as std::mt19937_64, so <random> distributions
-/// over it draw identical values.
+/// the whole 312-word block on the first draw, and applies the matrix
+/// through a mask rather than a branch on the low bit, which goes each
+/// way half the time. The monitoring hot path seeds a fresh
+/// per-(site, round) stream and often reads one word before discarding
+/// it, and an eager seeding plus block regeneration would spend most of
+/// its work on words nobody reads. A stream that never draws costs one
+/// word. `prime` seeds the first draw's words of several fresh streams
+/// at once: the seeding recurrence is a serial chain, and interleaving
+/// independent chains overlaps their latencies. Satisfies
+/// UniformRandomBitGenerator with the same min()/max() as
+/// std::mt19937_64.
 class Mt64Engine {
  public:
   using result_type = std::uint64_t;
+
+  /// Engines `prime` seeds together.
+  static constexpr std::size_t kPrimeLanes = 4;
 
   explicit Mt64Engine(result_type seed) { state_[0] = seed; }
   /// Copies carry the seeded words only: the rest are not yet set, and
@@ -47,6 +53,12 @@ class Mt64Engine {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~result_type{0}; }
 
+  /// Seed the words the first draw reads (1..156) of up to kPrimeLanes
+  /// fresh engines, their recurrences interleaved. Requires every engine
+  /// to be fresh (never drawn from, not yet primed). A primed engine
+  /// draws exactly what an unprimed one would.
+  static void prime(std::span<Mt64Engine* const> engines);
+
   result_type operator()() {
     const std::uint32_t i = next_;
     next_ = i + 1 == kN ? 0 : i + 1;
@@ -62,7 +74,7 @@ class Mt64Engine {
     const result_type y = (state_[i] & kUpperMask) |
                           (state_[i + 1 == kN ? 0 : i + 1] & kLowerMask);
     result_type z = state_[i >= kN - kM ? i - (kN - kM) : i + kM] ^ (y >> 1) ^
-                    ((y & 1u) != 0 ? kMatrixA : 0);
+                    (kMatrixA & (0 - (y & 1u)));
     state_[i] = z;
     z ^= (z >> 29) & 0x5555555555555555ULL;
     z ^= (z << 17) & 0x71d67fffeda60000ULL;
@@ -105,6 +117,12 @@ class Mt64Engine {
 /// children with different names are statistically independent; the same
 /// (seed, name) pair always yields the same stream, so every experiment
 /// is reproducible bit-for-bit regardless of evaluation order elsewhere.
+///
+/// The distributions live in rng.cpp, each written expression for
+/// expression after libstdc++ 12's algorithm over std::mt19937_64 (the
+/// toolchain the goldens were made with): generate_canonical, Marsaglia's
+/// polar normal, and Lemire's bounded integers. So the streams do not
+/// depend on the standard library's choice of algorithm.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : seed_(seed), engine_(seed) {}
@@ -146,9 +164,9 @@ class Rng {
   /// Block fill: out[i] is the i-th draw of `lognormal_median(median, sigma)`.
   /// Consumes engine draws in exactly the order of the equivalent scalar
   /// loop — bit-for-bit identical streams, pinned by the RNG sequence test.
-  /// (Each element uses a fresh distribution object on purpose: the polar
-  /// method caches a second normal inside the distribution, and the scalar
-  /// call discards that cache every time.)
+  /// Each element runs a fresh polar pair and discards its second
+  /// variate, exactly as the scalar call does. Keeping it would halve the
+  /// draws per normal, but would move every golden (ROADMAP item 2).
   void fill_lognormal_median(double median, double sigma, std::span<double> out);
 
   /// Block fill of Bernoulli trials: out[i] = chance(p) ? 1 : 0. Consumes
@@ -162,7 +180,8 @@ class Rng {
   double pareto(double xmin, double alpha);
 
   /// Zipf-like rank draw over [1, n] with exponent s: P(r) ~ 1/r^s.
-  /// Uses rejection-inversion; O(1) expected time.
+  /// One uniform draw through the inverse CDF of the continuous 1/x^s
+  /// envelope, truncated and clamped to [1, n]; O(1).
   std::uint64_t zipf(std::uint64_t n, double s);
 
   /// Fisher-Yates shuffle.
@@ -182,13 +201,22 @@ class Rng {
     return v[index(v.size())];
   }
 
-  /// Access to the raw engine, for interoperating with <random>.
+  /// The raw engine, for lock-step priming (Mt64Engine::prime).
   Mt64Engine& engine() { return engine_; }
 
  private:
   std::uint64_t seed_;
   Mt64Engine engine_;
 };
+
+/// One engine word as the nearest double (round to nearest even), like a
+/// plain conversion but without the branch on the sign bit that x86-64
+/// emits for uint64 → double below AVX-512.
+[[nodiscard]] double word_to_double(std::uint64_t u);
+
+/// One engine word as a uniform double in [0, 1):
+/// std::generate_canonical<double, 53> over a 64-bit engine.
+[[nodiscard]] double word_to_unit(std::uint64_t u);
 
 /// Stable 64-bit FNV-1a hash used for seed derivation (not cryptographic).
 [[nodiscard]] std::uint64_t hash_combine(std::uint64_t seed, std::string_view name,

@@ -42,6 +42,12 @@ linter encodes the project's determinism rules as source checks:
         src/core/thread_pool.cpp — every "0 = hardware" thread knob
         resolves through core::resolve_threads, so one rule decides how
         many workers a default run gets
+  D009  std::*_distribution, std::mt19937 / std::mt19937_64 and
+        std::generate_canonical — the standard leaves the distribution
+        algorithms to the implementation, so drawing through them ties
+        every output to one standard library; util::Rng implements the
+        distributions and the engine itself (tests keep the std::
+        versions as the reference)
 
 Engine: a text-level lexer (comments/strings stripped, lines tracked).
 There is deliberately no semantic analysis — the rules are conservative
@@ -68,7 +74,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-ALL_RULES = ("D001", "D002", "D003", "D004", "D005", "D006", "D007", "D008")
+ALL_RULES = ("D001", "D002", "D003", "D004", "D005", "D006", "D007", "D008", "D009")
 
 # Directories (relative to the repo root) whose code feeds deterministic
 # outputs. D002 applies only here; the other rules apply everywhere.
@@ -595,6 +601,25 @@ def rule_d008(sf: SourceFile) -> list[Finding]:
     ]
 
 
+D009_STD_RANDOM_RE = re.compile(
+    r"\bstd\s*::\s*(\w+_distribution|mt19937(?:_64)?|generate_canonical)\b"
+)
+
+
+def rule_d009(sf: SourceFile) -> list[Finding]:
+    return [
+        Finding(
+            sf.path,
+            sf.line_of(m.start()),
+            "D009",
+            f"'std::{m.group(1)}' draws through the standard library's own "
+            "algorithm, which varies between implementations — draw through "
+            "util::Rng, whose distributions and engine are pinned in-repo",
+        )
+        for m in D009_STD_RANDOM_RE.finditer(sf.clean)
+    ]
+
+
 RULES = {
     "D001": rule_d001,
     "D002": rule_d002,
@@ -604,6 +629,7 @@ RULES = {
     "D006": rule_d006,
     "D007": rule_d007,
     "D008": rule_d008,
+    "D009": rule_d009,
 }
 
 
