@@ -13,6 +13,9 @@
 // sharded backend touches no shared state until flush. (The intern
 // probe itself costs the same hash + map lookup in every backend; it is
 // deliberately amortized here so the numbers isolate the sink seam.)
+//
+// BM_FlushAfterRounds times the round-boundary flush alone, on a shard
+// that has seen 41 (paper) or 1500 (multi_vp) rounds.
 
 #include <atomic>
 #include <chrono>
@@ -121,6 +124,37 @@ void BM_IngestSharded(benchmark::State& state) {
   bm_ingest<core::ShardedSink>(state);
 }
 BENCHMARK(BM_IngestSharded)->Arg(1)->Arg(8)->UseManualTime()->Unit(benchmark::kMillisecond);
+
+/// One-round ingest epochs on a sharded sink whose shard has already
+/// counted round R − 1: record one row, count it, flush. A flush merges
+/// and zeroes only the rounds its epoch counted, so the time per flush
+/// should not grow with R (a campaign with R rounds flushes once per
+/// (VP, round), each touching one round). The iteration count is fixed
+/// because every flushed row stays in the store.
+void BM_FlushAfterRounds(benchmark::State& state) {
+  const auto rounds = static_cast<std::uint32_t>(state.range(0));
+  core::ResultsDb db;
+  core::ShardedSink sink(db);
+  core::ObservationSink::Lane& lane = sink.lane();
+  lane.count(rounds - 1, core::MonitorStatus::kV4Only);
+  sink.flush();
+  core::Observation o;
+  o.status = core::MonitorStatus::kMeasured;
+  o.v4_speed_kBps = 120.0f;
+  o.v6_speed_kBps = 95.0f;
+  std::uint32_t epoch = 0;
+  for (auto _ : state) {
+    o.site = epoch;
+    o.round = epoch % rounds;
+    lane.record(o);
+    lane.count(o.round, o.status);
+    sink.flush();
+    ++epoch;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["rounds"] = rounds;
+}
+BENCHMARK(BM_FlushAfterRounds)->Arg(41)->Arg(1500)->Iterations(50000)->Unit(benchmark::kNanosecond);
 
 void emit() {
   // No reproduced paper table here — this benchmark measures the results

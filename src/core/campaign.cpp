@@ -576,19 +576,26 @@ void Campaign::run_w6d() {
 void Campaign::finalize() {
   if (finalized_) return;
   finalized_ = true;
+  // Stores share nothing, so they finish, replay and sort in parallel.
+  // A failing store (a spool that cannot be replayed) does not stop the
+  // others; parallel_index rethrows the lowest store index's error, so
+  // which error surfaces does not depend on the schedule.
+  std::vector<VpStore*> stores;
   for (std::deque<VpStore>* group : {&stores_, &w6d_stores_}) {
-    for (VpStore& store : *group) {
-      util::LockGuard epoch(store.epoch_mu);
-      store.sink->finish();
-      if (!store.spool_path.empty()) {
-        // Out-of-core campaign: pull the spooled rows back in for the
-        // analysis pass. The replayed store is indistinguishable from an
-        // in-memory run (tests assert byte equality).
-        replay_spool_file(store.spool_path, *store.db);
-      }
-      store.db->finalize();
-    }
+    for (VpStore& store : *group) stores.push_back(&store);
   }
+  parallel_index(pool_, stores.size(), [&stores](std::size_t i) {
+    VpStore& store = *stores[i];
+    util::LockGuard epoch(store.epoch_mu);
+    store.sink->finish();
+    if (!store.spool_path.empty()) {
+      // Out-of-core campaign: pull the spooled rows back in for the
+      // analysis pass. The replayed store is indistinguishable from an
+      // in-memory run (tests assert byte equality).
+      replay_spool_file(store.spool_path, *store.db);
+    }
+    store.db->finalize();
+  });
 }
 
 }  // namespace v6mon::core

@@ -143,9 +143,12 @@ class Campaign {
   [[nodiscard]] dns::Resolver::Stats dns_stats(std::size_t vp_index) const;
 
   /// End ingest and build the analysis views: close sinks (replaying
-  /// spool files for the kSpool backend) and finalize every ResultsDb.
-  /// Call after all runs, before analysis. Idempotent; no run_round /
-  /// run_w6d calls may follow.
+  /// spool files for the kSpool backend) and finalize every ResultsDb,
+  /// the stores in parallel on the campaign pool. Call after all runs,
+  /// before analysis. Idempotent; no run_round / run_w6d calls may
+  /// follow. When stores fail (Error, IoError from a spool), every other
+  /// store still finalizes and the error of the first failing store —
+  /// regular stores in VP order, then W6D stores — is thrown.
   void finalize();
 
  private:

@@ -9,6 +9,7 @@
 
 #include "util/contracts.h"
 #include "util/error.h"
+#include "util/float_format.h"
 
 namespace v6mon::core {
 
@@ -124,17 +125,12 @@ void ResultsDb::count_listed(std::uint32_t round, std::uint64_t n) {
   round_slot(round).listed += n;
 }
 
-void ResultsDb::merge_counters(const std::vector<RoundCounters>& deltas) {
+void ResultsDb::merge_counters(std::uint32_t first_round,
+                               std::span<const RoundCounters> deltas) {
   if (deltas.empty()) return;
   util::LockGuard lock(mu_);
-  for (std::uint32_t r = 0; r < deltas.size(); ++r) {
-    round_slot(r) += deltas[r];
-  }
-}
-
-void ResultsDb::merge_counters(std::uint32_t round, const RoundCounters& delta) {
-  util::LockGuard lock(mu_);
-  round_slot(round) += delta;
+  round_slot(static_cast<std::uint32_t>(first_round + deltas.size() - 1));  // size once
+  for (std::size_t i = 0; i < deltas.size(); ++i) rounds_[first_round + i] += deltas[i];
 }
 
 SiteSeries ResultsDb::series(std::uint32_t site) const {
@@ -188,8 +184,9 @@ constexpr std::size_t kCsvBlockBytes = std::size_t{64} << 10;
 constexpr std::size_t kRowFixedBytes = 128;
 
 /// Block-buffered observation-CSV formatter. Rows are formatted with
-/// `std::to_chars` into one fixed block; a full block goes to the stream
-/// in a single write, so the dump never holds more than a block of text.
+/// `std::to_chars` (integers) and util::write_g6 (speeds) into one fixed
+/// block; a full block goes to the stream in a single write, so the dump
+/// never holds more than a block of text.
 /// Each path id is rendered through PathRegistry::to_string at most once
 /// per dump and copied from that cache for every later row.
 class CsvRowWriter {
@@ -281,9 +278,7 @@ class CsvRowWriter {
   /// produces under the default stream state, without locale or num_put.
   void field_speed(float v) {
     *pos_++ = ',';
-    pos_ = std::to_chars(pos_, block_.get() + kCsvBlockBytes, static_cast<double>(v),
-                         std::chars_format::general, 6)
-               .ptr;
+    pos_ = util::write_g6(pos_, v);
   }
 
   std::string_view path_text(PathId id) {

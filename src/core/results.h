@@ -166,10 +166,10 @@ class ResultsDb {
   /// registry. Relative order of add() rows and merged batches is
   /// preserved.
   void merge_rows(std::span<const Observation> batch);
-  /// Fold per-round counter deltas in (indexed by round).
-  void merge_counters(const std::vector<RoundCounters>& deltas);
-  /// Fold a single round's counter delta in (spool replay path).
-  void merge_counters(std::uint32_t round, const RoundCounters& delta);
+  /// Fold per-round counter deltas in: `deltas[i]` is round
+  /// `first_round + i`'s (a sink flush's touched range, or one spool
+  /// record). One lock for the whole range.
+  void merge_counters(std::uint32_t first_round, std::span<const RoundCounters> deltas);
 
   [[nodiscard]] PathRegistry& paths() { return paths_; }
   [[nodiscard]] const PathRegistry& paths() const { return paths_; }

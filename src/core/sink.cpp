@@ -1,5 +1,6 @@
 #include "core/sink.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 
@@ -80,11 +81,15 @@ void ShardedSinkBase::flush() {
         o.v6_path = s.remap_[o.v6_path];
       }
     }
-    merge_batch(s.staged_, s.counters_);
+    const std::span<RoundCounters> touched =
+        s.lo_ < s.hi_ ? std::span(s.counters_).subspan(s.lo_, s.hi_ - s.lo_)
+                      : std::span<RoundCounters>();
+    merge_batch(s.staged_, touched.empty() ? 0 : s.lo_, touched);
     s.staged_.clear();  // keep the capacity: the next round refills it
-    // Zero the deltas but keep the vector: the next round reuses the
-    // allocation and merge treats all-zero rounds as no-ops.
-    for (RoundCounters& c : s.counters_) c = RoundCounters{};
+    // Zero only the touched deltas: every other round is zero already.
+    std::fill(touched.begin(), touched.end(), RoundCounters{});
+    s.lo_ = UINT32_MAX;
+    s.hi_ = 0;
   }
 }
 

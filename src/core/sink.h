@@ -143,12 +143,15 @@ class ShardedSinkBase : public ObservationSink {
   /// Map one shard-local path (by content) to a canonical id in the
   /// flush target, registering it there on first sight.
   virtual PathId canonicalize(std::span<const topo::Asn> path) = 0;
-  /// Receive one shard's batch: rows carry canonical path ids; counters
-  /// are per-round deltas since the previous flush (all-zero rounds are
-  /// no-ops). The rows are only borrowed — the shard clears and reuses
-  /// its buffer after the call.
-  virtual void merge_batch(std::span<const Observation> rows,
-                           const std::vector<RoundCounters>& counters) = 0;
+  /// Receive one shard's batch: rows carry canonical path ids;
+  /// `counters[i]` is round `first_round + i`'s delta since the previous
+  /// flush, over the range of rounds the shard's count/count_n calls
+  /// touched in this epoch (empty when it counted nothing; rounds inside
+  /// the range can still be all-zero, and merge treats those as no-ops).
+  /// Both spans are only borrowed — the shard zeroes and reuses its
+  /// buffers after the call.
+  virtual void merge_batch(std::span<const Observation> rows, std::uint32_t first_round,
+                           std::span<const RoundCounters> counters) = 0;
 
  private:
   class Shard final : public Lane {
@@ -156,21 +159,32 @@ class ShardedSinkBase : public ObservationSink {
     [[nodiscard]] PathRegistry& paths() override { return reg_; }
     void record(const Observation& obs) override { staged_.push_back(obs); }
     void count(std::uint32_t round, MonitorStatus status) override {
-      if (round >= counters_.size()) counters_.resize(round + 1);
-      apply_status(counters_[round], status);
+      apply_status(touch(round), status);
     }
     void count_n(std::uint32_t round, MonitorStatus status,
                  std::uint64_t n) override {
-      if (n == 0) return;
-      if (round >= counters_.size()) counters_.resize(round + 1);
-      apply_status(counters_[round], status, n);
+      if (n != 0) apply_status(touch(round), status, n);
     }
 
    private:
     friend class ShardedSinkBase;
+    /// The round's delta slot, widening the touched range to cover it.
+    RoundCounters& touch(std::uint32_t round) {
+      if (round >= counters_.size()) counters_.resize(round + 1);
+      if (round < lo_) lo_ = round;
+      if (round >= hi_) hi_ = round + 1;
+      return counters_[round];
+    }
+
     PathRegistry reg_;
     std::vector<Observation> staged_;
+    /// Per-round deltas, indexed by round; zero outside [lo_, hi_), the
+    /// rounds counted since the last flush (empty when lo_ >= hi_). A
+    /// flush merges and zeroes only that range, so its cost follows the
+    /// rounds an epoch touched, not every round the shard has seen.
     std::vector<RoundCounters> counters_;
+    std::uint32_t lo_ = UINT32_MAX;
+    std::uint32_t hi_ = 0;
     /// Shard-local path id -> canonical id; grown incrementally at
     /// flush so already-canonicalized prefixes are never re-interned.
     std::vector<PathId> remap_;
@@ -201,10 +215,10 @@ class ShardedSink final : public ShardedSinkBase {
   PathId canonicalize(std::span<const topo::Asn> path) override {
     return db_->paths().intern(path);
   }
-  void merge_batch(std::span<const Observation> rows,
-                   const std::vector<RoundCounters>& counters) override {
+  void merge_batch(std::span<const Observation> rows, std::uint32_t first_round,
+                   std::span<const RoundCounters> counters) override {
     db_->merge_rows(rows);
-    db_->merge_counters(counters);
+    db_->merge_counters(first_round, counters);
   }
 
  private:

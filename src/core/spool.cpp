@@ -164,17 +164,19 @@ PathId SpoolSink::canonicalize(std::span<const topo::Asn> path) {
   return id;
 }
 
-void SpoolSink::merge_batch(std::span<const Observation> rows,
-                            const std::vector<RoundCounters>& counters) {
+void SpoolSink::merge_batch(std::span<const Observation> rows, std::uint32_t first_round,
+                            std::span<const RoundCounters> counters) {
   for (const Observation& o : rows) writer_.observation(o);
-  for (std::uint32_t r = 0; r < counters.size(); ++r) {
-    const RoundCounters& c = counters[r];
+  // Rounds outside the touched range are all-zero: skipping them skips
+  // no record.
+  for (std::uint32_t i = 0; i < counters.size(); ++i) {
+    const RoundCounters& c = counters[i];
     if (c.listed == 0 && c.v4_only == 0 && c.v6_only == 0 && c.dual == 0 &&
         c.dns_failed == 0 && c.measured == 0 && c.different_content == 0 &&
         c.download_failed == 0) {
       continue;  // all-zero delta: skip the record, replay adds nothing
     }
-    writer_.counters(r, c);
+    writer_.counters(first_round + i, c);
   }
 }
 
@@ -249,7 +251,7 @@ void replay_spool(std::istream& in, ResultsDb& db) {
         delta.measured = r.u64();
         delta.different_content = r.u64();
         delta.download_failed = r.u64();
-        db.merge_counters(round, delta);
+        db.merge_counters(round, std::span(&delta, 1));
         break;
       }
       case kTagEnd: {

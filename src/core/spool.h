@@ -86,8 +86,8 @@ class SpoolSink final : public ShardedSinkBase {
 
  protected:
   PathId canonicalize(std::span<const topo::Asn> path) override;
-  void merge_batch(std::span<const Observation> rows,
-                   const std::vector<RoundCounters>& counters) override;
+  void merge_batch(std::span<const Observation> rows, std::uint32_t first_round,
+                   std::span<const RoundCounters> counters) override;
 
  private:
   PathRegistry reg_;  ///< Spool-global ids; dedupes across shards.

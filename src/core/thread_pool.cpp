@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <exception>
 #include <memory>
 
 #include "util/contracts.h"
@@ -60,6 +62,28 @@ std::size_t resolve_threads(std::size_t threads) {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+namespace {
+
+/// The exception of the lowest index that threw, whatever order the
+/// indices ran in.
+class FirstError {
+ public:
+  void offer(std::size_t index, std::exception_ptr error) {
+    if (index < index_) {
+      index_ = index;
+      error_ = std::move(error);
+    }
+  }
+  /// Hand the exception over (null when no index threw).
+  std::exception_ptr take() { return std::move(error_); }
+
+ private:
+  std::size_t index_ = SIZE_MAX;
+  std::exception_ptr error_;
+};
+
+}  // namespace
+
 void parallel_index(ThreadPool& pool, std::size_t n,
                     const std::function<void(std::size_t)>& fn) {
   V6MON_ASSERT(fn != nullptr, "parallel_index needs a callable body");
@@ -67,7 +91,15 @@ void parallel_index(ThreadPool& pool, std::size_t n,
   if (n == 1 || pool.thread_count() == 1) {
     // Degenerate shapes run inline: same fn(i) sequence, no queue hop —
     // and the threads=1 configuration stays a pure serial reference.
-    for (std::size_t i = 0; i < n; ++i) fn(i);
+    FirstError first;
+    for (std::size_t i = 0; i < n; ++i) {
+      try {
+        fn(i);
+      } catch (...) {
+        first.offer(i, std::current_exception());
+      }
+    }
+    if (const std::exception_ptr error = first.take()) std::rethrow_exception(error);
     return;
   }
 
@@ -87,6 +119,7 @@ void parallel_index(ThreadPool& pool, std::size_t n,
     util::Mutex mu;
     std::condition_variable cv;
     bool complete V6MON_GUARDED_BY(mu) = false;
+    FirstError first V6MON_GUARDED_BY(mu);
   };
   const auto sync = std::make_shared<Sync>();
   sync->total = n;
@@ -95,7 +128,14 @@ void parallel_index(ThreadPool& pool, std::size_t n,
     for (std::size_t i = sync->next.fetch_add(1, std::memory_order_relaxed);
          i < sync->total;
          i = sync->next.fetch_add(1, std::memory_order_relaxed)) {
-      sync->body(i);
+      try {
+        sync->body(i);
+      } catch (...) {
+        // Caught per index, so a throwing body never escapes a pool
+        // worker and every claimed index still runs and counts as done.
+        util::LockGuard lock(sync->mu);
+        sync->first.offer(i, std::current_exception());
+      }
       // acq_rel chain: the increment that reaches `total` has observed
       // every earlier increment, hence every earlier fn(i)'s effects —
       // the mutex below then publishes them to the waiting caller.
@@ -114,8 +154,16 @@ void parallel_index(ThreadPool& pool, std::size_t n,
   const std::size_t helpers = std::min(pool.thread_count() - 1, n - 1);
   for (std::size_t w = 0; w < helpers; ++w) pool.submit(drain);
   drain();
-  util::UniqueLock lock(sync->mu);
-  while (!sync->complete) lock.wait(sync->cv);
+  std::exception_ptr error;
+  {
+    util::UniqueLock lock(sync->mu);
+    while (!sync->complete) lock.wait(sync->cv);
+    // Take the exception out of `sync`: a late helper may drop the last
+    // reference to `sync`, and the exception must be released on this
+    // thread, which reads it, rather than by a helper's destructor.
+    error = sync->first.take();
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::worker_loop() {

@@ -70,10 +70,15 @@ class ThreadPool {
 ///
 /// Blocks until all n calls have completed — only *this* call's work, so
 /// concurrent parallel_index calls on one pool don't wait for each other.
-/// `fn` must be safe to invoke concurrently from pool workers and must not
-/// throw (ThreadPool's task contract). Iteration order across workers is
-/// unspecified; callers needing deterministic output must make fn(i)
-/// independent of scheduling (per-index RNG streams, indexed result slots).
+/// `fn` must be safe to invoke concurrently from pool workers. Iteration
+/// order across workers is unspecified; callers needing deterministic
+/// output must make fn(i) independent of scheduling (per-index RNG
+/// streams, indexed result slots).
+///
+/// `fn` may throw. Each index's exception is caught where it ran, every
+/// index still runs exactly once, and once all have finished the caller
+/// gets the exception of the lowest index that threw — the same one at
+/// any thread count and under any schedule.
 ///
 /// Deadlock-free under nesting: the caller participates in the index
 /// loop itself and then waits only for indices some thread has already

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
 
 #include "bgp/anycast.h"
 #include "bgp/route_computer.h"
@@ -241,17 +240,22 @@ void build_ribs(core::World& world, std::size_t threads) {
     }
   }
 
-  // Destination set: every AS hosting a site presence (incl. relocations).
-  std::set<Asn> dest_set;
+  // Destination set: every AS hosting a site presence (incl. relocations),
+  // marked in a bitmap over the dense ASNs and collected in ascending order.
+  std::vector<std::uint8_t> is_dest(g.num_ases(), 0);
   for (const web::Site& s : world.catalog.sites()) {
-    dest_set.insert(s.v4_as);
-    if (s.v6_from_round != web::kNever) dest_set.insert(s.v6_as);
-    if (const web::Hosting* h = world.catalog.relocation(s.id)) {
-      dest_set.insert(h->v4_as);
-      if (h->v6_as != topo::kNoAs) dest_set.insert(h->v6_as);
-    }
+    is_dest.at(s.v4_as) = 1;
+    if (s.v6_from_round != web::kNever) is_dest.at(s.v6_as) = 1;
   }
-  const std::vector<Asn> dests(dest_set.begin(), dest_set.end());
+  // V6MON_LINT_ALLOW(D001): marks a bitmap; the order of the marks is invisible
+  for (const auto& [site_id, h] : world.catalog.relocations()) {
+    is_dest.at(h.v4_as) = 1;
+    if (h.v6_as != topo::kNoAs) is_dest.at(h.v6_as) = 1;
+  }
+  std::vector<Asn> dests;
+  for (Asn asn = 0; asn < is_dest.size(); ++asn) {
+    if (is_dest[asn] != 0) dests.push_back(asn);
+  }
 
   // Convergence fans out per destination (each table only reads the
   // graph); insertion into the VP tries stays serial and walks `dests` in

@@ -133,6 +133,10 @@ class SiteCatalog {
 
   /// The relocation record for a site, if any.
   [[nodiscard]] const Hosting* relocation(std::uint32_t site_id) const;
+  /// Every relocation record, by site id (unordered).
+  [[nodiscard]] const std::unordered_map<std::uint32_t, Hosting>& relocations() const {
+    return relocations_;
+  }
 
   [[nodiscard]] std::size_t size() const { return sites_.size(); }
   [[nodiscard]] const Site& site(std::size_t i) const { return sites_.at(i); }

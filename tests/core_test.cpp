@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -10,6 +12,7 @@
 #include <sstream>
 #include <streambuf>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/campaign.h"
@@ -87,6 +90,60 @@ TEST(ParallelIndex, NestedOnSaturatedPoolCompletes) {
     });
   });
   EXPECT_EQ(total.load(), kOuter * kInner);
+}
+
+// A throwing body neither terminates the process (a worker's throw used
+// to escape worker_loop) nor cuts the call short: every index runs once,
+// and the caller gets the lowest throwing index's exception whichever
+// order the indices ran in.
+TEST(ParallelIndex, RethrowsLowestIndexExceptionAfterEveryIndexRan) {
+  ThreadPool pool(4);
+  for (int rep = 0; rep < 20; ++rep) {
+    constexpr std::size_t kN = 64;
+    std::vector<std::atomic<int>> hits(kN);
+    std::atomic<bool> seven_threw{false};
+    try {
+      parallel_index(pool, kN, [&](std::size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+        if (i == 7) {
+          seven_threw.store(true);
+          throw Error("index 7");
+        }
+        if (i == 3) {
+          // Throw after index 7 (other threads claim it meanwhile), so
+          // the lower index is not also the first in time.
+          const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+          while (!seven_threw.load() && std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+          throw Error("index 3");
+        }
+      });
+      ADD_FAILURE() << "parallel_index swallowed the exceptions";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "index 3");
+    }
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(hits[i].load(std::memory_order_relaxed), 1) << "index " << i;
+    }
+  }
+  // Still usable afterwards: no worker died, nothing is left queued.
+  std::atomic<std::size_t> total{0};
+  parallel_index(pool, 1000, [&](std::size_t) { total.fetch_add(1); });
+  EXPECT_EQ(total.load(), 1000u);
+  pool.wait_idle();
+}
+
+TEST(ParallelIndex, SerialShapesRethrowLowestIndexToo) {
+  ThreadPool one(1);
+  std::vector<int> hits(10, 0);
+  EXPECT_THROW(parallel_index(one, hits.size(),
+                              [&](std::size_t i) {
+                                ++hits[i];
+                                if (i == 2 || i == 5) throw Error(std::to_string(i));
+                              }),
+               Error);
+  EXPECT_EQ(hits, std::vector<int>(10, 1));
 }
 
 TEST(PathRegistry, InternsAndDeduplicates) {
@@ -970,6 +1027,44 @@ TEST(Campaign, ObservationCsvBytesPinned) {
   EXPECT_GT(observations.size(), std::size_t{100'000});
   EXPECT_EQ(fnv1a64(observations), 0x46c16c4f47ace918ULL) << observations.size() << " bytes";
   EXPECT_EQ(fnv1a64(w6d), 0x351d3a5447e22b87ULL) << w6d.size() << " bytes";
+}
+
+// finalize() runs the stores in parallel. A store whose spool is gone
+// must surface as an Error naming the first such store (VP order), not
+// as a crash on a pool worker and not as whichever store failed first
+// in time.
+TEST(Campaign, FinalizeThrowsFirstFailingSpoolStore) {
+  scenario::WorldSpec spec = small_world().spec;
+  spec.vantage_points.push_back(spec.vantage_points.front());
+  spec.vantage_points.back().name = "C";
+  const World w = scenario::build_world(spec);
+  ASSERT_EQ(w.vantage_points.size(), 3u);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string dir = ::testing::TempDir() + "/finalize_spool_t" +
+                            std::to_string(threads) + "_" +
+                            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::create_directories(dir);
+    CampaignConfig cfg;
+    cfg.seed = 5;
+    cfg.threads = threads;
+    cfg.sink = SinkBackend::kSpool;
+    cfg.spool_dir = dir;
+    Campaign campaign(w, cfg);
+    campaign.run();
+    // Removing a spool file makes its replay fail: two stores fail, and
+    // at threads = 4 vp2's may well fail first in time.
+    std::filesystem::remove(dir + "/vp0.spool");
+    std::filesystem::remove(dir + "/vp2.spool");
+    try {
+      campaign.finalize();
+      ADD_FAILURE() << "finalize() ignored the missing spools";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("vp0.spool"), std::string::npos) << what;
+    }
+    std::filesystem::remove_all(dir);
+  }
 }
 
 #if V6MON_CONTRACT_LEVEL >= 1

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -127,6 +128,103 @@ TEST(Sink, SpoolRoundTripMatchesMutexReference) {
     EXPECT_TRUE(spool.ok());
   }
   replay_spool_file(path, sdb);
+  mdb.finalize();
+  sdb.finalize();
+  expect_same_finalized(mdb, sdb);
+  std::remove(path.c_str());
+}
+
+// --- Flush range ------------------------------------------------------------
+//
+// A shard flushes only the rounds it counted since its last flush. These
+// epochs touch a wide range with a gap, count a low round after a high
+// one and a high one after a low one, revisit a flushed round, and flush
+// with no traffic at all: a range that missed a round would drop or
+// delay its counts, and a flush that did not zero what it merged would
+// add it again on the next flush.
+
+using Epoch = std::function<void(ObservationSink&)>;
+
+const std::vector<Epoch>& range_epochs() {
+  static const std::vector<Epoch> epochs = {
+      [](ObservationSink& sink) {
+        ObservationSink::Lane& lane = sink.lane();
+        lane.record(sample_obs(10, 3, kNoPath, kNoPath));
+        lane.count(1200, MonitorStatus::kMeasured);
+        lane.count_n(3, MonitorStatus::kV4Only, 5);
+        lane.count(3, MonitorStatus::kDifferentContent);
+        sink.count_listed(3, 7);
+      },
+      [](ObservationSink& sink) {
+        ObservationSink::Lane& lane = sink.lane();
+        lane.count(7, MonitorStatus::kDnsFailed);
+        lane.count_n(8, MonitorStatus::kV6Only, 2);
+        lane.count_n(9, MonitorStatus::kV4Only, 0);  // counts nothing, touches nothing
+      },
+      [](ObservationSink&) {},  // an empty epoch
+      [](ObservationSink& sink) {
+        sink.lane().count(1200, MonitorStatus::kV6DownloadFailed);
+      },
+      [](ObservationSink&) {},  // no traffic: must change nothing
+  };
+  return epochs;
+}
+
+void expect_same_counters(const ResultsDb& got, const ResultsDb& want) {
+  ASSERT_EQ(got.rounds(), want.rounds());
+  for (std::uint32_t r = 0; r < want.rounds(); ++r) {
+    const RoundCounters& a = got.round_counters(r);
+    const RoundCounters& b = want.round_counters(r);
+    EXPECT_EQ(a.listed, b.listed) << "round " << r;
+    EXPECT_EQ(a.v4_only, b.v4_only) << "round " << r;
+    EXPECT_EQ(a.v6_only, b.v6_only) << "round " << r;
+    EXPECT_EQ(a.dual, b.dual) << "round " << r;
+    EXPECT_EQ(a.dns_failed, b.dns_failed) << "round " << r;
+    EXPECT_EQ(a.measured, b.measured) << "round " << r;
+    EXPECT_EQ(a.different_content, b.different_content) << "round " << r;
+    EXPECT_EQ(a.download_failed, b.download_failed) << "round " << r;
+  }
+}
+
+TEST(Sink, ShardedFlushMergesTouchedRoundsOnly) {
+  ResultsDb mdb, sdb;
+  MutexSink msink(mdb);
+  ShardedSink ssink(sdb);
+  // Lock-step: after every flush the store equals the reference.
+  for (std::size_t e = 0; e < range_epochs().size(); ++e) {
+    SCOPED_TRACE("epoch " + std::to_string(e));
+    range_epochs()[e](msink);
+    range_epochs()[e](ssink);
+    msink.flush();
+    ssink.flush();
+    expect_same_counters(sdb, mdb);
+  }
+  ASSERT_EQ(mdb.rounds(), 1201u);
+  EXPECT_EQ(mdb.round_counters(3).v4_only, 5u);
+  EXPECT_EQ(mdb.round_counters(8).v6_only, 2u);
+  EXPECT_EQ(mdb.round_counters(1200).dual, 2u);
+  ssink.finish();
+  mdb.finalize();
+  sdb.finalize();
+  expect_same_finalized(mdb, sdb);
+}
+
+TEST(Sink, SpoolFlushMergesTouchedRoundsOnly) {
+  const std::string path = test_spool_path("ranges");
+  ResultsDb mdb, sdb;
+  MutexSink msink(mdb);
+  {
+    SpoolSink spool(path);
+    for (const Epoch& epoch : range_epochs()) {
+      epoch(msink);
+      epoch(spool);
+      spool.flush();
+    }
+    spool.finish();
+    EXPECT_TRUE(spool.ok());
+  }
+  replay_spool_file(path, sdb);
+  expect_same_counters(sdb, mdb);
   mdb.finalize();
   sdb.finalize();
   expect_same_finalized(mdb, sdb);
