@@ -1,10 +1,11 @@
 // End-to-end pipeline throughput harness (the PR-level perf contract).
 //
-// Times the four stages that dominate a full study — world construction,
-// RIB construction, one campaign round, and the analysis pass — at
-// thread counts 1 and 8, so the speedup of the parallel RIB fan-out and
-// the persistent campaign pool is a number in a JSON artifact rather
-// than a claim in a commit message:
+// Times the stages that dominate a full study — world construction (and
+// the site catalog within it), RIB construction, one campaign round, and
+// the analysis pass — at thread counts 1 and 8 (the catalog at 1 and 4),
+// so the speedup of the parallel RIB fan-out and the persistent campaign
+// pool is a number in a JSON artifact rather than a claim in a commit
+// message:
 //
 //   build/bench/bench_pipeline --benchmark_out=BENCH_pipeline.json
 //                              --benchmark_out_format=json
@@ -41,6 +42,7 @@
 #include "transport/download.h"
 #include "transport/path.h"
 #include "util/rng.h"
+#include "web/catalog.h"
 
 namespace {
 
@@ -73,6 +75,24 @@ void BM_WorldBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorldBuild)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+
+/// The site catalog alone, on the shared scale-1.0 graph (the catalog
+/// reads only nodes and their address blocks, which the tunnel overlay
+/// leaves as they were): the serial stream pass plus the value pass at
+/// `threads` workers.
+void BM_CatalogGenerate(benchmark::State& state) {
+  const core::World& world = shared_world();
+  const scenario::WorldSpec spec = scenario::paper_spec(bench_seed(), bench_scale());
+  web::CatalogParams params = spec.catalog;
+  params.w6d_round = spec.w6d_round;
+  for (auto _ : state) {
+    util::Rng rng = util::Rng(spec.seed).child("catalog");
+    const web::SiteCatalog catalog = web::SiteCatalog::generate(
+        world.graph, params, rng, static_cast<std::size_t>(state.range(0)));
+    benchmark::DoNotOptimize(catalog.size());
+  }
+}
+BENCHMARK(BM_CatalogGenerate)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_RibBuild(benchmark::State& state) {
   core::World& world = shared_world();

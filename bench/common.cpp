@@ -38,8 +38,8 @@ const Study& Study::instance() {
     std::fprintf(stderr, "[bench] %s\n", s.world.graph.summary().c_str());
     std::fprintf(stderr, "[bench] running campaign (%u rounds, %zu VPs)...\n",
                  s.world.num_rounds, s.world.vantage_points.size());
-    s.campaign =
-        std::make_unique<core::Campaign>(s.world, scenario::paper_campaign_config(s.seed));
+    const core::CampaignConfig cfg = scenario::paper_campaign_config(s.seed);
+    s.campaign = std::make_unique<core::Campaign>(s.world, cfg);
     s.campaign->run();
     s.campaign->run_w6d();
     s.campaign->finalize();
@@ -48,8 +48,8 @@ const Study& Study::instance() {
       views.emplace_back(s.campaign->results(i));
       w6d.emplace_back(s.campaign->w6d_results(i));
     }
-    s.reports = analysis::analyze_world(s.world, views);
-    s.w6d_reports = analysis::analyze_world(s.world, w6d);
+    s.reports = analysis::analyze_world(s.world, views, {}, {}, cfg.threads);
+    s.w6d_reports = analysis::analyze_world(s.world, w6d, {}, {}, cfg.threads);
     std::fprintf(stderr, "[bench] analysis ready (%zu vantage points)\n",
                  s.reports.size());
     return true;

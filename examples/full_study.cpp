@@ -180,8 +180,8 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const auto reports = analysis::analyze_world(world, views);
-  auto w6d_reports = analysis::analyze_world(world, w6d_views);
+  const auto reports = analysis::analyze_world(world, views, {}, {}, cfg.threads);
+  auto w6d_reports = analysis::analyze_world(world, w6d_views, {}, {}, cfg.threads);
   // The paper's W6D tables exclude Comcast (no event data there).
   std::erase_if(w6d_reports,
                 [](const analysis::VpReport& r) { return r.name == "Comcast"; });

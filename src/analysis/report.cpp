@@ -1,5 +1,7 @@
 #include "analysis/report.h"
 
+#include <optional>
+
 #include "core/thread_pool.h"
 #include "obs/metrics.h"
 
@@ -27,13 +29,16 @@ VpReport analyze_vp(const std::string& name, core::ObservationView view,
 std::vector<VpReport> analyze_world(const core::World& world,
                                     const std::vector<core::ObservationView>& views,
                                     const AssessmentParams& ap,
-                                    const AsLevelParams& lp) {
+                                    const AsLevelParams& lp, std::size_t threads) {
   const obs::TraceSpan span(obs::Stage::kAnalysis);
-  core::ThreadPool pool(core::resolve_threads(0));
+  const std::size_t workers = core::resolve_threads(threads);
+  std::optional<core::ThreadPool> pool;
+  if (workers > 1) pool.emplace(workers);
   std::vector<VpReport> out;
   for (std::size_t i = 0; i < world.vantage_points.size() && i < views.size(); ++i) {
     if (!world.vantage_points[i].has_as_path) continue;
-    out.push_back(analyze_vp(world.vantage_points[i].name, views[i], ap, lp, &pool));
+    out.push_back(analyze_vp(world.vantage_points[i].name, views[i], ap, lp,
+                             pool ? &*pool : nullptr));
   }
   return out;
 }

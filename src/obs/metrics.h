@@ -36,8 +36,9 @@ enum class Stage : std::uint8_t {
   kAnalysis,         ///< The Fig. 4 analysis pass over a finalized store.
   kSiteResolve,      ///< Resolved-site slot assignment (coordinator).
   kWorkList,         ///< A round's work list: candidate walk + shuffle.
+  kCatalogBuild,     ///< Site catalog generation (world build).
 };
-inline constexpr std::size_t kNumStages = 8;
+inline constexpr std::size_t kNumStages = 9;
 
 [[nodiscard]] constexpr const char* stage_name(Stage s) {
   switch (s) {
@@ -49,6 +50,7 @@ inline constexpr std::size_t kNumStages = 8;
     case Stage::kAnalysis: return "analysis";
     case Stage::kSiteResolve: return "site_resolve";
     case Stage::kWorkList: return "work_list";
+    case Stage::kCatalogBuild: return "catalog_build";
   }
   return "?";
 }

@@ -348,7 +348,11 @@ core::World build_world(const WorldSpec& spec) {
   web::CatalogParams cat_params = spec.catalog;
   cat_params.w6d_round = spec.w6d_round;
   util::Rng cat_rng = rng.child("catalog");
-  world.catalog = web::SiteCatalog::generate(world.graph, cat_params, cat_rng);
+  {
+    const obs::TraceSpan catalog_span(obs::Stage::kCatalogBuild);
+    world.catalog = web::SiteCatalog::generate(world.graph, cat_params, cat_rng,
+                                               spec.build_threads);
+  }
 
   if (spec.tunnels) {
     util::Rng tun_rng = rng.child("tunnels");

@@ -34,46 +34,9 @@ std::uint64_t Rng::child_seed(std::string_view name, std::uint64_t index) const 
   return hash_combine(seed_, name, index);
 }
 
-double word_to_double(std::uint64_t u) {
-  // Both 32-bit halves convert exactly and the scaled high half stays
-  // exact, so the one rounding is the sum's.
-  return static_cast<double>(static_cast<std::int64_t>(u >> 32)) * 0x1p32 +
-         static_cast<double>(static_cast<std::int64_t>(u & 0xffffffffU));
-}
-
-double word_to_unit(std::uint64_t u) {
-  // The largest double below 1.0: std::nextafter(1.0, 0.0).
-  constexpr double kBelowOne = 0x1.fffffffffffffp-1;
-  // One word divided by 2^64 (exact, a power of two). Words within 2^10
-  // of 2^64 round up to 1.0, which the clamp maps to the largest double
-  // below it, as libstdc++ does.
-  return std::min(word_to_double(u) * 0x1p-64, kBelowOne);
-}
-
 namespace {
 
 double canonical(Mt64Engine& engine) { return word_to_unit(engine()); }
-
-/// libstdc++'s normal_distribution: Marsaglia's polar method. Of the
-/// accepted pair it returns the y variate; the caller never sees the x
-/// variate, as a fresh std::normal_distribution per call discards it.
-double polar_normal(Mt64Engine& engine) {
-  double x = 0.0;
-  double y = 0.0;
-  double r2 = 0.0;
-  do {
-    x = 2.0 * canonical(engine) - 1.0;
-    y = 2.0 * canonical(engine) - 1.0;
-    r2 = x * x + y * y;
-  } while (r2 > 1.0 || r2 == 0.0);
-  return y * std::sqrt(-2 * std::log(r2) / r2);
-}
-
-/// libstdc++'s lognormal_distribution(mu, sigma): its inner normal(0, 1)
-/// keeps `* 1.0 + 0.0`, which turns a -0.0 variate into +0.0.
-double lognormal(Mt64Engine& engine, double mu, double sigma) {
-  return std::exp(sigma * (polar_normal(engine) * 1.0 + 0.0) + mu);
-}
 
 __extension__ typedef unsigned __int128 Wide;
 
@@ -150,29 +113,19 @@ double Rng::uniform01() {
   return canonical(engine_);
 }
 
-double Rng::uniform(double lo, double hi) {
-  return canonical(engine_) * (hi - lo) + lo;
-}
-
-bool Rng::chance(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return canonical(engine_) < p;
-}
-
 double Rng::normal(double mean, double stddev) {
-  return polar_normal(engine_) * stddev + mean;
+  return polar_normal(polar_pair()) * stddev + mean;
 }
 
 double Rng::lognormal_median(double median, double sigma) {
   V6MON_REQUIRE(median > 0.0);
-  return lognormal(engine_, std::log(median), sigma);
+  return lognormal_of(polar_pair(), std::log(median), sigma);
 }
 
 void Rng::fill_lognormal_median(double median, double sigma, std::span<double> out) {
   V6MON_REQUIRE(median > 0.0);
   const double mu = std::log(median);
-  for (double& x : out) x = lognormal(engine_, mu, sigma);
+  for (double& x : out) x = lognormal_of(polar_pair(), mu, sigma);
 }
 
 void Rng::fill_chance(double p, std::span<std::uint8_t> out) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -109,6 +110,51 @@ class Mt64Engine {
   std::uint32_t next_ = 0;
 };
 
+/// One engine word as the nearest double (round to nearest even), like a
+/// plain conversion but without the branch on the sign bit that x86-64
+/// emits for uint64 → double below AVX-512.
+[[nodiscard]] inline double word_to_double(std::uint64_t u) {
+  // Both 32-bit halves convert exactly and the scaled high half stays
+  // exact, so the one rounding is the sum's.
+  return static_cast<double>(static_cast<std::int64_t>(u >> 32)) * 0x1p32 +
+         static_cast<double>(static_cast<std::int64_t>(u & 0xffffffffU));
+}
+
+/// One engine word as a uniform double in [0, 1):
+/// std::generate_canonical<double, 53> over a 64-bit engine.
+[[nodiscard]] inline double word_to_unit(std::uint64_t u) {
+  // The largest double below 1.0: std::nextafter(1.0, 0.0).
+  constexpr double kBelowOne = 0x1.fffffffffffffp-1;
+  // One word divided by 2^64 (exact, a power of two). Words within 2^10
+  // of 2^64 round up to 1.0, which the clamp maps to the largest double
+  // below it, as libstdc++ does.
+  return std::min(word_to_double(u) * 0x1p-64, kBelowOne);
+}
+
+/// The accepted pair of one run of Marsaglia's polar method (libstdc++'s
+/// normal_distribution): the y variate and r2 = x*x + y*y, in (0, 1].
+/// `polar_normal` and `lognormal_of` finish a pair into the variate the
+/// distributions return. A caller that must consume the stream now but
+/// can compute the value later (or on another thread) keeps the pair.
+struct PolarPair {
+  double y = 0.0;
+  double r2 = 1.0;
+};
+
+/// The standard normal variate of an accepted pair. The x variate never
+/// enters: a fresh std::normal_distribution per call discards it.
+[[nodiscard]] inline double polar_normal(PolarPair p) {
+  return p.y * std::sqrt(-2 * std::log(p.r2) / p.r2);
+}
+
+/// libstdc++'s lognormal_distribution(mu, sigma) over an accepted pair:
+/// its inner normal(0, 1) keeps `* 1.0 + 0.0`, which turns a -0.0 variate
+/// into +0.0. The one expression behind Rng::lognormal_median and every
+/// deferred lognormal, so the two cannot drift apart.
+[[nodiscard]] inline double lognormal_of(PolarPair p, double mu, double sigma) {
+  return std::exp(sigma * (polar_normal(p) * 1.0 + 0.0) + mu);
+}
+
 /// Deterministic random number source.
 ///
 /// All randomness in the simulator flows from a single 64-bit root seed.
@@ -118,11 +164,13 @@ class Mt64Engine {
 /// (seed, name) pair always yields the same stream, so every experiment
 /// is reproducible bit-for-bit regardless of evaluation order elsewhere.
 ///
-/// The distributions live in rng.cpp, each written expression for
-/// expression after libstdc++ 12's algorithm over std::mt19937_64 (the
-/// toolchain the goldens were made with): generate_canonical, Marsaglia's
-/// polar normal, and Lemire's bounded integers. So the streams do not
-/// depend on the standard library's choice of algorithm.
+/// The distributions are written expression for expression after
+/// libstdc++ 12's algorithm over std::mt19937_64 (the toolchain the
+/// goldens were made with): generate_canonical, Marsaglia's polar normal,
+/// and Lemire's bounded integers. So the streams do not depend on the
+/// standard library's choice of algorithm. The one-word draws (uniform,
+/// chance) and the polar loop are inline here, as hot generators call
+/// them once per site; the rest live in rng.cpp.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : seed_(seed), engine_(seed) {}
@@ -149,10 +197,29 @@ class Rng {
   /// Uniform real in [0, 1).
   double uniform01();
   /// Uniform real in [lo, hi).
-  double uniform(double lo, double hi);
+  double uniform(double lo, double hi) { return word_to_unit(engine_()) * (hi - lo) + lo; }
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool chance(double p);
+  bool chance(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return word_to_unit(engine_()) < p;
+  }
+
+  /// The draws of one normal variate, left unfinished: runs the polar
+  /// rejection loop and returns the accepted pair. `normal` and
+  /// `lognormal_median` consume exactly these words.
+  PolarPair polar_pair() {
+    double x = 0.0;
+    double y = 0.0;
+    double r2 = 0.0;
+    do {
+      x = 2.0 * word_to_unit(engine_()) - 1.0;
+      y = 2.0 * word_to_unit(engine_()) - 1.0;
+      r2 = x * x + y * y;
+    } while (r2 > 1.0 || r2 == 0.0);
+    return {y, r2};
+  }
 
   /// Normal draw.
   double normal(double mean, double stddev);
@@ -208,15 +275,6 @@ class Rng {
   std::uint64_t seed_;
   Mt64Engine engine_;
 };
-
-/// One engine word as the nearest double (round to nearest even), like a
-/// plain conversion but without the branch on the sign bit that x86-64
-/// emits for uint64 → double below AVX-512.
-[[nodiscard]] double word_to_double(std::uint64_t u);
-
-/// One engine word as a uniform double in [0, 1):
-/// std::generate_canonical<double, 53> over a 64-bit engine.
-[[nodiscard]] double word_to_unit(std::uint64_t u);
 
 /// Stable 64-bit FNV-1a hash used for seed derivation (not cryptographic).
 [[nodiscard]] std::uint64_t hash_combine(std::uint64_t seed, std::string_view name,

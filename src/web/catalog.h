@@ -1,6 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string_view>
 #include <unordered_map>
@@ -121,12 +123,55 @@ struct Hosting {
   ip::Ipv6Address v6_addr;
 };
 
+/// Exact inverse-CDF search over a non-decreasing table of cumulative
+/// weights: `find(u)` is `std::lower_bound(cumulative, u) - begin` for
+/// every u, but a guide table of equal-width buckets over [0, total]
+/// narrows the search to the few entries whose bucket u falls in. The
+/// narrowed answer is accepted only if the entry before it lies below u
+/// (so it is the first entry >= u); otherwise the search falls back to a
+/// full lower_bound. Floating-point rounding at bucket edges can cost a
+/// fallback, never a different answer.
+class CumulativeIndex {
+ public:
+  /// `cumulative` non-empty and non-decreasing, from >= 0 to its total.
+  explicit CumulativeIndex(std::vector<double> cumulative);
+
+  /// The index std::lower_bound returns for `u`, which must lie in
+  /// [0, total()].
+  [[nodiscard]] std::size_t find(double u) const {
+    const double* c = cumulative_.data();
+    const auto bucket =
+        std::min(static_cast<std::size_t>(u * scale_), guide_.size() - 2);
+    const std::size_t lo = guide_[bucket];
+    const std::size_t hi = guide_[bucket + 1];
+    const auto i = static_cast<std::size_t>(std::lower_bound(c + lo, c + hi + 1, u) - c);
+    if (i <= hi && (i == 0 || c[i - 1] < u)) return i;
+    return static_cast<std::size_t>(
+        std::lower_bound(cumulative_.begin(), cumulative_.end(), u) - cumulative_.begin());
+  }
+
+  [[nodiscard]] double total() const { return cumulative_.back(); }
+
+ private:
+  std::vector<double> cumulative_;
+  /// guide_[b] = lower_bound of bucket b's lower edge, capped at the last
+  /// entry; K + 1 entries for K buckets.
+  std::vector<std::uint32_t> guide_;
+  double scale_ = 0.0;  ///< K / total: u * scale_ is u's bucket.
+};
+
 /// The monitored-site universe: an Alexa-like ranked list plus optional
 /// unranked supplemental sites, with IPv6 adoption unfolding over rounds.
 class SiteCatalog {
  public:
+  /// Draws every site from `rng.child("sites")` in site-id order, in
+  /// blocks. Each site's lognormal page size and server rate are
+  /// finished later from the polar pairs its draws accepted: at
+  /// `threads` = 1 right after its block, at any other value (0 =
+  /// hardware) on one worker thread while the next block is drawn. The
+  /// catalog is the same at any `threads`.
   static SiteCatalog generate(const topo::AsGraph& graph, const CatalogParams& params,
-                              util::Rng& rng);
+                              util::Rng& rng, std::size_t threads = 1);
 
   /// Effective hosting of a site at a round (applies relocations).
   [[nodiscard]] Hosting hosting_at(const Site& s, std::uint32_t round) const;

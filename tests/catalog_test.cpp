@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <map>
 
 #include "dns/resolver.h"
@@ -207,6 +209,54 @@ TEST(SiteCatalog, W6dParticipantsAreV6ByTheEvent) {
     EXPECT_EQ(s.v6_server_factor, 1.0f);
   }
   EXPECT_GT(participants, 50u);
+}
+
+/// std::lower_bound's answer, the oracle for CumulativeIndex::find.
+std::size_t oracle_find(const std::vector<double>& c, double u) {
+  return static_cast<std::size_t>(std::lower_bound(c.begin(), c.end(), u) - c.begin());
+}
+
+/// Every probe the guide table can get wrong: each cumulative value and
+/// its neighbours on both sides, 0, the largest double below the total,
+/// the total itself, and `randoms` uniform draws over [0, total).
+void expect_index_matches_lower_bound(const std::vector<double>& c, std::size_t randoms) {
+  const CumulativeIndex index(c);
+  const double total = c.back();
+  std::vector<double> probes = {0.0, std::nextafter(total, 0.0), total};
+  for (const double v : c) {
+    probes.push_back(v);
+    probes.push_back(std::nextafter(v, 0.0));
+    probes.push_back(std::nextafter(v, total + 1.0));
+  }
+  for (const double u : probes) {
+    if (u < 0.0 || u > total) continue;
+    ASSERT_EQ(index.find(u), oracle_find(c, u)) << "u = " << u;
+  }
+  util::Rng rng(c.size());
+  for (std::size_t i = 0; i < randoms; ++i) {
+    const double u = rng.uniform(0.0, total);
+    ASSERT_EQ(index.find(u), oracle_find(c, u)) << "u = " << u;
+  }
+}
+
+TEST(CumulativeIndex, MatchesLowerBoundOnTheHostingTable) {
+  // The paper world's hosting table: ~2,750 stubs under Zipf s = 1.05.
+  std::vector<double> c;
+  double total = 0.0;
+  for (std::size_t i = 0; i < 2750; ++i) {
+    total += 1.0 / std::pow(static_cast<double>(i + 1), 1.05);
+    c.push_back(total);
+  }
+  expect_index_matches_lower_bound(c, 1'000'000);
+}
+
+TEST(CumulativeIndex, MatchesLowerBoundOnPlateausAndTinyTables) {
+  // Round weights with zero-weight rounds (plateaus), a spike, one entry,
+  // a leading zero, and weights many orders of magnitude apart.
+  expect_index_matches_lower_bound({1.0, 1.0, 1.0, 51.0, 51.0, 52.0}, 100'000);
+  expect_index_matches_lower_bound({0.5}, 10'000);
+  expect_index_matches_lower_bound({0.0, 0.0, 3.0}, 10'000);
+  expect_index_matches_lower_bound({1e-300, 1e-12, 1.0, 1.0 + 1e-12, 1e12}, 100'000);
 }
 
 /// FNV-1a over the catalog's every Site field (field by field, so padding

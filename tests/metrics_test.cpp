@@ -151,7 +151,7 @@ TEST(Metrics, CountersJsonIsSortedAndCoversAllStages) {
   for (const char* key :
        {"campaign.fast_path_coin_sites", "campaign.sites_monitored",
         "dns.queries", "ingest.flushes", "monitor.ci_exhausted",
-        "stage.analysis.calls", "stage.dns_resolve.calls",
+        "stage.analysis.calls", "stage.catalog_build.calls", "stage.dns_resolve.calls",
         "stage.identity_fetch.calls", "stage.ingest_flush.calls",
         "stage.repeat_downloads.calls", "stage.rib_build.calls",
         "stage.site_resolve.calls", "stage.work_list.calls"}) {
@@ -176,6 +176,7 @@ TEST(Metrics, SummaryRendersStagesAndCounters) {
   const std::string s = reg.summary();
   EXPECT_NE(s.find("dns_resolve"), std::string::npos);
   EXPECT_NE(s.find("rib_build"), std::string::npos);
+  EXPECT_NE(s.find("catalog_build"), std::string::npos);
   EXPECT_NE(s.find("s.count"), std::string::npos);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <climits>
 #include <cmath>
 #include <cstdint>
@@ -282,6 +283,50 @@ TEST(Rng, FillLognormalMatchesScalarDrawForDraw) {
   }
   EXPECT_EQ(block.uniform_u64(0, ~std::uint64_t{0}),
             scalar.uniform_u64(0, ~std::uint64_t{0}));
+}
+
+// The site catalog runs every polar loop in its serial pass, keeps the
+// accepted pairs, and finishes the lognormals later on other threads.
+// Pair + lognormal_of must be lognormal_median bit for bit, and the
+// stream must stay aligned with the scalar one after every draw.
+TEST(Rng, PolarPairFinishesToLognormalDrawForDraw) {
+  struct Shape {
+    double median;
+    double sigma;
+  };
+  constexpr Shape kShapes[] = {{30.0, 1.0}, {95.0, 0.45}, {3.0, 0.25}, {1e-3, 4.0}};
+  constexpr std::size_t kDraws = 16;
+  std::vector<PolarPair> pairs(kDraws);
+  std::vector<double> values(kDraws);
+  for (std::uint64_t seed = 0; seed < 2000; ++seed) {
+    Rng deferred(seed * 0x9e3779b97f4a7c15ULL + 7);
+    Rng scalar(seed * 0x9e3779b97f4a7c15ULL + 7);
+    for (std::size_t i = 0; i < kDraws; ++i) {
+      const Shape& sh = kShapes[i % std::size(kShapes)];
+      pairs[i] = deferred.polar_pair();
+      values[i] = scalar.lognormal_median(sh.median, sh.sigma);
+      // A draw between the pairs, as the catalog makes them.
+      ASSERT_EQ(deferred.chance(0.3), scalar.chance(0.3)) << "seed " << seed;
+    }
+    ASSERT_EQ(deferred.uniform_u64(0, ~std::uint64_t{0}),
+              scalar.uniform_u64(0, ~std::uint64_t{0}))
+        << "seed " << seed;
+    // Finished afterwards, in reverse order: the value needs the pair only.
+    for (std::size_t i = kDraws; i-- > 0;) {
+      const Shape& sh = kShapes[i % std::size(kShapes)];
+      const double late = lognormal_of(pairs[i], std::log(sh.median), sh.sigma);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(late), std::bit_cast<std::uint64_t>(values[i]))
+          << "seed " << seed << ", draw " << i;
+    }
+  }
+  // The normal draw finishes the same pair.
+  Rng deferred(99);
+  Rng scalar(99);
+  for (int i = 0; i < 1000; ++i) {
+    const double late = polar_normal(deferred.polar_pair()) * 2.5 + 1.0;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(late),
+              std::bit_cast<std::uint64_t>(scalar.normal(1.0, 2.5)));
+  }
 }
 
 TEST(Rng, FillChanceMatchesScalarDrawForDraw) {

@@ -276,6 +276,19 @@ TEST(Tables, AnalysisIsThreadInvariantOnTablesWorld) {
   expect_pool_invariant(study().world, views, serial);
 }
 
+// analyze_world takes the run's thread count: at 1 it builds no pool and
+// runs serially, and its reports equal those at 4 workers (and at the
+// two-argument call's one worker per hardware thread).
+TEST(Tables, AnalyzeWorldThreadCountDoesNotChangeReports) {
+  const auto views = regular_views(study().world, *study().campaign);
+  const auto one = analyze_world(study().world, views, {}, {}, 1);
+  const auto four = analyze_world(study().world, views, {}, {}, 4);
+  ASSERT_EQ(one.size(), 4u);
+  expect_site_order(one);
+  expect_same_reports(one, four);
+  expect_same_reports(one, study().reports);
+}
+
 TEST(Tables, AnalysisIsThreadInvariantOnSixteenVpWorld) {
   // Many small views (a few hundred sites per VP): the shape where only
   // small site blocks give the pool anything to share.
