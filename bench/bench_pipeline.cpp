@@ -300,45 +300,32 @@ void BM_Analysis(benchmark::State& state) {
 }
 BENCHMARK(BM_Analysis)->Unit(benchmark::kMillisecond);
 
-// --- Epoch engine: incremental advance vs full rebuild ---------------------
+// --- Epoch advance: per-epoch scoped rebuild -------------------------------
 //
-// Times advancing the evolving world through its delta stream (engine
-// warm: the lazy table build and the first epoch run outside the timer).
-// The paper-calendar generator's default frontier touches <= 1% of the
-// ASes per epoch, so the incremental path (compute_routes_delta over the
-// dirty frontier) must beat recomputing every tracked table from scratch
-// by a wide margin — the PR contract is >= 5x, tracked by the committed
-// BENCH_pipeline.json via perf-smoke.
+// Times advancing the evolving world through its whole delta stream: at
+// each epoch the tracked IPv6 destinations re-converge over the vantage
+// points' provider closure and the moved VP RIB rows are rewritten. The
+// paper-calendar generator's defaults: an epoch every 8 rounds, <= 1% of
+// the ASes named per epoch.
 
-/// One timed pass: advance every epoch after the first. Fresh timeline
-/// per iteration (advancing mutates it); warmup is paused out.
-void run_epoch_advance(benchmark::State& state, core::EpochAdvanceMode mode) {
+/// One timed pass over every epoch. Fresh timeline per iteration
+/// (advancing mutates it); the world build is paused out.
+void BM_EpochAdvance(benchmark::State& state) {
   scenario::WorldSpec spec = scenario::paper_spec(bench_seed(), bench_scale());
-  spec.evolution.enabled = true;  // defaults: interval 8, 1% AS frontier
+  spec.evolution.enabled = true;
   std::size_t epochs_timed = 0;
   for (auto _ : state) {
     state.PauseTiming();
     auto timeline =
         std::make_unique<core::WorldTimeline>(scenario::build_timeline(spec));
-    timeline->set_advance_mode(mode);
-    timeline->advance_to(*timeline->next_epoch_round());  // warm the engine
     state.ResumeTiming();
     timeline->advance_to(timeline->world().num_rounds);
-    epochs_timed = timeline->num_epochs() - 1;
+    epochs_timed = timeline->num_epochs();
     benchmark::DoNotOptimize(timeline->epoch_stats().back().changed_routes);
   }
   state.counters["epochs"] = static_cast<double>(epochs_timed);
 }
-
-void BM_EpochAdvance(benchmark::State& state) {
-  run_epoch_advance(state, core::EpochAdvanceMode::kIncremental);
-}
 BENCHMARK(BM_EpochAdvance)->Unit(benchmark::kMillisecond);
-
-void BM_EpochAdvanceFullRebuild(benchmark::State& state) {
-  run_epoch_advance(state, core::EpochAdvanceMode::kFullRebuild);
-}
-BENCHMARK(BM_EpochAdvanceFullRebuild)->Unit(benchmark::kMillisecond);
 
 // --- Observation dump: ResultsDb::write_csv formatting throughput ----------
 

@@ -18,6 +18,8 @@ struct RibEntry {
   /// [first-hop AS, ..., origin AS]; empty for locally-originated space.
   std::vector<topo::Asn> as_path;
 
+  [[nodiscard]] bool operator==(const RibEntry&) const = default;
+
   [[nodiscard]] unsigned hop_count() const {
     return static_cast<unsigned>(as_path.size());
   }
@@ -56,6 +58,11 @@ class Rib {
   /// invalidated at the epoch boundary — it just stops being returned by
   /// lookups. Returns false when no exact entry existed.
   bool erase_v6(const ip::Ipv6Prefix& prefix) { return v6_.erase(prefix); }
+
+  /// The route installed for exactly `prefix`; nullptr when none is.
+  [[nodiscard]] const RibEntry* find_v6(const ip::Ipv6Prefix& prefix) const {
+    return v6_.find(prefix);
+  }
 
   /// Longest-prefix-match lookups; nullptr when the table has no route.
   [[nodiscard]] const RibEntry* lookup_v4(const ip::Ipv4Address& a) const {

@@ -11,9 +11,6 @@
 
 namespace v6mon::bgp {
 
-struct EdgeChange;
-struct DeltaStats;
-
 /// Class of the selected route at an AS, in *decreasing* preference order
 /// per the Gao-Rexford economic model: routes learned from customers are
 /// preferred over routes learned from peers over routes learned from
@@ -149,8 +146,8 @@ class RouteTable {
   /// print at a router inside `src` (local AS excluded, origin included).
   [[nodiscard]] std::vector<topo::Asn> as_path(topo::Asn src) const;
 
-  /// Byte-wise table equality — the oracle check of the epoch engine's
-  /// incremental-equals-rebuild contract (bgp/delta.h).
+  /// Byte-wise table equality, scope included: route_computer_test pins
+  /// that a SourceScope::all table equals the full one.
   [[nodiscard]] bool operator==(const RouteTable&) const = default;
 
  private:
@@ -161,8 +158,6 @@ class RouteTable {
 
   friend RouteTable compute_routes_to(const FamilyView&, topo::Asn,
                                       const SourceScope&);
-  friend DeltaStats compute_routes_delta(const FamilyView&, RouteTable&,
-                                         std::span<const EdgeChange>);
 
   topo::Asn dest_;
   ip::Family family_;

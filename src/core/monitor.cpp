@@ -68,6 +68,7 @@ namespace {
 /// Counter handles resolved once; registration is idempotent by name.
 struct MonitorMetricIds {
   obs::MetricId ci_exhausted = obs::metrics().counter("monitor.ci_exhausted");
+  obs::MetricId rows_invalidated = obs::metrics().counter("monitor.rows_invalidated");
 };
 
 const MonitorMetricIds& monitor_metric_ids() {
@@ -356,6 +357,7 @@ void Monitor::on_world_change(const WorldChangeSummary& summary) {
     }
     return false;
   };
+  std::uint64_t invalidated = 0;
   for (std::uint32_t slot = 0; slot < resolved_.size(); ++slot) {
     if (!resolved_.filled(slot)) continue;
     // Stale-row pointer reads are safe here: the RIB trie retains value
@@ -373,7 +375,10 @@ void Monitor::on_world_change(const WorldChangeSummary& summary) {
       stale = summary.dest_changed(v6_route->origin) ||
               path_touched(v6_route->as_path);
     }
-    if (stale) resolved_.invalidate(slot);
+    if (stale) {
+      resolved_.invalidate(slot);
+      ++invalidated;
+    }
   }
 
   // grant_aaaa rewrote the v6 addressing these rows derive from.
@@ -382,9 +387,11 @@ void Monitor::on_world_change(const WorldChangeSummary& summary) {
       const std::uint32_t slot = resolved_.find(site_id, hosting);
       if (slot != ResolvedSiteTable::kNoSlot && resolved_.filled(slot)) {
         resolved_.invalidate(slot);
+        ++invalidated;
       }
     }
   }
+  obs::metrics().add(monitor_metric_ids().rows_invalidated, invalidated);
 }
 
 void Monitor::assign_resolve_slots(std::span<const std::uint32_t> sites,

@@ -13,9 +13,8 @@ namespace v6mon::core {
 /// What changed about the world at one epoch boundary. The vocabulary is
 /// deliberately IPv6-data-plane-only: the paper's window is an IPv4
 /// steady state watching IPv6 arrive (Fig. 1/3), so IPv4 topology,
-/// addressing, and RIBs are immutable for the whole campaign — which is
-/// what keeps the epoch engine's retained state small (compact per-dest
-/// IPv6 route tables, nothing v4).
+/// addressing, and RIBs are immutable for the whole campaign — an epoch
+/// re-converges IPv6 routes only, and nothing v4.
 enum class WorldDeltaKind : std::uint8_t {
   kAsEnablesV6,      ///< AS turns dual-stack (control plane); pairs with link enables.
   kLinkEnablesV6,    ///< An existing IPv4 link starts carrying IPv6 (peering parity narrows).
@@ -69,7 +68,8 @@ struct WorldChangeSummary {
   std::uint32_t epoch = 0;  ///< The epoch just entered (>= 1).
   std::uint32_t round = 0;
   bool v6_data_plane_changed = false;
-  /// Destination ASes whose v6 route table changed, sorted ascending.
+  /// Destination ASes whose vantage-point v6 RIB rows were rewritten,
+  /// plus the ASes a prefix or AAAA event names; sorted ascending.
   std::vector<topo::Asn> changed_dests;
   /// Per-AS flag: adjacency set / role / announcements changed here.
   std::vector<std::uint8_t> touched_as;
@@ -84,20 +84,14 @@ struct WorldChangeSummary {
   }
 };
 
-/// Work accounting for one epoch advance (tests + BM_EpochAdvance assert
-/// the incremental frontier stays small relative to the tracked set).
+/// Work accounting for one epoch advance.
 struct EpochStats {
   std::uint32_t epoch = 0;
   std::uint32_t round = 0;
   std::size_t deltas_applied = 0;
-  std::size_t edge_changes = 0;
-  std::size_t tracked_dests = 0;
-  std::size_t full_recomputes = 0;   ///< From-scratch tables (new dests / rebuild mode).
-  std::size_t delta_recomputes = 0;  ///< Incremental convergences run.
-  std::size_t invalidated = 0;       ///< Sum of DeltaStats::invalidated.
-  std::size_t reevaluated = 0;       ///< Sum of DeltaStats::reevaluated.
-  std::size_t changed_routes = 0;    ///< Sum of DeltaStats::changed.
-  std::size_t fallbacks = 0;         ///< Budget-exhausted full rebuilds.
+  std::size_t edge_changes = 0;     ///< Links that started or stopped carrying IPv6.
+  std::size_t tracked_dests = 0;    ///< Destinations re-converged.
+  std::size_t changed_routes = 0;   ///< (VP, dest) RIB rows rewritten.
 };
 
 }  // namespace v6mon::core

@@ -2,15 +2,79 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "bgp/anycast.h"
+#include "bgp/route_computer.h"
 #include "core/thread_pool.h"
+#include "obs/metrics.h"
 #include "util/contracts.h"
 #include "util/error.h"
 
 namespace v6mon::core {
 
 using topo::Asn;
+
+namespace {
+
+/// Every AS that is — or will ever become — an IPv6 route target someone
+/// can observe: v6 site hosts (incl. relocations), tunnel relays (the
+/// 2002::/16 anycast candidates), and every AS the delta stream names.
+/// Marked in a bitmap over the dense ASNs and collected in ascending order.
+std::vector<Asn> tracked_destinations(const World& world,
+                                      const std::vector<EpochDeltas>& epochs) {
+  const topo::AsGraph& g = world.graph;
+  std::vector<std::uint8_t> tracked(g.num_ases(), 0);
+  const auto mark = [&](Asn a) {
+    if (a != topo::kNoAs) tracked.at(a) = 1;
+  };
+  for (std::uint32_t id = 0; id < g.num_links(); ++id) {
+    if (g.link(id).v6_tunnel) mark(g.link(id).a);
+  }
+  for (const web::Site& s : world.catalog.sites()) {
+    if (s.v6_from_round != web::kNever) mark(s.v6_as);
+  }
+  // V6MON_LINT_ALLOW(D001): marks a bitmap; the order of the marks is invisible
+  for (const auto& [site_id, h] : world.catalog.relocations()) mark(h.v6_as);
+  for (const EpochDeltas& e : epochs) {
+    for (const WorldDelta& d : e.deltas) {
+      mark(d.as);     // kAsEnablesV6 and the prefix events
+      mark(d.v6_as);  // kSiteGainsAaaa
+    }
+  }
+  std::vector<Asn> dests;
+  for (Asn a = 0; a < tracked.size(); ++a) {
+    if (tracked[a] != 0) dests.push_back(a);
+  }
+  return dests;
+}
+
+/// Whether `rib` holds `want` for `prefix` (nullopt: no route at all).
+bool rib_holds(const bgp::Rib& rib, const ip::Ipv6Prefix& prefix,
+               const std::optional<bgp::RibEntry>& want) {
+  const bgp::RibEntry* have = rib.find_v6(prefix);
+  return want ? have != nullptr && *have == *want : have == nullptr;
+}
+
+void install(bgp::Rib& rib, const ip::Ipv6Prefix& prefix,
+             const std::optional<bgp::RibEntry>& route) {
+  if (route) {
+    rib.add_v6(prefix, *route);
+  } else {
+    rib.erase_v6(prefix);
+  }
+}
+
+/// One tracked destination after an epoch's rebuild: the vantage-point
+/// rows its RIB entries no longer match (VP index, and the route to
+/// install or nullopt to withdraw) and, for a live relay, its table for
+/// the 6to4 election.
+struct DestRebuild {
+  std::vector<std::pair<std::size_t, std::optional<bgp::RibEntry>>> rewrites;
+  std::optional<bgp::RouteTable> relay_table;
+};
+
+}  // namespace
 
 WorldTimeline::WorldTimeline(World world, std::vector<EpochDeltas> epochs,
                              std::size_t build_threads)
@@ -39,72 +103,12 @@ std::vector<std::uint32_t> WorldTimeline::pending_epoch_rounds() const {
   return rounds;
 }
 
-const bgp::RouteTable* WorldTimeline::v6_table(Asn dest) const {
-  const auto it = v6_tables_.find(dest);
-  return it == v6_tables_.end() ? nullptr : &it->second;
-}
-
-std::vector<Asn> WorldTimeline::tracked_dests() const {
-  std::vector<Asn> out;
-  out.reserve(v6_tables_.size());
-  for (const auto& [d, t] : v6_tables_) out.push_back(d);
-  return out;
-}
-
-void WorldTimeline::ensure_engine() {
-  if (engine_ready_) return;
-  engine_ready_ = true;
-
-  // Tracked destinations: every AS that is — or will ever become — an
-  // IPv6 route target someone can observe: v6 site hosts (incl.
-  // relocations), tunnel relays (the 2002::/16 anycast candidates), and
-  // every AS the delta stream names. Tables for not-yet-enabled ASes are
-  // computed against the current view like any other (mostly
-  // unreachable) destination and converge incrementally as their links
-  // appear — so per-epoch work never includes a surprise full build.
-  std::set<Asn> dests;
-  const topo::AsGraph& g = world_.graph;
-  for (std::uint32_t id = 0; id < g.num_links(); ++id) {
-    if (g.link(id).v6_tunnel) dests.insert(g.link(id).a);
-  }
-  for (const web::Site& s : world_.catalog.sites()) {
-    if (s.v6_from_round != web::kNever) dests.insert(s.v6_as);
-    if (const web::Hosting* h = world_.catalog.relocation(s.id)) {
-      if (h->v6_as != topo::kNoAs) dests.insert(h->v6_as);
-    }
-  }
-  for (const EpochDeltas& e : epochs_) {
-    for (const WorldDelta& d : e.deltas) {
-      switch (d.kind) {
-        case WorldDeltaKind::kAsEnablesV6:
-        case WorldDeltaKind::kPrefixAnnounced:
-        case WorldDeltaKind::kPrefixWithdrawn:
-          if (d.as != topo::kNoAs) dests.insert(d.as);
-          break;
-        case WorldDeltaKind::kSiteGainsAaaa:
-          if (d.v6_as != topo::kNoAs) dests.insert(d.v6_as);
-          break;
-        case WorldDeltaKind::kLinkEnablesV6:
-        case WorldDeltaKind::kTunnelRetired:
-          break;
-      }
-    }
-  }
-
-  const std::vector<Asn> dest_list(dests.begin(), dests.end());
-  std::vector<std::optional<bgp::RouteTable>> tables(dest_list.size());
-  const bgp::FamilyView view(g, ip::Family::kIpv6);
-  ThreadPool pool(resolve_threads(build_threads_));
-  parallel_index(pool, dest_list.size(), [&](std::size_t i) {
-    tables[i] = bgp::compute_routes_to(view, dest_list[i]);
-  });
-  for (std::size_t i = 0; i < dest_list.size(); ++i) {
-    v6_tables_.emplace(dest_list[i], std::move(*tables[i]));
-  }
-}
-
 std::vector<WorldChangeSummary> WorldTimeline::advance_to(std::uint32_t round) {
   std::vector<WorldChangeSummary> out;
+  if (next_pending_ >= epochs_.size() || epochs_[next_pending_].round > round) {
+    return out;
+  }
+  const obs::TraceSpan span(obs::Stage::kEpochAdvance);
   while (next_pending_ < epochs_.size() && epochs_[next_pending_].round <= round) {
     out.push_back(apply_epoch(epochs_[next_pending_]));
     ++next_pending_;
@@ -113,7 +117,7 @@ std::vector<WorldChangeSummary> WorldTimeline::advance_to(std::uint32_t round) {
 }
 
 WorldChangeSummary WorldTimeline::apply_epoch(const EpochDeltas& epoch) {
-  ensure_engine();
+  if (applied_ == 0) tracked_ = tracked_destinations(world_, epochs_);
   topo::AsGraph& g = world_.graph;
   const std::size_t n = g.num_ases();
 
@@ -125,15 +129,15 @@ WorldChangeSummary WorldTimeline::apply_epoch(const EpochDeltas& epoch) {
   stats.epoch = summary.epoch;
   stats.round = epoch.round;
   stats.deltas_applied = epoch.deltas.size();
+  stats.tracked_dests = tracked_.size();
 
   auto touch = [&](Asn a) {
     V6MON_REQUIRE(a < n, "world delta names an AS out of range");
     summary.touched_as[a] = 1;
   };
 
-  // ---- 1. Apply the mutations, collecting the edge-change frontier -----
-  std::vector<bgp::EdgeChange> edge_changes;
-  std::set<Asn> changed;  // dests whose VP routes must be (re/un)installed
+  // ---- 1. Apply the mutations --------------------------------------------
+  std::set<Asn> changed;  // dests whose VP routes may have been (re/un)installed
   bool prefixes_changed = false;
   bool tunnels_changed = false;
   for (const WorldDelta& d : epoch.deltas) {
@@ -147,7 +151,7 @@ WorldChangeSummary WorldTimeline::apply_epoch(const EpochDeltas& epoch) {
         const topo::AsLink& l = g.link(d.link_id);
         V6MON_REQUIRE(!l.in_v6, "kLinkEnablesV6 on a link already carrying IPv6");
         g.enable_v6_on_link(d.link_id);
-        edge_changes.push_back({l.a, l.b, /*added=*/true});
+        ++stats.edge_changes;
         touch(l.a);
         touch(l.b);
         break;
@@ -156,7 +160,7 @@ WorldChangeSummary WorldTimeline::apply_epoch(const EpochDeltas& epoch) {
         const topo::AsLink& l = g.link(d.link_id);
         V6MON_REQUIRE(l.in_v6, "kTunnelRetired on an already-retired tunnel");
         g.retire_tunnel(d.link_id);
-        edge_changes.push_back({l.a, l.b, /*added=*/false});
+        ++stats.edge_changes;
         touch(l.a);
         touch(l.b);
         tunnels_changed = true;
@@ -185,94 +189,81 @@ WorldChangeSummary WorldTimeline::apply_epoch(const EpochDeltas& epoch) {
         world_.catalog.grant_aaaa(d.site_id, epoch.round, d.v6_as, d.v6_addr,
                                   d.v6_server_factor);
         summary.sites_gained_aaaa.push_back(d.site_id);
-        // Ensure the hosting AS's routes are installed even when it never
-        // hosted an IPv6 presence before this epoch.
+        // The grant's hosting AS counts as changed even when its routes
+        // did not move: monitors re-resolve rows that route toward it.
         changed.insert(d.v6_as);
         break;
     }
   }
-  stats.edge_changes = edge_changes.size();
   summary.v6_data_plane_changed |=
-      !edge_changes.empty() || prefixes_changed || tunnels_changed;
+      stats.edge_changes != 0 || prefixes_changed || tunnels_changed;
   std::sort(summary.sites_gained_aaaa.begin(), summary.sites_gained_aaaa.end());
 
-  // ---- 2. Re-converge the tracked tables over the dirty frontier -------
-  stats.tracked_dests = v6_tables_.size();
-  if (!edge_changes.empty() || mode_ == EpochAdvanceMode::kFullRebuild) {
-    const bgp::FamilyView view(g, ip::Family::kIpv6);
-    std::vector<Asn> dest_list = tracked_dests();
-    std::vector<bgp::DeltaStats> per_dest(dest_list.size());
-    std::vector<std::uint8_t> dest_changed(dest_list.size(), 0);
-    ThreadPool pool(resolve_threads(build_threads_));
-    parallel_index(pool, dest_list.size(), [&](std::size_t i) {
-      bgp::RouteTable& table = v6_tables_.at(dest_list[i]);
-      if (mode_ == EpochAdvanceMode::kFullRebuild) {
-        bgp::RouteTable fresh = bgp::compute_routes_to(view, dest_list[i]);
-        dest_changed[i] = fresh == table ? 0 : 1;
-        table = std::move(fresh);
-      } else {
-        per_dest[i] = bgp::compute_routes_delta(view, table, edge_changes);
-        dest_changed[i] =
-            (per_dest[i].changed > 0 || per_dest[i].fell_back) ? 1 : 0;
-      }
-    });
-    for (std::size_t i = 0; i < dest_list.size(); ++i) {
-      if (mode_ == EpochAdvanceMode::kFullRebuild) {
-        ++stats.full_recomputes;
-      } else {
-        ++stats.delta_recomputes;
-        stats.invalidated += per_dest[i].invalidated;
-        stats.reevaluated += per_dest[i].reevaluated;
-        stats.changed_routes += per_dest[i].changed;
-        if (per_dest[i].fell_back) ++stats.fallbacks;
-      }
-      if (dest_changed[i] != 0) changed.insert(dest_list[i]);
-    }
-  }
-
-  // ---- 3. Rewrite the vantage-point RIB entries that moved --------------
-  for (Asn d : changed) {
-    const auto it = v6_tables_.find(d);
-    V6MON_REQUIRE(it != v6_tables_.end(),
-                  "changed destination is not tracked by the timeline");
-    const bgp::RouteTable& t = it->second;
-    const topo::AsNode& dn = g.node(d);
-    for (VantagePoint& vp : world_.vantage_points) {
-      const bool routable = dn.has_v6 && t.reachable(vp.asn);
-      if (routable) {
-        bgp::RibEntry e;
-        e.origin = d;
-        e.as_path = t.as_path(vp.asn);
-        V6MON_ASSERT(bgp::is_valley_free(g, ip::Family::kIpv6, vp.asn, e.as_path),
-                     "selected IPv6 route violates valley-freedom");
-        for (const auto& p : dn.v6_prefixes) {
-          if (p.network().is_6to4()) continue;
-          vp.rib.add_v6(p, e);
-        }
-      } else {
-        for (const auto& p : dn.v6_prefixes) {
-          if (p.network().is_6to4()) continue;
-          vp.rib.erase_v6(p);
-        }
-      }
-    }
-  }
-
-  // ---- 4. 6to4 anycast: re-elect each VP's nearest live relay -----------
+  // ---- 2. Rebuild the tracked destinations the way build_ribs does ------
+  // Every route below is read only at the vantage points' ASes, so each
+  // destination converges over their provider closure of the post-epoch
+  // graph (bgp::SourceScope says why that is exact; an enabled link can
+  // grow the closure). A worker diffs its destination's VP rows against
+  // what the RIBs hold and drops the table, unless the destination is a
+  // live relay the 6to4 election needs.
+  const bgp::FamilyView view(g, ip::Family::kIpv6);
+  const std::vector<VantagePoint>& vps = world_.vantage_points;
+  std::vector<Asn> vp_ases;
+  for (const VantagePoint& vp : vps) vp_ases.push_back(vp.asn);
+  const auto scope = bgp::SourceScope::provider_closure(view, vp_ases);
   const std::vector<Asn> relays = bgp::live_tunnel_relays(g);
-  const bool relay_changed =
-      tunnels_changed || std::any_of(relays.begin(), relays.end(),
-                                     [&](Asn r) { return changed.count(r) != 0; });
-  if (relay_changed) {
-    std::vector<const bgp::RouteTable*> candidates;
-    for (const Asn r : relays) candidates.push_back(&v6_tables_.at(r));
-    for (VantagePoint& vp : world_.vantage_points) {
-      if (auto e = bgp::six_to_four_route(candidates, vp.asn)) {
-        vp.rib.add_v6(bgp::six_to_four_prefix(), std::move(*e));
-      } else {
-        vp.rib.erase_v6(bgp::six_to_four_prefix());
+  std::vector<DestRebuild> rebuilt(tracked_.size());
+  ThreadPool pool(resolve_threads(build_threads_));
+  parallel_index(pool, tracked_.size(), [&](std::size_t i) {
+    const Asn d = tracked_[i];
+    const topo::AsNode& dn = g.node(d);
+    const bool relay = std::binary_search(relays.begin(), relays.end(), d);
+    std::optional<bgp::RouteTable> table;
+    if (dn.has_v6 || relay) table = bgp::compute_routes_to(view, d, scope);
+    for (std::size_t k = 0; k < vps.size(); ++k) {
+      std::optional<bgp::RibEntry> want;
+      if (dn.has_v6 && table->reachable(vps[k].asn)) {
+        want = bgp::RibEntry{d, table->as_path(vps[k].asn)};
       }
+      const bool holds = std::all_of(
+          dn.v6_prefixes.begin(), dn.v6_prefixes.end(), [&](const ip::Ipv6Prefix& p) {
+            // 6to4 space is covered by the anycast 2002::/16 route.
+            return p.network().is_6to4() || rib_holds(vps[k].rib, p, want);
+          });
+      if (!holds) rebuilt[i].rewrites.emplace_back(k, std::move(want));
     }
+    if (relay) rebuilt[i].relay_table = std::move(table);
+  });
+
+  // ---- 3. Rewrite the vantage-point RIB rows that moved, in ASN order ----
+  for (std::size_t i = 0; i < tracked_.size(); ++i) {
+    if (rebuilt[i].rewrites.empty()) continue;
+    const Asn d = tracked_[i];
+    changed.insert(d);
+    for (const auto& [k, route] : rebuilt[i].rewrites) {
+      VantagePoint& vp = world_.vantage_points[k];
+      V6MON_ASSERT(!route || bgp::is_valley_free(g, ip::Family::kIpv6, vp.asn,
+                                                 route->as_path),
+                   "selected IPv6 route violates valley-freedom");
+      for (const ip::Ipv6Prefix& p : g.node(d).v6_prefixes) {
+        if (!p.network().is_6to4()) install(vp.rib, p, route);
+      }
+      ++stats.changed_routes;
+    }
+  }
+
+  // ---- 4. 6to4 anycast: each VP's nearest live relay --------------------
+  std::vector<const bgp::RouteTable*> candidates;
+  for (const DestRebuild& r : rebuilt) {
+    if (r.relay_table) candidates.push_back(&*r.relay_table);
+  }
+  V6MON_REQUIRE(candidates.size() == relays.size(),
+                "a live tunnel relay is not tracked by the timeline");
+  for (VantagePoint& vp : world_.vantage_points) {
+    const std::optional<bgp::RibEntry> route = bgp::six_to_four_route(candidates, vp.asn);
+    if (rib_holds(vp.rib, bgp::six_to_four_prefix(), route)) continue;
+    install(vp.rib, bgp::six_to_four_prefix(), route);
+    ++stats.changed_routes;
   }
 
   if (prefixes_changed) world_.origins = topo::OriginMap::build(g);

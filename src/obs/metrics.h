@@ -37,8 +37,9 @@ enum class Stage : std::uint8_t {
   kSiteResolve,      ///< Resolved-site slot assignment (coordinator).
   kWorkList,         ///< A round's work list: candidate walk + shuffle.
   kCatalogBuild,     ///< Site catalog generation (world build).
+  kEpochAdvance,     ///< WorldTimeline::advance_to applying due epochs.
 };
-inline constexpr std::size_t kNumStages = 9;
+inline constexpr std::size_t kNumStages = 10;
 
 [[nodiscard]] constexpr const char* stage_name(Stage s) {
   switch (s) {
@@ -51,6 +52,7 @@ inline constexpr std::size_t kNumStages = 9;
     case Stage::kSiteResolve: return "site_resolve";
     case Stage::kWorkList: return "work_list";
     case Stage::kCatalogBuild: return "catalog_build";
+    case Stage::kEpochAdvance: return "epoch_advance";
   }
   return "?";
 }

@@ -143,9 +143,9 @@ std::vector<EpochDeltas> generate_deltas(const core::World& world,
   ip::Ipv6Allocator evo_pool(ip::Ipv6Prefix::parse_or_throw(kEvolutionPool),
                              kEvolutionPrefixLen);
 
-  // Per-epoch AS-naming budget: the frontier the incremental engine is
-  // sized for. Inflection rounds burst *site grants* (Fig. 1's steps are
-  // adoption by sites, not topology churn), never the AS budget.
+  // Per-epoch AS-naming budget: the topology churn of one epoch.
+  // Inflection rounds burst *site grants* (Fig. 1's steps are adoption by
+  // sites, not topology churn), never the AS budget.
   const auto as_budget = static_cast<std::size_t>(
       std::max(2.0, static_cast<double>(n) * spec.max_as_fraction * spec.delta_rate));
   const double site_grant_base =

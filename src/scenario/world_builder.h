@@ -64,7 +64,7 @@ struct EvolutionSpec {
   /// are always added on top.
   std::uint32_t epoch_interval = 8;
   /// At most this fraction of all ASes may be named by one epoch's
-  /// deltas — the frontier the incremental RIB engine is sized for.
+  /// deltas: the per-epoch topology churn.
   double max_as_fraction = 0.01;
   /// IANA depletion inflection round (paper calendar: Feb 3, 2011).
   std::uint32_t depletion_round = 16;

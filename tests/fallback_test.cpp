@@ -483,8 +483,7 @@ TEST(FallbackDeterminism, SequentialFallsBackWhenTheV6ChainDies) {
 TEST(FallbackEvolvingWorld, WithdrawalsSurfaceAsNoRouteMidCampaign) {
   // Prefix withdrawals from the epoch stream leave AAAA-published sites
   // with no v6 route in the RIB; the conn layer must classify those as
-  // kNoRoute (instant), not as timeouts. Also pins tally determinism
-  // across the two epoch advance modes — the invalidation protocol under
+  // kNoRoute (instant), not as timeouts — the invalidation protocol under
   // connection failure.
   scenario::WorldSpec spec = tiny_spec();
   spec.evolution.enabled = true;
@@ -493,28 +492,19 @@ TEST(FallbackEvolvingWorld, WithdrawalsSurfaceAsNoRouteMidCampaign) {
   spec.evolution.max_as_fraction = 0.05;
   spec.evolution.depletion_round = 4;
 
-  const auto run_mode = [&spec](EpochAdvanceMode mode) {
-    auto timeline =
-        std::make_unique<WorldTimeline>(scenario::build_timeline(spec));
-    timeline->set_advance_mode(mode);
-    auto campaign = std::make_unique<Campaign>(
-        *timeline, fallback_cfg(FallbackPolicy::kSequential, 2, SinkBackend::kSharded));
-    campaign->run();
-    campaign->run_w6d();
-    campaign->finalize();
-    FallbackStats total;
-    for (std::size_t vp = 0; vp < campaign->world().vantage_points.size(); ++vp) {
-      total.merge(campaign->fallback_stats(vp));
-    }
-    return total;
-  };
-
-  const FallbackStats incremental = run_mode(EpochAdvanceMode::kIncremental);
-  const FallbackStats rebuild = run_mode(EpochAdvanceMode::kFullRebuild);
-  expect_stats_eq(incremental, rebuild);
-  expect_stats_invariants(incremental);
-  EXPECT_GT(incremental.evaluated, 0u);
-  EXPECT_GT(incremental.v6_noroute, 0u);
+  WorldTimeline timeline = scenario::build_timeline(spec);
+  Campaign campaign(timeline,
+                    fallback_cfg(FallbackPolicy::kSequential, 2, SinkBackend::kSharded));
+  campaign.run();
+  campaign.run_w6d();
+  campaign.finalize();
+  FallbackStats total;
+  for (std::size_t vp = 0; vp < campaign.world().vantage_points.size(); ++vp) {
+    total.merge(campaign.fallback_stats(vp));
+  }
+  expect_stats_invariants(total);
+  EXPECT_GT(total.evaluated, 0u);
+  EXPECT_GT(total.v6_noroute, 0u);
 }
 
 // --- 5. Satellite: all-attempts-fail edge + tally parity --------------------

@@ -20,6 +20,8 @@
 #include "bgp/route_computer.h"
 #include "core/campaign.h"
 #include "core/monitor.h"
+#include "core/world_timeline.h"
+#include "scenario/evolution.h"
 #include "scenario/world_builder.h"
 #include "util/error.h"
 
@@ -151,8 +153,8 @@ TEST(Metrics, CountersJsonIsSortedAndCoversAllStages) {
   for (const char* key :
        {"campaign.fast_path_coin_sites", "campaign.sites_monitored",
         "dns.queries", "ingest.flushes", "monitor.ci_exhausted",
-        "stage.analysis.calls", "stage.catalog_build.calls", "stage.dns_resolve.calls",
-        "stage.identity_fetch.calls", "stage.ingest_flush.calls",
+        "monitor.rows_invalidated", "stage.analysis.calls", "stage.catalog_build.calls",
+        "stage.dns_resolve.calls", "stage.epoch_advance.calls", "stage.identity_fetch.calls", "stage.ingest_flush.calls",
         "stage.repeat_downloads.calls", "stage.rib_build.calls",
         "stage.site_resolve.calls", "stage.work_list.calls"}) {
     const std::size_t pos = json.find(std::string("\"") + key + "\"");
@@ -177,6 +179,7 @@ TEST(Metrics, SummaryRendersStagesAndCounters) {
   EXPECT_NE(s.find("dns_resolve"), std::string::npos);
   EXPECT_NE(s.find("rib_build"), std::string::npos);
   EXPECT_NE(s.find("catalog_build"), std::string::npos);
+  EXPECT_NE(s.find("epoch_advance"), std::string::npos);
   EXPECT_NE(s.find("s.count"), std::string::npos);
 }
 
@@ -426,6 +429,50 @@ TEST(MetricsDeterminism, RibScopeAsesCountsVantageProviderClosure) {
     EXPECT_EQ(reg.counter_value("rib.routes"), routes);
   }
   EXPECT_GT(dest_tables, 0u);
+  reg.set_enabled(false);
+  reg.reset();
+}
+
+// An evolving campaign spends its epoch advances in the epoch_advance
+// stage, one span per boundary that applies an epoch, and counts the
+// resolved-site rows each boundary invalidates. Both are functions of
+// the world and the schedule alone, so every thread count reports them
+// exactly; a frozen campaign records neither.
+TEST(MetricsDeterminism, EpochAdvanceStageAndRowInvalidations) {
+  (void)small_world();  // built with metrics off, as run_instrumented does
+  scenario::WorldSpec spec = small_spec();
+  spec.evolution.enabled = true;
+  spec.evolution.delta_rate = 4.0;
+  spec.evolution.epoch_interval = 2;
+  spec.evolution.max_as_fraction = 0.05;
+  auto& reg = obs::metrics();
+  std::uint64_t invalidated = 0;
+  for (const std::size_t threads : {1u, 4u}) {
+    core::WorldTimeline timeline = scenario::build_timeline(spec);
+    ASSERT_GT(timeline.num_epochs(), 0u);
+    reg.reset();
+    reg.set_enabled(true);
+    core::CampaignConfig cfg;
+    cfg.seed = 2011;
+    cfg.threads = threads;
+    core::Campaign campaign(timeline, cfg);
+    campaign.run();
+    EXPECT_EQ(timeline.current_epoch(), timeline.num_epochs());
+    EXPECT_EQ(reg.stage_totals(obs::Stage::kEpochAdvance).calls, timeline.num_epochs())
+        << "threads=" << threads;
+    if (threads == 1) invalidated = reg.counter_value("monitor.rows_invalidated");
+    EXPECT_EQ(reg.counter_value("monitor.rows_invalidated"), invalidated);
+  }
+  EXPECT_GT(invalidated, 0u);
+
+  reg.reset();
+  reg.set_enabled(true);
+  core::CampaignConfig cfg;
+  cfg.seed = 2011;
+  core::Campaign frozen(small_world(), cfg);
+  frozen.run();
+  EXPECT_EQ(reg.stage_totals(obs::Stage::kEpochAdvance).calls, 0u);
+  EXPECT_EQ(reg.counter_value("monitor.rows_invalidated"), 0u);
   reg.set_enabled(false);
   reg.reset();
 }
