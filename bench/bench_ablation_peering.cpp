@@ -7,6 +7,15 @@
 #include "common.h"
 
 #include <cmath>
+#include <cstdlib>
+#include <utility>
+#include <vector>
+
+#include "analysis/as_level.h"
+#include "analysis/report.h"
+#include "core/campaign.h"
+#include "scenario/paper.h"
+#include "scenario/world_builder.h"
 
 namespace {
 

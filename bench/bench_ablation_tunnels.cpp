@@ -5,6 +5,15 @@
 
 #include "common.h"
 
+#include <cstdlib>
+#include <string>
+#include <vector>
+
+#include "analysis/tables.h"
+#include "core/campaign.h"
+#include "scenario/paper.h"
+#include "scenario/world_builder.h"
+
 namespace {
 
 using namespace v6mon;

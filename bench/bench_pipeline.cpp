@@ -10,11 +10,10 @@
 //   build/bench/bench_pipeline --benchmark_out=BENCH_pipeline.json
 //                              --benchmark_out_format=json
 //
-// Deliberately does NOT use bench::Study: that singleton builds the world
-// and runs the campaign before main()'s benchmarks start, and here the
-// construction itself is the thing under test. Environment knobs match
-// the rest of the harness: V6MON_BENCH_SEED (default 2011) and
-// V6MON_BENCH_SCALE (default 1.0).
+// Each benchmark builds what it times itself: the construction is the
+// thing under test. Environment knobs: V6MON_BENCH_SEED (default 2011)
+// and V6MON_BENCH_SCALE (default 1.0); the ablation benches read
+// V6MON_BENCH_SCALE too.
 //
 // Note on thread counts: on a single-core runner the 1-vs-8 pairs will
 // tie — the JSON still pins the serial cost of every stage, which is

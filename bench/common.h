@@ -1,48 +1,15 @@
 #pragma once
 
-// Shared study fixture for the bench harness: builds the paper-scale
-// world once per binary, runs the measurement campaign, analyzes all
-// AS_PATH vantage points, and offers printing/CSV helpers.
-//
-// Environment knobs:
-//   V6MON_BENCH_SEED     world/campaign seed (default 2011)
-//   V6MON_BENCH_SCALE    world scale factor (default 1.0)
-//   V6MON_BENCH_METRICS  1 = enable the obs:: observability layer for the
-//                        whole binary; the campaign metrics summary is
-//                        printed and bench/out/metrics.json written after
-//                        the benchmarks finish (default off)
+// Shared helpers for the bench binaries: printing a reproduced table
+// with its CSV, and the standard main body.
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "analysis/tables.h"
-#include "core/campaign.h"
-#include "scenario/paper.h"
 #include "util/table.h"
 
 namespace v6mon::bench {
-
-struct Study {
-  std::uint64_t seed = 2011;
-  double scale = 1.0;
-  core::World world;
-  /// References `world` — declared after it so destruction (reverse
-  /// order) tears the campaign down first. Study is non-copyable for the
-  /// same reason.
-  std::unique_ptr<core::Campaign> campaign;
-  std::vector<analysis::VpReport> reports;      ///< Regular campaign.
-  std::vector<analysis::VpReport> w6d_reports;  ///< World IPv6 Day event.
-
-  Study() = default;
-  Study(const Study&) = delete;
-  Study& operator=(const Study&) = delete;
-
-  static const Study& instance();
-};
 
 /// Print a reproduced table plus the paper's published reference, and
 /// write the table's CSV to bench/out/<csv_name>.

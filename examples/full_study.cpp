@@ -21,7 +21,12 @@
 //   performance/memory knob, every backend emits identical bytes. spool
 //   streams observations to full_study_out/*.spool during the campaign
 //   and replays them for the analysis (out-of-core mode).
+//
+// Each paper artifact is printed with the paper's published values under
+// it (analysis/paper_reference.h). Exit status: 0 on success, 2 on bad
+// arguments or configuration, 1 when an output file cannot be written.
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,6 +37,7 @@
 
 #include "analysis/fallback_view.h"
 #include "analysis/longitudinal.h"
+#include "analysis/paper_reference.h"
 #include "analysis/tables.h"
 #include "core/campaign.h"
 #include "core/world_timeline.h"
@@ -45,9 +51,34 @@ using namespace v6mon;
 
 namespace {
 
-void show(const char* title, const util::TextTable& table, const char* csv) {
-  std::printf("\n===== %s =====\n%s", title, table.render().c_str());
-  util::write_file(std::string("full_study_out/") + csv, table.to_csv());
+/// Print one table, with the paper's published values under it when the
+/// entry has them, and write its CSV. Throws IoError when the CSV cannot
+/// be written.
+void show(const analysis::PaperReference& ref, const util::TextTable& table) {
+  std::printf("\n===== %s =====\n%s", ref.title, table.render().c_str());
+  if (ref.paper[0] != '\0') {
+    std::printf("Paper reference (CoNEXT'11 published values):\n%s\n", ref.paper);
+  }
+  const std::string path = std::string("full_study_out/") + ref.csv;
+  if (!util::write_file(path, table.to_csv())) throw IoError("cannot write " + path);
+}
+
+void show(analysis::Artifact a, const util::TextTable& table) {
+  show(analysis::paper_reference(a), table);
+}
+
+/// A whole positional argument as a number; trailing characters are an
+/// error, not ignored.
+template <typename T>
+T parse_number(const char* arg, const char* what) {
+  T out{};
+  const char* end = arg + std::strlen(arg);
+  const auto [ptr, ec] = std::from_chars(arg, end, out);
+  if (ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "bad %s '%s' (want a number)\n", what, arg);
+    std::exit(2);
+  }
+  return out;
 }
 
 core::SinkBackend parse_sink(const char* arg) {
@@ -84,7 +115,7 @@ bool dump_observations(const core::ResultsDb& db, const std::string& name) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bool with_metrics = false;
   const char* config_path = nullptr;
   const char* fallback_arg = nullptr;
@@ -112,14 +143,14 @@ int main(int argc, char** argv) {
   scenario::ScenarioSpec spec;
   bool have_spec = false;
   if (config_path != nullptr) {
-    try {
-      spec = scenario::load_scenario_file(config_path);
-      have_spec = true;
-    } catch (const Error& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    }
+    spec = scenario::load_scenario_file(config_path);
+    have_spec = true;
   }
+  std::uint64_t seed = have_spec ? spec.world_seed : 2011;
+  double scale = have_spec ? spec.scale : 1.0;
+  if (pos.size() > 0) seed = parse_number<std::uint64_t>(pos[0], "seed");
+  if (pos.size() > 1) scale = parse_number<double>(pos[1], "scale");
+
   std::error_code dir_error;
   std::filesystem::create_directories("full_study_out", dir_error);
   if (dir_error) {
@@ -127,11 +158,6 @@ int main(int argc, char** argv) {
                  dir_error.message().c_str());
     return 1;
   }
-
-  std::uint64_t seed = have_spec ? spec.world_seed : 2011;
-  double scale = have_spec ? spec.scale : 1.0;
-  if (pos.size() > 0) seed = std::strtoull(pos[0], nullptr, 10);
-  if (pos.size() > 1) scale = std::strtod(pos[1], nullptr);
 
   // Enable before the world build so the rib_build stage is captured.
   if (with_metrics) obs::metrics().set_enabled(true);
@@ -186,50 +212,41 @@ int main(int argc, char** argv) {
   std::erase_if(w6d_reports,
                 [](const analysis::VpReport& r) { return r.name == "Comcast"; });
 
-  show("Figure 1: IPv6 reachability over time",
-       analysis::fig1_table(analysis::fig1_series(world.catalog, world.num_rounds)),
-       "fig1.csv");
-  show("Figure 3a: reachability by rank",
-       analysis::fig3a_table(analysis::fig3a_buckets(world.catalog, world.num_rounds)),
-       "fig3a.csv");
+  using analysis::Artifact;
+  show(Artifact::kFig1,
+       analysis::fig1_table(analysis::fig1_series(world.catalog, world.num_rounds)));
+  show(Artifact::kFig3a,
+       analysis::fig3a_table(analysis::fig3a_buckets(world.catalog, world.num_rounds)));
   for (const auto& r : reports) {
     if (r.name == "Penn") {
-      show("Figure 3b: % IPv6 faster, by sample (Penn)",
-           analysis::fig3b_table(analysis::fig3b_sample_bias(r, world.catalog)),
-           "fig3b.csv");
+      show(Artifact::kFig3b,
+           analysis::fig3b_table(analysis::fig3b_sample_bias(r, world.catalog)));
     }
   }
-  show("Table 2: monitoring profiles",
-       analysis::table2_render(analysis::table2_profiles(reports)), "table2.csv");
-  show("Table 3: sanitization",
-       analysis::table3_render(analysis::table3_sanitization(reports)), "table3.csv");
-  show("Table 4: classification",
-       analysis::table4_render(analysis::table4_classification(reports)), "table4.csv");
-  show("Table 5: removed-site bias check",
-       analysis::table5_render(analysis::table5_removed_bias(reports)), "table5.csv");
-  show("Table 6: DL performance",
-       analysis::table6_render(analysis::table6_dl_perf(reports)), "table6.csv");
-  show("Table 7: DL+DP by hop count",
-       analysis::hopcount_render(analysis::table7_hopcount_dldp(reports)), "table7.csv");
-  show("Table 8: SP destination ASes (H1)",
-       analysis::table8_render(analysis::table8_sp(reports)), "table8.csv");
-  show("Table 9: SP by hop count",
-       analysis::hopcount_render(analysis::table9_hopcount_sp(reports)), "table9.csv");
-  show("Table 10: World IPv6 Day, SP",
-       analysis::table10_render(analysis::table8_sp(w6d_reports)), "table10.csv");
-  show("Table 11: DP destination ASes (H2)",
-       analysis::table11_render(analysis::table11_dp(reports)), "table11.csv");
-  show("Table 12: World IPv6 Day, DP",
-       analysis::table12_render(analysis::table11_dp(w6d_reports)), "table12.csv");
-  show("Table 13: good-AS coverage of DP paths",
-       analysis::table13_render(analysis::table13_good_as(reports)), "table13.csv");
+  show(Artifact::kTable2, analysis::table2_render(analysis::table2_profiles(reports)));
+  show(Artifact::kTable3,
+       analysis::table3_render(analysis::table3_sanitization(reports)));
+  show(Artifact::kTable4,
+       analysis::table4_render(analysis::table4_classification(reports)));
+  show(Artifact::kTable5,
+       analysis::table5_render(analysis::table5_removed_bias(reports)));
+  show(Artifact::kTable6, analysis::table6_render(analysis::table6_dl_perf(reports)));
+  show(Artifact::kTable7,
+       analysis::hopcount_render(analysis::table7_hopcount_dldp(reports)));
+  show(Artifact::kTable8, analysis::table8_render(analysis::table8_sp(reports)));
+  show(Artifact::kTable9,
+       analysis::hopcount_render(analysis::table9_hopcount_sp(reports)));
+  show(Artifact::kTable10, analysis::table10_render(analysis::table8_sp(w6d_reports)));
+  show(Artifact::kTable11, analysis::table11_render(analysis::table11_dp(reports)));
+  show(Artifact::kTable12, analysis::table12_render(analysis::table11_dp(w6d_reports)));
+  show(Artifact::kTable13,
+       analysis::table13_render(analysis::table13_good_as(reports)));
 
   // Fallback-enabled runs get the user-experience table on top; the
   // paper tables above are byte-identical across all three policies.
   if (cfg.monitor.fallback != core::FallbackPolicy::kNone) {
-    show("Fallback tax: user-experienced connectivity",
-         analysis::fallback_table(analysis::fallback_reports(campaign)),
-         "fallback.csv");
+    show({"Fallback tax: user-experienced connectivity", "fallback.csv", ""},
+         analysis::fallback_table(analysis::fallback_reports(campaign)));
   }
 
   // Evolving-world runs get the longitudinal view on top: per-epoch
@@ -244,8 +261,9 @@ int main(int argc, char** argv) {
       const std::string& name = world.vantage_points[i].name;
       const analysis::LongitudinalView lv =
           analysis::longitudinal_view(views[i], boundaries);
-      show(("Longitudinal growth (" + name + ")").c_str(), lv.table(),
-           ("longitudinal_" + name + ".csv").c_str());
+      const std::string title = "Longitudinal growth (" + name + ")";
+      const std::string csv = "longitudinal_" + name + ".csv";
+      show({title.c_str(), csv.c_str(), ""}, lv.table());
       std::printf("AAAA growth over the campaign (%s): %.2fx\n", name.c_str(),
                   lv.aaaa_growth());
     }
@@ -261,16 +279,20 @@ int main(int argc, char** argv) {
     std::printf("\n===== Campaign metrics =====\n%s", metrics.summary().c_str());
     const std::string path = "full_study_out/metrics.json";
     std::ofstream out(path);
-    try {
-      if (!out) throw IoError("cannot open " + path);
-      metrics.write_json(out);
-      std::printf("metrics written to %s\n", path.c_str());
-    } catch (const IoError& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
+    if (!out) throw IoError("cannot open " + path);
+    metrics.write_json(out);
+    std::printf("metrics written to %s\n", path.c_str());
   }
 
   std::printf("\nCSV outputs in ./full_study_out/\n");
   return 0;
+} catch (const IoError& e) {
+  // An output file could not be written.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
+} catch (const Error& e) {
+  // Bad configuration: a scenario file, or a seed/scale the world
+  // builder rejects.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }
