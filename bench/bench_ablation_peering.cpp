@@ -7,7 +7,6 @@
 #include "common.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -75,9 +74,7 @@ ParityPoint run_point(double p2p, double c2p, std::uint64_t seed, double scale) 
 }
 
 void emit() {
-  const double scale =
-      std::getenv("V6MON_BENCH_SCALE") ? std::strtod(std::getenv("V6MON_BENCH_SCALE"), nullptr)
-                                       : 0.3;
+  const double scale = bench::scale_from_env(0.3);
   util::TextTable t({"p2p parity", "c2p parity", "DP share of SL sites",
                      "DP ASes similar", "DP v6/v4 speed"});
   for (const auto& [p2p, c2p] :

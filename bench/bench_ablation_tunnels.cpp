@@ -5,7 +5,6 @@
 
 #include "common.h"
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -71,9 +70,7 @@ TunnelPoint run_point(const std::string& label, bool tunnels, double extra_ms,
 }
 
 void emit() {
-  const double scale =
-      std::getenv("V6MON_BENCH_SCALE") ? std::strtod(std::getenv("V6MON_BENCH_SCALE"), nullptr)
-                                       : 0.3;
+  const double scale = bench::scale_from_env(0.3);
   util::TextTable t({"tunnels", "v6 speed <=2 hops", "v4 speed <=2 hops",
                      "v6 speed >=4 hops", "v4 speed >=4 hops", "# v6 low-hop sites"});
   for (const auto& pt :

@@ -2,10 +2,9 @@
 //
 // Times the stages that dominate a full study — world construction (and
 // the site catalog within it), RIB construction, one campaign round, and
-// the analysis pass — at thread counts 1 and 8 (the catalog at 1 and 4),
-// so the speedup of the parallel RIB fan-out and the persistent campaign
-// pool is a number in a JSON artifact rather than a claim in a commit
-// message:
+// the analysis pass — at thread counts 1 and 4, so the speedup of the
+// parallel RIB fan-out and the persistent campaign pool is a number in a
+// JSON artifact rather than a claim in a commit message:
 //
 //   build/bench/bench_pipeline --benchmark_out=BENCH_pipeline.json
 //                              --benchmark_out_format=json
@@ -15,13 +14,13 @@
 // and V6MON_BENCH_SCALE (default 1.0); the ablation benches read
 // V6MON_BENCH_SCALE too.
 //
-// Note on thread counts: on a single-core runner the 1-vs-8 pairs will
-// tie — the JSON still pins the serial cost of every stage, which is
-// what the CI perf-smoke job tracks.
+// Note on thread counts: 4 is what the baseline host can run (its CPU
+// count is in the JSON context as num_cpus); on a single-core runner the
+// 1-vs-4 pairs tie — the JSON still pins the serial cost of every stage,
+// which is what the CI perf-smoke job tracks.
 
-#include <benchmark/benchmark.h>
+#include "common.h"
 
-#include <cstdlib>
 #include <iterator>
 #include <memory>
 #include <ostream>
@@ -47,15 +46,9 @@ namespace {
 
 using namespace v6mon;
 
-std::uint64_t bench_seed() {
-  const char* v = std::getenv("V6MON_BENCH_SEED");
-  return v == nullptr ? 2011ULL : std::strtoull(v, nullptr, 10);
-}
+std::uint64_t bench_seed() { return bench::seed_from_env(2011); }
 
-double bench_scale() {
-  const char* v = std::getenv("V6MON_BENCH_SCALE");
-  return v == nullptr ? 1.0 : std::strtod(v, nullptr);
-}
+double bench_scale() { return bench::scale_from_env(1.0); }
 
 /// Shared world for the stages that only *read* it (RIB rebuilds swap the
 /// per-VP tries out and back in; observations never touch the world).
@@ -73,7 +66,7 @@ void BM_WorldBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(world.catalog.size());
   }
 }
-BENCHMARK(BM_WorldBuild)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WorldBuild)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 /// The site catalog alone, on the shared scale-1.0 graph (the catalog
 /// reads only nodes and their address blocks, which the tunnel overlay
@@ -102,7 +95,7 @@ void BM_RibBuild(benchmark::State& state) {
     scenario::build_ribs(world, static_cast<std::size_t>(state.range(0)));
   }
 }
-BENCHMARK(BM_RibBuild)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RibBuild)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_CampaignRound(benchmark::State& state) {
   const core::World& world = shared_world();
@@ -121,10 +114,10 @@ void BM_CampaignRound(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_CampaignRound)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CampaignRound)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 /// The same round with the observability layer recording: CI asserts the
-/// metrics-on/8t mean stays within 3% of BM_CampaignRound/8 (the
+/// metrics-on/4t mean stays within 3% of BM_CampaignRound/4 (the
 /// "near-zero cost" contract of DESIGN.md §11).
 void BM_CampaignRoundMetricsOn(benchmark::State& state) {
   const core::World& world = shared_world();
@@ -143,7 +136,7 @@ void BM_CampaignRoundMetricsOn(benchmark::State& state) {
   obs::metrics().set_enabled(false);
   obs::metrics().reset();
 }
-BENCHMARK(BM_CampaignRoundMetricsOn)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CampaignRoundMetricsOn)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 /// The same round again with the conn layer dialing every dual-stack
 /// site under kSequential (ISSUE 9). Bounds the fallback overhead; the
@@ -165,7 +158,7 @@ void BM_CampaignRoundFallback(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_CampaignRoundFallback)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CampaignRoundFallback)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_FullCampaign(benchmark::State& state) {
   const core::World& world = shared_world();
@@ -180,7 +173,7 @@ void BM_FullCampaign(benchmark::State& state) {
     campaign->finalize();
   }
 }
-BENCHMARK(BM_FullCampaign)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond)
+BENCHMARK(BM_FullCampaign)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
     ->MinTime(1.0);
 
 // --- Multi-VP scheduling ----------------------------------------------------
@@ -250,7 +243,7 @@ void BM_CampaignMultiVp(benchmark::State& state) {
   }
   state.counters["vps"] = static_cast<double>(world.vantage_points.size());
 }
-BENCHMARK(BM_CampaignMultiVp)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond)
+BENCHMARK(BM_CampaignMultiVp)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
     ->MinTime(1.0);
 
 /// The measurement kernel in isolation: one family's repeat-until-CI

@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <string>
 
 #include "util/table.h"
@@ -15,6 +16,16 @@ namespace v6mon::bench {
 /// write the table's CSV to bench/out/<csv_name>.
 void print_result(const std::string& title, const util::TextTable& table,
                   const std::string& paper_reference, const std::string& csv_name);
+
+/// V6MON_BENCH_SEED, or `fallback` when it is unset.
+std::uint64_t seed_from_env(std::uint64_t fallback);
+
+/// V6MON_BENCH_SCALE as a paper-world scale, or `fallback` when it is
+/// unset.
+double scale_from_env(double fallback);
+
+// Both print one line and exit with status 2 when the variable is not
+// one whole number (or, for the scale, lies outside paper_spec's range).
 
 /// Standard main body: print results via `emit`, then run benchmarks.
 int run_bench_main(int argc, char** argv, void (*emit)());

@@ -26,12 +26,12 @@
 // it (analysis/paper_reference.h). Exit status: 0 on success, 2 on bad
 // arguments or configuration, 1 when an output file cannot be written.
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <system_error>
 #include <vector>
 
@@ -46,6 +46,7 @@
 #include "scenario/config_loader.h"
 #include "scenario/paper.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 using namespace v6mon;
 
@@ -71,14 +72,12 @@ void show(analysis::Artifact a, const util::TextTable& table) {
 /// error, not ignored.
 template <typename T>
 T parse_number(const char* arg, const char* what) {
-  T out{};
-  const char* end = arg + std::strlen(arg);
-  const auto [ptr, ec] = std::from_chars(arg, end, out);
-  if (ec != std::errc() || ptr != end) {
+  const std::optional<T> out = util::parse_number<T>(arg);
+  if (!out) {
     std::fprintf(stderr, "bad %s '%s' (want a number)\n", what, arg);
     std::exit(2);
   }
-  return out;
+  return *out;
 }
 
 core::SinkBackend parse_sink(const char* arg) {

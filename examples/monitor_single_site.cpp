@@ -6,10 +6,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "core/monitor.h"
 #include "scenario/world_builder.h"
 #include "transport/path.h"
+#include "util/strings.h"
 #include "web/dns_backend.h"
 
 using namespace v6mon;
@@ -42,11 +44,22 @@ const char* family_of(const web::Site& site, const core::World& world) {
   return world.graph.node(site.v6_as).has_v6 ? "dual" : "v4";
 }
 
+/// A whole argument as a number; trailing characters are an error.
+template <typename T>
+T parse_arg(const char* arg, const char* what) {
+  const std::optional<T> out = util::parse_number<T>(arg);
+  if (!out) {
+    std::fprintf(stderr, "bad %s '%s' (want a non-negative integer)\n", what, arg);
+    std::exit(2);
+  }
+  return *out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
-  const int num_sites = argc > 2 ? std::atoi(argv[2]) : 6;
+  const std::uint64_t seed = argc > 1 ? parse_arg<std::uint64_t>(argv[1], "seed") : 7;
+  const unsigned num_sites = argc > 2 ? parse_arg<unsigned>(argv[2], "num_sites") : 6;
 
   const core::World world = scenario::build_world(demo_spec(seed));
   const core::VantagePoint& vp = world.vantage_points[0];
@@ -61,7 +74,7 @@ int main(int argc, char** argv) {
   core::PathRegistry paths;
 
   const std::uint32_t round = 5;
-  int shown = 0;
+  unsigned shown = 0;
   for (const web::Site& site : world.catalog.sites()) {
     if (!site.dual_stack_at(round)) continue;
     if (shown++ >= num_sites) break;
@@ -69,7 +82,7 @@ int main(int argc, char** argv) {
     std::printf("--- %s (rank %u, %s, page %.1f kB) ---\n", site.hostname().c_str(),
                 site.rank, family_of(site, world), site.page_kb);
 
-    // Phase 1: DNS.
+    // Phase 1: DNS, through a resolver over the catalog's zone.
     const auto a = resolver.resolve(site.hostname(), dns::RecordType::kA, round);
     const auto aaaa = resolver.resolve(site.hostname(), dns::RecordType::kAaaa, round);
     std::printf("  A    -> %s\n",
@@ -78,9 +91,10 @@ int main(int argc, char** argv) {
                 aaaa.has_answers() ? aaaa.records[0].aaaa().to_string().c_str()
                                    : "(none)");
 
-    // Phase 2+: the full pipeline.
+    // The full pipeline. It answers the same queries from the catalog
+    // by site id; the demo resolver loses none (dns.timeout_prob is 0).
     const core::Observation obs =
-        monitor.monitor_site(site, round, resolver, util::Rng(seed ^ site.id), paths);
+        monitor.monitor_site(site, round, {}, util::Rng(seed ^ site.id), paths);
     std::printf("  status: %s\n", core::monitor_status_name(obs.status));
     if (obs.v4_path != core::kNoPath) {
       std::printf("  v4 AS_PATH: %s\n", paths.to_string(obs.v4_path).c_str());

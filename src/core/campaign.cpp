@@ -11,7 +11,6 @@
 #include "obs/metrics.h"
 #include "util/contracts.h"
 #include "util/error.h"
-#include "web/dns_backend.h"
 
 namespace v6mon::core {
 
@@ -63,15 +62,6 @@ constexpr std::uint64_t kQueriesPerSite = 2;
 /// segment help the chains still running. At 4 threads the threshold
 /// (64) is 2.5x above the one median and 10x below the other minimum.
 constexpr std::size_t kFanOutSitesPerWorker = 16;
-
-/// Seed of the resolver stream behind one site's DNS timeout draws:
-/// salt 0 for regular rounds, the mini-round salt for W6D. The one
-/// definition run_sites and the fate fill share.
-[[nodiscard]] std::uint64_t dns_stream_seed(const util::Rng& root,
-                                            std::uint64_t salt,
-                                            std::uint32_t site_id) {
-  return root.child_seed("dns", salt ^ site_id);
-}
 
 /// Seed of monitor_site's stream for one site at one (vp, round): keyed
 /// per (vp, round, site, salt). The one definition run_sites and the
@@ -195,9 +185,7 @@ dns::Resolver::Stats Campaign::dns_stats(std::size_t vp_index) const {
   const DnsTally& t = dns_tallies_.at(vp_index);
   dns::Resolver::Stats s;
   s.queries = t.queries.load(std::memory_order_relaxed);
-  s.cache_hits = t.cache_hits.load(std::memory_order_relaxed);
   s.timeouts = t.timeouts.load(std::memory_order_relaxed);
-  s.nxdomain = t.nxdomain.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -243,8 +231,12 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
   V6MON_REQUIRE(vp_index < monitors_.size(), "vantage point index out of range");
   if (sites.empty()) return;
   Monitor& monitor = monitors_[vp_index];
-  const web::CatalogDnsBackend backend(world_.catalog);
   const util::Rng root(config_.seed);
+  const double timeout_prob = config_.monitor.dns.timeout_prob;
+  // A regular round with the fast path on monitors only sites whose fate,
+  // read by the walk from scan_.flags, loses no query: it seeds no DNS
+  // stream. Every other site decision draws its loss per site.
+  const bool fate_known = salt == 0 && config_.fast_path;
 
   // Resolved-site table slot assignment is coordinator-only (we hold this
   // VP's ingest-epoch mutex): table growth must not race the workers'
@@ -254,30 +246,29 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
     monitor.assign_resolve_slots(sites, round);
   }
 
+  // Every site decision issues both queries; timeouts add per block.
+  DnsTally& dns_tally = dns_tallies_[vp_index];
+  const std::uint64_t queries = kQueriesPerSite * sites.size();
+  dns_tally.queries.fetch_add(queries, std::memory_order_relaxed);
+  obs::metrics().add(campaign_metric_ids().dns_queries, queries);
+
+  // Returns the queries the site lost.
   const auto monitor_one = [&](std::uint32_t site_id, util::Rng&& rng) {
     // The worker's private lane: recording and counting touch no shared
     // state; path ids are canonicalized at the round-boundary flush.
     ObservationSink::Lane& lane = sink.lane();
     const web::Site& site = world_.catalog.site(site_id);
-    // The DNS timeout stream is keyed only per (site, salt), so in regular
+    // The DNS loss stream is keyed only per (site, salt), so in regular
     // rounds a site draws the same timeouts at every round and vantage
     // point (EXPERIMENTS.md, deviation 6).
-    dns::Resolver resolver(backend, config_.monitor.dns,
-                           dns_stream_seed(root, salt, site.id));
+    const std::uint8_t fate = scan_.flags[site_id];
+    const QueryLoss loss =
+        fate_known ? QueryLoss{(fate & SiteScanIndex::kFirstQueryLost) != 0,
+                               (fate & SiteScanIndex::kSecondQueryLost) != 0}
+                   : draw_query_loss(root, timeout_prob, salt, site_id);
     const Observation obs =
-        monitor.monitor_site(site, round, resolver, std::move(rng), lane.paths());
+        monitor.monitor_site(site, round, loss, std::move(rng), lane.paths());
     lane.count(round, obs.status);
-    // Per-VP DNS accounting (ISSUE 9 satellite): resolvers are per-site
-    // temporaries, so their Stats would otherwise vanish here. Relaxed
-    // adds of per-site totals — deterministic whatever the schedule.
-    {
-      const dns::Resolver::Stats& ds = resolver.stats();
-      DnsTally& tally = dns_tallies_[vp_index];
-      tally.queries.fetch_add(ds.queries, std::memory_order_relaxed);
-      tally.cache_hits.fetch_add(ds.cache_hits, std::memory_order_relaxed);
-      tally.timeouts.fetch_add(ds.timeouts, std::memory_order_relaxed);
-      tally.nxdomain.fetch_add(ds.nxdomain, std::memory_order_relaxed);
-    }
     auto& metrics = obs::metrics();
     const auto& ids = campaign_metric_ids();
     metrics.add(ids.sites_monitored);
@@ -289,6 +280,7 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
       lane.record(obs);
       metrics.add(ids.ingest_rows);
     }
+    return loss.timeouts();
   };
   // Every RNG stream is keyed by data — never by block bounds or worker
   // identity — so scheduling granularity is a pure performance knob and
@@ -299,7 +291,14 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
         std::span(sites).subspan(block * kLanes).first(
             std::min(kLanes, sites.size() - block * kLanes));
     MonitorStreams streams(root, vp_index, round, salt, ids);
-    for (std::size_t k = 0; k < ids.size(); ++k) monitor_one(ids[k], std::move(streams[k]));
+    std::uint64_t timeouts = 0;
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      timeouts += monitor_one(ids[k], std::move(streams[k]));
+    }
+    if (timeouts != 0) {
+      dns_tally.timeouts.fetch_add(timeouts, std::memory_order_relaxed);
+      obs::metrics().add(campaign_metric_ids().dns_timeouts, timeouts);
+    }
   };
   const std::size_t blocks = (sites.size() + kLanes - 1) / kLanes;
   if (sites.size() < kFanOutSitesPerWorker * config_.threads) {
@@ -330,17 +329,14 @@ void Campaign::ensure_work_index() {
     if (config_.fast_path && p > 0.0) {
       const std::size_t n = scan_.flags.size();
       const util::Rng root(config_.seed);
-      // Replays the two draws a regular round's resolver makes, in query
-      // order.
       constexpr std::size_t kBlock = 1024;
       parallel_index(pool_, (n + kBlock - 1) / kBlock, [&](std::size_t block) {
         const std::size_t end = std::min(n, (block + 1) * kBlock);
         for (std::size_t id = block * kBlock; id < end; ++id) {
-          util::Rng rng(dns_stream_seed(root, 0, static_cast<std::uint32_t>(id)));
-          const bool first_lost = dns::Resolver::draw_timeout(p, rng);
-          const bool second_lost = dns::Resolver::draw_timeout(p, rng);
-          if (first_lost) scan_.flags[id] |= SiteScanIndex::kFirstQueryLost;
-          if (second_lost) scan_.flags[id] |= SiteScanIndex::kSecondQueryLost;
+          const QueryLoss loss =
+              draw_query_loss(root, p, 0, static_cast<std::uint32_t>(id));
+          if (loss.first) scan_.flags[id] |= SiteScanIndex::kFirstQueryLost;
+          if (loss.second) scan_.flags[id] |= SiteScanIndex::kSecondQueryLost;
         }
       });
     }

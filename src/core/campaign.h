@@ -134,9 +134,9 @@ class Campaign {
     return monitors_.at(vp_index).fallback_stats();
   }
 
-  /// Per-vantage-point DNS resolver totals, aggregated over every
-  /// (site, round) resolver the campaign created — regular and W6D
-  /// rounds together. Each field is a sum of per-site counts (pure
+  /// Per-vantage-point DNS totals over every site decision, regular and
+  /// W6D: two queries each, and the timeouts of its query loss (no cache
+  /// hits, no NXDOMAIN). Each field is a sum of per-site counts (pure
   /// functions of the seed), so the totals are deterministic across
   /// threads and sinks; the same numbers feed the global dns.* metrics
   /// counters, which lose the per-VP split this keeps.
@@ -202,14 +202,14 @@ class Campaign {
     /// Listed only through the DNS-cache supplement.
     static constexpr std::uint8_t kViaDnsCache = 1;
     /// The site's DNS fate in a regular round: whether its first and its
-    /// second query time out. A regular round's resolver stream is
-    /// keyed by the site alone, so the fate is the same at every round
-    /// and vantage point. Both queries lost means kDnsFailed, whichever
-    /// query the monitor sends first. With one loss, the monitor's
-    /// query-order coin (keyed per vp, round and site) says whether the
-    /// A is lost (kV6Only when dual-stack at the round, else kDnsFailed)
-    /// or the AAAA (kV4Only). No loss means kV4Only without an AAAA
-    /// record; only a dual-stack site with a clean fate runs the
+    /// second query time out (draw_query_loss). A regular round's loss
+    /// stream is keyed by the site alone, so the fate is the same at
+    /// every round and vantage point. Both queries lost means kDnsFailed,
+    /// whichever query the monitor sends first. With one loss, the
+    /// monitor's query-order coin (keyed per vp, round and site) says
+    /// whether the A is lost (kV6Only when dual-stack at the round, else
+    /// kDnsFailed) or the AAAA (kV4Only). No loss means kV4Only without
+    /// an AAAA record; only a dual-stack site with a clean fate runs the
     /// pipeline.
     static constexpr std::uint8_t kFirstQueryLost = 2;
     static constexpr std::uint8_t kSecondQueryLost = 4;
@@ -255,15 +255,13 @@ class Campaign {
   /// work-stealing counter, not fixed chunks, so a straggler (dual-stack
   /// site with a long CI loop) only ever delays its own worker.
   ThreadPool pool_;
-  /// Per-VP DNS totals (see dns_stats). Relaxed atomics: workers add
-  /// their site-resolver's counts after each monitor_site, and the round
-  /// scan adds the queries its settled sites would have issued; sums of
-  /// non-negative integers are schedule-independent.
-  struct DnsTally {
+  /// Per-VP DNS totals (see dns_stats), one cache line per VP. Relaxed
+  /// atomics: run_sites adds its queries once and its timeouts once per
+  /// block, and the round scan adds what its settled sites would have;
+  /// sums of non-negative integers are schedule-independent.
+  struct alignas(64) DnsTally {
     std::atomic<std::uint64_t> queries{0};
-    std::atomic<std::uint64_t> cache_hits{0};
     std::atomic<std::uint64_t> timeouts{0};
-    std::atomic<std::uint64_t> nxdomain{0};
   };
 
   /// Deques: VpStore holds a mutex and is therefore immovable.

@@ -134,6 +134,17 @@ struct TallyFlusher {
 
 }  // namespace
 
+QueryLoss draw_query_loss(const util::Rng& root, double timeout_prob,
+                          std::uint64_t salt, std::uint32_t site_id) {
+  QueryLoss loss;
+  if (timeout_prob > 0.0) {
+    util::Rng rng(root.child_seed("dns", salt ^ site_id));
+    loss.first = dns::Resolver::draw_timeout(timeout_prob, rng);
+    loss.second = dns::Resolver::draw_timeout(timeout_prob, rng);
+  }
+  return loss;
+}
+
 Monitor::Monitor(const World& world, const VantagePoint& vp, MonitorConfig config)
     : world_(world),
       vp_(vp),
@@ -406,37 +417,23 @@ void Monitor::assign_resolve_slots(std::span<const std::uint32_t> sites,
 }
 
 Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
-                                  dns::Resolver& resolver, util::Rng&& rng,
+                                  QueryLoss loss, util::Rng&& rng,
                                   PathRegistry& paths) {
   Observation obs;
   obs.site = site.id;
   obs.round = round;
 
   // --- Phase 1: randomized A / AAAA queries -----------------------------
-  const std::uint32_t slot = resolved_.find(site.id, site.hosting_epoch(round));
-  const bool have_slot = slot != ResolvedSiteTable::kNoSlot;
-  // The hostname depends only on the site id; reuse the slot's cached
-  // string when one exists (one allocation per site-round otherwise).
-  std::string host_storage;
-  if (!have_slot) host_storage = site.hostname();
-  const std::string& host = have_slot ? resolved_.hostname(slot) : host_storage;
   // Order of the two queries is randomized like the tool randomizes its
-  // site order. It decides which query a one-loss resolver stream loses.
+  // site order. It decides which query a one-loss fate loses.
   const bool a_first = a_query_first(rng);
-  dns::QueryResult a_res, aaaa_res;
+  bool has_a = false;
+  bool has_aaaa = false;
   {
     obs::TraceSpan span(obs::Stage::kDnsResolve);
-    if (a_first) {
-      a_res = resolver.resolve(host, dns::RecordType::kA, round);
-      aaaa_res = resolver.resolve(host, dns::RecordType::kAaaa, round);
-    } else {
-      aaaa_res = resolver.resolve(host, dns::RecordType::kAaaa, round);
-      a_res = resolver.resolve(host, dns::RecordType::kA, round);
-    }
+    has_a = !(a_first ? loss.first : loss.second);
+    has_aaaa = !(a_first ? loss.second : loss.first) && site.dual_stack_at(round);
   }
-
-  const bool has_a = a_res.has_answers();
-  const bool has_aaaa = aaaa_res.has_answers();
   if (!has_a && !has_aaaa) {
     obs.status = MonitorStatus::kDnsFailed;
     return obs;
@@ -451,27 +448,26 @@ Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
   }
 
   // --- Phase 2: locate both presences through the RIB --------------------
-  const ip::Ipv4Address v4_addr = a_res.records.front().a();
-  const ip::Ipv6Address v6_addr = aaaa_res.records.front().aaaa();
+  const web::Hosting answers = world_.catalog.hosting_at(site, round);
 
   // Served from the campaign-lifetime resolved-site table. The first
   // time a site reaches this phase its row is resolved and filled right
   // here — by the one worker monitoring the site this epoch, so fills
-  // never race — and later rounds reuse it after validating the
-  // DNS-returned addresses against the row. A mismatch (or no slot)
-  // resolves into a per-call row and leaves the cached one as it is,
-  // keeping the cache a pure performance layer.
-  if (have_slot && !resolved_.filled(slot)) {
-    ResolvedSiteRow fresh;
-    resolve_addresses(v4_addr, v6_addr, fresh);
-    resolved_.fill(slot, fresh, current_world_epoch_);
-  }
+  // never race — and later rounds reuse it. Without a slot (a Monitor
+  // driven outside a campaign) the row is resolved per call.
+  const std::uint32_t slot = resolved_.find(site.id, site.hosting_epoch(round));
   ResolvedSiteRow local;
-  const ResolvedSiteRow* row =
-      have_slot && resolved_.filled(slot) ? &resolved_.row(slot) : nullptr;
-  if (row == nullptr || row->v4_addr != v4_addr || row->v6_addr != v6_addr) {
-    resolve_addresses(v4_addr, v6_addr, local);
-    row = &local;
+  const ResolvedSiteRow* row = &local;
+  if (slot == ResolvedSiteTable::kNoSlot) {
+    resolve_addresses(answers.v4_addr, answers.v6_addr, local);
+  } else {
+    if (!resolved_.filled(slot)) {
+      resolve_addresses(answers.v4_addr, answers.v6_addr, local);
+      resolved_.fill(slot, local, current_world_epoch_);
+    }
+    row = &resolved_.row(slot);
+    V6MON_ASSERT(row->v4_addr == answers.v4_addr && row->v6_addr == answers.v6_addr,
+                 "resolved-site row disagrees with the catalog's answers");
   }
 
   if (row->v4_route != nullptr) {

@@ -62,6 +62,21 @@ struct MonitorConfig {
   void validate() const;
 };
 
+/// Whether each of one site decision's two DNS queries times out, in the
+/// order they are sent.
+struct QueryLoss {
+  bool first = false;
+  bool second = false;
+  [[nodiscard]] std::uint64_t timeouts() const {
+    return std::uint64_t{first} + std::uint64_t{second};
+  }
+};
+
+/// The loss a dns::Resolver draws for the two queries on the stream
+/// `root.child_seed("dns", salt ^ site_id)`; seeds nothing at p == 0.
+[[nodiscard]] QueryLoss draw_query_loss(const util::Rng& root, double timeout_prob,
+                                        std::uint64_t salt, std::uint32_t site_id);
+
 /// The per-site monitoring pipeline of the paper's Fig. 2, bound to one
 /// vantage point:
 ///
@@ -69,7 +84,7 @@ struct MonitorConfig {
 ///   identity check (6%) -> repeated downloads until the 95% CI of mean
 ///   download time is within 10% of the mean -> record speeds + AS paths.
 ///
-/// `monitor_site` is a pure function of (site, round, rng) given the
+/// `monitor_site` is a pure function of (site, round, loss, rng) given the
 /// immutable world, so results are identical however sites are scheduled
 /// across threads.
 /// Per-vantage-point measurement pipeline. Confinement audit (ISSUE 10,
@@ -87,8 +102,9 @@ class Monitor {
  public:
   Monitor(const World& world, const VantagePoint& vp, MonitorConfig config);
 
-  /// Run the pipeline for one site at one round. The resolver carries the
-  /// caller's DNS cache/failure state; `rng` must be dedicated to this
+  /// Run the pipeline for one site at one round. The catalog answers the
+  /// A query, and the AAAA while the site is dual-stack, unless `loss`
+  /// times the query out. `rng` must be dedicated to this
   /// (site, round) so threading cannot reorder draws. The stream is
   /// consumed, and taken by reference so that a primed engine
   /// (Mt64Engine::prime) is never copied. Non-const because
@@ -96,13 +112,13 @@ class Monitor {
   /// resolution; safe to call concurrently for *distinct* sites (each
   /// slot is touched by exactly one caller per ingest epoch).
   [[nodiscard]] Observation monitor_site(const web::Site& site, std::uint32_t round,
-                                         dns::Resolver& resolver, util::Rng&& rng,
+                                         QueryLoss loss, util::Rng&& rng,
                                          PathRegistry& paths);
 
   /// The query-order coin: monitor_site's first draw on its stream,
-  /// true when the A query goes out before the AAAA. The campaign's
-  /// round walk draws it too, to settle one-loss sites without the
-  /// pipeline.
+  /// true when the A query goes out before the AAAA, so that `loss.first`
+  /// is the A's verdict. The campaign's round walk draws it too, to
+  /// settle one-loss sites without the pipeline.
   [[nodiscard]] static bool a_query_first(util::Rng& rng) { return rng.chance(0.5); }
 
   [[nodiscard]] const MonitorConfig& config() const { return config_; }
@@ -126,10 +142,10 @@ class Monitor {
   // reusing the row leaves only DNS draws and download sampling per
   // round. Rows are filled *lazily*: the worker monitoring a site writes
   // its row the first time the site's resolution actually runs, so no
-  // work is ever spent on sites that never reach phase 2. monitor_site
-  // validates each row against the DNS-returned addresses and falls back
-  // to inline resolution on mismatch, so the cache is a pure performance
-  // layer.
+  // work is ever spent on sites that never reach phase 2. A filled row's
+  // addresses are the catalog's at every round of its hosting epoch
+  // (grant_aaaa only rewrites sites without an AAAA, which have no filled
+  // row), which monitor_site asserts.
   //
   // Concurrency: assign_resolve_slots grows the table and must be
   // serialized with every other use of this Monitor — Campaign holds the

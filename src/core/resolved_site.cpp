@@ -15,7 +15,6 @@ std::uint32_t ResolvedSiteTable::assign(const web::Site& site, std::uint8_t epoc
   V6MON_REQUIRE(slot_of_[key] == kNoSlot, "slot already assigned");
   const auto slot = static_cast<std::uint32_t>(slots_.size());
   Slot& s = slots_.emplace_back();
-  s.hostname = site.hostname();
   s.site_id = site.id;
   slot_of_[key] = slot;
   return slot;

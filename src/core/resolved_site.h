@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "bgp/rib.h"
@@ -40,8 +39,7 @@ struct ResolvedSiteRow {
 /// materialized on first use and reused for every later round, so only DNS
 /// draws and download sampling remain per-round work. Page sizes and
 /// server rates are not cached: monitor_site reads them from the live
-/// catalog entry. The hostname is, since it outgrows the small-string
-/// buffer and would otherwise cost an allocation per monitored site-round.
+/// catalog entry.
 ///
 /// Concurrency protocol (no internal locks, mirroring the RIB-build
 /// pattern): slot assignment (vector growth) is coordinator-only —
@@ -72,8 +70,8 @@ class ResolvedSiteTable {
     return key < slot_of_.size() ? slot_of_[key] : kNoSlot;
   }
 
-  /// Coordinator-only: create an unfilled slot for (site, hosting epoch),
-  /// caching the site's hostname; the resolved row arrives via fill().
+  /// Coordinator-only: create an unfilled slot for (site, hosting epoch);
+  /// the resolved row arrives via fill().
   /// Requires the slot not to exist.
   std::uint32_t assign(const web::Site& site, std::uint8_t epoch);
 
@@ -98,9 +96,6 @@ class ResolvedSiteTable {
   [[nodiscard]] std::uint32_t site_id(std::uint32_t slot) const {
     return slots_[slot].site_id;
   }
-  [[nodiscard]] const std::string& hostname(std::uint32_t slot) const {
-    return slots_[slot].hostname;
-  }
   [[nodiscard]] bool filled(std::uint32_t slot) const { return slots_[slot].filled; }
   /// World epoch the row was last resolved under (0 = the seed world).
   [[nodiscard]] std::uint32_t world_epoch(std::uint32_t slot) const {
@@ -110,7 +105,6 @@ class ResolvedSiteTable {
  private:
   struct Slot {
     ResolvedSiteRow row;
-    std::string hostname;
     std::uint32_t site_id = 0;
     std::uint32_t world_epoch = 0;
     bool filled = false;

@@ -200,10 +200,6 @@ ScenarioSpec parse_scenario(std::string_view text) {
       const std::uint64_t v = parse_u64(value, line_no);
       if (v > kMaxDownloadBudget) fail(line_no, "monitor.fetch_retries out of range");
       m.fetch_retries = static_cast<std::size_t>(v);
-    } else if (key == "dns.cache_rounds") {
-      const std::uint64_t v = parse_u64(value, line_no);
-      if (v > 0xffffffffULL) fail(line_no, "dns.cache_rounds out of range");
-      m.dns.cache_rounds = static_cast<std::uint32_t>(v);
     } else if (key == "dns.timeout_prob") {
       m.dns.timeout_prob = parse_prob(value, line_no, "dns.timeout_prob");
     } else if (key == "download.setup_rtts") {

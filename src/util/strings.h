@@ -1,7 +1,10 @@
 #pragma once
 
+#include <charconv>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace v6mon::util {
@@ -17,6 +20,18 @@ namespace v6mon::util {
 
 /// True if `s` consists only of decimal digits (and is non-empty).
 [[nodiscard]] bool is_digits(std::string_view s);
+
+/// `s` as one whole number of type T (an integer or a floating-point
+/// type): nullopt when it is empty, out of range or has any character
+/// the number does not use.
+template <typename T>
+[[nodiscard]] std::optional<T> parse_number(std::string_view s) {
+  T out{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return out;
+}
 
 /// Join elements with a separator.
 [[nodiscard]] std::string join(const std::vector<std::string>& parts, std::string_view sep);

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "util/contracts.h"
 #include "util/error.h"
 #include "util/stats.h"
 
@@ -64,29 +65,43 @@ std::vector<double> median_filter(const std::vector<double>& xs, std::size_t win
 
 StepTransition detect_step(const std::vector<double>& xs, std::size_t window,
                            double threshold) {
+  V6MON_REQUIRE(window > 0, "step detection needs a non-empty window");
   StepTransition result;
   const std::size_t need = window / 2 + 1;  // consecutive deviating samples
   if (xs.size() < window + need) return result;
 
-  // Median of the trailing `window` samples before index i.
-  std::vector<double> buf;
-  buf.reserve(window);
-  auto trailing_median = [&](std::size_t i) {
-    buf.assign(xs.begin() + static_cast<std::ptrdiff_t>(i - window),
-               xs.begin() + static_cast<std::ptrdiff_t>(i));
-    std::nth_element(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(window / 2),
-                     buf.end());
-    return buf[window / 2];
+  // The trailing `window` samples before index i, kept sorted: moving to
+  // i + 1 overwrites one copy of xs[i - window] with xs[i] and shifts it
+  // into order. Its median w[window / 2] is the value nth_element selects.
+  // Every shift stops at a NaN (all its comparisons are false), and the
+  // outgoing NaN is found as itself, so a NaN sample cannot stall or
+  // overrun the scan.
+  std::vector<double> w;
+  w.reserve(window);
+  for (std::size_t j = 0; j < window; ++j) {
+    w.push_back(xs[j]);
+    for (std::size_t k = j; k > 0 && w[k] < w[k - 1]; --k) std::swap(w[k], w[k - 1]);
+  }
+  const auto slide = [&w](double out, double in) {
+    std::size_t k = 0;
+    while (k + 1 < w.size() && !(w[k] == out || (std::isnan(w[k]) && std::isnan(out)))) {
+      ++k;
+    }
+    w[k] = in;
+    for (; k > 0 && w[k] < w[k - 1]; --k) std::swap(w[k], w[k - 1]);
+    for (; k + 1 < w.size() && w[k + 1] < w[k]; ++k) std::swap(w[k], w[k + 1]);
   };
+  const auto trailing_median = [&w, window] { return w[window / 2]; };
 
   std::size_t run = 0;
   int run_dir = 0;  // +1 up, -1 down
   std::size_t run_start = 0;
   double base_at_run_start = 0.0;
   for (std::size_t i = window; i < xs.size(); ++i) {
+    if (i > window) slide(xs[i - 1 - window], xs[i - 1]);
     // Freeze the baseline while a candidate run is open, so the run's own
     // samples do not drag the reference median toward the new regime.
-    const double base = (run == 0) ? trailing_median(i) : base_at_run_start;
+    const double base = (run == 0) ? trailing_median() : base_at_run_start;
     int dir = 0;
     if (base > 0.0) {
       if (xs[i] > base * (1.0 + threshold)) dir = +1;
@@ -98,7 +113,7 @@ StepTransition detect_step(const std::vector<double>& xs, std::size_t window,
       run_dir = dir;
       run = 1;
       run_start = i;
-      base_at_run_start = trailing_median(i);
+      base_at_run_start = trailing_median();
     } else {
       run = 0;
       run_dir = 0;

@@ -63,7 +63,6 @@ TEST(ConfigLoader, EveryKeyLands) {
       "monitor.max_downloads = 40\n"
       "monitor.path_quality_sigma = 0.1\n"
       "monitor.fetch_retries = 2\n"
-      "dns.cache_rounds = 3\n"
       "dns.timeout_prob = 0.02\n"
       "download.setup_rtts = 4.5\n"
       "download.window_kB = 64\n"
@@ -99,7 +98,6 @@ TEST(ConfigLoader, EveryKeyLands) {
   EXPECT_EQ(m.max_downloads, 40u);
   EXPECT_DOUBLE_EQ(m.path_quality_sigma, 0.1);
   EXPECT_EQ(m.fetch_retries, 2u);
-  EXPECT_EQ(m.dns.cache_rounds, 3u);
   EXPECT_DOUBLE_EQ(m.dns.timeout_prob, 0.02);
   EXPECT_DOUBLE_EQ(m.download.setup_rtts, 4.5);
   EXPECT_DOUBLE_EQ(m.download.window_kB, 64.0);
@@ -171,6 +169,20 @@ TEST(ConfigLoader, RejectsRetiredMaxParallelSitesKey) {
   }
 }
 
+// A campaign answers every site's queries afresh from the catalog, so a
+// resolver cache lifetime has nothing to act on; the retired key must
+// fail loudly rather than be silently ignored.
+TEST(ConfigLoader, RejectsRetiredDnsCacheRoundsKey) {
+  try {
+    (void)parse_scenario("dns.cache_rounds = 3\n");
+    FAIL() << "retired key accepted";
+  } catch (const ParseError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown key 'dns.cache_rounds'"), std::string::npos) << what;
+    EXPECT_NE(what.find("line 1"), std::string::npos) << what;
+  }
+}
+
 TEST(ConfigLoader, RejectsOutOfDomainValues) {
   // world.scale shares paper_spec's bound (scenario::kMaxPaperScale).
   EXPECT_THROW(parse_scenario("world.scale = 0\n"), ConfigError);
@@ -179,7 +191,6 @@ TEST(ConfigLoader, RejectsOutOfDomainValues) {
   EXPECT_DOUBLE_EQ(parse_scenario("world.scale = 1.36\n").scale, kMaxPaperScale);
   EXPECT_THROW(parse_scenario("campaign.threads = 5000\n"), ParseError);
   EXPECT_THROW(parse_scenario("monitor.max_downloads = 70000\n"), ParseError);
-  EXPECT_THROW(parse_scenario("dns.cache_rounds = 4294967296\n"), ParseError);
   // Values the line parser accepts but MonitorConfig::validate rejects
   // surface as the same ConfigError a programmatic misconfiguration gets.
   EXPECT_THROW(parse_scenario("monitor.min_downloads = 1\n"), ConfigError);

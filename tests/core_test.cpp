@@ -544,8 +544,6 @@ TEST(Monitor, V4OnlySiteClassified) {
   const auto& w = small_world().world;
   const VantagePoint& vp = w.vantage_points[0];
   Monitor mon(w, vp, {});
-  web::CatalogDnsBackend backend(w.catalog);
-  dns::Resolver resolver(backend, {}, 1);
 
   const web::Site* v4only = nullptr;
   for (const web::Site& s : w.catalog.sites()) {
@@ -556,7 +554,7 @@ TEST(Monitor, V4OnlySiteClassified) {
   }
   ASSERT_NE(v4only, nullptr);
   PathRegistry paths;
-  const auto obs = mon.monitor_site(*v4only, 0, resolver, util::Rng(2), paths);
+  const auto obs = mon.monitor_site(*v4only, 0, {}, util::Rng(2), paths);
   EXPECT_EQ(obs.status, MonitorStatus::kV4Only);
 }
 
@@ -564,15 +562,13 @@ TEST(Monitor, DualStackSiteMeasured) {
   const auto& w = small_world().world;
   const VantagePoint& vp = w.vantage_points[1];  // full-parity VP
   Monitor mon(w, vp, {});
-  web::CatalogDnsBackend backend(w.catalog);
-  dns::Resolver resolver(backend, {}, 1);
   PathRegistry paths;
 
   int measured = 0, examined = 0;
   for (const web::Site& s : w.catalog.sites()) {
     if (!s.dual_stack_at(5) || s.v6_page_ratio != 1.0f) continue;
     if (++examined > 40) break;
-    const auto obs = mon.monitor_site(s, 5, resolver, util::Rng(1000 + s.id), paths);
+    const auto obs = mon.monitor_site(s, 5, {}, util::Rng(1000 + s.id), paths);
     if (obs.status == MonitorStatus::kMeasured) {
       ++measured;
       EXPECT_GT(obs.v4_speed_kBps, 0.0f);
@@ -593,8 +589,6 @@ TEST(Monitor, DifferentContentDetected) {
   MonitorConfig cfg;
   cfg.download.failure_prob = 0.0;
   Monitor mon(w, vp, cfg);
-  web::CatalogDnsBackend backend(w.catalog);
-  dns::Resolver resolver(backend, {}, 1);
   PathRegistry paths;
 
   const web::Site* diff = nullptr;
@@ -605,7 +599,7 @@ TEST(Monitor, DifferentContentDetected) {
     }
   }
   ASSERT_NE(diff, nullptr) << "catalog generated no different-content site";
-  const auto obs = mon.monitor_site(*diff, 5, resolver, util::Rng(3), paths);
+  const auto obs = mon.monitor_site(*diff, 5, {}, util::Rng(3), paths);
   EXPECT_EQ(obs.status, MonitorStatus::kDifferentContent);
 }
 
@@ -613,7 +607,6 @@ TEST(Monitor, DeterministicGivenSameRng) {
   const auto& w = small_world().world;
   const VantagePoint& vp = w.vantage_points[1];
   Monitor mon(w, vp, {});
-  web::CatalogDnsBackend backend(w.catalog);
   PathRegistry paths;
 
   const web::Site* dual = nullptr;
@@ -624,10 +617,8 @@ TEST(Monitor, DeterministicGivenSameRng) {
     }
   }
   ASSERT_NE(dual, nullptr);
-  dns::Resolver r1(backend, {}, 5);
-  dns::Resolver r2(backend, {}, 5);
-  const auto a = mon.monitor_site(*dual, 5, r1, util::Rng(42), paths);
-  const auto b = mon.monitor_site(*dual, 5, r2, util::Rng(42), paths);
+  const auto a = mon.monitor_site(*dual, 5, {}, util::Rng(42), paths);
+  const auto b = mon.monitor_site(*dual, 5, {}, util::Rng(42), paths);
   EXPECT_EQ(a.status, b.status);
   EXPECT_EQ(a.v4_speed_kBps, b.v4_speed_kBps);
   EXPECT_EQ(a.v6_speed_kBps, b.v6_speed_kBps);
@@ -637,14 +628,12 @@ TEST(Monitor, SeparateProviderVpYieldsDivergentPaths) {
   const auto& w = small_world().world;
   const VantagePoint& penn_like = w.vantage_points[0];
   Monitor mon(w, penn_like, {});
-  web::CatalogDnsBackend backend(w.catalog);
-  dns::Resolver resolver(backend, {}, 1);
   PathRegistry paths;
 
   int same = 0, diff = 0;
   for (const web::Site& s : w.catalog.sites()) {
     if (!s.dual_stack_at(5) || s.different_location()) continue;
-    const auto obs = mon.monitor_site(s, 5, resolver, util::Rng(77 + s.id), paths);
+    const auto obs = mon.monitor_site(s, 5, {}, util::Rng(77 + s.id), paths);
     if (obs.status != MonitorStatus::kMeasured) continue;
     if (obs.v4_origin != obs.v6_origin) continue;
     if (obs.v4_path == obs.v6_path) ++same;
@@ -804,10 +793,13 @@ TEST(Campaign, FastPathMatchesFullPipeline) {
 
 // The round's work list counts most listed sites without visiting them
 // (per-round prefix sums) and walks only candidates. Sweep seeds, frozen
-// and evolving worlds, DNS loss and the fast path over a world with one
-// supplement and one plain vantage point, and hold every (VP, round) to
-// a brute-force count over the catalog. The fast-path runs drive the
-// rounds one by one; run() drives the full-pipeline runs.
+// and evolving worlds, DNS loss, the fast path and the thread count over
+// a world with one supplement and one plain vantage point, and hold
+// every (VP, round) to a brute-force count over the catalog. The
+// fast-path runs drive the rounds one by one; run() drives the
+// full-pipeline runs. W6D follows the rounds, and each VP's DNS totals
+// are held to an independent recount of every site decision's queries
+// and of the timeouts its DNS stream draws.
 TEST(Campaign, WorkListInvariantSweep) {
   const auto tiny_spec = [](std::uint64_t seed, bool evolving) {
     scenario::WorldSpec spec = small_world().spec;
@@ -816,7 +808,7 @@ TEST(Campaign, WorkListInvariantSweep) {
     spec.catalog.churn_per_round = 8;
     spec.catalog.dns_cache_sites = 80;
     spec.catalog.num_rounds = 8;
-    spec.w6d_round = web::kNever;  // Regular rounds only: the sums below.
+    spec.w6d_round = 5;
     spec.evolution.enabled = evolving;
     spec.evolution.delta_rate = 4.0;
     spec.evolution.epoch_interval = 2;
@@ -827,6 +819,14 @@ TEST(Campaign, WorkListInvariantSweep) {
   struct Run {
     std::vector<RoundCounters> rounds;  ///< Per VP, per round.
     std::vector<dns::Resolver::Stats> dns;
+  };
+  constexpr std::size_t kMiniRounds = 2;
+  // Queries one site decision's DNS stream loses.
+  const auto lost_queries = [](const util::Rng& root, double timeout_prob,
+                               std::uint64_t salt, std::uint32_t site_id) {
+    util::Rng dns(root.child_seed("dns", salt ^ site_id));
+    return std::uint64_t{dns::Resolver::draw_timeout(timeout_prob, dns)} +
+           std::uint64_t{dns::Resolver::draw_timeout(timeout_prob, dns)};
   };
   for (const std::uint64_t seed : {3u, 17u}) {
     for (const bool evolving : {false, true}) {
@@ -849,129 +849,160 @@ TEST(Campaign, WorkListInvariantSweep) {
       for (const double timeout_prob : {0.0, 0.02, 0.3, 1.0}) {
         for (const bool early : {false, true}) {
           if (early && !evolving) continue;
-          std::vector<Run> runs;
-          for (const bool fast_path : {true, false}) {
-            SCOPED_TRACE(testing::Message()
-                         << "seed=" << seed << " evolving=" << evolving
-                         << " timeout_prob=" << timeout_prob << " early=" << early
-                         << " fast_path=" << fast_path);
-            CampaignConfig cfg;
-            cfg.seed = seed;
-            cfg.threads = 2;
-            cfg.fast_path = fast_path;
-            cfg.monitor.dns.timeout_prob = timeout_prob;
-            auto& reg = obs::metrics();
-            reg.reset();
-            reg.set_enabled(true);
-            std::optional<WorldTimeline> timeline;
-            if (evolving) timeline.emplace(scenario::build_timeline(spec));
-            const World& world = evolving ? timeline->world() : frozen;
-            auto campaign = evolving ? std::make_unique<Campaign>(*timeline, cfg)
-                                     : std::make_unique<Campaign>(world, cfg);
-            if (early) campaign->advance_world(gain_round);
-            if (fast_path) {
-              // One (VP, round) at a time, so that each one's monitored and
-              // coin-settled sites can be held to a brute-force count: the
-              // monitor runs exactly the dual-stack sites that lose no DNS
-              // query, and every one-loss site settles by its coin.
-              const util::Rng root(seed);
-              std::vector<int> lost(world.catalog.size());
-              for (const web::Site& s : world.catalog.sites()) {
-                util::Rng dns(root.child_seed("dns", s.id));
-                lost[s.id] = int{dns::Resolver::draw_timeout(timeout_prob, dns)} +
-                             int{dns::Resolver::draw_timeout(timeout_prob, dns)};
-              }
-              for (std::uint32_t r = 0; r <= world.num_rounds; ++r) {
-                campaign->advance_world(r);
-                for (std::size_t v = 0; v < world.vantage_points.size(); ++v) {
-                  const VantagePoint& vp = world.vantage_points[v];
-                  const std::uint64_t monitored_before =
-                      reg.counter_value("campaign.sites_monitored");
-                  const std::uint64_t coins_before =
-                      reg.counter_value("campaign.fast_path_coin_sites");
-                  campaign->run_round(v, r);
-                  std::uint64_t dual_clean = 0;
-                  std::uint64_t one_loss = 0;
-                  if (r >= vp.start_round) {
-                    for (const web::Site& s : world.catalog.sites()) {
-                      if (!s.in_list_at(r) ||
-                          (s.from_dns_cache && !vp.uses_dns_cache_supplement)) {
-                        continue;
+          for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            std::vector<Run> runs;
+            for (const bool fast_path : {true, false}) {
+              SCOPED_TRACE(testing::Message()
+                           << "seed=" << seed << " evolving=" << evolving
+                           << " timeout_prob=" << timeout_prob << " early=" << early
+                           << " threads=" << threads << " fast_path=" << fast_path);
+              CampaignConfig cfg;
+              cfg.seed = seed;
+              cfg.threads = threads;
+              cfg.fast_path = fast_path;
+              cfg.w6d_mini_rounds = kMiniRounds;
+              cfg.monitor.dns.timeout_prob = timeout_prob;
+              auto& reg = obs::metrics();
+              reg.reset();
+              reg.set_enabled(true);
+              std::optional<WorldTimeline> timeline;
+              if (evolving) timeline.emplace(scenario::build_timeline(spec));
+              const World& world = evolving ? timeline->world() : frozen;
+              auto campaign = evolving ? std::make_unique<Campaign>(*timeline, cfg)
+                                       : std::make_unique<Campaign>(world, cfg);
+              if (early) campaign->advance_world(gain_round);
+              if (fast_path) {
+                // One (VP, round) at a time, so that each one's monitored and
+                // coin-settled sites can be held to a brute-force count: the
+                // monitor runs exactly the dual-stack sites that lose no DNS
+                // query, and every one-loss site settles by its coin.
+                const util::Rng root(seed);
+                std::vector<std::uint64_t> lost(world.catalog.size());
+                for (const web::Site& s : world.catalog.sites()) {
+                  lost[s.id] = lost_queries(root, timeout_prob, 0, s.id);
+                }
+                for (std::uint32_t r = 0; r <= world.num_rounds; ++r) {
+                  campaign->advance_world(r);
+                  for (std::size_t v = 0; v < world.vantage_points.size(); ++v) {
+                    const VantagePoint& vp = world.vantage_points[v];
+                    const std::uint64_t monitored_before =
+                        reg.counter_value("campaign.sites_monitored");
+                    const std::uint64_t coins_before =
+                        reg.counter_value("campaign.fast_path_coin_sites");
+                    campaign->run_round(v, r);
+                    std::uint64_t dual_clean = 0;
+                    std::uint64_t one_loss = 0;
+                    if (r >= vp.start_round) {
+                      for (const web::Site& s : world.catalog.sites()) {
+                        if (!s.in_list_at(r) ||
+                            (s.from_dns_cache && !vp.uses_dns_cache_supplement)) {
+                          continue;
+                        }
+                        dual_clean += lost[s.id] == 0 && s.dual_stack_at(r);
+                        one_loss += lost[s.id] == 1;
                       }
-                      dual_clean += lost[s.id] == 0 && s.dual_stack_at(r);
-                      one_loss += lost[s.id] == 1;
+                    }
+                    EXPECT_EQ(reg.counter_value("campaign.sites_monitored") -
+                                  monitored_before,
+                              dual_clean)
+                        << "vp " << v << " round " << r;
+                    EXPECT_EQ(reg.counter_value("campaign.fast_path_coin_sites") -
+                                  coins_before,
+                              one_loss)
+                        << "vp " << v << " round " << r;
+                  }
+                }
+              } else {
+                campaign->run();
+              }
+              campaign->run_w6d();
+              campaign->finalize();
+
+              // The W6D site decisions of one participating VP, and the
+              // queries they lose; every VP draws the same streams.
+              const util::Rng root(seed);
+              std::uint64_t w6d_sites = 0;
+              std::uint64_t w6d_lost = 0;
+              for (const web::Site& s : world.catalog.sites()) {
+                if (!s.w6d_participant) continue;
+                w6d_sites += kMiniRounds;
+                for (std::size_t mini = 0; mini < kMiniRounds; ++mini) {
+                  w6d_lost += lost_queries(root, timeout_prob, 0x60d00000ULL + mini, s.id);
+                }
+              }
+              EXPECT_GT(w6d_sites, 0u);
+
+              Run& run = runs.emplace_back();
+              std::uint64_t listed_sum = 0;
+              std::uint64_t w6d_sum = 0;
+              for (std::size_t v = 0; v < world.vantage_points.size(); ++v) {
+                const VantagePoint& vp = world.vantage_points[v];
+                std::uint64_t vp_listed = 0;
+                std::uint64_t vp_lost = 0;
+                const ResultsDb& db = campaign->results(v);
+                // At most one row per (site, round): no site is queued twice.
+                std::vector<std::uint64_t> rows(world.num_rounds + 1, 0);
+                for (const std::uint32_t site : db.site_ids()) {
+                  const SiteSeries series = db.series(site);
+                  for (std::size_t i = 0; i < series.size(); ++i) {
+                    ++rows.at(series[i].round);
+                    if (i > 0) {
+                      EXPECT_LT(series[i - 1].round, series[i].round) << site;
                     }
                   }
-                  EXPECT_EQ(reg.counter_value("campaign.sites_monitored") -
-                                monitored_before,
-                            dual_clean)
-                      << "vp " << v << " round " << r;
-                  EXPECT_EQ(reg.counter_value("campaign.fast_path_coin_sites") -
-                                coins_before,
-                            one_loss)
-                      << "vp " << v << " round " << r;
                 }
-              }
-            } else {
-              campaign->run();
-            }
-            campaign->finalize();
-
-            Run& run = runs.emplace_back();
-            std::uint64_t listed_sum = 0;
-            for (std::size_t v = 0; v < world.vantage_points.size(); ++v) {
-              const VantagePoint& vp = world.vantage_points[v];
-              const ResultsDb& db = campaign->results(v);
-              // At most one row per (site, round): no site is queued twice.
-              std::vector<std::uint64_t> rows(world.num_rounds + 1, 0);
-              for (const std::uint32_t site : db.site_ids()) {
-                const SiteSeries series = db.series(site);
-                for (std::size_t i = 0; i < series.size(); ++i) {
-                  ++rows.at(series[i].round);
-                  if (i > 0) {
-                    EXPECT_LT(series[i - 1].round, series[i].round) << site;
+                for (std::uint32_t r = 0; r <= world.num_rounds; ++r) {
+                  std::uint64_t expected = 0;
+                  if (r >= vp.start_round) {
+                    for (const web::Site& s : world.catalog.sites()) {
+                      if (s.in_list_at(r) &&
+                          (!s.from_dns_cache || vp.uses_dns_cache_supplement)) {
+                        ++expected;
+                        vp_lost += lost_queries(root, timeout_prob, 0, s.id);
+                      }
+                    }
                   }
+                  const RoundCounters& c = db.round_counters(r);
+                  EXPECT_EQ(c.listed, expected) << "vp " << v << " round " << r;
+                  EXPECT_EQ(c.v4_only + c.v6_only + c.dual + c.dns_failed, c.listed)
+                      << "vp " << v << " round " << r;
+                  EXPECT_LE(rows[r], c.listed) << "vp " << v << " round " << r;
+                  vp_listed += c.listed;
+                  run.rounds.push_back(c);
                 }
+                const std::uint64_t vp_w6d = vp.start_round <= world.w6d_round ? w6d_sites : 0;
+                if (vp_w6d != 0) vp_lost += w6d_lost;
+                const dns::Resolver::Stats dns = campaign->dns_stats(v);
+                EXPECT_EQ(dns.queries, 2 * (vp_listed + vp_w6d)) << "vp " << v;
+                EXPECT_EQ(dns.timeouts, vp_lost) << "vp " << v;
+                EXPECT_EQ(dns.cache_hits, 0u) << "vp " << v;
+                EXPECT_EQ(dns.nxdomain, 0u) << "vp " << v;
+                run.dns.push_back(dns);
+                listed_sum += vp_listed;
+                w6d_sum += vp_w6d;
               }
-              for (std::uint32_t r = 0; r <= world.num_rounds; ++r) {
-                std::uint64_t expected = 0;
-                if (r >= vp.start_round) {
-                  for (const web::Site& s : world.catalog.sites()) {
-                    expected += s.in_list_at(r) &&
-                                (!s.from_dns_cache || vp.uses_dns_cache_supplement);
-                  }
-                }
-                const RoundCounters& c = db.round_counters(r);
-                EXPECT_EQ(c.listed, expected) << "vp " << v << " round " << r;
-                EXPECT_EQ(c.v4_only + c.v6_only + c.dual + c.dns_failed, c.listed)
-                    << "vp " << v << " round " << r;
-                EXPECT_LE(rows[r], c.listed) << "vp " << v << " round " << r;
-                listed_sum += c.listed;
-                run.rounds.push_back(c);
-              }
-              run.dns.push_back(campaign->dns_stats(v));
+              EXPECT_GT(listed_sum, 0u);
+              EXPECT_EQ(reg.counter_value("campaign.sites_monitored") +
+                            reg.counter_value("campaign.fast_path_sites"),
+                        listed_sum + w6d_sum);
+              EXPECT_EQ(reg.counter_value("dns.queries"), 2 * (listed_sum + w6d_sum));
+              reg.set_enabled(false);
+              reg.reset();
             }
-            EXPECT_GT(listed_sum, 0u);
-            EXPECT_EQ(reg.counter_value("campaign.sites_monitored") +
-                          reg.counter_value("campaign.fast_path_sites"),
-                      listed_sum);
-            EXPECT_EQ(reg.counter_value("dns.queries"), 2 * listed_sum);
-            reg.set_enabled(false);
-            reg.reset();
-          }
-          // Settling a site is invisible: the fast path's counters equal
-          // the full pipeline's at every (VP, round).
-          SCOPED_TRACE(testing::Message() << "seed=" << seed << " evolving=" << evolving
-                                          << " timeout_prob=" << timeout_prob
-                                          << " early=" << early);
-          ASSERT_EQ(runs[0].rounds.size(), runs[1].rounds.size());
-          for (std::size_t i = 0; i < runs[0].rounds.size(); ++i) {
-            SCOPED_TRACE(testing::Message() << "round counters #" << i);
-            expect_same_round_counters(runs[0].rounds[i], runs[1].rounds[i]);
-          }
-          for (std::size_t v = 0; v < runs[0].dns.size(); ++v) {
-            EXPECT_EQ(runs[0].dns[v].queries, runs[1].dns[v].queries);
-            EXPECT_EQ(runs[0].dns[v].timeouts, runs[1].dns[v].timeouts);
+            // Settling a site is invisible: the fast path's counters equal
+            // the full pipeline's at every (VP, round).
+            SCOPED_TRACE(testing::Message() << "seed=" << seed << " evolving=" << evolving
+                                            << " timeout_prob=" << timeout_prob
+                                            << " early=" << early << " threads=" << threads);
+            ASSERT_EQ(runs[0].rounds.size(), runs[1].rounds.size());
+            for (std::size_t i = 0; i < runs[0].rounds.size(); ++i) {
+              SCOPED_TRACE(testing::Message() << "round counters #" << i);
+              expect_same_round_counters(runs[0].rounds[i], runs[1].rounds[i]);
+            }
+            for (std::size_t v = 0; v < runs[0].dns.size(); ++v) {
+              EXPECT_EQ(runs[0].dns[v].queries, runs[1].dns[v].queries);
+              EXPECT_EQ(runs[0].dns[v].timeouts, runs[1].dns[v].timeouts);
+            }
           }
         }
       }
@@ -1120,7 +1151,6 @@ TEST(ResolvedSiteTable, FindOnUnassignedKeyReturnsNoSlot) {
   EXPECT_EQ(table.find(2, 1), slot);
   EXPECT_EQ(table.find(2, 0), ResolvedSiteTable::kNoSlot);
   EXPECT_EQ(table.site_id(slot), 2u);
-  EXPECT_EQ(table.hostname(slot), site.hostname());
   EXPECT_FALSE(table.filled(slot));
 }
 
@@ -1190,7 +1220,6 @@ TEST(Monitor, TableRowsMatchPerCallResolution) {
     if (s.dual_stack_at(kRound)) dual.push_back(s.id);
   }
   ASSERT_GT(dual.size(), 100u);
-  const web::CatalogDnsBackend backend(w.catalog);
   for (const FallbackPolicy policy : {FallbackPolicy::kNone, FallbackPolicy::kSequential}) {
     MonitorConfig cfg;
     cfg.fallback = policy;
@@ -1199,17 +1228,15 @@ TEST(Monitor, TableRowsMatchPerCallResolution) {
       Monitor cached(w, vp, cfg);
       Monitor uncached(w, vp, cfg);
       cached.assign_resolve_slots(dual, kRound);
-      dns::Resolver cached_dns(backend, {}, 1);
-      dns::Resolver uncached_dns(backend, {}, 1);
       PathRegistry cached_paths, uncached_paths;
       for (const std::uint64_t pass : {0u, 1u}) {  // 0 fills the rows, 1 reuses them
         for (const std::uint32_t id : dual) {
           const web::Site& site = w.catalog.site(id);
           const std::uint64_t seed = (pass << 32) | id;
           const Observation a =
-              cached.monitor_site(site, kRound, cached_dns, util::Rng(seed), cached_paths);
-          const Observation b = uncached.monitor_site(site, kRound, uncached_dns,
-                                                      util::Rng(seed), uncached_paths);
+              cached.monitor_site(site, kRound, {}, util::Rng(seed), cached_paths);
+          const Observation b =
+              uncached.monitor_site(site, kRound, {}, util::Rng(seed), uncached_paths);
           SCOPED_TRACE("pass=" + std::to_string(pass) + " site=" + std::to_string(id));
           expect_same_observation(a, b);
         }
@@ -1231,59 +1258,168 @@ TEST(Monitor, TableRowsMatchPerCallResolution) {
   }
 }
 
-// A relocated site under a DNS cache: at its step round the hosting-epoch-1
-// row is filled from the cached pre-step answer, so once the cache expires
-// the fresh (relocated) answer no longer matches that row and
-// monitor_site must resolve into its per-call row instead of reading it.
-TEST(Monitor, MismatchedRowResolvesPerCall) {
+// Phase 1 answers from the catalog by site id. Hold it to the reference
+// it replaced: a dns::Resolver over CatalogDnsBackend, seeded with the
+// site's DNS stream and queried in the order of the query-order coin.
+// Every site of the small world at every round (so across AAAA windows
+// and relocations), for a regular and a W6D salt, from no DNS loss to
+// total loss: the same answers, addresses, queries and timeouts.
+TEST(Monitor, SiteKeyedDnsMatchesResolverReference) {
   const World& w = small_world().world;
-  constexpr std::uint32_t kCacheRounds = 2;
-  std::vector<const web::Site*> relocated;
+  const web::CatalogDnsBackend backend(w.catalog);
+  MonitorConfig cfg;
+  cfg.min_downloads = 2;  // Phases 1 and 2 are under test, not the CI loop.
+  cfg.max_downloads = 2;
+  const util::Rng root(7);
+  std::vector<std::uint32_t> all(w.catalog.size());
+  for (std::uint32_t id = 0; id < all.size(); ++id) all[id] = id;
+  for (const std::uint64_t salt : {std::uint64_t{0}, std::uint64_t{0x60d00003}}) {
+    for (const double timeout_prob : {0.0, 0.02, 0.3, 1.0}) {
+      SCOPED_TRACE(testing::Message() << "salt=" << salt << " timeout_prob=" << timeout_prob);
+      Monitor mon(w, w.vantage_points[1], cfg);
+      PathRegistry paths;
+      std::uint64_t ref_queries = 0, ref_timeouts = 0, decisions = 0, timeouts = 0;
+      std::uint64_t relocated_answers = 0, late_aaaa_answers = 0;
+      for (std::uint32_t r = 0; r <= w.num_rounds; ++r) {
+        mon.assign_resolve_slots(all, r);
+        for (const web::Site& site : w.catalog.sites()) {
+          const std::uint64_t seed = (std::uint64_t{r} << 32) | site.id;
+          util::Rng coin(seed);
+          const bool a_first = Monitor::a_query_first(coin);
+          dns::Resolver ref(backend, {.cache_rounds = 0, .timeout_prob = timeout_prob},
+                            root.child_seed("dns", salt ^ site.id));
+          const std::string host = site.hostname();
+          dns::QueryResult a, aaaa;
+          if (a_first) {
+            a = ref.resolve(host, dns::RecordType::kA, r);
+            aaaa = ref.resolve(host, dns::RecordType::kAaaa, r);
+          } else {
+            aaaa = ref.resolve(host, dns::RecordType::kAaaa, r);
+            a = ref.resolve(host, dns::RecordType::kA, r);
+          }
+          ref_queries += ref.stats().queries;
+          ref_timeouts += ref.stats().timeouts;
+          EXPECT_EQ(ref.stats().cache_hits + ref.stats().nxdomain, 0u);
+
+          const QueryLoss loss = draw_query_loss(root, timeout_prob, salt, site.id);
+          EXPECT_EQ(loss.timeouts(), ref.stats().timeouts) << "site " << site.id;
+          ++decisions;
+          timeouts += loss.timeouts();
+          const Observation obs = mon.monitor_site(site, r, loss, util::Rng(seed), paths);
+          const bool has_a = obs.status != MonitorStatus::kDnsFailed &&
+                             obs.status != MonitorStatus::kV6Only;
+          const bool has_aaaa = obs.status != MonitorStatus::kDnsFailed &&
+                                obs.status != MonitorStatus::kV4Only;
+          ASSERT_EQ(has_a, a.has_answers()) << "site " << site.id << " round " << r;
+          ASSERT_EQ(has_aaaa, aaaa.has_answers()) << "site " << site.id << " round " << r;
+          if (!has_a || !has_aaaa) continue;
+          const std::uint32_t slot =
+              mon.resolved_sites().find(site.id, site.hosting_epoch(r));
+          ASSERT_NE(slot, ResolvedSiteTable::kNoSlot);
+          ASSERT_TRUE(mon.resolved_sites().filled(slot));
+          const ResolvedSiteRow& row = mon.resolved_sites().row(slot);
+          EXPECT_EQ(row.v4_addr, a.records.front().a()) << "site " << site.id;
+          EXPECT_EQ(row.v6_addr, aaaa.records.front().aaaa()) << "site " << site.id;
+          relocated_answers += site.hosting_epoch(r);
+          late_aaaa_answers += site.v6_from_round == r && r > 0;
+        }
+      }
+      EXPECT_EQ(ref_queries, 2 * decisions);
+      EXPECT_EQ(ref_timeouts, timeouts);
+      if (timeout_prob == 0.0) {
+        EXPECT_EQ(timeouts, 0u);
+        EXPECT_GT(relocated_answers, 0u) << "no relocated site answered";
+        EXPECT_GT(late_aaaa_answers, 0u) << "no site gained its AAAA mid-campaign";
+      } else if (timeout_prob == 1.0) {
+        EXPECT_EQ(timeouts, 2 * decisions);
+      } else {
+        EXPECT_GT(timeouts, 0u);
+      }
+    }
+  }
+}
+
+// Every site's answers come from SiteCatalog::hosting_at, so a filled
+// resolved-site row holds the catalog's addresses at every round of its
+// hosting epoch: relocated sites move to their epoch-1 slot at the step
+// round, and grant_aaaa rewrites only sites that had no AAAA. Check every
+// filled row against hosting_at after every round, on the frozen small
+// world (direct monitor_site calls) and on an evolving campaign.
+TEST(Monitor, FilledRowsMatchHostingAtEveryRound) {
+  const auto expect_rows_match = [](const Monitor& mon, const web::SiteCatalog& catalog,
+                                    std::uint32_t round) {
+    std::size_t filled = 0;
+    for (const web::Site& site : catalog.sites()) {
+      const std::uint32_t slot = mon.resolved_sites().find(site.id, site.hosting_epoch(round));
+      if (slot == ResolvedSiteTable::kNoSlot || !mon.resolved_sites().filled(slot)) continue;
+      ++filled;
+      const web::Hosting h = catalog.hosting_at(site, round);
+      const ResolvedSiteRow& row = mon.resolved_sites().row(slot);
+      EXPECT_EQ(row.v4_addr, h.v4_addr) << "site " << site.id << " round " << round;
+      EXPECT_EQ(row.v6_addr, h.v6_addr) << "site " << site.id << " round " << round;
+    }
+    return filled;
+  };
+
+  const World& w = small_world().world;
+  std::size_t relocated = 0;
   for (const web::Site& s : w.catalog.sites()) {
     const web::Hosting* moved = w.catalog.relocation(s.id);
-    if (moved == nullptr || moved->v4_as == s.v4_as || s.step_round == web::kNever) continue;
-    bool dual = true;
-    for (std::uint32_t r = s.step_round - 1; r <= s.step_round + kCacheRounds; ++r) {
-      dual = dual && s.dual_stack_at(r);
-    }
-    if (dual) relocated.push_back(&s);
+    relocated += moved != nullptr && moved->v4_as != s.v4_as && s.step_round <= w.num_rounds &&
+                 s.dual_stack_at(s.step_round);
   }
-  ASSERT_FALSE(relocated.empty()) << "small world has no relocated dual-stack site";
-
+  ASSERT_GT(relocated, 0u) << "small world has no relocated dual-stack site";
   MonitorConfig cfg;
-  cfg.dns.cache_rounds = kCacheRounds;
-  const web::CatalogDnsBackend backend(w.catalog);
+  cfg.min_downloads = 2;
+  cfg.max_downloads = 2;
   for (const VantagePoint& vp : w.vantage_points) {
-    Monitor cached(w, vp, cfg);
-    Monitor uncached(w, vp, cfg);
-    dns::Resolver cached_dns(backend, cfg.dns, 1);
-    dns::Resolver uncached_dns(backend, cfg.dns, 1);
-    PathRegistry cached_paths, uncached_paths;
-    for (const web::Site* site : relocated) {
-      // One round before the step (caches the pre-step answer), the step
-      // round (cache hit: fills the epoch-1 row with pre-step addresses),
-      // then past expiry (fresh relocated answer: mismatch).
-      for (std::uint32_t r = site->step_round - 1; r <= site->step_round + kCacheRounds;
-           ++r) {
-        SCOPED_TRACE("vp=" + vp.name + " site=" + std::to_string(site->id) +
-                     " round=" + std::to_string(r));
-        const std::uint32_t id = site->id;
-        cached.assign_resolve_slots(std::span<const std::uint32_t>(&id, 1), r);
-        const std::uint64_t seed = (std::uint64_t{r} << 32) | id;
-        const Observation a =
-            cached.monitor_site(*site, r, cached_dns, util::Rng(seed), cached_paths);
-        const Observation b =
-            uncached.monitor_site(*site, r, uncached_dns, util::Rng(seed), uncached_paths);
-        expect_same_observation(a, b);
+    SCOPED_TRACE("vp=" + vp.name);
+    Monitor mon(w, vp, cfg);
+    PathRegistry paths;
+    for (std::uint32_t r = 0; r <= w.num_rounds; ++r) {
+      std::vector<std::uint32_t> dual;
+      for (const web::Site& s : w.catalog.sites()) {
+        if (s.dual_stack_at(r)) dual.push_back(s.id);
       }
-      const ResolvedSiteTable& table = cached.resolved_sites();
-      const std::uint32_t slot = table.find(site->id, 1);
-      ASSERT_NE(slot, ResolvedSiteTable::kNoSlot);
-      ASSERT_TRUE(table.filled(slot));
-      EXPECT_EQ(table.row(slot).v4_addr, site->v4_addr);
-      EXPECT_NE(table.row(slot).v4_addr, w.catalog.relocation(site->id)->v4_addr);
+      mon.assign_resolve_slots(dual, r);
+      for (const std::uint32_t id : dual) {
+        (void)mon.monitor_site(w.catalog.site(id), r, {},
+                               util::Rng((std::uint64_t{r} << 32) | id), paths);
+      }
+      EXPECT_GT(expect_rows_match(mon, w.catalog, r), 0u) << "round " << r;
     }
   }
+
+  scenario::WorldSpec spec = small_world().spec;
+  spec.evolution.enabled = true;
+  spec.evolution.delta_rate = 4.0;
+  spec.evolution.epoch_interval = 2;
+  spec.evolution.max_as_fraction = 0.05;
+  spec.evolution.depletion_round = 4;
+  WorldTimeline timeline = scenario::build_timeline(spec);
+  CampaignConfig campaign_cfg;
+  campaign_cfg.threads = 2;
+  Campaign campaign(timeline, campaign_cfg);
+  std::vector<std::uint32_t> v6_from;
+  for (const web::Site& s : timeline.world().catalog.sites()) {
+    v6_from.push_back(s.v6_from_round);
+  }
+  for (std::uint32_t r = 0; r <= timeline.world().num_rounds; ++r) {
+    campaign.advance_world(r);
+    for (std::size_t v = 0; v < timeline.world().vantage_points.size(); ++v) {
+      campaign.run_round(v, r);
+      const std::size_t filled =
+          expect_rows_match(campaign.monitor(v), timeline.world().catalog, r);
+      if (r >= timeline.world().vantage_points[v].start_round) {
+        EXPECT_GT(filled, 0u) << "vp " << v << " round " << r;
+      }
+    }
+  }
+  std::size_t granted = 0;
+  for (const web::Site& s : timeline.world().catalog.sites()) {
+    granted += s.v6_from_round != v6_from[s.id];
+  }
+  EXPECT_GT(granted, 0u) << "no epoch granted an AAAA record";
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace v6mon::util {
 namespace {
 
@@ -45,6 +47,23 @@ TEST(IsDigits, Cases) {
   EXPECT_FALSE(is_digits(""));
   EXPECT_FALSE(is_digits("12a"));
   EXPECT_FALSE(is_digits("-1"));
+}
+
+// Whole tokens only: what strtod/strtoull would silently cut short (or
+// read as 0) is rejected.
+TEST(ParseNumber, WholeTokensOnly) {
+  EXPECT_EQ(parse_number<std::uint64_t>("2011"), 2011u);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parse_number<double>("0.25"), 0.25);
+  EXPECT_EQ(parse_number<unsigned>("0"), 0u);
+  EXPECT_FALSE(parse_number<std::uint64_t>(""));
+  EXPECT_FALSE(parse_number<std::uint64_t>("xyz"));
+  EXPECT_FALSE(parse_number<std::uint64_t>("12a"));
+  EXPECT_FALSE(parse_number<std::uint64_t>(" 12"));
+  EXPECT_FALSE(parse_number<std::uint64_t>("18446744073709551616"));
+  EXPECT_FALSE(parse_number<unsigned>("-1"));
+  EXPECT_FALSE(parse_number<double>("abc"));
+  EXPECT_FALSE(parse_number<double>("0.5x"));
 }
 
 TEST(Join, Cases) {

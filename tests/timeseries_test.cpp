@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace v6mon::util {
 namespace {
@@ -197,6 +201,96 @@ TEST(TimeSeries, GrowthFromZeroFront) {
   ts.push_back(0, 0.0);
   ts.push_back(1, 5.0);
   EXPECT_DOUBLE_EQ(ts.growth_factor(), 1.0);
+}
+
+// detect_step as it was first written: the trailing median re-selected
+// with nth_element over a copy of the window at every index.
+StepTransition detect_step_reference(const std::vector<double>& xs, std::size_t window,
+                                     double threshold) {
+  StepTransition result;
+  const std::size_t need = window / 2 + 1;
+  if (xs.size() < window + need) return result;
+  std::vector<double> buf;
+  const auto trailing_median = [&](std::size_t i) {
+    buf.assign(xs.begin() + static_cast<std::ptrdiff_t>(i - window),
+               xs.begin() + static_cast<std::ptrdiff_t>(i));
+    std::nth_element(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(window / 2),
+                     buf.end());
+    return buf[window / 2];
+  };
+  std::size_t run = 0;
+  int run_dir = 0;
+  std::size_t run_start = 0;
+  double base_at_run_start = 0.0;
+  for (std::size_t i = window; i < xs.size(); ++i) {
+    const double base = (run == 0) ? trailing_median(i) : base_at_run_start;
+    int dir = 0;
+    if (base > 0.0) {
+      if (xs[i] > base * (1.0 + threshold)) dir = +1;
+      else if (xs[i] < base * (1.0 - threshold)) dir = -1;
+    }
+    if (dir != 0 && dir == run_dir) {
+      ++run;
+    } else if (dir != 0) {
+      run_dir = dir;
+      run = 1;
+      run_start = i;
+      base_at_run_start = trailing_median(i);
+    } else {
+      run = 0;
+      run_dir = 0;
+    }
+    if (run >= need) {
+      result.direction = run_dir > 0 ? StepDirection::kUp : StepDirection::kDown;
+      result.change_index = run_start;
+      RunningStats after;
+      for (std::size_t j = run_start; j < xs.size(); ++j) after.add(xs[j]);
+      result.magnitude = base_at_run_start > 0.0 ? after.mean() / base_at_run_start : 1.0;
+      return result;
+    }
+  }
+  return result;
+}
+
+// The sliding sorted window must pick the same medians as nth_element.
+// Series drawn from a handful of levels tie often, short excursions open
+// and abandon candidate runs, and regime shifts complete them; lengths
+// sit around the shortest series that can hold a step.
+TEST(DetectStep, MatchesNthElementReference) {
+  Rng rng(2011);
+  const double levels[] = {0.0, 40.0, 70.0, 100.0, 100.0, 100.0, 130.0, 160.0};
+  std::size_t steps = 0;
+  for (const std::size_t window : {std::size_t{3}, std::size_t{5}, std::size_t{11}}) {
+    const std::size_t shortest = window + window / 2 + 1;
+    for (std::size_t len = shortest - 2; len <= shortest + 12; ++len) {
+      for (int trial = 0; trial < 200; ++trial) {
+        std::vector<double> xs(len);
+        double regime = 1.0;
+        for (double& x : xs) {
+          if (rng.chance(0.05)) regime = rng.chance(0.5) ? 2.0 : 0.5;
+          x = levels[rng.index(std::size(levels))] * regime;
+        }
+        const StepTransition want = detect_step_reference(xs, window, 0.30);
+        const StepTransition got = detect_step(xs, window, 0.30);
+        ASSERT_EQ(got.direction, want.direction) << "window " << window << " len " << len;
+        ASSERT_EQ(got.change_index, want.change_index);
+        ASSERT_EQ(got.magnitude, want.magnitude);
+        steps += want.direction != StepDirection::kNone;
+      }
+    }
+  }
+  EXPECT_GT(steps, 1000u);
+}
+
+TEST(DetectStep, TerminatesOnNanSamples) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> xs = constant(40, 100.0);
+  for (const std::size_t i : {0u, 5u, 6u, 17u, 30u}) xs[i] = nan;
+  for (const std::size_t window : {std::size_t{3}, std::size_t{11}}) {
+    const StepTransition r = detect_step(xs, window, 0.30);
+    EXPECT_LE(r.change_index, xs.size());
+  }
+  EXPECT_NO_THROW((void)detect_step(constant(30, nan), 11, 0.30));
 }
 
 // Property sweep: detection threshold behaves monotonically — a larger
