@@ -15,8 +15,8 @@ namespace v6mon::bgp {
 // toward the *nearest* relay; the destination island never appears in the
 // AS path. This is why tunnelled IPv6 paths look 1-2 hops long while
 // performing like the whole underlay — the paper's Table 7 artifact.
-// scenario::build_ribs and core::WorldTimeline both elect through these
-// two functions, so a built world and an advanced one agree.
+// core::sync_vp_routes elects through these two functions, at world build
+// and at every epoch alike.
 
 /// The 6to4 prefix, 2002::/16.
 [[nodiscard]] const ip::Ipv6Prefix& six_to_four_prefix();

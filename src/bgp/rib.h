@@ -52,14 +52,18 @@ class Rib {
     v6_.insert(prefix, std::move(entry));
   }
 
-  /// Withdraw a v6 route (epoch engine: prefix withdrawal deltas). The
-  /// trie keeps the value's storage alive, so a RibEntry* cached by a
-  /// stale ResolvedSiteTable row stays dereferenceable until the row is
-  /// invalidated at the epoch boundary — it just stops being returned by
-  /// lookups. Returns false when no exact entry existed.
+  /// Withdraw a route (core::sync_vp_routes and prefix withdrawal
+  /// deltas). The trie keeps the value's storage alive, so a RibEntry*
+  /// cached by a stale ResolvedSiteTable row stays dereferenceable until
+  /// the row is invalidated at the epoch boundary — it just stops being
+  /// returned by lookups. Returns false when no exact entry existed.
+  bool erase_v4(const ip::Ipv4Prefix& prefix) { return v4_.erase(prefix); }
   bool erase_v6(const ip::Ipv6Prefix& prefix) { return v6_.erase(prefix); }
 
   /// The route installed for exactly `prefix`; nullptr when none is.
+  [[nodiscard]] const RibEntry* find_v4(const ip::Ipv4Prefix& prefix) const {
+    return v4_.find(prefix);
+  }
   [[nodiscard]] const RibEntry* find_v6(const ip::Ipv6Prefix& prefix) const {
     return v6_.find(prefix);
   }

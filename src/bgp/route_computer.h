@@ -172,7 +172,7 @@ class RouteTable {
 /// up from the destination over the whole view; stages 2 and 3 visit and
 /// relax scope members only. Pure: reads only `view` and `scope`, so tables for
 /// different destinations can be computed concurrently against one shared
-/// view (scenario::build_ribs fans them out on a pool).
+/// view (core::sync_vp_routes fans them out on a pool).
 [[nodiscard]] RouteTable compute_routes_to(const FamilyView& view, topo::Asn dest,
                                            const SourceScope& scope);
 

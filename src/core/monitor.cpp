@@ -362,12 +362,6 @@ void Monitor::evaluate_fallback(const transport::PathCharacteristics* v4,
 void Monitor::on_world_change(const WorldChangeSummary& summary) {
   current_world_epoch_ = summary.epoch;
 
-  const auto path_touched = [&summary](const std::vector<topo::Asn>& path) {
-    for (const topo::Asn a : path) {
-      if (a < summary.touched_as.size() && summary.touched_as[a] != 0) return true;
-    }
-    return false;
-  };
   std::uint64_t invalidated = 0;
   for (std::uint32_t slot = 0; slot < resolved_.size(); ++slot) {
     if (!resolved_.filled(slot)) continue;
@@ -383,23 +377,14 @@ void Monitor::on_world_change(const WorldChangeSummary& summary) {
       // cached path crossing a touched AS.
       stale = summary.v6_data_plane_changed;
     } else {
+      const std::vector<topo::Asn>& path = v6_route->as_path;
       stale = summary.dest_changed(v6_route->origin) ||
-              path_touched(v6_route->as_path);
+              std::any_of(path.begin(), path.end(),
+                          [&](topo::Asn a) { return summary.as_touched(a); });
     }
     if (stale) {
       resolved_.invalidate(slot);
       ++invalidated;
-    }
-  }
-
-  // grant_aaaa rewrote the v6 addressing these rows derive from.
-  for (const std::uint32_t site_id : summary.sites_gained_aaaa) {
-    for (std::uint8_t hosting = 0; hosting <= 1; ++hosting) {
-      const std::uint32_t slot = resolved_.find(site_id, hosting);
-      if (slot != ResolvedSiteTable::kNoSlot && resolved_.filled(slot)) {
-        resolved_.invalidate(slot);
-        ++invalidated;
-      }
     }
   }
   obs::metrics().add(monitor_metric_ids().rows_invalidated, invalidated);

@@ -170,8 +170,7 @@ class Monitor {
   ///   - rows routed through a touched AS, or to a changed destination;
   ///   - 6to4 rows and unrouted rows, whenever the v6 data plane changed
   ///     at all (anycast re-election and relay retirement act at a
-  ///     distance, so these are invalidated conservatively);
-  ///   - rows of sites that gained an AAAA this epoch.
+  ///     distance, so these are invalidated conservatively).
   ///
   /// IPv4 state is never invalidated — the delta vocabulary is v6-only.
   /// Conservative invalidation is byte-safe: refills are deterministic

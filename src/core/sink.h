@@ -51,9 +51,7 @@ class ObservationSink {
     /// hundreds of thousands of v4-only sites per round; counters are
     /// additive, so one bulk add is byte-identical to n single adds).
     virtual void count_n(std::uint32_t round, MonitorStatus status,
-                         std::uint64_t n) {
-      for (; n != 0; --n) count(round, status);
-    }
+                         std::uint64_t n) = 0;
   };
 
   ObservationSink() = default;

@@ -4,9 +4,8 @@
 #include <set>
 #include <utility>
 
-#include "bgp/anycast.h"
-#include "bgp/route_computer.h"
 #include "core/thread_pool.h"
+#include "core/vp_routes.h"
 #include "obs/metrics.h"
 #include "util/contracts.h"
 #include "util/error.h"
@@ -48,31 +47,6 @@ std::vector<Asn> tracked_destinations(const World& world,
   }
   return dests;
 }
-
-/// Whether `rib` holds `want` for `prefix` (nullopt: no route at all).
-bool rib_holds(const bgp::Rib& rib, const ip::Ipv6Prefix& prefix,
-               const std::optional<bgp::RibEntry>& want) {
-  const bgp::RibEntry* have = rib.find_v6(prefix);
-  return want ? have != nullptr && *have == *want : have == nullptr;
-}
-
-void install(bgp::Rib& rib, const ip::Ipv6Prefix& prefix,
-             const std::optional<bgp::RibEntry>& route) {
-  if (route) {
-    rib.add_v6(prefix, *route);
-  } else {
-    rib.erase_v6(prefix);
-  }
-}
-
-/// One tracked destination after an epoch's rebuild: the vantage-point
-/// rows its RIB entries no longer match (VP index, and the route to
-/// install or nullopt to withdraw) and, for a live relay, its table for
-/// the 6to4 election.
-struct DestRebuild {
-  std::vector<std::pair<std::size_t, std::optional<bgp::RibEntry>>> rewrites;
-  std::optional<bgp::RouteTable> relay_table;
-};
 
 }  // namespace
 
@@ -199,72 +173,14 @@ WorldChangeSummary WorldTimeline::apply_epoch(const EpochDeltas& epoch) {
       stats.edge_changes != 0 || prefixes_changed || tunnels_changed;
   std::sort(summary.sites_gained_aaaa.begin(), summary.sites_gained_aaaa.end());
 
-  // ---- 2. Rebuild the tracked destinations the way build_ribs does ------
-  // Every route below is read only at the vantage points' ASes, so each
-  // destination converges over their provider closure of the post-epoch
-  // graph (bgp::SourceScope says why that is exact; an enabled link can
-  // grow the closure). A worker diffs its destination's VP rows against
-  // what the RIBs hold and drops the table, unless the destination is a
-  // live relay the 6to4 election needs.
-  const bgp::FamilyView view(g, ip::Family::kIpv6);
-  const std::vector<VantagePoint>& vps = world_.vantage_points;
-  std::vector<Asn> vp_ases;
-  for (const VantagePoint& vp : vps) vp_ases.push_back(vp.asn);
-  const auto scope = bgp::SourceScope::provider_closure(view, vp_ases);
-  const std::vector<Asn> relays = bgp::live_tunnel_relays(g);
-  std::vector<DestRebuild> rebuilt(tracked_.size());
+  // ---- 2. Bring the tracked destinations' VP rows up to date -----------
+  // The same pass as the world build (core::sync_vp_routes), over the
+  // post-epoch graph: an enabled link can grow the provider closure, and
+  // a retired tunnel takes its relay out of the 2002::/16 election.
   ThreadPool pool(resolve_threads(build_threads_));
-  parallel_index(pool, tracked_.size(), [&](std::size_t i) {
-    const Asn d = tracked_[i];
-    const topo::AsNode& dn = g.node(d);
-    const bool relay = std::binary_search(relays.begin(), relays.end(), d);
-    std::optional<bgp::RouteTable> table;
-    if (dn.has_v6 || relay) table = bgp::compute_routes_to(view, d, scope);
-    for (std::size_t k = 0; k < vps.size(); ++k) {
-      std::optional<bgp::RibEntry> want;
-      if (dn.has_v6 && table->reachable(vps[k].asn)) {
-        want = bgp::RibEntry{d, table->as_path(vps[k].asn)};
-      }
-      const bool holds = std::all_of(
-          dn.v6_prefixes.begin(), dn.v6_prefixes.end(), [&](const ip::Ipv6Prefix& p) {
-            // 6to4 space is covered by the anycast 2002::/16 route.
-            return p.network().is_6to4() || rib_holds(vps[k].rib, p, want);
-          });
-      if (!holds) rebuilt[i].rewrites.emplace_back(k, std::move(want));
-    }
-    if (relay) rebuilt[i].relay_table = std::move(table);
-  });
-
-  // ---- 3. Rewrite the vantage-point RIB rows that moved, in ASN order ----
-  for (std::size_t i = 0; i < tracked_.size(); ++i) {
-    if (rebuilt[i].rewrites.empty()) continue;
-    const Asn d = tracked_[i];
-    changed.insert(d);
-    for (const auto& [k, route] : rebuilt[i].rewrites) {
-      VantagePoint& vp = world_.vantage_points[k];
-      V6MON_ASSERT(!route || bgp::is_valley_free(g, ip::Family::kIpv6, vp.asn,
-                                                 route->as_path),
-                   "selected IPv6 route violates valley-freedom");
-      for (const ip::Ipv6Prefix& p : g.node(d).v6_prefixes) {
-        if (!p.network().is_6to4()) install(vp.rib, p, route);
-      }
-      ++stats.changed_routes;
-    }
-  }
-
-  // ---- 4. 6to4 anycast: each VP's nearest live relay --------------------
-  std::vector<const bgp::RouteTable*> candidates;
-  for (const DestRebuild& r : rebuilt) {
-    if (r.relay_table) candidates.push_back(&*r.relay_table);
-  }
-  V6MON_REQUIRE(candidates.size() == relays.size(),
-                "a live tunnel relay is not tracked by the timeline");
-  for (VantagePoint& vp : world_.vantage_points) {
-    const std::optional<bgp::RibEntry> route = bgp::six_to_four_route(candidates, vp.asn);
-    if (rib_holds(vp.rib, bgp::six_to_four_prefix(), route)) continue;
-    install(vp.rib, bgp::six_to_four_prefix(), route);
-    ++stats.changed_routes;
-  }
+  const VpRouteSync sync = sync_vp_routes(world_, ip::Family::kIpv6, tracked_, pool);
+  changed.insert(sync.rewritten_dests.begin(), sync.rewritten_dests.end());
+  stats.changed_routes = sync.rows_rewritten;
 
   if (prefixes_changed) world_.origins = topo::OriginMap::build(g);
 

@@ -12,12 +12,11 @@ namespace v6mon::core {
 /// Epoch 0 (a fully built World) plus an ordered stream of epoch deltas:
 /// the evolving world the campaign runs against. The timeline owns the
 /// world; `advance_to(round)` applies every pending epoch whose round
-/// has arrived — mutating the graph/catalog, re-converging the tracked
-/// IPv6 destinations over the vantage points' provider closure (the
-/// scoped rebuild scenario::build_ribs runs), and rewriting the
-/// vantage-point RIB rows that disagree with the new routes — and
-/// returns one WorldChangeSummary per epoch for the monitors' cache
-/// invalidation. No route table outlives the epoch that computed it.
+/// has arrived — mutating the graph/catalog, then running the world
+/// build's route pass (core::sync_vp_routes) over the tracked IPv6
+/// destinations, which rewrites the vantage-point RIB rows that disagree
+/// with the new routes — and returns one WorldChangeSummary per epoch
+/// for the monitors' cache invalidation. No route table outlives the epoch that computed it.
 ///
 /// An empty timeline never touches the world: a campaign over it is
 /// byte-identical to one over the bare World.

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <optional>
 
-#include "bgp/anycast.h"
 #include "bgp/route_computer.h"
 #include "core/thread_pool.h"
+#include "core/vp_routes.h"
 #include "obs/metrics.h"
-#include "util/contracts.h"
 #include "util/error.h"
 
 namespace v6mon::scenario {
@@ -108,20 +107,6 @@ Asn attach_vantage_as(AsGraph& g, const VantageSpec& spec,
   return asn;
 }
 
-/// Destination-rooted route tables toward every AS in `dests`, answering
-/// for `scope`, computed concurrently into slots indexed like `dests` —
-/// completion order never shows in the result. All workers read one
-/// shared immutable FamilyView.
-std::vector<std::optional<bgp::RouteTable>> compute_tables_parallel(
-    core::ThreadPool& pool, const bgp::FamilyView& view,
-    const std::vector<Asn>& dests, const bgp::SourceScope& scope) {
-  std::vector<std::optional<bgp::RouteTable>> tables(dests.size());
-  core::parallel_index(pool, dests.size(), [&](std::size_t i) {
-    tables[i] = bgp::compute_routes_to(view, dests[i], scope);
-  });
-  return tables;
-}
-
 /// Pick the IPv6 core anchor: a tier-1 with IPv6 and at least one v6 link.
 Asn v6_core_anchor(const AsGraph& g) {
   for (Asn t1 : g.ases_of_tier(Tier::kTier1)) {
@@ -158,8 +143,10 @@ TunnelStats apply_tunnel_overlay(AsGraph& graph, std::size_t num_relays,
   // tunnel path metrics. Tables are independent per relay — fan out.
   core::ThreadPool pool(core::resolve_threads(threads));
   const bgp::FamilyView v4_view(graph, ip::Family::kIpv4);
-  const auto v4_to_relay = compute_tables_parallel(
-      pool, v4_view, relay_pool, bgp::SourceScope::all(v4_view.num_ases()));
+  std::vector<std::optional<bgp::RouteTable>> v4_to_relay(relay_pool.size());
+  core::parallel_index(pool, relay_pool.size(), [&](std::size_t r) {
+    v4_to_relay[r] = bgp::compute_routes_to(v4_view, relay_pool[r]);
+  });
 
   for (std::size_t i = 0; i < graph.num_ases(); ++i) {
     const Asn asn = static_cast<Asn>(i);
@@ -203,45 +190,9 @@ TunnelStats apply_tunnel_overlay(AsGraph& graph, std::size_t num_relays,
 
 void build_ribs(core::World& world, std::size_t threads) {
   const obs::TraceSpan rib_span(obs::Stage::kRibBuild);
-  // Counted serially below, so plain tallies; added to the registry once
-  // at the end (all are functions of the world alone — deterministic).
-  std::uint64_t tables_built = 0;
-  std::uint64_t routes_installed = 0;
-  const AsGraph& g = world.graph;
-  core::ThreadPool pool(core::resolve_threads(threads));
-  // One CSR projection per family, shared read-only by every convergence
-  // worker below — the graph is frozen once build_ribs starts.
-  const bgp::FamilyView v4_view(g, ip::Family::kIpv4);
-  const bgp::FamilyView v6_view(g, ip::Family::kIpv6);
-
-  // Every table below is read only at the vantage points' ASes, so each
-  // family converges over their provider closure alone — a few dozen
-  // ASes instead of the whole graph, with identical routes there
-  // (bgp::SourceScope says why that is exact).
-  std::vector<Asn> vp_ases;
-  for (const core::VantagePoint& vp : world.vantage_points) vp_ases.push_back(vp.asn);
-  const auto v4_scope = bgp::SourceScope::provider_closure(v4_view, vp_ases);
-  const auto v6_scope = bgp::SourceScope::provider_closure(v6_view, vp_ases);
-
-  // 6to4 anycast (bgp/anycast.h). The per-relay tables do not depend on
-  // the vantage point, so they are computed once (in parallel, ordered by
-  // relay ASN) and every VP elects its nearest relay from them.
-  const std::vector<Asn> relays = bgp::live_tunnel_relays(g);
-  if (!relays.empty()) {
-    const auto relay_tables = compute_tables_parallel(pool, v6_view, relays, v6_scope);
-    tables_built += relays.size();
-    std::vector<const bgp::RouteTable*> candidates;
-    for (const auto& t : relay_tables) candidates.push_back(&*t);
-    for (core::VantagePoint& vp : world.vantage_points) {
-      if (auto e = bgp::six_to_four_route(candidates, vp.asn)) {
-        vp.rib.add_v6(bgp::six_to_four_prefix(), std::move(*e));
-        ++routes_installed;
-      }
-    }
-  }
-
   // Destination set: every AS hosting a site presence (incl. relocations),
   // marked in a bitmap over the dense ASNs and collected in ascending order.
+  const AsGraph& g = world.graph;
   std::vector<std::uint8_t> is_dest(g.num_ases(), 0);
   for (const web::Site& s : world.catalog.sites()) {
     is_dest.at(s.v4_as) = 1;
@@ -257,68 +208,23 @@ void build_ribs(core::World& world, std::size_t threads) {
     if (is_dest[asn] != 0) dests.push_back(asn);
   }
 
-  // Convergence fans out per destination (each table only reads the
-  // graph); insertion into the VP tries stays serial and walks `dests` in
-  // sorted-ASN order, so the RIBs never see completion order. A scoped
-  // table still holds O(|AS|) state (stage 1 writes wherever the
-  // destination's providers lead), so the build is windowed to keep peak
-  // memory at O(batch) route tables rather than O(dests).
-  struct DestTables {
-    std::optional<bgp::RouteTable> v4;
-    std::optional<bgp::RouteTable> v6;
-  };
-  const std::size_t batch = std::max<std::size_t>(64, pool.thread_count() * 16);
-  std::vector<DestTables> tables;
-  for (std::size_t window = 0; window < dests.size(); window += batch) {
-    const std::size_t count = std::min(batch, dests.size() - window);
-    tables.assign(count, DestTables{});
-    core::parallel_index(pool, count, [&](std::size_t i) {
-      const Asn dest = dests[window + i];
-      tables[i].v4 = bgp::compute_routes_to(v4_view, dest, v4_scope);
-      if (g.node(dest).has_v6) {
-        tables[i].v6 = bgp::compute_routes_to(v6_view, dest, v6_scope);
-      }
-    });
-    for (std::size_t i = 0; i < count; ++i) {
-      tables_built += tables[i].v6 ? 2u : 1u;
-      const Asn dest = dests[window + i];
-      const topo::AsNode& dn = g.node(dest);
-      const DestTables& dt = tables[i];
-      for (core::VantagePoint& vp : world.vantage_points) {
-        if (dt.v4->reachable(vp.asn)) {
-          bgp::RibEntry e;
-          e.origin = dest;
-          e.as_path = dt.v4->as_path(vp.asn);
-          // Gao-Rexford: every path BGP selects must be valley-free; a
-          // violation here means compute_routes_to leaked an invalid export.
-          V6MON_ASSERT(
-              bgp::is_valley_free(g, ip::Family::kIpv4, vp.asn, e.as_path),
-              "selected IPv4 route violates valley-freedom");
-          for (const auto& p : dn.v4_prefixes) vp.rib.add_v4(p, e);
-          routes_installed += dn.v4_prefixes.size();
-        }
-        if (dt.v6 && dt.v6->reachable(vp.asn)) {
-          bgp::RibEntry e;
-          e.origin = dest;
-          e.as_path = dt.v6->as_path(vp.asn);
-          V6MON_ASSERT(
-              bgp::is_valley_free(g, ip::Family::kIpv6, vp.asn, e.as_path),
-              "selected IPv6 route violates valley-freedom");
-          for (const auto& p : dn.v6_prefixes) {
-            // 6to4 space is covered by the anycast 2002::/16 route above.
-            if (p.network().is_6to4()) continue;
-            vp.rib.add_v6(p, e);
-            ++routes_installed;
-          }
-        }
-      }
-    }
+  // Functions of the world alone (deterministic); added to the registry
+  // once at the end.
+  std::uint64_t tables_built = 0;
+  std::uint64_t routes_installed = 0;
+  std::uint64_t scope_ases = 0;
+  core::ThreadPool pool(core::resolve_threads(threads));
+  for (const ip::Family family : {ip::Family::kIpv4, ip::Family::kIpv6}) {
+    const core::VpRouteSync sync = core::sync_vp_routes(world, family, dests, pool);
+    tables_built += sync.tables_computed;
+    routes_installed += sync.prefixes_installed;
+    scope_ases += sync.scope_ases;
   }
 
   auto& metrics = obs::metrics();
   metrics.add(metrics.counter("rib.dest_tables"), tables_built);
   metrics.add(metrics.counter("rib.routes"), routes_installed);
-  metrics.add(metrics.counter("rib.scope_ases"), v4_scope.size() + v6_scope.size());
+  metrics.add(metrics.counter("rib.scope_ases"), scope_ases);
 }
 
 core::World build_world(const WorldSpec& spec) {

@@ -124,14 +124,11 @@ TunnelStats apply_tunnel_overlay(topo::AsGraph& graph, std::size_t num_relays,
                                  util::Rng& rng, std::size_t threads = 0);
 
 /// Fill every vantage point's RIB by converging BGP toward every AS that
-/// hosts content (exposed for custom scenarios). Each table answers only
-/// for the vantage points' provider closure (bgp::SourceScope), which
-/// gives the same routes there as a full table. Destination route tables
-/// are computed in parallel on `threads` workers (0 = hardware) and merged
-/// serially in destination-ASN order, so the resulting RIBs are
-/// bit-identical across thread counts. Only relays with a live tunnel
-/// are 2002::/16 candidates, so calling this on an advanced world agrees
-/// with core::WorldTimeline.
+/// hosts content (exposed for custom scenarios): one core::sync_vp_routes
+/// pass per family, on `threads` workers (0 = hardware). The resulting
+/// RIBs are bit-identical across thread counts. Only relays with a live
+/// tunnel are 2002::/16 candidates, so calling this on an advanced world
+/// agrees with core::WorldTimeline.
 void build_ribs(core::World& world, std::size_t threads = 0);
 
 }  // namespace v6mon::scenario

@@ -25,12 +25,15 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "bgp/anycast.h"
 #include "bgp/route_computer.h"
 #include "core/campaign.h"
+#include "core/thread_pool.h"
+#include "core/vp_routes.h"
 #include "core/world_delta.h"
 #include "reference_schedule.h"
 #include "scenario/evolution.h"
@@ -407,6 +410,69 @@ TEST(WorldTimeline, VpRibsMatchFullRecomputeAfterEveryEpoch) {
   EXPECT_GT(total.lost_routes, 0u);
   EXPECT_GT(total.retirements, 0u);
   EXPECT_GT(total.withdrawals, 0u);
+}
+
+// core::sync_vp_routes diffs every wanted row against the RIB before it
+// rewrites one, so a second pass on an unchanged world has nothing to do:
+// after the world build (both families, over build_ribs' destinations)
+// and after every epoch (IPv6, over the tracked set). One damaged row is
+// the only one a pass then rewrites.
+TEST(WorldTimeline, SecondRouteSyncRewritesNothing) {
+  WorldTimeline timeline = scenario::build_timeline(evolving_spec());
+  World& w = timeline.world();
+  ThreadPool pool(2);
+  const auto expect_no_rewrite = [&](ip::Family family,
+                                     const std::vector<topo::Asn>& dests) {
+    const VpRouteSync again = sync_vp_routes(w, family, dests, pool);
+    EXPECT_EQ(again.rows_rewritten, 0u);
+    EXPECT_EQ(again.prefixes_installed, 0u);
+    EXPECT_TRUE(again.rewritten_dests.empty());
+    EXPECT_GT(again.tables_computed, 0u);
+  };
+
+  std::set<topo::Asn> hosts;
+  for (const web::Site& s : w.catalog.sites()) {
+    hosts.insert(s.v4_as);
+    if (s.v6_from_round != web::kNever) hosts.insert(s.v6_as);
+    if (const web::Hosting* h = w.catalog.relocation(s.id)) {
+      hosts.insert(h->v4_as);
+      if (h->v6_as != topo::kNoAs) hosts.insert(h->v6_as);
+    }
+  }
+  const std::vector<topo::Asn> build_dests(hosts.begin(), hosts.end());
+  {
+    SCOPED_TRACE("after build");
+    expect_no_rewrite(ip::Family::kIpv4, build_dests);
+    expect_no_rewrite(ip::Family::kIpv6, build_dests);
+  }
+
+  // The diff sees damage: a withdrawn IPv4 row comes back, and nothing else.
+  VantagePoint& vp = w.vantage_points[0];
+  const auto routed = std::find_if(build_dests.begin(), build_dests.end(), [&](topo::Asn d) {
+    const auto& prefixes = w.graph.node(d).v4_prefixes;
+    return !prefixes.empty() && vp.rib.find_v4(prefixes.front()) != nullptr;
+  });
+  ASSERT_NE(routed, build_dests.end());
+  const ip::Ipv4Prefix damaged = w.graph.node(*routed).v4_prefixes.front();
+  const bgp::RibEntry kept = *vp.rib.find_v4(damaged);
+  ASSERT_TRUE(vp.rib.erase_v4(damaged));
+  const VpRouteSync repair = sync_vp_routes(w, ip::Family::kIpv4, build_dests, pool);
+  EXPECT_EQ(repair.rows_rewritten, 1u);
+  EXPECT_EQ(repair.rewritten_dests, std::vector<topo::Asn>{*routed});
+  ASSERT_NE(vp.rib.find_v4(damaged), nullptr);
+  EXPECT_EQ(*vp.rib.find_v4(damaged), kept);
+
+  const std::vector<topo::Asn> tracked = tracked_dests(w, timeline.epochs());
+  std::size_t epochs = 0;
+  for (std::uint32_t round = 0; round <= w.num_rounds; ++round) {
+    for (const WorldChangeSummary& summary : timeline.advance_to(round)) {
+      SCOPED_TRACE("epoch=" + std::to_string(summary.epoch));
+      ++epochs;
+      expect_no_rewrite(ip::Family::kIpv6, tracked);
+    }
+  }
+  EXPECT_GT(epochs, 0u);
+  EXPECT_EQ(epochs, timeline.num_epochs());
 }
 
 // --- 4. Applied deltas leave a self-consistent world -----------------------

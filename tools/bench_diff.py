@@ -17,6 +17,11 @@ Two guard rails beyond the timing diff:
   deleted BENCHMARK() must come with a baseline update in the same
   change. Candidate-only benchmarks (new coverage) are merely noted.
 
+A baseline and a candidate recorded on hosts with different CPU counts
+(the `num_cpus` context key) are still compared, with a note naming both
+counts: shared CI runners need not match the baseline host, and a
+threaded benchmark then times a different degree of parallelism.
+
 When a run used --benchmark_repetitions, the median aggregate is used;
 otherwise the plain iteration row.
 
@@ -100,6 +105,14 @@ def main() -> int:
         if err:
             print(f"error: {err}", file=sys.stderr)
             return 2
+
+    base_cpus = base_ctx.get("num_cpus", "unknown")
+    cand_cpus = cand_ctx.get("num_cpus", "unknown")
+    if base_cpus != cand_cpus:
+        print(
+            f"note: num_cpus differs: baseline {base_cpus}, candidate "
+            f"{cand_cpus} — threaded timings are not like for like"
+        )
 
     if args.filter:
         base = {k: v for k, v in base.items() if args.filter in k}
