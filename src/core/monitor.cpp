@@ -69,6 +69,7 @@ namespace {
 struct MonitorMetricIds {
   obs::MetricId ci_exhausted = obs::metrics().counter("monitor.ci_exhausted");
   obs::MetricId rows_invalidated = obs::metrics().counter("monitor.rows_invalidated");
+  obs::MetricId resolved_slots = obs::metrics().counter("monitor.resolved_slots");
 };
 
 const MonitorMetricIds& monitor_metric_ids() {
@@ -392,6 +393,7 @@ void Monitor::on_world_change(const WorldChangeSummary& summary) {
 
 void Monitor::assign_resolve_slots(std::span<const std::uint32_t> sites,
                                    std::uint32_t round) {
+  const std::size_t before = resolved_.size();
   for (const std::uint32_t id : sites) {
     const web::Site& s = world_.catalog.site(id);
     const std::uint8_t epoch = s.hosting_epoch(round);
@@ -399,6 +401,7 @@ void Monitor::assign_resolve_slots(std::span<const std::uint32_t> sites,
       resolved_.assign(s, epoch);
     }
   }
+  obs::metrics().add(monitor_metric_ids().resolved_slots, resolved_.size() - before);
 }
 
 Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,

@@ -4,19 +4,17 @@
 
 namespace v6mon::core {
 
-ResolvedSiteTable::ResolvedSiteTable(std::size_t catalog_sites) {
-  slot_of_.assign(catalog_sites * 2, kNoSlot);
-}
+ResolvedSiteTable::ResolvedSiteTable(std::size_t catalog_sites)
+    : catalog_sites_(catalog_sites) {}
 
 std::uint32_t ResolvedSiteTable::assign(const web::Site& site, std::uint8_t epoch) {
   V6MON_REQUIRE(epoch <= 1, "hosting epoch must be 0 or 1");
-  const std::size_t key = static_cast<std::size_t>(site.id) * 2 + epoch;
-  V6MON_REQUIRE(key < slot_of_.size(), "site id beyond the catalog the table was sized for");
-  V6MON_REQUIRE(slot_of_[key] == kNoSlot, "slot already assigned");
+  V6MON_REQUIRE(site.id < catalog_sites_, "site id beyond the catalog the table was sized for");
   const auto slot = static_cast<std::uint32_t>(slots_.size());
+  const bool inserted = slot_of_.emplace(std::uint64_t{site.id} * 2 + epoch, slot).second;
+  V6MON_REQUIRE(inserted, "slot already assigned");
   Slot& s = slots_.emplace_back();
   s.site_id = site.id;
-  slot_of_[key] = slot;
   return slot;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "bgp/rib.h"
@@ -9,6 +10,7 @@
 #include "ip/ipv4.h"
 #include "ip/ipv6.h"
 #include "transport/path.h"
+#include "util/contracts.h"
 #include "web/site.h"
 
 namespace v6mon::core {
@@ -41,8 +43,11 @@ struct ResolvedSiteRow {
 /// server rates are not cached: monitor_site reads them from the live
 /// catalog entry.
 ///
+/// The index holds assigned keys only, so a table's memory follows the
+/// sites that reached phase 2 (the dual-stack ones), not the catalog.
+///
 /// Concurrency protocol (no internal locks, mirroring the RIB-build
-/// pattern): slot assignment (vector growth) is coordinator-only —
+/// pattern): slot assignment (index and vector growth) is coordinator-only —
 /// Campaign serializes it under the vantage point's ingest-epoch mutex —
 /// then fills happen lazily inside monitor_site. A site appears at most
 /// once per work list, so each slot is written by exactly one worker per
@@ -66,8 +71,9 @@ class ResolvedSiteTable {
 
   /// Slot of (site, hosting epoch), or kNoSlot. Lock-free read.
   [[nodiscard]] std::uint32_t find(std::uint32_t site_id, std::uint8_t epoch) const {
-    const std::size_t key = static_cast<std::size_t>(site_id) * 2 + epoch;
-    return key < slot_of_.size() ? slot_of_[key] : kNoSlot;
+    V6MON_ASSERT(epoch <= 1, "hosting epoch must be 0 or 1");
+    const auto it = slot_of_.find(std::uint64_t{site_id} * 2 + epoch);
+    return it == slot_of_.end() ? kNoSlot : it->second;
   }
 
   /// Coordinator-only: create an unfilled slot for (site, hosting epoch);
@@ -110,8 +116,9 @@ class ResolvedSiteTable {
     bool filled = false;
   };
 
-  /// 2 * site_id + hosting epoch -> slot (kNoSlot = unassigned).
-  std::vector<std::uint32_t> slot_of_;
+  std::size_t catalog_sites_ = 0;
+  /// 2 * site_id + hosting epoch -> slot.
+  std::unordered_map<std::uint64_t, std::uint32_t> slot_of_;
   std::vector<Slot> slots_;
 };
 

@@ -53,6 +53,7 @@ constexpr const char* kCounterNames[] = {
     "ingest.flushes",
     "ingest.rows",
     "monitor.ci_exhausted",
+    "monitor.resolved_slots",
     "monitor.rows_invalidated",
     "monitor.status.dns-failed",
     "monitor.status.different-content",

@@ -83,7 +83,10 @@ DownloadResult DownloadSimulator::simulate_prepared(const PreparedDownload& prep
     return r;
   }
   double rate = prep.base_rate;
-  if (params_.noise_sigma > 0.0) rate *= rng.lognormal_median(1.0, params_.noise_sigma);
+  // lognormal_median(1.0, sigma) without its log(1.0): mu = +0.0 exactly.
+  if (params_.noise_sigma > 0.0) {
+    rate *= util::lognormal_of(rng.polar_pair(), 0.0, params_.noise_sigma);
+  }
   rate = std::max(rate, 0.1);
   r.ok = true;
   r.kbytes = prep.page_kb;
@@ -119,7 +122,7 @@ std::size_t DownloadSimulator::simulate_batch(const PreparedDownload& prep,
         continue;
       }
       double rate = prep.base_rate;
-      rate *= rng.lognormal_median(1.0, sigma);
+      rate *= util::lognormal_of(rng.polar_pair(), 0.0, sigma);
       rate = std::max(rate, 0.1);
       out[i] = DownloadResult{true, prep.fixed_s + prep.page_kb / rate, prep.page_kb};
       ++ok;

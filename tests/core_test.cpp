@@ -793,13 +793,16 @@ TEST(Campaign, FastPathMatchesFullPipeline) {
 
 // The round's work list counts most listed sites without visiting them
 // (per-round prefix sums) and walks only candidates. Sweep seeds, frozen
-// and evolving worlds, DNS loss, the fast path and the thread count over
-// a world with one supplement and one plain vantage point, and hold
-// every (VP, round) to a brute-force count over the catalog. The
-// fast-path runs drive the rounds one by one; run() drives the
-// full-pipeline runs. W6D follows the rounds, and each VP's DNS totals
-// are held to an independent recount of every site decision's queries
-// and of the timeouts its DNS stream draws.
+// and evolving worlds, DNS loss, the fallback policy, the fast path and
+// the thread count over a world with one supplement and one plain
+// vantage point, and hold every (VP, round) to a brute-force count over
+// the catalog. The fast-path runs drive the rounds one by one; run()
+// drives the full-pipeline runs. W6D follows the rounds, and each VP's
+// DNS totals are held to an independent recount of every site decision's
+// queries and of the timeouts its DNS stream draws. Every filled
+// resolved-site row carries a world epoch the timeline has reached, and
+// a slot's stamp never goes back: checked after every round of the
+// fast-path runs and after run() and W6D of the others.
 TEST(Campaign, WorkListInvariantSweep) {
   const auto tiny_spec = [](std::uint64_t seed, bool evolving) {
     scenario::WorldSpec spec = small_world().spec;
@@ -828,6 +831,23 @@ TEST(Campaign, WorkListInvariantSweep) {
     return std::uint64_t{dns::Resolver::draw_timeout(timeout_prob, dns)} +
            std::uint64_t{dns::Resolver::draw_timeout(timeout_prob, dns)};
   };
+  // stamps[vp][slot]: the world epoch the slot's row last carried.
+  const auto check_epoch_stamps = [](const Campaign& campaign, std::size_t num_vps,
+                                     std::uint32_t current_epoch,
+                                     std::vector<std::vector<std::uint32_t>>& stamps) {
+    stamps.resize(num_vps);
+    for (std::size_t v = 0; v < num_vps; ++v) {
+      const ResolvedSiteTable& table = campaign.monitor(v).resolved_sites();
+      stamps[v].resize(table.size(), 0);
+      for (std::uint32_t slot = 0; slot < table.size(); ++slot) {
+        if (!table.filled(slot)) continue;
+        const std::uint32_t stamp = table.world_epoch(slot);
+        EXPECT_LE(stamp, current_epoch) << "vp " << v << " slot " << slot;
+        EXPECT_GE(stamp, stamps[v][slot]) << "vp " << v << " slot " << slot;
+        stamps[v][slot] = stamp;
+      }
+    }
+  };
   for (const std::uint64_t seed : {3u, 17u}) {
     for (const bool evolving : {false, true}) {
       const scenario::WorldSpec spec = tiny_spec(seed, evolving);
@@ -849,159 +869,174 @@ TEST(Campaign, WorkListInvariantSweep) {
       for (const double timeout_prob : {0.0, 0.02, 0.3, 1.0}) {
         for (const bool early : {false, true}) {
           if (early && !evolving) continue;
-          for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-            std::vector<Run> runs;
-            for (const bool fast_path : {true, false}) {
-              SCOPED_TRACE(testing::Message()
-                           << "seed=" << seed << " evolving=" << evolving
-                           << " timeout_prob=" << timeout_prob << " early=" << early
-                           << " threads=" << threads << " fast_path=" << fast_path);
-              CampaignConfig cfg;
-              cfg.seed = seed;
-              cfg.threads = threads;
-              cfg.fast_path = fast_path;
-              cfg.w6d_mini_rounds = kMiniRounds;
-              cfg.monitor.dns.timeout_prob = timeout_prob;
-              auto& reg = obs::metrics();
-              reg.reset();
-              reg.set_enabled(true);
-              std::optional<WorldTimeline> timeline;
-              if (evolving) timeline.emplace(scenario::build_timeline(spec));
-              const World& world = evolving ? timeline->world() : frozen;
-              auto campaign = evolving ? std::make_unique<Campaign>(*timeline, cfg)
-                                       : std::make_unique<Campaign>(world, cfg);
-              if (early) campaign->advance_world(gain_round);
-              if (fast_path) {
-                // One (VP, round) at a time, so that each one's monitored and
-                // coin-settled sites can be held to a brute-force count: the
-                // monitor runs exactly the dual-stack sites that lose no DNS
-                // query, and every one-loss site settles by its coin.
-                const util::Rng root(seed);
-                std::vector<std::uint64_t> lost(world.catalog.size());
-                for (const web::Site& s : world.catalog.sites()) {
-                  lost[s.id] = lost_queries(root, timeout_prob, 0, s.id);
+          for (const FallbackPolicy fallback :
+               {FallbackPolicy::kNone, FallbackPolicy::kSequential}) {
+            for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+              std::vector<Run> runs;
+              for (const bool fast_path : {true, false}) {
+                SCOPED_TRACE(testing::Message()
+                             << "seed=" << seed << " evolving=" << evolving
+                             << " timeout_prob=" << timeout_prob << " early=" << early
+                             << " fallback=" << static_cast<int>(fallback)
+                             << " threads=" << threads << " fast_path=" << fast_path);
+                CampaignConfig cfg;
+                cfg.seed = seed;
+                cfg.threads = threads;
+                cfg.fast_path = fast_path;
+                cfg.w6d_mini_rounds = kMiniRounds;
+                cfg.monitor.dns.timeout_prob = timeout_prob;
+                cfg.monitor.fallback = fallback;
+                auto& reg = obs::metrics();
+                reg.reset();
+                reg.set_enabled(true);
+                std::optional<WorldTimeline> timeline;
+                if (evolving) timeline.emplace(scenario::build_timeline(spec));
+                const World& world = evolving ? timeline->world() : frozen;
+                auto campaign = evolving ? std::make_unique<Campaign>(*timeline, cfg)
+                                         : std::make_unique<Campaign>(world, cfg);
+                if (early) campaign->advance_world(gain_round);
+                const std::size_t num_vps = world.vantage_points.size();
+                const auto world_epoch = [&] {
+                  return evolving ? timeline->current_epoch() : std::uint32_t{0};
+                };
+                std::vector<std::vector<std::uint32_t>> stamps;
+                if (fast_path) {
+                  // One (VP, round) at a time, so that each one's monitored and
+                  // coin-settled sites can be held to a brute-force count: the
+                  // monitor runs exactly the dual-stack sites that lose no DNS
+                  // query, and every one-loss site settles by its coin.
+                  const util::Rng root(seed);
+                  std::vector<std::uint64_t> lost(world.catalog.size());
+                  for (const web::Site& s : world.catalog.sites()) {
+                    lost[s.id] = lost_queries(root, timeout_prob, 0, s.id);
+                  }
+                  for (std::uint32_t r = 0; r <= world.num_rounds; ++r) {
+                    campaign->advance_world(r);
+                    for (std::size_t v = 0; v < world.vantage_points.size(); ++v) {
+                      const VantagePoint& vp = world.vantage_points[v];
+                      const std::uint64_t monitored_before =
+                          reg.counter_value("campaign.sites_monitored");
+                      const std::uint64_t coins_before =
+                          reg.counter_value("campaign.fast_path_coin_sites");
+                      campaign->run_round(v, r);
+                      std::uint64_t dual_clean = 0;
+                      std::uint64_t one_loss = 0;
+                      if (r >= vp.start_round) {
+                        for (const web::Site& s : world.catalog.sites()) {
+                          if (!s.in_list_at(r) ||
+                              (s.from_dns_cache && !vp.uses_dns_cache_supplement)) {
+                            continue;
+                          }
+                          dual_clean += lost[s.id] == 0 && s.dual_stack_at(r);
+                          one_loss += lost[s.id] == 1;
+                        }
+                      }
+                      EXPECT_EQ(reg.counter_value("campaign.sites_monitored") -
+                                    monitored_before,
+                                dual_clean)
+                          << "vp " << v << " round " << r;
+                      EXPECT_EQ(reg.counter_value("campaign.fast_path_coin_sites") -
+                                    coins_before,
+                                one_loss)
+                          << "vp " << v << " round " << r;
+                    }
+                    check_epoch_stamps(*campaign, num_vps, world_epoch(), stamps);
+                  }
+                } else {
+                  campaign->run();
+                  check_epoch_stamps(*campaign, num_vps, world_epoch(), stamps);
                 }
-                for (std::uint32_t r = 0; r <= world.num_rounds; ++r) {
-                  campaign->advance_world(r);
-                  for (std::size_t v = 0; v < world.vantage_points.size(); ++v) {
-                    const VantagePoint& vp = world.vantage_points[v];
-                    const std::uint64_t monitored_before =
-                        reg.counter_value("campaign.sites_monitored");
-                    const std::uint64_t coins_before =
-                        reg.counter_value("campaign.fast_path_coin_sites");
-                    campaign->run_round(v, r);
-                    std::uint64_t dual_clean = 0;
-                    std::uint64_t one_loss = 0;
+                campaign->run_w6d();
+                check_epoch_stamps(*campaign, num_vps, world_epoch(), stamps);
+                campaign->finalize();
+
+                // The W6D site decisions of one participating VP, and the
+                // queries they lose; every VP draws the same streams.
+                const util::Rng root(seed);
+                std::uint64_t w6d_sites = 0;
+                std::uint64_t w6d_lost = 0;
+                for (const web::Site& s : world.catalog.sites()) {
+                  if (!s.w6d_participant) continue;
+                  w6d_sites += kMiniRounds;
+                  for (std::size_t mini = 0; mini < kMiniRounds; ++mini) {
+                    w6d_lost += lost_queries(root, timeout_prob, 0x60d00000ULL + mini, s.id);
+                  }
+                }
+                EXPECT_GT(w6d_sites, 0u);
+
+                Run& run = runs.emplace_back();
+                std::uint64_t listed_sum = 0;
+                std::uint64_t w6d_sum = 0;
+                for (std::size_t v = 0; v < world.vantage_points.size(); ++v) {
+                  const VantagePoint& vp = world.vantage_points[v];
+                  std::uint64_t vp_listed = 0;
+                  std::uint64_t vp_lost = 0;
+                  const ResultsDb& db = campaign->results(v);
+                  // At most one row per (site, round): no site is queued twice.
+                  std::vector<std::uint64_t> rows(world.num_rounds + 1, 0);
+                  for (const std::uint32_t site : db.site_ids()) {
+                    const SiteSeries series = db.series(site);
+                    for (std::size_t i = 0; i < series.size(); ++i) {
+                      ++rows.at(series[i].round);
+                      if (i > 0) {
+                        EXPECT_LT(series[i - 1].round, series[i].round) << site;
+                      }
+                    }
+                  }
+                  for (std::uint32_t r = 0; r <= world.num_rounds; ++r) {
+                    std::uint64_t expected = 0;
                     if (r >= vp.start_round) {
                       for (const web::Site& s : world.catalog.sites()) {
-                        if (!s.in_list_at(r) ||
-                            (s.from_dns_cache && !vp.uses_dns_cache_supplement)) {
-                          continue;
+                        if (s.in_list_at(r) &&
+                            (!s.from_dns_cache || vp.uses_dns_cache_supplement)) {
+                          ++expected;
+                          vp_lost += lost_queries(root, timeout_prob, 0, s.id);
                         }
-                        dual_clean += lost[s.id] == 0 && s.dual_stack_at(r);
-                        one_loss += lost[s.id] == 1;
                       }
                     }
-                    EXPECT_EQ(reg.counter_value("campaign.sites_monitored") -
-                                  monitored_before,
-                              dual_clean)
+                    const RoundCounters& c = db.round_counters(r);
+                    EXPECT_EQ(c.listed, expected) << "vp " << v << " round " << r;
+                    EXPECT_EQ(c.v4_only + c.v6_only + c.dual + c.dns_failed, c.listed)
                         << "vp " << v << " round " << r;
-                    EXPECT_EQ(reg.counter_value("campaign.fast_path_coin_sites") -
-                                  coins_before,
-                              one_loss)
-                        << "vp " << v << " round " << r;
+                    EXPECT_LE(rows[r], c.listed) << "vp " << v << " round " << r;
+                    vp_listed += c.listed;
+                    run.rounds.push_back(c);
                   }
+                  const std::uint64_t vp_w6d = vp.start_round <= world.w6d_round ? w6d_sites : 0;
+                  if (vp_w6d != 0) vp_lost += w6d_lost;
+                  const dns::Resolver::Stats dns = campaign->dns_stats(v);
+                  EXPECT_EQ(dns.queries, 2 * (vp_listed + vp_w6d)) << "vp " << v;
+                  EXPECT_EQ(dns.timeouts, vp_lost) << "vp " << v;
+                  EXPECT_EQ(dns.cache_hits, 0u) << "vp " << v;
+                  EXPECT_EQ(dns.nxdomain, 0u) << "vp " << v;
+                  run.dns.push_back(dns);
+                  listed_sum += vp_listed;
+                  w6d_sum += vp_w6d;
                 }
-              } else {
-                campaign->run();
+                EXPECT_GT(listed_sum, 0u);
+                EXPECT_EQ(reg.counter_value("campaign.sites_monitored") +
+                              reg.counter_value("campaign.fast_path_sites"),
+                          listed_sum + w6d_sum);
+                EXPECT_EQ(reg.counter_value("dns.queries"), 2 * (listed_sum + w6d_sum));
+                reg.set_enabled(false);
+                reg.reset();
               }
-              campaign->run_w6d();
-              campaign->finalize();
-
-              // The W6D site decisions of one participating VP, and the
-              // queries they lose; every VP draws the same streams.
-              const util::Rng root(seed);
-              std::uint64_t w6d_sites = 0;
-              std::uint64_t w6d_lost = 0;
-              for (const web::Site& s : world.catalog.sites()) {
-                if (!s.w6d_participant) continue;
-                w6d_sites += kMiniRounds;
-                for (std::size_t mini = 0; mini < kMiniRounds; ++mini) {
-                  w6d_lost += lost_queries(root, timeout_prob, 0x60d00000ULL + mini, s.id);
-                }
+              // Settling a site is invisible: the fast path's counters equal
+              // the full pipeline's at every (VP, round).
+              SCOPED_TRACE(testing::Message() << "seed=" << seed << " evolving=" << evolving
+                                              << " timeout_prob=" << timeout_prob
+                                              << " early=" << early
+                                              << " fallback=" << static_cast<int>(fallback)
+                                              << " threads=" << threads);
+              ASSERT_EQ(runs[0].rounds.size(), runs[1].rounds.size());
+              for (std::size_t i = 0; i < runs[0].rounds.size(); ++i) {
+                SCOPED_TRACE(testing::Message() << "round counters #" << i);
+                expect_same_round_counters(runs[0].rounds[i], runs[1].rounds[i]);
               }
-              EXPECT_GT(w6d_sites, 0u);
-
-              Run& run = runs.emplace_back();
-              std::uint64_t listed_sum = 0;
-              std::uint64_t w6d_sum = 0;
-              for (std::size_t v = 0; v < world.vantage_points.size(); ++v) {
-                const VantagePoint& vp = world.vantage_points[v];
-                std::uint64_t vp_listed = 0;
-                std::uint64_t vp_lost = 0;
-                const ResultsDb& db = campaign->results(v);
-                // At most one row per (site, round): no site is queued twice.
-                std::vector<std::uint64_t> rows(world.num_rounds + 1, 0);
-                for (const std::uint32_t site : db.site_ids()) {
-                  const SiteSeries series = db.series(site);
-                  for (std::size_t i = 0; i < series.size(); ++i) {
-                    ++rows.at(series[i].round);
-                    if (i > 0) {
-                      EXPECT_LT(series[i - 1].round, series[i].round) << site;
-                    }
-                  }
-                }
-                for (std::uint32_t r = 0; r <= world.num_rounds; ++r) {
-                  std::uint64_t expected = 0;
-                  if (r >= vp.start_round) {
-                    for (const web::Site& s : world.catalog.sites()) {
-                      if (s.in_list_at(r) &&
-                          (!s.from_dns_cache || vp.uses_dns_cache_supplement)) {
-                        ++expected;
-                        vp_lost += lost_queries(root, timeout_prob, 0, s.id);
-                      }
-                    }
-                  }
-                  const RoundCounters& c = db.round_counters(r);
-                  EXPECT_EQ(c.listed, expected) << "vp " << v << " round " << r;
-                  EXPECT_EQ(c.v4_only + c.v6_only + c.dual + c.dns_failed, c.listed)
-                      << "vp " << v << " round " << r;
-                  EXPECT_LE(rows[r], c.listed) << "vp " << v << " round " << r;
-                  vp_listed += c.listed;
-                  run.rounds.push_back(c);
-                }
-                const std::uint64_t vp_w6d = vp.start_round <= world.w6d_round ? w6d_sites : 0;
-                if (vp_w6d != 0) vp_lost += w6d_lost;
-                const dns::Resolver::Stats dns = campaign->dns_stats(v);
-                EXPECT_EQ(dns.queries, 2 * (vp_listed + vp_w6d)) << "vp " << v;
-                EXPECT_EQ(dns.timeouts, vp_lost) << "vp " << v;
-                EXPECT_EQ(dns.cache_hits, 0u) << "vp " << v;
-                EXPECT_EQ(dns.nxdomain, 0u) << "vp " << v;
-                run.dns.push_back(dns);
-                listed_sum += vp_listed;
-                w6d_sum += vp_w6d;
+              for (std::size_t v = 0; v < runs[0].dns.size(); ++v) {
+                EXPECT_EQ(runs[0].dns[v].queries, runs[1].dns[v].queries);
+                EXPECT_EQ(runs[0].dns[v].timeouts, runs[1].dns[v].timeouts);
               }
-              EXPECT_GT(listed_sum, 0u);
-              EXPECT_EQ(reg.counter_value("campaign.sites_monitored") +
-                            reg.counter_value("campaign.fast_path_sites"),
-                        listed_sum + w6d_sum);
-              EXPECT_EQ(reg.counter_value("dns.queries"), 2 * (listed_sum + w6d_sum));
-              reg.set_enabled(false);
-              reg.reset();
-            }
-            // Settling a site is invisible: the fast path's counters equal
-            // the full pipeline's at every (VP, round).
-            SCOPED_TRACE(testing::Message() << "seed=" << seed << " evolving=" << evolving
-                                            << " timeout_prob=" << timeout_prob
-                                            << " early=" << early << " threads=" << threads);
-            ASSERT_EQ(runs[0].rounds.size(), runs[1].rounds.size());
-            for (std::size_t i = 0; i < runs[0].rounds.size(); ++i) {
-              SCOPED_TRACE(testing::Message() << "round counters #" << i);
-              expect_same_round_counters(runs[0].rounds[i], runs[1].rounds[i]);
-            }
-            for (std::size_t v = 0; v < runs[0].dns.size(); ++v) {
-              EXPECT_EQ(runs[0].dns[v].queries, runs[1].dns[v].queries);
-              EXPECT_EQ(runs[0].dns[v].timeouts, runs[1].dns[v].timeouts);
             }
           }
         }
@@ -1168,6 +1203,16 @@ TEST(ResolvedSiteTable, AssignRejectsDuplicateAndOutOfCatalogKeys) {
   EXPECT_EQ(table.size(), 1u);
 }
 
+// Hosting epochs are 0 and 1: find(s, 2) would otherwise read the key
+// of (s + 1, 0).
+TEST(ResolvedSiteTableDeathTest, FindRejectsHostingEpochAboveOne) {
+  ResolvedSiteTable table(4);
+  web::Site site;
+  site.id = 2;
+  (void)table.assign(site, 0);
+  EXPECT_DEATH((void)table.find(1, 2), "hosting epoch must be 0 or 1");
+}
+
 #endif  // V6MON_CONTRACT_LEVEL >= 1
 
 TEST(ResolvedSiteTable, FillStampsWorldEpochAndInvalidateAllowsRefill) {
@@ -1192,6 +1237,63 @@ TEST(ResolvedSiteTable, FillStampsWorldEpochAndInvalidateAllowsRefill) {
   EXPECT_TRUE(table.filled(slot));
   EXPECT_EQ(table.world_epoch(slot), 5u);
   EXPECT_EQ(table.row(slot).gate, MonitorStatus::kMeasured);
+}
+
+// The hash index against the slots it points at, after a frozen and an
+// evolving campaign (relocated sites take hosting-epoch-1 keys, epochs
+// grant AAAA records) at 1 and 4 threads: every (site, hosting epoch)
+// key finds nothing or a slot of that site, no two keys share a slot,
+// and the keys found are exactly the table's slots.
+TEST(ResolvedSiteTable, IndexMatchesSlotsAfterCampaigns) {
+  scenario::WorldSpec evolving_spec = small_world().spec;
+  evolving_spec.evolution.enabled = true;
+  evolving_spec.evolution.delta_rate = 4.0;
+  evolving_spec.evolution.epoch_interval = 2;
+  evolving_spec.evolution.max_as_fraction = 0.05;
+  evolving_spec.evolution.depletion_round = 4;
+  for (const bool evolving : {false, true}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(testing::Message() << "evolving=" << evolving << " threads=" << threads);
+      CampaignConfig cfg;
+      cfg.seed = 7;
+      cfg.threads = threads;
+      std::optional<WorldTimeline> timeline;
+      if (evolving) timeline.emplace(scenario::build_timeline(evolving_spec));
+      const World& world = evolving ? timeline->world() : small_world().world;
+      std::vector<std::uint32_t> v6_from;
+      for (const web::Site& s : world.catalog.sites()) v6_from.push_back(s.v6_from_round);
+      auto campaign = evolving ? std::make_unique<Campaign>(*timeline, cfg)
+                               : std::make_unique<Campaign>(world, cfg);
+      campaign->run();
+      campaign->run_w6d();
+
+      std::size_t relocated_keys = 0;
+      std::size_t granted_keys = 0;
+      for (std::size_t v = 0; v < world.vantage_points.size(); ++v) {
+        SCOPED_TRACE(testing::Message() << "vp=" << v);
+        const ResolvedSiteTable& table = campaign->monitor(v).resolved_sites();
+        ASSERT_GT(table.size(), 0u);
+        std::vector<bool> taken(table.size(), false);
+        std::size_t found = 0;
+        for (std::uint32_t id = 0; id < world.catalog.size(); ++id) {
+          for (const std::uint8_t epoch : {std::uint8_t{0}, std::uint8_t{1}}) {
+            const std::uint32_t slot = table.find(id, epoch);
+            if (slot == ResolvedSiteTable::kNoSlot) continue;
+            ASSERT_LT(slot, table.size()) << "site " << id;
+            EXPECT_EQ(table.site_id(slot), id);
+            EXPECT_FALSE(taken[slot]) << "slot " << slot << " found by two keys";
+            taken[slot] = true;
+            ++found;
+            relocated_keys += epoch;
+            granted_keys += world.catalog.site(id).v6_from_round != v6_from[id];
+          }
+        }
+        EXPECT_EQ(found, table.size());
+      }
+      EXPECT_GT(relocated_keys, 0u) << "no relocated site took an epoch-1 slot";
+      EXPECT_EQ(granted_keys > 0, evolving) << "AAAA grants and slots disagree";
+    }
+  }
 }
 
 void expect_same_observation(const Observation& a, const Observation& b) {

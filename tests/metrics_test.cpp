@@ -153,7 +153,8 @@ TEST(Metrics, CountersJsonIsSortedAndCoversAllStages) {
   for (const char* key :
        {"campaign.fast_path_coin_sites", "campaign.sites_monitored",
         "dns.queries", "ingest.flushes", "monitor.ci_exhausted",
-        "monitor.rows_invalidated", "stage.analysis.calls", "stage.catalog_build.calls",
+        "monitor.resolved_slots", "monitor.rows_invalidated",
+        "stage.analysis.calls", "stage.catalog_build.calls",
         "stage.dns_resolve.calls", "stage.epoch_advance.calls", "stage.identity_fetch.calls", "stage.ingest_flush.calls",
         "stage.repeat_downloads.calls", "stage.rib_build.calls",
         "stage.site_resolve.calls", "stage.work_list.calls"}) {
@@ -344,6 +345,9 @@ TEST(MetricsDeterminism, CountersIdenticalAcrossThreadsAndBackends) {
   // The injected DNS loss must be visible in the export — a zero here
   // means Resolver::Stats::timeouts never reached the registry.
   EXPECT_EQ(reference.counters.find("\"dns.timeouts\":0,"), std::string::npos);
+  // Slot assignment runs on each VP's chain, once per (site, hosting
+  // epoch) the monitor reaches: the same count at every thread count.
+  EXPECT_EQ(reference.counters.find("\"monitor.resolved_slots\":0,"), std::string::npos);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     for (const core::SinkBackend backend :
          {core::SinkBackend::kMutex, core::SinkBackend::kSharded,
