@@ -12,7 +12,6 @@
 #include "scenario/world_builder.h"
 #include "transport/path.h"
 #include "util/strings.h"
-#include "web/dns_backend.h"
 
 using namespace v6mon;
 
@@ -69,8 +68,6 @@ int main(int argc, char** argv) {
 
   core::MonitorConfig config;  // paper constants
   core::Monitor monitor(world, vp, config);
-  web::CatalogDnsBackend backend(world.catalog);
-  dns::Resolver resolver(backend, config.dns, seed + 1);
   core::PathRegistry paths;
 
   const std::uint32_t round = 5;
@@ -79,20 +76,16 @@ int main(int argc, char** argv) {
     if (!site.dual_stack_at(round)) continue;
     if (shown++ >= num_sites) break;
 
-    std::printf("--- %s (rank %u, %s, page %.1f kB) ---\n", site.hostname().c_str(),
+    std::printf("--- www.s%u.v6mon.test (rank %u, %s, page %.1f kB) ---\n", site.id,
                 site.rank, family_of(site, world), site.page_kb);
 
-    // Phase 1: DNS, through a resolver over the catalog's zone.
-    const auto a = resolver.resolve(site.hostname(), dns::RecordType::kA, round);
-    const auto aaaa = resolver.resolve(site.hostname(), dns::RecordType::kAaaa, round);
-    std::printf("  A    -> %s\n",
-                a.has_answers() ? a.records[0].a().to_string().c_str() : "(none)");
-    std::printf("  AAAA -> %s\n",
-                aaaa.has_answers() ? aaaa.records[0].aaaa().to_string().c_str()
-                                   : "(none)");
+    // Phase 1: DNS. The catalog answers A, and AAAA while the site is
+    // dual-stack (every site shown here is); the demo loses no query.
+    const web::Hosting hosting = world.catalog.hosting_at(site, round);
+    std::printf("  A    -> %s\n", hosting.v4_addr.to_string().c_str());
+    std::printf("  AAAA -> %s\n", hosting.v6_addr.to_string().c_str());
 
-    // The full pipeline. It answers the same queries from the catalog
-    // by site id; the demo resolver loses none (dns.timeout_prob is 0).
+    // The full pipeline answers the same queries the same way.
     const core::Observation obs =
         monitor.monitor_site(site, round, {}, util::Rng(seed ^ site.id), paths);
     std::printf("  status: %s\n", core::monitor_status_name(obs.status));

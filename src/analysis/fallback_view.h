@@ -50,8 +50,8 @@ struct FallbackVpReport {
                : static_cast<double>(conn.user_latency_us) * 1e-3 /
                      static_cast<double>(conn.user_success);
   }
-  /// Share of DNS queries lost to timeouts (the resolver-level loss the
-  /// conn layer never sees).
+  /// Share of DNS queries lost to timeouts (the DNS-level loss the conn
+  /// layer never sees).
   [[nodiscard]] double dns_timeout_rate() const {
     return dns.queries == 0 ? 0.0
                             : static_cast<double>(dns.timeouts) /

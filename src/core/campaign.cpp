@@ -324,7 +324,7 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
 void Campaign::ensure_work_index() {
   std::call_once(scan_.build_once, [this] {
     const double p = config_.monitor.dns.timeout_prob;
-    // The resolver never draws at p == 0, so every fate stays clear and
+    // draw_query_loss never draws at p == 0, so every fate stays clear and
     // the pool need not wake (DESIGN.md §10 on why that matters).
     if (config_.fast_path && p > 0.0) {
       const std::size_t n = scan_.flags.size();

@@ -135,11 +135,11 @@ class Campaign {
   }
 
   /// Per-vantage-point DNS totals over every site decision, regular and
-  /// W6D: two queries each, and the timeouts of its query loss (no cache
-  /// hits, no NXDOMAIN). Each field is a sum of per-site counts (pure
-  /// functions of the seed), so the totals are deterministic across
-  /// threads and sinks; the same numbers feed the global dns.* metrics
-  /// counters, which lose the per-VP split this keeps.
+  /// W6D: two queries each, and the timeouts of its query loss. Each
+  /// field is a sum of per-site counts (pure functions of the seed), so
+  /// the totals are deterministic across threads and sinks; the same
+  /// numbers feed the global dns.* metrics counters, which lose the
+  /// per-VP split this keeps.
   [[nodiscard]] dns::Resolver::Stats dns_stats(std::size_t vp_index) const;
 
   /// End ingest and build the analysis views: close sinks (replaying

@@ -140,8 +140,8 @@ QueryLoss draw_query_loss(const util::Rng& root, double timeout_prob,
   QueryLoss loss;
   if (timeout_prob > 0.0) {
     util::Rng rng(root.child_seed("dns", salt ^ site_id));
-    loss.first = dns::Resolver::draw_timeout(timeout_prob, rng);
-    loss.second = dns::Resolver::draw_timeout(timeout_prob, rng);
+    loss.first = rng.chance(timeout_prob);
+    loss.second = rng.chance(timeout_prob);
   }
   return loss;
 }

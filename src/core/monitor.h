@@ -72,8 +72,9 @@ struct QueryLoss {
   }
 };
 
-/// The loss a dns::Resolver draws for the two queries on the stream
-/// `root.child_seed("dns", salt ^ site_id)`; seeds nothing at p == 0.
+/// The loss of the two queries: one `chance(timeout_prob)` draw each, in
+/// query order, on the stream `root.child_seed("dns", salt ^ site_id)`;
+/// seeds and draws nothing at p == 0.
 [[nodiscard]] QueryLoss draw_query_loss(const util::Rng& root, double timeout_prob,
                                         std::uint64_t salt, std::uint32_t site_id);
 

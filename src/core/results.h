@@ -16,7 +16,7 @@ namespace v6mon::core {
 
 /// Outcome of one site's monitoring pass (Fig. 2 of the paper).
 enum class MonitorStatus : std::uint8_t {
-  kDnsFailed,         ///< Neither A nor AAAA resolved (timeouts / NXDOMAIN).
+  kDnsFailed,         ///< Neither A nor AAAA resolved (both queries timed out).
   kV4Only,            ///< A record only — the common case.
   kV6Only,            ///< AAAA record only.
   kV4DownloadFailed,  ///< Dual-stack but the IPv4 page fetch failed.

@@ -46,8 +46,6 @@ constexpr const char* kCounterNames[] = {
     "conn.noroute",
     "conn.resets",
     "conn.timeouts",
-    "dns.cache_hits",
-    "dns.nxdomain",
     "dns.queries",
     "dns.timeouts",
     "ingest.flushes",

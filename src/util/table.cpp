@@ -99,7 +99,10 @@ bool write_file(const std::string& path, const std::string& content) {
   std::ofstream f(p, std::ios::binary | std::ios::trunc);
   if (!f) return false;
   f << content;
-  return static_cast<bool>(f);
+  // The tail of `content` is still buffered; only close() flushes it and
+  // reports whether that last write failed (a full disk, say).
+  f.close();
+  return !f.fail();
 }
 
 }  // namespace v6mon::util

@@ -38,7 +38,8 @@ class TextTable {
 };
 
 /// Write `content` to `path`, creating parent directories. Returns false
-/// (without throwing) if the filesystem refuses; bench output is best-effort.
+/// (without throwing) if the filesystem refuses any part of it, the final
+/// flush included; bench output is best-effort.
 bool write_file(const std::string& path, const std::string& content);
 
 }  // namespace v6mon::util

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <cmath>
 #include <optional>
 
@@ -442,26 +441,6 @@ Hosting SiteCatalog::hosting_at(const Site& s, std::uint32_t round) const {
 const Hosting* SiteCatalog::relocation(std::uint32_t site_id) const {
   const auto it = relocations_.find(site_id);
   return it == relocations_.end() ? nullptr : &it->second;
-}
-
-std::optional<std::uint32_t> parse_site_hostname(std::string_view name) {
-  constexpr std::string_view kPrefix = "www.s";
-  constexpr std::string_view kSuffix = ".v6mon.test";
-  if (name.size() <= kPrefix.size() + kSuffix.size()) return std::nullopt;
-  if (name.substr(0, kPrefix.size()) != kPrefix) return std::nullopt;
-  if (name.substr(name.size() - kSuffix.size()) != kSuffix) return std::nullopt;
-  const std::string_view digits =
-      name.substr(kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
-  std::uint32_t id = 0;
-  const auto [ptr, ec] = std::from_chars(digits.data(), digits.data() + digits.size(), id);
-  if (ec != std::errc{} || ptr != digits.data() + digits.size()) return std::nullopt;
-  return id;
-}
-
-const Site* SiteCatalog::by_hostname(std::string_view name) const {
-  const auto id = parse_site_hostname(name);
-  if (!id || *id >= sites_.size()) return nullptr;
-  return &sites_[*id];
 }
 
 double SiteCatalog::reachability_at(std::uint32_t round) const {

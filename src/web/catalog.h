@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -188,10 +186,6 @@ class SiteCatalog {
   [[nodiscard]] const std::vector<Site>& sites() const { return sites_; }
   [[nodiscard]] const CatalogParams& params() const { return params_; }
 
-  /// Reverse-map a hostname produced by Site::hostname(); nullptr when
-  /// the name is not one of ours.
-  [[nodiscard]] const Site* by_hostname(std::string_view name) const;
-
   /// Fraction of listed sites that are IPv6-accessible at `round`
   /// (ranked list only — the Fig. 1 series).
   [[nodiscard]] double reachability_at(std::uint32_t round) const;
@@ -212,8 +206,5 @@ class SiteCatalog {
   std::unordered_map<std::uint32_t, Hosting> relocations_;
   CatalogParams params_;
 };
-
-/// Parse the numeric id out of "www.s<id>.v6mon.test"; nullopt otherwise.
-[[nodiscard]] std::optional<std::uint32_t> parse_site_hostname(std::string_view name);
 
 }  // namespace v6mon::web

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <string>
 
 #include "ip/ipv4.h"
 #include "ip/ipv6.h"
@@ -48,10 +47,6 @@ struct Site {
   bool step_from_path_change = false; ///< Transition coincides with a path change.
   bool w6d_participant = false;  ///< Advertised World IPv6 Day participation.
   bool from_dns_cache = false;   ///< Supplemental (unranked) sample member.
-
-  [[nodiscard]] std::string hostname() const {
-    return "www.s" + std::to_string(id) + ".v6mon.test";
-  }
 
   [[nodiscard]] bool in_list_at(std::uint32_t round) const {
     return round >= first_seen_round;

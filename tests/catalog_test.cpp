@@ -7,12 +7,10 @@
 #include <cmath>
 #include <map>
 
-#include "dns/resolver.h"
 #include "scenario/paper.h"
 #include "scenario/world_builder.h"
 #include "topo/address_plan.h"
 #include "topo/generator.h"
-#include "web/dns_backend.h"
 
 namespace v6mon::web {
 namespace {
@@ -328,29 +326,6 @@ TEST(SiteCatalog, GenerateBytesPinned) {
   }
 }
 
-TEST(SiteCatalog, HostnameRoundTrip) {
-  World w;
-  util::Rng rng(9);
-  const auto cat = SiteCatalog::generate(w.graph, small_params(), rng);
-  const Site& s = cat.site(123);
-  EXPECT_EQ(s.hostname(), "www.s123.v6mon.test");
-  const Site* found = cat.by_hostname(s.hostname());
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->id, s.id);
-  EXPECT_EQ(cat.by_hostname("www.example.com"), nullptr);
-  EXPECT_EQ(cat.by_hostname("www.s99999999.v6mon.test"), nullptr);
-}
-
-TEST(ParseSiteHostname, Cases) {
-  EXPECT_EQ(*parse_site_hostname("www.s0.v6mon.test"), 0u);
-  EXPECT_EQ(*parse_site_hostname("www.s42.v6mon.test"), 42u);
-  EXPECT_FALSE(parse_site_hostname("www.s.v6mon.test").has_value());
-  EXPECT_FALSE(parse_site_hostname("www.sX.v6mon.test").has_value());
-  EXPECT_FALSE(parse_site_hostname("s42.v6mon.test").has_value());
-  EXPECT_FALSE(parse_site_hostname("www.s42.other.test").has_value());
-  EXPECT_FALSE(parse_site_hostname("").has_value());
-}
-
 TEST(Site, ServerMultiplierStepAndTrend) {
   Site s;
   s.first_seen_round = 0;
@@ -362,40 +337,6 @@ TEST(Site, ServerMultiplierStepAndTrend) {
   t.trend_per_round = 0.01f;
   // trend_per_round is a float; allow for its representation error.
   EXPECT_NEAR(t.server_multiplier_at(10), std::pow(1.01, 10), 1e-6);
-}
-
-TEST(CatalogDnsBackend, AnswersTrackAdoptionRound) {
-  World w;
-  util::Rng rng(10);
-  CatalogParams p = small_params();
-  const auto cat = SiteCatalog::generate(w.graph, p, rng);
-  const CatalogDnsBackend backend(cat);
-  dns::Resolver resolver(backend, {}, 11);
-
-  // Find a site that adopts v6 mid-campaign.
-  const Site* mid = nullptr;
-  for (const Site& s : cat.sites()) {
-    if (s.v6_from_round != kNever && s.v6_from_round > 2 &&
-        s.v6_from_round <= p.num_rounds) {
-      mid = &s;
-      break;
-    }
-  }
-  ASSERT_NE(mid, nullptr) << "no mid-campaign adopter generated";
-
-  const auto before =
-      resolver.resolve(mid->hostname(), dns::RecordType::kAaaa, mid->v6_from_round - 1);
-  EXPECT_TRUE(before.ok());
-  EXPECT_FALSE(before.has_answers());
-  const auto after =
-      resolver.resolve(mid->hostname(), dns::RecordType::kAaaa, mid->v6_from_round);
-  ASSERT_TRUE(after.has_answers());
-  EXPECT_EQ(after.records[0].aaaa(), mid->v6_addr);
-  const auto a = resolver.resolve(mid->hostname(), dns::RecordType::kA, 0);
-  ASSERT_TRUE(a.has_answers());
-  EXPECT_EQ(a.records[0].a(), mid->v4_addr);
-  const auto nx = resolver.resolve("www.unknown.test", dns::RecordType::kA, 0);
-  EXPECT_EQ(nx.rcode, dns::Rcode::kNxDomain);
 }
 
 }  // namespace

@@ -21,13 +21,13 @@
 #include "core/thread_pool.h"
 #include "core/world_timeline.h"
 #include "obs/metrics.h"
+#include "reference/dns_reference.h"
 #include "reference_schedule.h"
 #include "scenario/evolution.h"
 #include "scenario/paper.h"
 #include "scenario/world_builder.h"
 #include "util/contracts.h"
 #include "util/error.h"
-#include "web/dns_backend.h"
 
 namespace v6mon::core {
 namespace {
@@ -700,8 +700,7 @@ CampaignObservables run_for_observables(const World& world, WorldTimeline* timel
     out.fallback.push_back(campaign->fallback_stats(vp));
   }
   for (const char* name :
-       {"dns.queries", "dns.cache_hits", "dns.timeouts", "dns.nxdomain",
-        "monitor.status.dns-failed", "monitor.status.v4-only",
+       {"dns.queries", "dns.timeouts", "monitor.status.dns-failed", "monitor.status.v4-only",
         "monitor.status.v6-only", "monitor.status.v4-download-failed",
         "monitor.status.v6-download-failed", "monitor.status.different-content",
         "monitor.status.measured"}) {
@@ -781,9 +780,7 @@ TEST(Campaign, FastPathMatchesFullPipeline) {
         SCOPED_TRACE(testing::Message() << "vp=" << vp);
         EXPECT_GT(fast.dns[vp].queries, 0u);
         EXPECT_EQ(fast.dns[vp].queries, full.dns[vp].queries);
-        EXPECT_EQ(fast.dns[vp].cache_hits, full.dns[vp].cache_hits);
         EXPECT_EQ(fast.dns[vp].timeouts, full.dns[vp].timeouts);
-        EXPECT_EQ(fast.dns[vp].nxdomain, full.dns[vp].nxdomain);
         expect_same_fallback(fast.fallback[vp], full.fallback[vp]);
       }
       EXPECT_EQ(fast.counters, full.counters);
@@ -828,8 +825,11 @@ TEST(Campaign, WorkListInvariantSweep) {
   const auto lost_queries = [](const util::Rng& root, double timeout_prob,
                                std::uint64_t salt, std::uint32_t site_id) {
     util::Rng dns(root.child_seed("dns", salt ^ site_id));
-    return std::uint64_t{dns::Resolver::draw_timeout(timeout_prob, dns)} +
-           std::uint64_t{dns::Resolver::draw_timeout(timeout_prob, dns)};
+    std::uint64_t lost = 0;
+    for (int query = 0; query < 2; ++query) {
+      lost += timeout_prob > 0.0 && dns.chance(timeout_prob);
+    }
+    return lost;
   };
   // stamps[vp][slot]: the world epoch the slot's row last carried.
   const auto check_epoch_stamps = [](const Campaign& campaign, std::size_t num_vps,
@@ -1008,7 +1008,6 @@ TEST(Campaign, WorkListInvariantSweep) {
                   EXPECT_EQ(dns.queries, 2 * (vp_listed + vp_w6d)) << "vp " << v;
                   EXPECT_EQ(dns.timeouts, vp_lost) << "vp " << v;
                   EXPECT_EQ(dns.cache_hits, 0u) << "vp " << v;
-                  EXPECT_EQ(dns.nxdomain, 0u) << "vp " << v;
                   run.dns.push_back(dns);
                   listed_sum += vp_listed;
                   w6d_sum += vp_w6d;
@@ -1361,14 +1360,14 @@ TEST(Monitor, TableRowsMatchPerCallResolution) {
 }
 
 // Phase 1 answers from the catalog by site id. Hold it to the reference
-// it replaced: a dns::Resolver over CatalogDnsBackend, seeded with the
-// site's DNS stream and queried in the order of the query-order coin.
+// it replaced: a catalog resolver keyed by hostname
+// (reference/dns_reference.h), seeded with the site's DNS stream and
+// queried in the order of the query-order coin.
 // Every site of the small world at every round (so across AAAA windows
 // and relocations), for a regular and a W6D salt, from no DNS loss to
 // total loss: the same answers, addresses, queries and timeouts.
 TEST(Monitor, SiteKeyedDnsMatchesResolverReference) {
   const World& w = small_world().world;
-  const web::CatalogDnsBackend backend(w.catalog);
   MonitorConfig cfg;
   cfg.min_downloads = 2;  // Phases 1 and 2 are under test, not the CI loop.
   cfg.max_downloads = 2;
@@ -1388,23 +1387,24 @@ TEST(Monitor, SiteKeyedDnsMatchesResolverReference) {
           const std::uint64_t seed = (std::uint64_t{r} << 32) | site.id;
           util::Rng coin(seed);
           const bool a_first = Monitor::a_query_first(coin);
-          dns::Resolver ref(backend, {.cache_rounds = 0, .timeout_prob = timeout_prob},
-                            root.child_seed("dns", salt ^ site.id));
-          const std::string host = site.hostname();
-          dns::QueryResult a, aaaa;
+          dns_ref::CatalogResolver ref(w.catalog, timeout_prob,
+                                       root.child_seed("dns", salt ^ site.id));
+          const std::string host = dns_ref::site_hostname(site.id);
+          dns_ref::Answer a, aaaa;
           if (a_first) {
-            a = ref.resolve(host, dns::RecordType::kA, r);
-            aaaa = ref.resolve(host, dns::RecordType::kAaaa, r);
+            a = ref.resolve(host, dns_ref::QueryType::kA, r);
+            aaaa = ref.resolve(host, dns_ref::QueryType::kAaaa, r);
           } else {
-            aaaa = ref.resolve(host, dns::RecordType::kAaaa, r);
-            a = ref.resolve(host, dns::RecordType::kA, r);
+            aaaa = ref.resolve(host, dns_ref::QueryType::kAaaa, r);
+            a = ref.resolve(host, dns_ref::QueryType::kA, r);
           }
-          ref_queries += ref.stats().queries;
-          ref_timeouts += ref.stats().timeouts;
-          EXPECT_EQ(ref.stats().cache_hits + ref.stats().nxdomain, 0u);
+          ref_queries += ref.queries();
+          ref_timeouts += ref.timeouts();
+          EXPECT_NE(a.rcode, dns_ref::Rcode::kNxDomain);
+          EXPECT_NE(aaaa.rcode, dns_ref::Rcode::kNxDomain);
 
           const QueryLoss loss = draw_query_loss(root, timeout_prob, salt, site.id);
-          EXPECT_EQ(loss.timeouts(), ref.stats().timeouts) << "site " << site.id;
+          EXPECT_EQ(loss.timeouts(), ref.timeouts()) << "site " << site.id;
           ++decisions;
           timeouts += loss.timeouts();
           const Observation obs = mon.monitor_site(site, r, loss, util::Rng(seed), paths);
@@ -1420,8 +1420,8 @@ TEST(Monitor, SiteKeyedDnsMatchesResolverReference) {
           ASSERT_NE(slot, ResolvedSiteTable::kNoSlot);
           ASSERT_TRUE(mon.resolved_sites().filled(slot));
           const ResolvedSiteRow& row = mon.resolved_sites().row(slot);
-          EXPECT_EQ(row.v4_addr, a.records.front().a()) << "site " << site.id;
-          EXPECT_EQ(row.v6_addr, aaaa.records.front().aaaa()) << "site " << site.id;
+          EXPECT_EQ(row.v4_addr, *a.a) << "site " << site.id;
+          EXPECT_EQ(row.v6_addr, *aaaa.aaaa) << "site " << site.id;
           relocated_answers += site.hosting_epoch(r);
           late_aaaa_answers += site.v6_from_round == r && r > 0;
         }

@@ -1,129 +1,137 @@
+// The catalog resolver that the monitor's DNS phase is held to
+// (reference/dns_reference.h): hostnames, NXDOMAIN, NODATA, answers that
+// follow a site's AAAA window, and timeout injection.
+
 #include <gtest/gtest.h>
 
-#include "dns/resolver.h"
-#include "dns/zone.h"
+#include <stdexcept>
+#include <string>
 
-namespace v6mon::dns {
+#include "reference/dns_reference.h"
+#include "topo/address_plan.h"
+#include "topo/generator.h"
+
+namespace v6mon::dns_ref {
 namespace {
 
-ZoneDb make_zone() {
-  ZoneDb db;
-  ResourceRecord a;
-  a.name = "www.example.test";
-  a.type = RecordType::kA;
-  a.rdata = ip::Ipv4Address::parse_or_throw("192.0.2.10");
-  db.add(a);
-  ResourceRecord aaaa;
-  aaaa.name = "www.example.test";
-  aaaa.type = RecordType::kAaaa;
-  aaaa.rdata = ip::Ipv6Address::parse_or_throw("2001:db8::10");
-  db.add(aaaa);
-  ResourceRecord v4only;
-  v4only.name = "v4.example.test";
-  v4only.type = RecordType::kA;
-  v4only.rdata = ip::Ipv4Address::parse_or_throw("192.0.2.20");
-  db.add(v4only);
-  return db;
+/// A 4,000-site catalog over a small topology, generated once.
+const web::SiteCatalog& small_catalog() {
+  static const web::SiteCatalog catalog = [] {
+    util::Rng topo_rng(5);
+    topo::TopologyParams tp;
+    tp.num_tier1 = 4;
+    tp.num_transit = 30;
+    tp.num_stub = 150;
+    topo::AsGraph graph = topo::generate_topology(tp, topo_rng);
+    topo::assign_addresses(graph, {}, topo_rng);
+    web::CatalogParams p;
+    p.initial_sites = 4000;
+    p.churn_per_round = 50;
+    p.num_rounds = 20;
+    p.dns_cache_sites = 500;
+    util::Rng rng(10);
+    return web::SiteCatalog::generate(graph, p, rng);
+  }();
+  return catalog;
 }
 
-TEST(ZoneDb, QueryByType) {
-  const ZoneDb db = make_zone();
-  bool exists = false;
-  const auto as = db.query("www.example.test", RecordType::kA, 0, exists);
-  EXPECT_TRUE(exists);
-  ASSERT_EQ(as.size(), 1u);
-  EXPECT_EQ(as[0].a().to_string(), "192.0.2.10");
-  const auto aaaas = db.query("www.example.test", RecordType::kAaaa, 0, exists);
-  ASSERT_EQ(aaaas.size(), 1u);
-  EXPECT_EQ(aaaas[0].aaaa().to_string(), "2001:db8::10");
-}
-
-TEST(ZoneDb, NodataVsNxdomain) {
-  const ZoneDb db = make_zone();
-  bool exists = false;
-  const auto nodata = db.query("v4.example.test", RecordType::kAaaa, 0, exists);
-  EXPECT_TRUE(exists);  // name exists...
-  EXPECT_TRUE(nodata.empty());  // ...but no AAAA (NODATA)
-  const auto nx = db.query("nope.example.test", RecordType::kA, 0, exists);
-  EXPECT_FALSE(exists);
-  EXPECT_TRUE(nx.empty());
+/// The first site that is dual-stack (`dual`) or never is (`!dual`).
+const web::Site& first_site(bool dual) {
+  for (const web::Site& s : small_catalog().sites()) {
+    if ((s.v6_from_round == web::kNever) != dual) return s;
+  }
+  throw std::logic_error("no such site in the catalog");
 }
 
 TEST(Resolver, ResolvesAndCountsStats) {
-  const ZoneDb db = make_zone();
-  Resolver r(db, {}, 1);
-  const auto res = r.resolve("www.example.test", RecordType::kA, 0);
-  EXPECT_TRUE(res.has_answers());
-  EXPECT_EQ(res.rcode, Rcode::kOk);
-  EXPECT_FALSE(res.from_cache);
-  const auto nx = r.resolve("nope.example.test", RecordType::kA, 0);
+  const web::Site& site = first_site(false);
+  CatalogResolver r(small_catalog(), 0.0, 1);
+  const Answer a = r.resolve(site_hostname(site.id), QueryType::kA, 0);
+  EXPECT_EQ(a.rcode, Rcode::kOk);
+  ASSERT_TRUE(a.a.has_value());
+  EXPECT_EQ(*a.a, site.v4_addr);
+  const Answer nx = r.resolve("nope.example.test", QueryType::kA, 0);
   EXPECT_EQ(nx.rcode, Rcode::kNxDomain);
-  EXPECT_EQ(r.stats().queries, 2u);
-  EXPECT_EQ(r.stats().nxdomain, 1u);
+  EXPECT_FALSE(nx.has_answers());
+  EXPECT_EQ(r.queries(), 2u);
+  EXPECT_EQ(r.timeouts(), 0u);
 }
 
 TEST(Resolver, NodataIsOkButEmpty) {
-  const ZoneDb db = make_zone();
-  Resolver r(db, {}, 1);
-  const auto res = r.resolve("v4.example.test", RecordType::kAaaa, 0);
-  EXPECT_TRUE(res.ok());
+  CatalogResolver r(small_catalog(), 0.0, 1);
+  const Answer res = r.resolve(site_hostname(first_site(false).id), QueryType::kAaaa, 0);
+  EXPECT_EQ(res.rcode, Rcode::kOk);
   EXPECT_FALSE(res.has_answers());
 }
 
-TEST(Resolver, CachingWithinTtl) {
-  const ZoneDb db = make_zone();
-  Resolver r(db, {.cache_rounds = 2, .timeout_prob = 0.0}, 1);
-  EXPECT_FALSE(r.resolve("www.example.test", RecordType::kA, 0).from_cache);
-  EXPECT_TRUE(r.resolve("www.example.test", RecordType::kA, 1).from_cache);
-  // Round 2 = expiry (0 + 2): fresh query.
-  EXPECT_FALSE(r.resolve("www.example.test", RecordType::kA, 2).from_cache);
-  EXPECT_EQ(r.stats().cache_hits, 1u);
-}
-
-TEST(Resolver, CacheKeysIncludeType) {
-  const ZoneDb db = make_zone();
-  Resolver r(db, {.cache_rounds = 5, .timeout_prob = 0.0}, 1);
-  (void)r.resolve("www.example.test", RecordType::kA, 0);
-  const auto aaaa = r.resolve("www.example.test", RecordType::kAaaa, 0);
-  EXPECT_FALSE(aaaa.from_cache);
-  ASSERT_EQ(aaaa.records.size(), 1u);
-  EXPECT_EQ(aaaa.records[0].type, RecordType::kAaaa);
-}
-
-TEST(Resolver, FlushDropsCache) {
-  const ZoneDb db = make_zone();
-  Resolver r(db, {.cache_rounds = 10, .timeout_prob = 0.0}, 1);
-  (void)r.resolve("www.example.test", RecordType::kA, 0);
-  r.flush();
-  EXPECT_FALSE(r.resolve("www.example.test", RecordType::kA, 0).from_cache);
-}
-
 TEST(Resolver, TimeoutInjection) {
-  const ZoneDb db = make_zone();
-  Resolver r(db, {.cache_rounds = 0, .timeout_prob = 1.0}, 1);
-  const auto res = r.resolve("www.example.test", RecordType::kA, 0);
+  CatalogResolver r(small_catalog(), 1.0, 1);
+  const Answer res = r.resolve(site_hostname(first_site(true).id), QueryType::kA, 0);
   EXPECT_EQ(res.rcode, Rcode::kTimeout);
-  EXPECT_EQ(r.stats().timeouts, 1u);
+  EXPECT_FALSE(res.has_answers());
+  EXPECT_EQ(r.timeouts(), 1u);
 }
 
 TEST(Resolver, TimeoutRateApproximatesConfig) {
-  const ZoneDb db = make_zone();
-  Resolver r(db, {.cache_rounds = 0, .timeout_prob = 0.2}, 2);
+  CatalogResolver r(small_catalog(), 0.2, 2);
+  const std::string host = site_hostname(first_site(true).id);
   int timeouts = 0;
   const int n = 5000;
   for (int i = 0; i < n; ++i) {
-    if (r.resolve("www.example.test", RecordType::kA, 0).rcode == Rcode::kTimeout) {
-      ++timeouts;
-    }
+    if (r.resolve(host, QueryType::kA, 0).rcode == Rcode::kTimeout) ++timeouts;
   }
   EXPECT_NEAR(static_cast<double>(timeouts) / n, 0.2, 0.03);
+  EXPECT_EQ(r.timeouts(), static_cast<std::uint64_t>(timeouts));
 }
 
-TEST(Record, TypeNames) {
-  EXPECT_STREQ(record_type_name(RecordType::kA), "A");
-  EXPECT_STREQ(record_type_name(RecordType::kAaaa), "AAAA");
-  EXPECT_STREQ(record_type_name(RecordType::kNs), "NS");
+TEST(SiteCatalog, HostnameRoundTrip) {
+  const web::Site& s = small_catalog().site(123);
+  EXPECT_EQ(site_hostname(s.id), "www.s123.v6mon.test");
+  EXPECT_EQ(parse_site_hostname(site_hostname(s.id)), s.id);
+  CatalogResolver r(small_catalog(), 0.0, 1);
+  EXPECT_EQ(r.resolve("www.example.com", QueryType::kA, 0).rcode, Rcode::kNxDomain);
+  EXPECT_EQ(r.resolve("www.s99999999.v6mon.test", QueryType::kA, 0).rcode,
+            Rcode::kNxDomain);
+}
+
+TEST(ParseSiteHostname, Cases) {
+  EXPECT_EQ(*parse_site_hostname("www.s0.v6mon.test"), 0u);
+  EXPECT_EQ(*parse_site_hostname("www.s42.v6mon.test"), 42u);
+  EXPECT_FALSE(parse_site_hostname("www.s.v6mon.test").has_value());
+  EXPECT_FALSE(parse_site_hostname("www.sX.v6mon.test").has_value());
+  EXPECT_FALSE(parse_site_hostname("s42.v6mon.test").has_value());
+  EXPECT_FALSE(parse_site_hostname("www.s42.other.test").has_value());
+  EXPECT_FALSE(parse_site_hostname("").has_value());
+}
+
+TEST(CatalogDnsBackend, AnswersTrackAdoptionRound) {
+  const web::SiteCatalog& cat = small_catalog();
+  CatalogResolver resolver(cat, 0.0, 11);
+
+  // Find a site that adopts v6 mid-campaign.
+  const web::Site* mid = nullptr;
+  for (const web::Site& s : cat.sites()) {
+    if (s.v6_from_round != web::kNever && s.v6_from_round > 2 &&
+        s.v6_from_round <= cat.params().num_rounds) {
+      mid = &s;
+      break;
+    }
+  }
+  ASSERT_NE(mid, nullptr) << "no mid-campaign adopter generated";
+  const std::string host = site_hostname(mid->id);
+
+  const Answer before = resolver.resolve(host, QueryType::kAaaa, mid->v6_from_round - 1);
+  EXPECT_EQ(before.rcode, Rcode::kOk);
+  EXPECT_FALSE(before.has_answers());
+  const Answer after = resolver.resolve(host, QueryType::kAaaa, mid->v6_from_round);
+  ASSERT_TRUE(after.aaaa.has_value());
+  EXPECT_EQ(*after.aaaa, mid->v6_addr);
+  const Answer a = resolver.resolve(host, QueryType::kA, 0);
+  ASSERT_TRUE(a.a.has_value());
+  EXPECT_EQ(*a.a, mid->v4_addr);
+  const Answer nx = resolver.resolve("www.unknown.test", QueryType::kA, 0);
+  EXPECT_EQ(nx.rcode, Rcode::kNxDomain);
 }
 
 }  // namespace
-}  // namespace v6mon::dns
+}  // namespace v6mon::dns_ref

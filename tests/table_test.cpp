@@ -1,6 +1,7 @@
 #include "util/table.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -67,6 +68,13 @@ TEST(WriteFile, CreatesParentsAndWrites) {
                       std::istreambuf_iterator<char>());
   EXPECT_EQ(content, "a,b\n1,2\n");
   std::filesystem::remove_all(dir);
+}
+
+// A short write sits in the stream's buffer until the file closes, so
+// only the final flush can see the device fail.
+TEST(WriteFile, ReportsAFailedFinalFlush) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no writable /dev/full";
+  EXPECT_FALSE(write_file("/dev/full", "hello,world\n"));
 }
 
 }  // namespace
