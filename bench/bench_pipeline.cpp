@@ -247,9 +247,9 @@ BENCHMARK(BM_CampaignMultiVp)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
     ->MinTime(1.0);
 
 /// The measurement kernel in isolation: one family's repeat-until-CI
-/// download loop (batched simulate + precomputed gate table), over a
-/// representative dual-stack path. Each iteration uses a fresh per-key
-/// RNG stream, like a (site, round) would.
+/// download loop (one simulate_prepared per attempt + precomputed gate
+/// table), over a representative dual-stack path. Each iteration uses a
+/// fresh per-key RNG stream, like a (site, round) would.
 void BM_MeasureFamily(benchmark::State& state) {
   const core::World& world = shared_world();
   const core::CampaignConfig cfg = scenario::paper_campaign_config(bench_seed());

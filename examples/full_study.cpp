@@ -6,9 +6,11 @@
 // Usage: full_study [--metrics] [--config FILE] [--fallback MODE]
 //                   [seed] [scale] [sink]
 //   --metrics: enable the obs:: observability layer; prints the stage /
-//   counter summary and writes full_study_out/metrics.json. Off by
-//   default — a metrics-off run is bit-identical with or without this
-//   binary's instrumentation compiled in.
+//   counter summary and writes full_study_out/metrics.json, led by a
+//   manifest (seed, scale, config, campaign threads, build type, CPU
+//   count and git revision). Off by default — a metrics-off run is
+//   bit-identical with or without this binary's instrumentation
+//   compiled in.
 //   --config FILE: load a scenario file (scenario/config_loader.h) as the
 //   run's baseline. Precedence: paper defaults < scenario file <
 //   positional arguments.
@@ -26,6 +28,9 @@
 // it (analysis/paper_reference.h). Exit status: 0 on success, 2 on bad
 // arguments or configuration, 1 when an output file cannot be written.
 
+#include <sched.h>
+
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -110,6 +115,21 @@ bool dump_observations(const core::ResultsDb& db, const std::string& name) {
     return false;
   }
   return true;
+}
+
+/// The CPUs this process may run on (its affinity mask) as JSON text;
+/// null when the mask cannot be read.
+std::string affinity_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) != 0) return "null";
+  return std::to_string(CPU_COUNT(&set));
+}
+
+/// The shortest decimal that reads back as `v`.
+std::string shortest(double v) {
+  char buf[32];
+  return {buf, std::to_chars(buf, buf + sizeof buf, v).ptr};
 }
 
 }  // namespace
@@ -279,7 +299,17 @@ int main(int argc, char** argv) try {
     const std::string path = "full_study_out/metrics.json";
     std::ofstream out(path);
     if (!out) throw IoError("cannot open " + path);
-    metrics.write_json(out);
+    // Keys as in bench/study/run.py's results manifest.
+    const obs::ExportManifest manifest = {
+        {"seed", std::to_string(seed)},
+        {"scale", shortest(scale)},
+        {"config", config_path != nullptr ? obs::json_quote(config_path) : "null"},
+        {"threads", std::to_string(campaign.config().threads)},
+        {"build_type", obs::json_quote(obs::build_type())},
+        {"nproc", affinity_cpus()},
+        {"git_rev", obs::json_quote(obs::git_revision())},
+    };
+    metrics.write_json(out, manifest);
     std::printf("metrics written to %s\n", path.c_str());
   }
 

@@ -113,16 +113,6 @@ void record_conn_metrics(const transport::ConnOutcome& o) {
   }
 }
 
-/// Per-worker batch scratch for measure_family: overwritten in full by
-/// each simulate_batch call before being read, never escapes the call,
-/// and carries no state between samples — results stay a pure function
-/// of the per-(site, round) RNG stream.
-// V6MON_LINT_ALLOW(D004): worker-private sampling scratch; fully
-// rewritten before every read and never observable outside one
-// measure_family call, so it cannot carry cross-site or cross-thread
-// state into any output.
-thread_local std::vector<transport::DownloadResult> t_batch_scratch;
-
 /// RAII flush of locally accumulated download counters: monitor_site has
 /// many early returns, and every one must still publish the tally.
 struct TallyFlusher {
@@ -167,37 +157,19 @@ Monitor::FamilyMeasurement Monitor::measure_family(
     transport::DownloadTally& tally) const {
   FamilyMeasurement m;
   util::RunningStats times;
-  std::size_t attempts = 0;
   const std::size_t max_attempts = config_.max_downloads + config_.fetch_retries;
-  std::vector<transport::DownloadResult>& scratch = t_batch_scratch;
-  if (scratch.size() < config_.min_downloads) scratch.resize(config_.min_downloads);
-  while (attempts < max_attempts) {
-    // Below min_downloads no stopping check can fire, so those attempts
-    // run as one batch; the batch size is chosen so the sample count can
-    // only *reach* min_downloads on the batch's last attempt — the CI is
-    // checked at exactly the points the per-sample loop checked it, and
-    // the draw stream is n back-to-back simulate calls either way.
-    const std::size_t want = times.count() < config_.min_downloads
-                                 ? config_.min_downloads - times.count()
-                                 : 1;
-    const std::size_t batch = std::min(want, max_attempts - attempts);
-    const std::size_t ok = sim_.simulate_batch(
-        prep, batch, rng,
-        std::span<transport::DownloadResult>(scratch.data(), batch), tally);
-    attempts += batch;
-    if (ok == 0) continue;
-    for (std::size_t i = 0; i < batch; ++i) {
-      if (scratch[i].ok) times.add(scratch[i].seconds);
-    }
-    if (times.count() >= config_.min_downloads) {
-      const bool ci_ok = gates_.meets(times);
-      if (ci_ok || times.count() >= config_.max_downloads) {
-        // The paper's CI loop can give up at the budget without reaching
-        // the 10%-of-mean target; count those so campaigns can see how
-        // often the stopping rule is the budget rather than the CI.
-        if (!ci_ok) obs::metrics().add(monitor_metric_ids().ci_exhausted);
-        break;
-      }
+  for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
+    const transport::DownloadResult r = sim_.simulate_prepared(prep, rng, tally);
+    if (!r.ok) continue;
+    times.add(r.seconds);
+    if (times.count() < config_.min_downloads) continue;
+    const bool ci_ok = gates_.meets(times);
+    if (ci_ok || times.count() >= config_.max_downloads) {
+      // The paper's CI loop can give up at the budget without reaching
+      // the 10%-of-mean target; count those so campaigns can see how
+      // often the stopping rule is the budget rather than the CI.
+      if (!ci_ok) obs::metrics().add(monitor_metric_ids().ci_exhausted);
+      break;
     }
   }
   if (times.count() < config_.min_downloads) return m;  // too many failures

@@ -87,18 +87,16 @@ struct QueryLoss {
 ///
 /// `monitor_site` is a pure function of (site, round, loss, rng) given the
 /// immutable world, so results are identical however sites are scheduled
-/// across threads.
-/// Per-vantage-point measurement pipeline. Confinement audit (ISSUE 10,
-/// DESIGN.md §15): a Monitor belongs to exactly one VP, and the campaign
-/// runs that VP's rounds as one chain on one thread — so even though
-/// *different* VPs' rounds overlap in time, no Monitor is ever entered
-/// by two rounds concurrently, and the intra-round rules below are the
-/// only concurrency this class sees. Everything it shares across VPs is
-/// either immutable for the duration of a round (the World — mutated
-/// only between epoch segments, while no chain runs) or internally
-/// synchronized per-instance state that no other VP can reach (the
-/// resolved-site table and fallback tally are members, one set per
-/// Monitor, one Monitor per VP).
+/// across threads. Confinement audit (DESIGN.md §15): a Monitor belongs
+/// to exactly one VP, and the campaign runs that VP's rounds as one
+/// chain on one thread — so even though *different* VPs' rounds overlap
+/// in time, no Monitor is ever entered by two rounds concurrently, and
+/// the intra-round rules below are the only concurrency this class sees.
+/// Everything it shares across VPs is either immutable for the duration
+/// of a round (the World — mutated only between epoch segments, while no
+/// chain runs) or internally synchronized per-instance state that no
+/// other VP can reach (the resolved-site table and fallback tally are
+/// members, one set per Monitor, one Monitor per VP).
 class Monitor {
  public:
   Monitor(const World& world, const VantagePoint& vp, MonitorConfig config);
@@ -188,10 +186,13 @@ class Monitor {
     std::uint16_t samples = 0;
   };
 
-  /// Repeated downloads until the confidence target; nullopt-like failure
-  /// when too many attempts fail. Batched kernel: samples come from
-  /// simulate_batch into per-worker scratch, the CI check is the
-  /// precomputed gate table, and attempt/failure counts accumulate in
+  /// The Fig. 2 CI loop for one family: one `simulate_prepared` per
+  /// attempt, and after each success, once `min_downloads` have
+  /// succeeded, a stop when the precomputed CI gate passes or
+  /// `max_downloads` samples are in. Up to `fetch_retries` failed
+  /// attempts are tolerated beyond `max_downloads` (at most
+  /// max_downloads + fetch_retries attempts); `ok` is false when fewer
+  /// than `min_downloads` succeed. Attempt/failure counts accumulate in
   /// `tally` (the caller flushes once). Public only for the microbench
   /// and tests; not a stable API.
   FamilyMeasurement measure_family(const transport::PreparedDownload& prep,

@@ -74,7 +74,17 @@ void append_json_string(std::string& out, std::string_view s) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
-      default: out += c; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          // Other control characters are not allowed raw in a JSON string.
+          constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[(c >> 4) & 0xf];
+          out += kHex[c & 0xf];
+        } else {
+          out += c;
+        }
+        break;
     }
   }
   out += '"';
@@ -88,6 +98,16 @@ std::string format_double(double v) {
 }
 
 }  // namespace
+
+std::string json_quote(std::string_view s) {
+  std::string out;
+  append_json_string(out, s);
+  return out;
+}
+
+const char* build_type() { return V6MON_BUILD_TYPE; }
+
+const char* git_revision() { return V6MON_GIT_REVISION; }
 
 MetricsRegistry::MetricsRegistry() : id_(next_registry_id()) {
   for (const char* name : kCounterNames) (void)counter(name);
@@ -284,7 +304,7 @@ std::string MetricsRegistry::counters_json() {
   return out;
 }
 
-std::string MetricsRegistry::to_json() {
+std::string MetricsRegistry::to_json(const ExportManifest& manifest) {
   util::LockGuard lock(mu_);
   merge_shards_locked();
 
@@ -296,7 +316,18 @@ std::string MetricsRegistry::to_json() {
   std::vector<std::pair<std::string, double>> gauges = gauges_;
   std::sort(gauges.begin(), gauges.end());
 
-  std::string out = "{\n  \"counters\": {";
+  std::string out = "{\n";
+  if (!manifest.empty()) {
+    out += "  \"manifest\": {";
+    for (std::size_t i = 0; i < manifest.size(); ++i) {
+      out += i ? ",\n    " : "\n    ";
+      append_json_string(out, manifest[i].first);
+      out += ": ";
+      out += manifest[i].second;
+    }
+    out += "\n  },\n";
+  }
+  out += "  \"counters\": {";
   for (std::size_t i = 0; i < counters.size(); ++i) {
     out += i ? ",\n    " : "\n    ";
     append_json_string(out, counters[i].first);
@@ -360,8 +391,8 @@ std::string MetricsRegistry::to_json() {
   return out;
 }
 
-void MetricsRegistry::write_json(std::ostream& out) {
-  out << to_json();
+void MetricsRegistry::write_json(std::ostream& out, const ExportManifest& manifest) {
+  out << to_json(manifest);
   out.flush();
   if (out.fail()) {
     throw IoError("metrics export failed: output stream entered a failed state");

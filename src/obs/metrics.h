@@ -8,6 +8,7 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/table.h"
@@ -23,6 +24,19 @@
 #endif
 
 namespace v6mon::obs {
+
+/// What an export was made from, written first as its top-level
+/// "manifest" object: (key, value) pairs in this order, each value
+/// already JSON text (a number, `null`, or a `json_quote`d string).
+using ExportManifest = std::vector<std::pair<std::string, std::string>>;
+
+/// `s` as a JSON string literal.
+[[nodiscard]] std::string json_quote(std::string_view s);
+
+/// The build type (CMake configuration) and git revision this library was
+/// configured with; the revision is "unknown" outside a git checkout.
+[[nodiscard]] const char* build_type();
+[[nodiscard]] const char* git_revision();
 
 /// The pipeline stages a campaign spends its time in (ISSUE 4 /
 /// DESIGN.md §11). TraceSpan records wall time per stage; the stage set
@@ -159,11 +173,12 @@ class MetricsRegistry {
 
   /// Full export: {"counters":{...},"gauges":{...},"stages":{...}} with
   /// every object's keys sorted (deterministic layout; see the class
-  /// comment for which *values* are comparable). Flushes and checks the
+  /// comment for which *values* are comparable), led by a "manifest"
+  /// object when `manifest` is not empty. Flushes and checks the
   /// stream, throwing v6mon::IoError on failure (truncated metrics are
   /// worse than none).
-  void write_json(std::ostream& out);
-  [[nodiscard]] std::string to_json();
+  void write_json(std::ostream& out, const ExportManifest& manifest = {});
+  [[nodiscard]] std::string to_json(const ExportManifest& manifest = {});
   /// The deterministic subset only: counters + per-stage call counts,
   /// sorted by name — byte-comparable across runs of the same workload.
   [[nodiscard]] std::string counters_json();

@@ -1,10 +1,8 @@
 #include "transport/download.h"
 
 #include <algorithm>
-#include <cstddef>
 
 #include "obs/metrics.h"
-#include "util/contracts.h"
 
 namespace v6mon::transport {
 
@@ -92,86 +90,6 @@ DownloadResult DownloadSimulator::simulate_prepared(const PreparedDownload& prep
   r.kbytes = prep.page_kb;
   r.seconds = prep.fixed_s + prep.page_kb / rate;
   return r;
-}
-
-std::size_t DownloadSimulator::simulate_batch(const PreparedDownload& prep,
-                                              std::size_t n, util::Rng& rng,
-                                              std::span<DownloadResult> out,
-                                              DownloadTally& tally) const {
-  V6MON_REQUIRE(out.size() >= n, "simulate_batch output span too small");
-  tally.attempts += n;
-  if (!prep.valid || params_.failure_prob >= 1.0) {
-    // Matches the scalar short-circuits: neither the invalid-input bail-out
-    // nor chance(p >= 1) consumes a draw.
-    for (std::size_t i = 0; i < n; ++i) out[i] = DownloadResult{};
-    tally.failures += n;
-    return 0;
-  }
-  const double p = params_.failure_prob;
-  const double sigma = params_.noise_sigma;
-  std::size_t ok = 0;
-  constexpr std::size_t kChunk = 32;
-  if (p > 0.0 && sigma > 0.0) {
-    // General case: the scalar stream interleaves one Bernoulli draw and,
-    // on success, one lognormal draw per attempt — the body must stay
-    // per-sample to consume draws in exactly that order.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (rng.chance(p)) {
-        out[i] = DownloadResult{};
-        ++tally.failures;
-        continue;
-      }
-      double rate = prep.base_rate;
-      rate *= util::lognormal_of(rng.polar_pair(), 0.0, sigma);
-      rate = std::max(rate, 0.1);
-      out[i] = DownloadResult{true, prep.fixed_s + prep.page_kb / rate, prep.page_kb};
-      ++ok;
-    }
-  } else if (sigma > 0.0) {
-    // failure_prob == 0: chance() consumes nothing, so the stream is a pure
-    // lognormal block — fill through the Rng block API in stack chunks.
-    double noise[kChunk];
-    for (std::size_t base = 0; base < n; base += kChunk) {
-      const std::size_t m = std::min(kChunk, n - base);
-      rng.fill_lognormal_median(1.0, sigma, std::span<double>(noise, m));
-      for (std::size_t j = 0; j < m; ++j) {
-        double rate = prep.base_rate;
-        rate *= noise[j];
-        rate = std::max(rate, 0.1);
-        out[base + j] =
-            DownloadResult{true, prep.fixed_s + prep.page_kb / rate, prep.page_kb};
-      }
-      ok += m;
-    }
-  } else if (p > 0.0) {
-    // noise_sigma == 0: pure Bernoulli block; the success result is fully
-    // determined by the prepared inputs.
-    const double rate = std::max(prep.base_rate, 0.1);
-    const DownloadResult success{true, prep.fixed_s + prep.page_kb / rate,
-                                 prep.page_kb};
-    std::uint8_t fail[kChunk];
-    for (std::size_t base = 0; base < n; base += kChunk) {
-      const std::size_t m = std::min(kChunk, n - base);
-      rng.fill_chance(p, std::span<std::uint8_t>(fail, m));
-      for (std::size_t j = 0; j < m; ++j) {
-        if (fail[j] != 0) {
-          out[base + j] = DownloadResult{};
-          ++tally.failures;
-        } else {
-          out[base + j] = success;
-          ++ok;
-        }
-      }
-    }
-  } else {
-    // Fully deterministic: no draws at all.
-    const double rate = std::max(prep.base_rate, 0.1);
-    const DownloadResult success{true, prep.fixed_s + prep.page_kb / rate,
-                                 prep.page_kb};
-    for (std::size_t i = 0; i < n; ++i) out[i] = success;
-    ok = n;
-  }
-  return ok;
 }
 
 void DownloadSimulator::flush_tally(const DownloadTally& tally) {

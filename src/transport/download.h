@@ -1,8 +1,6 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <span>
 
 #include "transport/path.h"
 #include "util/rng.h"
@@ -50,9 +48,9 @@ struct PreparedDownload {
   double page_kb = 0.0;
 };
 
-/// Locally accumulated attempt/failure totals. The per-sample metric adds
-/// in `simulate` were ~2 registry calls per download; batched callers
-/// accumulate here and flush once per measurement phase.
+/// Locally accumulated attempt/failure totals. `simulate` makes up to two
+/// registry calls per download; `simulate_prepared` counts here instead,
+/// and its caller flushes once per site (`flush_tally`).
 struct DownloadTally {
   std::uint64_t attempts = 0;
   std::uint64_t failures = 0;
@@ -70,6 +68,9 @@ class DownloadSimulator {
  public:
   explicit DownloadSimulator(DownloadParams params = {}) : params_(params) {}
 
+  /// The scalar reference: one attempt from the raw path, counted in the
+  /// metrics registry. The campaign samples through `simulate_prepared`,
+  /// and tests hold it to this draw for draw.
   [[nodiscard]] DownloadResult simulate(const PathCharacteristics& path,
                                         double page_kb, double server_rate_kBps,
                                         util::Rng& rng) const;
@@ -85,16 +86,6 @@ class DownloadSimulator {
   [[nodiscard]] DownloadResult simulate_prepared(const PreparedDownload& prep,
                                                  util::Rng& rng,
                                                  DownloadTally& tally) const;
-
-  /// `n` attempts written to `out[0..n)`; returns the number of successes.
-  /// The draw stream is exactly `n` back-to-back `simulate` calls: the
-  /// general case keeps the per-attempt Bernoulli/lognormal interleaving,
-  /// while the failure_prob == 0 (pure lognormal block) and
-  /// noise_sigma == 0 (pure Bernoulli block) cases use the Rng block fills.
-  /// Requires out.size() >= n.
-  std::size_t simulate_batch(const PreparedDownload& prep, std::size_t n,
-                             util::Rng& rng, std::span<DownloadResult> out,
-                             DownloadTally& tally) const;
 
   /// Flush locally accumulated totals to the metrics registry.
   static void flush_tally(const DownloadTally& tally);

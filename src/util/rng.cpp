@@ -36,8 +36,6 @@ std::uint64_t Rng::child_seed(std::string_view name, std::uint64_t index) const 
 
 namespace {
 
-double canonical(Mt64Engine& engine) { return word_to_unit(engine()); }
-
 __extension__ typedef unsigned __int128 Wide;
 
 /// Uniform in [0, span]: libstdc++'s uniform_int_distribution over a
@@ -110,7 +108,7 @@ std::size_t Rng::index(std::size_t size) {
 
 double Rng::uniform01() {
   // uniform(0.0, 1.0): the `* 1.0 + 0.0` is the identity on [0, 1).
-  return canonical(engine_);
+  return word_to_unit(engine_());
 }
 
 double Rng::normal(double mean, double stddev) {
@@ -120,37 +118,6 @@ double Rng::normal(double mean, double stddev) {
 double Rng::lognormal_median(double median, double sigma) {
   V6MON_REQUIRE(median > 0.0);
   return lognormal_of(polar_pair(), std::log(median), sigma);
-}
-
-void Rng::fill_lognormal_median(double median, double sigma, std::span<double> out) {
-  V6MON_REQUIRE(median > 0.0);
-  const double mu = std::log(median);
-  for (double& x : out) x = lognormal_of(polar_pair(), mu, sigma);
-}
-
-void Rng::fill_chance(double p, std::span<std::uint8_t> out) {
-  if (p <= 0.0) {
-    for (auto& b : out) b = 0;
-    return;
-  }
-  if (p >= 1.0) {
-    for (auto& b : out) b = 1;
-    return;
-  }
-  for (auto& b : out) b = canonical(engine_) < p ? 1 : 0;
-}
-
-double Rng::exponential(double mean) {
-  V6MON_REQUIRE(mean > 0.0);
-  return -std::log(1.0 - canonical(engine_)) / (1.0 / mean);
-}
-
-double Rng::pareto(double xmin, double alpha) {
-  V6MON_REQUIRE(xmin > 0.0 && alpha > 0.0);
-  double u = uniform01();
-  // Guard against u == 0 which would yield infinity.
-  if (u <= 0.0) u = 1e-300;
-  return xmin / std::pow(u, 1.0 / alpha);
 }
 
 std::uint64_t Rng::zipf(std::uint64_t n, double s) {

@@ -228,24 +228,6 @@ class Rng {
   /// the underlying normal. median = exp(mu).
   double lognormal_median(double median, double sigma);
 
-  /// Block fill: out[i] is the i-th draw of `lognormal_median(median, sigma)`.
-  /// Consumes engine draws in exactly the order of the equivalent scalar
-  /// loop — bit-for-bit identical streams, pinned by the RNG sequence test.
-  /// Each element runs a fresh polar pair and discards its second
-  /// variate, exactly as the scalar call does. Keeping it would halve the
-  /// draws per normal, but would move every golden (ROADMAP item 2).
-  void fill_lognormal_median(double median, double sigma, std::span<double> out);
-
-  /// Block fill of Bernoulli trials: out[i] = chance(p) ? 1 : 0. Consumes
-  /// no draws when p <= 0 or p >= 1, exactly like the scalar call.
-  void fill_chance(double p, std::span<std::uint8_t> out);
-
-  /// Exponential draw with the given mean.
-  double exponential(double mean);
-
-  /// Pareto draw with scale `xmin` and shape `alpha` (> 0).
-  double pareto(double xmin, double alpha);
-
   /// Zipf-like rank draw over [1, n] with exponent s: P(r) ~ 1/r^s.
   /// One uniform draw through the inverse CDF of the continuous 1/x^s
   /// envelope, truncated and clamped to [1, n]; O(1).

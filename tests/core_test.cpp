@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -12,6 +13,7 @@
 #include <sstream>
 #include <streambuf>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -26,8 +28,11 @@
 #include "scenario/evolution.h"
 #include "scenario/paper.h"
 #include "scenario/world_builder.h"
+#include "transport/download.h"
 #include "util/contracts.h"
 #include "util/error.h"
+#include "util/rng.h"
+#include "util/stats.h"
 
 namespace v6mon::core {
 namespace {
@@ -643,6 +648,131 @@ TEST(Monitor, SeparateProviderVpYieldsDivergentPaths) {
   EXPECT_GT(diff, same * 3) << "separate-provider VP should be DP-dominated";
 }
 
+/// What one family's CI loop measures, and what it spent.
+struct ReferenceMeasurement {
+  bool ok = false;
+  double mean_time_s = 0.0;
+  double speed_kBps = 0.0;
+  std::size_t samples = 0;
+  std::uint64_t attempts = 0;
+  std::uint64_t failures = 0;
+};
+
+/// The paper's Fig. 2 loop written out over the scalar sampler: one
+/// `simulate` per attempt, at most max_downloads + fetch_retries
+/// attempts, and the CI gate checked after each success once
+/// min_downloads have succeeded. It stops when the gate passes or
+/// max_downloads samples are in.
+ReferenceMeasurement reference_measure_family(const MonitorConfig& cfg,
+                                              const transport::PathCharacteristics& path,
+                                              double page_kb, double server_rate_kBps,
+                                              util::Rng& rng) {
+  const transport::DownloadSimulator sim(cfg.download);
+  const util::CiGateTable gates(cfg.ci_rel, cfg.confidence, cfg.max_downloads);
+  ReferenceMeasurement m;
+  util::RunningStats times;
+  const std::size_t budget = cfg.max_downloads + cfg.fetch_retries;
+  for (std::size_t attempt = 0; attempt < budget; ++attempt) {
+    ++m.attempts;
+    const transport::DownloadResult r = sim.simulate(path, page_kb, server_rate_kBps, rng);
+    if (!r.ok) {
+      ++m.failures;
+      continue;
+    }
+    times.add(r.seconds);
+    if (times.count() >= cfg.min_downloads &&
+        (gates.meets(times) || times.count() >= cfg.max_downloads)) {
+      break;
+    }
+  }
+  if (times.count() >= cfg.min_downloads) {
+    m.ok = true;
+    m.mean_time_s = times.mean();
+    m.speed_kBps = page_kb / m.mean_time_s;
+    m.samples = times.count();
+  }
+  return m;
+}
+
+TEST(Monitor, MeasureFamilyMatchesScalarReference) {
+  struct Case {
+    const char* name;
+    double failure_prob;
+    double noise_sigma;
+    double ci_rel;
+    std::size_t max_downloads;
+    std::size_t fetch_retries;
+  };
+  const MonitorConfig defaults;
+  const Case cases[] = {
+      {"default", 0.002, 0.12, defaults.ci_rel, defaults.max_downloads,
+       defaults.fetch_retries},
+      {"no_failures", 0.0, 0.12, defaults.ci_rel, defaults.max_downloads,
+       defaults.fetch_retries},
+      {"no_noise", 0.002, 0.0, defaults.ci_rel, defaults.max_downloads,
+       defaults.fetch_retries},
+      {"deterministic", 0.0, 0.0, defaults.ci_rel, defaults.max_downloads,
+       defaults.fetch_retries},
+      // Five attempts for three successes: the budget often runs out.
+      {"budget_runs_out", 0.5, 0.12, defaults.ci_rel, 4, 1},
+      // The gate never passes: max_downloads stops every loop.
+      {"tight_ci", 0.002, 0.12, 0.001, defaults.max_downloads, defaults.fetch_retries},
+  };
+  transport::PathCharacteristics path;
+  path.valid = true;
+  path.rtt_ms = 80.0;
+  path.bottleneck_kBps = 400.0;
+  path.quality = 0.9;
+  constexpr double kPageKb = 30.0;
+  constexpr double kServerRate = 90.0;
+  constexpr std::uint64_t kKeys = 1000;
+  const util::Rng root(2011);
+  const auto& w = small_world().world;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    MonitorConfig cfg;
+    cfg.download.failure_prob = c.failure_prob;
+    cfg.download.noise_sigma = c.noise_sigma;
+    cfg.ci_rel = c.ci_rel;
+    cfg.max_downloads = c.max_downloads;
+    cfg.fetch_retries = c.fetch_retries;
+    const Monitor mon(w, w.vantage_points[1], cfg);
+    const transport::PreparedDownload prep =
+        transport::DownloadSimulator(cfg.download).prepare(path, kPageKb, kServerRate);
+    ASSERT_TRUE(prep.valid);
+    std::uint64_t ok = 0, at_budget = 0;
+    for (std::uint64_t key = 0; key < kKeys; ++key) {
+      SCOPED_TRACE(testing::Message() << "key " << key);
+      util::Rng rng(root.child_seed("measure", key));
+      util::Rng ref_rng(root.child_seed("measure", key));
+      transport::DownloadTally tally;
+      const Monitor::FamilyMeasurement m = mon.measure_family(prep, rng, tally);
+      const ReferenceMeasurement ref =
+          reference_measure_family(cfg, path, kPageKb, kServerRate, ref_rng);
+      ASSERT_EQ(m.ok, ref.ok);
+      ASSERT_EQ(m.samples, ref.samples);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(m.mean_time_s),
+                std::bit_cast<std::uint64_t>(ref.mean_time_s));
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(m.speed_kBps),
+                std::bit_cast<std::uint64_t>(ref.speed_kBps));
+      ASSERT_EQ(tally.attempts, ref.attempts);
+      ASSERT_EQ(tally.failures, ref.failures);
+      ASSERT_EQ(rng.engine()(), ref_rng.engine()());
+      ok += m.ok ? 1 : 0;
+      at_budget += m.samples == c.max_downloads ? 1 : 0;
+    }
+    if (std::string_view(c.name) == "budget_runs_out") {
+      EXPECT_LT(ok, kKeys);
+      EXPECT_GT(ok, 0u);
+    } else if (std::string_view(c.name) == "tight_ci") {
+      EXPECT_EQ(at_budget, ok);
+      EXPECT_GT(ok, 0u);
+    } else {
+      EXPECT_EQ(ok, kKeys);
+    }
+  }
+}
+
 TEST(Campaign, EndToEndSmallWorld) {
   const auto& w = small_world().world;
   CampaignConfig cfg;
@@ -1074,24 +1204,57 @@ TEST(Campaign, DeterministicAcrossThreadCounts) {
 TEST(Campaign, ObservationCsvBytesPinned) {
   // Every other CSV test compares one dump against another, which any
   // formatter change passes trivially. These digests pin the bytes
-  // themselves: a change here is an output-format change.
+  // themselves: a change here is an output-format change. The first
+  // case is the default download model every workload runs; the other
+  // three pin the sampler's corners (no failures, no noise, neither),
+  // which no workload reaches. The two noise-free cases read the same
+  // bytes: every sample is the same number, so the CI gate passes at
+  // min_downloads and a failed attempt moves no recorded field.
+  struct Case {
+    double failure_prob;
+    double noise_sigma;
+    std::uint64_t observations;
+    std::uint64_t w6d;
+  };
+  const transport::DownloadParams defaults;
+  const Case cases[] = {
+      {defaults.failure_prob, defaults.noise_sigma, 0x46c16c4f47ace918ULL,
+       0x351d3a5447e22b87ULL},
+      {0.0, 0.12, 0x1166516be164c1a4ULL, 0x7201b9641750e260ULL},
+      {0.002, 0.0, 0x076cf338f949f7d6ULL, 0xdb6eb2b2ac3591b4ULL},
+      {0.0, 0.0, 0x076cf338f949f7d6ULL, 0xdb6eb2b2ac3591b4ULL},
+  };
   const auto& w = small_world().world;
-  CampaignConfig cfg;
-  cfg.seed = 7;
-  cfg.threads = 2;
-  cfg.w6d_mini_rounds = 3;
-  Campaign campaign(w, cfg);
-  campaign.run();
-  campaign.run_w6d();
-  campaign.finalize();
-  std::string observations, w6d;
-  for (std::size_t vp = 0; vp < w.vantage_points.size(); ++vp) {
-    observations += campaign.results(vp).to_csv();
-    w6d += campaign.w6d_results(vp).to_csv();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "failure_prob=" << c.failure_prob
+                                    << " noise_sigma=" << c.noise_sigma);
+    CampaignConfig cfg;
+    cfg.seed = 7;
+    cfg.threads = 2;
+    cfg.w6d_mini_rounds = 3;
+    cfg.monitor.download.failure_prob = c.failure_prob;
+    cfg.monitor.download.noise_sigma = c.noise_sigma;
+    Campaign campaign(w, cfg);
+    campaign.run();
+    campaign.run_w6d();
+    campaign.finalize();
+    std::string observations, w6d;
+    std::uint64_t measured = 0;
+    for (std::size_t vp = 0; vp < w.vantage_points.size(); ++vp) {
+      const ResultsDb& db = campaign.results(vp);
+      observations += db.to_csv();
+      w6d += campaign.w6d_results(vp).to_csv();
+      for (std::uint32_t r = 0; r < db.rounds(); ++r) {
+        measured += db.round_counters(r).measured;
+      }
+    }
+    // Every case runs the CI loop: a digest over no measured rows would
+    // pin nothing of the sampler.
+    EXPECT_GT(measured, 0u);
+    EXPECT_GT(observations.size(), std::size_t{100'000});
+    EXPECT_EQ(fnv1a64(observations), c.observations) << observations.size() << " bytes";
+    EXPECT_EQ(fnv1a64(w6d), c.w6d) << w6d.size() << " bytes";
   }
-  EXPECT_GT(observations.size(), std::size_t{100'000});
-  EXPECT_EQ(fnv1a64(observations), 0x46c16c4f47ace918ULL) << observations.size() << " bytes";
-  EXPECT_EQ(fnv1a64(w6d), 0x351d3a5447e22b87ULL) << w6d.size() << " bytes";
 }
 
 // finalize() runs the stores in parallel. A store whose spool is gone

@@ -22,8 +22,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
-#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/campaign.h"
@@ -533,18 +533,35 @@ TEST(MeasureLoopFailureEdge, TotalDownloadFailureIsAnExplicitStatus) {
   }
 }
 
+/// transport.downloads / transport.download_failures after `fn` runs with
+/// the registry on.
+std::pair<std::uint64_t, std::uint64_t> download_counters(const auto& fn) {
+  auto& metrics = obs::metrics();
+  metrics.reset();
+  metrics.set_enabled(true);
+  fn();
+  const std::pair<std::uint64_t, std::uint64_t> counts{
+      metrics.counter_value("transport.downloads"),
+      metrics.counter_value("transport.download_failures")};
+  metrics.set_enabled(false);
+  metrics.reset();
+  return counts;
+}
+
 TEST(DownloadTallyParity, BatchedMatchesScalarAttemptForAttempt) {
-  // simulate_batch must account attempts/failures exactly like n scalar
-  // simulate_prepared calls — including the all-fail short-circuit — and
-  // consume the same draw stream (pinned by comparing the results too).
+  // The monitor batches its download counters: n simulate_prepared
+  // attempts count into a DownloadTally that is flushed once. That flush
+  // must add to the registry exactly what n scalar simulate calls add one
+  // attempt at a time — including the all-fail short-circuits — over the
+  // same draw stream (pinned by comparing the results too).
   struct Case {
     double failure_prob, noise_sigma;
     bool valid_prep;
   };
   const Case cases[] = {
       {0.5, 0.2, true},  // interleaved Bernoulli + lognormal
-      {0.0, 0.2, true},  // pure lognormal block
-      {0.5, 0.0, true},  // pure Bernoulli block
+      {0.0, 0.2, true},  // lognormal only
+      {0.5, 0.0, true},  // Bernoulli only
       {0.0, 0.0, true},  // fully deterministic
       {1.0, 0.2, true},  // every attempt fails, draw-free
       {0.1, 0.2, false},  // invalid prepared download
@@ -558,31 +575,36 @@ TEST(DownloadTallyParity, BatchedMatchesScalarAttemptForAttempt) {
     params.noise_sigma = c.noise_sigma;
     const transport::DownloadSimulator sim(params);
     const PathCharacteristics path = live_path(40.0);
-    const transport::PreparedDownload prep =
-        sim.prepare(path, c.valid_prep ? 50.0 : 0.0, 200.0);
+    const double page_kb = c.valid_prep ? 50.0 : 0.0;
+    const transport::PreparedDownload prep = sim.prepare(path, page_kb, 200.0);
     ASSERT_EQ(prep.valid, c.valid_prep);
 
-    constexpr std::size_t kN = 100;  // spans multiple 32-wide block chunks
-    util::Rng scalar_rng(31), batch_rng(31);
-    transport::DownloadTally scalar_tally, batch_tally;
-    std::vector<transport::DownloadResult> scalar_out(kN), batch_out(kN);
-    std::size_t scalar_ok = 0;
-    for (std::size_t i = 0; i < kN; ++i) {
-      scalar_out[i] = sim.simulate_prepared(prep, scalar_rng, scalar_tally);
-      if (scalar_out[i].ok) ++scalar_ok;
-    }
-    const std::size_t batch_ok = sim.simulate_batch(
-        prep, kN, batch_rng, std::span<transport::DownloadResult>(batch_out),
-        batch_tally);
+    constexpr std::size_t kN = 100;
+    util::Rng scalar_rng(31), prepared_rng(31);
+    std::vector<transport::DownloadResult> scalar_out(kN), prepared_out(kN);
+    const auto scalar = download_counters([&] {
+      for (std::size_t i = 0; i < kN; ++i) {
+        scalar_out[i] = sim.simulate(path, page_kb, 200.0, scalar_rng);
+      }
+    });
+    transport::DownloadTally tally;
+    const auto prepared = download_counters([&] {
+      for (std::size_t i = 0; i < kN; ++i) {
+        prepared_out[i] = sim.simulate_prepared(prep, prepared_rng, tally);
+      }
+      transport::DownloadSimulator::flush_tally(tally);
+    });
 
-    EXPECT_EQ(scalar_ok, batch_ok);
-    EXPECT_EQ(scalar_tally.attempts, batch_tally.attempts);
-    EXPECT_EQ(scalar_tally.failures, batch_tally.failures);
-    EXPECT_EQ(scalar_tally.attempts, kN);
-    EXPECT_EQ(scalar_tally.failures, kN - scalar_ok);
+    std::size_t scalar_ok = 0;
+    for (const transport::DownloadResult& r : scalar_out) scalar_ok += r.ok ? 1 : 0;
+    EXPECT_EQ(scalar.first, kN);
+    EXPECT_EQ(scalar.second, kN - scalar_ok);
+    EXPECT_EQ(prepared, scalar);
+    EXPECT_EQ(tally.attempts, kN);
+    EXPECT_EQ(tally.failures, kN - scalar_ok);
     for (std::size_t i = 0; i < kN; ++i) {
-      EXPECT_EQ(scalar_out[i].ok, batch_out[i].ok) << "attempt " << i;
-      EXPECT_DOUBLE_EQ(scalar_out[i].seconds, batch_out[i].seconds)
+      EXPECT_EQ(scalar_out[i].ok, prepared_out[i].ok) << "attempt " << i;
+      EXPECT_DOUBLE_EQ(scalar_out[i].seconds, prepared_out[i].seconds)
           << "attempt " << i;
     }
   }

@@ -3,6 +3,7 @@
 // status on bad arguments and on an unwritable table CSV.
 
 #include <gtest/gtest.h>
+#include <sched.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -76,6 +77,24 @@ TEST_F(FullStudy, PaperRunPrintsEveryArtifactWithItsReference) {
     EXPECT_NE(section.find(ref.paper), std::string::npos) << ref.title;
     EXPECT_TRUE(fs::is_regular_file(dir_ / "full_study_out" / ref.csv)) << ref.csv;
   }
+}
+
+TEST_F(FullStudy, MetricsExportLeadsWithManifest) {
+  const Outcome r = run("--metrics 2011 0.1");
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  const std::string json = slurp(dir_ / "full_study_out" / "metrics.json");
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof set, &set), 0);
+  const std::string head = "{\n  \"manifest\": {\n    \"seed\": 2011,\n    \"scale\": 0.1,\n"
+                           "    \"config\": null,\n    \"threads\": ";
+  ASSERT_EQ(json.rfind(head, 0), 0u) << json.substr(0, 300);
+  const std::string manifest = json.substr(0, json.find("\n  },"));
+  EXPECT_NE(manifest.find("\n    \"build_type\": \""), std::string::npos) << manifest;
+  EXPECT_NE(manifest.find("\n    \"nproc\": " + std::to_string(CPU_COUNT(&set)) + ",\n"),
+            std::string::npos)
+      << manifest;
+  EXPECT_NE(manifest.find("\n    \"git_rev\": \""), std::string::npos) << manifest;
 }
 
 TEST_F(FullStudy, BadPositionalArgumentsExitTwo) {

@@ -165,6 +165,22 @@ TEST(Metrics, CountersJsonIsSortedAndCoversAllStages) {
   }
 }
 
+TEST(Metrics, ManifestLeadsTheExport) {
+  obs::MetricsRegistry reg;
+  const obs::ExportManifest manifest = {
+      {"seed", "2011"}, {"config", "null"}, {"path", obs::json_quote("a\"b\\c\td")}};
+  const std::string json = reg.to_json(manifest);
+  EXPECT_EQ(json.rfind("{\n  \"manifest\": {\n    \"seed\": 2011,\n    \"config\": null,\n"
+                       "    \"path\": \"a\\\"b\\\\c\\u0009d\"\n  },\n  \"counters\": {",
+                       0),
+            0u)
+      << json.substr(0, 120);
+  // Without a manifest the layout is unchanged.
+  EXPECT_EQ(reg.to_json().rfind("{\n  \"counters\": {", 0), 0u);
+  EXPECT_EQ(reg.to_json(manifest).substr(json.find("  \"counters\"")),
+            reg.to_json().substr(2));
+}
+
 TEST(Metrics, WriteJsonSurfacesFailedStream) {
   obs::MetricsRegistry reg;
   FailingStreambuf buf;

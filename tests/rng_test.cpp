@@ -145,13 +145,6 @@ TEST(Rng, LognormalMedian) {
   for (double x : xs) EXPECT_GT(x, 0.0);
 }
 
-TEST(Rng, ParetoBounds) {
-  Rng r(7);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_GE(r.pareto(2.0, 1.5), 2.0);
-  }
-}
-
 TEST(Rng, ZipfRangeAndSkew) {
   Rng r(8);
   std::map<std::uint64_t, int> counts;
@@ -189,14 +182,6 @@ TEST(Rng, ShuffleSmall) {
   std::vector<int> one{42};
   r.shuffle(one);
   EXPECT_EQ(one[0], 42);
-}
-
-TEST(Rng, ExponentialMean) {
-  Rng r(12);
-  double sum = 0.0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) sum += r.exponential(3.0);
-  EXPECT_NEAR(sum / n, 3.0, 0.1);
 }
 
 TEST(Mt64Engine, MatchesStdMt19937_64) {
@@ -271,20 +256,6 @@ TEST(Mt64Engine, LazySeedingMatchesStdAtEveryStreamLength) {
   }
 }
 
-TEST(Rng, FillLognormalMatchesScalarDrawForDraw) {
-  // The block fill consumes engine draws in exactly the scalar order:
-  // every element is bit-identical and the streams stay aligned after.
-  Rng block(2024);
-  Rng scalar(2024);
-  double out[37];
-  block.fill_lognormal_median(3.0, 0.25, out);
-  for (double x : out) {
-    ASSERT_EQ(x, scalar.lognormal_median(3.0, 0.25));
-  }
-  EXPECT_EQ(block.uniform_u64(0, ~std::uint64_t{0}),
-            scalar.uniform_u64(0, ~std::uint64_t{0}));
-}
-
 // The site catalog runs every polar loop in its serial pass, keeps the
 // accepted pairs, and finishes the lognormals later on other threads.
 // Pair + lognormal_of must be lognormal_median bit for bit, and the
@@ -329,33 +300,6 @@ TEST(Rng, PolarPairFinishesToLognormalDrawForDraw) {
   }
 }
 
-TEST(Rng, FillChanceMatchesScalarDrawForDraw) {
-  for (const double p : {0.3, 0.7}) {
-    Rng block(31);
-    Rng scalar(31);
-    std::uint8_t out[41];
-    block.fill_chance(p, out);
-    for (std::uint8_t b : out) {
-      ASSERT_EQ(b != 0, scalar.chance(p));
-    }
-    EXPECT_EQ(block.uniform_u64(0, ~std::uint64_t{0}),
-              scalar.uniform_u64(0, ~std::uint64_t{0}));
-  }
-}
-
-TEST(Rng, FillChanceDegenerateProbabilitiesConsumeNoDraws) {
-  for (const double p : {-1.0, 0.0, 1.0, 2.0}) {
-    Rng block(55);
-    Rng untouched(55);
-    std::uint8_t out[9];
-    block.fill_chance(p, out);
-    const std::uint8_t expected = p >= 1.0 ? 1 : 0;
-    for (std::uint8_t b : out) EXPECT_EQ(b, expected);
-    EXPECT_EQ(block.uniform_u64(0, ~std::uint64_t{0}),
-              untouched.uniform_u64(0, ~std::uint64_t{0}));
-  }
-}
-
 // --- In-repo distributions against libstdc++ -----------------------------
 //
 // Rng implements each distribution itself, after libstdc++ 12's algorithm
@@ -391,7 +335,7 @@ TEST(RngEquivalence, EveryDistributionMatchesStdBitForBit) {
     for (int draw = 0; draw < 400; ++draw) {
       const std::uint64_t h = mix(pick);
       const std::uint64_t h2 = mix(pick);
-      const auto op = static_cast<int>(h % 14);
+      const auto op = static_cast<int>(h % 11);
       const auto frac = static_cast<double>(h2 >> 11) * 0x1p-53;  // [0, 1)
       SCOPED_TRACE(::testing::Message() << "seed=" << seed << " draw=" << draw
                                         << " op=" << op);
@@ -463,36 +407,6 @@ TEST(RngEquivalence, EveryDistributionMatchesStdBitForBit) {
           ASSERT_TRUE(same_bits(
               rng.lognormal_median(median, sigma),
               std::lognormal_distribution<double>(std::log(median), sigma)(ref)));
-          break;
-        }
-        case 10: {
-          const double mean = 0.001 + 100.0 * frac;
-          ASSERT_TRUE(same_bits(rng.exponential(mean),
-                                std::exponential_distribution<double>(1.0 / mean)(ref)));
-          break;
-        }
-        case 11: {
-          const double sigma = 0.05 + frac;
-          const double mu = std::log(1.0 + static_cast<double>(h % 100));
-          double out[8];
-          const std::size_t n = 1 + h2 % 8;
-          rng.fill_lognormal_median(1.0 + static_cast<double>(h % 100), sigma,
-                                    std::span<double>(out, n));
-          for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_TRUE(
-                same_bits(out[i], std::lognormal_distribution<double>(mu, sigma)(ref)))
-                << "element " << i;
-          }
-          break;
-        }
-        case 12: {
-          std::uint8_t out[8];
-          const std::size_t n = 1 + h2 % 8;
-          const double p = (h2 & 8) != 0 ? frac : static_cast<double>(h % 3) - 0.5;
-          rng.fill_chance(p, std::span<std::uint8_t>(out, n));
-          for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_EQ(out[i] != 0, std_chance(p, ref)) << "element " << i << " p=" << p;
-          }
           break;
         }
         default: {  // Raw words stay aligned.
@@ -569,12 +483,6 @@ TEST(RngKnownAnswers, FirstDrawsAtSeed2011) {
     expect_doubles("lognormal_median", [&] { return r.lognormal_median(5.0, 0.5); },
                    {0x1.b68fb95291eaap+2, 0x1.71370be47d3ffp+2, 0x1.657f0b0ede7dp+2,
                     0x1.c58977a12048dp+1});
-  }
-  {
-    Rng r(kSeed);
-    expect_doubles("exponential", [&] { return r.exponential(3.0); },
-                   {0x1.517408a745e72p-1, 0x1.dd2e89142354ap+1, 0x1.894b5bbcd5983p+2,
-                    0x1.30ae741cdd558p+2});
   }
 }
 

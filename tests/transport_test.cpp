@@ -208,7 +208,7 @@ TEST(DownloadSimulator, TunnelArtifactProperty) {
   EXPECT_GT(native_speed, tunnel_speed * 1.3);
 }
 
-/// A realistic dual-stack-ish path for the batch-equivalence tests.
+/// A realistic dual-stack-ish path for the sampler-equivalence tests.
 PathCharacteristics batch_test_path() {
   PathCharacteristics pc;
   pc.valid = true;
@@ -218,12 +218,11 @@ PathCharacteristics batch_test_path() {
   return pc;
 }
 
-/// simulate_batch must be draw-for-draw and bit-for-bit identical to n
-/// back-to-back simulate() calls on a same-seeded Rng — that equality is
-/// what lets the monitor batch the download loop without perturbing the
-/// campaign byte-identity contract. Checked across all four kernel
-/// branches (interleaved, pure-lognormal block, pure-Bernoulli block,
-/// fully deterministic), with n crossing the internal chunk size.
+/// A batch of simulate_prepared attempts must be draw-for-draw and
+/// bit-for-bit identical to as many back-to-back simulate() calls on a
+/// same-seeded Rng: that equality is what lets the monitor's CI loop
+/// sample from a prepared download without moving a campaign byte.
+/// Checked with and without failures and noise.
 TEST(DownloadSimulator, BatchMatchesPerCallSimulate) {
   struct Case {
     const char* name;
@@ -231,8 +230,8 @@ TEST(DownloadSimulator, BatchMatchesPerCallSimulate) {
     double noise_sigma;
   };
   for (const Case c : {Case{"interleaved", 0.3, 0.12},
-                       Case{"lognormal_block", 0.0, 0.12},
-                       Case{"bernoulli_block", 0.3, 0.0},
+                       Case{"lognormal_only", 0.0, 0.12},
+                       Case{"bernoulli_only", 0.3, 0.0},
                        Case{"deterministic", 0.0, 0.0}}) {
     DownloadParams params;
     params.failure_prob = c.failure_prob;
@@ -244,27 +243,28 @@ TEST(DownloadSimulator, BatchMatchesPerCallSimulate) {
     const PreparedDownload prep = sim.prepare(path, page_kb, server_rate);
     ASSERT_TRUE(prep.valid);
 
-    constexpr std::size_t kAttempts = 50;  // crosses the 32-wide chunk
-    util::Rng batch_rng(5);
+    constexpr std::size_t kAttempts = 50;
+    util::Rng prepared_rng(5);
     util::Rng scalar_rng(5);
-    DownloadResult out[kAttempts];
     DownloadTally tally;
-    const std::size_t ok = sim.simulate_batch(prep, kAttempts, batch_rng, out, tally);
-
-    std::size_t scalar_ok = 0;
+    std::size_t ok = 0;
     for (std::size_t i = 0; i < kAttempts; ++i) {
+      const DownloadResult got = sim.simulate_prepared(prep, prepared_rng, tally);
       const DownloadResult ref = sim.simulate(path, page_kb, server_rate, scalar_rng);
-      ASSERT_EQ(out[i].ok, ref.ok) << c.name << " attempt " << i;
-      ASSERT_EQ(out[i].seconds, ref.seconds) << c.name << " attempt " << i;
-      ASSERT_EQ(out[i].kbytes, ref.kbytes) << c.name << " attempt " << i;
-      scalar_ok += ref.ok ? 1 : 0;
+      ASSERT_EQ(got.ok, ref.ok) << c.name << " attempt " << i;
+      ASSERT_EQ(got.seconds, ref.seconds) << c.name << " attempt " << i;
+      ASSERT_EQ(got.kbytes, ref.kbytes) << c.name << " attempt " << i;
+      ok += got.ok ? 1 : 0;
     }
-    EXPECT_EQ(ok, scalar_ok) << c.name;
+    if (c.failure_prob > 0.0) {
+      EXPECT_GT(ok, 0u) << c.name;
+      EXPECT_LT(ok, kAttempts) << c.name;
+    }
     EXPECT_EQ(tally.attempts, kAttempts) << c.name;
     EXPECT_EQ(tally.failures, kAttempts - ok) << c.name;
-    // Streams stay aligned: the next draw after the batch matches the
-    // next draw after the scalar loop.
-    EXPECT_EQ(batch_rng.uniform_u64(0, ~std::uint64_t{0}),
+    // Streams stay aligned: the next draw after the prepared attempts
+    // matches the next draw after the scalar loop.
+    EXPECT_EQ(prepared_rng.uniform_u64(0, ~std::uint64_t{0}),
               scalar_rng.uniform_u64(0, ~std::uint64_t{0}))
         << c.name;
   }
@@ -275,10 +275,8 @@ TEST(DownloadSimulator, BatchInvalidPrepFailsWithoutDraws) {
   const PreparedDownload invalid;  // valid == false
   util::Rng rng(3);
   util::Rng untouched(3);
-  DownloadResult out[8];
   DownloadTally tally;
-  EXPECT_EQ(sim.simulate_batch(invalid, 8, rng, out, tally), 0u);
-  for (const DownloadResult& r : out) EXPECT_FALSE(r.ok);
+  for (int i = 0; i < 8; ++i) EXPECT_FALSE(sim.simulate_prepared(invalid, rng, tally).ok);
   EXPECT_EQ(tally.attempts, 8u);
   EXPECT_EQ(tally.failures, 8u);
   EXPECT_EQ(rng.uniform_u64(0, ~std::uint64_t{0}),
@@ -293,9 +291,9 @@ TEST(DownloadSimulator, BatchCertainFailureConsumesNoDraws) {
   ASSERT_TRUE(prep.valid);
   util::Rng rng(3);
   util::Rng untouched(3);
-  DownloadResult out[8];
   DownloadTally tally;
-  EXPECT_EQ(sim.simulate_batch(prep, 8, rng, out, tally), 0u);
+  for (int i = 0; i < 8; ++i) EXPECT_FALSE(sim.simulate_prepared(prep, rng, tally).ok);
+  EXPECT_EQ(tally.attempts, 8u);
   EXPECT_EQ(tally.failures, 8u);
   EXPECT_EQ(rng.uniform_u64(0, ~std::uint64_t{0}),
             untouched.uniform_u64(0, ~std::uint64_t{0}));
