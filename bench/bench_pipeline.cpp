@@ -346,20 +346,20 @@ const core::ResultsDb& observation_store() {
   static const std::unique_ptr<const core::ResultsDb> db = [] {
     auto store = std::make_unique<core::ResultsDb>();
     util::Rng rng(bench_seed());
-    std::vector<core::PathId> pool(6000);
+    std::vector<core::RouteId> pool(6000);
     std::vector<topo::Asn> hops;
-    for (core::PathId& id : pool) {
+    for (core::RouteId& id : pool) {
       hops.resize(static_cast<std::size_t>(rng.uniform_int(2, 6)));
       for (topo::Asn& a : hops) a = rng.uniform_u32(1, 4000);
-      id = store->paths().intern(hops);
+      id = store->paths().intern_route(hops.back(), hops);
     }
     const core::MonitorStatus other[] = {
         core::MonitorStatus::kDnsFailed, core::MonitorStatus::kV6Only,
         core::MonitorStatus::kV6DownloadFailed, core::MonitorStatus::kDifferentContent};
     for (std::uint32_t site = 0; site < 25'000; ++site) {
-      const core::PathId v4 = pool[rng.zipf(pool.size(), 1.0) - 1];
-      const core::PathId v6 = pool[rng.zipf(pool.size(), 1.0) - 1];
-      for (std::uint32_t round = 0; round < 40; ++round) {
+      const core::RouteId v4 = pool[rng.zipf(pool.size(), 1.0) - 1];
+      const core::RouteId v6 = pool[rng.zipf(pool.size(), 1.0) - 1];
+      for (std::uint16_t round = 0; round < 40; ++round) {
         core::Observation o;
         o.site = site;
         o.round = round;
@@ -370,10 +370,8 @@ const core::ResultsDb& observation_store() {
           o.v6_speed_kBps = static_cast<float>(rng.lognormal_median(250.0, 1.2));
           o.v4_samples = static_cast<std::uint16_t>(rng.uniform_int(3, 40));
           o.v6_samples = static_cast<std::uint16_t>(rng.uniform_int(3, 40));
-          o.v4_path = v4;
-          o.v6_path = v6;
-          o.v4_origin = store->paths().path(v4).back();
-          o.v6_origin = store->paths().path(v6).back();
+          o.v4_route = v4;
+          o.v6_route = v6;
         }
         store->add(o);
       }

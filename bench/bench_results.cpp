@@ -56,9 +56,11 @@ void ingest_rows(core::ObservationSink& sink,
   // Resolve the working set once per lane (ids are lane-local in the
   // sharded backends): ~1% of the loop's work, like a campaign's warmed
   // intern cache.
-  std::vector<core::PathId> ids;
+  std::vector<core::RouteId> ids;
   ids.reserve(pool.size());
-  for (const auto& path : pool) ids.push_back(lane.paths().intern(path));
+  for (const auto& path : pool) {
+    ids.push_back(lane.paths().intern_route(path.back(), path));
+  }
 
   core::Observation o;
   o.status = core::MonitorStatus::kMeasured;
@@ -66,17 +68,15 @@ void ingest_rows(core::ObservationSink& sink,
   o.v6_speed_kBps = 95.0f;
   o.v4_samples = 5;
   o.v6_samples = 5;
-  o.v4_origin = 7;
-  o.v6_origin = 9;
   std::size_t p4 = static_cast<std::size_t>(tid) % ids.size();
   std::size_t p6 = (p4 + 1) % ids.size();
-  std::uint32_t round = 0;
+  std::uint16_t round = 0;
   const std::uint32_t base = static_cast<std::uint32_t>(tid) * kRowsPerThread;
   for (std::uint32_t i = 0; i < kRowsPerThread; ++i) {
     o.site = base + i;
     o.round = round;
-    o.v4_path = ids[p4];
-    o.v6_path = ids[p6];
+    o.v4_route = ids[p4];
+    o.v6_route = ids[p6];
     lane.record(o);
     lane.count(round, o.status);
     if (++round == 30) round = 0;
@@ -145,7 +145,7 @@ void BM_FlushAfterRounds(benchmark::State& state) {
   std::uint32_t epoch = 0;
   for (auto _ : state) {
     o.site = epoch;
-    o.round = epoch % rounds;
+    o.round = static_cast<std::uint16_t>(epoch % rounds);
     lane.record(o);
     lane.count(o.round, o.status);
     sink.flush();

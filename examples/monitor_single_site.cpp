@@ -88,20 +88,22 @@ int main(int argc, char** argv) {
     // The full pipeline answers the same queries the same way.
     const core::Observation obs =
         monitor.monitor_site(site, round, {}, util::Rng(seed ^ site.id), paths);
+    const core::Route v4 = paths.route(obs.v4_route);
+    const core::Route v6 = paths.route(obs.v6_route);
     std::printf("  status: %s\n", core::monitor_status_name(obs.status));
-    if (obs.v4_path != core::kNoPath) {
-      std::printf("  v4 AS_PATH: %s\n", paths.to_string(obs.v4_path).c_str());
+    if (v4.path != core::kNoPath) {
+      std::printf("  v4 AS_PATH: %s\n", paths.to_string(v4.path).c_str());
     }
-    if (obs.v6_path != core::kNoPath) {
-      std::printf("  v6 AS_PATH: %s\n", paths.to_string(obs.v6_path).c_str());
+    if (v6.path != core::kNoPath) {
+      std::printf("  v6 AS_PATH: %s\n", paths.to_string(v6.path).c_str());
     }
     if (obs.status == core::MonitorStatus::kMeasured) {
       std::printf("  v4: %.1f kB/s over %u downloads; v6: %.1f kB/s over %u\n",
                   obs.v4_speed_kBps, obs.v4_samples, obs.v6_speed_kBps,
                   obs.v6_samples);
-      const bool sp = obs.v4_path == obs.v6_path;
+      const bool sp = v4.path == v6.path;
       std::printf("  classification: %s\n",
-                  obs.v4_origin != obs.v6_origin ? "DL (different locations)"
+                  v4.origin != v6.origin ? "DL (different locations)"
                   : sp                           ? "SL/SP (same AS path)"
                                                  : "SL/DP (different AS paths)");
     }

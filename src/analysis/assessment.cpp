@@ -50,7 +50,7 @@ struct Scratch {
   std::vector<topo::Asn> v4_origins, v6_origins;
 };
 
-SiteAssessment assess_site(std::uint32_t site_id, core::SiteSeries series,
+SiteAssessment assess_site(std::uint32_t site_id, const core::ObservationView& view,
                            const AssessmentParams& params, Scratch& sc) {
   SiteAssessment a;
   a.site = site_id;
@@ -62,14 +62,16 @@ SiteAssessment assess_site(std::uint32_t site_id, core::SiteSeries series,
   sc.v6_paths.clear();
   sc.v4_origins.clear();
   sc.v6_origins.clear();
-  for (const core::Observation& o : series) {
+  for (const core::Observation& o : view.series(site_id)) {
     if (o.status != core::MonitorStatus::kMeasured) continue;
+    const core::Route v4 = view.route(o.v4_route);
+    const core::Route v6 = view.route(o.v6_route);
     sc.v4_speeds.push_back(o.v4_speed_kBps);
     sc.v6_speeds.push_back(o.v6_speed_kBps);
-    sc.v4_paths.push_back(o.v4_path);
-    sc.v6_paths.push_back(o.v6_path);
-    sc.v4_origins.push_back(o.v4_origin);
-    sc.v6_origins.push_back(o.v6_origin);
+    sc.v4_paths.push_back(v4.path);
+    sc.v6_paths.push_back(v6.path);
+    sc.v4_origins.push_back(v4.origin);
+    sc.v6_origins.push_back(v6.origin);
   }
   a.rounds_measured = sc.v4_speeds.size();
   if (a.rounds_measured > 0) {
@@ -156,7 +158,7 @@ std::vector<SiteAssessment> assess_sites(core::ObservationView view,
     Scratch scratch;
     const std::size_t end = std::min(ids.size(), (b + 1) * kSiteBlock);
     for (std::size_t k = b * kSiteBlock; k < end; ++k) {
-      out[k] = assess_site(ids[k], view.series(ids[k]), params, scratch);
+      out[k] = assess_site(ids[k], view, params, scratch);
     }
   };
   const std::size_t blocks = (ids.size() + kSiteBlock - 1) / kSiteBlock;

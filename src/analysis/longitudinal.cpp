@@ -79,20 +79,24 @@ LongitudinalView longitudinal_view(core::ObservationView view,
     std::size_t i = 0;
     for (EpochWindow& w : out.windows) {
       // Series are sorted by round, so one forward pass covers all
-      // windows; remember the last qualifying row inside this window.
-      const core::Observation* last = nullptr;
+      // windows; remember the last qualifying row's routes inside this
+      // window (no origin: no row qualified).
+      core::Route v4, v6;
       for (; i < s.size() && s[i].round < w.to_round; ++i) {
         const core::Observation& o = s[i];
-        if (o.round >= w.from_round && o.status == core::MonitorStatus::kMeasured &&
-            o.v4_origin != topo::kNoAs && o.v6_origin != topo::kNoAs) {
-          last = &o;
+        if (o.round < w.from_round || o.status != core::MonitorStatus::kMeasured) continue;
+        const core::Route r4 = view.route(o.v4_route);
+        const core::Route r6 = view.route(o.v6_route);
+        if (r4.origin != topo::kNoAs && r6.origin != topo::kNoAs) {
+          v4 = r4;
+          v6 = r6;
         }
       }
-      if (last == nullptr) continue;
-      if (last->v4_origin != last->v6_origin) {
+      if (v4.origin == topo::kNoAs) continue;
+      if (v4.origin != v6.origin) {
         ++w.dl;
-      } else if (last->v4_path != core::kNoPath && last->v6_path != core::kNoPath) {
-        if (last->v4_path == last->v6_path) {
+      } else if (v4.path != core::kNoPath && v6.path != core::kNoPath) {
+        if (v4.path == v6.path) {
           ++w.sp;
         } else {
           ++w.dp;

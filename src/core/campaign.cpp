@@ -27,6 +27,7 @@ struct CampaignMetricIds {
   obs::MetricId sites_monitored = obs::metrics().counter("campaign.sites_monitored");
   obs::MetricId ingest_rows = obs::metrics().counter("ingest.rows");
   obs::MetricId ingest_flushes = obs::metrics().counter("ingest.flushes");
+  obs::MetricId results_bytes = obs::metrics().counter("mem.results_bytes");
   obs::MetricId dns_queries = obs::metrics().counter("dns.queries");
   obs::MetricId dns_timeouts = obs::metrics().counter("dns.timeouts");
   obs::MetricId status[7] = {
@@ -255,7 +256,7 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
   // Returns the queries the site lost.
   const auto monitor_one = [&](std::uint32_t site_id, util::Rng&& rng) {
     // The worker's private lane: recording and counting touch no shared
-    // state; path ids are canonicalized at the round-boundary flush.
+    // state; route ids are canonicalized at the round-boundary flush.
     ObservationSink::Lane& lane = sink.lane();
     const web::Site& site = world_.catalog.site(site_id);
     // The DNS loss stream is keyed only per (site, salt), so in regular
@@ -592,6 +593,9 @@ void Campaign::finalize() {
     }
     store.db->finalize();
   });
+  std::size_t bytes = 0;
+  for (const VpStore* store : stores) bytes += store->db->bytes();
+  obs::metrics().add(campaign_metric_ids().results_bytes, bytes);
 }
 
 }  // namespace v6mon::core

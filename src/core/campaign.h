@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -62,7 +63,11 @@ struct CampaignConfig {
 /// Exclusive upper bound on World::num_rounds for a campaign. The
 /// per-site monitor stream key packs `vp * kMaxCampaignRounds + round`,
 /// so a larger round would hand vantage point vp + 1's stream to vp.
+/// Every round also fits an observation row's 16-bit round field.
 inline constexpr std::uint32_t kMaxCampaignRounds = 4096;
+static_assert(kMaxCampaignRounds - 1 <=
+                  std::numeric_limits<decltype(Observation::round)>::max(),
+              "campaign rounds must fit Observation::round");
 
 /// Runs the paper's measurement campaign: for every vantage point, one
 /// monitoring round per campaign round from the VP's start round onward,
@@ -144,7 +149,8 @@ class Campaign {
 
   /// End ingest and build the analysis views: close sinks (replaying
   /// spool files for the kSpool backend) and finalize every ResultsDb,
-  /// the stores in parallel on the campaign pool. Call after all runs,
+  /// the stores in parallel on the campaign pool. Adds the stores' bytes
+  /// (ResultsDb::bytes) to the `mem.results_bytes` counter. Call after all runs,
   /// before analysis. Idempotent; no run_round / run_w6d calls may
   /// follow. When stores fail (Error, IoError from a spool), every other
   /// store still finalizes and the error of the first failing store —

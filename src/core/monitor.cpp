@@ -376,12 +376,19 @@ void Monitor::assign_resolve_slots(std::span<const std::uint32_t> sites,
   obs::metrics().add(monitor_metric_ids().resolved_slots, resolved_.size() - before);
 }
 
+RouteId Monitor::intern_route(const bgp::RibEntry& route, PathRegistry& paths) const {
+  return vp_.has_as_path ? paths.intern_route(route.origin, route.as_path)
+                         : paths.intern_route(route.origin, kNoPath);
+}
+
 Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
                                   QueryLoss loss, util::Rng&& rng,
                                   PathRegistry& paths) {
+  V6MON_REQUIRE(round <= std::numeric_limits<decltype(Observation::round)>::max(),
+                "round beyond what an observation records");
   Observation obs;
   obs.site = site.id;
-  obs.round = round;
+  obs.round = static_cast<std::uint16_t>(round);
 
   // --- Phase 1: randomized A / AAAA queries -----------------------------
   // Order of the two queries is randomized like the tool randomizes its
@@ -430,14 +437,8 @@ Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
                  "resolved-site row disagrees with the catalog's answers");
   }
 
-  if (row->v4_route != nullptr) {
-    obs.v4_origin = row->v4_route->origin;
-    if (vp_.has_as_path) obs.v4_path = paths.intern(row->v4_route->as_path);
-  }
-  if (row->v6_route != nullptr) {
-    obs.v6_origin = row->v6_route->origin;
-    if (vp_.has_as_path) obs.v6_path = paths.intern(row->v6_route->as_path);
-  }
+  if (row->v4_route != nullptr) obs.v4_route = intern_route(*row->v4_route, paths);
+  if (row->v6_route != nullptr) obs.v6_route = intern_route(*row->v6_route, paths);
 
   // Conn-establishment pass (ISSUE 9): every dual-stack site that got
   // this far is dialed per the fallback policy, gate verdict or not —

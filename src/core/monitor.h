@@ -106,7 +106,8 @@ class Monitor {
   /// times the query out. `rng` must be dedicated to this
   /// (site, round) so threading cannot reorder draws. The stream is
   /// consumed, and taken by reference so that a primed engine
-  /// (Mt64Engine::prime) is never copied. Non-const because
+  /// (Mt64Engine::prime) is never copied. The row's routes are interned
+  /// into `paths`. Non-const because
   /// it lazily fills the site's resolved-site row on first successful
   /// resolution; safe to call concurrently for *distinct* sites (each
   /// slot is touched by exactly one caller per ingest epoch).
@@ -205,6 +206,10 @@ class Monitor {
   void resolve_addresses(const ip::Ipv4Address& v4_addr,
                          const ip::Ipv6Address& v6_addr,
                          ResolvedSiteRow& row) const;
+
+  /// Intern a RIB route as the observation records it: its origin, and
+  /// its AS path where this VP has AS paths.
+  [[nodiscard]] RouteId intern_route(const bgp::RibEntry& route, PathRegistry& paths) const;
 
   /// characterize_path from this VP plus the path's quality factor. Runs
   /// once per row fill: the resolved-site row is the memo.

@@ -1,6 +1,7 @@
 #include "core/results.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstring>
 #include <memory>
@@ -33,8 +34,26 @@ bool PathRegistry::SpanEq::operator()(const SpanKey& a,
 }
 
 PathId PathRegistry::intern(std::span<const topo::Asn> path) {
-  const SpanKey probe{path.data(), static_cast<std::uint32_t>(path.size())};
   util::LockGuard lock(mu_);
+  V6MON_REQUIRE(!frozen_, "intern() into a frozen registry");
+  return intern_locked(path);
+}
+
+RouteId PathRegistry::intern_route(topo::Asn origin, std::span<const topo::Asn> path) {
+  util::LockGuard lock(mu_);
+  V6MON_REQUIRE(!frozen_, "intern_route() into a frozen registry");
+  return intern_route_locked(origin, intern_locked(path));
+}
+
+RouteId PathRegistry::intern_route(topo::Asn origin, PathId path) {
+  util::LockGuard lock(mu_);
+  V6MON_REQUIRE(!frozen_, "intern_route() into a frozen registry");
+  V6MON_REQUIRE(path == kNoPath || path < paths_.size(), "route path id out of range");
+  return intern_route_locked(origin, path);
+}
+
+PathId PathRegistry::intern_locked(std::span<const topo::Asn> path) {
+  const SpanKey probe{path.data(), static_cast<std::uint32_t>(path.size())};
   const auto it = index_.find(probe);
   if (it != index_.end()) return it->second;  // hot path: zero allocations
   const PathId id = static_cast<PathId>(paths_.size());
@@ -44,15 +63,46 @@ PathId PathRegistry::intern(std::span<const topo::Asn> path) {
   return id;
 }
 
-const std::vector<topo::Asn>& PathRegistry::path(PathId id) const {
-  util::LockGuard lock(mu_);
+RouteId PathRegistry::intern_route_locked(topo::Asn origin, PathId path) {
+  const std::uint64_t key = (std::uint64_t{origin} << 32) | path;
+  const auto [it, inserted] =
+      route_index_.try_emplace(key, static_cast<RouteId>(routes_.size()));
+  if (inserted) routes_.push_back({origin, path});
+  return it->second;
+}
+
+const std::vector<topo::Asn>& PathRegistry::path_unlocked(PathId id) const {
   V6MON_REQUIRE(id < paths_.size(), "path id out of range");
   return paths_[id];
+}
+
+const std::vector<topo::Asn>& PathRegistry::path(PathId id) const {
+  if (frozen_) return path_unlocked(id);
+  util::LockGuard lock(mu_);
+  return path_unlocked(id);
 }
 
 std::size_t PathRegistry::size() const {
   util::LockGuard lock(mu_);
   return paths_.size();
+}
+
+std::size_t PathRegistry::route_count() const {
+  util::LockGuard lock(mu_);
+  return routes_.size();
+}
+
+void PathRegistry::freeze() {
+  util::LockGuard lock(mu_);
+  frozen_ = true;
+}
+
+std::size_t PathRegistry::bytes() const {
+  util::LockGuard lock(mu_);
+  std::size_t hops = 0;
+  for (const std::vector<topo::Asn>& p : paths_) hops += p.size();
+  return paths_.size() * sizeof(std::vector<topo::Asn>) + hops * sizeof(topo::Asn) +
+         routes_.size() * sizeof(Route);
 }
 
 std::string PathRegistry::to_string(PathId id) const {
@@ -169,7 +219,14 @@ void ResultsDb::finalize() {
     }
   }
   site_begin_.push_back(rows_.size());
+  paths_.freeze();
   finalized_ = true;
+}
+
+std::size_t ResultsDb::bytes() const {
+  V6MON_REQUIRE(finalized_, "bytes() requires a finalized ResultsDb");
+  return rows_.size() * sizeof(Observation) + site_ids_.size() * sizeof(std::uint32_t) +
+         site_begin_.size() * sizeof(std::size_t) + paths_.bytes();
 }
 
 namespace {
@@ -178,17 +235,18 @@ namespace {
 /// hands them to the stream.
 constexpr std::size_t kCsvBlockBytes = std::size_t{64} << 10;
 /// Room reserved per row for the fields before its two paths; the worst
-/// case is 101 bytes: two uint32 ids (10 each), the longest status name
-/// (18), two `%.6g` floats (12 each, "-1.17549e-38"), two uint16 sample
-/// counts (5 each), two ASNs (10 each) and nine commas.
+/// case is 96 bytes: a uint32 site id (10), a uint16 round (5), the
+/// longest status name (18), two `%.6g` floats (12 each,
+/// "-1.17549e-38"), two uint16 sample counts (5 each), two ASNs (10
+/// each) and nine commas.
 constexpr std::size_t kRowFixedBytes = 128;
 
 /// Block-buffered observation-CSV formatter. Rows are formatted with
 /// `std::to_chars` (integers) and util::write_g6 (speeds) into one fixed
 /// block; a full block goes to the stream in a single write, so the dump
 /// never holds more than a block of text.
-/// Each path id is rendered through PathRegistry::to_string at most once
-/// per dump and copied from that cache for every later row.
+/// Each route id's origin and path columns are rendered at most once per
+/// dump and copied from that cache for every later row.
 class CsvRowWriter {
  public:
   CsvRowWriter(std::ostream& out, const PathRegistry& paths)
@@ -196,7 +254,7 @@ class CsvRowWriter {
         paths_(paths),
         block_(std::make_unique<char[]>(kCsvBlockBytes)),
         pos_(block_.get()),
-        path_text_(paths.size()) {}
+        route_text_(paths.route_count()) {}
 
   void put(std::string_view s) {
     if (s.size() > room()) {
@@ -219,14 +277,14 @@ class CsvRowWriter {
     field_speed(o.v6_speed_kBps);
     field(o.v4_samples);
     field(o.v6_samples);
+    const RouteText& v4 = route_text(o.v4_route);
+    const RouteText& v6 = route_text(o.v6_route);
+    field_origin(v4);
+    field_origin(v6);
     *pos_++ = ',';
-    if (o.v4_origin != topo::kNoAs) number(o.v4_origin);
-    *pos_++ = ',';
-    if (o.v6_origin != topo::kNoAs) number(o.v6_origin);
-    *pos_++ = ',';
-    put(path_text(o.v4_path));
+    put(v4.path);
     put(",");
-    put(path_text(o.v6_path));
+    put(v6.path);
     put("\n");
   }
 
@@ -281,11 +339,36 @@ class CsvRowWriter {
     pos_ = util::write_g6(pos_, v);
   }
 
-  std::string_view path_text(PathId id) {
-    if (id == kNoPath) return "-";
-    V6MON_REQUIRE(id < path_text_.size(), "path id out of range");
-    std::string& text = path_text_[id];
-    if (text.empty()) text = paths_.to_string(id);  // never empty once rendered
+  /// A route's origin column (no digits for kNoAs) and path column ("-"
+  /// for kNoPath).
+  struct RouteText {
+    std::string path;  ///< Never empty once rendered.
+    std::array<char, 10> origin{};  ///< A uint32 ASN has at most 10 digits.
+    std::uint8_t origin_len = 0;
+  };
+
+  /// The origin is copied as a fixed 10-byte block (the row's reserved
+  /// room covers it) and the cursor advances by its length.
+  void field_origin(const RouteText& t) {
+    *pos_++ = ',';
+    std::memcpy(pos_, t.origin.data(), t.origin.size());
+    pos_ += t.origin_len;
+  }
+
+  const RouteText& route_text(RouteId id) {
+    if (id == kNoRoute) return no_route_;
+    V6MON_REQUIRE(id < route_text_.size(), "route id out of range");
+    RouteText& text = route_text_[id];
+    if (text.path.empty()) {
+      const Route r = paths_.route(id);
+      if (r.origin != topo::kNoAs) {
+        char* const end = std::to_chars(text.origin.data(),
+                                        text.origin.data() + text.origin.size(), r.origin)
+                              .ptr;
+        text.origin_len = static_cast<std::uint8_t>(end - text.origin.data());
+      }
+      text.path = paths_.to_string(r.path);
+    }
     return text;
   }
 
@@ -293,7 +376,8 @@ class CsvRowWriter {
   const PathRegistry& paths_;
   std::unique_ptr<char[]> block_;
   char* pos_;
-  std::vector<std::string> path_text_;  ///< Rendered paths, by id; "" = not yet.
+  std::vector<RouteText> route_text_;  ///< Rendered routes, by id; path "" = not yet.
+  const RouteText no_route_{"-"};     ///< kNoRoute: no origin, path "-".
 };
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "topo/as_graph.h"
+#include "util/contracts.h"
 #include "util/thread_annotations.h"
 
 namespace v6mon::core {
@@ -42,16 +43,33 @@ enum class MonitorStatus : std::uint8_t {
 using PathId = std::uint32_t;
 inline constexpr PathId kNoPath = 0xffffffffu;
 
-/// Deduplicating store of AS paths. Measurement records reference paths
-/// by id so a campaign's millions of observations don't copy vectors.
+/// Interned route id; kNoRoute when the RIB held no route.
+using RouteId = std::uint32_t;
+inline constexpr RouteId kNoRoute = 0xffffffffu;
+
+/// One family's RIB route as an observation records it: the destination's
+/// origin AS and the interned AS_PATH (kNoPath at a vantage point without
+/// AS paths).
+struct Route {
+  topo::Asn origin = topo::kNoAs;
+  PathId path = kNoPath;
+};
+
+/// Deduplicating store of AS paths and of routes, each an (origin, path
+/// id) pair. Measurement records reference routes by id so a campaign's
+/// millions of observations copy neither vectors nor the origin/path
+/// pair: a vantage point sees a few thousand distinct routes.
 ///
-/// The intern index hashes and compares the ASN *span* directly — no
+/// The path index hashes and compares the ASN *span* directly — no
 /// serialized string key — so the common already-interned lookup does
 /// zero allocations. Thread-safe behind one mutex: in the sharded sink
 /// every worker owns a private registry (the mutex is uncontended) and
 /// ids are canonicalized into the results database's registry at merge
 /// time; ids are therefore stable within one registry but not an
-/// observable across runs (path *content* is).
+/// observable across runs (path and route *content* is).
+///
+/// Two phases, like ResultsDb: `freeze()` (ResultsDb::finalize calls it)
+/// ends interning, and every read after it takes no lock.
 class PathRegistry {
  public:
   /// Intern a path (thread-safe); returns a stable id.
@@ -62,12 +80,38 @@ class PathRegistry {
   PathId intern(std::initializer_list<topo::Asn> path) {
     return intern(std::span<const topo::Asn>(path.begin(), path.size()));
   }
+  /// Intern the route (origin, path), and `path` with it, under one lock
+  /// (thread-safe).
+  RouteId intern_route(topo::Asn origin, std::span<const topo::Asn> path);
+  /// Intern the route (origin, path id) (thread-safe); `path` is kNoPath
+  /// (a vantage point without AS paths) or an id of this registry.
+  RouteId intern_route(topo::Asn origin, PathId path);
 
   [[nodiscard]] const std::vector<topo::Asn>& path(PathId id) const;
+  /// The route's origin and path id; kNoRoute reads as {kNoAs, kNoPath}.
+  /// Inline: analysis reads two routes per observation row.
+  [[nodiscard]] Route route(RouteId id) const {
+    if (frozen_) return route_unlocked(id);
+    util::LockGuard lock(mu_);
+    return route_unlocked(id);
+  }
+  /// Number of distinct paths.
   [[nodiscard]] std::size_t size() const;
+  /// Number of distinct routes.
+  [[nodiscard]] std::size_t route_count() const;
 
   /// Render "AS1 AS2 AS3" for logs/CSV.
   [[nodiscard]] std::string to_string(PathId id) const;
+
+  /// End interning: later reads take no lock, and intern calls are
+  /// contract errors. Call once, after the last intern (phase barrier).
+  void freeze();
+
+  /// Bytes of the interned content: every path's vector and hops, and
+  /// every route record. A function of the content alone, so equal
+  /// registries report equal bytes whatever order filled them (hash
+  /// index overhead is not counted).
+  [[nodiscard]] std::size_t bytes() const;
 
  private:
   /// View into an interned path's storage (deque elements never move, so
@@ -83,26 +127,46 @@ class PathRegistry {
     bool operator()(const SpanKey& a, const SpanKey& b) const noexcept;
   };
 
+  PathId intern_locked(std::span<const topo::Asn> path) V6MON_REQUIRES(mu_);
+  RouteId intern_route_locked(topo::Asn origin, PathId path) V6MON_REQUIRES(mu_);
+
+  /// Reads without taking mu_: callers hold it, or the registry is
+  /// frozen (nothing writes after freeze()).
+  const std::vector<topo::Asn>& path_unlocked(PathId id) const
+      V6MON_NO_THREAD_SAFETY_ANALYSIS;
+  Route route_unlocked(RouteId id) const V6MON_NO_THREAD_SAFETY_ANALYSIS {
+    if (id == kNoRoute) return {};
+    V6MON_REQUIRE(id < routes_.size(), "route id out of range");
+    return routes_[id];
+  }
+
   mutable util::Mutex mu_;
   std::deque<std::vector<topo::Asn>> paths_ V6MON_GUARDED_BY(mu_);
   std::unordered_map<SpanKey, PathId, SpanHash, SpanEq> index_
       V6MON_GUARDED_BY(mu_);
+  std::vector<Route> routes_ V6MON_GUARDED_BY(mu_);
+  /// (origin << 32 | path id) -> route id.
+  std::unordered_map<std::uint64_t, RouteId> route_index_ V6MON_GUARDED_BY(mu_);
+  /// Set once by freeze() at the phase barrier, then read lock-free.
+  bool frozen_ = false;
 };
 
 /// One monitoring observation of one site in one round from one vantage
-/// point.
+/// point: 28 bytes, one row per (site, round) of every dual-stack site
+/// that reached the download phases.
 struct Observation {
   std::uint32_t site = 0;
-  std::uint32_t round = 0;
+  /// Below kMaxCampaignRounds (4096), which Campaign enforces.
+  std::uint16_t round = 0;
   MonitorStatus status = MonitorStatus::kDnsFailed;
   float v4_speed_kBps = 0.0f;  ///< Valid when status == kMeasured.
   float v6_speed_kBps = 0.0f;
   std::uint16_t v4_samples = 0;
   std::uint16_t v6_samples = 0;
-  PathId v4_path = kNoPath;  ///< AS_PATH from the VP's RIB (if available).
-  PathId v6_path = kNoPath;
-  topo::Asn v4_origin = topo::kNoAs;  ///< Destination AS per the RIB.
-  topo::Asn v6_origin = topo::kNoAs;
+  /// Origin AS and AS_PATH per the VP's RIB, interned in the store's (or
+  /// the worker lane's) PathRegistry.
+  RouteId v4_route = kNoRoute;
+  RouteId v6_route = kNoRoute;
 };
 
 /// Per-round aggregate counters (cover the whole catalog, including the
@@ -162,7 +226,7 @@ class ResultsDb {
   void count_listed(std::uint32_t round, std::uint64_t n);
 
   /// Bulk ingest from a sink merge: appends the batch under one lock.
-  /// The batch's path ids must already refer to this database's
+  /// The batch's route ids must already refer to this database's
   /// registry. Relative order of add() rows and merged batches is
   /// preserved.
   void merge_rows(std::span<const Observation> batch);
@@ -190,11 +254,18 @@ class ResultsDb {
     return rounds_.size();
   }
 
-  /// Sort the rows by (site, round) and index each site's run. Rows
-  /// sharing one (site, round) (W6D mini-rounds) keep their ingest
-  /// order. Call exactly once, after ingest and before analysis.
+  /// Sort the rows by (site, round), index each site's run and freeze
+  /// the registry. Rows sharing one (site, round) (W6D mini-rounds) keep
+  /// their ingest order. Call exactly once, after ingest and before
+  /// analysis.
   void finalize();
   [[nodiscard]] bool finalized() const { return finalized_; }
+
+  /// Bytes the finalized store holds: rows x sizeof(Observation), the
+  /// site index and the registry's paths and routes (sizes, not
+  /// capacities, so the figure is the same at any thread count and sink
+  /// backend). Requires finalize().
+  [[nodiscard]] std::size_t bytes() const;
 
   /// Stream the observation dump (sorted by site, round) as CSV — no
   /// materialized copy of the rows, at most one 64 KiB block of text in
@@ -223,7 +294,7 @@ class ResultsDb {
 };
 
 /// Read-only abstraction the analysis layer consumes: per-site series,
-/// the path registry, and round counters — without coupling to how the
+/// the path and route registry, and round counters — without coupling to how the
 /// observations were ingested. A view over an in-memory campaign store
 /// and a view over a replayed spool are indistinguishable to analysis.
 ///
@@ -245,6 +316,8 @@ class ObservationView {
     return db_->series(site);
   }
   [[nodiscard]] const PathRegistry& paths() const { return db_->paths(); }
+  /// An observation's route (origin and path id); lock-free.
+  [[nodiscard]] Route route(RouteId id) const { return db_->paths().route(id); }
   [[nodiscard]] const RoundCounters& round_counters(std::uint32_t round) const {
     return db_->round_counters(round);
   }

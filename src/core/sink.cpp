@@ -63,22 +63,29 @@ void ShardedSinkBase::flush() {
   // Coordinator-only by contract; the lock still guards against a late
   // worker's lane() cache miss racing shard creation.
   util::LockGuard lock(shards_mu_);
+  PathRegistry& target = canonical_paths();
   for (Shard& s : shards_) {
-    // Canonicalize path ids minted since the last flush. remap_ is an
-    // append-only prefix map, so each shard-local id crosses the
-    // canonicalization boundary exactly once over the campaign.
-    const std::size_t total = s.reg_.size();
-    for (std::size_t local = s.remap_.size(); local < total; ++local) {
-      s.remap_.push_back(canonicalize(s.reg_.path(static_cast<PathId>(local))));
+    // Canonicalize path and route ids minted since the last flush. The
+    // remaps are append-only prefix maps, so each shard-local id crosses
+    // the canonicalization boundary exactly once over the campaign.
+    const std::size_t paths = s.reg_.size();
+    for (std::size_t local = s.path_remap_.size(); local < paths; ++local) {
+      s.path_remap_.push_back(target.intern(s.reg_.path(static_cast<PathId>(local))));
+    }
+    const std::size_t routes = s.reg_.route_count();
+    for (std::size_t local = s.route_remap_.size(); local < routes; ++local) {
+      const Route r = s.reg_.route(static_cast<RouteId>(local));
+      s.route_remap_.push_back(
+          target.intern_route(r.origin, r.path == kNoPath ? kNoPath : s.path_remap_[r.path]));
     }
     for (Observation& o : s.staged_) {
-      if (o.v4_path != kNoPath) {
-        V6MON_ASSERT(o.v4_path < s.remap_.size(), "unregistered v4 path id");
-        o.v4_path = s.remap_[o.v4_path];
+      if (o.v4_route != kNoRoute) {
+        V6MON_ASSERT(o.v4_route < s.route_remap_.size(), "unregistered v4 route id");
+        o.v4_route = s.route_remap_[o.v4_route];
       }
-      if (o.v6_path != kNoPath) {
-        V6MON_ASSERT(o.v6_path < s.remap_.size(), "unregistered v6 path id");
-        o.v6_path = s.remap_[o.v6_path];
+      if (o.v6_route != kNoRoute) {
+        V6MON_ASSERT(o.v6_route < s.route_remap_.size(), "unregistered v6 route id");
+        o.v6_route = s.route_remap_[o.v6_route];
       }
     }
     const std::span<RoundCounters> touched =

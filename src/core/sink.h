@@ -39,10 +39,10 @@ class ObservationSink {
     Lane& operator=(const Lane&) = delete;
     virtual ~Lane() = default;
 
-    /// Registry the worker interns AS paths into. Ids returned here are
-    /// lane-local; the sink canonicalizes them at flush time.
+    /// Registry the worker interns AS paths and routes into. Ids returned
+    /// here are lane-local; the sink canonicalizes them at flush time.
     [[nodiscard]] virtual PathRegistry& paths() = 0;
-    /// Record one observation (path ids must come from this lane's
+    /// Record one observation (route ids must come from this lane's
     /// registry).
     virtual void record(const Observation& obs) = 0;
     /// Bucket one monitoring status into the round's counters.
@@ -113,17 +113,17 @@ class MutexSink final : public ObservationSink {
 /// the spool writer: each worker thread gets a private shard
 /// (observation buffer + round counters + path registry), so the
 /// record/count hot path touches no shared state at all — no mutex, no
-/// atomic. `flush()` walks the shards, maps shard-local path ids to
-/// canonical ids via `canonicalize()`, and hands each batch to
+/// atomic. `flush()` walks the shards, maps shard-local path and route
+/// ids to canonical ids in `canonical_paths()`, and hands each batch to
 /// `merge_batch()`.
 ///
 /// Determinism: within one ingest epoch a site is monitored at most
 /// once, so per-site observation order is epoch order regardless of
 /// which shard a row landed in, and ResultsDb::finalize() stable-sorts
 /// rows by (site, round) — every downstream byte is invariant to thread
-/// count and to shard arrival order. Canonical path *ids* do depend on
-/// merge order; path *content* (the only registry observable that
-/// reaches output) does not.
+/// count and to shard arrival order. Canonical path and route *ids* do
+/// depend on merge order; their *content* (the only registry observable
+/// that reaches output) does not.
 class ShardedSinkBase : public ObservationSink {
  public:
   ~ShardedSinkBase() override;
@@ -138,10 +138,10 @@ class ShardedSinkBase : public ObservationSink {
  protected:
   ShardedSinkBase();
 
-  /// Map one shard-local path (by content) to a canonical id in the
-  /// flush target, registering it there on first sight.
-  virtual PathId canonicalize(std::span<const topo::Asn> path) = 0;
-  /// Receive one shard's batch: rows carry canonical path ids;
+  /// The registry flush() interns every shard's paths and routes into
+  /// (by content), so the batches handed to merge_batch() carry its ids.
+  [[nodiscard]] virtual PathRegistry& canonical_paths() = 0;
+  /// Receive one shard's batch: rows carry canonical route ids;
   /// `counters[i]` is round `first_round + i`'s delta since the previous
   /// flush, over the range of rounds the shard's count/count_n calls
   /// touched in this epoch (empty when it counted nothing; rounds inside
@@ -183,9 +183,10 @@ class ShardedSinkBase : public ObservationSink {
     std::vector<RoundCounters> counters_;
     std::uint32_t lo_ = UINT32_MAX;
     std::uint32_t hi_ = 0;
-    /// Shard-local path id -> canonical id; grown incrementally at
-    /// flush so already-canonicalized prefixes are never re-interned.
-    std::vector<PathId> remap_;
+    /// Shard-local path / route id -> canonical id; grown incrementally
+    /// at flush so already-canonicalized prefixes are never re-interned.
+    std::vector<PathId> path_remap_;
+    std::vector<RouteId> route_remap_;
   };
 
   Shard& shard_for_this_thread() V6MON_EXCLUDES(shards_mu_);
@@ -199,8 +200,8 @@ class ShardedSinkBase : public ObservationSink {
 };
 
 /// In-memory sharded backend: flush canonicalizes into the database's
-/// own path registry and bulk-merges rows and counter deltas (one lock
-/// per shard per round instead of one per observation).
+/// own registry and bulk-merges rows and counter deltas (one lock per
+/// shard per round instead of one per observation).
 class ShardedSink final : public ShardedSinkBase {
  public:
   explicit ShardedSink(ResultsDb& db) : db_(&db) {}
@@ -210,9 +211,7 @@ class ShardedSink final : public ShardedSinkBase {
   }
 
  protected:
-  PathId canonicalize(std::span<const topo::Asn> path) override {
-    return db_->paths().intern(path);
-  }
+  PathRegistry& canonical_paths() override { return db_->paths(); }
   void merge_batch(std::span<const Observation> rows, std::uint32_t first_round,
                    std::span<const RoundCounters> counters) override {
     db_->merge_rows(rows);

@@ -1,6 +1,7 @@
 #include "core/spool.h"
 
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "util/contracts.h"
@@ -28,6 +29,10 @@ constexpr std::uint32_t kMaxReplayHops = 1024;        ///< AS paths are dozens.
 /// the cap stays as an input bound on what a campaign can write.
 constexpr std::uint32_t kMaxReplaySite = 1u << 24;    ///< 16M site ids.
 constexpr std::uint32_t kMaxReplayRound = 1u << 20;   ///< 1M rounds.
+/// An observation's round is stored in 16 bits: a larger one must fail,
+/// not wrap onto another round.
+constexpr std::uint32_t kMaxReplayObsRound =
+    std::numeric_limits<decltype(Observation::round)>::max();
 
 std::uint32_t float_bits(float f) {
   std::uint32_t bits = 0;
@@ -115,8 +120,10 @@ void SpoolWriter::path_def(std::span<const topo::Asn> path) {
   for (topo::Asn hop : path) u32(hop);
 }
 
-void SpoolWriter::observation(const Observation& obs) {
+void SpoolWriter::observation(const Observation& obs, const PathRegistry& routes) {
   V6MON_REQUIRE(!closed_, "spool: write after close");
+  const Route v4 = routes.route(obs.v4_route);
+  const Route v6 = routes.route(obs.v6_route);
   u8(kTagObs);
   u32(obs.site);
   u32(obs.round);
@@ -125,10 +132,10 @@ void SpoolWriter::observation(const Observation& obs) {
   u32(float_bits(obs.v6_speed_kBps));
   u16(obs.v4_samples);
   u16(obs.v6_samples);
-  u32(obs.v4_path);
-  u32(obs.v6_path);
-  u32(obs.v4_origin);
-  u32(obs.v6_origin);
+  u32(v4.path);
+  u32(v6.path);
+  u32(v4.origin);
+  u32(v6.origin);
   ++observations_;
 }
 
@@ -157,16 +164,14 @@ void SpoolWriter::close() {
 
 // --- SpoolSink --------------------------------------------------------------
 
-PathId SpoolSink::canonicalize(std::span<const topo::Asn> path) {
-  const std::size_t before = reg_.size();
-  const PathId id = reg_.intern(path);
-  if (reg_.size() > before) writer_.path_def(path);  // first sighting
-  return id;
-}
-
 void SpoolSink::merge_batch(std::span<const Observation> rows, std::uint32_t first_round,
                             std::span<const RoundCounters> counters) {
-  for (const Observation& o : rows) writer_.observation(o);
+  // Spool path ids are reg_'s ids: define the ones this batch's shard
+  // sighted first, in id order, before any row can reference them.
+  for (const std::size_t total = reg_.size(); defined_paths_ < total; ++defined_paths_) {
+    writer_.path_def(reg_.path(static_cast<PathId>(defined_paths_)));
+  }
+  for (const Observation& o : rows) writer_.observation(o, reg_);
   // Rounds outside the touched range are all-zero: skipping them skips
   // no record.
   for (std::uint32_t i = 0; i < counters.size(); ++i) {
@@ -193,6 +198,17 @@ void replay_spool(std::istream& in, ResultsDb& db) {
   Reader r(in);
   std::vector<PathId> spool_to_db;  ///< Spool id -> database registry id.
   std::vector<topo::Asn> path_buf;
+  // One family's (spool path id, origin) fields as a database route.
+  const auto replay_route = [&](std::uint32_t spool_path, topo::Asn origin,
+                                const char* undefined) -> RouteId {
+    PathId path = kNoPath;
+    if (spool_path != kNoPath) {
+      if (spool_path >= spool_to_db.size()) throw Error(undefined);
+      path = spool_to_db[spool_path];
+    }
+    if (path == kNoPath && origin == topo::kNoAs) return kNoRoute;
+    return db.paths().intern_route(origin, path);
+  };
   std::uint64_t observations = 0;
   bool ended = false;
 
@@ -211,9 +227,10 @@ void replay_spool(std::istream& in, ResultsDb& db) {
       case kTagObs: {
         Observation o;
         o.site = r.u32();
-        o.round = r.u32();
+        const std::uint32_t round = r.u32();
         if (o.site > kMaxReplaySite) throw Error("spool: site id out of range");
-        if (o.round > kMaxReplayRound) throw Error("spool: round out of range");
+        if (round > kMaxReplayObsRound) throw Error("spool: round out of range");
+        o.round = static_cast<std::uint16_t>(round);
         const std::uint8_t status = r.u8();
         if (status > static_cast<std::uint8_t>(MonitorStatus::kMeasured)) {
           throw Error("spool: invalid observation status");
@@ -223,18 +240,12 @@ void replay_spool(std::istream& in, ResultsDb& db) {
         o.v6_speed_kBps = bits_float(r.u32());
         o.v4_samples = r.u16();
         o.v6_samples = r.u16();
-        o.v4_path = r.u32();
-        o.v6_path = r.u32();
-        o.v4_origin = r.u32();
-        o.v6_origin = r.u32();
-        if (o.v4_path != kNoPath) {
-          if (o.v4_path >= spool_to_db.size()) throw Error("spool: undefined v4 path id");
-          o.v4_path = spool_to_db[o.v4_path];
-        }
-        if (o.v6_path != kNoPath) {
-          if (o.v6_path >= spool_to_db.size()) throw Error("spool: undefined v6 path id");
-          o.v6_path = spool_to_db[o.v6_path];
-        }
+        const std::uint32_t v4_path = r.u32();
+        const std::uint32_t v6_path = r.u32();
+        const topo::Asn v4_origin = r.u32();
+        const topo::Asn v6_origin = r.u32();
+        o.v4_route = replay_route(v4_path, v4_origin, "spool: undefined v4 path id");
+        o.v6_route = replay_route(v6_path, v6_origin, "spool: undefined v6 path id");
         db.add(o);
         ++observations;
         break;

@@ -30,6 +30,9 @@ namespace v6mon::core {
 ///     0x04 End       u64 observation count (truncation check; nothing
 ///                    may follow).
 /// PathDef records always precede the first Obs that references them.
+/// In memory an observation holds one route id per family; the writer
+/// expands each route into its (path id, origin) fields, and replay
+/// re-interns the pair as a route of the database registry.
 class SpoolWriter {
  public:
   /// Creates/truncates `path` and writes the header. Throws
@@ -42,8 +45,9 @@ class SpoolWriter {
 
   /// Define the next sequential spool path id.
   void path_def(std::span<const topo::Asn> path);
-  /// Append one observation (path ids are spool ids already defined).
-  void observation(const Observation& obs);
+  /// Append one observation. Its route ids are `routes`' ids, and their
+  /// path ids are spool ids already defined.
+  void observation(const Observation& obs, const PathRegistry& routes);
   /// Append a per-round counter delta (all-zero deltas may be skipped).
   void counters(std::uint32_t round, const RoundCounters& delta);
 
@@ -64,10 +68,10 @@ class SpoolWriter {
 };
 
 /// Spool-backed sink: worker lanes are the usual lock-free shards; at
-/// each round boundary the flush canonicalizes paths into a
-/// spool-global registry (emitting PathDef records for first-sighted
-/// paths) and streams the batch to disk. Only shard buffers and the
-/// path registry stay in memory — observation storage is out-of-core.
+/// each round boundary the flush canonicalizes paths and routes into a
+/// spool-global registry, and the batch streams to disk behind PathDef
+/// records for the paths it sighted first. Only shard buffers and the
+/// registry stay in memory — observation storage is out-of-core.
 class SpoolSink final : public ShardedSinkBase {
  public:
   explicit SpoolSink(const std::string& path) : writer_(path) {}
@@ -85,12 +89,13 @@ class SpoolSink final : public ShardedSinkBase {
   [[nodiscard]] bool ok() const { return writer_.ok(); }
 
  protected:
-  PathId canonicalize(std::span<const topo::Asn> path) override;
+  PathRegistry& canonical_paths() override { return reg_; }
   void merge_batch(std::span<const Observation> rows, std::uint32_t first_round,
                    std::span<const RoundCounters> counters) override;
 
  private:
   PathRegistry reg_;  ///< Spool-global ids; dedupes across shards.
+  std::size_t defined_paths_ = 0;  ///< reg_ paths with a PathDef written.
   SpoolWriter writer_;
 };
 
@@ -103,7 +108,8 @@ class SpoolSink final : public ShardedSinkBase {
 /// arbitrary input must either replay or throw — never crash, and never
 /// allocate out of proportion to the input (site/round/path-length
 /// fields are sanity-capped; the round cap bounds ResultsDb's
-/// round-counter table).
+/// round-counter table). An Obs round must fit Observation::round
+/// (below 65,536).
 void replay_spool(std::istream& in, ResultsDb& db);
 
 /// Convenience: open `path` and replay it. Throws v6mon::Error when the

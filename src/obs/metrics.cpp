@@ -50,6 +50,7 @@ constexpr const char* kCounterNames[] = {
     "dns.timeouts",
     "ingest.flushes",
     "ingest.rows",
+    "mem.results_bytes",
     "monitor.ci_exhausted",
     "monitor.resolved_slots",
     "monitor.rows_invalidated",

@@ -14,6 +14,11 @@ using core::MonitorStatus;
 using core::Observation;
 using core::ResultsDb;
 
+/// The route (origin, path) in the store's registry.
+core::RouteId route(ResultsDb& db, core::PathId path, topo::Asn origin = 7) {
+  return db.paths().intern_route(origin, path);
+}
+
 /// Add a measured observation series with given speeds (one per round).
 void add_series(ResultsDb& db, std::uint32_t site, const std::vector<double>& v4,
                 const std::vector<double>& v6, core::PathId v4_path = 0,
@@ -21,16 +26,14 @@ void add_series(ResultsDb& db, std::uint32_t site, const std::vector<double>& v4
   for (std::size_t r = 0; r < v4.size(); ++r) {
     Observation o;
     o.site = site;
-    o.round = static_cast<std::uint32_t>(r);
+    o.round = static_cast<std::uint16_t>(r);
     o.status = MonitorStatus::kMeasured;
     o.v4_speed_kBps = static_cast<float>(v4[r]);
     o.v6_speed_kBps = static_cast<float>(v6[r]);
     o.v4_samples = 5;
     o.v6_samples = 5;
-    o.v4_path = v4_path;
-    o.v6_path = v6_path;
-    o.v4_origin = origin;
-    o.v6_origin = origin;
+    o.v4_route = route(db, v4_path, origin);
+    o.v6_route = route(db, v6_path, origin);
     db.add(o);
   }
 }
@@ -103,16 +106,14 @@ TEST(Assessment, StepUpWithPathChange) {
   for (int r = 0; r < 60; ++r) {
     Observation o;
     o.site = 1;
-    o.round = static_cast<std::uint32_t>(r);
+    o.round = static_cast<std::uint16_t>(r);
     o.status = MonitorStatus::kMeasured;
     const bool late = r >= 30;
     o.v4_speed_kBps = static_cast<float>(late ? 90.0 : 40.0) +
                       static_cast<float>(r % 3);  // mild deterministic noise
     o.v6_speed_kBps = 41.0f;
-    o.v4_path = late ? after : before;
-    o.v6_path = before;
-    o.v4_origin = 7;
-    o.v6_origin = 7;
+    o.v4_route = route(db, late ? after : before);
+    o.v6_route = route(db, before);
     db.add(o);
   }
   (void)v4;
@@ -173,14 +174,12 @@ TEST(Assessment, ModalPathWins) {
   for (int r = 0; r < 20; ++r) {
     Observation o;
     o.site = 1;
-    o.round = static_cast<std::uint32_t>(r);
+    o.round = static_cast<std::uint16_t>(r);
     o.status = MonitorStatus::kMeasured;
     o.v4_speed_kBps = 50.0f;
     o.v6_speed_kBps = 49.0f;
-    o.v4_path = (r % 7 == 0) ? rare : common;
-    o.v6_path = common;
-    o.v4_origin = 7;
-    o.v6_origin = 7;
+    o.v4_route = route(db, (r % 7 == 0) ? rare : common);
+    o.v6_route = route(db, common);
     db.add(o);
   }
   db.finalize();
@@ -211,17 +210,15 @@ TEST(Assessment, ModalTieGoesToFirstValueToReachTopCount) {
   const core::PathId a = db.paths().intern({1, 7});
   const core::PathId b = db.paths().intern({2, 7});
   const core::PathId v4_paths[] = {a, b, b, a};
-  for (std::uint32_t r = 0; r < 4; ++r) {
+  for (std::uint16_t r = 0; r < 4; ++r) {
     Observation o;
     o.site = 1;
     o.round = r;
     o.status = MonitorStatus::kMeasured;
     o.v4_speed_kBps = 50.0f;
     o.v6_speed_kBps = 49.0f;
-    o.v4_path = v4_paths[r];
-    o.v6_path = a;
-    o.v4_origin = 7;
-    o.v6_origin = 7;
+    o.v4_route = route(db, v4_paths[r]);
+    o.v6_route = route(db, a);
     db.add(o);
   }
   db.finalize();

@@ -141,12 +141,12 @@ TEST(ShardedSinkStress, ConcurrentLaneIngestLosesNothing) {
         const topo::Asn p = (i + static_cast<topo::Asn>(t) * 7) % kDistinctPaths;
         Observation o;
         o.site = static_cast<std::uint32_t>(t) * kRowsPerThread + i;
-        o.round = i % 5;
+        o.round = static_cast<std::uint16_t>(i % 5);
         o.status = MonitorStatus::kMeasured;
         o.v4_speed_kBps = static_cast<float>(t + 1);
         o.v6_speed_kBps = static_cast<float>(i % 97);
-        o.v4_path = lane.paths().intern({p, p + 1});
-        o.v6_path = lane.paths().intern({p, p + 2, p + 3});
+        o.v4_route = lane.paths().intern_route(p + 1, std::vector<topo::Asn>{p, p + 1});
+        o.v6_route = lane.paths().intern_route(p + 3, std::vector<topo::Asn>{p, p + 2, p + 3});
         lane.record(o);
         lane.count(o.round, o.status);
       }
@@ -177,6 +177,7 @@ TEST(ShardedSinkStress, ConcurrentLaneIngestLosesNothing) {
   EXPECT_EQ(sharded_db.num_sites(), mutex_db.num_sites());
   // Private per-shard registries canonicalized into one deduped registry.
   EXPECT_EQ(sharded_db.paths().size(), mutex_db.paths().size());
+  EXPECT_EQ(sharded_db.paths().route_count(), mutex_db.paths().route_count());
   // Counter deltas merged without loss.
   for (std::uint32_t r = 0; r < 5; ++r) {
     EXPECT_EQ(sharded_db.round_counters(r).measured,

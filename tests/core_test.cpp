@@ -167,6 +167,36 @@ TEST(PathRegistry, InternsAndDeduplicates) {
   EXPECT_EQ(reg.to_string(reg.intern({})), "(local)");
 }
 
+// One row per monitored dual-stack site-round: the row's width is the
+// store's memory.
+static_assert(sizeof(Observation) == 28, "observation rows are 28 bytes");
+
+TEST(PathRegistry, InternsRoutesOverPaths) {
+  PathRegistry reg;
+  const PathId p = reg.intern({1, 2, 3});
+  const RouteId a = reg.intern_route(3, p);
+  const RouteId b = reg.intern_route(3, kNoPath);
+  EXPECT_EQ(reg.intern_route(3, p), a);
+  EXPECT_NE(a, b);
+  EXPECT_NE(reg.intern_route(4, p), a);
+  EXPECT_EQ(reg.route_count(), 3u);
+  EXPECT_EQ(reg.route(a).origin, 3u);
+  EXPECT_EQ(reg.route(a).path, p);
+  EXPECT_EQ(reg.route(b).path, kNoPath);
+  // The span form interns the path with the route: the same ids for a
+  // known path, a new path id for a new one.
+  EXPECT_EQ(reg.intern_route(3, std::vector<topo::Asn>{1, 2, 3}), a);
+  const RouteId c = reg.intern_route(5, std::vector<topo::Asn>{4, 5});
+  EXPECT_EQ(reg.size(), 2u);
+  EXPECT_EQ(reg.path(reg.route(c).path), (std::vector<topo::Asn>{4, 5}));
+  EXPECT_EQ(reg.route(c).origin, 5u);
+  EXPECT_EQ(reg.route(kNoRoute).origin, topo::kNoAs);
+  EXPECT_EQ(reg.route(kNoRoute).path, kNoPath);
+  reg.freeze();
+  EXPECT_EQ(reg.route(a).path, p);  // lock-free reads after freeze
+  EXPECT_EQ(reg.path(p), (std::vector<topo::Asn>{1, 2, 3}));
+}
+
 TEST(ResultsDb, CountersBucketStatuses) {
   ResultsDb db;
   db.count(0, MonitorStatus::kV4Only);
@@ -218,10 +248,8 @@ TEST(ResultsDb, CsvContainsObservations) {
   o.status = MonitorStatus::kMeasured;
   o.v4_speed_kBps = 50.0f;
   o.v6_speed_kBps = 45.0f;
-  o.v4_origin = 12;
-  o.v6_origin = 12;
-  o.v4_path = db.paths().intern({5, 12});
-  o.v6_path = db.paths().intern({6, 12});
+  o.v4_route = db.paths().intern_route(12, db.paths().intern({5, 12}));
+  o.v6_route = db.paths().intern_route(12, db.paths().intern({6, 12}));
   db.add(o);
   db.finalize();
   const std::string csv = db.to_csv();
@@ -311,7 +339,8 @@ constexpr const char* kCsvHeader =
 
 /// Independent oracle for the dump format: every field through a default
 /// `std::ostream <<` (floats at the stream's default `%.6g`) and paths
-/// through an ostringstream, exactly as the dump was first specified.
+/// through an ostringstream, exactly as the dump was first specified,
+/// with each route read back as its origin and path.
 std::string stream_oracle_csv(const PathRegistry& paths,
                               const std::vector<Observation>& rows) {
   auto path_text = [&paths](PathId id) -> std::string {
@@ -331,10 +360,12 @@ std::string stream_oracle_csv(const PathRegistry& paths,
     out << o.site << ',' << o.round << ',' << monitor_status_name(o.status) << ','
         << o.v4_speed_kBps << ',' << o.v6_speed_kBps << ',' << o.v4_samples << ','
         << o.v6_samples << ',';
-    if (o.v4_origin != topo::kNoAs) out << o.v4_origin;
+    const Route v4 = paths.route(o.v4_route);
+    const Route v6 = paths.route(o.v6_route);
+    if (v4.origin != topo::kNoAs) out << v4.origin;
     out << ',';
-    if (o.v6_origin != topo::kNoAs) out << o.v6_origin;
-    out << ',' << path_text(o.v4_path) << ',' << path_text(o.v6_path) << '\n';
+    if (v6.origin != topo::kNoAs) out << v6.origin;
+    out << ',' << path_text(v4.path) << ',' << path_text(v6.path) << '\n';
   }
   return out.str();
 }
@@ -377,7 +408,8 @@ constexpr MonitorStatus kAllStatuses[] = {
     MonitorStatus::kV6DownloadFailed,  MonitorStatus::kDifferentContent,
     MonitorStatus::kMeasured};
 
-/// A deterministic spread of rows over every field's edge values, plus
+/// A deterministic spread of rows over every field's edge values (a route
+/// pairs an origin with a path; no origin and no path is kNoRoute), plus
 /// `random_rows` rows of arbitrary float bit patterns (NaN payloads
 /// included) — enough bytes that the writer's buffer spills many times
 /// and rows straddle its boundaries. Sites ascend with insertion order.
@@ -387,7 +419,11 @@ std::vector<Observation> edge_rows(PathRegistry& paths, std::size_t random_rows)
                              paths.intern({1, 22, 333, 4444, 4294967294u})};
   const topo::Asn origins[] = {topo::kNoAs, 0, 65535, topo::kNoAs - 1};
   const std::uint16_t samples[] = {0, 1, 9, 65535};
-  const std::uint32_t rounds[] = {0, 7, 0xfffffffeu, 0xffffffffu};
+  const std::uint16_t rounds[] = {0, 7, 0xfffe, 0xffff};
+  const auto route = [&paths](topo::Asn origin, PathId path) {
+    return origin == topo::kNoAs && path == kNoPath ? kNoRoute
+                                                    : paths.intern_route(origin, path);
+  };
 
   std::vector<Observation> rows;
   std::uint64_t bits = 0x9e3779b97f4a7c15ULL;
@@ -408,10 +444,8 @@ std::vector<Observation> edge_rows(PathRegistry& paths, std::size_t random_rows)
     }
     o.v4_samples = samples[i % 4];
     o.v6_samples = samples[(i / 4) % 4];
-    o.v4_origin = origins[i % 4];
-    o.v6_origin = origins[(i + 1) % 4];
-    o.v4_path = path_ids[i % 4];
-    o.v6_path = path_ids[(i / 5) % 4];
+    o.v4_route = route(origins[i % 4], path_ids[i % 4]);
+    o.v6_route = route(origins[(i + 1) % 4], path_ids[(i / 5) % 4]);
     rows.push_back(o);
   }
   // One path longer than any buffer block.
@@ -419,7 +453,8 @@ std::vector<Observation> edge_rows(PathRegistry& paths, std::size_t random_rows)
   for (std::size_t i = 0; i < huge.size(); ++i) {
     huge[i] = topo::kNoAs - 1 - static_cast<topo::Asn>(i);
   }
-  rows[rows.size() / 2].v6_path = paths.intern(huge);
+  Observation& mid = rows[rows.size() / 2];
+  mid.v6_route = paths.intern_route(paths.route(mid.v6_route).origin, paths.intern(huge));
   return rows;
 }
 
@@ -462,6 +497,21 @@ TEST(ResultsCsv, EmptyStoreWritesHeaderOnly) {
   EXPECT_EQ(db.to_csv(), kCsvHeader);
   EXPECT_EQ(db.num_sites(), 0u);
   EXPECT_TRUE(db.series(0).empty());
+}
+
+// A family without a RIB route records kNoRoute: an empty origin column
+// and "-" for its path, as is a route without a path for its path column.
+TEST(ResultsCsv, MissingRouteRendersEmptyOriginAndDash) {
+  ResultsDb db;
+  Observation o;
+  o.site = 4;
+  o.round = 2;
+  o.status = MonitorStatus::kV6DownloadFailed;
+  o.v4_route = db.paths().intern_route(12, kNoPath);  // a VP without AS paths
+  db.add(o);
+  db.finalize();
+  EXPECT_EQ(db.to_csv(), std::string(kCsvHeader) +
+                             "4,2,v6-download-failed,0,0,0,0,12,,-,-\n");
 }
 
 /// Accepts `limit` bytes, then refuses everything — a disk that fills up
@@ -579,10 +629,12 @@ TEST(Monitor, DualStackSiteMeasured) {
       EXPECT_GT(obs.v4_speed_kBps, 0.0f);
       EXPECT_GT(obs.v6_speed_kBps, 0.0f);
       EXPECT_GE(obs.v4_samples, 3u);
-      EXPECT_NE(obs.v4_origin, topo::kNoAs);
-      EXPECT_NE(obs.v6_origin, topo::kNoAs);
-      EXPECT_NE(obs.v4_path, kNoPath);
-      EXPECT_NE(obs.v6_path, kNoPath);
+      const Route v4 = paths.route(obs.v4_route);
+      const Route v6 = paths.route(obs.v6_route);
+      EXPECT_NE(v4.origin, topo::kNoAs);
+      EXPECT_NE(v6.origin, topo::kNoAs);
+      EXPECT_NE(v4.path, kNoPath);
+      EXPECT_NE(v6.path, kNoPath);
     }
   }
   EXPECT_GT(measured, 10);
@@ -640,12 +692,75 @@ TEST(Monitor, SeparateProviderVpYieldsDivergentPaths) {
     if (!s.dual_stack_at(5) || s.different_location()) continue;
     const auto obs = mon.monitor_site(s, 5, {}, util::Rng(77 + s.id), paths);
     if (obs.status != MonitorStatus::kMeasured) continue;
-    if (obs.v4_origin != obs.v6_origin) continue;
-    if (obs.v4_path == obs.v6_path) ++same;
+    const Route v4 = paths.route(obs.v4_route);
+    const Route v6 = paths.route(obs.v6_route);
+    if (v4.origin != v6.origin) continue;
+    if (v4.path == v6.path) ++same;
     else ++diff;
     if (same + diff > 120) break;
   }
   EXPECT_GT(diff, same * 3) << "separate-provider VP should be DP-dominated";
+}
+
+// Each recorded row's routes read back what the vantage point's RIB gave
+// for the site's addresses at that round: the origin, and the AS path at
+// a VP with AS paths (no path at one without). A family with no RIB route
+// records kNoRoute: every third v6 prefix is withdrawn from each RIB so
+// that some dual-stack sites have none. Regular and W6D stores, on a
+// frozen world, so the RIB is the one the campaign read.
+TEST(Campaign, RecordedRoutesMatchRibLookups) {
+  scenario::WorldSpec spec = small_world().spec;
+  spec.vantage_points[1].has_as_path = false;
+  World world = scenario::build_world(spec);
+  for (VantagePoint& vp : world.vantage_points) {
+    std::vector<ip::Ipv6Prefix> prefixes;
+    vp.rib.for_each_v6([&](const ip::Ipv6Prefix& p, const bgp::RibEntry&) {
+      prefixes.push_back(p);
+    });
+    for (std::size_t i = 0; i < prefixes.size(); i += 3) vp.rib.erase_v6(prefixes[i]);
+  }
+  CampaignConfig cfg;
+  cfg.seed = 5;
+  cfg.threads = 2;
+  Campaign campaign(world, cfg);
+  campaign.run();
+  campaign.run_w6d();
+  campaign.finalize();
+  for (std::size_t v = 0; v < world.vantage_points.size(); ++v) {
+    const VantagePoint& vp = world.vantage_points[v];
+    SCOPED_TRACE("vp=" + vp.name);
+    std::size_t rows = 0, unrouted = 0;
+    for (const ResultsDb* db : {&campaign.results(v), &campaign.w6d_results(v)}) {
+      const PathRegistry& reg = db->paths();
+      const auto expect_route = [&](RouteId id, const bgp::RibEntry* rib) {
+        if (rib == nullptr) {
+          EXPECT_EQ(id, kNoRoute);
+          ++unrouted;
+          return;
+        }
+        ASSERT_NE(id, kNoRoute);
+        const Route r = reg.route(id);
+        EXPECT_EQ(r.origin, rib->origin);
+        if (!vp.has_as_path) {
+          EXPECT_EQ(r.path, kNoPath);
+          return;
+        }
+        ASSERT_NE(r.path, kNoPath);
+        EXPECT_EQ(reg.path(r.path), rib->as_path);
+      };
+      for (const std::uint32_t site : db->site_ids()) {
+        for (const Observation& o : db->series(site)) {
+          const web::Hosting h = world.catalog.hosting_at(world.catalog.site(site), o.round);
+          SCOPED_TRACE(testing::Message() << "site=" << site << " round=" << o.round);
+          expect_route(o.v4_route, vp.rib.lookup_v4(h.v4_addr));
+          expect_route(o.v6_route, vp.rib.lookup_v6(h.v6_addr));
+          ++rows;
+        }
+      }
+    }
+    EXPECT_GT(rows, 100u);
+    EXPECT_GT(unrouted, 0u);
+  }
 }
 
 /// What one family's CI loop measures, and what it spent.
@@ -1458,7 +1573,22 @@ TEST(ResolvedSiteTable, IndexMatchesSlotsAfterCampaigns) {
   }
 }
 
-void expect_same_observation(const Observation& a, const Observation& b) {
+// Routes are compared by content: `ra` and `rb` are separate registries,
+// so equal ids would not show equal origins or paths.
+void expect_same_route(const PathRegistry& ra, RouteId a, const PathRegistry& rb,
+                       RouteId b) {
+  const Route x = ra.route(a);
+  const Route y = rb.route(b);
+  EXPECT_EQ(a == kNoRoute, b == kNoRoute);
+  EXPECT_EQ(x.origin, y.origin);
+  ASSERT_EQ(x.path == kNoPath, y.path == kNoPath);
+  if (x.path != kNoPath) {
+    EXPECT_EQ(ra.path(x.path), rb.path(y.path));
+  }
+}
+
+void expect_same_observation(const Observation& a, const PathRegistry& ra,
+                             const Observation& b, const PathRegistry& rb) {
   EXPECT_EQ(a.site, b.site);
   EXPECT_EQ(a.round, b.round);
   EXPECT_EQ(a.status, b.status);
@@ -1466,10 +1596,8 @@ void expect_same_observation(const Observation& a, const Observation& b) {
   EXPECT_EQ(a.v6_speed_kBps, b.v6_speed_kBps);
   EXPECT_EQ(a.v4_samples, b.v4_samples);
   EXPECT_EQ(a.v6_samples, b.v6_samples);
-  EXPECT_EQ(a.v4_path, b.v4_path);
-  EXPECT_EQ(a.v6_path, b.v6_path);
-  EXPECT_EQ(a.v4_origin, b.v4_origin);
-  EXPECT_EQ(a.v6_origin, b.v6_origin);
+  expect_same_route(ra, a.v4_route, rb, b.v4_route);
+  expect_same_route(ra, a.v6_route, rb, b.v6_route);
 }
 
 // A Monitor reading table rows (slots assigned, filled on the first call,
@@ -1502,7 +1630,7 @@ TEST(Monitor, TableRowsMatchPerCallResolution) {
           const Observation b =
               uncached.monitor_site(site, kRound, {}, util::Rng(seed), uncached_paths);
           SCOPED_TRACE("pass=" + std::to_string(pass) + " site=" + std::to_string(id));
-          expect_same_observation(a, b);
+          expect_same_observation(a, cached_paths, b, uncached_paths);
         }
         std::size_t filled = 0;
         for (const std::uint32_t id : dual) {

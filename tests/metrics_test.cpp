@@ -364,6 +364,9 @@ TEST(MetricsDeterminism, CountersIdenticalAcrossThreadsAndBackends) {
   // Slot assignment runs on each VP's chain, once per (site, hosting
   // epoch) the monitor reaches: the same count at every thread count.
   EXPECT_EQ(reference.counters.find("\"monitor.resolved_slots\":0,"), std::string::npos);
+  // The finalized stores' bytes are sizes, not capacities: the same at
+  // every thread count and sink backend, and never 0 for stores with rows.
+  EXPECT_EQ(reference.counters.find("\"mem.results_bytes\":0,"), std::string::npos);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     for (const core::SinkBackend backend :
          {core::SinkBackend::kMutex, core::SinkBackend::kSharded,

@@ -21,8 +21,8 @@
 namespace v6mon::core {
 namespace {
 
-Observation sample_obs(std::uint32_t site, std::uint32_t round, PathId v4,
-                       PathId v6) {
+Observation sample_obs(std::uint32_t site, std::uint16_t round, RouteId v4,
+                       RouteId v6) {
   Observation o;
   o.site = site;
   o.round = round;
@@ -31,10 +31,8 @@ Observation sample_obs(std::uint32_t site, std::uint32_t round, PathId v4,
   o.v6_speed_kBps = 88.25f + static_cast<float>(round);
   o.v4_samples = 5;
   o.v6_samples = 4;
-  o.v4_path = v4;
-  o.v6_path = v6;
-  o.v4_origin = 7;
-  o.v6_origin = 9;
+  o.v4_route = v4;
+  o.v6_route = v6;
   return o;
 }
 
@@ -52,12 +50,15 @@ std::string test_spool_path(const std::string& stem) {
 /// counters, mimicking what a campaign round does.
 void drive(ObservationSink& sink) {
   ObservationSink::Lane& lane = sink.lane();
-  const PathId a = lane.paths().intern({1, 2, 3});
-  const PathId b = lane.paths().intern({1, 2, 4});
-  const PathId local = lane.paths().intern({});
+  PathRegistry& reg = lane.paths();
+  const RouteId a = reg.intern_route(7, reg.intern({1, 2, 3}));
+  const RouteId b = reg.intern_route(9, reg.intern({1, 2, 4}));
+  const RouteId local = reg.intern_route(9, reg.intern({}));
   lane.record(sample_obs(10, 0, a, b));
   lane.record(sample_obs(11, 0, b, local));
-  Observation pathless = sample_obs(12, 0, kNoPath, kNoPath);
+  // A VP without AS paths: origins only.
+  Observation pathless =
+      sample_obs(12, 0, reg.intern_route(7, kNoPath), reg.intern_route(9, kNoPath));
   pathless.status = MonitorStatus::kV6DownloadFailed;
   lane.record(pathless);
   lane.count(0, MonitorStatus::kMeasured);
@@ -69,8 +70,9 @@ void drive(ObservationSink& sink) {
 
   // Second epoch: revisit one site, one new path, a new round's counters.
   ObservationSink::Lane& lane2 = sink.lane();
-  const PathId c = lane2.paths().intern({9, 8});
+  const RouteId c = lane2.paths().intern_route(8, lane2.paths().intern({9, 8}));
   lane2.record(sample_obs(10, 1, c, c));
+  lane2.record(sample_obs(13, 1, kNoRoute, c));
   lane2.count(1, MonitorStatus::kMeasured);
   sink.count_listed(1, 41);
   sink.finish();
@@ -81,6 +83,7 @@ void expect_same_finalized(const ResultsDb& a, const ResultsDb& b) {
   EXPECT_EQ(a.num_sites(), b.num_sites());
   EXPECT_EQ(a.site_ids(), b.site_ids());
   EXPECT_EQ(a.paths().size(), b.paths().size());
+  EXPECT_EQ(a.paths().route_count(), b.paths().route_count());
   ASSERT_EQ(a.rounds(), b.rounds());
   for (std::uint32_t r = 0; r < a.rounds(); ++r) {
     const RoundCounters& ca = a.round_counters(r);
@@ -149,7 +152,7 @@ const std::vector<Epoch>& range_epochs() {
   static const std::vector<Epoch> epochs = {
       [](ObservationSink& sink) {
         ObservationSink::Lane& lane = sink.lane();
-        lane.record(sample_obs(10, 3, kNoPath, kNoPath));
+        lane.record(sample_obs(10, 3, kNoRoute, kNoRoute));
         lane.count(1200, MonitorStatus::kMeasured);
         lane.count_n(3, MonitorStatus::kV4Only, 5);
         lane.count(3, MonitorStatus::kDifferentContent);
@@ -293,6 +296,46 @@ TEST(Sink, ReplayRejectsUndefinedPathId) {
   bytes += "\xff\xff\xff\xff";             // v6 path id = none
   bytes += std::string(8, '\0');           // origins
   expect_replay_throws(bytes);
+}
+
+/// Header, one observation at `round` (no routes), and the end record.
+std::string one_obs_spool(std::uint32_t round) {
+  std::string bytes = "V6SPOOL1";
+  bytes += '\x02';                           // Obs tag
+  bytes += std::string(4, '\0');             // site
+  for (int i = 0; i < 4; ++i) bytes += static_cast<char>((round >> (8 * i)) & 0xff);
+  bytes += '\x06';                           // status = kMeasured
+  bytes += std::string(12, '\0');            // speed bits, sample counts
+  bytes += std::string(8, '\xff');           // v4 / v6 path id = none
+  bytes += std::string(4, '\0');             // v4 origin = AS0
+  bytes += "\xff\xff\xff\xff";               // v6 origin = none
+  bytes += '\x04';                           // End tag
+  bytes += '\x01' + std::string(7, '\0');    // one observation
+  return bytes;
+}
+
+// Observation rows keep the round in 16 bits: the largest round replays
+// as itself, and the next one is rejected rather than wrapped to 0.
+TEST(Sink, ReplayRejectsRoundBeyondObservationRange) {
+  {
+    std::istringstream in(one_obs_spool(65535));
+    ResultsDb db;
+    replay_spool(in, db);
+    db.finalize();
+    ASSERT_EQ(db.series(0).size(), 1u);
+    EXPECT_EQ(db.series(0)[0].round, 65535u);
+    EXPECT_EQ(db.paths().route(db.series(0)[0].v6_route).origin, topo::kNoAs);
+    EXPECT_EQ(db.to_csv().substr(db.to_csv().find('\n') + 1),
+              "0,65535,measured,0,0,0,0,0,,-,-\n");
+  }
+  std::istringstream in(one_obs_spool(65536));
+  ResultsDb db;
+  try {
+    replay_spool(in, db);
+    ADD_FAILURE() << "round 65536 replayed";
+  } catch (const v6mon::Error& e) {
+    EXPECT_STREQ(e.what(), "spool: round out of range");
+  }
 }
 
 TEST(Sink, ReplayRejectsMissingEndRecord) {
