@@ -581,6 +581,13 @@ void Campaign::finalize() {
   for (std::deque<VpStore>* group : {&stores_, &w6d_stores_}) {
     for (VpStore& store : *group) stores.push_back(&store);
   }
+  // What the sinks' shards hold once ingest ends. A gauge: the shard count
+  // follows the thread count.
+  if (obs::metrics().enabled()) {
+    std::size_t shard_bytes = 0;
+    for (const VpStore* store : stores) shard_bytes += store->sink->bytes();
+    obs::metrics().set_gauge("mem.sink_shard_bytes", static_cast<double>(shard_bytes));
+  }
   parallel_index(pool_, stores.size(), [&stores](std::size_t i) {
     VpStore& store = *stores[i];
     util::LockGuard epoch(store.epoch_mu);

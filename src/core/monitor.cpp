@@ -421,20 +421,24 @@ Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
   // time a site reaches this phase its row is resolved and filled right
   // here — by the one worker monitoring the site this epoch, so fills
   // never race — and later rounds reuse it. Without a slot (a Monitor
-  // driven outside a campaign) the row is resolved per call.
-  const std::uint32_t slot = resolved_.find(site.id, site.hosting_epoch(round));
+  // driven outside a campaign) the row is resolved per call. The lookup
+  // and the first-sight fill are the worker half of the slot work.
   ResolvedSiteRow local;
   const ResolvedSiteRow* row = &local;
-  if (slot == ResolvedSiteTable::kNoSlot) {
-    resolve_addresses(answers.v4_addr, answers.v6_addr, local);
-  } else {
-    if (!resolved_.filled(slot)) {
+  {
+    obs::TraceSpan span(obs::Stage::kSiteResolve);
+    const std::uint32_t slot = resolved_.find(site.id, site.hosting_epoch(round));
+    if (slot == ResolvedSiteTable::kNoSlot) {
       resolve_addresses(answers.v4_addr, answers.v6_addr, local);
-      resolved_.fill(slot, local, current_world_epoch_);
+    } else {
+      if (!resolved_.filled(slot)) {
+        resolve_addresses(answers.v4_addr, answers.v6_addr, local);
+        resolved_.fill(slot, local, current_world_epoch_);
+      }
+      row = &resolved_.row(slot);
+      V6MON_ASSERT(row->v4_addr == answers.v4_addr && row->v6_addr == answers.v6_addr,
+                   "resolved-site row disagrees with the catalog's answers");
     }
-    row = &resolved_.row(slot);
-    V6MON_ASSERT(row->v4_addr == answers.v4_addr && row->v6_addr == answers.v6_addr,
-                 "resolved-site row disagrees with the catalog's answers");
   }
 
   if (row->v4_route != nullptr) obs.v4_route = intern_route(*row->v4_route, paths);

@@ -161,8 +161,15 @@ void ResultsDb::merge_rows(std::span<const Observation> batch) {
 }
 
 RoundCounters& ResultsDb::round_slot(std::uint32_t round) {
-  if (round >= rounds_.size()) rounds_.resize(round + 1);
-  return rounds_[round];
+  if (rounds_.empty()) {
+    first_round_ = round;
+  } else if (round < first_round_) {
+    rounds_.insert(rounds_.begin(), first_round_ - round, RoundCounters{});
+    first_round_ = round;
+  }
+  const std::size_t i = round - first_round_;
+  if (i >= rounds_.size()) rounds_.resize(i + 1);
+  return rounds_[i];
 }
 
 void ResultsDb::count(std::uint32_t round, MonitorStatus status, std::uint64_t n) {
@@ -179,8 +186,11 @@ void ResultsDb::merge_counters(std::uint32_t first_round,
                                std::span<const RoundCounters> deltas) {
   if (deltas.empty()) return;
   util::LockGuard lock(mu_);
-  round_slot(static_cast<std::uint32_t>(first_round + deltas.size() - 1));  // size once
-  for (std::size_t i = 0; i < deltas.size(); ++i) rounds_[first_round + i] += deltas[i];
+  // Widen once to cover both ends, then add in place.
+  round_slot(first_round);
+  round_slot(static_cast<std::uint32_t>(first_round + deltas.size() - 1));
+  const std::size_t base = first_round - first_round_;
+  for (std::size_t i = 0; i < deltas.size(); ++i) rounds_[base + i] += deltas[i];
 }
 
 SiteSeries ResultsDb::series(std::uint32_t site) const {
@@ -200,8 +210,8 @@ const RoundCounters& ResultsDb::round_counters(std::uint32_t round) const {
   // every other rounds_ access. The returned reference is stable only
   // once ingest has quiesced, as before.
   util::LockGuard lock(mu_);
-  if (round >= rounds_.size()) return kEmpty;
-  return rounds_[round];
+  if (round < first_round_ || round - first_round_ >= rounds_.size()) return kEmpty;
+  return rounds_[round - first_round_];
 }
 
 void ResultsDb::finalize() {
@@ -225,8 +235,10 @@ void ResultsDb::finalize() {
 
 std::size_t ResultsDb::bytes() const {
   V6MON_REQUIRE(finalized_, "bytes() requires a finalized ResultsDb");
+  util::LockGuard lock(mu_);
   return rows_.size() * sizeof(Observation) + site_ids_.size() * sizeof(std::uint32_t) +
-         site_begin_.size() * sizeof(std::size_t) + paths_.bytes();
+         site_begin_.size() * sizeof(std::size_t) + rounds_.size() * sizeof(RoundCounters) +
+         paths_.bytes();
 }
 
 namespace {

@@ -248,10 +248,12 @@ class ResultsDb {
   /// has no observations. Requires finalize().
   [[nodiscard]] SiteSeries series(std::uint32_t site) const;
 
+  /// The round's counters; all-zero for a round the store never counted.
   [[nodiscard]] const RoundCounters& round_counters(std::uint32_t round) const;
+  /// One past the highest round counted (0 when none was).
   [[nodiscard]] std::size_t rounds() const {
     util::LockGuard lock(mu_);
-    return rounds_.size();
+    return rounds_.empty() ? 0 : first_round_ + rounds_.size();
   }
 
   /// Sort the rows by (site, round), index each site's run and freeze
@@ -262,9 +264,9 @@ class ResultsDb {
   [[nodiscard]] bool finalized() const { return finalized_; }
 
   /// Bytes the finalized store holds: rows x sizeof(Observation), the
-  /// site index and the registry's paths and routes (sizes, not
-  /// capacities, so the figure is the same at any thread count and sink
-  /// backend). Requires finalize().
+  /// site index, the round counters and the registry's paths and routes
+  /// (sizes, not capacities, so the figure is the same at any thread
+  /// count and sink backend). Requires finalize().
   [[nodiscard]] std::size_t bytes() const;
 
   /// Stream the observation dump (sorted by site, round) as CSV — no
@@ -287,9 +289,16 @@ class ResultsDb {
   /// site_ids_[k]'s rows are rows_[site_begin_[k], site_begin_[k + 1]);
   /// one entry per site plus the end offset. Phase-published.
   std::vector<std::size_t> site_begin_;
+  /// rounds_[i] is round first_round_ + i's counters: the array spans
+  /// the rounds from the lowest counted to the highest, so a store that
+  /// counts one late round (a W6D store) holds one entry, not every
+  /// round before it. first_round_ is meaningless while rounds_ is empty.
   std::vector<RoundCounters> rounds_ V6MON_GUARDED_BY(mu_);
+  std::uint32_t first_round_ V6MON_GUARDED_BY(mu_) = 0;
   bool finalized_ = false;  ///< Phase-published (see rows_).
 
+  /// The round's slot, widening rounds_ to cover it (a round below
+  /// first_round_ prepends).
   RoundCounters& round_slot(std::uint32_t round) V6MON_REQUIRES(mu_);
 };
 

@@ -1,6 +1,5 @@
 #include "core/sink.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 
@@ -14,7 +13,7 @@ namespace {
 /// pointer: a destroyed sink's address can be reused by a later one,
 /// and a stale pointer hit would hand a worker someone else's shard).
 /// A fixed-size ring bounds the cache; eviction only costs a re-lookup
-/// (and at worst an extra shard), never correctness.
+/// of the thread's shard under the sink's mutex, never another shard.
 struct LaneSlot {
   std::uint64_t sink_id = 0;  ///< 0 = empty (ids start at 1).
   ObservationSink::Lane* lane = nullptr;
@@ -39,8 +38,14 @@ ShardedSinkBase::ShardedSinkBase() : id_(next_sink_id()) {}
 ShardedSinkBase::~ShardedSinkBase() = default;
 
 ShardedSinkBase::Shard& ShardedSinkBase::shard_for_this_thread() {
+  const std::thread::id self = std::this_thread::get_id();
   util::LockGuard lock(shards_mu_);
-  return shards_.emplace_back();
+  // A thread that feeds more sinks than the lane cache holds misses here
+  // again after an eviction: it must get its own shard back.
+  for (Shard& s : shards_) {
+    if (s.owner_ == self) return s;
+  }
+  return shards_.emplace_back(self);
 }
 
 ObservationSink::Lane& ShardedSinkBase::lane() {
@@ -57,6 +62,18 @@ ObservationSink::Lane& ShardedSinkBase::lane() {
 std::size_t ShardedSinkBase::shard_count() const {
   util::LockGuard lock(shards_mu_);
   return shards_.size();
+}
+
+std::size_t ShardedSinkBase::bytes() const {
+  util::LockGuard lock(shards_mu_);
+  std::size_t total = 0;
+  for (const Shard& s : shards_) {
+    total += s.staged_.capacity() * sizeof(Observation) +
+             s.counters_.capacity() * sizeof(RoundCounters) +
+             s.path_remap_.capacity() * sizeof(PathId) +
+             s.route_remap_.capacity() * sizeof(RouteId) + s.reg_.bytes();
+  }
+  return total;
 }
 
 void ShardedSinkBase::flush() {
@@ -88,15 +105,10 @@ void ShardedSinkBase::flush() {
         o.v6_route = s.route_remap_[o.v6_route];
       }
     }
-    const std::span<RoundCounters> touched =
-        s.lo_ < s.hi_ ? std::span(s.counters_).subspan(s.lo_, s.hi_ - s.lo_)
-                      : std::span<RoundCounters>();
-    merge_batch(s.staged_, touched.empty() ? 0 : s.lo_, touched);
-    s.staged_.clear();  // keep the capacity: the next round refills it
-    // Zero only the touched deltas: every other round is zero already.
-    std::fill(touched.begin(), touched.end(), RoundCounters{});
-    s.lo_ = UINT32_MAX;
-    s.hi_ = 0;
+    merge_batch(s.staged_, s.lo_, s.counters_);
+    // Keep the capacities: the next epoch refills both.
+    s.staged_.clear();
+    s.counters_.clear();
   }
 }
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <deque>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "core/results.h"
@@ -73,6 +74,11 @@ class ObservationSink {
   /// End of ingest. After finish() the sink accepts no more traffic;
   /// out-of-core backends close their files here. Default: flush().
   virtual void finish() { flush(); }
+
+  /// Bytes the sink itself holds between flushes: container capacities of
+  /// its per-worker staging state (coordinator-only). Zero for a sink that
+  /// stages nothing.
+  [[nodiscard]] virtual std::size_t bytes() const { return 0; }
 };
 
 /// Baseline backend: every lane call goes straight to the ResultsDb
@@ -130,9 +136,11 @@ class ShardedSinkBase : public ObservationSink {
 
   [[nodiscard]] Lane& lane() final;
   void flush() final;
+  /// Capacities of every shard's staged rows, counter window and remaps,
+  /// plus its registry's interned content.
+  [[nodiscard]] std::size_t bytes() const final;
 
-  /// Number of shards materialized so far (== distinct ingest threads,
-  /// modulo lane-cache eviction).
+  /// Number of shards materialized so far (== distinct ingest threads).
   [[nodiscard]] std::size_t shard_count() const;
 
  protected:
@@ -146,7 +154,7 @@ class ShardedSinkBase : public ObservationSink {
   /// flush, over the range of rounds the shard's count/count_n calls
   /// touched in this epoch (empty when it counted nothing; rounds inside
   /// the range can still be all-zero, and merge treats those as no-ops).
-  /// Both spans are only borrowed — the shard zeroes and reuses its
+  /// Both spans are only borrowed — the shard clears and reuses its
   /// buffers after the call.
   virtual void merge_batch(std::span<const Observation> rows, std::uint32_t first_round,
                            std::span<const RoundCounters> counters) = 0;
@@ -154,6 +162,8 @@ class ShardedSinkBase : public ObservationSink {
  private:
   class Shard final : public Lane {
    public:
+    explicit Shard(std::thread::id owner) : owner_(owner) {}
+
     [[nodiscard]] PathRegistry& paths() override { return reg_; }
     void record(const Observation& obs) override { staged_.push_back(obs); }
     void count(std::uint32_t round, MonitorStatus status) override {
@@ -166,23 +176,32 @@ class ShardedSinkBase : public ObservationSink {
 
    private:
     friend class ShardedSinkBase;
-    /// The round's delta slot, widening the touched range to cover it.
+    /// The round's delta slot, widening the window to cover it: a round
+    /// below the window prepends to it, one above appends.
     RoundCounters& touch(std::uint32_t round) {
-      if (round >= counters_.size()) counters_.resize(round + 1);
-      if (round < lo_) lo_ = round;
-      if (round >= hi_) hi_ = round + 1;
-      return counters_[round];
+      if (counters_.empty()) {
+        lo_ = round;
+      } else if (round < lo_) {
+        counters_.insert(counters_.begin(), lo_ - round, RoundCounters{});
+        lo_ = round;
+      }
+      const std::size_t i = round - lo_;
+      if (i >= counters_.size()) counters_.resize(i + 1);
+      return counters_[i];
     }
 
+    /// The thread this shard's lane belongs to: a lane-cache miss finds
+    /// the shard again by it instead of minting another.
+    const std::thread::id owner_;
     PathRegistry reg_;
     std::vector<Observation> staged_;
-    /// Per-round deltas, indexed by round; zero outside [lo_, hi_), the
-    /// rounds counted since the last flush (empty when lo_ >= hi_). A
-    /// flush merges and zeroes only that range, so its cost follows the
-    /// rounds an epoch touched, not every round the shard has seen.
+    /// Per-round deltas of the rounds counted since the last flush:
+    /// counters_[i] is round lo_ + i's (lo_ is stale while the window is
+    /// empty). One ingest epoch counts one round, so the window holds
+    /// that epoch's rounds, not every round the shard has seen; a flush
+    /// merges it and clears it, keeping the capacity.
     std::vector<RoundCounters> counters_;
-    std::uint32_t lo_ = UINT32_MAX;
-    std::uint32_t hi_ = 0;
+    std::uint32_t lo_ = 0;
     /// Shard-local path / route id -> canonical id; grown incrementally
     /// at flush so already-canonicalized prefixes are never re-interned.
     std::vector<PathId> path_remap_;

@@ -19,11 +19,12 @@ constexpr std::uint8_t kTagEnd = 0x04;
 
 /// Replay-side sanity caps. A spool is untrusted bytes (tests/fuzz/
 /// fuzz_spool.cpp), and ResultsDb sizes its round-counter table from
-/// the largest round it sees — without the round cap a 40-byte file
-/// claiming round 2^32-1 makes replay resize to a 256 GB table. The
-/// limits are far above anything a real campaign writes (the paper
-/// catalog is 1M sites over ~370 rounds) but small enough that a
-/// hostile spool cannot cost more memory than its own byte count.
+/// the lowest to the largest round it sees — without the round cap two
+/// counter records claiming rounds 0 and 2^32-1 make replay resize to a
+/// 256 GB table. The limits are far above anything a real campaign
+/// writes (the paper catalog is 1M sites over ~370 rounds) but small
+/// enough that a hostile spool cannot cost more memory than its own
+/// byte count.
 constexpr std::uint32_t kMaxReplayHops = 1024;        ///< AS paths are dozens.
 /// Site ids size no table (the store keeps only the sites it holds);
 /// the cap stays as an input bound on what a campaign can write.

@@ -313,6 +313,7 @@ struct CampaignRun {
   std::uint64_t dns_queries = 0;
   std::uint64_t sites_monitored = 0;
   std::uint64_t fast_path_sites = 0;
+  double sink_shard_bytes = -1;  ///< The mem.sink_shard_bytes gauge; -1 = absent.
 };
 
 CampaignRun run_instrumented(std::size_t threads, core::SinkBackend backend,
@@ -346,6 +347,11 @@ CampaignRun run_instrumented(std::size_t threads, core::SinkBackend backend,
   out.dns_queries = reg.counter_value("dns.queries");
   out.sites_monitored = reg.counter_value("campaign.sites_monitored");
   out.fast_path_sites = reg.counter_value("campaign.fast_path_sites");
+  const std::string json = reg.to_json();
+  const std::string key = "\"mem.sink_shard_bytes\": ";
+  if (const std::size_t at = json.find(key); at != std::string::npos) {
+    out.sink_shard_bytes = std::stod(json.substr(at + key.size()));
+  }
   reg.set_enabled(false);
   reg.reset();
   return out;
@@ -379,6 +385,19 @@ TEST(MetricsDeterminism, CountersIdenticalAcrossThreadsAndBackends) {
       EXPECT_EQ(run.dns_queries, 2 * (run.sites_monitored + run.fast_path_sites));
     }
   }
+}
+
+// Campaign::finalize() sums what the sinks stage into a gauge: shards hold
+// rows, counter windows and registries, and the mutex sink stages nothing.
+TEST(MetricsDeterminism, SinkShardBytesGaugeNamesStagingMemory) {
+  EXPECT_EQ(run_instrumented(2, core::SinkBackend::kMutex, true).sink_shard_bytes, 0.0);
+  for (const core::SinkBackend backend :
+       {core::SinkBackend::kSharded, core::SinkBackend::kSpool}) {
+    SCOPED_TRACE(testing::Message() << "backend=" << static_cast<int>(backend));
+    EXPECT_GT(run_instrumented(2, backend, true).sink_shard_bytes, 0.0);
+  }
+  // Metrics off: no gauge is set.
+  EXPECT_EQ(run_instrumented(2, core::SinkBackend::kSharded, false).sink_shard_bytes, -1.0);
 }
 
 // Every site decision issues one A and one AAAA query, whether the

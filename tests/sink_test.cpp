@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <deque>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,36 +48,54 @@ std::string test_spool_path(const std::string& stem) {
          info->name() + ".spool";
 }
 
-/// Drive any sink through one epoch with a handful of observations and
-/// counters, mimicking what a campaign round does.
-void drive(ObservationSink& sink) {
+/// Drive any sink through two epochs with a handful of observations and
+/// counters, mimicking what campaign rounds do. The first epoch counts
+/// round `first`, the second round `second` (either may be the lower).
+void drive(ObservationSink& sink, std::uint16_t first = 0, std::uint16_t second = 1) {
   ObservationSink::Lane& lane = sink.lane();
   PathRegistry& reg = lane.paths();
   const RouteId a = reg.intern_route(7, reg.intern({1, 2, 3}));
   const RouteId b = reg.intern_route(9, reg.intern({1, 2, 4}));
   const RouteId local = reg.intern_route(9, reg.intern({}));
-  lane.record(sample_obs(10, 0, a, b));
-  lane.record(sample_obs(11, 0, b, local));
+  lane.record(sample_obs(10, first, a, b));
+  lane.record(sample_obs(11, first, b, local));
   // A VP without AS paths: origins only.
   Observation pathless =
-      sample_obs(12, 0, reg.intern_route(7, kNoPath), reg.intern_route(9, kNoPath));
+      sample_obs(12, first, reg.intern_route(7, kNoPath), reg.intern_route(9, kNoPath));
   pathless.status = MonitorStatus::kV6DownloadFailed;
   lane.record(pathless);
-  lane.count(0, MonitorStatus::kMeasured);
-  lane.count(0, MonitorStatus::kMeasured);
-  lane.count(0, MonitorStatus::kV6DownloadFailed);
-  lane.count(0, MonitorStatus::kV4Only);
-  sink.count_listed(0, 40);
+  lane.count(first, MonitorStatus::kMeasured);
+  lane.count(first, MonitorStatus::kMeasured);
+  lane.count(first, MonitorStatus::kV6DownloadFailed);
+  lane.count(first, MonitorStatus::kV4Only);
+  sink.count_listed(first, 40);
   sink.flush();
 
   // Second epoch: revisit one site, one new path, a new round's counters.
   ObservationSink::Lane& lane2 = sink.lane();
   const RouteId c = lane2.paths().intern_route(8, lane2.paths().intern({9, 8}));
-  lane2.record(sample_obs(10, 1, c, c));
-  lane2.record(sample_obs(13, 1, kNoRoute, c));
-  lane2.count(1, MonitorStatus::kMeasured);
-  sink.count_listed(1, 41);
+  lane2.record(sample_obs(10, second, c, c));
+  lane2.record(sample_obs(13, second, kNoRoute, c));
+  lane2.count(second, MonitorStatus::kMeasured);
+  sink.count_listed(second, 41);
   sink.finish();
+}
+
+void expect_same_counters(const ResultsDb& got, const ResultsDb& want) {
+  ASSERT_EQ(got.rounds(), want.rounds());
+  // One round past the end too: both must read it as zero.
+  for (std::uint32_t r = 0; r <= want.rounds(); ++r) {
+    const RoundCounters& a = got.round_counters(r);
+    const RoundCounters& b = want.round_counters(r);
+    EXPECT_EQ(a.listed, b.listed) << "round " << r;
+    EXPECT_EQ(a.v4_only, b.v4_only) << "round " << r;
+    EXPECT_EQ(a.v6_only, b.v6_only) << "round " << r;
+    EXPECT_EQ(a.dual, b.dual) << "round " << r;
+    EXPECT_EQ(a.dns_failed, b.dns_failed) << "round " << r;
+    EXPECT_EQ(a.measured, b.measured) << "round " << r;
+    EXPECT_EQ(a.different_content, b.different_content) << "round " << r;
+    EXPECT_EQ(a.download_failed, b.download_failed) << "round " << r;
+  }
 }
 
 void expect_same_finalized(const ResultsDb& a, const ResultsDb& b) {
@@ -84,16 +104,8 @@ void expect_same_finalized(const ResultsDb& a, const ResultsDb& b) {
   EXPECT_EQ(a.site_ids(), b.site_ids());
   EXPECT_EQ(a.paths().size(), b.paths().size());
   EXPECT_EQ(a.paths().route_count(), b.paths().route_count());
-  ASSERT_EQ(a.rounds(), b.rounds());
-  for (std::uint32_t r = 0; r < a.rounds(); ++r) {
-    const RoundCounters& ca = a.round_counters(r);
-    const RoundCounters& cb = b.round_counters(r);
-    EXPECT_EQ(ca.listed, cb.listed) << "round " << r;
-    EXPECT_EQ(ca.v4_only, cb.v4_only) << "round " << r;
-    EXPECT_EQ(ca.dual, cb.dual) << "round " << r;
-    EXPECT_EQ(ca.measured, cb.measured) << "round " << r;
-    EXPECT_EQ(ca.download_failed, cb.download_failed) << "round " << r;
-  }
+  expect_same_counters(a, b);
+  EXPECT_EQ(a.bytes(), b.bytes());
 }
 
 TEST(Sink, ShardedMatchesMutexReference) {
@@ -137,6 +149,112 @@ TEST(Sink, SpoolRoundTripMatchesMutexReference) {
   std::remove(path.c_str());
 }
 
+// A store whose first counted round is late, then a lower one: the round
+// array starts at the lowest round counted, and every backend must still
+// report the same rounds() and the same counters for every round, zero
+// below the first.
+TEST(Sink, LateFirstRoundMatchesAcrossBackends) {
+  const std::string path = test_spool_path("late");
+  ResultsDb mdb, sdb, pdb;
+  MutexSink msink(mdb);
+  ShardedSink ssink(sdb);
+  drive(msink, 1200, 700);
+  drive(ssink, 1200, 700);
+  {
+    SpoolSink spool(path);
+    drive(spool, 1200, 700);
+    EXPECT_TRUE(spool.ok());
+  }
+  replay_spool_file(path, pdb);
+  mdb.finalize();
+  sdb.finalize();
+  pdb.finalize();
+  ASSERT_EQ(mdb.rounds(), 1201u);
+  EXPECT_EQ(mdb.round_counters(1200).listed, 40u);
+  EXPECT_EQ(mdb.round_counters(1200).measured, 2u);
+  EXPECT_EQ(mdb.round_counters(700).listed, 41u);
+  EXPECT_EQ(mdb.round_counters(699).listed, 0u);
+  EXPECT_EQ(mdb.round_counters(701).listed, 0u);
+  {
+    SCOPED_TRACE("sharded");
+    expect_same_finalized(sdb, mdb);
+  }
+  {
+    SCOPED_TRACE("spool");
+    expect_same_finalized(pdb, mdb);
+  }
+  std::remove(path.c_str());
+}
+
+// A thread that feeds more sinks in turn than its lane cache holds misses
+// the cache on every pass; each miss must find the thread's shard again,
+// not mint another one.
+TEST(Sink, OneShardPerThreadAfterLaneCacheEviction) {
+  constexpr std::size_t kSinks = 20;  // more than the lane cache holds
+  constexpr std::uint32_t kPasses = 5;
+  std::deque<ResultsDb> dbs(kSinks);
+  std::vector<std::unique_ptr<ShardedSink>> sinks;
+  for (ResultsDb& db : dbs) sinks.push_back(std::make_unique<ShardedSink>(db));
+  for (std::uint32_t pass = 0; pass < kPasses; ++pass) {
+    for (const auto& sink : sinks) {
+      sink->lane().count(pass, MonitorStatus::kV4Only);
+      sink->flush();
+    }
+  }
+  for (std::size_t i = 0; i < kSinks; ++i) {
+    EXPECT_EQ(sinks[i]->shard_count(), 1u) << "sink " << i;
+    for (std::uint32_t pass = 0; pass < kPasses; ++pass) {
+      EXPECT_EQ(dbs[i].round_counters(pass).v4_only, 1u) << "sink " << i;
+    }
+  }
+}
+
+// --- Counter window ---------------------------------------------------------
+//
+// Each ingest epoch counts one round, so a shard's counter window holds
+// that round and no other: after every flush the sink's staging bytes stay
+// at one round's counters however late the round. The epochs record no
+// rows and intern nothing, so bytes() is the window alone.
+
+void expect_one_round_window(ObservationSink& sink) {
+  constexpr std::uint32_t kEpochs = 1500;
+  for (std::uint32_t round = 0; round < kEpochs; ++round) {
+    ObservationSink::Lane& lane = sink.lane();
+    lane.count(round, MonitorStatus::kV4Only);
+    lane.count_n(round, MonitorStatus::kMeasured, round % 3);
+    sink.count_listed(round, 1 + round % 3);
+    sink.flush();
+    ASSERT_LE(sink.bytes(), sizeof(RoundCounters)) << "after round " << round;
+  }
+  sink.finish();
+}
+
+TEST(Sink, ShardedCounterWindowHoldsOneEpoch) {
+  ResultsDb db;
+  ShardedSink sink(db);
+  expect_one_round_window(sink);
+  ASSERT_EQ(db.rounds(), 1500u);
+  for (std::uint32_t r = 0; r < 1500; ++r) {
+    EXPECT_EQ(db.round_counters(r).v4_only, 1u) << "round " << r;
+    EXPECT_EQ(db.round_counters(r).measured, r % 3) << "round " << r;
+  }
+}
+
+TEST(Sink, SpoolCounterWindowHoldsOneEpoch) {
+  const std::string path = test_spool_path("window");
+  ResultsDb mdb, sdb;
+  {
+    SpoolSink spool(path);
+    expect_one_round_window(spool);
+    EXPECT_TRUE(spool.ok());
+  }
+  MutexSink msink(mdb);
+  expect_one_round_window(msink);
+  replay_spool_file(path, sdb);
+  expect_same_counters(sdb, mdb);
+  std::remove(path.c_str());
+}
+
 // --- Flush range ------------------------------------------------------------
 //
 // A shard flushes only the rounds it counted since its last flush. These
@@ -171,22 +289,6 @@ const std::vector<Epoch>& range_epochs() {
       [](ObservationSink&) {},  // no traffic: must change nothing
   };
   return epochs;
-}
-
-void expect_same_counters(const ResultsDb& got, const ResultsDb& want) {
-  ASSERT_EQ(got.rounds(), want.rounds());
-  for (std::uint32_t r = 0; r < want.rounds(); ++r) {
-    const RoundCounters& a = got.round_counters(r);
-    const RoundCounters& b = want.round_counters(r);
-    EXPECT_EQ(a.listed, b.listed) << "round " << r;
-    EXPECT_EQ(a.v4_only, b.v4_only) << "round " << r;
-    EXPECT_EQ(a.v6_only, b.v6_only) << "round " << r;
-    EXPECT_EQ(a.dual, b.dual) << "round " << r;
-    EXPECT_EQ(a.dns_failed, b.dns_failed) << "round " << r;
-    EXPECT_EQ(a.measured, b.measured) << "round " << r;
-    EXPECT_EQ(a.different_content, b.different_content) << "round " << r;
-    EXPECT_EQ(a.download_failed, b.download_failed) << "round " << r;
-  }
 }
 
 TEST(Sink, ShardedFlushMergesTouchedRoundsOnly) {
