@@ -11,8 +11,7 @@
 //
 // Each benchmark builds what it times itself: the construction is the
 // thing under test. Environment knobs: V6MON_BENCH_SEED (default 2011)
-// and V6MON_BENCH_SCALE (default 1.0); the ablation benches read
-// V6MON_BENCH_SCALE too.
+// and V6MON_BENCH_SCALE (default 1.0).
 //
 // Note on thread counts: 4 is what the baseline host can run (its CPU
 // count is in the JSON context as num_cpus); on a single-core runner the

@@ -17,12 +17,13 @@
 // BM_FlushAfterRounds times the round-boundary flush alone, on a shard
 // that has seen 41 (paper) or 1500 (multi_vp) rounds.
 
+#include <benchmark/benchmark.h>
+
 #include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
 
-#include "common.h"
 #include "core/results.h"
 #include "core/sink.h"
 
@@ -156,11 +157,6 @@ void BM_FlushAfterRounds(benchmark::State& state) {
 }
 BENCHMARK(BM_FlushAfterRounds)->Arg(41)->Arg(1500)->Iterations(50000)->Unit(benchmark::kNanosecond);
 
-void emit() {
-  // No reproduced paper table here — this benchmark measures the results
-  // layer itself.
-}
-
 }  // namespace
 
-V6MON_BENCH_MAIN(emit)
+BENCHMARK_MAIN();

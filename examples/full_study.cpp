@@ -28,6 +28,8 @@
 // it (analysis/paper_reference.h). Exit status: 0 on success, 2 on bad
 // arguments or configuration, 1 when an output file cannot be written.
 
+#include "args.h"
+
 #include <sched.h>
 
 #include <charconv>
@@ -36,7 +38,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <system_error>
 #include <vector>
 
@@ -71,18 +72,6 @@ void show(const analysis::PaperReference& ref, const util::TextTable& table) {
 
 void show(analysis::Artifact a, const util::TextTable& table) {
   show(analysis::paper_reference(a), table);
-}
-
-/// A whole positional argument as a number; trailing characters are an
-/// error, not ignored.
-template <typename T>
-T parse_number(const char* arg, const char* what) {
-  const std::optional<T> out = util::parse_number<T>(arg);
-  if (!out) {
-    std::fprintf(stderr, "bad %s '%s' (want a number)\n", what, arg);
-    std::exit(2);
-  }
-  return *out;
 }
 
 core::SinkBackend parse_sink(const char* arg) {
@@ -167,8 +156,8 @@ int main(int argc, char** argv) try {
   }
   std::uint64_t seed = have_spec ? spec.world_seed : 2011;
   double scale = have_spec ? spec.scale : 1.0;
-  if (pos.size() > 0) seed = parse_number<std::uint64_t>(pos[0], "seed");
-  if (pos.size() > 1) scale = parse_number<double>(pos[1], "scale");
+  if (pos.size() > 0) seed = examples::number_arg<std::uint64_t>(pos[0], "seed");
+  if (pos.size() > 1) scale = examples::scale_arg(pos[1]);
 
   std::error_code dir_error;
   std::filesystem::create_directories("full_study_out", dir_error);

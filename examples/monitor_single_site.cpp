@@ -4,14 +4,13 @@
 //
 // Usage: monitor_single_site [seed] [num_sites]
 
+#include "args.h"
+
 #include <cstdio>
-#include <cstdlib>
-#include <optional>
 
 #include "core/monitor.h"
 #include "scenario/world_builder.h"
 #include "transport/path.h"
-#include "util/strings.h"
 
 using namespace v6mon;
 
@@ -43,22 +42,12 @@ const char* family_of(const web::Site& site, const core::World& world) {
   return world.graph.node(site.v6_as).has_v6 ? "dual" : "v4";
 }
 
-/// A whole argument as a number; trailing characters are an error.
-template <typename T>
-T parse_arg(const char* arg, const char* what) {
-  const std::optional<T> out = util::parse_number<T>(arg);
-  if (!out) {
-    std::fprintf(stderr, "bad %s '%s' (want a non-negative integer)\n", what, arg);
-    std::exit(2);
-  }
-  return *out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? parse_arg<std::uint64_t>(argv[1], "seed") : 7;
-  const unsigned num_sites = argc > 2 ? parse_arg<unsigned>(argv[2], "num_sites") : 6;
+  using examples::number_arg;
+  const std::uint64_t seed = argc > 1 ? number_arg<std::uint64_t>(argv[1], "seed") : 7;
+  const unsigned num_sites = argc > 2 ? number_arg<unsigned>(argv[2], "num_sites") : 6;
 
   const core::World world = scenario::build_world(demo_spec(seed));
   const core::VantagePoint& vp = world.vantage_points[0];

@@ -4,19 +4,24 @@
 // Usage: quickstart [seed] [scale]
 //   seed  - world/campaign seed (default 2011)
 //   scale - world scale factor, 0.05 .. 1.0 (default 0.15 for a fast run)
+//
+// Exit status: 0 on success, 2 on a bad argument, 1 on a library error.
+
+#include "args.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "analysis/tables.h"
 #include "core/campaign.h"
 #include "scenario/paper.h"
+#include "util/error.h"
 
-int main(int argc, char** argv) {
-  using namespace v6mon;
+using namespace v6mon;
 
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2011;
-  const double scale = argc > 2 ? std::strtod(argv[2], nullptr) : 0.15;
+int main(int argc, char** argv) try {
+  const std::uint64_t seed =
+      argc > 1 ? examples::number_arg<std::uint64_t>(argv[1], "seed") : 2011;
+  const double scale = argc > 2 ? examples::scale_arg(argv[2]) : 0.15;
 
   std::printf("v6mon quickstart: seed=%llu scale=%.2f\n",
               static_cast<unsigned long long>(seed), scale);
@@ -71,4 +76,7 @@ int main(int argc, char** argv) {
               100.0 * dp_similar,
               dp_similar < 0.5 * sp_similar ? "SUPPORTED" : "NOT SUPPORTED");
   return 0;
+} catch (const Error& e) {
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

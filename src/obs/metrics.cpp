@@ -167,8 +167,17 @@ MetricsRegistry::Shard& MetricsRegistry::shard_for_this_thread() {
   }
   Shard* shard = nullptr;
   {
+    const std::thread::id self = std::this_thread::get_id();
     util::LockGuard lock(mu_);
-    shard = &shards_.emplace_back();
+    // A thread that records into more registries than the cache holds
+    // misses here again after an eviction: it must get its own shard back.
+    for (Shard& s : shards_) {
+      if (s.owner == self) {
+        shard = &s;
+        break;
+      }
+    }
+    if (shard == nullptr) shard = &shards_.emplace_back(self);
   }
   ShardSlot& victim = tl_shards[tl_shard_evict];
   tl_shard_evict = (tl_shard_evict + 1) % kShardCacheSize;

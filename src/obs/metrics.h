@@ -8,6 +8,7 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -204,6 +205,12 @@ class MetricsRegistry {
   /// and walking their ~2.8k cells each would make merge cost grow with
   /// process age instead of active-thread count.
   struct alignas(64) Shard {
+    explicit Shard(std::thread::id o) : owner(o) {}
+
+    /// The thread that records into this shard: a miss in the
+    /// thread-local shard cache finds the shard again by it instead of
+    /// minting another.
+    const std::thread::id owner;
     std::atomic<std::uint64_t> dirty{0};
     std::array<std::atomic<std::uint64_t>, kMaxCounters> counters{};
     std::array<std::array<std::atomic<std::uint64_t>, kHistBins>, kMaxHistograms>
@@ -272,28 +279,6 @@ class TraceSpan {
  private:
   Stage stage_;
   std::uint64_t start_ns_ = 0;  ///< 0 = metrics were off at construction.
-};
-
-/// RAII timer for an arbitrary registered latency histogram (seconds).
-class ScopedTimer {
- public:
-  ScopedTimer(MetricsRegistry& registry, MetricId hist)
-      : registry_(registry), hist_(hist) {
-    if (registry_.enabled()) start_ns_ = now_ns();
-  }
-  explicit ScopedTimer(MetricId hist) : ScopedTimer(metrics(), hist) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() {
-    if (start_ns_ != 0) {
-      registry_.observe(hist_, static_cast<double>(now_ns() - start_ns_) * 1e-9);
-    }
-  }
-
- private:
-  MetricsRegistry& registry_;
-  MetricId hist_;
-  std::uint64_t start_ns_ = 0;
 };
 
 }  // namespace v6mon::obs
