@@ -381,6 +381,7 @@ const core::ResultsDb& observation_store() {
   return *db;
 }
 
+/// The dump at its default worker count, one per hardware thread.
 void BM_ObservationCsv(benchmark::State& state) {
   const core::ResultsDb& db = observation_store();
   CountingNullStreambuf sink;
@@ -392,6 +393,20 @@ void BM_ObservationCsv(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(sink.bytes));
 }
 BENCHMARK(BM_ObservationCsv)->Unit(benchmark::kMillisecond);
+
+/// The same dump formatted on the calling thread alone: the per-row
+/// formatter's cost, apart from the chunk hand-off's parallelism.
+void BM_ObservationCsvSerial(benchmark::State& state) {
+  const core::ResultsDb& db = observation_store();
+  CountingNullStreambuf sink;
+  std::ostream out(&sink);
+  for (auto _ : state) {
+    db.write_csv(out, 1);
+    benchmark::DoNotOptimize(sink.bytes);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(sink.bytes));
+}
+BENCHMARK(BM_ObservationCsvSerial)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -91,14 +91,16 @@ core::FallbackPolicy parse_fallback(const char* arg) {
 }
 
 /// Stream one store's observation dump straight to disk — no
-/// materialized copy, however many million rows the campaign produced.
-/// Returns false, after saying why, when the file cannot be written.
-bool dump_observations(const core::ResultsDb& db, const std::string& name) {
+/// materialized copy, however many million rows the campaign produced —
+/// formatted on `threads` workers. Returns false, after saying why, when
+/// the file cannot be written.
+bool dump_observations(const core::ResultsDb& db, const std::string& name,
+                       std::size_t threads) {
   const std::string path = "full_study_out/observations_" + name + ".csv";
   std::ofstream out(path);
   try {
     if (!out) throw IoError("cannot open for writing");
-    db.write_csv(out);
+    db.write_csv(out, threads);
   } catch (const IoError& e) {
     std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
     return false;
@@ -205,12 +207,13 @@ int main(int argc, char** argv) try {
   campaign.finalize();
 
   std::vector<core::ObservationView> views, w6d_views;
+  const std::size_t threads = campaign.config().threads;
   for (std::size_t i = 0; i < world.vantage_points.size(); ++i) {
     views.emplace_back(campaign.results(i));
     w6d_views.emplace_back(campaign.w6d_results(i));
-    if (!dump_observations(campaign.results(i), world.vantage_points[i].name) ||
+    if (!dump_observations(campaign.results(i), world.vantage_points[i].name, threads) ||
         !dump_observations(campaign.w6d_results(i),
-                           world.vantage_points[i].name + "_w6d")) {
+                           world.vantage_points[i].name + "_w6d", threads)) {
       return 1;
     }
   }

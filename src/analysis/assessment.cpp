@@ -18,6 +18,11 @@ namespace {
 template <typename T>
 T modal(const std::vector<T>& xs, T none) {
   if (xs.empty()) return none;
+  // A site that kept one path all campaign: its value is the only
+  // candidate, so the count map is not needed.
+  if (std::all_of(xs.begin() + 1, xs.end(), [&xs](const T& x) { return x == xs.front(); })) {
+    return xs.front();
+  }
   std::unordered_map<T, std::size_t> counts;
   T best = xs.front();
   std::size_t best_n = 0;

@@ -1,7 +1,5 @@
 #include "analysis/report.h"
 
-#include <optional>
-
 #include "core/thread_pool.h"
 #include "obs/metrics.h"
 
@@ -32,13 +30,22 @@ std::vector<VpReport> analyze_world(const core::World& world,
                                     const AsLevelParams& lp, std::size_t threads) {
   const obs::TraceSpan span(obs::Stage::kAnalysis);
   const std::size_t workers = core::resolve_threads(threads);
-  std::optional<core::ThreadPool> pool;
-  if (workers > 1) pool.emplace(workers);
-  std::vector<VpReport> out;
+  std::vector<std::size_t> vps;  // the AS_PATH-capable VPs, in world order
   for (std::size_t i = 0; i < world.vantage_points.size() && i < views.size(); ++i) {
-    if (!world.vantage_points[i].has_as_path) continue;
-    out.push_back(analyze_vp(world.vantage_points[i].name, views[i], ap, lp,
-                             pool ? &*pool : nullptr));
+    if (world.vantage_points[i].has_as_path) vps.push_back(i);
+  }
+  std::vector<VpReport> out(vps.size());
+  const auto analyze = [&](std::size_t k, core::ThreadPool* pool) {
+    const core::VantagePoint& vp = world.vantage_points[vps[k]];
+    out[k] = analyze_vp(vp.name, views[vps[k]], ap, lp, pool);
+  };
+  if (workers == 1) {
+    for (std::size_t k = 0; k < vps.size(); ++k) analyze(k, nullptr);
+  } else {
+    // One index per VP, each writing its own slot; the VP's site blocks
+    // nest on the same pool (parallel_index is deadlock-free nested).
+    core::ThreadPool pool(workers);
+    core::parallel_index(pool, vps.size(), [&](std::size_t k) { analyze(k, &pool); });
   }
   return out;
 }

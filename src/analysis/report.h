@@ -44,9 +44,10 @@ struct VpReport {
 
 /// Analyze the AS_PATH-capable vantage points of a world in one call.
 /// `views[i]` pairs with `world.vantage_points[i]`; VPs without AS_PATH
-/// are skipped (they cannot feed the path-based methodology). Sanitization
-/// runs on a pool of `threads` workers (0 = one per hardware thread); 1
-/// builds no pool and runs serially. The reports do not depend on it
+/// are skipped (they cannot feed the path-based methodology). The VPs,
+/// and each VP's sanitization under them, run on a pool of `threads`
+/// workers (0 = one per hardware thread); 1 builds no pool and runs
+/// serially. The reports, in world order, do not depend on it
 /// (analyze_vp with a null pool is the serial reference).
 [[nodiscard]] std::vector<VpReport> analyze_world(
     const core::World& world, const std::vector<core::ObservationView>& views,

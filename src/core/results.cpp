@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
+#include <condition_variable>
 #include <cstring>
 #include <memory>
 #include <sstream>
 #include <string_view>
 
+#include "core/thread_pool.h"
 #include "util/contracts.h"
 #include "util/error.h"
 #include "util/float_format.h"
@@ -243,165 +245,219 @@ std::size_t ResultsDb::bytes() const {
 
 namespace {
 
-/// Bytes the observation writer formats before one `ostream::write`
-/// hands them to the stream.
-constexpr std::size_t kCsvBlockBytes = std::size_t{64} << 10;
-/// Room reserved per row for the fields before its two paths; the worst
-/// case is 96 bytes: a uint32 site id (10), a uint16 round (5), the
+/// Room reserved per row for everything but its two path texts; the
+/// worst case is 98 bytes: a uint32 site id (10), a uint16 round (5), the
 /// longest status name (18), two `%.6g` floats (12 each,
 /// "-1.17549e-38"), two uint16 sample counts (5 each), two ASNs (10
-/// each) and nine commas.
+/// each), ten commas and the newline.
 constexpr std::size_t kRowFixedBytes = 128;
 
-/// Block-buffered observation-CSV formatter. Rows are formatted with
-/// `std::to_chars` (integers) and util::write_g6 (speeds) into one fixed
-/// block; a full block goes to the stream in a single write, so the dump
-/// never holds more than a block of text.
-/// Each route id's origin and path columns are rendered at most once per
-/// dump and copied from that cache for every later row.
-class CsvRowWriter {
+/// A route's origin column (no digits for kNoAs) and path column ("-"
+/// for kNoPath), rendered once per dump.
+struct RouteText {
+  std::string path;
+  std::array<char, 10> origin{};  ///< A uint32 ASN has at most 10 digits.
+  std::uint8_t origin_len = 0;
+};
+
+// The field writers below format into a buffer sized for the widest
+// row, so they write without bounds checks and return the new cursor.
+
+template <typename Int>
+char* put_number(char* p, Int v) {
+  return std::to_chars(p, p + 10, v).ptr;  // 10 digits hold any uint32
+}
+
+char* put_text(char* p, std::string_view s) {
+  std::memcpy(p, s.data(), s.size());
+  return p + s.size();
+}
+
+/// The origin is copied as a fixed 10-byte block (the row's reserved
+/// room covers it) and the cursor advances by its length.
+char* put_origin(char* p, const RouteText& t) {
+  std::memcpy(p, t.origin.data(), t.origin.size());
+  return p + t.origin_len;
+}
+
+/// The observation dump. The rows are cut into chunks of
+/// ResultsDb::kCsvChunkRows; each worker claims the next chunk, formats it
+/// into its own buffer, then waits for the chunk's turn and writes it, so
+/// later chunks are formatted while earlier ones are written and the
+/// bytes are those of one thread formatting the rows in order.
+///
+/// Integers go through `std::to_chars`, speeds through util::write_g6,
+/// and each route's text comes from a table rendered before the first
+/// chunk (the registry is frozen, so the table is read-only).
+class CsvDump {
  public:
-  CsvRowWriter(std::ostream& out, const PathRegistry& paths)
+  CsvDump(std::ostream& out, const PathRegistry& paths, std::span<const Observation> rows)
       : out_(out),
-        paths_(paths),
-        block_(std::make_unique<char[]>(kCsvBlockBytes)),
-        pos_(block_.get()),
-        route_text_(paths.route_count()) {}
-
-  void put(std::string_view s) {
-    if (s.size() > room()) {
-      spill();
-      if (s.size() > kCsvBlockBytes) {
-        write(s.data(), s.size());
-        return;
-      }
-    }
-    std::memcpy(pos_, s.data(), s.size());
-    pos_ += s.size();
-  }
-
-  void row(const Observation& o) {
-    if (room() < kRowFixedBytes) spill();
-    number(o.site);
-    field(o.round);
-    field_text(monitor_status_name(o.status));
-    field_speed(o.v4_speed_kBps);
-    field_speed(o.v6_speed_kBps);
-    field(o.v4_samples);
-    field(o.v6_samples);
-    const RouteText& v4 = route_text(o.v4_route);
-    const RouteText& v6 = route_text(o.v6_route);
-    field_origin(v4);
-    field_origin(v6);
-    *pos_++ = ',';
-    put(v4.path);
-    put(",");
-    put(v6.path);
-    put("\n");
-  }
-
-  /// Write out the last block and flush the stream.
-  void finish() {
-    spill();
-    out_.flush();
-    check_stream();
-  }
-
- private:
-  [[nodiscard]] std::size_t room() const {
-    return static_cast<std::size_t>(block_.get() + kCsvBlockBytes - pos_);
-  }
-
-  void spill() {
-    write(block_.get(), static_cast<std::size_t>(pos_ - block_.get()));
-    pos_ = block_.get();
-  }
-
-  void write(const char* data, std::size_t n) {
-    out_.write(data, static_cast<std::streamsize>(n));
-    check_stream();
-  }
-
-  /// A dump that hit a full disk or bad streambuf must surface — a
-  /// silently truncated CSV is indistinguishable from a small campaign.
-  /// Checked after every block, so a dead stream stops the dump there.
-  void check_stream() const {
-    if (out_.fail()) throw IoError("observation CSV write failed (stream in fail state)");
-  }
-
-  // The fixed-width fields below write into the row's reserved room.
-  template <typename Int>
-  void number(Int v) {
-    pos_ = std::to_chars(pos_, block_.get() + kCsvBlockBytes, v).ptr;
-  }
-  template <typename Int>
-  void field(Int v) {
-    *pos_++ = ',';
-    number(v);
-  }
-  void field_text(std::string_view s) {
-    *pos_++ = ',';
-    std::memcpy(pos_, s.data(), s.size());
-    pos_ += s.size();
-  }
-  /// `%.6g` of the float widened to double — the bytes `ostream << float`
-  /// produces under the default stream state, without locale or num_put.
-  void field_speed(float v) {
-    *pos_++ = ',';
-    pos_ = util::write_g6(pos_, v);
-  }
-
-  /// A route's origin column (no digits for kNoAs) and path column ("-"
-  /// for kNoPath).
-  struct RouteText {
-    std::string path;  ///< Never empty once rendered.
-    std::array<char, 10> origin{};  ///< A uint32 ASN has at most 10 digits.
-    std::uint8_t origin_len = 0;
-  };
-
-  /// The origin is copied as a fixed 10-byte block (the row's reserved
-  /// room covers it) and the cursor advances by its length.
-  void field_origin(const RouteText& t) {
-    *pos_++ = ',';
-    std::memcpy(pos_, t.origin.data(), t.origin.size());
-    pos_ += t.origin_len;
-  }
-
-  const RouteText& route_text(RouteId id) {
-    if (id == kNoRoute) return no_route_;
-    V6MON_REQUIRE(id < route_text_.size(), "route id out of range");
-    RouteText& text = route_text_[id];
-    if (text.path.empty()) {
-      const Route r = paths_.route(id);
+        rows_(rows),
+        chunks_((rows.size() + ResultsDb::kCsvChunkRows - 1) / ResultsDb::kCsvChunkRows),
+        routes_(paths.route_count()) {
+    std::size_t widest_path = no_route_.path.size();
+    for (std::size_t id = 0; id < routes_.size(); ++id) {
+      RouteText& text = routes_[id];
+      const Route r = paths.route(static_cast<RouteId>(id));
       if (r.origin != topo::kNoAs) {
         char* const end = std::to_chars(text.origin.data(),
                                         text.origin.data() + text.origin.size(), r.origin)
                               .ptr;
         text.origin_len = static_cast<std::uint8_t>(end - text.origin.data());
       }
-      text.path = paths_.to_string(r.path);
+      text.path = paths.to_string(r.path);
+      widest_path = std::max(widest_path, text.path.size());
     }
-    return text;
+    buffer_bytes_ =
+        std::min(rows.size(), ResultsDb::kCsvChunkRows) * (kRowFixedBytes + 2 * widest_path);
+  }
+
+  [[nodiscard]] std::size_t chunks() const { return chunks_; }
+
+  /// Claim, format and write chunks until none is left or the dump
+  /// stopped. Every way out — done, a failed stream, or an exception
+  /// (a contract check, a throwing stream) — leaves no worker waiting
+  /// for a turn that never comes: a throw stops the dump first.
+  void run_worker() {
+    try {
+      // Uninitialized: only the bytes formatted become resident.
+      std::unique_ptr<char[]> buf;
+      std::size_t chunk = 0;
+      while (claim(chunk)) {
+        if (!buf) buf = std::make_unique_for_overwrite<char[]>(buffer_bytes_);
+        const std::size_t n = format_chunk(chunk, buf.get());
+        if (!write_in_turn(chunk, buf.get(), n)) return;
+      }
+    } catch (...) {
+      stop();
+      throw;
+    }
+  }
+
+ private:
+  /// The next unclaimed chunk; false once every chunk is claimed or the
+  /// dump stopped.
+  bool claim(std::size_t& chunk) {
+    util::LockGuard lock(mu_);
+    if (stopped_ || next_ == chunks_) return false;
+    chunk = next_++;
+    return true;
+  }
+
+  /// Wait for `chunk`'s turn, write it and pass the turn on. False when
+  /// the dump stopped, before or because of this write. A dump that hit a
+  /// full disk or a bad streambuf must surface — a silently truncated CSV
+  /// is indistinguishable from a small campaign — so a failed stream
+  /// stops it here and write_csv throws.
+  bool write_in_turn(std::size_t chunk, const char* data, std::size_t n) {
+    {
+      util::UniqueLock lock(mu_);
+      while (turn_ != chunk && !stopped_) lock.wait(turn_cv_);
+      if (stopped_) return false;
+    }
+    // Unlocked, so other workers claim chunks meanwhile: only the turn's
+    // holder writes, and it passes the turn on under mu_ afterwards.
+    out_.write(data, static_cast<std::streamsize>(n));
+    const bool ok = !out_.fail();
+    {
+      util::LockGuard lock(mu_);
+      if (ok) {
+        ++turn_;
+      } else {
+        stopped_ = true;
+      }
+    }
+    turn_cv_.notify_all();
+    return ok;
+  }
+
+  void stop() {
+    util::LockGuard lock(mu_);
+    stopped_ = true;
+    turn_cv_.notify_all();
+  }
+
+  std::size_t format_chunk(std::size_t chunk, char* const buf) const {
+    const std::size_t first = chunk * ResultsDb::kCsvChunkRows;
+    const std::size_t last = std::min(first + ResultsDb::kCsvChunkRows, rows_.size());
+    char* p = buf;
+    for (std::size_t i = first; i < last; ++i) p = format_row(rows_[i], p);
+    return static_cast<std::size_t>(p - buf);
+  }
+
+  char* format_row(const Observation& o, char* p) const {
+    p = put_number(p, o.site);
+    *p++ = ',';
+    p = put_number(p, o.round);
+    *p++ = ',';
+    p = put_text(p, monitor_status_name(o.status));
+    // `%.6g` of the float widened to double — the bytes `ostream <<
+    // float` produces under the default stream state.
+    *p++ = ',';
+    p = util::write_g6(p, o.v4_speed_kBps);
+    *p++ = ',';
+    p = util::write_g6(p, o.v6_speed_kBps);
+    *p++ = ',';
+    p = put_number(p, o.v4_samples);
+    *p++ = ',';
+    p = put_number(p, o.v6_samples);
+    const RouteText& v4 = route_text(o.v4_route);
+    const RouteText& v6 = route_text(o.v6_route);
+    *p++ = ',';
+    p = put_origin(p, v4);
+    *p++ = ',';
+    p = put_origin(p, v6);
+    *p++ = ',';
+    p = put_text(p, v4.path);
+    *p++ = ',';
+    p = put_text(p, v6.path);
+    *p++ = '\n';
+    return p;
+  }
+
+  const RouteText& route_text(RouteId id) const {
+    if (id == kNoRoute) return no_route_;
+    V6MON_REQUIRE(id < routes_.size(), "route id out of range");
+    return routes_[id];
   }
 
   std::ostream& out_;
-  const PathRegistry& paths_;
-  std::unique_ptr<char[]> block_;
-  char* pos_;
-  std::vector<RouteText> route_text_;  ///< Rendered routes, by id; path "" = not yet.
+  const std::span<const Observation> rows_;
+  const std::size_t chunks_;
+  std::vector<RouteText> routes_;     ///< Rendered routes, by id.
   const RouteText no_route_{"-"};     ///< kNoRoute: no origin, path "-".
+  std::size_t buffer_bytes_ = 0;      ///< One chunk of the widest rows.
+
+  util::Mutex mu_;
+  std::condition_variable turn_cv_;
+  std::size_t next_ V6MON_GUARDED_BY(mu_) = 0;  ///< Next chunk to claim.
+  std::size_t turn_ V6MON_GUARDED_BY(mu_) = 0;  ///< Next chunk to write.
+  /// Set by a failed write or a throwing worker: nothing more is claimed
+  /// or written.
+  bool stopped_ V6MON_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace
 
-void ResultsDb::write_csv(std::ostream& out) const {
+void ResultsDb::write_csv(std::ostream& out, std::size_t threads) const {
   V6MON_REQUIRE(finalized_, "write_csv() requires a finalized ResultsDb");
-  CsvRowWriter w(out, paths_);
-  w.put(
+  constexpr std::string_view kHeader =
       "site,round,status,v4_speed_kBps,v6_speed_kBps,v4_samples,v6_samples,"
-      "v4_origin,v6_origin,v4_path,v6_path\n");
-  for (const Observation& o : rows_) w.row(o);
-  w.finish();
+      "v4_origin,v6_origin,v4_path,v6_path\n";
+  out.write(kHeader.data(), static_cast<std::streamsize>(kHeader.size()));
+  if (!out.fail()) {
+    CsvDump dump(out, paths_, rows_);
+    const std::size_t workers = std::min(resolve_threads(threads), dump.chunks());
+    if (workers <= 1) {
+      dump.run_worker();
+    } else {
+      ThreadPool pool(workers);
+      parallel_index(pool, workers, [&dump](std::size_t) { dump.run_worker(); });
+    }
+    out.flush();
+  }
+  if (out.fail()) throw IoError("observation CSV write failed (stream in fail state)");
 }
 
 std::string ResultsDb::to_csv() const {

@@ -270,9 +270,16 @@ class ResultsDb {
   [[nodiscard]] std::size_t bytes() const;
 
   /// Stream the observation dump (sorted by site, round) as CSV — no
-  /// materialized copy of the rows, at most one 64 KiB block of text in
-  /// memory. Requires finalize(). Throws IoError when the stream fails.
-  void write_csv(std::ostream& out) const;
+  /// materialized copy of the rows. The rows are cut into fixed chunks
+  /// that `threads` workers (0 = one per hardware thread) format into
+  /// their own buffers and write in chunk order, so the bytes do not
+  /// depend on `threads`; 1, or a store that fits one chunk, formats on
+  /// the calling thread and builds no pool. Requires finalize(). Throws
+  /// IoError when the stream fails, after writing nothing past the
+  /// failed chunk.
+  void write_csv(std::ostream& out, std::size_t threads = 0) const;
+  /// Rows per chunk of write_csv: the unit a worker formats and writes.
+  static constexpr std::size_t kCsvChunkRows = 1024;
   /// Convenience wrapper over write_csv for small stores and tests.
   [[nodiscard]] std::string to_csv() const;
 

@@ -23,6 +23,7 @@
 #include "core/thread_pool.h"
 #include "core/world_timeline.h"
 #include "obs/metrics.h"
+#include "reference/csv_reference.h"
 #include "reference/dns_reference.h"
 #include "reference_schedule.h"
 #include "scenario/evolution.h"
@@ -333,42 +334,9 @@ TEST(ResultsDb, ReadsBeforeFinalizeAreContractErrors) {
 
 // --- Observation CSV byte format --------------------------------------------
 
-constexpr const char* kCsvHeader =
-    "site,round,status,v4_speed_kBps,v6_speed_kBps,v4_samples,v6_samples,"
-    "v4_origin,v6_origin,v4_path,v6_path\n";
-
-/// Independent oracle for the dump format: every field through a default
-/// `std::ostream <<` (floats at the stream's default `%.6g`) and paths
-/// through an ostringstream, exactly as the dump was first specified,
-/// with each route read back as its origin and path.
-std::string stream_oracle_csv(const PathRegistry& paths,
-                              const std::vector<Observation>& rows) {
-  auto path_text = [&paths](PathId id) -> std::string {
-    if (id == kNoPath) return "-";
-    const std::vector<topo::Asn>& p = paths.path(id);
-    if (p.empty()) return "(local)";
-    std::ostringstream s;
-    for (std::size_t i = 0; i < p.size(); ++i) {
-      if (i) s << ' ';
-      s << "AS" << p[i];
-    }
-    return s.str();
-  };
-  std::ostringstream out;
-  out << kCsvHeader;
-  for (const Observation& o : rows) {
-    out << o.site << ',' << o.round << ',' << monitor_status_name(o.status) << ','
-        << o.v4_speed_kBps << ',' << o.v6_speed_kBps << ',' << o.v4_samples << ','
-        << o.v6_samples << ',';
-    const Route v4 = paths.route(o.v4_route);
-    const Route v6 = paths.route(o.v6_route);
-    if (v4.origin != topo::kNoAs) out << v4.origin;
-    out << ',';
-    if (v6.origin != topo::kNoAs) out << v6.origin;
-    out << ',' << path_text(v4.path) << ',' << path_text(v6.path) << '\n';
-  }
-  return out.str();
-}
+using csv_ref::kAllStatuses;
+using csv_ref::kCsvHeader;
+using csv_ref::stream_oracle_csv;
 
 std::vector<std::string> csv_lines(const std::string& csv) {
   std::vector<std::string> lines;
@@ -401,12 +369,6 @@ std::vector<float> regime_floats() {
           1234567.0f,  3.4e38f,      lim::max(),        -273.15f,
           lim::infinity(), -lim::infinity(), lim::quiet_NaN(), -lim::quiet_NaN()};
 }
-
-constexpr MonitorStatus kAllStatuses[] = {
-    MonitorStatus::kDnsFailed,         MonitorStatus::kV4Only,
-    MonitorStatus::kV6Only,            MonitorStatus::kV4DownloadFailed,
-    MonitorStatus::kV6DownloadFailed,  MonitorStatus::kDifferentContent,
-    MonitorStatus::kMeasured};
 
 /// A deterministic spread of rows over every field's edge values (a route
 /// pairs an origin with a path; no origin and no path is kNoRoute), plus

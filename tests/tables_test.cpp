@@ -331,6 +331,56 @@ TEST(Tables, AnalysisIsThreadInvariantOnSixteenVpWorld) {
   expect_pool_invariant(world, views, serial);
 }
 
+// analyze_world fans its VPs out over the pool, so a world with more
+// AS_PATH VPs than workers — shaped like the multi-VP study: 16 VPs over
+// a 250-site catalog, many rounds — gives the same reports at 1 and 4
+// threads as analyze_vp run one VP at a time.
+TEST(Tables, AnalyzeWorldThreadCountDoesNotChangeManyVpReports) {
+  scenario::WorldSpec spec;
+  spec.seed = 31;
+  spec.topology.num_tier1 = 4;
+  spec.topology.num_transit = 30;
+  spec.topology.num_stub = 150;
+  spec.catalog.initial_sites = 250;
+  spec.catalog.churn_per_round = 1;
+  spec.catalog.num_rounds = 200;
+  spec.w6d_round = 100;
+  const scenario::V6UplinkMode modes[] = {scenario::V6UplinkMode::kSameProviders,
+                                          scenario::V6UplinkMode::kSubsetProviders,
+                                          scenario::V6UplinkMode::kSeparateProvider};
+  const topo::Region regions[] = {topo::Region::kNorthAmerica, topo::Region::kEurope,
+                                  topo::Region::kAsia};
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    spec.vantage_points.push_back(
+        {.name = "VP-" + std::to_string(i),
+         .type = i % 2 == 0 ? core::VantagePoint::Type::kAcademic
+                            : core::VantagePoint::Type::kCommercial,
+         .region = regions[i % 3],
+         .start_round = i % 4,
+         .has_as_path = true,
+         .whitelisted = false,
+         .uses_dns_cache_supplement = i % 4 == 0,
+         .num_v4_providers = static_cast<int>(1 + i % 2),
+         .v6_mode = modes[i % 3]});
+  }
+  const core::World world = scenario::build_world(spec);
+  core::CampaignConfig cfg = scenario::paper_campaign_config(31);
+  cfg.threads = 4;
+  core::Campaign campaign(world, cfg);
+  campaign.run();
+  campaign.finalize();
+  const auto views = regular_views(world, campaign);
+  const auto serial = analyze_each(world, views, nullptr);
+  ASSERT_EQ(serial.size(), 16u);
+  for (const VpReport& r : serial) EXPECT_FALSE(r.kept_classified.empty()) << r.name;
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    const auto reports = analyze_world(world, views, {}, {}, threads);
+    expect_site_order(reports);
+    expect_same_reports(reports, serial);
+  }
+}
+
 TEST(Tables, Fig3bSamplesComparable) {
   const VpReport* penn = nullptr;
   for (const auto& r : study().reports) {
