@@ -39,7 +39,7 @@ scenario::WorldSpec demo_spec(std::uint64_t seed) {
 }
 
 const char* family_of(const web::Site& site, const core::World& world) {
-  return world.graph.node(site.v6_as).has_v6 ? "dual" : "v4";
+  return world.graph.node(world.catalog.v6_presence(site).as).has_v6 ? "dual" : "v4";
 }
 
 }  // namespace

@@ -134,8 +134,31 @@ util::TextTable fig3b_table(const Fig3b& f) {
 
 namespace {
 
+/// A set of ASNs as marks over the dense ASN range, grown to the largest
+/// ASN inserted; size() counts the distinct ASNs.
+class AsnMarks {
+ public:
+  void insert(topo::Asn a) {
+    if (a >= marks_.size()) marks_.resize(std::size_t{a} + 1, 0);
+    if (marks_[a] == 0) {
+      marks_[a] = 1;
+      ++count_;
+    }
+  }
+  void insert_all(const AsnMarks& other) {
+    for (std::size_t a = 0; a < other.marks_.size(); ++a) {
+      if (other.marks_[a] != 0) insert(static_cast<topo::Asn>(a));
+    }
+  }
+  [[nodiscard]] std::size_t size() const { return count_; }
+
+ private:
+  std::vector<std::uint8_t> marks_;
+  std::size_t count_ = 0;
+};
+
 struct Table2Sets {
-  std::set<topo::Asn> dest_v4, dest_v6, crossed_v4, crossed_v6;
+  AsnMarks dest_v4, dest_v6, crossed_v4, crossed_v6;
 };
 
 Table2Sets table2_sets(const VpReport& vp) {
@@ -180,10 +203,10 @@ Table2 table2_profiles(const std::vector<VpReport>& vps) {
     col.crossed_v4 = s.crossed_v4.size();
     col.crossed_v6 = s.crossed_v6.size();
     out.cols.push_back(col);
-    all.dest_v4.insert(s.dest_v4.begin(), s.dest_v4.end());
-    all.dest_v6.insert(s.dest_v6.begin(), s.dest_v6.end());
-    all.crossed_v4.insert(s.crossed_v4.begin(), s.crossed_v4.end());
-    all.crossed_v6.insert(s.crossed_v6.begin(), s.crossed_v6.end());
+    all.dest_v4.insert_all(s.dest_v4);
+    all.dest_v6.insert_all(s.dest_v6);
+    all.crossed_v4.insert_all(s.crossed_v4);
+    all.crossed_v6.insert_all(s.crossed_v6);
   }
   Table2Col all_col;
   all_col.vp = "All";

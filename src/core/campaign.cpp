@@ -28,6 +28,8 @@ struct CampaignMetricIds {
   obs::MetricId ingest_rows = obs::metrics().counter("ingest.rows");
   obs::MetricId ingest_flushes = obs::metrics().counter("ingest.flushes");
   obs::MetricId results_bytes = obs::metrics().counter("mem.results_bytes");
+  obs::MetricId catalog_bytes = obs::metrics().counter("mem.catalog_bytes");
+  obs::MetricId resolved_slots_bytes = obs::metrics().counter("mem.resolved_slots_bytes");
   obs::MetricId dns_queries = obs::metrics().counter("dns.queries");
   obs::MetricId dns_timeouts = obs::metrics().counter("dns.timeouts");
   obs::MetricId status[7] = {
@@ -600,9 +602,16 @@ void Campaign::finalize() {
     }
     store.db->finalize();
   });
+  // The memory ledger's owners, by size: functions of the study alone,
+  // so they read the same at any thread count.
+  const CampaignMetricIds& ids = campaign_metric_ids();
   std::size_t bytes = 0;
   for (const VpStore* store : stores) bytes += store->db->bytes();
-  obs::metrics().add(campaign_metric_ids().results_bytes, bytes);
+  obs::metrics().add(ids.results_bytes, bytes);
+  obs::metrics().add(ids.catalog_bytes, world_.catalog.bytes());
+  std::size_t slot_bytes = 0;
+  for (const Monitor& m : monitors_) slot_bytes += m.resolved_sites().bytes();
+  obs::metrics().add(ids.resolved_slots_bytes, slot_bytes);
 }
 
 }  // namespace v6mon::core

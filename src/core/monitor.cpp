@@ -70,6 +70,7 @@ struct MonitorMetricIds {
   obs::MetricId ci_exhausted = obs::metrics().counter("monitor.ci_exhausted");
   obs::MetricId rows_invalidated = obs::metrics().counter("monitor.rows_invalidated");
   obs::MetricId resolved_slots = obs::metrics().counter("monitor.resolved_slots");
+  obs::MetricId row_fills = obs::metrics().counter("monitor.row_fills");
 };
 
 const MonitorMetricIds& monitor_metric_ids() {
@@ -434,6 +435,7 @@ Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
       if (!resolved_.filled(slot)) {
         resolve_addresses(answers.v4_addr, answers.v6_addr, local);
         resolved_.fill(slot, local, current_world_epoch_);
+        obs::metrics().add(monitor_metric_ids().row_fills);
       }
       row = &resolved_.row(slot);
       V6MON_ASSERT(row->v4_addr == answers.v4_addr && row->v6_addr == answers.v6_addr,
@@ -465,11 +467,13 @@ Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
 
   // --- Phase 3: identity check -------------------------------------------
   // Sizes come back from the initial page fetch of each family. Pages and
-  // rates come from the live catalog entry (which grant_aaaa rewrites).
+  // rates come from the live catalog entry and its IPv6 presence record
+  // (which grant_aaaa appends).
+  const web::V6Presence presence = world_.catalog.v6_presence(site);
   const double v4_page = site.page_kb;
-  const double v6_page = site.page_kb * site.v6_page_ratio;
+  const double v6_page = site.page_kb * presence.page_ratio;
   const double v4_rate = site.server_rate_kBps * site.server_multiplier_at(round);
-  const double v6_rate = v4_rate * site.v6_server_factor;
+  const double v6_rate = v4_rate * presence.server_factor;
 
   // Hoist the draw-independent download math; attempts/failures accumulate
   // locally and flush once on every exit path.

@@ -96,6 +96,11 @@ class ResolvedSiteTable {
   void invalidate(std::uint32_t slot);
 
   [[nodiscard]] std::size_t size() const { return slots_.size(); }
+  /// Bytes of the slots and index entries, by size (not capacity; hash
+  /// buckets are not counted).
+  [[nodiscard]] std::size_t bytes() const {
+    return slots_.size() * sizeof(Slot) + slot_of_.size() * sizeof(decltype(slot_of_)::value_type);
+  }
   [[nodiscard]] const ResolvedSiteRow& row(std::uint32_t slot) const {
     return slots_[slot].row;
   }

@@ -30,9 +30,7 @@ std::vector<Asn> tracked_destinations(const World& world,
   for (std::uint32_t id = 0; id < g.num_links(); ++id) {
     if (g.link(id).v6_tunnel) mark(g.link(id).a);
   }
-  for (const web::Site& s : world.catalog.sites()) {
-    if (s.v6_from_round != web::kNever) mark(s.v6_as);
-  }
+  for (const web::V6Presence& p : world.catalog.v6_records()) mark(p.as);
   // V6MON_LINT_ALLOW(D001): marks a bitmap; the order of the marks is invisible
   for (const auto& [site_id, h] : world.catalog.relocations()) mark(h.v6_as);
   for (const EpochDeltas& e : epochs) {

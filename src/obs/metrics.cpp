@@ -50,9 +50,12 @@ constexpr const char* kCounterNames[] = {
     "dns.timeouts",
     "ingest.flushes",
     "ingest.rows",
+    "mem.catalog_bytes",
+    "mem.resolved_slots_bytes",
     "mem.results_bytes",
     "monitor.ci_exhausted",
     "monitor.resolved_slots",
+    "monitor.row_fills",
     "monitor.rows_invalidated",
     "monitor.status.dns-failed",
     "monitor.status.different-content",

@@ -194,10 +194,8 @@ void build_ribs(core::World& world, std::size_t threads) {
   // marked in a bitmap over the dense ASNs and collected in ascending order.
   const AsGraph& g = world.graph;
   std::vector<std::uint8_t> is_dest(g.num_ases(), 0);
-  for (const web::Site& s : world.catalog.sites()) {
-    is_dest.at(s.v4_as) = 1;
-    if (s.v6_from_round != web::kNever) is_dest.at(s.v6_as) = 1;
-  }
+  for (const web::Site& s : world.catalog.sites()) is_dest.at(s.v4_as) = 1;
+  for (const web::V6Presence& p : world.catalog.v6_records()) is_dest.at(p.as) = 1;
   // V6MON_LINT_ALLOW(D001): marks a bitmap; the order of the marks is invisible
   for (const auto& [site_id, h] : world.catalog.relocations()) {
     is_dest.at(h.v4_as) = 1;

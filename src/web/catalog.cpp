@@ -230,7 +230,9 @@ SiteCatalog SiteCatalog::generate(const topo::AsGraph& graph,
     const std::uint64_t v4_cap = 1ULL << (32 - v4p.length());
     s.v4_addr = ip::offset_address(v4p.network(),
                                    v4_host_counter[s.v4_as]++ % v4_cap, 32);
-    s.v6_as = s.v4_as;
+    // The IPv6 presence under construction; kept as a record only if the
+    // site ends up with an AAAA window.
+    V6Presence v6{s.v4_as, {}, 1.0f, 1.0f};
 
     polar.page = site_rng.polar_pair();
     polar.rate = site_rng.polar_pair();
@@ -255,27 +257,27 @@ SiteCatalog SiteCatalog::generate(const topo::AsGraph& graph,
         if (alt == topo::kNoAs) {
           s.v6_from_round = kNever;  // nowhere to host IPv6
         } else {
-          s.v6_as = alt;
+          v6.as = alt;
           // CDN-grade IPv4 vs origin-grade IPv6 delivery.
-          s.v6_server_factor = static_cast<float>(
-              s.v6_server_factor * site_rng.uniform(params.dl_v6_origin_factor_lo,
-                                                    params.dl_v6_origin_factor_hi));
+          v6.server_factor = static_cast<float>(
+              v6.server_factor * site_rng.uniform(params.dl_v6_origin_factor_lo,
+                                                  params.dl_v6_origin_factor_hi));
         }
       }
       if (s.v6_from_round != kNever) {
-        const topo::AsNode& v6host = graph.node(s.v6_as);
+        const topo::AsNode& v6host = graph.node(v6.as);
         const ip::Ipv6Prefix& v6p = v6host.v6_prefixes.front();
-        s.v6_addr = ip::offset_address(v6p.network(), v6_host_counter[s.v6_as]++, 128);
-        const double penalty_prob = is_bad_v6_host(s.v6_as)
+        v6.addr = ip::offset_address(v6p.network(), v6_host_counter[v6.as]++, 128);
+        const double penalty_prob = is_bad_v6_host(v6.as)
                                         ? params.v6_penalty_prob_bad_host
                                         : params.v6_penalty_prob_good_host;
         if (site_rng.chance(penalty_prob)) {
-          s.v6_server_factor = static_cast<float>(
-              s.v6_server_factor * site_rng.uniform(params.v6_server_penalty_lo,
-                                                    params.v6_server_penalty_hi));
+          v6.server_factor = static_cast<float>(
+              v6.server_factor * site_rng.uniform(params.v6_server_penalty_lo,
+                                                  params.v6_server_penalty_hi));
         }
         if (site_rng.chance(params.diff_content_prob)) {
-          s.v6_page_ratio =
+          v6.page_ratio =
               static_cast<float>(site_rng.chance(0.5) ? site_rng.uniform(0.3, 0.9)
                                                       : site_rng.uniform(1.12, 2.0));
         }
@@ -307,18 +309,17 @@ SiteCatalog SiteCatalog::generate(const topo::AsGraph& graph,
         // when their own/CDN network could not carry it).
         s.w6d_participant = true;
         if (s.v6_from_round == kNever || s.v6_from_round > params.w6d_round) {
-          if (s.v6_as == s.v4_as && !graph.node(s.v4_as).has_v6) {
+          if (v6.as == s.v4_as && !graph.node(s.v4_as).has_v6) {
             // A would-be participant without IPv6-capable infrastructure
             // only sometimes stands up an off-AS origin for the event.
             const topo::Asn alt = site_rng.chance(0.4)
                                       ? hosts.draw_v6(graph, s.v4_as, site_rng)
                                       : topo::kNoAs;
-            if (alt != topo::kNoAs) s.v6_as = alt;
+            if (alt != topo::kNoAs) v6.as = alt;
           }
-          if (graph.node(s.v6_as).has_v6) {
-            const ip::Ipv6Prefix& v6p = graph.node(s.v6_as).v6_prefixes.front();
-            s.v6_addr =
-                ip::offset_address(v6p.network(), v6_host_counter[s.v6_as]++, 128);
+          if (graph.node(v6.as).has_v6) {
+            const ip::Ipv6Prefix& v6p = graph.node(v6.as).v6_prefixes.front();
+            v6.addr = ip::offset_address(v6p.network(), v6_host_counter[v6.as]++, 128);
             s.v6_from_round = std::max(first_seen, params.w6d_round);
             // Most event-only participants pulled the AAAA again after
             // June 8; only a minority kept it.
@@ -329,8 +330,15 @@ SiteCatalog SiteCatalog::generate(const topo::AsGraph& graph,
             s.w6d_participant = false;
           }
         }
-        if (s.w6d_participant) s.v6_server_factor = 1.0f;
+        if (s.w6d_participant) v6.server_factor = 1.0f;
       }
+    }
+
+    // Sites without an AAAA window keep the default presence, which
+    // v6_presence reproduces without a record.
+    if (s.v6_from_round != kNever) {
+      s.v6_record = static_cast<std::uint32_t>(cat.v6_records_.size());
+      cat.v6_records_.push_back(v6);
     }
   };
 
@@ -344,8 +352,9 @@ SiteCatalog SiteCatalog::generate(const topo::AsGraph& graph,
     const std::uint64_t cap = 1ULL << (32 - nhost.v4_prefixes.front().length());
     h.v4_addr = ip::offset_address(nhost.v4_prefixes.front().network(),
                                    v4_host_counter[h.v4_as]++ % cap, 32);
-    h.v6_as = s.v6_as;
-    h.v6_addr = s.v6_addr;
+    const V6Presence v6 = cat.v6_presence(s);
+    h.v6_as = v6.as;
+    h.v6_addr = v6.addr;
     if (s.v6_from_round != kNever) {
       const topo::Asn alt = graph.node(h.v4_as).has_v6
                                 ? h.v4_as
@@ -435,7 +444,13 @@ Hosting SiteCatalog::hosting_at(const Site& s, std::uint32_t round) const {
     const auto it = relocations_.find(s.id);
     if (it != relocations_.end()) return it->second;
   }
-  return Hosting{s.v4_as, s.v4_addr, s.v6_as, s.v6_addr};
+  const V6Presence v6 = v6_presence(s);
+  return Hosting{s.v4_as, s.v4_addr, v6.as, v6.addr};
+}
+
+std::size_t SiteCatalog::bytes() const {
+  return sites_.size() * sizeof(Site) + v6_records_.size() * sizeof(V6Presence) +
+         relocations_.size() * sizeof(decltype(relocations_)::value_type);
 }
 
 const Hosting* SiteCatalog::relocation(std::uint32_t site_id) const {
@@ -473,9 +488,8 @@ void SiteCatalog::grant_aaaa(std::uint32_t site_id, std::uint32_t from_round,
   if (v6_as == topo::kNoAs) throw ConfigError("grant_aaaa: invalid hosting AS");
   s.v6_from_round = from_round;
   s.v6_until_round = kNever;
-  s.v6_as = v6_as;
-  s.v6_addr = v6_addr;
-  s.v6_server_factor = v6_server_factor;
+  s.v6_record = static_cast<std::uint32_t>(v6_records_.size());
+  v6_records_.push_back(V6Presence{v6_as, v6_addr, 1.0f, v6_server_factor});
 }
 
 }  // namespace v6mon::web

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ip/ipv6.h"
 #include "topo/as_graph.h"
 #include "util/rng.h"
 #include "web/site.h"
@@ -121,6 +122,17 @@ struct Hosting {
   ip::Ipv6Address v6_addr;
 };
 
+/// A site's IPv6 presence: where its AAAA record points and how its
+/// server treats IPv6. The catalog keeps one record per site that ever
+/// gets an AAAA window (about 1% of them); every other site reads as the
+/// default presence of SiteCatalog::v6_presence.
+struct V6Presence {
+  topo::Asn as = topo::kNoAs;  ///< AS hosting the IPv6 presence (may differ: DL).
+  ip::Ipv6Address addr;
+  float page_ratio = 1.0f;     ///< v6 page bytes / v4 page bytes.
+  float server_factor = 1.0f;  ///< <1: the server delivers IPv6 slower.
+};
+
 /// Exact inverse-CDF search over a non-decreasing table of cumulative
 /// weights: `find(u)` is `std::lower_bound(cumulative, u) - begin` for
 /// every u, but a guide table of equal-width buckets over [0, total]
@@ -174,6 +186,26 @@ class SiteCatalog {
   /// Effective hosting of a site at a round (applies relocations).
   [[nodiscard]] Hosting hosting_at(const Site& s, std::uint32_t round) const;
 
+  /// The site's IPv6 presence record; a site without one (IPv4-only)
+  /// reads as hosted in its IPv4 AS at the zero address, with both
+  /// factors 1.0.
+  [[nodiscard]] V6Presence v6_presence(const Site& s) const {
+    if (s.v6_record == kNoV6Record) return V6Presence{s.v4_as, {}, 1.0f, 1.0f};
+    return v6_records_[s.v6_record];
+  }
+  /// The site's IPv4 and IPv6 presences live in different ASes — the
+  /// paper's "different locations" (DL) category.
+  [[nodiscard]] bool different_location(const Site& s) const {
+    return s.v6_record != kNoV6Record && v6_records_[s.v6_record].as != s.v4_as;
+  }
+  /// Every IPv6 presence record: generated ones in site-id order, then
+  /// one per grant_aaaa in grant order.
+  [[nodiscard]] const std::vector<V6Presence>& v6_records() const { return v6_records_; }
+
+  /// Bytes the catalog holds: its sites, IPv6 records and relocation
+  /// entries, by size (not capacity).
+  [[nodiscard]] std::size_t bytes() const;
+
   /// The relocation record for a site, if any.
   [[nodiscard]] const Hosting* relocation(std::uint32_t site_id) const;
   /// Every relocation record, by site id (unordered).
@@ -194,7 +226,8 @@ class SiteCatalog {
   [[nodiscard]] std::size_t listed_at(std::uint32_t round) const;
 
   /// Epoch engine (kSiteGainsAaaa): an IPv4-only site stands up an AAAA
-  /// record from `from_round` on, hosted in `v6_as` at `v6_addr`.
+  /// record from `from_round` on, hosted in `v6_as` at `v6_addr`; its
+  /// IPv6 presence record is appended.
   /// Rejects sites that already have (or ever had) an IPv6 window — the
   /// evolution generator only selects IPv4-only sites, and double grants
   /// would silently rewrite history the DNS layer already served.
@@ -203,6 +236,7 @@ class SiteCatalog {
 
  private:
   std::vector<Site> sites_;
+  std::vector<V6Presence> v6_records_;
   std::unordered_map<std::uint32_t, Hosting> relocations_;
   CatalogParams params_;
 };

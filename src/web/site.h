@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "ip/ipv4.h"
-#include "ip/ipv6.h"
 #include "topo/as_graph.h"
 
 namespace v6mon::web {
@@ -12,8 +11,13 @@ namespace v6mon::web {
 /// Sentinel for "never happens" round fields.
 inline constexpr std::uint32_t kNever = 0xffffffffu;
 
+/// Sentinel for Site::v6_record: the site has no IPv6 presence record.
+inline constexpr std::uint32_t kNoV6Record = 0xffffffffu;
+
 /// One monitored website. Deliberately compact: catalogs hold up to a
-/// million of these.
+/// million of these. The IPv6 presence (hosting AS, address, page and
+/// server factors) of the ~1% of sites that ever get an AAAA record lives
+/// in the catalog's record vector; read it through SiteCatalog::v6_presence.
 struct Site {
   std::uint32_t id = 0;
   /// 1-based Alexa-style rank; 0 for unranked supplemental sites (the
@@ -21,9 +25,7 @@ struct Site {
   std::uint32_t rank = 0;
 
   topo::Asn v4_as = topo::kNoAs;  ///< AS hosting the IPv4 presence.
-  topo::Asn v6_as = topo::kNoAs;  ///< AS hosting the IPv6 presence (may differ: DL).
   ip::Ipv4Address v4_addr;
-  ip::Ipv6Address v6_addr;  ///< Valid iff v6_from_round != kNever.
 
   /// First round at which the AAAA record exists; kNever = IPv4-only.
   std::uint32_t v6_from_round = kNever;
@@ -35,14 +37,16 @@ struct Site {
   std::uint32_t first_seen_round = 0;
 
   float page_kb = 30.0f;          ///< Main page size over IPv4.
-  float v6_page_ratio = 1.0f;     ///< v6 page bytes / v4 page bytes.
   float server_rate_kBps = 90.0f; ///< Server-side delivery capacity (IPv4).
-  float v6_server_factor = 1.0f;  ///< <1: the server delivers IPv6 slower.
 
   /// Non-stationarity injections (feed the paper's Table 3 sanitization):
   std::uint32_t step_round = kNever;  ///< Sharp perf transition at this round...
   float step_factor = 1.0f;           ///< ...multiplying server rate thereafter.
   float trend_per_round = 0.0f;       ///< Steady relative drift per round.
+
+  /// Index of the site's IPv6 presence record in its catalog, or
+  /// kNoV6Record. Set iff v6_from_round != kNever.
+  std::uint32_t v6_record = kNoV6Record;
 
   bool step_from_path_change = false; ///< Transition coincides with a path change.
   bool w6d_participant = false;  ///< Advertised World IPv6 Day participation.
@@ -55,10 +59,6 @@ struct Site {
     return v6_from_round != kNever && round >= v6_from_round &&
            round < v6_until_round;
   }
-  /// The site's IPv4 and IPv6 presences live in different ASes — the
-  /// paper's "different locations" (DL) category.
-  [[nodiscard]] bool different_location() const { return v4_as != v6_as; }
-
   /// Hosting epoch at a round: 0 = original hosting, 1 = the relocated
   /// hosting of a `step_from_path_change` site at/after its step round.
   /// A site's addresses are constant within a hosting epoch, so the
@@ -83,6 +83,6 @@ struct Site {
 
 // The three flags share the tail word: a scale-1.0 catalog holds 330,000
 // sites, so every padding byte costs 330 KB.
-static_assert(sizeof(Site) == 80, "web::Site grew: check its field order for padding");
+static_assert(sizeof(Site) == 56, "web::Site grew: check its field order for padding");
 
 }  // namespace v6mon::web

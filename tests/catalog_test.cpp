@@ -145,10 +145,11 @@ TEST(SiteCatalog, DualStackSitesHaveConsistentHosting) {
     EXPECT_EQ(*om.origin_v4(s.v4_addr), s.v4_as);
     if (s.v6_from_round == kNever) continue;
     ++dual;
-    EXPECT_TRUE(w.graph.node(s.v6_as).has_v6);
-    ASSERT_TRUE(om.origin_v6(s.v6_addr).has_value());
-    EXPECT_EQ(*om.origin_v6(s.v6_addr), s.v6_as);
-    if (s.different_location()) ++dl;
+    const V6Presence v6 = cat.v6_presence(s);
+    EXPECT_TRUE(w.graph.node(v6.as).has_v6);
+    ASSERT_TRUE(om.origin_v6(v6.addr).has_value());
+    EXPECT_EQ(*om.origin_v6(v6.addr), v6.as);
+    if (cat.different_location(s)) ++dl;
   }
   EXPECT_GT(dual, 0u);
   EXPECT_GT(dl, 0u);   // some CDN-split sites
@@ -171,10 +172,11 @@ TEST(SiteCatalog, ServerPenaltyClustersByHostingAs) {
   std::map<topo::Asn, std::pair<std::size_t, std::size_t>> by_as;  // {dual, penalized}
   for (const Site& s : cat.sites()) {
     if (s.v6_from_round == kNever) continue;
-    if (s.different_location()) continue;  // DL sites carry the CDN/origin factor
-    auto& [dual, pen] = by_as[s.v6_as];
+    if (cat.different_location(s)) continue;  // DL sites carry the CDN/origin factor
+    const V6Presence v6 = cat.v6_presence(s);
+    auto& [dual, pen] = by_as[v6.as];
     ++dual;
-    if (s.v6_server_factor < 1.0f) ++pen;
+    if (v6.server_factor < 1.0f) ++pen;
   }
   std::size_t high = 0, low = 0, mid = 0, considered = 0;
   for (const auto& [asn, counts] : by_as) {
@@ -204,9 +206,45 @@ TEST(SiteCatalog, W6dParticipantsAreV6ByTheEvent) {
     if (!s.w6d_participant) continue;
     ++participants;
     EXPECT_TRUE(s.dual_stack_at(15)) << "site " << s.id;
-    EXPECT_EQ(s.v6_server_factor, 1.0f);
+    EXPECT_EQ(cat.v6_presence(s).server_factor, 1.0f);
   }
   EXPECT_GT(participants, 50u);
+}
+
+TEST(SiteCatalog, V6RecordsOnlyForSitesWithAaaa) {
+  World w;
+  util::Rng rng(9);
+  CatalogParams p = small_params();
+  p.initial_sites = 20'000;
+  p.w6d_round = 15;
+  const auto cat = SiteCatalog::generate(w.graph, p, rng);
+  std::size_t with_aaaa = 0, v4_only = 0;
+  std::uint32_t last_owner = 0;
+  for (const Site& s : cat.sites()) {
+    if (s.v6_from_round == kNever) {
+      ++v4_only;
+      EXPECT_EQ(s.v6_record, kNoV6Record) << "site " << s.id;
+      const V6Presence v6 = cat.v6_presence(s);
+      EXPECT_EQ(v6.as, s.v4_as);
+      EXPECT_EQ(v6.addr, ip::Ipv6Address{});
+      EXPECT_EQ(v6.page_ratio, 1.0f);
+      EXPECT_EQ(v6.server_factor, 1.0f);
+      EXPECT_FALSE(cat.different_location(s));
+      continue;
+    }
+    // Records are appended in site-id order: the k-th site with an AAAA
+    // window owns record k.
+    ASSERT_EQ(s.v6_record, with_aaaa) << "site " << s.id;
+    EXPECT_TRUE(with_aaaa == 0 || s.id > last_owner);
+    last_owner = s.id;
+    ++with_aaaa;
+  }
+  EXPECT_EQ(cat.v6_records().size(), with_aaaa);
+  EXPECT_GT(with_aaaa, 0u);
+  EXPECT_GT(v4_only, with_aaaa);
+  EXPECT_EQ(cat.bytes(), cat.size() * sizeof(Site) + with_aaaa * sizeof(V6Presence) +
+                             cat.relocations().size() *
+                                 sizeof(std::pair<const std::uint32_t, Hosting>));
 }
 
 /// std::lower_bound's answer, the oracle for CumulativeIndex::find.
@@ -257,8 +295,10 @@ TEST(CumulativeIndex, MatchesLowerBoundOnPlateausAndTinyTables) {
   expect_index_matches_lower_bound({1e-300, 1e-12, 1.0, 1.0 + 1e-12, 1e12}, 100'000);
 }
 
-/// FNV-1a over the catalog's every Site field (field by field, so padding
-/// never enters), then every relocation record in site-id order.
+/// FNV-1a over the catalog's every per-site field (field by field, so
+/// padding never enters; the IPv6 presence through the catalog's
+/// accessor, mixed in the order the pinned digests fix), then every
+/// relocation record in site-id order.
 std::uint64_t catalog_digest(const SiteCatalog& cat) {
   std::uint64_t h = 1469598103934665603ULL;
   auto mix = [&h](std::uint64_t v, int bytes) {
@@ -272,19 +312,20 @@ std::uint64_t catalog_digest(const SiteCatalog& cat) {
     for (std::uint8_t b : a.bytes()) mix(b, 1);
   };
   for (const Site& s : cat.sites()) {
+    const V6Presence v6 = cat.v6_presence(s);
     mix(s.id, 4);
     mix(s.rank, 4);
     mix(s.v4_as, 4);
-    mix(s.v6_as, 4);
+    mix(v6.as, 4);
     mix(s.v4_addr.value(), 4);
-    mix_v6(s.v6_addr);
+    mix_v6(v6.addr);
     mix(s.v6_from_round, 4);
     mix(s.v6_until_round, 4);
     mix(s.first_seen_round, 4);
     mix_f(s.page_kb);
-    mix_f(s.v6_page_ratio);
+    mix_f(v6.page_ratio);
     mix_f(s.server_rate_kBps);
-    mix_f(s.v6_server_factor);
+    mix_f(v6.server_factor);
     mix(s.step_round, 4);
     mix_f(s.step_factor);
     mix(s.step_from_path_change ? 1 : 0, 1);

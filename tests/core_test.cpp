@@ -583,7 +583,7 @@ TEST(Monitor, DualStackSiteMeasured) {
 
   int measured = 0, examined = 0;
   for (const web::Site& s : w.catalog.sites()) {
-    if (!s.dual_stack_at(5) || s.v6_page_ratio != 1.0f) continue;
+    if (!s.dual_stack_at(5) || w.catalog.v6_presence(s).page_ratio != 1.0f) continue;
     if (++examined > 40) break;
     const auto obs = mon.monitor_site(s, 5, {}, util::Rng(1000 + s.id), paths);
     if (obs.status == MonitorStatus::kMeasured) {
@@ -612,7 +612,7 @@ TEST(Monitor, DifferentContentDetected) {
 
   const web::Site* diff = nullptr;
   for (const web::Site& s : w.catalog.sites()) {
-    if (s.dual_stack_at(5) && s.v6_page_ratio > 1.06f) {
+    if (s.dual_stack_at(5) && w.catalog.v6_presence(s).page_ratio > 1.06f) {
       diff = &s;
       break;
     }
@@ -651,7 +651,7 @@ TEST(Monitor, SeparateProviderVpYieldsDivergentPaths) {
 
   int same = 0, diff = 0;
   for (const web::Site& s : w.catalog.sites()) {
-    if (!s.dual_stack_at(5) || s.different_location()) continue;
+    if (!s.dual_stack_at(5) || w.catalog.different_location(s)) continue;
     const auto obs = mon.monitor_site(s, 5, {}, util::Rng(77 + s.id), paths);
     if (obs.status != MonitorStatus::kMeasured) continue;
     const Route v4 = paths.route(obs.v4_route);

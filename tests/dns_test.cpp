@@ -125,7 +125,7 @@ TEST(CatalogDnsBackend, AnswersTrackAdoptionRound) {
   EXPECT_FALSE(before.has_answers());
   const Answer after = resolver.resolve(host, QueryType::kAaaa, mid->v6_from_round);
   ASSERT_TRUE(after.aaaa.has_value());
-  EXPECT_EQ(*after.aaaa, mid->v6_addr);
+  EXPECT_EQ(*after.aaaa, cat.v6_presence(*mid).addr);
   const Answer a = resolver.resolve(host, QueryType::kA, 0);
   ASSERT_TRUE(a.a.has_value());
   EXPECT_EQ(*a.a, mid->v4_addr);

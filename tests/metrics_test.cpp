@@ -328,6 +328,9 @@ struct CampaignRun {
   std::uint64_t sites_monitored = 0;
   std::uint64_t fast_path_sites = 0;
   double sink_shard_bytes = -1;  ///< The mem.sink_shard_bytes gauge; -1 = absent.
+  std::uint64_t catalog_bytes = 0;         ///< mem.catalog_bytes.
+  std::uint64_t resolved_slots_bytes = 0;  ///< mem.resolved_slots_bytes.
+  std::uint64_t expected_slots_bytes = 0;  ///< The monitors' tables, summed.
 };
 
 CampaignRun run_instrumented(std::size_t threads, core::SinkBackend backend,
@@ -361,6 +364,11 @@ CampaignRun run_instrumented(std::size_t threads, core::SinkBackend backend,
   out.dns_queries = reg.counter_value("dns.queries");
   out.sites_monitored = reg.counter_value("campaign.sites_monitored");
   out.fast_path_sites = reg.counter_value("campaign.fast_path_sites");
+  out.catalog_bytes = reg.counter_value("mem.catalog_bytes");
+  out.resolved_slots_bytes = reg.counter_value("mem.resolved_slots_bytes");
+  for (std::size_t vp = 0; vp < small_world().vantage_points.size(); ++vp) {
+    out.expected_slots_bytes += campaign.monitor(vp).resolved_sites().bytes();
+  }
   const std::string json = reg.to_json();
   const std::string key = "\"mem.sink_shard_bytes\": ";
   if (const std::size_t at = json.find(key); at != std::string::npos) {
@@ -387,7 +395,14 @@ TEST(MetricsDeterminism, CountersIdenticalAcrossThreadsAndBackends) {
   // The finalized stores' bytes are sizes, not capacities: the same at
   // every thread count and sink backend, and never 0 for stores with rows.
   EXPECT_EQ(reference.counters.find("\"mem.results_bytes\":0,"), std::string::npos);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+  // The memory ledger's owners: the catalog by size, and the monitors'
+  // resolved-site slots and index entries. Every fill of such a slot is
+  // counted, refills included.
+  EXPECT_EQ(reference.catalog_bytes, small_world().catalog.bytes());
+  EXPECT_GT(reference.resolved_slots_bytes, 0u);
+  EXPECT_EQ(reference.resolved_slots_bytes, reference.expected_slots_bytes);
+  EXPECT_EQ(reference.counters.find("\"monitor.row_fills\":0,"), std::string::npos);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
     for (const core::SinkBackend backend :
          {core::SinkBackend::kMutex, core::SinkBackend::kSharded,
           core::SinkBackend::kSpool}) {
@@ -395,6 +410,8 @@ TEST(MetricsDeterminism, CountersIdenticalAcrossThreadsAndBackends) {
                                       << static_cast<int>(backend));
       const CampaignRun run = run_instrumented(threads, backend, true);
       EXPECT_EQ(run.counters, reference.counters);
+      EXPECT_EQ(run.catalog_bytes, reference.catalog_bytes);
+      EXPECT_EQ(run.resolved_slots_bytes, reference.resolved_slots_bytes);
       EXPECT_EQ(run.observations, reference.observations);
       EXPECT_EQ(run.dns_queries, 2 * (run.sites_monitored + run.fast_path_sites));
     }

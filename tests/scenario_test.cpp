@@ -74,9 +74,10 @@ TEST(WorldBuilder, RibPathsResolveSites) {
     ASSERT_NE(v4, nullptr) << "IPv4 must be universally routed";
     EXPECT_EQ(v4->origin, s.v4_as);
     if (s.v6_from_round != web::kNever) {
-      const auto* v6 = vp.rib.lookup_v6(s.v6_addr);
+      const web::V6Presence p = world.catalog.v6_presence(s);
+      const auto* v6 = vp.rib.lookup_v6(p.addr);
       if (v6 != nullptr) {
-      EXPECT_EQ(v6->origin, s.v6_as);
+      EXPECT_EQ(v6->origin, p.as);
     }
     }
   }
@@ -174,7 +175,7 @@ std::vector<bgp::Rib> reference_ribs(const core::World& world) {
   std::set<topo::Asn> dests;
   for (const web::Site& s : world.catalog.sites()) {
     dests.insert(s.v4_as);
-    if (s.v6_from_round != web::kNever) dests.insert(s.v6_as);
+    if (s.v6_from_round != web::kNever) dests.insert(world.catalog.v6_presence(s).as);
     if (const web::Hosting* h = world.catalog.relocation(s.id)) {
       dests.insert(h->v4_as);
       if (h->v6_as != topo::kNoAs) dests.insert(h->v6_as);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <set>
 
 #include "core/campaign.h"
 #include "core/thread_pool.h"
@@ -414,6 +416,110 @@ TEST(Tables, Table2ProfilesInvariants) {
     EXPECT_GE(all.crossed_v6, c.crossed_v6);
   }
   EXPECT_EQ(table2_render(t).rows(), 6u);
+}
+
+/// Table 2's counts as ordered sets of ASNs, the oracle for
+/// table2_profiles' dense marks.
+Table2 table2_with_sets(const std::vector<VpReport>& vps) {
+  Table2 out;
+  std::set<topo::Asn> all[4];
+  for (const VpReport& vp : vps) {
+    std::set<topo::Asn> s[4];  // dest v4, dest v6, crossed v4, crossed v6
+    Table2Col col;
+    col.vp = vp.name;
+    for (const SiteAssessment& a : vp.assessments) {
+      if (a.rounds_measured == 0) continue;
+      ++col.sites_total;
+      if (a.v4_origin != topo::kNoAs) {
+        s[0].insert(a.v4_origin);
+        s[2].insert(a.v4_origin);
+      }
+      if (a.v6_origin != topo::kNoAs) {
+        s[1].insert(a.v6_origin);
+        s[3].insert(a.v6_origin);
+      }
+      if (a.v4_path != core::kNoPath) {
+        for (topo::Asn hop : vp.view.paths().path(a.v4_path)) s[2].insert(hop);
+      }
+      if (a.v6_path != core::kNoPath) {
+        for (topo::Asn hop : vp.view.paths().path(a.v6_path)) s[3].insert(hop);
+      }
+    }
+    col.sites_kept = vp.kept.size();
+    col.dest_ases_v4 = s[0].size();
+    col.dest_ases_v6 = s[1].size();
+    col.crossed_v4 = s[2].size();
+    col.crossed_v6 = s[3].size();
+    out.cols.push_back(col);
+    for (int i = 0; i < 4; ++i) all[i].insert(s[i].begin(), s[i].end());
+  }
+  Table2Col all_col;
+  all_col.vp = "All";
+  all_col.dest_ases_v4 = all[0].size();
+  all_col.dest_ases_v6 = all[1].size();
+  all_col.crossed_v4 = all[2].size();
+  all_col.crossed_v6 = all[3].size();
+  out.cols.push_back(all_col);
+  return out;
+}
+
+// Randomized reports: unmeasured sites, missing origins and paths, hops
+// repeated within and across vantage points, and ASNs sparse over a wide
+// range. The dense marks must count exactly what ordered sets count, and
+// render the same table.
+TEST(Tables, Table2MarksMatchOrderedSets) {
+  util::Rng rng(37);
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const auto max_asn = static_cast<std::uint32_t>(rng.uniform_u64(1, 5'000));
+    std::deque<core::ResultsDb> dbs;
+    std::vector<VpReport> reports(rng.uniform_u64(1, 5));
+    for (std::size_t v = 0; v < reports.size(); ++v) {
+      core::ResultsDb& db = dbs.emplace_back();
+      VpReport& r = reports[v];
+      r.name = "VP" + std::to_string(v);
+      std::vector<core::PathId> paths;
+      const std::uint64_t num_paths = rng.uniform_u64(0, 40);
+      for (std::uint64_t p = 0; p < num_paths; ++p) {
+        std::vector<topo::Asn> hops(rng.uniform_u64(1, 8));
+        for (topo::Asn& h : hops) h = rng.uniform_u32(0, max_asn);
+        paths.push_back(db.paths().intern(hops));
+      }
+      const auto pick_path = [&] {
+        return paths.empty() || rng.chance(0.2) ? core::kNoPath : paths[rng.index(paths.size())];
+      };
+      const auto pick_origin = [&] {
+        return rng.chance(0.1) ? topo::kNoAs : rng.uniform_u32(0, max_asn);
+      };
+      const std::uint64_t sites = rng.uniform_u64(0, 300);
+      for (std::uint64_t i = 0; i < sites; ++i) {
+        SiteAssessment a;
+        a.site = static_cast<std::uint32_t>(i);
+        a.rounds_measured = rng.chance(0.15) ? 0 : rng.uniform_u64(1, 30);
+        a.v4_origin = pick_origin();
+        a.v6_origin = pick_origin();
+        a.v4_path = pick_path();
+        a.v6_path = pick_path();
+        r.assessments.push_back(a);
+        if (a.rounds_measured > 0 && rng.chance(0.7)) r.kept.push_back(a);
+      }
+      r.view = db;
+    }
+    const Table2 got = table2_profiles(reports);
+    const Table2 want = table2_with_sets(reports);
+    ASSERT_EQ(got.cols.size(), want.cols.size());
+    for (std::size_t c = 0; c < got.cols.size(); ++c) {
+      SCOPED_TRACE(want.cols[c].vp);
+      EXPECT_EQ(got.cols[c].vp, want.cols[c].vp);
+      EXPECT_EQ(got.cols[c].sites_total, want.cols[c].sites_total);
+      EXPECT_EQ(got.cols[c].sites_kept, want.cols[c].sites_kept);
+      EXPECT_EQ(got.cols[c].dest_ases_v4, want.cols[c].dest_ases_v4);
+      EXPECT_EQ(got.cols[c].dest_ases_v6, want.cols[c].dest_ases_v6);
+      EXPECT_EQ(got.cols[c].crossed_v4, want.cols[c].crossed_v4);
+      EXPECT_EQ(got.cols[c].crossed_v6, want.cols[c].crossed_v6);
+    }
+    EXPECT_EQ(table2_render(got).render(), table2_render(want).render());
+  }
 }
 
 TEST(Tables, Table3AccountsForAllRemovals) {

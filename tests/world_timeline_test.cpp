@@ -226,7 +226,7 @@ std::vector<topo::Asn> tracked_dests(const World& w,
     if (w.graph.link(id).v6_tunnel) tracked[w.graph.link(id).a] = 1;
   }
   for (const web::Site& s : w.catalog.sites()) {
-    if (s.v6_from_round != web::kNever) tracked[s.v6_as] = 1;
+    if (s.v6_from_round != web::kNever) tracked[w.catalog.v6_presence(s).as] = 1;
     const web::Hosting* h = w.catalog.relocation(s.id);
     if (h != nullptr && h->v6_as != topo::kNoAs) tracked[h->v6_as] = 1;
   }
@@ -433,7 +433,7 @@ TEST(WorldTimeline, SecondRouteSyncRewritesNothing) {
   std::set<topo::Asn> hosts;
   for (const web::Site& s : w.catalog.sites()) {
     hosts.insert(s.v4_as);
-    if (s.v6_from_round != web::kNever) hosts.insert(s.v6_as);
+    if (s.v6_from_round != web::kNever) hosts.insert(w.catalog.v6_presence(s).as);
     if (const web::Hosting* h = w.catalog.relocation(s.id)) {
       hosts.insert(h->v4_as);
       if (h->v6_as != topo::kNoAs) hosts.insert(h->v6_as);
@@ -493,17 +493,67 @@ TEST(WorldTimeline, AppliedEpochsKeepWorldSelfConsistent) {
         EXPECT_TRUE(site.dual_stack_at(round));
         // ...the granted address belongs to the hosting AS in the origin
         // map (DNS answers and BGP origins agree)...
-        ASSERT_NE(site.v6_as, topo::kNoAs);
-        const auto origin = w.origins.origin_v6(site.v6_addr);
+        const web::V6Presence v6 = w.catalog.v6_presence(site);
+        ASSERT_NE(v6.as, topo::kNoAs);
+        const auto origin = w.origins.origin_v6(v6.addr);
         ASSERT_TRUE(origin.has_value());
-        EXPECT_EQ(*origin, site.v6_as);
+        EXPECT_EQ(*origin, v6.as);
         // ...and the hosting AS speaks IPv6.
-        EXPECT_TRUE(w.graph.node(site.v6_as).has_v6);
+        EXPECT_TRUE(w.graph.node(v6.as).has_v6);
       }
     }
   }
   EXPECT_EQ(timeline.current_epoch(), timeline.num_epochs());
   EXPECT_FALSE(timeline.next_epoch_round().has_value());
+}
+
+// A grant appends one IPv6 presence record: the site answers the granted
+// address from the grant's round on, and a second grant is rejected.
+TEST(WorldTimeline, GrantAppendsV6Record) {
+  WorldTimeline timeline = scenario::build_timeline(evolving_spec());
+  // The first epoch that grants an AAAA to a site that never relocates.
+  const EpochDeltas* epoch = nullptr;
+  const WorldDelta* grant = nullptr;
+  for (const EpochDeltas& e : timeline.epochs()) {
+    for (const WorldDelta& d : e.deltas) {
+      if (d.kind == WorldDeltaKind::kSiteGainsAaaa &&
+          !timeline.world().catalog.site(d.site_id).step_from_path_change) {
+        epoch = &e;
+        grant = &d;
+        break;
+      }
+    }
+    if (grant != nullptr) break;
+  }
+  ASSERT_NE(grant, nullptr) << "the evolving spec grants no AAAA";
+  std::size_t grants = 0;
+  for (const WorldDelta& d : epoch->deltas) {
+    if (d.kind == WorldDeltaKind::kSiteGainsAaaa) ++grants;
+  }
+
+  const web::SiteCatalog& catalog = timeline.world().catalog;
+  const std::uint32_t site_id = grant->site_id;
+  EXPECT_EQ(catalog.site(site_id).v6_record, web::kNoV6Record);
+  const std::size_t records_before = catalog.v6_records().size();
+  (void)timeline.advance_to(epoch->round);
+
+  EXPECT_EQ(catalog.v6_records().size(), records_before + grants);
+  const web::Site& site = catalog.site(site_id);
+  ASSERT_NE(site.v6_record, web::kNoV6Record);
+  EXPECT_GE(site.v6_record, records_before);
+  const web::V6Presence v6 = catalog.v6_presence(site);
+  EXPECT_EQ(v6.as, grant->v6_as);
+  EXPECT_EQ(v6.addr, grant->v6_addr);
+  EXPECT_EQ(v6.page_ratio, 1.0f);
+  EXPECT_EQ(v6.server_factor, grant->v6_server_factor);
+  for (std::uint32_t round = epoch->round; round <= timeline.world().num_rounds; ++round) {
+    EXPECT_TRUE(site.dual_stack_at(round));
+    EXPECT_EQ(catalog.hosting_at(site, round).v6_addr, grant->v6_addr) << "round " << round;
+  }
+  EXPECT_THROW(timeline.world().catalog.grant_aaaa(site_id, epoch->round + 1, grant->v6_as,
+                                                   grant->v6_addr, 1.0f),
+               ConfigError);
+  EXPECT_EQ(catalog.v6_records().size(), records_before + grants);
 }
 
 // --- 5. Row invalidation against a fresh resolution ------------------------
@@ -630,7 +680,7 @@ TEST(WorldTimeline, RetiredTunnelFailsSixToFourSites) {
   spec.addresses.six_to_four_fraction = 0.5;  // enough 6to4 islands to pick from
   World world = scenario::build_world(spec);
   const auto island_of = [](const World& w, const web::Site& s) {
-    return w.origins.origin_v4(s.v6_addr.embedded_6to4_v4());
+    return w.origins.origin_v4(w.catalog.v6_presence(s).addr.embedded_6to4_v4());
   };
   const auto live_tunnels = [](const World& w, topo::Asn island) {
     std::vector<std::uint32_t> ids;
@@ -646,7 +696,7 @@ TEST(WorldTimeline, RetiredTunnelFailsSixToFourSites) {
   for (const web::Site& s : world.catalog.sites()) {
     if (s.v6_from_round >= kRetireRound || s.v6_until_round != web::kNever ||
         s.first_seen_round > s.v6_from_round || s.step_from_path_change ||
-        !s.v6_addr.is_6to4()) {
+        !world.catalog.v6_presence(s).addr.is_6to4()) {
       continue;
     }
     const auto island = island_of(world, s);
