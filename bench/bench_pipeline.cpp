@@ -358,6 +358,7 @@ const core::ResultsDb& observation_store() {
     for (std::uint32_t site = 0; site < 25'000; ++site) {
       const core::RouteId v4 = pool[rng.zipf(pool.size(), 1.0) - 1];
       const core::RouteId v6 = pool[rng.zipf(pool.size(), 1.0) - 1];
+      const core::PairId pair = store->paths().intern_pair(v4, v6);
       for (std::uint16_t round = 0; round < 40; ++round) {
         core::Observation o;
         o.site = site;
@@ -369,8 +370,7 @@ const core::ResultsDb& observation_store() {
           o.v6_speed_kBps = static_cast<float>(rng.lognormal_median(250.0, 1.2));
           o.v4_samples = static_cast<std::uint16_t>(rng.uniform_int(3, 40));
           o.v6_samples = static_cast<std::uint16_t>(rng.uniform_int(3, 40));
-          o.v4_route = v4;
-          o.v6_route = v6;
+          o.route_pair = pair;
         }
         store->add(o);
       }

@@ -1,18 +1,17 @@
 // Ingest throughput of the ObservationSink backends: the single-mutex
 // reference store vs the per-worker sharded store, at 1 and 8 ingest
-// threads. Each lane first interns a small AS-path working set — a few
-// hundred distinct paths cover almost every observation in a campaign,
-// so the steady state records against already-resolved ids — then the
-// hot loop records observations and bumps round counters. The timed
-// region is ingest + the round-boundary flush (threads are spawned and
-// parked on a latch beforehand), so the sharded numbers include the
-// canonicalization/merge cost they defer to the epoch boundary.
+// threads. A source registry (a vantage point's Monitor::routes()) holds
+// a small working set of route pairs — a few hundred distinct pairs
+// cover almost every observation in a campaign — and the hot loop
+// records observations carrying its pair ids and bumps round counters.
+// The timed region is ingest + the round-boundary flush (threads are
+// spawned and parked on a latch beforehand), so the sharded numbers
+// include the pair import and merge cost they defer to the epoch
+// boundary.
 //
 // This is the before/after evidence for the sharded results layer: the
-// mutex backend takes the store's lock for every record and count, the
-// sharded backend touches no shared state until flush. (The intern
-// probe itself costs the same hash + map lookup in every backend; it is
-// deliberately amortized here so the numbers isolate the sink seam.)
+// mutex backend takes its locks for every record and count, the sharded
+// backend touches no shared state until flush.
 //
 // BM_FlushAfterRounds times the round-boundary flush alone, on a shard
 // that has seen 41 (paper) or 1500 (multi_vp) rounds.
@@ -34,65 +33,59 @@ using namespace v6mon;
 constexpr std::uint32_t kRowsPerThread = 20000;
 constexpr std::size_t kPathPool = 200;
 
-/// Plausible AS paths (2-5 hops) the ingest threads intern over and over
-/// — mirrors a campaign, where a few hundred distinct paths cover almost
-/// all observations and the intern hot path is the already-present probe.
-std::vector<std::vector<topo::Asn>> path_pool() {
-  std::vector<std::vector<topo::Asn>> pool;
-  pool.reserve(kPathPool);
+/// Plausible route pairs over AS paths of 2-5 hops, interned into
+/// `source` — mirrors a campaign, where a few hundred distinct pairs
+/// cover almost all observations.
+std::vector<core::PairId> pair_pool(core::PathRegistry& source) {
+  std::vector<core::RouteId> routes;
+  routes.reserve(kPathPool);
   for (std::size_t p = 0; p < kPathPool; ++p) {
     std::vector<topo::Asn> path;
     const std::size_t hops = 2 + p % 4;
     for (std::size_t h = 0; h < hops; ++h) {
       path.push_back(static_cast<topo::Asn>(1 + (p * 131 + h * 17) % 5000));
     }
-    pool.push_back(std::move(path));
+    routes.push_back(source.intern_route(path.back(), path));
   }
-  return pool;
+  std::vector<core::PairId> pairs;
+  pairs.reserve(routes.size());
+  for (std::size_t p = 0; p < routes.size(); ++p) {
+    pairs.push_back(source.intern_pair(routes[p], routes[(p + 1) % routes.size()]));
+  }
+  return pairs;
 }
 
-void ingest_rows(core::ObservationSink& sink,
-                 const std::vector<std::vector<topo::Asn>>& pool, int tid) {
+void ingest_rows(core::ObservationSink& sink, const std::vector<core::PairId>& ids,
+                 int tid) {
   core::ObservationSink::Lane& lane = sink.lane();
-  // Resolve the working set once per lane (ids are lane-local in the
-  // sharded backends): ~1% of the loop's work, like a campaign's warmed
-  // intern cache.
-  std::vector<core::RouteId> ids;
-  ids.reserve(pool.size());
-  for (const auto& path : pool) {
-    ids.push_back(lane.paths().intern_route(path.back(), path));
-  }
-
   core::Observation o;
   o.status = core::MonitorStatus::kMeasured;
   o.v4_speed_kBps = 120.0f;
   o.v6_speed_kBps = 95.0f;
   o.v4_samples = 5;
   o.v6_samples = 5;
-  std::size_t p4 = static_cast<std::size_t>(tid) % ids.size();
-  std::size_t p6 = (p4 + 1) % ids.size();
+  std::size_t p = static_cast<std::size_t>(tid) % ids.size();
   std::uint16_t round = 0;
   const std::uint32_t base = static_cast<std::uint32_t>(tid) * kRowsPerThread;
   for (std::uint32_t i = 0; i < kRowsPerThread; ++i) {
     o.site = base + i;
     o.round = round;
-    o.v4_route = ids[p4];
-    o.v6_route = ids[p6];
+    o.route_pair = ids[p];
     lane.record(o);
     lane.count(round, o.status);
     if (++round == 30) round = 0;
-    if (++p4 == ids.size()) p4 = 0;
-    if (++p6 == ids.size()) p6 = 0;
+    if (++p == ids.size()) p = 0;
   }
 }
 
 template <typename Sink>
 void bm_ingest(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
-  const auto pool = path_pool();
+  core::PathRegistry source;
+  const std::vector<core::PairId> pool = pair_pool(source);
   for (auto _ : state) {
     core::ResultsDb db;
-    Sink sink(db);
+    Sink sink(db, source);
     // Spawn and park the workers outside the timed region: the metric
     // is ingest throughput, not pthread_create.
     std::atomic<bool> go{false};
@@ -135,7 +128,8 @@ BENCHMARK(BM_IngestSharded)->Arg(1)->Arg(8)->UseManualTime()->Unit(benchmark::kM
 void BM_FlushAfterRounds(benchmark::State& state) {
   const auto rounds = static_cast<std::uint32_t>(state.range(0));
   core::ResultsDb db;
-  core::ShardedSink sink(db);
+  const core::PathRegistry source;
+  core::ShardedSink sink(db, source);
   core::ObservationSink::Lane& lane = sink.lane();
   lane.count(rounds - 1, core::MonitorStatus::kV4Only);
   sink.flush();

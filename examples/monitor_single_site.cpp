@@ -57,8 +57,6 @@ int main(int argc, char** argv) {
 
   core::MonitorConfig config;  // paper constants
   core::Monitor monitor(world, vp, config);
-  core::PathRegistry paths;
-
   const std::uint32_t round = 5;
   unsigned shown = 0;
   for (const web::Site& site : world.catalog.sites()) {
@@ -76,9 +74,11 @@ int main(int argc, char** argv) {
 
     // The full pipeline answers the same queries the same way.
     const core::Observation obs =
-        monitor.monitor_site(site, round, {}, util::Rng(seed ^ site.id), paths);
-    const core::Route v4 = paths.route(obs.v4_route);
-    const core::Route v6 = paths.route(obs.v6_route);
+        monitor.monitor_site(site, round, {}, util::Rng(seed ^ site.id));
+    const core::PathRegistry& paths = monitor.routes();
+    const core::RoutePair pair = paths.pair(obs.route_pair);
+    const core::Route v4 = paths.route(pair.v4);
+    const core::Route v6 = paths.route(pair.v6);
     std::printf("  status: %s\n", core::monitor_status_name(obs.status));
     if (v4.path != core::kNoPath) {
       std::printf("  v4 AS_PATH: %s\n", paths.to_string(v4.path).c_str());

@@ -69,8 +69,9 @@ SiteAssessment assess_site(std::uint32_t site_id, const core::ObservationView& v
   sc.v6_origins.clear();
   for (const core::Observation& o : view.series(site_id)) {
     if (o.status != core::MonitorStatus::kMeasured) continue;
-    const core::Route v4 = view.route(o.v4_route);
-    const core::Route v6 = view.route(o.v6_route);
+    const core::RoutePair pair = view.pair(o.route_pair);
+    const core::Route v4 = view.route(pair.v4);
+    const core::Route v6 = view.route(pair.v6);
     sc.v4_speeds.push_back(o.v4_speed_kBps);
     sc.v6_speeds.push_back(o.v6_speed_kBps);
     sc.v4_paths.push_back(v4.path);

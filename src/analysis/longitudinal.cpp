@@ -85,8 +85,9 @@ LongitudinalView longitudinal_view(core::ObservationView view,
       for (; i < s.size() && s[i].round < w.to_round; ++i) {
         const core::Observation& o = s[i];
         if (o.round < w.from_round || o.status != core::MonitorStatus::kMeasured) continue;
-        const core::Route r4 = view.route(o.v4_route);
-        const core::Route r6 = view.route(o.v6_route);
+        const core::RoutePair pair = view.pair(o.route_pair);
+        const core::Route r4 = view.route(pair.v4);
+        const core::Route r6 = view.route(pair.v6);
         if (r4.origin != topo::kNoAs && r6.origin != topo::kNoAs) {
           v4 = r4;
           v6 = r6;

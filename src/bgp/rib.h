@@ -1,10 +1,12 @@
 #pragma once
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
-
-#include <algorithm>
 
 #include "ip/trie.h"
 #include "topo/as_graph.h"
@@ -12,11 +14,51 @@
 
 namespace v6mon::bgp {
 
+/// A double derived from an entry's AS path alone (the path's quality
+/// normal, transport::path_normal), drawn on first use and kept. Lock-free:
+/// relaxed atomics suffice, as the value is a pure function of the path,
+/// so workers that race store the same bits. A copied or assigned memo
+/// starts unset, so every route installed or rewritten in a Rib starts
+/// unset, and equality ignores the memo.
+class PathMemo {
+ public:
+  PathMemo() = default;
+  PathMemo(const PathMemo& /*other*/) noexcept {}
+  PathMemo& operator=(const PathMemo& /*other*/) noexcept {
+    bits_.store(kUnset, std::memory_order_relaxed);
+    return *this;
+  }
+  [[nodiscard]] bool operator==(const PathMemo& /*other*/) const { return true; }
+
+  /// The kept value, or `draw()`'s, kept for later calls.
+  template <typename Draw>
+  [[nodiscard]] double get(Draw&& draw) const {
+    if (const std::optional<double> v = value()) return *v;
+    const double v = draw();
+    bits_.store(std::bit_cast<std::uint64_t>(v), std::memory_order_relaxed);
+    return v;
+  }
+  /// The kept value; nullopt before the first get().
+  [[nodiscard]] std::optional<double> value() const {
+    const std::uint64_t bits = bits_.load(std::memory_order_relaxed);
+    if (bits == kUnset) return std::nullopt;
+    return std::bit_cast<double>(bits);
+  }
+
+ private:
+  /// A NaN payload: no normal variate has these bits.
+  static constexpr std::uint64_t kUnset = 0x7ff8'0000'dead'beefULL;
+  mutable std::atomic<std::uint64_t> bits_{kUnset};
+};
+
 /// One installed route: the originating AS and the AS_PATH toward it.
 struct RibEntry {
   topo::Asn origin = topo::kNoAs;
   /// [first-hop AS, ..., origin AS]; empty for locally-originated space.
   std::vector<topo::Asn> as_path;
+  /// The path's quality normal, drawn by the first resolved-row fill that
+  /// characterizes this route (core::Monitor).
+  PathMemo path_normal{};
 
   [[nodiscard]] bool operator==(const RibEntry&) const = default;
 

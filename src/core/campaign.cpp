@@ -121,17 +121,19 @@ CampaignConfig Campaign::resolve(CampaignConfig config) {
 void Campaign::init_store(VpStore& store, std::size_t vp_index,
                           const char* tag) const {
   store.db = std::make_unique<ResultsDb>();
+  // Rows arrive with pair ids of the VP's registry; the sink imports them.
+  const PathRegistry& source = monitors_[vp_index].routes();
   switch (config_.sink) {
     case SinkBackend::kMutex:
-      store.sink = std::make_unique<MutexSink>(*store.db);
+      store.sink = std::make_unique<MutexSink>(*store.db, source);
       break;
     case SinkBackend::kSharded:
-      store.sink = std::make_unique<ShardedSink>(*store.db);
+      store.sink = std::make_unique<ShardedSink>(*store.db, source);
       break;
     case SinkBackend::kSpool:
       store.spool_path =
           config_.spool_dir + "/vp" + std::to_string(vp_index) + tag + ".spool";
-      store.sink = std::make_unique<SpoolSink>(store.spool_path);
+      store.sink = std::make_unique<SpoolSink>(store.spool_path, source);
       break;
   }
   V6MON_ENSURE(store.sink != nullptr, "unhandled sink backend");
@@ -177,10 +179,10 @@ Campaign::Campaign(const World& world, CampaignConfig config)
                       std::to_string(kMaxCampaignRounds - 1));
   }
   for (std::size_t vp = 0; vp < world_.vantage_points.size(); ++vp) {
+    monitors_.emplace_back(world_, world_.vantage_points[vp], config_.monitor);
     init_store(stores_.emplace_back(), vp, "");
     init_store(w6d_stores_.emplace_back(), vp, "_w6d");
     dns_tallies_.emplace_back();
-    monitors_.emplace_back(world_, world_.vantage_points[vp], config_.monitor);
   }
 }
 
@@ -258,7 +260,7 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
   // Returns the queries the site lost.
   const auto monitor_one = [&](std::uint32_t site_id, util::Rng&& rng) {
     // The worker's private lane: recording and counting touch no shared
-    // state; route ids are canonicalized at the round-boundary flush.
+    // state; the sink imports the rows' route pairs into its store.
     ObservationSink::Lane& lane = sink.lane();
     const web::Site& site = world_.catalog.site(site_id);
     // The DNS loss stream is keyed only per (site, salt), so in regular
@@ -270,7 +272,7 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
                                (fate & SiteScanIndex::kSecondQueryLost) != 0}
                    : draw_query_loss(root, timeout_prob, salt, site_id);
     const Observation obs =
-        monitor.monitor_site(site, round, loss, std::move(rng), lane.paths());
+        monitor.monitor_site(site, round, loss, std::move(rng));
     lane.count(round, obs.status);
     auto& metrics = obs::metrics();
     const auto& ids = campaign_metric_ids();
@@ -610,7 +612,9 @@ void Campaign::finalize() {
   obs::metrics().add(ids.results_bytes, bytes);
   obs::metrics().add(ids.catalog_bytes, world_.catalog.bytes());
   std::size_t slot_bytes = 0;
-  for (const Monitor& m : monitors_) slot_bytes += m.resolved_sites().bytes();
+  for (const Monitor& m : monitors_) {
+    slot_bytes += m.resolved_sites().bytes() + m.routes().bytes();
+  }
   obs::metrics().add(ids.resolved_slots_bytes, slot_bytes);
 }
 

@@ -152,8 +152,8 @@ class Campaign {
   /// the stores in parallel on the campaign pool. Adds the stores' bytes
   /// (ResultsDb::bytes) to the `mem.results_bytes` counter, the catalog's
   /// (SiteCatalog::bytes) to `mem.catalog_bytes` and the monitors'
-  /// resolved-site tables' (ResolvedSiteTable::bytes) to
-  /// `mem.resolved_slots_bytes`. Call after all runs,
+  /// resolved-site tables and route registries (ResolvedSiteTable::bytes,
+  /// PathRegistry::bytes) to `mem.resolved_slots_bytes`. Call after all runs,
   /// before analysis. Idempotent; no run_round / run_w6d calls may
   /// follow. When stores fail (Error, IoError from a spool), every other
   /// store still finalizes and the error of the first failing store —

@@ -144,7 +144,8 @@ Monitor::Monitor(const World& world, const VantagePoint& vp, MonitorConfig confi
       sim_(config.download),
       conn_(config.conn),
       conn_needs_paths_(config.fallback != FallbackPolicy::kNone),
-      fallback_(std::make_unique<FallbackAccumulator>()) {
+      fallback_(std::make_unique<FallbackAccumulator>()),
+      routes_(std::make_unique<PathRegistry>()) {
   // Validate before building the gate table: an out-of-domain confidence
   // must surface as ConfigError, not as a contract violation inside
   // student_t_critical.
@@ -187,16 +188,22 @@ Monitor::FamilyMeasurement Monitor::measure_family(
   return m;
 }
 
-transport::PathCharacteristics Monitor::characterize(
-    const std::vector<topo::Asn>& as_path, ip::Family family) const {
+transport::PathCharacteristics Monitor::characterize(const bgp::RibEntry& route,
+                                                     ip::Family family) const {
   transport::PathCharacteristics pc =
-      transport::characterize_path(world_.graph, vp_.asn, as_path, family);
-  pc.quality = transport::path_quality(as_path, config_.path_quality_sigma);
+      transport::characterize_path(world_.graph, vp_.asn, route.as_path, family);
+  const double sigma = config_.path_quality_sigma;
+  if (sigma > 0.0 && !route.as_path.empty()) {
+    // transport::path_quality, with the path's normal drawn once per
+    // installed route instead of once per fill.
+    pc.quality = transport::quality_of(
+        route.path_normal.get([&] { return transport::path_normal(route.as_path); }), sigma);
+  }
   return pc;
 }
 
 bool Monitor::characterize_v6_path(ResolvedSiteRow& row) const {
-  row.v6_path = characterize(row.v6_route->as_path, ip::Family::kIpv6);
+  row.v6_path = characterize(*row.v6_route, ip::Family::kIpv6);
 
   // 6to4 anycast: the RIB's 2002::/16 route only reaches the relay — the
   // AS path *looks* 1-2 hops long. Packets then ride the IPv4 underlay to
@@ -255,12 +262,12 @@ void Monitor::resolve_addresses(const ip::Ipv4Address& v4_addr,
   if (row.v6_route == nullptr) {
     row.gate = MonitorStatus::kV6DownloadFailed;
     if (conn_needs_paths_) {
-      row.v4_path = characterize(row.v4_route->as_path, ip::Family::kIpv4);
+      row.v4_path = characterize(*row.v4_route, ip::Family::kIpv4);
     }
     return;
   }
 
-  row.v4_path = characterize(row.v4_route->as_path, ip::Family::kIpv4);
+  row.v4_path = characterize(*row.v4_route, ip::Family::kIpv4);
   if (!characterize_v6_path(row)) {
     row.gate = MonitorStatus::kV6DownloadFailed;  // no working relay leg
     return;
@@ -377,14 +384,8 @@ void Monitor::assign_resolve_slots(std::span<const std::uint32_t> sites,
   obs::metrics().add(monitor_metric_ids().resolved_slots, resolved_.size() - before);
 }
 
-RouteId Monitor::intern_route(const bgp::RibEntry& route, PathRegistry& paths) const {
-  return vp_.has_as_path ? paths.intern_route(route.origin, route.as_path)
-                         : paths.intern_route(route.origin, kNoPath);
-}
-
 Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
-                                  QueryLoss loss, util::Rng&& rng,
-                                  PathRegistry& paths) {
+                                  QueryLoss loss, util::Rng&& rng) {
   V6MON_REQUIRE(round <= std::numeric_limits<decltype(Observation::round)>::max(),
                 "round beyond what an observation records");
   Observation obs;
@@ -423,7 +424,9 @@ Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
   // here — by the one worker monitoring the site this epoch, so fills
   // never race — and later rounds reuse it. Without a slot (a Monitor
   // driven outside a campaign) the row is resolved per call. The lookup
-  // and the first-sight fill are the worker half of the slot work.
+  // and the first-sight fill are the worker half of the slot work. A
+  // fill interns the row's route pair into routes_, so later rounds copy
+  // its id.
   ResolvedSiteRow local;
   const ResolvedSiteRow* row = &local;
   {
@@ -431,20 +434,21 @@ Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
     const std::uint32_t slot = resolved_.find(site.id, site.hosting_epoch(round));
     if (slot == ResolvedSiteTable::kNoSlot) {
       resolve_addresses(answers.v4_addr, answers.v6_addr, local);
+      obs.route_pair = routes_->intern_pair(local.v4_route, local.v6_route, vp_.has_as_path);
     } else {
       if (!resolved_.filled(slot)) {
         resolve_addresses(answers.v4_addr, answers.v6_addr, local);
-        resolved_.fill(slot, local, current_world_epoch_);
+        resolved_.fill(slot, local,
+                       routes_->intern_pair(local.v4_route, local.v6_route, vp_.has_as_path),
+                       current_world_epoch_);
         obs::metrics().add(monitor_metric_ids().row_fills);
       }
       row = &resolved_.row(slot);
+      obs.route_pair = resolved_.route_pair(slot);
       V6MON_ASSERT(row->v4_addr == answers.v4_addr && row->v6_addr == answers.v6_addr,
                    "resolved-site row disagrees with the catalog's answers");
     }
   }
-
-  if (row->v4_route != nullptr) obs.v4_route = intern_route(*row->v4_route, paths);
-  if (row->v6_route != nullptr) obs.v6_route = intern_route(*row->v6_route, paths);
 
   // Conn-establishment pass (ISSUE 9): every dual-stack site that got
   // this far is dialed per the fallback policy, gate verdict or not —
@@ -466,9 +470,11 @@ Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
   }
 
   // --- Phase 3: identity check -------------------------------------------
-  // Sizes come back from the initial page fetch of each family. Pages and
-  // rates come from the live catalog entry and its IPv6 presence record
-  // (which grant_aaaa appends).
+  // Sizes come back from the initial page fetch of each family; only
+  // whether each fetch succeeded is read, so no fetch finishes its
+  // download time (attempt_prepared draws what simulate_prepared does).
+  // Pages and rates come from the live catalog entry and its IPv6
+  // presence record (which grant_aaaa appends).
   const web::V6Presence presence = world_.catalog.v6_presence(site);
   const double v4_page = site.page_kb;
   const double v6_page = site.page_kb * presence.page_ratio;
@@ -487,11 +493,11 @@ Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
   {
     obs::TraceSpan span(obs::Stage::kIdentityFetch);
     for (std::size_t i = 0; i < config_.fetch_retries && !v4_fetched; ++i) {
-      v4_fetched = sim_.simulate_prepared(v4_prep, rng, tally.tally).ok;
+      v4_fetched = sim_.attempt_prepared(v4_prep, rng, tally.tally);
     }
     if (v4_fetched) {
       for (std::size_t i = 0; i < config_.fetch_retries && !v6_fetched; ++i) {
-        v6_fetched = sim_.simulate_prepared(v6_prep, rng, tally.tally).ok;
+        v6_fetched = sim_.attempt_prepared(v6_prep, rng, tally.tally);
       }
     }
   }

@@ -94,9 +94,11 @@ struct QueryLoss {
 /// the intra-round rules below are the only concurrency this class sees.
 /// Everything it shares across VPs is either immutable for the duration
 /// of a round (the World — mutated only between epoch segments, while no
-/// chain runs) or internally synchronized per-instance state that no
-/// other VP can reach (the resolved-site table and fallback tally are
-/// members, one set per Monitor, one Monitor per VP).
+/// chain runs, but for the path memos of this VP's own RIB entries, which
+/// are relaxed atomics) or internally synchronized per-instance state
+/// that no other VP can reach (the resolved-site table, route registry
+/// and fallback tally are members, one set per Monitor, one Monitor per
+/// VP; the registry is read by this VP's own sinks).
 class Monitor {
  public:
   Monitor(const World& world, const VantagePoint& vp, MonitorConfig config);
@@ -106,14 +108,13 @@ class Monitor {
   /// times the query out. `rng` must be dedicated to this
   /// (site, round) so threading cannot reorder draws. The stream is
   /// consumed, and taken by reference so that a primed engine
-  /// (Mt64Engine::prime) is never copied. The row's routes are interned
-  /// into `paths`. Non-const because
-  /// it lazily fills the site's resolved-site row on first successful
-  /// resolution; safe to call concurrently for *distinct* sites (each
-  /// slot is touched by exactly one caller per ingest epoch).
+  /// (Mt64Engine::prime) is never copied. The observation's route pair
+  /// is an id of routes(). Non-const because it lazily fills the site's
+  /// resolved-site row on first successful resolution; safe to call
+  /// concurrently for *distinct* sites (each slot is touched by exactly
+  /// one caller per ingest epoch).
   [[nodiscard]] Observation monitor_site(const web::Site& site, std::uint32_t round,
-                                         QueryLoss loss, util::Rng&& rng,
-                                         PathRegistry& paths);
+                                         QueryLoss loss, util::Rng&& rng);
 
   /// The query-order coin: monitor_site's first draw on its stream,
   /// true when the A query goes out before the AAAA, so that `loss.first`
@@ -162,6 +163,13 @@ class Monitor {
 
   [[nodiscard]] const ResolvedSiteTable& resolved_sites() const { return resolved_; }
 
+  /// This vantage point's route registry: every resolved row's (IPv4
+  /// route, IPv6 route) pair, interned when the row is filled (or, for a
+  /// row resolved without a slot, when monitor_site runs). Observations
+  /// carry its pair ids until a sink imports them into its store.
+  /// Internally synchronized; it grows while workers fill rows.
+  [[nodiscard]] const PathRegistry& routes() const { return *routes_; }
+
   /// Epoch-boundary row maintenance (coordinator-only, quiescent): the
   /// world just advanced to `summary.epoch`. Invalidates resolved-site
   /// rows whose cached IPv6 route (or absence of one), and with it the
@@ -207,14 +215,12 @@ class Monitor {
                          const ip::Ipv6Address& v6_addr,
                          ResolvedSiteRow& row) const;
 
-  /// Intern a RIB route as the observation records it: its origin, and
-  /// its AS path where this VP has AS paths.
-  [[nodiscard]] RouteId intern_route(const bgp::RibEntry& route, PathRegistry& paths) const;
-
   /// characterize_path from this VP plus the path's quality factor. Runs
-  /// once per row fill: the resolved-site row is the memo.
-  [[nodiscard]] transport::PathCharacteristics characterize(
-      const std::vector<topo::Asn>& as_path, ip::Family family) const;
+  /// once per row fill: the resolved-site row is the memo, and the
+  /// route's own memo keeps the quality's normal draw
+  /// (transport::path_normal) for every later fill through it.
+  [[nodiscard]] transport::PathCharacteristics characterize(const bgp::RibEntry& route,
+                                                            ip::Family family) const;
 
   /// Characterize the v6 side of a row with a v6 route, applying the
   /// hidden 6to4 relay leg. A 6to4 destination with no working relay
@@ -255,6 +261,9 @@ class Monitor {
   util::CiGateTable gates_;
   /// Write-once per-(site, hosting epoch) phase-2 rows; see class comment.
   ResolvedSiteTable resolved_;
+  /// The rows' route pairs (see routes()); behind a pointer so Monitor
+  /// stays movable.
+  std::unique_ptr<PathRegistry> routes_;
   /// World epoch stamped onto new resolved-row fills; bumped by
   /// on_world_change at quiescent round boundaries only.
   std::uint32_t current_world_epoch_ = 0;

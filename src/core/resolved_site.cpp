@@ -19,11 +19,12 @@ std::uint32_t ResolvedSiteTable::assign(const web::Site& site, std::uint8_t epoc
 }
 
 void ResolvedSiteTable::fill(std::uint32_t slot, const ResolvedSiteRow& row,
-                             std::uint32_t world_epoch) {
+                             PairId route_pair, std::uint32_t world_epoch) {
   V6MON_REQUIRE(slot < slots_.size(), "fill of an unassigned slot");
   Slot& s = slots_[slot];
   V6MON_ASSERT(!s.filled, "slot filled twice");
   s.row = row;
+  s.route_pair = route_pair;
   s.world_epoch = world_epoch;
   s.filled = true;
 }

@@ -81,12 +81,13 @@ class ResolvedSiteTable {
   /// Requires the slot not to exist.
   std::uint32_t assign(const web::Site& site, std::uint8_t epoch);
 
-  /// Store a resolved row, stamping the world epoch it was resolved
-  /// under. Safe to call concurrently for distinct slots; each slot is
-  /// filled at most once *per world epoch* — a row invalidated at an
-  /// epoch boundary refills through the same path.
-  void fill(std::uint32_t slot, const ResolvedSiteRow& row,
-            std::uint32_t world_epoch = 0);
+  /// Store a resolved row and its routes' pair id (of the owning
+  /// Monitor's registry), stamping the world epoch it was resolved under.
+  /// Safe to call concurrently for distinct slots; each slot is filled at
+  /// most once *per world epoch* — a row invalidated at an epoch boundary
+  /// refills through the same path.
+  void fill(std::uint32_t slot, const ResolvedSiteRow& row, PairId route_pair,
+            std::uint32_t world_epoch);
 
   /// Epoch-boundary invalidation (coordinator-only, quiescent): clear
   /// the filled flag so the next round's lazy fill re-resolves the row
@@ -104,6 +105,10 @@ class ResolvedSiteTable {
   [[nodiscard]] const ResolvedSiteRow& row(std::uint32_t slot) const {
     return slots_[slot].row;
   }
+  /// The pair id of the row's two routes.
+  [[nodiscard]] PairId route_pair(std::uint32_t slot) const {
+    return slots_[slot].route_pair;
+  }
   [[nodiscard]] std::uint32_t site_id(std::uint32_t slot) const {
     return slots_[slot].site_id;
   }
@@ -114,10 +119,13 @@ class ResolvedSiteTable {
   }
 
  private:
+  /// The pair id sits beside the row, in what would be the slot's tail
+  /// padding: inside the row it would widen every slot by 8 bytes.
   struct Slot {
     ResolvedSiteRow row;
     std::uint32_t site_id = 0;
     std::uint32_t world_epoch = 0;
+    PairId route_pair = kNoPair;
     bool filled = false;
   };
 

@@ -1,7 +1,6 @@
 #include "core/results.h"
 
 #include <algorithm>
-#include <array>
 #include <charconv>
 #include <condition_variable>
 #include <cstring>
@@ -9,6 +8,7 @@
 #include <sstream>
 #include <string_view>
 
+#include "bgp/rib.h"
 #include "core/thread_pool.h"
 #include "util/contracts.h"
 #include "util/error.h"
@@ -54,6 +54,37 @@ RouteId PathRegistry::intern_route(topo::Asn origin, PathId path) {
   return intern_route_locked(origin, path);
 }
 
+PairId PathRegistry::intern_pair(RouteId v4, RouteId v6) {
+  util::LockGuard lock(mu_);
+  V6MON_REQUIRE(!frozen_, "intern_pair() into a frozen registry");
+  V6MON_REQUIRE(v4 == kNoRoute || v4 < routes_.size(), "pair v4 route id out of range");
+  V6MON_REQUIRE(v6 == kNoRoute || v6 < routes_.size(), "pair v6 route id out of range");
+  return intern_pair_locked(v4, v6);
+}
+
+PairId PathRegistry::intern_pair(const bgp::RibEntry* v4, const bgp::RibEntry* v6,
+                                 bool as_paths) {
+  util::LockGuard lock(mu_);
+  V6MON_REQUIRE(!frozen_, "intern_pair() into a frozen registry");
+  const RouteId r4 = intern_entry_locked(v4, as_paths);
+  return intern_pair_locked(r4, intern_entry_locked(v6, as_paths));
+}
+
+PairId PathRegistry::import_pair(const PathRegistry& from, PairId id) {
+  if (id == kNoPair) return kNoPair;
+  const RoutePair p = from.pair(id);
+  const auto import_route = [&](RouteId r) {
+    if (r == kNoRoute) return kNoRoute;
+    const Route route = from.route(r);
+    // Interned paths never move or change, so the reference outlives
+    // from's lock.
+    return route.path == kNoPath ? intern_route(route.origin, kNoPath)
+                                 : intern_route(route.origin, from.path(route.path));
+  };
+  const RouteId v4 = import_route(p.v4);
+  return intern_pair(v4, import_route(p.v6));
+}
+
 PathId PathRegistry::intern_locked(std::span<const topo::Asn> path) {
   const SpanKey probe{path.data(), static_cast<std::uint32_t>(path.size())};
   const auto it = index_.find(probe);
@@ -70,6 +101,20 @@ RouteId PathRegistry::intern_route_locked(topo::Asn origin, PathId path) {
   const auto [it, inserted] =
       route_index_.try_emplace(key, static_cast<RouteId>(routes_.size()));
   if (inserted) routes_.push_back({origin, path});
+  return it->second;
+}
+
+RouteId PathRegistry::intern_entry_locked(const bgp::RibEntry* e, bool as_paths) {
+  if (e == nullptr) return kNoRoute;
+  return intern_route_locked(e->origin, as_paths ? intern_locked(e->as_path) : kNoPath);
+}
+
+PairId PathRegistry::intern_pair_locked(RouteId v4, RouteId v6) {
+  if (v4 == kNoRoute && v6 == kNoRoute) return kNoPair;
+  const std::uint64_t key = (std::uint64_t{v4} << 32) | v6;
+  const auto [it, inserted] =
+      pair_index_.try_emplace(key, static_cast<PairId>(pairs_.size()));
+  if (inserted) pairs_.push_back({v4, v6});
   return it->second;
 }
 
@@ -94,6 +139,11 @@ std::size_t PathRegistry::route_count() const {
   return routes_.size();
 }
 
+std::size_t PathRegistry::pair_count() const {
+  util::LockGuard lock(mu_);
+  return pairs_.size();
+}
+
 void PathRegistry::freeze() {
   util::LockGuard lock(mu_);
   frozen_ = true;
@@ -104,7 +154,7 @@ std::size_t PathRegistry::bytes() const {
   std::size_t hops = 0;
   for (const std::vector<topo::Asn>& p : paths_) hops += p.size();
   return paths_.size() * sizeof(std::vector<topo::Asn>) + hops * sizeof(topo::Asn) +
-         routes_.size() * sizeof(Route);
+         routes_.size() * sizeof(Route) + pairs_.size() * sizeof(RoutePair);
 }
 
 std::string PathRegistry::to_string(PathId id) const {
@@ -129,21 +179,21 @@ std::string PathRegistry::to_string(PathId id) const {
 
 void apply_status(RoundCounters& c, MonitorStatus status, std::uint64_t n) {
   switch (status) {
-    case MonitorStatus::kDnsFailed: c.dns_failed += n; break;
-    case MonitorStatus::kV4Only: c.v4_only += n; break;
-    case MonitorStatus::kV6Only: c.v6_only += n; break;
+    case MonitorStatus::kDnsFailed: add_count(c.dns_failed, n); break;
+    case MonitorStatus::kV4Only: add_count(c.v4_only, n); break;
+    case MonitorStatus::kV6Only: add_count(c.v6_only, n); break;
     case MonitorStatus::kV4DownloadFailed:
     case MonitorStatus::kV6DownloadFailed:
-      c.dual += n;
-      c.download_failed += n;
+      add_count(c.dual, n);
+      add_count(c.download_failed, n);
       break;
     case MonitorStatus::kDifferentContent:
-      c.dual += n;
-      c.different_content += n;
+      add_count(c.dual, n);
+      add_count(c.different_content, n);
       break;
     case MonitorStatus::kMeasured:
-      c.dual += n;
-      c.measured += n;
+      add_count(c.dual, n);
+      add_count(c.measured, n);
       break;
   }
 }
@@ -181,7 +231,7 @@ void ResultsDb::count(std::uint32_t round, MonitorStatus status, std::uint64_t n
 
 void ResultsDb::count_listed(std::uint32_t round, std::uint64_t n) {
   util::LockGuard lock(mu_);
-  round_slot(round).listed += n;
+  add_count(round_slot(round).listed, n);
 }
 
 void ResultsDb::merge_counters(std::uint32_t first_round,
@@ -245,20 +295,41 @@ std::size_t ResultsDb::bytes() const {
 
 namespace {
 
-/// Room reserved per row for everything but its two path texts; the
-/// worst case is 98 bytes: a uint32 site id (10), a uint16 round (5), the
+/// Room reserved per row for everything but its route columns; the
+/// worst case is 74 bytes: a uint32 site id (10), a uint16 round (5), the
 /// longest status name (18), two `%.6g` floats (12 each,
-/// "-1.17549e-38"), two uint16 sample counts (5 each), two ASNs (10
-/// each), ten commas and the newline.
-constexpr std::size_t kRowFixedBytes = 128;
+/// "-1.17549e-38"), two uint16 sample counts (5 each), six commas and the
+/// newline.
+constexpr std::size_t kRowFixedBytes = 80;
 
-/// A route's origin column (no digits for kNoAs) and path column ("-"
-/// for kNoPath), rendered once per dump.
-struct RouteText {
-  std::string path;
-  std::array<char, 10> origin{};  ///< A uint32 ASN has at most 10 digits.
-  std::uint8_t origin_len = 0;
-};
+/// The four route columns of every pair of `paths`, by pair id, each as
+/// ",v4_origin,v6_origin,v4_path,v6_path": an origin has no digits for no
+/// route, a path reads "-" for kNoPath. Each route is rendered once, and
+/// each pair from its two routes.
+std::vector<std::string> render_pairs(const PathRegistry& paths) {
+  struct RouteText {
+    std::string origin;
+    std::string path = "-";
+  };
+  std::vector<RouteText> routes(paths.route_count());
+  for (std::size_t id = 0; id < routes.size(); ++id) {
+    const Route r = paths.route(static_cast<RouteId>(id));
+    if (r.origin != topo::kNoAs) routes[id].origin = std::to_string(r.origin);
+    routes[id].path = paths.to_string(r.path);
+  }
+  const RouteText none;
+  const auto text = [&](RouteId id) -> const RouteText& {
+    return id == kNoRoute ? none : routes[id];
+  };
+  std::vector<std::string> pairs(paths.pair_count());
+  for (std::size_t id = 0; id < pairs.size(); ++id) {
+    const RoutePair p = paths.pair(static_cast<PairId>(id));
+    const RouteText& v4 = text(p.v4);
+    const RouteText& v6 = text(p.v6);
+    pairs[id] = "," + v4.origin + "," + v6.origin + "," + v4.path + "," + v6.path;
+  }
+  return pairs;
+}
 
 // The field writers below format into a buffer sized for the widest
 // row, so they write without bounds checks and return the new cursor.
@@ -273,13 +344,6 @@ char* put_text(char* p, std::string_view s) {
   return p + s.size();
 }
 
-/// The origin is copied as a fixed 10-byte block (the row's reserved
-/// room covers it) and the cursor advances by its length.
-char* put_origin(char* p, const RouteText& t) {
-  std::memcpy(p, t.origin.data(), t.origin.size());
-  return p + t.origin_len;
-}
-
 /// The observation dump. The rows are cut into chunks of
 /// ResultsDb::kCsvChunkRows; each worker claims the next chunk, formats it
 /// into its own buffer, then waits for the chunk's turn and writes it, so
@@ -287,30 +351,18 @@ char* put_origin(char* p, const RouteText& t) {
 /// bytes are those of one thread formatting the rows in order.
 ///
 /// Integers go through `std::to_chars`, speeds through util::write_g6,
-/// and each route's text comes from a table rendered before the first
-/// chunk (the registry is frozen, so the table is read-only).
+/// and each pair's route columns come from a table rendered before the
+/// first chunk (the registry is frozen, so the table is read-only).
 class CsvDump {
  public:
   CsvDump(std::ostream& out, const PathRegistry& paths, std::span<const Observation> rows)
       : out_(out),
         rows_(rows),
         chunks_((rows.size() + ResultsDb::kCsvChunkRows - 1) / ResultsDb::kCsvChunkRows),
-        routes_(paths.route_count()) {
-    std::size_t widest_path = no_route_.path.size();
-    for (std::size_t id = 0; id < routes_.size(); ++id) {
-      RouteText& text = routes_[id];
-      const Route r = paths.route(static_cast<RouteId>(id));
-      if (r.origin != topo::kNoAs) {
-        char* const end = std::to_chars(text.origin.data(),
-                                        text.origin.data() + text.origin.size(), r.origin)
-                              .ptr;
-        text.origin_len = static_cast<std::uint8_t>(end - text.origin.data());
-      }
-      text.path = paths.to_string(r.path);
-      widest_path = std::max(widest_path, text.path.size());
-    }
-    buffer_bytes_ =
-        std::min(rows.size(), ResultsDb::kCsvChunkRows) * (kRowFixedBytes + 2 * widest_path);
+        pairs_(render_pairs(paths)) {
+    std::size_t widest = no_pair_.size();
+    for (const std::string& text : pairs_) widest = std::max(widest, text.size());
+    buffer_bytes_ = std::min(rows.size(), ResultsDb::kCsvChunkRows) * (kRowFixedBytes + widest);
   }
 
   [[nodiscard]] std::size_t chunks() const { return chunks_; }
@@ -402,31 +454,22 @@ class CsvDump {
     p = put_number(p, o.v4_samples);
     *p++ = ',';
     p = put_number(p, o.v6_samples);
-    const RouteText& v4 = route_text(o.v4_route);
-    const RouteText& v6 = route_text(o.v6_route);
-    *p++ = ',';
-    p = put_origin(p, v4);
-    *p++ = ',';
-    p = put_origin(p, v6);
-    *p++ = ',';
-    p = put_text(p, v4.path);
-    *p++ = ',';
-    p = put_text(p, v6.path);
+    p = put_text(p, pair_text(o.route_pair));
     *p++ = '\n';
     return p;
   }
 
-  const RouteText& route_text(RouteId id) const {
-    if (id == kNoRoute) return no_route_;
-    V6MON_REQUIRE(id < routes_.size(), "route id out of range");
-    return routes_[id];
+  const std::string& pair_text(PairId id) const {
+    if (id == kNoPair) return no_pair_;
+    V6MON_REQUIRE(id < pairs_.size(), "pair id out of range");
+    return pairs_[id];
   }
 
   std::ostream& out_;
   const std::span<const Observation> rows_;
   const std::size_t chunks_;
-  std::vector<RouteText> routes_;     ///< Rendered routes, by id.
-  const RouteText no_route_{"-"};     ///< kNoRoute: no origin, path "-".
+  std::vector<std::string> pairs_;    ///< Rendered route columns, by pair id.
+  const std::string no_pair_ = ",,,-,-";  ///< kNoPair: no origins, paths "-".
   std::size_t buffer_bytes_ = 0;      ///< One chunk of the widest rows.
 
   util::Mutex mu_;

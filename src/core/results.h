@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <deque>
 #include <initializer_list>
+#include <limits>
 #include <ostream>
 #include <span>
 #include <string>
@@ -12,6 +13,10 @@
 #include "topo/as_graph.h"
 #include "util/contracts.h"
 #include "util/thread_annotations.h"
+
+namespace v6mon::bgp {
+struct RibEntry;
+}  // namespace v6mon::bgp
 
 namespace v6mon::core {
 
@@ -47,6 +52,11 @@ inline constexpr PathId kNoPath = 0xffffffffu;
 using RouteId = std::uint32_t;
 inline constexpr RouteId kNoRoute = 0xffffffffu;
 
+/// Interned (IPv4 route, IPv6 route) pair id; kNoPair when neither family
+/// had a route.
+using PairId = std::uint32_t;
+inline constexpr PairId kNoPair = 0xffffffffu;
+
 /// One family's RIB route as an observation records it: the destination's
 /// origin AS and the interned AS_PATH (kNoPath at a vantage point without
 /// AS paths).
@@ -55,18 +65,25 @@ struct Route {
   PathId path = kNoPath;
 };
 
-/// Deduplicating store of AS paths and of routes, each an (origin, path
-/// id) pair. Measurement records reference routes by id so a campaign's
-/// millions of observations copy neither vectors nor the origin/path
-/// pair: a vantage point sees a few thousand distinct routes.
+/// The two routes one observation records, one per family.
+struct RoutePair {
+  RouteId v4 = kNoRoute;
+  RouteId v6 = kNoRoute;
+};
+
+/// Deduplicating store of AS paths, of routes (an origin and a path id)
+/// and of route pairs (an IPv4 and an IPv6 route id). An observation
+/// references its two routes by one pair id, so a campaign's millions of
+/// observations copy neither vectors nor routes: a vantage point sees a
+/// few thousand distinct pairs.
 ///
 /// The path index hashes and compares the ASN *span* directly — no
 /// serialized string key — so the common already-interned lookup does
-/// zero allocations. Thread-safe behind one mutex: in the sharded sink
-/// every worker owns a private registry (the mutex is uncontended) and
-/// ids are canonicalized into the results database's registry at merge
-/// time; ids are therefore stable within one registry but not an
-/// observable across runs (path and route *content* is).
+/// zero allocations. Thread-safe behind one mutex: each vantage point's
+/// Monitor interns a resolved row's pair when it fills the row, and each
+/// sink imports the pairs its rows use into its store's registry by
+/// content; ids are therefore stable within one registry but not an
+/// observable across runs (path, route and pair *content* is).
 ///
 /// Two phases, like ResultsDb: `freeze()` (ResultsDb::finalize calls it)
 /// ends interning, and every read after it takes no lock.
@@ -86,19 +103,37 @@ class PathRegistry {
   /// Intern the route (origin, path id) (thread-safe); `path` is kNoPath
   /// (a vantage point without AS paths) or an id of this registry.
   RouteId intern_route(topo::Asn origin, PathId path);
+  /// Intern the pair (v4, v6) of this registry's route ids (thread-safe).
+  /// Two kNoRoute sides are kNoPair, which stores nothing.
+  PairId intern_pair(RouteId v4, RouteId v6);
+  /// Intern the pair of two RIB routes, and their routes and AS paths
+  /// with it, under one lock (thread-safe). A null entry is no route;
+  /// `as_paths` false records kNoPath (a vantage point without AS paths).
+  PairId intern_pair(const bgp::RibEntry* v4, const bgp::RibEntry* v6, bool as_paths);
+  /// Intern `from`'s pair `id` into this registry by content: its routes
+  /// and their paths (thread-safe; `from` may be in use by others).
+  PairId import_pair(const PathRegistry& from, PairId id);
 
   [[nodiscard]] const std::vector<topo::Asn>& path(PathId id) const;
   /// The route's origin and path id; kNoRoute reads as {kNoAs, kNoPath}.
-  /// Inline: analysis reads two routes per observation row.
   [[nodiscard]] Route route(RouteId id) const {
     if (frozen_) return route_unlocked(id);
     util::LockGuard lock(mu_);
     return route_unlocked(id);
   }
+  /// The pair's two route ids; kNoPair reads as {kNoRoute, kNoRoute}.
+  /// Inline: analysis reads one pair per observation row.
+  [[nodiscard]] RoutePair pair(PairId id) const {
+    if (frozen_) return pair_unlocked(id);
+    util::LockGuard lock(mu_);
+    return pair_unlocked(id);
+  }
   /// Number of distinct paths.
   [[nodiscard]] std::size_t size() const;
   /// Number of distinct routes.
   [[nodiscard]] std::size_t route_count() const;
+  /// Number of distinct pairs.
+  [[nodiscard]] std::size_t pair_count() const;
 
   /// Render "AS1 AS2 AS3" for logs/CSV.
   [[nodiscard]] std::string to_string(PathId id) const;
@@ -107,9 +142,9 @@ class PathRegistry {
   /// contract errors. Call once, after the last intern (phase barrier).
   void freeze();
 
-  /// Bytes of the interned content: every path's vector and hops, and
-  /// every route record. A function of the content alone, so equal
-  /// registries report equal bytes whatever order filled them (hash
+  /// Bytes of the interned content: every path's vector and hops, every
+  /// route and every pair record. A function of the content alone, so
+  /// equal registries report equal bytes whatever order filled them (hash
   /// index overhead is not counted).
   [[nodiscard]] std::size_t bytes() const;
 
@@ -129,6 +164,8 @@ class PathRegistry {
 
   PathId intern_locked(std::span<const topo::Asn> path) V6MON_REQUIRES(mu_);
   RouteId intern_route_locked(topo::Asn origin, PathId path) V6MON_REQUIRES(mu_);
+  RouteId intern_entry_locked(const bgp::RibEntry* e, bool as_paths) V6MON_REQUIRES(mu_);
+  PairId intern_pair_locked(RouteId v4, RouteId v6) V6MON_REQUIRES(mu_);
 
   /// Reads without taking mu_: callers hold it, or the registry is
   /// frozen (nothing writes after freeze()).
@@ -139,6 +176,11 @@ class PathRegistry {
     V6MON_REQUIRE(id < routes_.size(), "route id out of range");
     return routes_[id];
   }
+  RoutePair pair_unlocked(PairId id) const V6MON_NO_THREAD_SAFETY_ANALYSIS {
+    if (id == kNoPair) return {};
+    V6MON_REQUIRE(id < pairs_.size(), "pair id out of range");
+    return pairs_[id];
+  }
 
   mutable util::Mutex mu_;
   std::deque<std::vector<topo::Asn>> paths_ V6MON_GUARDED_BY(mu_);
@@ -147,12 +189,15 @@ class PathRegistry {
   std::vector<Route> routes_ V6MON_GUARDED_BY(mu_);
   /// (origin << 32 | path id) -> route id.
   std::unordered_map<std::uint64_t, RouteId> route_index_ V6MON_GUARDED_BY(mu_);
+  std::vector<RoutePair> pairs_ V6MON_GUARDED_BY(mu_);
+  /// (v4 route id << 32 | v6 route id) -> pair id.
+  std::unordered_map<std::uint64_t, PairId> pair_index_ V6MON_GUARDED_BY(mu_);
   /// Set once by freeze() at the phase barrier, then read lock-free.
   bool frozen_ = false;
 };
 
 /// One monitoring observation of one site in one round from one vantage
-/// point: 28 bytes, one row per (site, round) of every dual-stack site
+/// point: 24 bytes, one row per (site, round) of every dual-stack site
 /// that reached the download phases.
 struct Observation {
   std::uint32_t site = 0;
@@ -163,34 +208,45 @@ struct Observation {
   float v6_speed_kBps = 0.0f;
   std::uint16_t v4_samples = 0;
   std::uint16_t v6_samples = 0;
-  /// Origin AS and AS_PATH per the VP's RIB, interned in the store's (or
-  /// the worker lane's) PathRegistry.
-  RouteId v4_route = kNoRoute;
-  RouteId v6_route = kNoRoute;
+  /// Origin AS and AS_PATH of each family per the VP's RIB: a pair of
+  /// the store's PathRegistry, or of the VP's (the Monitor's) before a
+  /// sink imports it.
+  PairId route_pair = kNoPair;
 };
+static_assert(sizeof(Observation) == 24, "an observation row is 24 bytes");
 
 /// Per-round aggregate counters (cover the whole catalog, including the
-/// v4-only masses that get no per-site series).
+/// v4-only masses that get no per-site series). A round's count is
+/// bounded by the catalog, one decision per listed site, so each fits 32
+/// bits (the spool still writes them as u64).
 struct RoundCounters {
-  std::uint64_t listed = 0;
-  std::uint64_t v4_only = 0;
-  std::uint64_t v6_only = 0;
-  std::uint64_t dual = 0;
-  std::uint64_t dns_failed = 0;
-  std::uint64_t measured = 0;
-  std::uint64_t different_content = 0;
-  std::uint64_t download_failed = 0;
+  std::uint32_t listed = 0;
+  std::uint32_t v4_only = 0;
+  std::uint32_t v6_only = 0;
+  std::uint32_t dual = 0;
+  std::uint32_t dns_failed = 0;
+  std::uint32_t measured = 0;
+  std::uint32_t different_content = 0;
+  std::uint32_t download_failed = 0;
 };
 
+/// Add `n` to one round's count; a sum beyond 32 bits is a contract
+/// error (it cannot come from one catalog).
+inline void add_count(std::uint32_t& count, std::uint64_t n) {
+  V6MON_REQUIRE(n <= std::numeric_limits<std::uint32_t>::max() - count,
+                "round counter overflow");
+  count = static_cast<std::uint32_t>(count + n);
+}
+
 inline RoundCounters& operator+=(RoundCounters& a, const RoundCounters& b) {
-  a.listed += b.listed;
-  a.v4_only += b.v4_only;
-  a.v6_only += b.v6_only;
-  a.dual += b.dual;
-  a.dns_failed += b.dns_failed;
-  a.measured += b.measured;
-  a.different_content += b.different_content;
-  a.download_failed += b.download_failed;
+  add_count(a.listed, b.listed);
+  add_count(a.v4_only, b.v4_only);
+  add_count(a.v6_only, b.v6_only);
+  add_count(a.dual, b.dual);
+  add_count(a.dns_failed, b.dns_failed);
+  add_count(a.measured, b.measured);
+  add_count(a.different_content, b.different_content);
+  add_count(a.download_failed, b.download_failed);
   return a;
 }
 
@@ -226,7 +282,7 @@ class ResultsDb {
   void count_listed(std::uint32_t round, std::uint64_t n);
 
   /// Bulk ingest from a sink merge: appends the batch under one lock.
-  /// The batch's route ids must already refer to this database's
+  /// The batch's pair ids must already refer to this database's
   /// registry. Relative order of add() rows and merged batches is
   /// preserved.
   void merge_rows(std::span<const Observation> batch);
@@ -264,9 +320,9 @@ class ResultsDb {
   [[nodiscard]] bool finalized() const { return finalized_; }
 
   /// Bytes the finalized store holds: rows x sizeof(Observation), the
-  /// site index, the round counters and the registry's paths and routes
-  /// (sizes, not capacities, so the figure is the same at any thread
-  /// count and sink backend). Requires finalize().
+  /// site index, the round counters and the registry's paths, routes and
+  /// pairs (sizes, not capacities, so the figure is the same at any
+  /// thread count and sink backend). Requires finalize().
   [[nodiscard]] std::size_t bytes() const;
 
   /// Stream the observation dump (sorted by site, round) as CSV — no
@@ -310,7 +366,7 @@ class ResultsDb {
 };
 
 /// Read-only abstraction the analysis layer consumes: per-site series,
-/// the path and route registry, and round counters — without coupling to how the
+/// the path, route and pair registry, and round counters — without coupling to how the
 /// observations were ingested. A view over an in-memory campaign store
 /// and a view over a replayed spool are indistinguishable to analysis.
 ///
@@ -332,7 +388,9 @@ class ObservationView {
     return db_->series(site);
   }
   [[nodiscard]] const PathRegistry& paths() const { return db_->paths(); }
-  /// An observation's route (origin and path id); lock-free.
+  /// An observation's two route ids; lock-free.
+  [[nodiscard]] RoutePair pair(PairId id) const { return db_->paths().pair(id); }
+  /// A route's origin and path id; lock-free.
   [[nodiscard]] Route route(RouteId id) const { return db_->paths().route(id); }
   [[nodiscard]] const RoundCounters& round_counters(std::uint32_t round) const {
     return db_->round_counters(round);

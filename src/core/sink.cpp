@@ -33,7 +33,16 @@ std::uint64_t next_sink_id() {
 
 }  // namespace
 
-ShardedSinkBase::ShardedSinkBase() : id_(next_sink_id()) {}
+PairId PairRemap::operator()(PairId id, PathRegistry& target) {
+  if (id == kNoPair) return kNoPair;
+  if (id >= map_.size()) map_.resize(std::size_t{id} + 1, kNoPair);
+  PairId& mapped = map_[id];
+  if (mapped == kNoPair) mapped = target.import_pair(*source_, id);
+  return mapped;
+}
+
+ShardedSinkBase::ShardedSinkBase(const PathRegistry& source)
+    : id_(next_sink_id()), remap_(source) {}
 
 ShardedSinkBase::~ShardedSinkBase() = default;
 
@@ -66,12 +75,10 @@ std::size_t ShardedSinkBase::shard_count() const {
 
 std::size_t ShardedSinkBase::bytes() const {
   util::LockGuard lock(shards_mu_);
-  std::size_t total = 0;
+  std::size_t total = remap_.bytes();
   for (const Shard& s : shards_) {
     total += s.staged_.capacity() * sizeof(Observation) +
-             s.counters_.capacity() * sizeof(RoundCounters) +
-             s.path_remap_.capacity() * sizeof(PathId) +
-             s.route_remap_.capacity() * sizeof(RouteId) + s.reg_.bytes();
+             s.counters_.capacity() * sizeof(RoundCounters);
   }
   return total;
 }
@@ -82,29 +89,9 @@ void ShardedSinkBase::flush() {
   util::LockGuard lock(shards_mu_);
   PathRegistry& target = canonical_paths();
   for (Shard& s : shards_) {
-    // Canonicalize path and route ids minted since the last flush. The
-    // remaps are append-only prefix maps, so each shard-local id crosses
-    // the canonicalization boundary exactly once over the campaign.
-    const std::size_t paths = s.reg_.size();
-    for (std::size_t local = s.path_remap_.size(); local < paths; ++local) {
-      s.path_remap_.push_back(target.intern(s.reg_.path(static_cast<PathId>(local))));
-    }
-    const std::size_t routes = s.reg_.route_count();
-    for (std::size_t local = s.route_remap_.size(); local < routes; ++local) {
-      const Route r = s.reg_.route(static_cast<RouteId>(local));
-      s.route_remap_.push_back(
-          target.intern_route(r.origin, r.path == kNoPath ? kNoPath : s.path_remap_[r.path]));
-    }
-    for (Observation& o : s.staged_) {
-      if (o.v4_route != kNoRoute) {
-        V6MON_ASSERT(o.v4_route < s.route_remap_.size(), "unregistered v4 route id");
-        o.v4_route = s.route_remap_[o.v4_route];
-      }
-      if (o.v6_route != kNoRoute) {
-        V6MON_ASSERT(o.v6_route < s.route_remap_.size(), "unregistered v6 route id");
-        o.v6_route = s.route_remap_[o.v6_route];
-      }
-    }
+    // Each source pair is imported once over the campaign, by the first
+    // flush that sees it.
+    for (Observation& o : s.staged_) o.route_pair = remap_(o.route_pair, target);
     merge_batch(s.staged_, s.lo_, s.counters_);
     // Keep the capacities: the next epoch refills both.
     s.staged_.clear();

@@ -19,6 +19,11 @@ namespace v6mon::core {
 /// per-worker shards, an out-of-core spool) can change without the
 /// monitor or the analysis noticing.
 ///
+/// Observations arrive carrying pair ids of the sink's *source*
+/// registry, the vantage point's Monitor::routes(). Each sink keeps one
+/// PairRemap from those ids to its store's registry, so a store holds
+/// exactly the pairs, routes and paths its own rows use.
+///
 /// Threading contract:
 ///  * `lane()` / `Lane` methods may be called concurrently from any
 ///    number of worker threads during an ingest epoch.
@@ -40,11 +45,7 @@ class ObservationSink {
     Lane& operator=(const Lane&) = delete;
     virtual ~Lane() = default;
 
-    /// Registry the worker interns AS paths and routes into. Ids returned
-    /// here are lane-local; the sink canonicalizes them at flush time.
-    [[nodiscard]] virtual PathRegistry& paths() = 0;
-    /// Record one observation (route ids must come from this lane's
-    /// registry).
+    /// Record one observation (its pair id is the source registry's).
     virtual void record(const Observation& obs) = 0;
     /// Bucket one monitoring status into the round's counters.
     virtual void count(std::uint32_t round, MonitorStatus status) = 0;
@@ -76,17 +77,37 @@ class ObservationSink {
   virtual void finish() { flush(); }
 
   /// Bytes the sink itself holds between flushes: container capacities of
-  /// its per-worker staging state (coordinator-only). Zero for a sink that
-  /// stages nothing.
+  /// its per-worker staging state and of the pair remap the staging feeds
+  /// (coordinator-only). Zero for a sink that stages nothing.
   [[nodiscard]] virtual std::size_t bytes() const { return 0; }
+};
+
+/// A source registry's pair ids -> a target registry's, filled lazily:
+/// the first row that carries a pair imports it by content
+/// (PathRegistry::import_pair), and every later row reads the map. Not
+/// synchronized: its sink serializes the calls.
+class PairRemap {
+ public:
+  explicit PairRemap(const PathRegistry& source) : source_(&source) {}
+
+  /// `id`'s pair in `target`, importing it on first sight.
+  [[nodiscard]] PairId operator()(PairId id, PathRegistry& target);
+  /// Capacity of the map.
+  [[nodiscard]] std::size_t bytes() const { return map_.capacity() * sizeof(PairId); }
+
+ private:
+  const PathRegistry* source_;
+  /// Source pair id -> target pair id; kNoPair until imported.
+  std::vector<PairId> map_;
 };
 
 /// Baseline backend: every lane call goes straight to the ResultsDb
 /// behind its global mutex — the pre-sharding behaviour, kept as the
 /// reference implementation and the `bench_results` comparison point.
+/// The pair import runs under the sink's own mutex at record time.
 class MutexSink final : public ObservationSink {
  public:
-  explicit MutexSink(ResultsDb& db) : lane_(db) {}
+  MutexSink(ResultsDb& db, const PathRegistry& source) : lane_(db, source) {}
 
   [[nodiscard]] Lane& lane() override { return lane_; }
   void count_listed(std::uint32_t round, std::uint64_t n) override {
@@ -97,9 +118,15 @@ class MutexSink final : public ObservationSink {
  private:
   class DbLane final : public Lane {
    public:
-    explicit DbLane(ResultsDb& db) : db_(&db) {}
-    [[nodiscard]] PathRegistry& paths() override { return db_->paths(); }
-    void record(const Observation& obs) override { db_->add(obs); }
+    DbLane(ResultsDb& db, const PathRegistry& source) : db_(&db), remap_(source) {}
+    void record(const Observation& obs) override {
+      Observation row = obs;
+      {
+        util::LockGuard lock(mu_);
+        row.route_pair = remap_(obs.route_pair, db_->paths());
+      }
+      db_->add(row);
+    }
     void count(std::uint32_t round, MonitorStatus status) override {
       db_->count(round, status);
     }
@@ -111,45 +138,48 @@ class MutexSink final : public ObservationSink {
 
    private:
     ResultsDb* db_;
+    util::Mutex mu_;
+    PairRemap remap_ V6MON_GUARDED_BY(mu_);
   };
   DbLane lane_;
 };
 
 /// Sharded ingest machinery shared by the in-memory sharded backend and
 /// the spool writer: each worker thread gets a private shard
-/// (observation buffer + round counters + path registry), so the
-/// record/count hot path touches no shared state at all — no mutex, no
-/// atomic. `flush()` walks the shards, maps shard-local path and route
-/// ids to canonical ids in `canonical_paths()`, and hands each batch to
-/// `merge_batch()`.
+/// (observation buffer + round counters), so the record/count hot path
+/// touches no shared state at all — no mutex, no atomic. `flush()` walks
+/// the shards on the coordinator, maps each row's source pair id to a
+/// `canonical_paths()` id through the sink's one PairRemap, and hands
+/// each batch to `merge_batch()`.
 ///
 /// Determinism: within one ingest epoch a site is monitored at most
 /// once, so per-site observation order is epoch order regardless of
 /// which shard a row landed in, and ResultsDb::finalize() stable-sorts
 /// rows by (site, round) — every downstream byte is invariant to thread
-/// count and to shard arrival order. Canonical path and route *ids* do
-/// depend on merge order; their *content* (the only registry observable
-/// that reaches output) does not.
+/// count and to shard arrival order. Canonical path, route and pair *ids*
+/// do depend on merge order; their *content* (the only registry
+/// observable that reaches output) does not.
 class ShardedSinkBase : public ObservationSink {
  public:
   ~ShardedSinkBase() override;
 
   [[nodiscard]] Lane& lane() final;
   void flush() final;
-  /// Capacities of every shard's staged rows, counter window and remaps,
-  /// plus its registry's interned content.
+  /// Capacities of every shard's staged rows and counter window, and of
+  /// the pair remap.
   [[nodiscard]] std::size_t bytes() const final;
 
   /// Number of shards materialized so far (== distinct ingest threads).
   [[nodiscard]] std::size_t shard_count() const;
 
  protected:
-  ShardedSinkBase();
+  /// `source`: the registry the recorded rows' pair ids belong to.
+  explicit ShardedSinkBase(const PathRegistry& source);
 
-  /// The registry flush() interns every shard's paths and routes into
-  /// (by content), so the batches handed to merge_batch() carry its ids.
+  /// The registry flush() imports the rows' pairs into (by content), so
+  /// the batches handed to merge_batch() carry its ids.
   [[nodiscard]] virtual PathRegistry& canonical_paths() = 0;
-  /// Receive one shard's batch: rows carry canonical route ids;
+  /// Receive one shard's batch: rows carry canonical pair ids;
   /// `counters[i]` is round `first_round + i`'s delta since the previous
   /// flush, over the range of rounds the shard's count/count_n calls
   /// touched in this epoch (empty when it counted nothing; rounds inside
@@ -164,7 +194,6 @@ class ShardedSinkBase : public ObservationSink {
    public:
     explicit Shard(std::thread::id owner) : owner_(owner) {}
 
-    [[nodiscard]] PathRegistry& paths() override { return reg_; }
     void record(const Observation& obs) override { staged_.push_back(obs); }
     void count(std::uint32_t round, MonitorStatus status) override {
       apply_status(touch(round), status);
@@ -193,7 +222,6 @@ class ShardedSinkBase : public ObservationSink {
     /// The thread this shard's lane belongs to: a lane-cache miss finds
     /// the shard again by it instead of minting another.
     const std::thread::id owner_;
-    PathRegistry reg_;
     std::vector<Observation> staged_;
     /// Per-round deltas of the rounds counted since the last flush:
     /// counters_[i] is round lo_ + i's (lo_ is stale while the window is
@@ -202,10 +230,6 @@ class ShardedSinkBase : public ObservationSink {
     /// merges it and clears it, keeping the capacity.
     std::vector<RoundCounters> counters_;
     std::uint32_t lo_ = 0;
-    /// Shard-local path / route id -> canonical id; grown incrementally
-    /// at flush so already-canonicalized prefixes are never re-interned.
-    std::vector<PathId> path_remap_;
-    std::vector<RouteId> route_remap_;
   };
 
   Shard& shard_for_this_thread() V6MON_EXCLUDES(shards_mu_);
@@ -216,14 +240,17 @@ class ShardedSinkBase : public ObservationSink {
   /// — that handoff is the sink's epoch contract, not a lock.
   mutable util::Mutex shards_mu_;
   std::deque<Shard> shards_ V6MON_GUARDED_BY(shards_mu_);  ///< Deque: addresses stable as shards join.
+  /// Source pair id -> canonical_paths() id; used by flush() alone.
+  PairRemap remap_ V6MON_GUARDED_BY(shards_mu_);
 };
 
-/// In-memory sharded backend: flush canonicalizes into the database's
-/// own registry and bulk-merges rows and counter deltas (one lock per
-/// shard per round instead of one per observation).
+/// In-memory sharded backend: flush imports the rows' pairs into the
+/// database's own registry and bulk-merges rows and counter deltas (one
+/// lock per shard per round instead of one per observation).
 class ShardedSink final : public ShardedSinkBase {
  public:
-  explicit ShardedSink(ResultsDb& db) : db_(&db) {}
+  ShardedSink(ResultsDb& db, const PathRegistry& source)
+      : ShardedSinkBase(source), db_(&db) {}
 
   void count_listed(std::uint32_t round, std::uint64_t n) override {
     db_->count_listed(round, n);

@@ -123,8 +123,9 @@ void SpoolWriter::path_def(std::span<const topo::Asn> path) {
 
 void SpoolWriter::observation(const Observation& obs, const PathRegistry& routes) {
   V6MON_REQUIRE(!closed_, "spool: write after close");
-  const Route v4 = routes.route(obs.v4_route);
-  const Route v6 = routes.route(obs.v6_route);
+  const RoutePair pair = routes.pair(obs.route_pair);
+  const Route v4 = routes.route(pair.v4);
+  const Route v6 = routes.route(pair.v6);
   u8(kTagObs);
   u32(obs.site);
   u32(obs.round);
@@ -245,8 +246,9 @@ void replay_spool(std::istream& in, ResultsDb& db) {
         const std::uint32_t v6_path = r.u32();
         const topo::Asn v4_origin = r.u32();
         const topo::Asn v6_origin = r.u32();
-        o.v4_route = replay_route(v4_path, v4_origin, "spool: undefined v4 path id");
-        o.v6_route = replay_route(v6_path, v6_origin, "spool: undefined v6 path id");
+        const RouteId v4 = replay_route(v4_path, v4_origin, "spool: undefined v4 path id");
+        o.route_pair = db.paths().intern_pair(
+            v4, replay_route(v6_path, v6_origin, "spool: undefined v6 path id"));
         db.add(o);
         ++observations;
         break;
@@ -254,15 +256,24 @@ void replay_spool(std::istream& in, ResultsDb& db) {
       case kTagCounters: {
         const std::uint32_t round = r.u32();
         if (round > kMaxReplayRound) throw Error("spool: round out of range");
+        // Each field must keep the round's merged count within 32 bits.
+        const RoundCounters& have = db.round_counters(round);
+        const auto field = [&r](std::uint32_t had) {
+          const std::uint64_t v = r.u64();
+          if (v > std::numeric_limits<std::uint32_t>::max() - had) {
+            throw Error("spool: round counter out of range");
+          }
+          return static_cast<std::uint32_t>(v);
+        };
         RoundCounters delta;
-        delta.listed = r.u64();
-        delta.v4_only = r.u64();
-        delta.v6_only = r.u64();
-        delta.dual = r.u64();
-        delta.dns_failed = r.u64();
-        delta.measured = r.u64();
-        delta.different_content = r.u64();
-        delta.download_failed = r.u64();
+        delta.listed = field(have.listed);
+        delta.v4_only = field(have.v4_only);
+        delta.v6_only = field(have.v6_only);
+        delta.dual = field(have.dual);
+        delta.dns_failed = field(have.dns_failed);
+        delta.measured = field(have.measured);
+        delta.different_content = field(have.different_content);
+        delta.download_failed = field(have.download_failed);
         db.merge_counters(round, std::span(&delta, 1));
         break;
       }

@@ -30,9 +30,10 @@ namespace v6mon::core {
 ///     0x04 End       u64 observation count (truncation check; nothing
 ///                    may follow).
 /// PathDef records always precede the first Obs that references them.
-/// In memory an observation holds one route id per family; the writer
-/// expands each route into its (path id, origin) fields, and replay
-/// re-interns the pair as a route of the database registry.
+/// In memory an observation holds one route-pair id; the writer expands
+/// it into each family's (path id, origin) fields, and replay re-interns
+/// them as a pair of routes of the database registry. Counters are u32
+/// in memory (RoundCounters); the format keeps u64 fields.
 class SpoolWriter {
  public:
   /// Creates/truncates `path` and writes the header. Throws
@@ -45,7 +46,7 @@ class SpoolWriter {
 
   /// Define the next sequential spool path id.
   void path_def(std::span<const topo::Asn> path);
-  /// Append one observation. Its route ids are `routes`' ids, and their
+  /// Append one observation. Its pair id is `routes`' id, and the pair's
   /// path ids are spool ids already defined.
   void observation(const Observation& obs, const PathRegistry& routes);
   /// Append a per-round counter delta (all-zero deltas may be skipped).
@@ -68,17 +69,19 @@ class SpoolWriter {
 };
 
 /// Spool-backed sink: worker lanes are the usual lock-free shards; at
-/// each round boundary the flush canonicalizes paths and routes into a
+/// each round boundary the flush imports the rows' pairs into a
 /// spool-global registry, and the batch streams to disk behind PathDef
 /// records for the paths it sighted first. Only shard buffers and the
 /// registry stay in memory — observation storage is out-of-core.
 class SpoolSink final : public ShardedSinkBase {
  public:
-  explicit SpoolSink(const std::string& path) : writer_(path) {}
+  /// `source`: the registry the recorded rows' pair ids belong to.
+  SpoolSink(const std::string& path, const PathRegistry& source)
+      : ShardedSinkBase(source), writer_(path) {}
 
   void count_listed(std::uint32_t round, std::uint64_t n) override {
     RoundCounters delta;
-    delta.listed = n;
+    add_count(delta.listed, n);
     writer_.counters(round, delta);
   }
   void finish() override {
@@ -109,7 +112,8 @@ class SpoolSink final : public ShardedSinkBase {
 /// allocate out of proportion to the input (site/round/path-length
 /// fields are sanity-capped; the round cap bounds ResultsDb's
 /// round-counter table). An Obs round must fit Observation::round
-/// (below 65,536).
+/// (below 65,536), and a round's counters must fit RoundCounters' 32
+/// bits once merged.
 void replay_spool(std::istream& in, ResultsDb& db);
 
 /// Convenience: open `path` and replay it. Throws v6mon::Error when the

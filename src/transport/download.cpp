@@ -92,6 +92,18 @@ DownloadResult DownloadSimulator::simulate_prepared(const PreparedDownload& prep
   return r;
 }
 
+bool DownloadSimulator::attempt_prepared(const PreparedDownload& prep, util::Rng& rng,
+                                         DownloadTally& tally) const {
+  ++tally.attempts;
+  if (!prep.valid || (params_.failure_prob > 0.0 && rng.chance(params_.failure_prob))) {
+    ++tally.failures;
+    return false;
+  }
+  // The noise draw simulate_prepared would finish into a lognormal.
+  if (params_.noise_sigma > 0.0) (void)rng.polar_pair();
+  return true;
+}
+
 void DownloadSimulator::flush_tally(const DownloadTally& tally) {
   if (tally.attempts != 0) {
     obs::metrics().add(download_metric_ids().downloads, tally.attempts);

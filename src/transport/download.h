@@ -87,6 +87,13 @@ class DownloadSimulator {
                                                  util::Rng& rng,
                                                  DownloadTally& tally) const;
 
+  /// Whether one attempt against a prepared download succeeds: the words
+  /// `simulate_prepared` draws (the failure coin, then the noise's polar
+  /// loop) and the same tally, without finishing the download time. For
+  /// callers that read only `.ok` (the identity fetches).
+  [[nodiscard]] bool attempt_prepared(const PreparedDownload& prep, util::Rng& rng,
+                                      DownloadTally& tally) const;
+
   /// Flush locally accumulated totals to the metrics registry.
   static void flush_tally(const DownloadTally& tally);
 

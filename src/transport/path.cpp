@@ -11,12 +11,17 @@ namespace v6mon::transport {
 
 double path_quality(const std::vector<topo::Asn>& as_path, double sigma) {
   if (sigma <= 0.0 || as_path.empty()) return 1.0;
+  return quality_of(path_normal(as_path), sigma);
+}
+
+double path_normal(const std::vector<topo::Asn>& as_path) {
+  V6MON_REQUIRE(!as_path.empty(), "path_normal of an empty path");
   std::uint64_t key = 0x9e3779b97f4a7c15ULL;
   for (topo::Asn asn : as_path) {
     key = util::hash_combine(key, "path-hop", asn);
   }
   util::Rng rng(key);
-  return std::exp(rng.normal(-sigma * sigma / 2.0, sigma));
+  return util::polar_normal(rng.polar_pair());
 }
 
 PathCharacteristics characterize_path(const topo::AsGraph& graph, topo::Asn src,

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <vector>
 
 #include "ip/prefix.h"
@@ -37,5 +38,19 @@ struct PathCharacteristics {
 /// ones (the paper's Fig. 3b / Table 11 reconciliation). Pure function of
 /// (as_path, sigma).
 [[nodiscard]] double path_quality(const std::vector<topo::Asn>& as_path, double sigma);
+
+/// The sigma-free draw behind path_quality: the standard normal
+/// `polar_normal(polar_pair())` on the stream keyed by the AS sequence.
+/// Requires a non-empty path. A caller that keeps it (bgp::RibEntry's
+/// memo) finishes it with quality_of instead of reseeding the stream.
+[[nodiscard]] double path_normal(const std::vector<topo::Asn>& as_path);
+
+/// path_quality from the path's normal `z`: the expression
+/// `Rng::normal(-sigma * sigma / 2.0, sigma)` feeds exp, so
+/// `quality_of(path_normal(p), sigma) == path_quality(p, sigma)` bit for
+/// bit whenever sigma > 0 and p is non-empty.
+[[nodiscard]] inline double quality_of(double z, double sigma) {
+  return std::exp(z * sigma + -sigma * sigma / 2.0);
+}
 
 }  // namespace v6mon::transport

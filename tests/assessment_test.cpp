@@ -19,6 +19,11 @@ core::RouteId route(ResultsDb& db, core::PathId path, topo::Asn origin = 7) {
   return db.paths().intern_route(origin, path);
 }
 
+/// The pair of two routes in the store's registry.
+core::PairId pair(ResultsDb& db, core::RouteId v4, core::RouteId v6) {
+  return db.paths().intern_pair(v4, v6);
+}
+
 /// Add a measured observation series with given speeds (one per round).
 void add_series(ResultsDb& db, std::uint32_t site, const std::vector<double>& v4,
                 const std::vector<double>& v6, core::PathId v4_path = 0,
@@ -32,8 +37,7 @@ void add_series(ResultsDb& db, std::uint32_t site, const std::vector<double>& v4
     o.v6_speed_kBps = static_cast<float>(v6[r]);
     o.v4_samples = 5;
     o.v6_samples = 5;
-    o.v4_route = route(db, v4_path, origin);
-    o.v6_route = route(db, v6_path, origin);
+    o.route_pair = pair(db, route(db, v4_path, origin), route(db, v6_path, origin));
     db.add(o);
   }
 }
@@ -112,8 +116,7 @@ TEST(Assessment, StepUpWithPathChange) {
     o.v4_speed_kBps = static_cast<float>(late ? 90.0 : 40.0) +
                       static_cast<float>(r % 3);  // mild deterministic noise
     o.v6_speed_kBps = 41.0f;
-    o.v4_route = route(db, late ? after : before);
-    o.v6_route = route(db, before);
+    o.route_pair = pair(db, route(db, late ? after : before), route(db, before));
     db.add(o);
   }
   (void)v4;
@@ -178,8 +181,7 @@ TEST(Assessment, ModalPathWins) {
     o.status = MonitorStatus::kMeasured;
     o.v4_speed_kBps = 50.0f;
     o.v6_speed_kBps = 49.0f;
-    o.v4_route = route(db, (r % 7 == 0) ? rare : common);
-    o.v6_route = route(db, common);
+    o.route_pair = pair(db, route(db, (r % 7 == 0) ? rare : common), route(db, common));
     db.add(o);
   }
   db.finalize();
@@ -217,8 +219,7 @@ TEST(Assessment, ModalTieGoesToFirstValueToReachTopCount) {
     o.status = MonitorStatus::kMeasured;
     o.v4_speed_kBps = 50.0f;
     o.v6_speed_kBps = 49.0f;
-    o.v4_route = route(db, v4_paths[r]);
-    o.v6_route = route(db, a);
+    o.route_pair = pair(db, route(db, v4_paths[r]), route(db, a));
     db.add(o);
   }
   db.finalize();

@@ -2,7 +2,8 @@
 //
 // These tests are written to make ThreadSanitizer's job easy: many
 // producer threads hammering the same ThreadPool, overlapping Monitor
-// rounds sharing one Campaign, and concurrent PathRegistry interning.
+// rounds sharing one Campaign, concurrent PathRegistry interning, and
+// concurrent resolved-row fills racing the RIB routes' path memos.
 // They pass on any build, but their real value is under the `tsan`
 // preset (cmake --preset tsan), where any locking mistake in
 // core/thread_pool, core/results or core/campaign turns into a hard
@@ -13,10 +14,12 @@
 
 #include <atomic>
 #include <latch>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/campaign.h"
+#include "core/monitor.h"
 #include "core/results.h"
 #include "core/sink.h"
 #include "core/thread_pool.h"
@@ -124,18 +127,20 @@ TEST(PathRegistryStress, ConcurrentInterningStaysConsistent) {
 // --- Sharded sink ingest ---------------------------------------------------
 
 // Many threads hammering one ShardedSink through their thread-local
-// lanes: record, count, and path interning all run with zero shared-lock
-// traffic on the hot path, then one flush merges everything. Under TSan
-// any accidental sharing between shards (or between a lane and the
-// merge) is a hard failure; on plain builds the totals double as a
-// lost-update detector against a serial mutex-store reference.
+// lanes: record and count run with zero shared-lock traffic on the hot
+// path, while the workers intern their route pairs into one shared
+// source registry (as concurrent resolved-row fills do), then one flush
+// imports the pairs and merges everything. Under TSan any accidental
+// sharing between shards (or between a lane and the merge) is a hard
+// failure; on plain builds the totals double as a lost-update detector
+// against a serial mutex-store reference.
 TEST(ShardedSinkStress, ConcurrentLaneIngestLosesNothing) {
   constexpr int kThreads = 8;
   constexpr std::uint32_t kRowsPerThread = 4000;
   constexpr topo::Asn kDistinctPaths = 48;
 
-  const auto drive = [&](ObservationSink& sink, bool parallel) {
-    const auto worker = [&sink](int t) {
+  const auto drive = [&](ObservationSink& sink, PathRegistry& source, bool parallel) {
+    const auto worker = [&sink, &source](int t) {
       ObservationSink::Lane& lane = sink.lane();
       for (std::uint32_t i = 0; i < kRowsPerThread; ++i) {
         const topo::Asn p = (i + static_cast<topo::Asn>(t) * 7) % kDistinctPaths;
@@ -145,8 +150,9 @@ TEST(ShardedSinkStress, ConcurrentLaneIngestLosesNothing) {
         o.status = MonitorStatus::kMeasured;
         o.v4_speed_kBps = static_cast<float>(t + 1);
         o.v6_speed_kBps = static_cast<float>(i % 97);
-        o.v4_route = lane.paths().intern_route(p + 1, std::vector<topo::Asn>{p, p + 1});
-        o.v6_route = lane.paths().intern_route(p + 3, std::vector<topo::Asn>{p, p + 2, p + 3});
+        o.route_pair = source.intern_pair(
+            source.intern_route(p + 1, std::vector<topo::Asn>{p, p + 1}),
+            source.intern_route(p + 3, std::vector<topo::Asn>{p, p + 2, p + 3}));
         lane.record(o);
         lane.count(o.round, o.status);
       }
@@ -163,10 +169,11 @@ TEST(ShardedSinkStress, ConcurrentLaneIngestLosesNothing) {
   };
 
   ResultsDb sharded_db, mutex_db;
-  ShardedSink sharded(sharded_db);
-  MutexSink mutexed(mutex_db);
-  drive(sharded, /*parallel=*/true);
-  drive(mutexed, /*parallel=*/false);
+  PathRegistry sharded_source, mutex_source;
+  ShardedSink sharded(sharded_db, sharded_source);
+  MutexSink mutexed(mutex_db, mutex_source);
+  drive(sharded, sharded_source, /*parallel=*/true);
+  drive(mutexed, mutex_source, /*parallel=*/false);
   EXPECT_GE(sharded.shard_count(), 1u);
   sharded_db.finalize();
   mutex_db.finalize();
@@ -175,9 +182,11 @@ TEST(ShardedSinkStress, ConcurrentLaneIngestLosesNothing) {
   EXPECT_EQ(sharded_db.num_sites(),
             static_cast<std::size_t>(kThreads) * kRowsPerThread);
   EXPECT_EQ(sharded_db.num_sites(), mutex_db.num_sites());
-  // Private per-shard registries canonicalized into one deduped registry.
+  // Concurrent interning deduped the source, and the flush imported it.
+  EXPECT_EQ(sharded_source.pair_count(), kDistinctPaths);
   EXPECT_EQ(sharded_db.paths().size(), mutex_db.paths().size());
   EXPECT_EQ(sharded_db.paths().route_count(), mutex_db.paths().route_count());
+  EXPECT_EQ(sharded_db.paths().pair_count(), mutex_db.paths().pair_count());
   // Counter deltas merged without loss.
   for (std::uint32_t r = 0; r < 5; ++r) {
     EXPECT_EQ(sharded_db.round_counters(r).measured,
@@ -243,6 +252,67 @@ void expect_equal_counters(const RoundCounters& a, const RoundCounters& b,
   EXPECT_EQ(a.dual, b.dual) << "vp=" << vp << " round=" << round;
   EXPECT_EQ(a.dns_failed, b.dns_failed) << "vp=" << vp << " round=" << round;
   EXPECT_EQ(a.measured, b.measured) << "vp=" << vp << " round=" << round;
+}
+
+// Workers filling distinct resolved-site rows of one Monitor at once, as
+// a campaign round does: the fills intern their route pairs into the
+// Monitor's one registry under its mutex, and sites that share a RIB
+// route race its path memo (a relaxed atomic; racing workers store the
+// same bits). Under TSan an unguarded intern or a plain memo write is a
+// hard failure; on plain builds every observation, pair by content,
+// must equal a serial Monitor's.
+TEST(MonitorStress, ConcurrentFillsShareRegistryAndRouteMemos) {
+  const World& w = stress_world();
+  constexpr std::uint32_t kRound = 3;
+  constexpr std::size_t kThreads = 6;
+  std::vector<std::uint32_t> dual;
+  for (const web::Site& s : w.catalog.sites()) {
+    if (s.dual_stack_at(kRound)) dual.push_back(s.id);
+  }
+  ASSERT_GT(dual.size(), 50u);
+  for (const VantagePoint& vp : w.vantage_points) {
+    SCOPED_TRACE(vp.name);
+    Monitor serial(w, vp, {});
+    Monitor raced(w, vp, {});
+    serial.assign_resolve_slots(dual, kRound);
+    raced.assign_resolve_slots(dual, kRound);
+    const auto observe = [&](Monitor& m, std::uint32_t id) {
+      return m.monitor_site(w.catalog.site(id), kRound, {}, util::Rng(id));
+    };
+    std::vector<Observation> want, got(dual.size());
+    for (const std::uint32_t id : dual) want.push_back(observe(serial, id));
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        for (std::size_t i = t; i < dual.size(); i += kThreads) {
+          got[i] = observe(raced, dual[i]);
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    EXPECT_EQ(raced.routes().pair_count(), serial.routes().pair_count());
+    EXPECT_EQ(raced.routes().bytes(), serial.routes().bytes());
+    const auto text = [](const PathRegistry& reg, PairId id) {
+      const RoutePair p = reg.pair(id);
+      std::string out;
+      for (const RouteId r : {p.v4, p.v6}) {
+        const Route route = reg.route(r);
+        out += std::to_string(route.origin) + ":" +
+               (route.path == kNoPath ? "-" : reg.to_string(route.path)) + ";";
+      }
+      return out;
+    };
+    for (std::size_t i = 0; i < dual.size(); ++i) {
+      SCOPED_TRACE(dual[i]);
+      EXPECT_EQ(got[i].status, want[i].status);
+      EXPECT_EQ(got[i].v4_speed_kBps, want[i].v4_speed_kBps);
+      EXPECT_EQ(got[i].v6_speed_kBps, want[i].v6_speed_kBps);
+      EXPECT_EQ(text(raced.routes(), got[i].route_pair),
+                text(serial.routes(), want[i].route_pair));
+    }
+  }
 }
 
 // Monitor rounds for both vantage points run overlapped on a shared

@@ -9,6 +9,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <sstream>
 #include <streambuf>
@@ -170,7 +171,9 @@ TEST(PathRegistry, InternsAndDeduplicates) {
 
 // One row per monitored dual-stack site-round: the row's width is the
 // store's memory.
-static_assert(sizeof(Observation) == 28, "observation rows are 28 bytes");
+static_assert(sizeof(Observation) == 24, "observation rows are 24 bytes");
+// A round's counters are u32s: a 1,500-round store holds 48 KB of them.
+static_assert(sizeof(RoundCounters) == 32, "round counters are eight u32s");
 
 TEST(PathRegistry, InternsRoutesOverPaths) {
   PathRegistry reg;
@@ -198,6 +201,48 @@ TEST(PathRegistry, InternsRoutesOverPaths) {
   EXPECT_EQ(reg.path(p), (std::vector<topo::Asn>{1, 2, 3}));
 }
 
+TEST(PathRegistry, InternsPairsOverRoutes) {
+  PathRegistry reg;
+  const RouteId a = reg.intern_route(3, std::vector<topo::Asn>{1, 2, 3});
+  const RouteId b = reg.intern_route(3, kNoPath);
+  const PairId ab = reg.intern_pair(a, b);
+  EXPECT_EQ(reg.intern_pair(a, b), ab);
+  EXPECT_NE(reg.intern_pair(b, a), ab);  // ordered: (v4, v6)
+  const PairId v6_only = reg.intern_pair(kNoRoute, b);
+  EXPECT_EQ(reg.pair(v6_only).v4, kNoRoute);
+  EXPECT_EQ(reg.pair(v6_only).v6, b);
+  // Two missing routes are no pair, and store nothing.
+  EXPECT_EQ(reg.intern_pair(kNoRoute, kNoRoute), kNoPair);
+  EXPECT_EQ(reg.pair_count(), 3u);
+  EXPECT_EQ(reg.pair(kNoPair).v4, kNoRoute);
+  EXPECT_EQ(reg.pair(kNoPair).v6, kNoRoute);
+  EXPECT_EQ(reg.pair(ab).v4, a);
+  EXPECT_EQ(reg.pair(ab).v6, b);
+
+  // RIB entries intern their routes and paths with the pair; a VP
+  // without AS paths records kNoPath.
+  bgp::RibEntry e4{3, {1, 2, 3}};
+  bgp::RibEntry e6{7, {4, 7}};
+  EXPECT_EQ(reg.intern_pair(&e4, nullptr, true), reg.intern_pair(a, kNoRoute));
+  const PairId rib = reg.intern_pair(&e4, &e6, true);
+  EXPECT_EQ(reg.path(reg.route(reg.pair(rib).v6).path), e6.as_path);
+  EXPECT_EQ(reg.route(reg.pair(reg.intern_pair(&e4, &e6, false)).v4).path, kNoPath);
+  EXPECT_EQ(reg.intern_pair(nullptr, nullptr, true), kNoPair);
+
+  // Import by content: the same routes and paths, ids of the target.
+  PathRegistry other;
+  other.intern({9, 9, 9});
+  const PairId imported = other.import_pair(reg, rib);
+  EXPECT_EQ(other.import_pair(reg, rib), imported);
+  EXPECT_EQ(other.import_pair(reg, kNoPair), kNoPair);
+  const RoutePair p = other.pair(imported);
+  EXPECT_EQ(other.route(p.v4).origin, 3u);
+  EXPECT_EQ(other.path(other.route(p.v4).path), e4.as_path);
+  EXPECT_EQ(other.path(other.route(p.v6).path), e6.as_path);
+  EXPECT_EQ(other.route(other.pair(other.import_pair(reg, v6_only)).v6).path, kNoPath);
+  EXPECT_EQ(other.pair_count(), 2u);
+  EXPECT_EQ(other.size(), 3u);  // {9, 9, 9} and the two RIB paths
+}
 TEST(ResultsDb, CountersBucketStatuses) {
   ResultsDb db;
   db.count(0, MonitorStatus::kV4Only);
@@ -249,8 +294,9 @@ TEST(ResultsDb, CsvContainsObservations) {
   o.status = MonitorStatus::kMeasured;
   o.v4_speed_kBps = 50.0f;
   o.v6_speed_kBps = 45.0f;
-  o.v4_route = db.paths().intern_route(12, db.paths().intern({5, 12}));
-  o.v6_route = db.paths().intern_route(12, db.paths().intern({6, 12}));
+  o.route_pair =
+      db.paths().intern_pair(db.paths().intern_route(12, db.paths().intern({5, 12})),
+                             db.paths().intern_route(12, db.paths().intern({6, 12})));
   db.add(o);
   db.finalize();
   const std::string csv = db.to_csv();
@@ -371,7 +417,8 @@ std::vector<float> regime_floats() {
 }
 
 /// A deterministic spread of rows over every field's edge values (a route
-/// pairs an origin with a path; no origin and no path is kNoRoute), plus
+/// pairs an origin with a path; no origin and no path is kNoRoute; a row
+/// pairs two routes, and two kNoRoutes are kNoPair), plus
 /// `random_rows` rows of arbitrary float bit patterns (NaN payloads
 /// included) — enough bytes that the writer's buffer spills many times
 /// and rows straddle its boundaries. Sites ascend with insertion order.
@@ -406,8 +453,8 @@ std::vector<Observation> edge_rows(PathRegistry& paths, std::size_t random_rows)
     }
     o.v4_samples = samples[i % 4];
     o.v6_samples = samples[(i / 4) % 4];
-    o.v4_route = route(origins[i % 4], path_ids[i % 4]);
-    o.v6_route = route(origins[(i + 1) % 4], path_ids[(i / 5) % 4]);
+    o.route_pair = paths.intern_pair(route(origins[i % 4], path_ids[i % 4]),
+                                     route(origins[(i + 1) % 4], path_ids[(i / 5) % 4]));
     rows.push_back(o);
   }
   // One path longer than any buffer block.
@@ -416,7 +463,9 @@ std::vector<Observation> edge_rows(PathRegistry& paths, std::size_t random_rows)
     huge[i] = topo::kNoAs - 1 - static_cast<topo::Asn>(i);
   }
   Observation& mid = rows[rows.size() / 2];
-  mid.v6_route = paths.intern_route(paths.route(mid.v6_route).origin, paths.intern(huge));
+  const RoutePair pair = paths.pair(mid.route_pair);
+  mid.route_pair = paths.intern_pair(
+      pair.v4, paths.intern_route(paths.route(pair.v6).origin, paths.intern(huge)));
   return rows;
 }
 
@@ -469,7 +518,8 @@ TEST(ResultsCsv, MissingRouteRendersEmptyOriginAndDash) {
   o.site = 4;
   o.round = 2;
   o.status = MonitorStatus::kV6DownloadFailed;
-  o.v4_route = db.paths().intern_route(12, kNoPath);  // a VP without AS paths
+  // A VP without AS paths, and no v6 route.
+  o.route_pair = db.paths().intern_pair(db.paths().intern_route(12, kNoPath), kNoRoute);
   db.add(o);
   db.finalize();
   EXPECT_EQ(db.to_csv(), std::string(kCsvHeader) +
@@ -570,8 +620,7 @@ TEST(Monitor, V4OnlySiteClassified) {
     }
   }
   ASSERT_NE(v4only, nullptr);
-  PathRegistry paths;
-  const auto obs = mon.monitor_site(*v4only, 0, {}, util::Rng(2), paths);
+  const auto obs = mon.monitor_site(*v4only, 0, {}, util::Rng(2));
   EXPECT_EQ(obs.status, MonitorStatus::kV4Only);
 }
 
@@ -579,20 +628,20 @@ TEST(Monitor, DualStackSiteMeasured) {
   const auto& w = small_world().world;
   const VantagePoint& vp = w.vantage_points[1];  // full-parity VP
   Monitor mon(w, vp, {});
-  PathRegistry paths;
+  const PathRegistry& paths = mon.routes();
 
   int measured = 0, examined = 0;
   for (const web::Site& s : w.catalog.sites()) {
     if (!s.dual_stack_at(5) || w.catalog.v6_presence(s).page_ratio != 1.0f) continue;
     if (++examined > 40) break;
-    const auto obs = mon.monitor_site(s, 5, {}, util::Rng(1000 + s.id), paths);
+    const auto obs = mon.monitor_site(s, 5, {}, util::Rng(1000 + s.id));
     if (obs.status == MonitorStatus::kMeasured) {
       ++measured;
       EXPECT_GT(obs.v4_speed_kBps, 0.0f);
       EXPECT_GT(obs.v6_speed_kBps, 0.0f);
       EXPECT_GE(obs.v4_samples, 3u);
-      const Route v4 = paths.route(obs.v4_route);
-      const Route v6 = paths.route(obs.v6_route);
+      const Route v4 = paths.route(paths.pair(obs.route_pair).v4);
+      const Route v6 = paths.route(paths.pair(obs.route_pair).v6);
       EXPECT_NE(v4.origin, topo::kNoAs);
       EXPECT_NE(v6.origin, topo::kNoAs);
       EXPECT_NE(v4.path, kNoPath);
@@ -608,7 +657,6 @@ TEST(Monitor, DifferentContentDetected) {
   MonitorConfig cfg;
   cfg.download.failure_prob = 0.0;
   Monitor mon(w, vp, cfg);
-  PathRegistry paths;
 
   const web::Site* diff = nullptr;
   for (const web::Site& s : w.catalog.sites()) {
@@ -618,7 +666,7 @@ TEST(Monitor, DifferentContentDetected) {
     }
   }
   ASSERT_NE(diff, nullptr) << "catalog generated no different-content site";
-  const auto obs = mon.monitor_site(*diff, 5, {}, util::Rng(3), paths);
+  const auto obs = mon.monitor_site(*diff, 5, {}, util::Rng(3));
   EXPECT_EQ(obs.status, MonitorStatus::kDifferentContent);
 }
 
@@ -626,7 +674,6 @@ TEST(Monitor, DeterministicGivenSameRng) {
   const auto& w = small_world().world;
   const VantagePoint& vp = w.vantage_points[1];
   Monitor mon(w, vp, {});
-  PathRegistry paths;
 
   const web::Site* dual = nullptr;
   for (const web::Site& s : w.catalog.sites()) {
@@ -636,26 +683,28 @@ TEST(Monitor, DeterministicGivenSameRng) {
     }
   }
   ASSERT_NE(dual, nullptr);
-  const auto a = mon.monitor_site(*dual, 5, {}, util::Rng(42), paths);
-  const auto b = mon.monitor_site(*dual, 5, {}, util::Rng(42), paths);
+  const auto a = mon.monitor_site(*dual, 5, {}, util::Rng(42));
+  const auto b = mon.monitor_site(*dual, 5, {}, util::Rng(42));
   EXPECT_EQ(a.status, b.status);
   EXPECT_EQ(a.v4_speed_kBps, b.v4_speed_kBps);
   EXPECT_EQ(a.v6_speed_kBps, b.v6_speed_kBps);
+  EXPECT_EQ(a.route_pair, b.route_pair);  // one pair, interned once
+  EXPECT_EQ(mon.routes().pair_count(), 1u);
 }
 
 TEST(Monitor, SeparateProviderVpYieldsDivergentPaths) {
   const auto& w = small_world().world;
   const VantagePoint& penn_like = w.vantage_points[0];
   Monitor mon(w, penn_like, {});
-  PathRegistry paths;
+  const PathRegistry& paths = mon.routes();
 
   int same = 0, diff = 0;
   for (const web::Site& s : w.catalog.sites()) {
     if (!s.dual_stack_at(5) || w.catalog.different_location(s)) continue;
-    const auto obs = mon.monitor_site(s, 5, {}, util::Rng(77 + s.id), paths);
+    const auto obs = mon.monitor_site(s, 5, {}, util::Rng(77 + s.id));
     if (obs.status != MonitorStatus::kMeasured) continue;
-    const Route v4 = paths.route(obs.v4_route);
-    const Route v6 = paths.route(obs.v6_route);
+    const Route v4 = paths.route(paths.pair(obs.route_pair).v4);
+    const Route v6 = paths.route(paths.pair(obs.route_pair).v6);
     if (v4.origin != v6.origin) continue;
     if (v4.path == v6.path) ++same;
     else ++diff;
@@ -669,7 +718,9 @@ TEST(Monitor, SeparateProviderVpYieldsDivergentPaths) {
 // a VP with AS paths (no path at one without). A family with no RIB route
 // records kNoRoute: every third v6 prefix is withdrawn from each RIB so
 // that some dual-stack sites have none. Regular and W6D stores, on a
-// frozen world, so the RIB is the one the campaign read.
+// frozen world, so the RIB is the one the campaign read. Each store's
+// registry holds exactly the pairs, routes and paths its rows reference,
+// though both stores of a VP import from the one VP registry.
 TEST(Campaign, RecordedRoutesMatchRibLookups) {
   scenario::WorldSpec spec = small_world().spec;
   spec.vantage_points[1].has_as_path = false;
@@ -710,15 +761,28 @@ TEST(Campaign, RecordedRoutesMatchRibLookups) {
         ASSERT_NE(r.path, kNoPath);
         EXPECT_EQ(reg.path(r.path), rib->as_path);
       };
+      std::set<PairId> pairs;
+      std::set<RouteId> routes;
+      std::set<PathId> paths;
       for (const std::uint32_t site : db->site_ids()) {
         for (const Observation& o : db->series(site)) {
           const web::Hosting h = world.catalog.hosting_at(world.catalog.site(site), o.round);
           SCOPED_TRACE(testing::Message() << "site=" << site << " round=" << o.round);
-          expect_route(o.v4_route, vp.rib.lookup_v4(h.v4_addr));
-          expect_route(o.v6_route, vp.rib.lookup_v6(h.v6_addr));
+          const RoutePair pair = reg.pair(o.route_pair);
+          expect_route(pair.v4, vp.rib.lookup_v4(h.v4_addr));
+          expect_route(pair.v6, vp.rib.lookup_v6(h.v6_addr));
+          if (o.route_pair != kNoPair) pairs.insert(o.route_pair);
+          for (const RouteId r : {pair.v4, pair.v6}) {
+            if (r == kNoRoute) continue;
+            routes.insert(r);
+            if (reg.route(r).path != kNoPath) paths.insert(reg.route(r).path);
+          }
           ++rows;
         }
       }
+      EXPECT_EQ(pairs.size(), reg.pair_count());
+      EXPECT_EQ(routes.size(), reg.route_count());
+      EXPECT_EQ(paths.size(), reg.size());
     }
     EXPECT_GT(rows, 100u);
     EXPECT_GT(unrouted, 0u);
@@ -1463,18 +1527,20 @@ TEST(ResolvedSiteTable, FillStampsWorldEpochAndInvalidateAllowsRefill) {
   ResolvedSiteRow row;
   row.v4_addr = ip::Ipv4Address(0x0a000001u);
   row.gate = MonitorStatus::kV6DownloadFailed;
-  table.fill(slot, row, 3);
+  table.fill(slot, row, /*route_pair=*/7, 3);
   EXPECT_TRUE(table.filled(slot));
   EXPECT_EQ(table.world_epoch(slot), 3u);
+  EXPECT_EQ(table.route_pair(slot), 7u);
   EXPECT_EQ(table.row(slot).v4_addr, row.v4_addr);
   EXPECT_EQ(table.row(slot).gate, MonitorStatus::kV6DownloadFailed);
 
   table.invalidate(slot);
   EXPECT_FALSE(table.filled(slot));
   row.gate = MonitorStatus::kMeasured;
-  table.fill(slot, row, 5);
+  table.fill(slot, row, kNoPair, 5);
   EXPECT_TRUE(table.filled(slot));
   EXPECT_EQ(table.world_epoch(slot), 5u);
+  EXPECT_EQ(table.route_pair(slot), kNoPair);
   EXPECT_EQ(table.row(slot).gate, MonitorStatus::kMeasured);
 }
 
@@ -1551,6 +1617,9 @@ void expect_same_route(const PathRegistry& ra, RouteId a, const PathRegistry& rb
 
 void expect_same_observation(const Observation& a, const PathRegistry& ra,
                              const Observation& b, const PathRegistry& rb) {
+  const RoutePair pa = ra.pair(a.route_pair);
+  const RoutePair pb = rb.pair(b.route_pair);
+  EXPECT_EQ(a.route_pair == kNoPair, b.route_pair == kNoPair);
   EXPECT_EQ(a.site, b.site);
   EXPECT_EQ(a.round, b.round);
   EXPECT_EQ(a.status, b.status);
@@ -1558,8 +1627,8 @@ void expect_same_observation(const Observation& a, const PathRegistry& ra,
   EXPECT_EQ(a.v6_speed_kBps, b.v6_speed_kBps);
   EXPECT_EQ(a.v4_samples, b.v4_samples);
   EXPECT_EQ(a.v6_samples, b.v6_samples);
-  expect_same_route(ra, a.v4_route, rb, b.v4_route);
-  expect_same_route(ra, a.v6_route, rb, b.v6_route);
+  expect_same_route(ra, pa.v4, rb, pb.v4);
+  expect_same_route(ra, pa.v6, rb, pb.v6);
 }
 
 // A Monitor reading table rows (slots assigned, filled on the first call,
@@ -1582,17 +1651,16 @@ TEST(Monitor, TableRowsMatchPerCallResolution) {
       Monitor cached(w, vp, cfg);
       Monitor uncached(w, vp, cfg);
       cached.assign_resolve_slots(dual, kRound);
-      PathRegistry cached_paths, uncached_paths;
       for (const std::uint64_t pass : {0u, 1u}) {  // 0 fills the rows, 1 reuses them
         for (const std::uint32_t id : dual) {
           const web::Site& site = w.catalog.site(id);
           const std::uint64_t seed = (pass << 32) | id;
           const Observation a =
-              cached.monitor_site(site, kRound, {}, util::Rng(seed), cached_paths);
+              cached.monitor_site(site, kRound, {}, util::Rng(seed));
           const Observation b =
-              uncached.monitor_site(site, kRound, {}, util::Rng(seed), uncached_paths);
+              uncached.monitor_site(site, kRound, {}, util::Rng(seed));
           SCOPED_TRACE("pass=" + std::to_string(pass) + " site=" + std::to_string(id));
-          expect_same_observation(a, cached_paths, b, uncached_paths);
+          expect_same_observation(a, cached.routes(), b, uncached.routes());
         }
         std::size_t filled = 0;
         for (const std::uint32_t id : dual) {
@@ -1631,7 +1699,6 @@ TEST(Monitor, SiteKeyedDnsMatchesResolverReference) {
     for (const double timeout_prob : {0.0, 0.02, 0.3, 1.0}) {
       SCOPED_TRACE(testing::Message() << "salt=" << salt << " timeout_prob=" << timeout_prob);
       Monitor mon(w, w.vantage_points[1], cfg);
-      PathRegistry paths;
       std::uint64_t ref_queries = 0, ref_timeouts = 0, decisions = 0, timeouts = 0;
       std::uint64_t relocated_answers = 0, late_aaaa_answers = 0;
       for (std::uint32_t r = 0; r <= w.num_rounds; ++r) {
@@ -1660,7 +1727,7 @@ TEST(Monitor, SiteKeyedDnsMatchesResolverReference) {
           EXPECT_EQ(loss.timeouts(), ref.timeouts()) << "site " << site.id;
           ++decisions;
           timeouts += loss.timeouts();
-          const Observation obs = mon.monitor_site(site, r, loss, util::Rng(seed), paths);
+          const Observation obs = mon.monitor_site(site, r, loss, util::Rng(seed));
           const bool has_a = obs.status != MonitorStatus::kDnsFailed &&
                              obs.status != MonitorStatus::kV6Only;
           const bool has_aaaa = obs.status != MonitorStatus::kDnsFailed &&
@@ -1730,7 +1797,6 @@ TEST(Monitor, FilledRowsMatchHostingAtEveryRound) {
   for (const VantagePoint& vp : w.vantage_points) {
     SCOPED_TRACE("vp=" + vp.name);
     Monitor mon(w, vp, cfg);
-    PathRegistry paths;
     for (std::uint32_t r = 0; r <= w.num_rounds; ++r) {
       std::vector<std::uint32_t> dual;
       for (const web::Site& s : w.catalog.sites()) {
@@ -1739,7 +1805,7 @@ TEST(Monitor, FilledRowsMatchHostingAtEveryRound) {
       mon.assign_resolve_slots(dual, r);
       for (const std::uint32_t id : dual) {
         (void)mon.monitor_site(w.catalog.site(id), r, {},
-                               util::Rng((std::uint64_t{r} << 32) | id), paths);
+                               util::Rng((std::uint64_t{r} << 32) | id));
       }
       EXPECT_GT(expect_rows_match(mon, w.catalog, r), 0u) << "round " << r;
     }

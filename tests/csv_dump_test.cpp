@@ -26,9 +26,10 @@ constexpr std::size_t kChunk = ResultsDb::kCsvChunkRows;
 using csv_ref::kAllStatuses;
 
 /// `n` rows cycling through the widest value of every field and each
-/// kind of route: none (kNoRoute), a VP-local one ("(local)"), one
-/// without a path, and a 10-digit origin over a three-hop path. The
-/// last two rows take the largest site id.
+/// pair of four kinds of route: none (kNoRoute), a VP-local one
+/// ("(local)"), one without a path, and a 10-digit origin over a
+/// three-hop path; two routes of none are kNoPair. The last two rows
+/// take the largest site id.
 std::vector<Observation> boundary_rows(PathRegistry& paths, std::size_t n) {
   const RouteId routes[] = {
       kNoRoute,
@@ -50,8 +51,7 @@ std::vector<Observation> boundary_rows(PathRegistry& paths, std::size_t n) {
     o.v6_speed_kBps = speeds[(i / 5) % 5];
     o.v4_samples = i % 2 == 0 ? kMax16 : static_cast<std::uint16_t>(i % 9);
     o.v6_samples = i % 3 == 0 ? kMax16 : std::uint16_t{0};
-    o.v4_route = routes[i % 4];
-    o.v6_route = routes[(i / 4) % 4];
+    o.route_pair = paths.intern_pair(routes[i % 4], routes[(i / 4) % 4]);
   }
   return rows;
 }
@@ -116,7 +116,9 @@ TEST(CsvDump, SlowFirstChunkIsStillWrittenFirst) {
   const Store s(4 * kChunk, [](PathRegistry& paths, std::vector<Observation>& rows) {
     const std::vector<topo::Asn> hops(400, 4000000000u);
     const RouteId slow = paths.intern_route(4000000000u, paths.intern(hops));
-    for (std::size_t i = 0; i < kChunk; ++i) rows[i].v4_route = slow;
+    for (std::size_t i = 0; i < kChunk; ++i) {
+      rows[i].route_pair = paths.intern_pair(slow, paths.pair(rows[i].route_pair).v6);
+    }
   });
   for (int rep = 0; rep < 5; ++rep) EXPECT_EQ(dump(s.db, 4), s.reference);
 }
@@ -258,7 +260,7 @@ TEST(CsvDump, ContractErrorInChunkStopsEveryWorker) {
   const TenChunks good;
   ResultsDb bad;
   std::vector<Observation> rows = boundary_rows(bad.paths(), 10 * kChunk);
-  rows[3 * kChunk + 5].v6_route = 999;  // never interned
+  rows[3 * kChunk + 5].route_pair = 999;  // never interned
   for (const Observation& o : rows) bad.add(o);
   bad.finalize();
   for (const std::size_t threads : {1u, 4u}) {

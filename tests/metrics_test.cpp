@@ -315,8 +315,13 @@ const core::World& small_world() {
   return w;
 }
 
+/// A spool directory private to the running test: ctest runs each test
+/// as its own process, and two tests sharing one directory would
+/// truncate each other's spool files mid-campaign.
 std::string spool_dir() {
-  const auto dir = std::filesystem::temp_directory_path() / "v6mon_metrics_test";
+  const ::testing::TestInfo* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const auto dir = std::filesystem::temp_directory_path() /
+                   (std::string("v6mon_metrics_test.") + info->name());
   std::filesystem::create_directories(dir);
   return dir.string();
 }
@@ -330,7 +335,9 @@ struct CampaignRun {
   double sink_shard_bytes = -1;  ///< The mem.sink_shard_bytes gauge; -1 = absent.
   std::uint64_t catalog_bytes = 0;         ///< mem.catalog_bytes.
   std::uint64_t resolved_slots_bytes = 0;  ///< mem.resolved_slots_bytes.
-  std::uint64_t expected_slots_bytes = 0;  ///< The monitors' tables, summed.
+  std::uint64_t expected_slots_bytes = 0;  ///< The monitors' tables and registries.
+  std::uint64_t results_bytes = 0;         ///< mem.results_bytes.
+  std::uint64_t expected_results_bytes = 0;  ///< The stores' bytes, summed.
 };
 
 CampaignRun run_instrumented(std::size_t threads, core::SinkBackend backend,
@@ -366,8 +373,12 @@ CampaignRun run_instrumented(std::size_t threads, core::SinkBackend backend,
   out.fast_path_sites = reg.counter_value("campaign.fast_path_sites");
   out.catalog_bytes = reg.counter_value("mem.catalog_bytes");
   out.resolved_slots_bytes = reg.counter_value("mem.resolved_slots_bytes");
+  out.results_bytes = reg.counter_value("mem.results_bytes");
   for (std::size_t vp = 0; vp < small_world().vantage_points.size(); ++vp) {
-    out.expected_slots_bytes += campaign.monitor(vp).resolved_sites().bytes();
+    out.expected_slots_bytes += campaign.monitor(vp).resolved_sites().bytes() +
+                                campaign.monitor(vp).routes().bytes();
+    out.expected_results_bytes +=
+        campaign.results(vp).bytes() + campaign.w6d_results(vp).bytes();
   }
   const std::string json = reg.to_json();
   const std::string key = "\"mem.sink_shard_bytes\": ";
@@ -395,12 +406,14 @@ TEST(MetricsDeterminism, CountersIdenticalAcrossThreadsAndBackends) {
   // The finalized stores' bytes are sizes, not capacities: the same at
   // every thread count and sink backend, and never 0 for stores with rows.
   EXPECT_EQ(reference.counters.find("\"mem.results_bytes\":0,"), std::string::npos);
-  // The memory ledger's owners: the catalog by size, and the monitors'
-  // resolved-site slots and index entries. Every fill of such a slot is
-  // counted, refills included.
+  // The memory ledger's owners: the catalog by size, the monitors'
+  // resolved-site slots and index entries and their route registries,
+  // and the stores. Every fill of such a slot is counted, refills
+  // included.
   EXPECT_EQ(reference.catalog_bytes, small_world().catalog.bytes());
   EXPECT_GT(reference.resolved_slots_bytes, 0u);
   EXPECT_EQ(reference.resolved_slots_bytes, reference.expected_slots_bytes);
+  EXPECT_EQ(reference.results_bytes, reference.expected_results_bytes);
   EXPECT_EQ(reference.counters.find("\"monitor.row_fills\":0,"), std::string::npos);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
     for (const core::SinkBackend backend :
@@ -412,6 +425,7 @@ TEST(MetricsDeterminism, CountersIdenticalAcrossThreadsAndBackends) {
       EXPECT_EQ(run.counters, reference.counters);
       EXPECT_EQ(run.catalog_bytes, reference.catalog_bytes);
       EXPECT_EQ(run.resolved_slots_bytes, reference.resolved_slots_bytes);
+      EXPECT_EQ(run.results_bytes, reference.results_bytes);
       EXPECT_EQ(run.observations, reference.observations);
       EXPECT_EQ(run.dns_queries, 2 * (run.sites_monitored + run.fast_path_sites));
     }
@@ -419,7 +433,8 @@ TEST(MetricsDeterminism, CountersIdenticalAcrossThreadsAndBackends) {
 }
 
 // Campaign::finalize() sums what the sinks stage into a gauge: shards hold
-// rows, counter windows and registries, and the mutex sink stages nothing.
+// rows and counter windows beside their sink's pair remap, and the mutex
+// sink stages nothing.
 TEST(MetricsDeterminism, SinkShardBytesGaugeNamesStagingMemory) {
   EXPECT_EQ(run_instrumented(2, core::SinkBackend::kMutex, true).sink_shard_bytes, 0.0);
   for (const core::SinkBackend backend :

@@ -25,8 +25,8 @@ inline constexpr core::MonitorStatus kAllStatuses[] = {
 
 /// Every field through a default `std::ostream <<` (floats at the
 /// stream's default `%.6g`) and paths through an ostringstream, exactly
-/// as the dump was first specified, with each route read back as its
-/// origin and path.
+/// as the dump was first specified, with each row's route pair read back
+/// as two routes and each route as its origin and path.
 inline std::string stream_oracle_csv(const core::PathRegistry& paths,
                                      const std::vector<core::Observation>& rows) {
   auto path_text = [&paths](core::PathId id) -> std::string {
@@ -46,8 +46,9 @@ inline std::string stream_oracle_csv(const core::PathRegistry& paths,
     out << o.site << ',' << o.round << ',' << core::monitor_status_name(o.status) << ','
         << o.v4_speed_kBps << ',' << o.v6_speed_kBps << ',' << o.v4_samples << ','
         << o.v6_samples << ',';
-    const core::Route v4 = paths.route(o.v4_route);
-    const core::Route v6 = paths.route(o.v6_route);
+    const core::RoutePair pair = paths.pair(o.route_pair);
+    const core::Route v4 = paths.route(pair.v4);
+    const core::Route v6 = paths.route(pair.v6);
     if (v4.origin != topo::kNoAs) out << v4.origin;
     out << ',';
     if (v6.origin != topo::kNoAs) out << v6.origin;

@@ -62,5 +62,33 @@ TEST(Rib, ForEachVisitsEverything) {
   EXPECT_EQ(v6, 1u);
 }
 
+// The path memo is drawn once and kept, and never travels: an installed
+// or rewritten route (a copy or an assignment) starts unset, and
+// equality ignores it.
+TEST(Rib, PathMemoIsKeptButNotCopied) {
+  Rib rib;
+  const auto prefix = *ip::Ipv4Prefix::parse("10.0.0.0/8");
+  rib.add_v4(prefix, entry(100, {1, 100}));
+  const RibEntry* e = rib.find_v4(prefix);
+  ASSERT_NE(e, nullptr);
+  EXPECT_FALSE(e->path_normal.value().has_value());
+  int draws = 0;
+  const auto draw = [&draws] {
+    ++draws;
+    return -0.25;
+  };
+  EXPECT_EQ(e->path_normal.get(draw), -0.25);
+  EXPECT_EQ(e->path_normal.get(draw), -0.25);
+  EXPECT_EQ(draws, 1);
+  EXPECT_EQ(e->path_normal.value(), -0.25);
+
+  RibEntry copy = *e;
+  EXPECT_FALSE(copy.path_normal.value().has_value());
+  EXPECT_EQ(copy, *e);
+  rib.add_v4(prefix, entry(100, {1, 100}));  // rewritten in place
+  EXPECT_EQ(rib.find_v4(prefix), e);
+  EXPECT_FALSE(e->path_normal.value().has_value());
+}
+
 }  // namespace
 }  // namespace v6mon::bgp

@@ -2,7 +2,8 @@
 // store, and the binary spool. The contract under test is simple to
 // state and strict: whatever backend carried the observations, the
 // finalized ResultsDb — rows, counters, path contents, CSV bytes — is
-// identical.
+// identical. Rows arrive with pair ids of a source registry (a vantage
+// point's Monitor::routes()), which each sink imports into its store.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <deque>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -23,8 +25,7 @@
 namespace v6mon::core {
 namespace {
 
-Observation sample_obs(std::uint32_t site, std::uint16_t round, RouteId v4,
-                       RouteId v6) {
+Observation sample_obs(std::uint32_t site, std::uint16_t round, PairId route_pair) {
   Observation o;
   o.site = site;
   o.round = round;
@@ -33,8 +34,7 @@ Observation sample_obs(std::uint32_t site, std::uint16_t round, RouteId v4,
   o.v6_speed_kBps = 88.25f + static_cast<float>(round);
   o.v4_samples = 5;
   o.v6_samples = 4;
-  o.v4_route = v4;
-  o.v6_route = v6;
+  o.route_pair = route_pair;
   return o;
 }
 
@@ -49,19 +49,22 @@ std::string test_spool_path(const std::string& stem) {
 }
 
 /// Drive any sink through two epochs with a handful of observations and
-/// counters, mimicking what campaign rounds do. The first epoch counts
-/// round `first`, the second round `second` (either may be the lower).
-void drive(ObservationSink& sink, std::uint16_t first = 0, std::uint16_t second = 1) {
+/// counters, mimicking what campaign rounds do: pairs are interned into
+/// `source` (the sink's) as resolved-row fills intern them. The first
+/// epoch counts round `first`, the second round `second` (either may be
+/// the lower).
+void drive(ObservationSink& sink, PathRegistry& source, std::uint16_t first = 0,
+           std::uint16_t second = 1) {
   ObservationSink::Lane& lane = sink.lane();
-  PathRegistry& reg = lane.paths();
-  const RouteId a = reg.intern_route(7, reg.intern({1, 2, 3}));
-  const RouteId b = reg.intern_route(9, reg.intern({1, 2, 4}));
-  const RouteId local = reg.intern_route(9, reg.intern({}));
-  lane.record(sample_obs(10, first, a, b));
-  lane.record(sample_obs(11, first, b, local));
+  const RouteId a = source.intern_route(7, source.intern({1, 2, 3}));
+  const RouteId b = source.intern_route(9, source.intern({1, 2, 4}));
+  const RouteId local = source.intern_route(9, source.intern({}));
+  lane.record(sample_obs(10, first, source.intern_pair(a, b)));
+  lane.record(sample_obs(11, first, source.intern_pair(b, local)));
   // A VP without AS paths: origins only.
-  Observation pathless =
-      sample_obs(12, first, reg.intern_route(7, kNoPath), reg.intern_route(9, kNoPath));
+  Observation pathless = sample_obs(
+      12, first,
+      source.intern_pair(source.intern_route(7, kNoPath), source.intern_route(9, kNoPath)));
   pathless.status = MonitorStatus::kV6DownloadFailed;
   lane.record(pathless);
   lane.count(first, MonitorStatus::kMeasured);
@@ -73,9 +76,9 @@ void drive(ObservationSink& sink, std::uint16_t first = 0, std::uint16_t second 
 
   // Second epoch: revisit one site, one new path, a new round's counters.
   ObservationSink::Lane& lane2 = sink.lane();
-  const RouteId c = lane2.paths().intern_route(8, lane2.paths().intern({9, 8}));
-  lane2.record(sample_obs(10, second, c, c));
-  lane2.record(sample_obs(13, second, kNoRoute, c));
+  const RouteId c = source.intern_route(8, source.intern({9, 8}));
+  lane2.record(sample_obs(10, second, source.intern_pair(c, c)));
+  lane2.record(sample_obs(13, second, source.intern_pair(kNoRoute, c)));
   lane2.count(second, MonitorStatus::kMeasured);
   sink.count_listed(second, 41);
   sink.finish();
@@ -104,42 +107,77 @@ void expect_same_finalized(const ResultsDb& a, const ResultsDb& b) {
   EXPECT_EQ(a.site_ids(), b.site_ids());
   EXPECT_EQ(a.paths().size(), b.paths().size());
   EXPECT_EQ(a.paths().route_count(), b.paths().route_count());
+  EXPECT_EQ(a.paths().pair_count(), b.paths().pair_count());
   expect_same_counters(a, b);
   EXPECT_EQ(a.bytes(), b.bytes());
 }
 
 TEST(Sink, ShardedMatchesMutexReference) {
   ResultsDb mdb, sdb;
-  MutexSink msink(mdb);
-  ShardedSink ssink(sdb);
-  drive(msink);
-  drive(ssink);
+  PathRegistry source;
+  MutexSink msink(mdb, source);
+  ShardedSink ssink(sdb, source);
+  drive(msink, source);
+  drive(ssink, source);
   mdb.finalize();
   sdb.finalize();
   expect_same_finalized(mdb, sdb);
   EXPECT_EQ(ssink.shard_count(), 1u);  // single-threaded drive: one shard
 }
 
-TEST(Sink, ShardedFlushCanonicalizesWholeRegistry) {
-  // Paths interned but never referenced by a recorded observation still
-  // reach the database registry — keeping paths().size() an invariant
-  // across backends (the mutex sink interns directly into the db).
-  ResultsDb db;
-  ShardedSink sink(db);
-  ObservationSink::Lane& lane = sink.lane();
-  lane.paths().intern({5, 6, 7});  // interned, never recorded
-  sink.finish();
-  EXPECT_EQ(db.paths().size(), 1u);
+// A store's registry holds exactly the pairs, routes and paths its own
+// rows use, whatever else the source holds: the source is shared by a
+// vantage point's two stores (regular and W6D), and a pair one of them
+// records must not reach the other.
+TEST(Sink, StoreRegistryHoldsOnlyRecordedPairs) {
+  PathRegistry source;
+  const RouteId kept = source.intern_route(7, source.intern({1, 2, 7}));
+  const RouteId pathless = source.intern_route(9, kNoPath);
+  const PairId recorded = source.intern_pair(kept, pathless);
+  // Never recorded: a pair over a path and a route no row uses.
+  (void)source.intern_pair(source.intern_route(8, source.intern({5, 6, 8})), kept);
+  const std::string path = test_spool_path("only-recorded");
+  const auto feed = [&](ObservationSink& sink) {
+    sink.lane().record(sample_obs(10, 0, recorded));
+    sink.lane().record(sample_obs(11, 0, recorded));
+    sink.lane().record(sample_obs(12, 0, kNoPair));
+    sink.finish();
+  };
+  ResultsDb mdb, sdb, pdb;
+  MutexSink msink(mdb, source);
+  ShardedSink ssink(sdb, source);
+  feed(msink);
+  feed(ssink);
+  {
+    SpoolSink spool(path, source);
+    feed(spool);
+    EXPECT_TRUE(spool.ok());
+  }
+  replay_spool_file(path, pdb);
+  std::remove(path.c_str());
+  for (ResultsDb* db : {&mdb, &sdb, &pdb}) {
+    db->finalize();
+    EXPECT_EQ(db->paths().size(), 1u);
+    EXPECT_EQ(db->paths().route_count(), 2u);
+    EXPECT_EQ(db->paths().pair_count(), 1u);
+    const RoutePair p = db->paths().pair(db->series(10)[0].route_pair);
+    EXPECT_EQ(db->paths().path(db->paths().route(p.v4).path),
+              (std::vector<topo::Asn>{1, 2, 7}));
+    EXPECT_EQ(db->paths().route(p.v6).origin, 9u);
+    EXPECT_EQ(db->series(12)[0].route_pair, kNoPair);
+  }
+  EXPECT_EQ(source.pair_count(), 2u);
 }
 
 TEST(Sink, SpoolRoundTripMatchesMutexReference) {
   const std::string path = test_spool_path("roundtrip");
   ResultsDb mdb, sdb;
-  MutexSink msink(mdb);
-  drive(msink);
+  PathRegistry source;
+  MutexSink msink(mdb, source);
+  drive(msink, source);
   {
-    SpoolSink spool(path);
-    drive(spool);
+    SpoolSink spool(path, source);
+    drive(spool, source);
     EXPECT_TRUE(spool.ok());
   }
   replay_spool_file(path, sdb);
@@ -156,13 +194,14 @@ TEST(Sink, SpoolRoundTripMatchesMutexReference) {
 TEST(Sink, LateFirstRoundMatchesAcrossBackends) {
   const std::string path = test_spool_path("late");
   ResultsDb mdb, sdb, pdb;
-  MutexSink msink(mdb);
-  ShardedSink ssink(sdb);
-  drive(msink, 1200, 700);
-  drive(ssink, 1200, 700);
+  PathRegistry source;
+  MutexSink msink(mdb, source);
+  ShardedSink ssink(sdb, source);
+  drive(msink, source, 1200, 700);
+  drive(ssink, source, 1200, 700);
   {
-    SpoolSink spool(path);
-    drive(spool, 1200, 700);
+    SpoolSink spool(path, source);
+    drive(spool, source, 1200, 700);
     EXPECT_TRUE(spool.ok());
   }
   replay_spool_file(path, pdb);
@@ -193,8 +232,9 @@ TEST(Sink, OneShardPerThreadAfterLaneCacheEviction) {
   constexpr std::size_t kSinks = 20;  // more than the lane cache holds
   constexpr std::uint32_t kPasses = 5;
   std::deque<ResultsDb> dbs(kSinks);
+  const PathRegistry source;
   std::vector<std::unique_ptr<ShardedSink>> sinks;
-  for (ResultsDb& db : dbs) sinks.push_back(std::make_unique<ShardedSink>(db));
+  for (ResultsDb& db : dbs) sinks.push_back(std::make_unique<ShardedSink>(db, source));
   for (std::uint32_t pass = 0; pass < kPasses; ++pass) {
     for (const auto& sink : sinks) {
       sink->lane().count(pass, MonitorStatus::kV4Only);
@@ -214,7 +254,7 @@ TEST(Sink, OneShardPerThreadAfterLaneCacheEviction) {
 // Each ingest epoch counts one round, so a shard's counter window holds
 // that round and no other: after every flush the sink's staging bytes stay
 // at one round's counters however late the round. The epochs record no
-// rows and intern nothing, so bytes() is the window alone.
+// rows, so bytes() is the window alone (the pair remap stays empty).
 
 void expect_one_round_window(ObservationSink& sink) {
   constexpr std::uint32_t kEpochs = 1500;
@@ -231,7 +271,8 @@ void expect_one_round_window(ObservationSink& sink) {
 
 TEST(Sink, ShardedCounterWindowHoldsOneEpoch) {
   ResultsDb db;
-  ShardedSink sink(db);
+  const PathRegistry source;
+  ShardedSink sink(db, source);
   expect_one_round_window(sink);
   ASSERT_EQ(db.rounds(), 1500u);
   for (std::uint32_t r = 0; r < 1500; ++r) {
@@ -243,12 +284,13 @@ TEST(Sink, ShardedCounterWindowHoldsOneEpoch) {
 TEST(Sink, SpoolCounterWindowHoldsOneEpoch) {
   const std::string path = test_spool_path("window");
   ResultsDb mdb, sdb;
+  const PathRegistry source;
   {
-    SpoolSink spool(path);
+    SpoolSink spool(path, source);
     expect_one_round_window(spool);
     EXPECT_TRUE(spool.ok());
   }
-  MutexSink msink(mdb);
+  MutexSink msink(mdb, source);
   expect_one_round_window(msink);
   replay_spool_file(path, sdb);
   expect_same_counters(sdb, mdb);
@@ -270,7 +312,7 @@ const std::vector<Epoch>& range_epochs() {
   static const std::vector<Epoch> epochs = {
       [](ObservationSink& sink) {
         ObservationSink::Lane& lane = sink.lane();
-        lane.record(sample_obs(10, 3, kNoRoute, kNoRoute));
+        lane.record(sample_obs(10, 3, kNoPair));
         lane.count(1200, MonitorStatus::kMeasured);
         lane.count_n(3, MonitorStatus::kV4Only, 5);
         lane.count(3, MonitorStatus::kDifferentContent);
@@ -293,8 +335,9 @@ const std::vector<Epoch>& range_epochs() {
 
 TEST(Sink, ShardedFlushMergesTouchedRoundsOnly) {
   ResultsDb mdb, sdb;
-  MutexSink msink(mdb);
-  ShardedSink ssink(sdb);
+  const PathRegistry source;
+  MutexSink msink(mdb, source);
+  ShardedSink ssink(sdb, source);
   // Lock-step: after every flush the store equals the reference.
   for (std::size_t e = 0; e < range_epochs().size(); ++e) {
     SCOPED_TRACE("epoch " + std::to_string(e));
@@ -317,9 +360,10 @@ TEST(Sink, ShardedFlushMergesTouchedRoundsOnly) {
 TEST(Sink, SpoolFlushMergesTouchedRoundsOnly) {
   const std::string path = test_spool_path("ranges");
   ResultsDb mdb, sdb;
-  MutexSink msink(mdb);
+  const PathRegistry source;
+  MutexSink msink(mdb, source);
   {
-    SpoolSink spool(path);
+    SpoolSink spool(path, source);
     for (const Epoch& epoch : range_epochs()) {
       epoch(msink);
       epoch(spool);
@@ -348,8 +392,9 @@ TEST(Sink, SpoolWriterRejectsUnopenablePath) {
 std::string valid_spool_bytes() {
   const std::string path = test_spool_path("valid");
   {
-    SpoolSink spool(path);
-    drive(spool);
+    PathRegistry source;
+    SpoolSink spool(path, source);
+    drive(spool, source);
   }
   std::ifstream in(path, std::ios::binary);
   std::stringstream buf;
@@ -426,7 +471,9 @@ TEST(Sink, ReplayRejectsRoundBeyondObservationRange) {
     db.finalize();
     ASSERT_EQ(db.series(0).size(), 1u);
     EXPECT_EQ(db.series(0)[0].round, 65535u);
-    EXPECT_EQ(db.paths().route(db.series(0)[0].v6_route).origin, topo::kNoAs);
+    const RoutePair pair = db.paths().pair(db.series(0)[0].route_pair);
+    EXPECT_EQ(db.paths().route(pair.v4).origin, 0u);
+    EXPECT_EQ(db.paths().route(pair.v6).origin, topo::kNoAs);
     EXPECT_EQ(db.to_csv().substr(db.to_csv().find('\n') + 1),
               "0,65535,measured,0,0,0,0,0,,-,-\n");
   }
@@ -437,6 +484,43 @@ TEST(Sink, ReplayRejectsRoundBeyondObservationRange) {
     ADD_FAILURE() << "round 65536 replayed";
   } catch (const v6mon::Error& e) {
     EXPECT_STREQ(e.what(), "spool: round out of range");
+  }
+}
+
+/// Header, one counter record for round 0 per entry of `listed` (every
+/// other field zero), and the end record.
+std::string counters_spool(std::initializer_list<std::uint64_t> listed) {
+  std::string bytes = "V6SPOOL1";
+  for (const std::uint64_t n : listed) {
+    bytes += '\x03';                          // Counters tag
+    bytes += std::string(4, '\0');            // round 0
+    for (int i = 0; i < 8; ++i) bytes += static_cast<char>((n >> (8 * i)) & 0xff);
+    bytes += std::string(7 * 8, '\0');        // the other seven fields
+  }
+  bytes += '\x04';                            // End tag
+  bytes += std::string(8, '\0');              // no observations
+  return bytes;
+}
+
+// Counters are u64 on disk and u32 in memory: a delta, or a sum of
+// deltas for one round, beyond 32 bits is rejected, not wrapped.
+TEST(Sink, ReplayRejectsRoundCounterOverflow) {
+  {
+    std::istringstream in(counters_spool({0xffff'fffeu, 1}));
+    ResultsDb db;
+    replay_spool(in, db);
+    EXPECT_EQ(db.round_counters(0).listed, 0xffff'ffffu);
+  }
+  for (const auto& listed : {std::initializer_list<std::uint64_t>{0x1'0000'0000u},
+                             std::initializer_list<std::uint64_t>{0xffff'ffffu, 1}}) {
+    std::istringstream in(counters_spool(listed));
+    ResultsDb db;
+    try {
+      replay_spool(in, db);
+      ADD_FAILURE() << "an overflowing counter replayed";
+    } catch (const v6mon::Error& e) {
+      EXPECT_STREQ(e.what(), "spool: round counter out of range");
+    }
   }
 }
 

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "transport/download.h"
-#include "util/stats.h"
 #include "transport/path.h"
+#include "util/rng.h"
+#include "util/stats.h"
 
 namespace v6mon::transport {
 namespace {
@@ -297,6 +302,64 @@ TEST(DownloadSimulator, BatchCertainFailureConsumesNoDraws) {
   EXPECT_EQ(tally.failures, 8u);
   EXPECT_EQ(rng.uniform_u64(0, ~std::uint64_t{0}),
             untouched.uniform_u64(0, ~std::uint64_t{0}));
+}
+
+/// attempt_prepared draws exactly the words simulate_prepared draws and
+/// tallies the same: after N attempts each, the two streams and tallies
+/// agree, and so does every verdict. Failure probabilities 0, 0.002 and
+/// 1, no noise, and an invalid prep.
+TEST(DownloadSimulator, AttemptMatchesSimulatePreparedDraws) {
+  struct Case {
+    const char* name;
+    double failure_prob;
+    double noise_sigma;
+    bool valid;
+  };
+  for (const Case c : {Case{"paper", 0.002, 0.12, true}, Case{"no_failures", 0.0, 0.12, true},
+                       Case{"always_fails", 1.0, 0.12, true},
+                       Case{"noiseless", 0.002, 0.0, true},
+                       Case{"invalid_prep", 0.002, 0.12, false}}) {
+    DownloadParams params;
+    params.failure_prob = c.failure_prob;
+    params.noise_sigma = c.noise_sigma;
+    const DownloadSimulator sim(params);
+    const PreparedDownload prep =
+        c.valid ? sim.prepare(batch_test_path(), 30.0, 90.0) : PreparedDownload{};
+    ASSERT_EQ(prep.valid, c.valid) << c.name;
+    constexpr std::size_t kAttempts = 2000;  // sees failures at p = 0.002
+    util::Rng attempt_rng(11);
+    util::Rng simulate_rng(11);
+    DownloadTally attempt_tally, simulate_tally;
+    for (std::size_t i = 0; i < kAttempts; ++i) {
+      ASSERT_EQ(sim.attempt_prepared(prep, attempt_rng, attempt_tally),
+                sim.simulate_prepared(prep, simulate_rng, simulate_tally).ok)
+          << c.name << " attempt " << i;
+    }
+    EXPECT_EQ(attempt_tally.attempts, simulate_tally.attempts) << c.name;
+    EXPECT_EQ(attempt_tally.failures, simulate_tally.failures) << c.name;
+    EXPECT_EQ(attempt_tally.attempts, kAttempts) << c.name;
+    EXPECT_EQ(attempt_rng.uniform_u64(0, ~std::uint64_t{0}),
+              simulate_rng.uniform_u64(0, ~std::uint64_t{0}))
+        << c.name;
+  }
+}
+
+/// The route memo's finish: quality_of(path_normal(p), sigma) is
+/// path_quality(p, sigma) bit for bit, over random paths and sigmas.
+TEST(PathQuality, QualityOfPathNormalMatchesPathQuality) {
+  util::Rng rng(2011);
+  for (int i = 0; i < 2000; ++i) {
+    std::vector<Asn> path(static_cast<std::size_t>(rng.uniform_int(1, 8)));
+    for (Asn& a : path) a = rng.uniform_u32(1, 0xfffffffeu);
+    const double sigma = i % 10 == 0 ? 0.55 : rng.uniform(1e-6, 3.0);
+    const double memoized = quality_of(path_normal(path), sigma);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(memoized),
+              std::bit_cast<std::uint64_t>(path_quality(path, sigma)))
+        << "path of " << path.size() << " hops, sigma " << sigma;
+  }
+  // What quality_of is never asked: an empty path or sigma 0 is 1.0.
+  EXPECT_EQ(path_quality({}, 0.55), 1.0);
+  EXPECT_EQ(path_quality({1, 2}, 0.0), 1.0);
 }
 
 }  // namespace

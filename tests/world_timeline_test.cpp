@@ -22,6 +22,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -579,6 +581,7 @@ void expect_same_path(const transport::PathCharacteristics& cached,
 struct RowCheckCounts {
   std::size_t survivors = 0;  ///< Rows checked after outliving a boundary.
   std::size_t refills = 0;    ///< Rows checked after a boundary re-resolved them.
+  std::size_t memos = 0;      ///< Route memos checked.
 };
 
 /// Runs an evolving campaign on the reference schedule and, after every
@@ -587,7 +590,8 @@ struct RowCheckCounts {
 /// addresses, and — for every side resolve_addresses characterizes —
 /// the same characterize_path + path_quality. 6to4 v6 paths carry the
 /// hidden relay leg on top; RetiredTunnelFailsSixToFourSites covers
-/// them.
+/// them. Every RIB entry a fill characterized holds its path's normal
+/// (transport::path_normal) in its memo, from the built world on.
 RowCheckCounts check_rows_every_round(const scenario::WorldSpec& spec,
                                       FallbackPolicy policy) {
   CampaignConfig cfg;
@@ -635,6 +639,16 @@ RowCheckCounts check_rows_every_round(const scenario::WorldSpec& spec,
         if (v6 != nullptr && (both || all_routed_sides) && !row.v6_addr.is_6to4()) {
           expect_same_path(row.v6_path, fresh(*v6, ip::Family::kIpv6));
         }
+        for (const bgp::RibEntry* used : {row.v4_route, row.v6_route}) {
+          if (used == nullptr || !(both || all_routed_sides) || used->as_path.empty()) {
+            continue;
+          }
+          const std::optional<double> z = used->path_normal.value();
+          ASSERT_TRUE(z.has_value());
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(*z),
+                    std::bit_cast<std::uint64_t>(transport::path_normal(used->as_path)));
+          ++counts.memos;
+        }
       }
     }
   };
@@ -663,11 +677,13 @@ TEST(WorldTimeline, SurvivingRowsMatchFreshResolutionAfterEveryEpoch) {
       const RowCheckCounts counts = check_rows_every_round(spec, policy);
       total.survivors += counts.survivors;
       total.refills += counts.refills;
+      total.memos += counts.memos;
     }
   }
   // Not vacuous: rows both outlived boundaries and were re-resolved.
   EXPECT_GT(total.survivors, 0u);
   EXPECT_GT(total.refills, 0u);
+  EXPECT_GT(total.memos, 0u);
 }
 
 // Retiring an island's only tunnel means its relay stops serving it
