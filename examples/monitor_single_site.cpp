@@ -60,11 +60,11 @@ int main(int argc, char** argv) {
   const std::uint32_t round = 5;
   unsigned shown = 0;
   for (const web::Site& site : world.catalog.sites()) {
-    if (!site.dual_stack_at(round)) continue;
+    if (!world.catalog.dual_stack_at(site, round)) continue;
     if (shown++ >= num_sites) break;
 
     std::printf("--- www.s%u.v6mon.test (rank %u, %s, page %.1f kB) ---\n", site.id,
-                site.rank, family_of(site, world), site.page_kb);
+                world.catalog.rank(site), family_of(site, world), site.page_kb);
 
     // Phase 1: DNS. The catalog answers A, and AAAA while the site is
     // dual-stack (every site shown here is); the demo loses no query.

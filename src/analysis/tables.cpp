@@ -17,21 +17,28 @@ using util::TextTable;
 
 std::vector<Fig1Point> fig1_series(const web::SiteCatalog& catalog,
                                    std::uint32_t num_rounds) {
-  // One pass over the catalog into per-round difference arrays, then a
-  // prefix sum: O(sites + rounds). The counts equal those of
-  // SiteCatalog::reachability_at / listed_at, so the ratios are the same
-  // doubles. 64-bit indices keep kNever + 1 from wrapping, and a site
-  // without AAAA (v6_from_round = kNever) gets an empty window.
+  // One pass over the ranked list's listing runs into per-round
+  // difference arrays, then a prefix sum: O(sites + rounds). Each run adds
+  // its size at its first listed round; each site with an AAAA record adds
+  // its window from the round it is both listed and dual-stack. The counts
+  // equal those of SiteCatalog::reachability_at / listed_at, so the ratios
+  // are the same doubles. 64-bit indices keep kNever + 1 from wrapping.
   const std::uint64_t end = std::uint64_t{num_rounds} + 1;
   std::vector<std::int64_t> listed_diff(end + 1, 0), v6_diff(end + 1, 0);
-  for (const web::Site& s : catalog.sites()) {
-    if (s.from_dns_cache) continue;
-    if (s.first_seen_round < end) ++listed_diff[s.first_seen_round];
-    const std::uint64_t lo = std::max(s.first_seen_round, s.v6_from_round);
-    const std::uint64_t hi = std::min(std::uint64_t{s.v6_until_round}, end);
-    if (lo >= hi) continue;
-    ++v6_diff[lo];
-    --v6_diff[hi];
+  const std::vector<web::Site>& sites = catalog.sites();
+  const std::vector<web::V6Presence>& records = catalog.v6_records();
+  for (const web::ListingRun& run : catalog.listing_runs()) {
+    if (run.from_dns_cache) continue;
+    if (run.first_seen_round < end) listed_diff[run.first_seen_round] += run.end - run.begin;
+    for (std::uint32_t id = run.begin; id < run.end; ++id) {
+      if (sites[id].v6_record == web::kNoV6Record) continue;
+      const web::V6Presence& v6 = records[sites[id].v6_record];
+      const std::uint64_t lo = std::max(run.first_seen_round, v6.from_round);
+      const std::uint64_t hi = std::min(std::uint64_t{v6.until_round}, end);
+      if (lo >= hi) continue;
+      ++v6_diff[lo];
+      --v6_diff[hi];
+    }
   }
   std::vector<Fig1Point> out;
   out.reserve(end);
@@ -67,13 +74,18 @@ std::vector<Fig3aBucket> fig3a_buckets(const web::SiteCatalog& catalog,
   constexpr std::size_t kBuckets = std::size(kDefs);
   // One scan: each listed site counts once, into the tightest bucket
   // that holds its rank; the nested totals are running sums of those.
+  // Ranked ids are in listing order with rank id + 1, so the sites listed
+  // at `round` are ids [0, listed_at(round)) and each bucket is one id
+  // range of them.
   std::array<std::size_t, kBuckets> sites{}, v6{};
-  for (const web::Site& s : catalog.sites()) {
-    if (s.from_dns_cache || s.rank == 0 || !s.in_list_at(round)) continue;
-    std::size_t b = 0;
-    while (s.rank > kDefs[b].max_rank) ++b;
-    ++sites[b];
-    if (s.dual_stack_at(round)) ++v6[b];
+  const std::size_t listed = catalog.listed_at(round);
+  std::size_t id = 0;
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    const std::size_t bucket_end = std::min<std::size_t>(listed, kDefs[b].max_rank);
+    for (; id < bucket_end; ++id) {
+      ++sites[b];
+      if (catalog.dual_stack_at(catalog.sites()[id], round)) ++v6[b];
+    }
   }
   std::vector<Fig3aBucket> out;
   std::size_t total_sites = 0, total_v6 = 0;
@@ -104,7 +116,7 @@ Fig3b fig3b_sample_bias(const VpReport& vp, const web::SiteCatalog& catalog) {
     const bool faster = a.v6_speed > a.v4_speed;
     ++f.all_n;
     all_faster += faster ? 1 : 0;
-    if (!s.from_dns_cache) {
+    if (!catalog.from_dns_cache(s)) {
       ++f.top_list_n;
       top_faster += faster ? 1 : 0;
     }

@@ -121,6 +121,15 @@ class Rib {
   [[nodiscard]] std::size_t v4_routes() const { return v4_.size(); }
   [[nodiscard]] std::size_t v6_routes() const { return v6_.size(); }
 
+  /// Bytes both tables hold, by size: trie nodes, route entries (withdrawn
+  /// ones keep their slot) and each entry's AS_PATH elements.
+  [[nodiscard]] std::size_t bytes() const {
+    const auto path_bytes = [](const RibEntry& e) {
+      return e.as_path.size() * sizeof(topo::Asn);
+    };
+    return v4_.bytes(path_bytes) + v6_.bytes(path_bytes);
+  }
+
   /// Visit all routes of one family (used by coverage statistics).
   template <typename Fn>
   void for_each_v4(Fn&& fn) const {

@@ -29,6 +29,7 @@ struct CampaignMetricIds {
   obs::MetricId ingest_flushes = obs::metrics().counter("ingest.flushes");
   obs::MetricId results_bytes = obs::metrics().counter("mem.results_bytes");
   obs::MetricId catalog_bytes = obs::metrics().counter("mem.catalog_bytes");
+  obs::MetricId rib_bytes = obs::metrics().counter("mem.rib_bytes");
   obs::MetricId resolved_slots_bytes = obs::metrics().counter("mem.resolved_slots_bytes");
   obs::MetricId dns_queries = obs::metrics().counter("dns.queries");
   obs::MetricId dns_timeouts = obs::metrics().counter("dns.timeouts");
@@ -140,20 +141,23 @@ void Campaign::init_store(VpStore& store, std::size_t vp_index,
 }
 
 Campaign::SiteScanIndex::SiteScanIndex(const web::SiteCatalog& catalog) {
-  flags.reserve(catalog.size());
+  flags.resize(catalog.size(), 0);
   for (std::vector<std::uint32_t>& counts : listed) {
     counts.assign(kMaxCampaignRounds, 0);
   }
-  for (const web::Site& s : catalog.sites()) {
-    // Flags are indexed by position; the catalog guarantees id ==
-    // position, and everything here silently breaks if that drifts.
-    V6MON_REQUIRE(s.id == flags.size(), "site id != catalog position");
-    flags.push_back(s.from_dns_cache ? kViaDnsCache : 0);
-    if (s.first_seen_round < kMaxCampaignRounds) {
-      ++listed[s.from_dns_cache ? 1 : 0][s.first_seen_round];
+  // Flags are indexed by position; the catalog guarantees id == position,
+  // and everything here silently breaks if that drifts.
+  V6MON_REQUIRE(catalog.size() == 0 || catalog.sites().back().id == catalog.size() - 1,
+                "site id != catalog position");
+  for (const web::ListingRun& run : catalog.listing_runs()) {
+    if (run.from_dns_cache) {
+      std::fill(flags.begin() + run.begin, flags.begin() + run.end, kViaDnsCache);
+    }
+    if (run.first_seen_round < kMaxCampaignRounds) {
+      listed[run.from_dns_cache ? 1 : 0][run.first_seen_round] += run.end - run.begin;
     }
   }
-  // Histogram of first_seen_round -> sites listed by round r.
+  // Histogram of first listed round -> sites listed by round r.
   for (std::vector<std::uint32_t>& counts : listed) {
     for (std::size_t r = 1; r < counts.size(); ++r) counts[r] += counts[r - 1];
   }
@@ -165,9 +169,9 @@ std::uint64_t Campaign::SiteScanIndex::listed_at(std::uint32_t round,
 }
 
 Campaign::SiteScanIndex::Candidate Campaign::SiteScanIndex::candidate(
-    const web::Site& site) const {
-  return {site.id, site.first_seen_round, site.v6_from_round, site.v6_until_round,
-          flags[site.id]};
+    const web::SiteCatalog& catalog, std::uint32_t id, std::uint32_t first_seen) const {
+  const web::V6Presence v6 = catalog.v6_presence(catalog.site(id));
+  return {id, first_seen, v6.from_round, v6.until_round, flags[id]};
 }
 
 Campaign::Campaign(const World& world, CampaignConfig config)
@@ -212,7 +216,9 @@ void Campaign::advance_world(std::uint32_t round) {
     std::vector<SiteScanIndex::Candidate>& rows = scan_.candidates;
     const auto old_end = static_cast<std::ptrdiff_t>(rows.size());
     for (const std::uint32_t id : summary.sites_gained_aaaa) {
-      const SiteScanIndex::Candidate row = scan_.candidate(world_.catalog.site(id));
+      const web::SiteCatalog& catalog = world_.catalog;
+      const SiteScanIndex::Candidate row =
+          scan_.candidate(catalog, id, catalog.first_seen_round(catalog.site(id)));
       if (row.first_seen >= kMaxCampaignRounds) continue;
       const auto it = std::lower_bound(
           rows.begin(), rows.begin() + old_end, id,
@@ -347,12 +353,14 @@ void Campaign::ensure_work_index() {
     }
     // Every other listed site is kV4Only at every round, whatever the
     // vantage point: the round counts it without visiting it.
-    for (const web::Site& s : world_.catalog.sites()) {
-      const SiteScanIndex::Candidate row = scan_.candidate(s);
-      if (row.first_seen >= kMaxCampaignRounds) continue;
-      if (!config_.fast_path || row.v6_from != web::kNever ||
-          (row.flags & SiteScanIndex::kFate) != 0) {
-        scan_.candidates.push_back(row);
+    const web::SiteCatalog& catalog = world_.catalog;
+    for (const web::ListingRun& run : catalog.listing_runs()) {
+      if (run.first_seen_round >= kMaxCampaignRounds) continue;
+      for (std::uint32_t id = run.begin; id < run.end; ++id) {
+        if (!config_.fast_path || catalog.sites()[id].v6_record != web::kNoV6Record ||
+            (scan_.flags[id] & SiteScanIndex::kFate) != 0) {
+          scan_.candidates.push_back(scan_.candidate(catalog, id, run.first_seen_round));
+        }
       }
     }
   });
@@ -422,7 +430,7 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
       }
       queued = 0;
     };
-    // Same predicates as Site::in_list_at / Site::dual_stack_at, over the
+    // Same predicates as SiteCatalog::in_list_at / dual_stack_at, over the
     // candidates only, in ascending id order.
     for (const SiteScanIndex::Candidate& c : scan_.candidates) {
       if ((c.flags & SiteScanIndex::kViaDnsCache) != 0 && !supplement) continue;
@@ -558,9 +566,14 @@ void Campaign::run_w6d() {
   // world version the regular rounds left behind (run() has advanced
   // through every epoch <= num_rounds by the w6d round's pass). That is
   // the intended semantics — W6D happens on the evolved topology.
+  // Every participant has an AAAA window, so its flag is in its IPv6
+  // presence record.
   std::vector<std::uint32_t> participants;
+  const std::vector<web::V6Presence>& records = world_.catalog.v6_records();
   for (const web::Site& s : world_.catalog.sites()) {
-    if (s.w6d_participant) participants.push_back(s.id);
+    if (s.v6_record != web::kNoV6Record && records[s.v6_record].w6d_participant) {
+      participants.push_back(s.id);
+    }
   }
   // One chain per participating vantage point: a VP's whole mini-round
   // sequence runs on one thread, so mini ordering and the w6d-store ->
@@ -611,6 +624,9 @@ void Campaign::finalize() {
   for (const VpStore* store : stores) bytes += store->db->bytes();
   obs::metrics().add(ids.results_bytes, bytes);
   obs::metrics().add(ids.catalog_bytes, world_.catalog.bytes());
+  std::size_t rib_bytes = 0;
+  for (const VantagePoint& vp : world_.vantage_points) rib_bytes += vp.rib.bytes();
+  obs::metrics().add(ids.rib_bytes, rib_bytes);
   std::size_t slot_bytes = 0;
   for (const Monitor& m : monitors_) {
     slot_bytes += m.resolved_sites().bytes() + m.routes().bytes();

@@ -151,8 +151,9 @@ class Campaign {
   /// spool files for the kSpool backend) and finalize every ResultsDb,
   /// the stores in parallel on the campaign pool. Adds the stores' bytes
   /// (ResultsDb::bytes) to the `mem.results_bytes` counter, the catalog's
-  /// (SiteCatalog::bytes) to `mem.catalog_bytes` and the monitors'
-  /// resolved-site tables and route registries (ResolvedSiteTable::bytes,
+  /// (SiteCatalog::bytes) to `mem.catalog_bytes`, the vantage points'
+  /// RIBs (Rib::bytes) to `mem.rib_bytes` and the monitors' resolved-site
+  /// tables and route registries (ResolvedSiteTable::bytes,
   /// PathRegistry::bytes) to `mem.resolved_slots_bytes`. Call after all runs,
   /// before analysis. Idempotent; no run_round / run_w6d calls may
   /// follow. When stores fail (Error, IoError from a spool), every other
@@ -229,8 +230,10 @@ class Campaign {
     /// the DNS-cache supplement.
     [[nodiscard]] std::uint64_t listed_at(std::uint32_t round,
                                           bool supplement) const;
-    /// The walk's row for `site`, read from the catalog's current state.
-    [[nodiscard]] Candidate candidate(const web::Site& site) const;
+    /// The walk's row for site `id`, first listed at `first_seen`, read
+    /// from the catalog's current state.
+    [[nodiscard]] Candidate candidate(const web::SiteCatalog& catalog, std::uint32_t id,
+                                      std::uint32_t first_seen) const;
   };
 
   /// Populate a freshly emplaced store in place (VpStore is immovable).

@@ -376,7 +376,7 @@ void Monitor::assign_resolve_slots(std::span<const std::uint32_t> sites,
   const std::size_t before = resolved_.size();
   for (const std::uint32_t id : sites) {
     const web::Site& s = world_.catalog.site(id);
-    const std::uint8_t epoch = s.hosting_epoch(round);
+    const std::uint8_t epoch = world_.catalog.hosting_epoch(s, round);
     if (resolved_.find(id, epoch) == ResolvedSiteTable::kNoSlot) {
       resolved_.assign(s, epoch);
     }
@@ -401,7 +401,8 @@ Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
   {
     obs::TraceSpan span(obs::Stage::kDnsResolve);
     has_a = !(a_first ? loss.first : loss.second);
-    has_aaaa = !(a_first ? loss.second : loss.first) && site.dual_stack_at(round);
+    has_aaaa = !(a_first ? loss.second : loss.first) &&
+               world_.catalog.dual_stack_at(site, round);
   }
   if (!has_a && !has_aaaa) {
     obs.status = MonitorStatus::kDnsFailed;
@@ -431,7 +432,8 @@ Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
   const ResolvedSiteRow* row = &local;
   {
     obs::TraceSpan span(obs::Stage::kSiteResolve);
-    const std::uint32_t slot = resolved_.find(site.id, site.hosting_epoch(round));
+    const std::uint32_t slot =
+        resolved_.find(site.id, world_.catalog.hosting_epoch(site, round));
     if (slot == ResolvedSiteTable::kNoSlot) {
       resolve_addresses(answers.v4_addr, answers.v6_addr, local);
       obs.route_pair = routes_->intern_pair(local.v4_route, local.v6_route, vp_.has_as_path);
@@ -478,7 +480,8 @@ Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
   const web::V6Presence presence = world_.catalog.v6_presence(site);
   const double v4_page = site.page_kb;
   const double v6_page = site.page_kb * presence.page_ratio;
-  const double v4_rate = site.server_rate_kBps * site.server_multiplier_at(round);
+  const double v4_rate =
+      site.server_rate_kBps * world_.catalog.server_multiplier_at(site, round);
   const double v6_rate = v4_rate * presence.server_factor;
 
   // Hoist the draw-independent download math; attempts/failures accumulate

@@ -37,7 +37,7 @@ struct ResolvedSiteRow {
 /// Cache of per-(vantage, site) phase-2 state that is a pure function of
 /// the world at a world epoch: addresses, RIB routes, characterized +
 /// 6to4-adjusted paths and the phase-2 gate verdict. One row per
-/// slot, keyed by (site, hosting epoch — web::Site::hosting_epoch);
+/// slot, keyed by (site, hosting epoch — web::SiteCatalog::hosting_epoch);
 /// materialized on first use and reused for every later round, so only DNS
 /// draws and download sampling remain per-round work. Page sizes and
 /// server rates are not cached: monitor_site reads them from the live

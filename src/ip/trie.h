@@ -114,6 +114,16 @@ class PrefixTrie {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
+  /// Bytes the trie holds, by size (not capacity): its nodes and every
+  /// value slot, erased ones included, plus `value_bytes(v)` for what
+  /// each slot's value owns on the heap.
+  template <typename Fn>
+  [[nodiscard]] std::size_t bytes(Fn&& value_bytes) const {
+    std::size_t total = nodes_.size() * sizeof(Node) + values_.size() * sizeof(Value);
+    for (const Value& v : values_) total += value_bytes(v);
+    return total;
+  }
+
   /// Visit every (prefix, value) pair in lexicographic bit order.
   template <typename Fn>
   void for_each(Fn&& fn) const {

@@ -53,6 +53,7 @@ constexpr const char* kCounterNames[] = {
     "mem.catalog_bytes",
     "mem.resolved_slots_bytes",
     "mem.results_bytes",
+    "mem.rib_bytes",
     "monitor.ci_exhausted",
     "monitor.resolved_slots",
     "monitor.row_fills",

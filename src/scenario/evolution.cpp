@@ -64,7 +64,7 @@ struct EvolvedState {
     }
     site_has_aaaa.resize(world.catalog.size());
     for (const web::Site& s : world.catalog.sites()) {
-      site_has_aaaa[s.id] = s.v6_from_round != web::kNever ? 1 : 0;
+      site_has_aaaa[s.id] = s.v6_record != web::kNoV6Record ? 1 : 0;
     }
   }
 };

@@ -165,13 +165,11 @@ SiteCatalog SiteCatalog::generate(const topo::AsGraph& graph,
   }
   if (acc <= 0.0) throw ConfigError("round_weights sum to zero");
   // The round at which an adopting site becomes IPv6-accessible. Index 0
-  // means "before the campaign"; the site's v6_from_round is then its
-  // first_seen_round.
+  // means "before the campaign"; the site's AAAA window then opens at its
+  // first listed round.
   const CumulativeIndex adoption_rounds(std::move(cumulative));
 
-  const std::size_t initial = params.initial_sites;
-  const std::size_t churned = params.churn_per_round * params.num_rounds;
-  const std::size_t total = initial + churned + params.dns_cache_sites;
+  const std::size_t total = cat.ranked_sites() + params.dns_cache_sites;
   cat.sites_.reserve(total);
 
   // Per-AS host counters so each site gets its own address within its
@@ -195,11 +193,15 @@ SiteCatalog SiteCatalog::generate(const topo::AsGraph& graph,
   // Every draw of the site stream, in site order. The two lognormals are
   // the exception: their polar loops run here (they decide how many words
   // the site consumes), but only the accepted pairs are kept; the value
-  // pass below turns them into page_kb and server_rate_kBps.
+  // pass below turns them into page_kb and server_rate_kBps. The site's
+  // IPv6 presence and Dynamics records are appended here, in site-id
+  // order, when it has an AAAA window or a step or trend.
   auto make_site = [&](Site& s, SitePolar& polar) {
-    const std::uint32_t rank = s.rank;
-    const std::uint32_t first_seen = s.first_seen_round;
-    const bool from_cache = s.from_dns_cache;
+    // The listing fields are not stored: the catalog derives them from
+    // the id, by the rule its accessors apply.
+    const std::uint32_t rank = cat.rank(s);
+    const std::uint32_t first_seen = cat.first_seen_round(s);
+    const bool from_cache = cat.from_dns_cache(s);
 
     // Adoption is decided up front: adopters pick hosting accordingly.
     const bool adopter = site_rng.chance(params.adoption.for_rank(rank));
@@ -230,9 +232,11 @@ SiteCatalog SiteCatalog::generate(const topo::AsGraph& graph,
     const std::uint64_t v4_cap = 1ULL << (32 - v4p.length());
     s.v4_addr = ip::offset_address(v4p.network(),
                                    v4_host_counter[s.v4_as]++ % v4_cap, 32);
-    // The IPv6 presence under construction; kept as a record only if the
-    // site ends up with an AAAA window.
+    // The IPv6 presence and dynamics under construction; each is kept as
+    // a record only if the site ends up with an AAAA window, or a step or
+    // trend.
     V6Presence v6{s.v4_as, {}, 1.0f, 1.0f};
+    Dynamics dyn;
 
     polar.page = site_rng.polar_pair();
     polar.rate = site_rng.polar_pair();
@@ -240,7 +244,7 @@ SiteCatalog SiteCatalog::generate(const topo::AsGraph& graph,
     // --- IPv6 adoption -------------------------------------------------
     if (adopter) {
       const auto draw = static_cast<std::uint32_t>(draw_index(adoption_rounds, site_rng));
-      s.v6_from_round = draw == 0 ? first_seen : std::max(first_seen, draw);
+      v6.from_round = draw == 0 ? first_seen : std::max(first_seen, draw);
 
       // Hosting of the IPv6 presence: same AS when it can, else (for a
       // minority) a different IPv6-capable AS -> DL category; the rest of
@@ -251,11 +255,11 @@ SiteCatalog SiteCatalog::generate(const topo::AsGraph& graph,
       const double stranded_fallback =
           on_cdn ? params.cdn_v6_origin_prob : params.dl_fallback_prob;
       if (!own_as_can && !site_rng.chance(stranded_fallback)) {
-        s.v6_from_round = kNever;
+        v6.from_round = kNever;
       } else if (!own_as_can || force_dl) {
         const topo::Asn alt = hosts.draw_v6(graph, s.v4_as, site_rng);
         if (alt == topo::kNoAs) {
-          s.v6_from_round = kNever;  // nowhere to host IPv6
+          v6.from_round = kNever;  // nowhere to host IPv6
         } else {
           v6.as = alt;
           // CDN-grade IPv4 vs origin-grade IPv6 delivery.
@@ -264,7 +268,7 @@ SiteCatalog SiteCatalog::generate(const topo::AsGraph& graph,
                                                   params.dl_v6_origin_factor_hi));
         }
       }
-      if (s.v6_from_round != kNever) {
+      if (v6.from_round != kNever) {
         const topo::AsNode& v6host = graph.node(v6.as);
         const ip::Ipv6Prefix& v6p = v6host.v6_prefixes.front();
         v6.addr = ip::offset_address(v6p.network(), v6_host_counter[v6.as]++, 128);
@@ -286,13 +290,13 @@ SiteCatalog SiteCatalog::generate(const topo::AsGraph& graph,
 
     // --- Non-stationarity ------------------------------------------------
     if (site_rng.chance(params.step_prob) && params.num_rounds > 4) {
-      s.step_round = first_seen + static_cast<std::uint32_t>(site_rng.uniform_u64(
+      dyn.step_round = first_seen + static_cast<std::uint32_t>(site_rng.uniform_u64(
                                       2, params.num_rounds - 2));
-      s.step_factor = static_cast<float>(
+      dyn.step_factor = static_cast<float>(
           site_rng.chance(0.5) ? site_rng.uniform(1.5, 3.0) : site_rng.uniform(0.3, 0.65));
-      s.step_from_path_change = site_rng.chance(params.step_path_change_fraction);
+      dyn.step_from_path_change = site_rng.chance(params.step_path_change_fraction);
     } else if (site_rng.chance(params.trend_prob)) {
-      s.trend_per_round = static_cast<float>(
+      dyn.trend_per_round = static_cast<float>(
           (site_rng.chance(0.5) ? 1.0 : -1.0) * params.trend_magnitude *
           site_rng.uniform(0.6, 1.6));
     }
@@ -307,8 +311,8 @@ SiteCatalog SiteCatalog::generate(const topo::AsGraph& graph,
         // Participants made sure both network presence and servers were
         // fully IPv6-qualified for the event (hosting IPv6 at an origin
         // when their own/CDN network could not carry it).
-        s.w6d_participant = true;
-        if (s.v6_from_round == kNever || s.v6_from_round > params.w6d_round) {
+        v6.w6d_participant = true;
+        if (v6.from_round == kNever || v6.from_round > params.w6d_round) {
           if (v6.as == s.v4_as && !graph.node(s.v4_as).has_v6) {
             // A would-be participant without IPv6-capable infrastructure
             // only sometimes stands up an off-AS origin for the event.
@@ -320,32 +324,37 @@ SiteCatalog SiteCatalog::generate(const topo::AsGraph& graph,
           if (graph.node(v6.as).has_v6) {
             const ip::Ipv6Prefix& v6p = graph.node(v6.as).v6_prefixes.front();
             v6.addr = ip::offset_address(v6p.network(), v6_host_counter[v6.as]++, 128);
-            s.v6_from_round = std::max(first_seen, params.w6d_round);
+            v6.from_round = std::max(first_seen, params.w6d_round);
             // Most event-only participants pulled the AAAA again after
             // June 8; only a minority kept it.
             if (!site_rng.chance(params.w6d_keep_prob)) {
-              s.v6_until_round = params.w6d_round + 1;
+              v6.until_round = params.w6d_round + 1;
             }
           } else {
-            s.w6d_participant = false;
+            v6.w6d_participant = false;
           }
         }
-        if (s.w6d_participant) v6.server_factor = 1.0f;
+        if (v6.w6d_participant) v6.server_factor = 1.0f;
       }
     }
 
     // Sites without an AAAA window keep the default presence, which
-    // v6_presence reproduces without a record.
-    if (s.v6_from_round != kNever) {
+    // v6_presence reproduces without a record; likewise for dynamics.
+    if (v6.from_round != kNever) {
       s.v6_record = static_cast<std::uint32_t>(cat.v6_records_.size());
       cat.v6_records_.push_back(v6);
+    }
+    if (dyn.step_round != kNever || dyn.trend_per_round != 0.0f) {
+      s.dynamics = static_cast<std::uint32_t>(cat.dynamics_.size());
+      cat.dynamics_.push_back(dyn);
     }
   };
 
   // Relocation for path-change step sites: new hosting ASes + addresses
   // effective from step_round.
   auto maybe_relocate = [&](const Site& s) {
-    if (s.step_round == kNever || !s.step_from_path_change) return;
+    const Dynamics dyn = cat.dynamics(s);
+    if (dyn.step_round == kNever || !dyn.step_from_path_change) return;
     Hosting h;
     h.v4_as = hosts.draw(site_rng);
     const topo::AsNode& nhost = graph.node(h.v4_as);
@@ -355,7 +364,7 @@ SiteCatalog SiteCatalog::generate(const topo::AsGraph& graph,
     const V6Presence v6 = cat.v6_presence(s);
     h.v6_as = v6.as;
     h.v6_addr = v6.addr;
-    if (s.v6_from_round != kNever) {
+    if (v6.from_round != kNever) {
       const topo::Asn alt = graph.node(h.v4_as).has_v6
                                 ? h.v4_as
                                 : hosts.draw_v6(graph, h.v4_as, site_rng);
@@ -414,15 +423,6 @@ SiteCatalog SiteCatalog::generate(const topo::AsGraph& graph,
       // list members), then the unranked "DNS cache" sample.
       Site& s = block.sites.emplace_back();
       s.id = static_cast<std::uint32_t>(i);
-      if (i < initial) {
-        s.rank = s.id + 1;
-      } else if (i < initial + churned) {
-        s.rank = s.id + 1;
-        s.first_seen_round =
-            static_cast<std::uint32_t>((i - initial) / params.churn_per_round + 1);
-      } else {
-        s.from_dns_cache = true;
-      }
       make_site(s, block.polar.emplace_back());
       maybe_relocate(s);
     }
@@ -436,11 +436,14 @@ SiteCatalog SiteCatalog::generate(const topo::AsGraph& graph,
     finisher->submit([&finish_block, &block] { finish_block(block); });
   }
   if (finisher) finisher->wait_idle();
+  // The record vectors grew by doubling; keep only what they hold.
+  cat.v6_records_.shrink_to_fit();
+  cat.dynamics_.shrink_to_fit();
   return cat;
 }
 
 Hosting SiteCatalog::hosting_at(const Site& s, std::uint32_t round) const {
-  if (s.hosting_epoch(round) == 1) {
+  if (hosting_epoch(s, round) == 1) {
     const auto it = relocations_.find(s.id);
     if (it != relocations_.end()) return it->second;
   }
@@ -450,6 +453,7 @@ Hosting SiteCatalog::hosting_at(const Site& s, std::uint32_t round) const {
 
 std::size_t SiteCatalog::bytes() const {
   return sites_.size() * sizeof(Site) + v6_records_.size() * sizeof(V6Presence) +
+         dynamics_.size() * sizeof(Dynamics) +
          relocations_.size() * sizeof(decltype(relocations_)::value_type);
 }
 
@@ -458,20 +462,42 @@ const Hosting* SiteCatalog::relocation(std::uint32_t site_id) const {
   return it == relocations_.end() ? nullptr : &it->second;
 }
 
+std::vector<ListingRun> SiteCatalog::listing_runs() const {
+  const auto n = static_cast<std::uint32_t>(sites_.size());
+  std::vector<ListingRun> runs;
+  runs.reserve(params_.num_rounds + 2);
+  auto add = [&runs, n](std::size_t begin, std::size_t end, std::uint32_t round,
+                        bool from_cache) {
+    const auto b = static_cast<std::uint32_t>(std::min<std::size_t>(begin, n));
+    const auto e = static_cast<std::uint32_t>(std::min<std::size_t>(end, n));
+    if (b < e) runs.push_back({b, e, round, from_cache});
+  };
+  const std::size_t initial = params_.initial_sites;
+  const std::size_t churn = params_.churn_per_round;
+  add(0, initial, 0, false);
+  for (std::size_t r = 1; churn != 0 && r <= params_.num_rounds; ++r) {
+    add(initial + (r - 1) * churn, initial + r * churn, static_cast<std::uint32_t>(r),
+        false);
+  }
+  add(ranked_sites(), n, 0, true);
+  return runs;
+}
+
 double SiteCatalog::reachability_at(std::uint32_t round) const {
-  std::size_t listed = 0, v6 = 0;
-  for (const Site& s : sites_) {
-    if (s.from_dns_cache || !s.in_list_at(round)) continue;
-    ++listed;
-    if (s.dual_stack_at(round)) ++v6;
+  // Ranked ids are in listing order, so the sites listed at `round` are
+  // ids [0, listed_at(round)).
+  const std::size_t listed = listed_at(round);
+  std::size_t v6 = 0;
+  for (std::size_t id = 0; id < listed; ++id) {
+    if (dual_stack_at(sites_[id], round)) ++v6;
   }
   return listed == 0 ? 0.0 : static_cast<double>(v6) / static_cast<double>(listed);
 }
 
 std::size_t SiteCatalog::listed_at(std::uint32_t round) const {
   std::size_t listed = 0;
-  for (const Site& s : sites_) {
-    if (!s.from_dns_cache && s.in_list_at(round)) ++listed;
+  for (const ListingRun& run : listing_runs()) {
+    if (!run.from_dns_cache && round >= run.first_seen_round) listed += run.end - run.begin;
   }
   return listed;
 }
@@ -481,15 +507,14 @@ void SiteCatalog::grant_aaaa(std::uint32_t site_id, std::uint32_t from_round,
                              float v6_server_factor) {
   if (site_id >= sites_.size()) throw ConfigError("grant_aaaa: site id out of range");
   Site& s = sites_[site_id];
-  if (s.v6_from_round != kNever) {
+  if (s.v6_record != kNoV6Record) {
     throw ConfigError("grant_aaaa: site " + std::to_string(site_id) +
                       " already has an IPv6 window");
   }
   if (v6_as == topo::kNoAs) throw ConfigError("grant_aaaa: invalid hosting AS");
-  s.v6_from_round = from_round;
-  s.v6_until_round = kNever;
   s.v6_record = static_cast<std::uint32_t>(v6_records_.size());
-  v6_records_.push_back(V6Presence{v6_as, v6_addr, 1.0f, v6_server_factor});
+  v6_records_.push_back(
+      V6Presence{v6_as, v6_addr, 1.0f, v6_server_factor, from_round, kNever, false});
 }
 
 }  // namespace v6mon::web

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
@@ -111,10 +112,10 @@ struct CatalogParams {
 };
 
 /// Where a site's presences live at a given round. Usually constant; a
-/// site flagged `step_from_path_change` relocates (new hosting AS and
-/// addresses) at `step_round`, so its performance step coincides with a
-/// genuine AS-path change — the correlation the paper reports for a
-/// subset of its Table 3 transitions.
+/// site whose Dynamics record has `step_from_path_change` relocates (new
+/// hosting AS and addresses) at `step_round`, so its performance step
+/// coincides with a genuine AS-path change — the correlation the paper
+/// reports for a subset of its Table 3 transitions.
 struct Hosting {
   topo::Asn v4_as = topo::kNoAs;
   ip::Ipv4Address v4_addr;
@@ -122,15 +123,33 @@ struct Hosting {
   ip::Ipv6Address v6_addr;
 };
 
-/// A site's IPv6 presence: where its AAAA record points and how its
-/// server treats IPv6. The catalog keeps one record per site that ever
-/// gets an AAAA window (about 1% of them); every other site reads as the
-/// default presence of SiteCatalog::v6_presence.
+/// A site's IPv6 presence: where its AAAA record points, how its server
+/// treats IPv6, and when the record exists. The catalog keeps one record
+/// per site that ever gets an AAAA window (about 1% of them); every other
+/// site reads as the default presence of SiteCatalog::v6_presence.
 struct V6Presence {
   topo::Asn as = topo::kNoAs;  ///< AS hosting the IPv6 presence (may differ: DL).
   ip::Ipv6Address addr;
   float page_ratio = 1.0f;     ///< v6 page bytes / v4 page bytes.
   float server_factor = 1.0f;  ///< <1: the server delivers IPv6 slower.
+  /// First round at which the AAAA record exists; kNever = IPv4-only.
+  std::uint32_t from_round = kNever;
+  /// First round at which the AAAA record is gone again (exclusive);
+  /// kNever = permanent. World IPv6 Day participants that did not keep
+  /// IPv6 after the event have a one-round window here.
+  std::uint32_t until_round = kNever;
+  bool w6d_participant = false;  ///< Advertised World IPv6 Day participation.
+};
+
+static_assert(sizeof(V6Presence) == 40, "web::V6Presence grew: check its field order");
+
+/// A run of consecutive site ids that entered the monitored list at the
+/// same round (SiteCatalog::listing_runs).
+struct ListingRun {
+  std::uint32_t begin = 0;  ///< First site id of the run.
+  std::uint32_t end = 0;    ///< One past its last site id.
+  std::uint32_t first_seen_round = 0;
+  bool from_dns_cache = false;  ///< The unranked supplemental sample.
 };
 
 /// Exact inverse-CDF search over a non-decreasing table of cumulative
@@ -183,12 +202,45 @@ class SiteCatalog {
   static SiteCatalog generate(const topo::AsGraph& graph, const CatalogParams& params,
                               util::Rng& rng, std::size_t threads = 1);
 
-  /// Effective hosting of a site at a round (applies relocations).
-  [[nodiscard]] Hosting hosting_at(const Site& s, std::uint32_t round) const;
+  // --- Listing: a function of the site id -----------------------------
+  // Ids [0, initial_sites) are the ranked list from round 0; then each
+  // round r = 1..num_rounds adds churn_per_round new, lower-ranked
+  // entrants; the remaining ids are the unranked DNS-cache sample, listed
+  // from round 0.
+
+  /// Sites of the ranked list, churn entrants included.
+  [[nodiscard]] std::size_t ranked_sites() const {
+    return params_.initial_sites + params_.churn_per_round * params_.num_rounds;
+  }
+  /// Supplemental (unranked) sample member: the paper's ~5M-site
+  /// DNS-cache sample.
+  [[nodiscard]] bool from_dns_cache(const Site& s) const { return s.id >= ranked_sites(); }
+  /// 1-based Alexa-style rank; 0 for the unranked supplemental sites.
+  [[nodiscard]] std::uint32_t rank(const Site& s) const {
+    return from_dns_cache(s) ? 0 : s.id + 1;
+  }
+  /// Round the site first appeared in the monitored list (churn). A
+  /// division for churn entrants: loops over every site walk
+  /// listing_runs() instead.
+  [[nodiscard]] std::uint32_t first_seen_round(const Site& s) const {
+    if (s.id < params_.initial_sites || from_dns_cache(s)) return 0;
+    return static_cast<std::uint32_t>((s.id - params_.initial_sites) /
+                                          params_.churn_per_round +
+                                      1);
+  }
+  [[nodiscard]] bool in_list_at(const Site& s, std::uint32_t round) const {
+    return round >= first_seen_round(s);
+  }
+  /// The catalog's ids as listing runs, in id order: the initial list,
+  /// each round's churn entrants, then the DNS-cache sample. Empty runs
+  /// are left out; at most num_rounds + 2 runs.
+  [[nodiscard]] std::vector<ListingRun> listing_runs() const;
+
+  // --- Per-site records -------------------------------------------------
 
   /// The site's IPv6 presence record; a site without one (IPv4-only)
   /// reads as hosted in its IPv4 AS at the zero address, with both
-  /// factors 1.0.
+  /// factors 1.0, no AAAA window and no World IPv6 Day participation.
   [[nodiscard]] V6Presence v6_presence(const Site& s) const {
     if (s.v6_record == kNoV6Record) return V6Presence{s.v4_as, {}, 1.0f, 1.0f};
     return v6_records_[s.v6_record];
@@ -198,12 +250,56 @@ class SiteCatalog {
   [[nodiscard]] bool different_location(const Site& s) const {
     return s.v6_record != kNoV6Record && v6_records_[s.v6_record].as != s.v4_as;
   }
+  /// The site has an AAAA record at `round`.
+  [[nodiscard]] bool dual_stack_at(const Site& s, std::uint32_t round) const {
+    if (s.v6_record == kNoV6Record) return false;
+    const V6Presence& v6 = v6_records_[s.v6_record];
+    return round >= v6.from_round && round < v6.until_round;
+  }
   /// Every IPv6 presence record: generated ones in site-id order, then
   /// one per grant_aaaa in grant order.
   [[nodiscard]] const std::vector<V6Presence>& v6_records() const { return v6_records_; }
 
-  /// Bytes the catalog holds: its sites, IPv6 records and relocation
-  /// entries, by size (not capacity).
+  /// The site's non-stationarity record; a site without one reads as
+  /// the default (no step, no trend).
+  [[nodiscard]] Dynamics dynamics(const Site& s) const {
+    return s.dynamics == kNoDynamics ? Dynamics{} : dynamics_[s.dynamics];
+  }
+  /// Every Dynamics record, in site-id order.
+  [[nodiscard]] const std::vector<Dynamics>& dynamics_records() const { return dynamics_; }
+
+  /// Hosting epoch at a round: 0 = original hosting, 1 = the relocated
+  /// hosting of a `step_from_path_change` site at/after its step round.
+  /// A site's addresses are constant within a hosting epoch, so the
+  /// monitor's resolved-site rows are keyed on it.
+  [[nodiscard]] std::uint8_t hosting_epoch(const Site& s, std::uint32_t round) const {
+    if (s.dynamics == kNoDynamics) return 0;
+    const Dynamics& d = dynamics_[s.dynamics];
+    const bool relocated =
+        d.step_round != kNever && d.step_from_path_change && round >= d.step_round;
+    return relocated ? 1 : 0;
+  }
+  /// Server performance multiplier at a given round: non-stationarity only.
+  [[nodiscard]] double server_multiplier_at(const Site& s, std::uint32_t round) const {
+    if (s.dynamics == kNoDynamics) return 1.0;
+    const Dynamics& d = dynamics_[s.dynamics];
+    double m = 1.0;
+    if (d.step_round != kNever && round >= d.step_round) m *= d.step_factor;
+    if (d.trend_per_round != 0.0f) {
+      const std::uint32_t first_seen = first_seen_round(s);
+      if (round > first_seen) {
+        m *= std::pow(1.0 + static_cast<double>(d.trend_per_round),
+                      static_cast<double>(round - first_seen));
+      }
+    }
+    return m;
+  }
+
+  /// Effective hosting of a site at a round (applies relocations).
+  [[nodiscard]] Hosting hosting_at(const Site& s, std::uint32_t round) const;
+
+  /// Bytes the catalog holds: its sites, IPv6 presence and Dynamics
+  /// records and relocation entries, by size (not capacity).
   [[nodiscard]] std::size_t bytes() const;
 
   /// The relocation record for a site, if any.
@@ -227,7 +323,8 @@ class SiteCatalog {
 
   /// Epoch engine (kSiteGainsAaaa): an IPv4-only site stands up an AAAA
   /// record from `from_round` on, hosted in `v6_as` at `v6_addr`; its
-  /// IPv6 presence record is appended.
+  /// IPv6 presence record, window included, is appended. Its Dynamics
+  /// record (if any) is untouched.
   /// Rejects sites that already have (or ever had) an IPv6 window — the
   /// evolution generator only selects IPv4-only sites, and double grants
   /// would silently rewrite history the DNS layer already served.
@@ -237,6 +334,7 @@ class SiteCatalog {
  private:
   std::vector<Site> sites_;
   std::vector<V6Presence> v6_records_;
+  std::vector<Dynamics> dynamics_;
   std::unordered_map<std::uint32_t, Hosting> relocations_;
   CatalogParams params_;
 };

@@ -57,7 +57,7 @@ TEST(SiteCatalog, Deterministic) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); i += 97) {
     EXPECT_EQ(a.site(i).v4_as, b.site(i).v4_as);
-    EXPECT_EQ(a.site(i).v6_from_round, b.site(i).v6_from_round);
+    EXPECT_EQ(a.v6_presence(a.site(i)).from_round, b.v6_presence(b.site(i)).from_round);
     EXPECT_EQ(a.site(i).page_kb, b.site(i).page_kb);
   }
 }
@@ -86,11 +86,13 @@ TEST(SiteCatalog, RankBucketsDriveAdoption) {
   const auto cat = SiteCatalog::generate(w.graph, p, rng);
   std::size_t top1k_v6 = 0, rest = 0, rest_v6 = 0;
   for (const Site& s : cat.sites()) {
-    if (s.rank >= 1 && s.rank <= 1000) {
-      top1k_v6 += s.v6_from_round != kNever ? 1 : 0;
-    } else if (s.rank > 100'000 || s.rank == 0) {
+    const std::uint32_t rank = cat.rank(s);
+    const bool v6 = cat.v6_presence(s).from_round != kNever;
+    if (rank >= 1 && rank <= 1000) {
+      top1k_v6 += v6 ? 1 : 0;
+    } else if (rank > 100'000 || rank == 0) {
       ++rest;
-      rest_v6 += s.v6_from_round != kNever ? 1 : 0;
+      rest_v6 += v6 ? 1 : 0;
     }
   }
   const double top_frac = static_cast<double>(top1k_v6) / 1000.0;
@@ -124,7 +126,7 @@ TEST(SiteCatalog, ReachabilityIsMonotone) {
   for (std::uint32_t r = 0; r <= static_cast<std::uint32_t>(p.num_rounds); ++r) {
     std::size_t v6 = 0;
     for (const Site& s : cat.sites()) {
-      if (!s.from_dns_cache && s.in_list_at(r) && s.dual_stack_at(r)) ++v6;
+      if (!cat.from_dns_cache(s) && cat.in_list_at(s, r) && cat.dual_stack_at(s, r)) ++v6;
     }
     EXPECT_GE(v6, prev_count);
     prev_count = v6;
@@ -143,7 +145,7 @@ TEST(SiteCatalog, DualStackSitesHaveConsistentHosting) {
     // v4 address must map back to the hosting AS.
     ASSERT_TRUE(om.origin_v4(s.v4_addr).has_value());
     EXPECT_EQ(*om.origin_v4(s.v4_addr), s.v4_as);
-    if (s.v6_from_round == kNever) continue;
+    if (cat.v6_presence(s).from_round == kNever) continue;
     ++dual;
     const V6Presence v6 = cat.v6_presence(s);
     EXPECT_TRUE(w.graph.node(v6.as).has_v6);
@@ -171,7 +173,7 @@ TEST(SiteCatalog, ServerPenaltyClustersByHostingAs) {
   // and almost-clean ASes, with few in between.
   std::map<topo::Asn, std::pair<std::size_t, std::size_t>> by_as;  // {dual, penalized}
   for (const Site& s : cat.sites()) {
-    if (s.v6_from_round == kNever) continue;
+    if (cat.v6_presence(s).from_round == kNever) continue;
     if (cat.different_location(s)) continue;  // DL sites carry the CDN/origin factor
     const V6Presence v6 = cat.v6_presence(s);
     auto& [dual, pen] = by_as[v6.as];
@@ -201,14 +203,23 @@ TEST(SiteCatalog, W6dParticipantsAreV6ByTheEvent) {
   p.initial_sites = 30'000;
   p.w6d_round = 15;
   const auto cat = SiteCatalog::generate(w.graph, p, rng);
-  std::size_t participants = 0;
+  // The flag lives in the IPv6 presence record, which every participant
+  // has; event-only participants close their window after the event.
+  std::size_t participants = 0, left = 0, flagged_records = 0;
   for (const Site& s : cat.sites()) {
-    if (!s.w6d_participant) continue;
+    const V6Presence v6 = cat.v6_presence(s);
+    if (!v6.w6d_participant) continue;
     ++participants;
-    EXPECT_TRUE(s.dual_stack_at(15)) << "site " << s.id;
-    EXPECT_EQ(cat.v6_presence(s).server_factor, 1.0f);
+    ASSERT_NE(s.v6_record, kNoV6Record) << "site " << s.id;
+    EXPECT_TRUE(cat.dual_stack_at(s, 15)) << "site " << s.id;
+    EXPECT_EQ(v6.server_factor, 1.0f);
+    left += v6.until_round == p.w6d_round + 1;
   }
+  for (const V6Presence& v6 : cat.v6_records()) flagged_records += v6.w6d_participant;
   EXPECT_GT(participants, 50u);
+  EXPECT_EQ(flagged_records, participants);
+  EXPECT_GT(left, 0u);
+  EXPECT_LT(left, participants);
 }
 
 TEST(SiteCatalog, V6RecordsOnlyForSitesWithAaaa) {
@@ -221,20 +232,34 @@ TEST(SiteCatalog, V6RecordsOnlyForSitesWithAaaa) {
   std::size_t with_aaaa = 0, v4_only = 0;
   std::uint32_t last_owner = 0;
   for (const Site& s : cat.sites()) {
-    if (s.v6_from_round == kNever) {
+    if (s.v6_record == kNoV6Record) {
       ++v4_only;
-      EXPECT_EQ(s.v6_record, kNoV6Record) << "site " << s.id;
       const V6Presence v6 = cat.v6_presence(s);
       EXPECT_EQ(v6.as, s.v4_as);
       EXPECT_EQ(v6.addr, ip::Ipv6Address{});
       EXPECT_EQ(v6.page_ratio, 1.0f);
       EXPECT_EQ(v6.server_factor, 1.0f);
+      EXPECT_EQ(v6.from_round, kNever);
+      EXPECT_EQ(v6.until_round, kNever);
+      EXPECT_FALSE(v6.w6d_participant);
       EXPECT_FALSE(cat.different_location(s));
+      for (std::uint32_t r = 0; r <= p.num_rounds; ++r) EXPECT_FALSE(cat.dual_stack_at(s, r));
       continue;
     }
     // Records are appended in site-id order: the k-th site with an AAAA
-    // window owns record k.
+    // window owns record k, and the record holds the window.
     ASSERT_EQ(s.v6_record, with_aaaa) << "site " << s.id;
+    const V6Presence& v6 = cat.v6_records()[s.v6_record];
+    EXPECT_NE(v6.from_round, kNever) << "site " << s.id;
+    EXPECT_GE(v6.from_round, cat.first_seen_round(s)) << "site " << s.id;
+    EXPECT_GT(v6.until_round, v6.from_round) << "site " << s.id;
+    EXPECT_TRUE(cat.dual_stack_at(s, v6.from_round)) << "site " << s.id;
+    if (v6.from_round > 0) {
+      EXPECT_FALSE(cat.dual_stack_at(s, v6.from_round - 1));
+    }
+    if (v6.until_round != kNever) {
+      EXPECT_FALSE(cat.dual_stack_at(s, v6.until_round));
+    }
     EXPECT_TRUE(with_aaaa == 0 || s.id > last_owner);
     last_owner = s.id;
     ++with_aaaa;
@@ -243,8 +268,158 @@ TEST(SiteCatalog, V6RecordsOnlyForSitesWithAaaa) {
   EXPECT_GT(with_aaaa, 0u);
   EXPECT_GT(v4_only, with_aaaa);
   EXPECT_EQ(cat.bytes(), cat.size() * sizeof(Site) + with_aaaa * sizeof(V6Presence) +
+                             cat.dynamics_records().size() * sizeof(Dynamics) +
                              cat.relocations().size() *
                                  sizeof(std::pair<const std::uint32_t, Hosting>));
+}
+
+static_assert(sizeof(Site) == 28, "a site keeps seven 4-byte fields");
+static_assert(sizeof(Dynamics) == 16, "a Dynamics record is 13 bytes padded to 16");
+
+/// A site's rank, first listed round and DNS-cache membership as the
+/// generation rules state them: the initial list, then churn_per_round
+/// entrants per round, then the unranked cache sample.
+struct Listing {
+  std::uint32_t rank;
+  std::uint32_t first_seen;
+  bool from_cache;
+};
+Listing listing_rule(const CatalogParams& p, std::size_t id) {
+  const std::size_t ranked = p.initial_sites + p.churn_per_round * p.num_rounds;
+  if (id >= ranked) return {0, 0, true};
+  const auto rank = static_cast<std::uint32_t>(id + 1);
+  if (id < p.initial_sites) return {rank, 0, false};
+  std::size_t first = 1;
+  for (std::size_t begin = p.initial_sites + p.churn_per_round; id >= begin;
+       begin += p.churn_per_round) {
+    ++first;
+  }
+  return {rank, static_cast<std::uint32_t>(first), false};
+}
+
+/// The derived listing fields match the generation rules at every site,
+/// the listing runs tile the ids in order, and what generation drew from
+/// a site's first listed round respects it: the AAAA window and the step
+/// open no earlier, and only listed ranked sites took part in W6D.
+void expect_listing_matches_rules(const SiteCatalog& cat) {
+  const CatalogParams& p = cat.params();
+  ASSERT_EQ(cat.size(), p.initial_sites + p.churn_per_round * p.num_rounds + p.dns_cache_sites);
+  std::size_t mismatches = 0;
+  for (const Site& s : cat.sites()) {
+    const Listing want = listing_rule(p, s.id);
+    mismatches += cat.rank(s) != want.rank || cat.first_seen_round(s) != want.first_seen ||
+                  cat.from_dns_cache(s) != want.from_cache;
+    const V6Presence v6 = cat.v6_presence(s);
+    if (v6.from_round != kNever) {
+      EXPECT_GE(v6.from_round, want.first_seen) << s.id;
+    }
+    const Dynamics d = cat.dynamics(s);
+    if (d.step_round != kNever) {
+      EXPECT_GE(d.step_round, want.first_seen + 2) << s.id;
+    }
+    if (v6.w6d_participant) {
+      EXPECT_FALSE(want.from_cache) << s.id;
+      EXPECT_LE(want.first_seen, p.w6d_round) << s.id;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+
+  std::uint32_t next = 0;
+  std::size_t listed_ranked = 0;
+  for (const ListingRun& run : cat.listing_runs()) {
+    ASSERT_EQ(run.begin, next);
+    ASSERT_LT(run.begin, run.end);
+    for (std::uint32_t id = run.begin; id < run.end; ++id) {
+      const Listing want = listing_rule(p, id);
+      ASSERT_EQ(run.first_seen_round, want.first_seen) << id;
+      ASSERT_EQ(run.from_dns_cache, want.from_cache) << id;
+    }
+    if (!run.from_dns_cache) listed_ranked += run.end - run.begin;
+    next = run.end;
+  }
+  EXPECT_EQ(next, cat.size());
+  EXPECT_EQ(listed_ranked, cat.ranked_sites());
+  EXPECT_LE(cat.listing_runs().size(), p.num_rounds + 2);
+}
+
+TEST(SiteCatalog, DerivedListingMatchesGenerationRules) {
+  {
+    SCOPED_TRACE("paper_spec(2011, 0.1)");
+    const core::World world = scenario::build_world(scenario::paper_spec(2011, 0.1));
+    EXPECT_GT(world.catalog.params().churn_per_round, 0u);
+    EXPECT_GT(world.catalog.params().dns_cache_sites, 0u);
+    expect_listing_matches_rules(world.catalog);
+  }
+  World w;
+  {
+    SCOPED_TRACE("multi-VP shape: 250 initial sites, churn 1 over 1,500 rounds");
+    CatalogParams p;
+    p.initial_sites = 250;
+    p.churn_per_round = 1;
+    p.num_rounds = 1500;
+    p.dns_cache_sites = 0;
+    util::Rng rng(12);
+    expect_listing_matches_rules(SiteCatalog::generate(w.graph, p, rng));
+  }
+  {
+    SCOPED_TRACE("no churn, with a cache sample");
+    CatalogParams p;
+    p.initial_sites = 3000;
+    p.churn_per_round = 0;
+    p.num_rounds = 20;
+    p.dns_cache_sites = 700;
+    p.w6d_round = 10;
+    util::Rng rng(13);
+    const SiteCatalog cat = SiteCatalog::generate(w.graph, p, rng);
+    expect_listing_matches_rules(cat);
+    EXPECT_EQ(cat.listing_runs().size(), 2u);
+  }
+}
+
+TEST(SiteCatalog, DynamicsRecordsOnlyForSitesWithStepOrTrend) {
+  World w;
+  util::Rng rng(14);
+  CatalogParams p = small_params();
+  p.initial_sites = 20'000;
+  const auto cat = SiteCatalog::generate(w.graph, p, rng);
+  std::size_t with = 0, steps = 0, trends = 0, path_changes = 0;
+  for (const Site& s : cat.sites()) {
+    const Dynamics d = cat.dynamics(s);
+    if (s.dynamics == kNoDynamics) {
+      EXPECT_EQ(d.step_round, kNever);
+      EXPECT_EQ(d.step_factor, 1.0f);
+      EXPECT_EQ(d.trend_per_round, 0.0f);
+      EXPECT_FALSE(d.step_from_path_change);
+      EXPECT_EQ(cat.relocation(s.id), nullptr) << "site " << s.id;
+      for (std::uint32_t r = 0; r <= p.num_rounds; ++r) {
+        EXPECT_EQ(cat.server_multiplier_at(s, r), 1.0);
+        EXPECT_EQ(cat.hosting_epoch(s, r), 0);
+      }
+      continue;
+    }
+    // Records are appended in site-id order, one per site with a step or
+    // a trend (never both).
+    ASSERT_EQ(s.dynamics, with) << "site " << s.id;
+    ++with;
+    const bool step = d.step_round != kNever;
+    const bool trend = d.trend_per_round != 0.0f;
+    EXPECT_NE(step, trend) << "site " << s.id;
+    steps += step;
+    trends += trend;
+    path_changes += d.step_from_path_change;
+    EXPECT_TRUE(step || !d.step_from_path_change);
+    // A path-change step relocates the site at the step round.
+    EXPECT_EQ(cat.relocation(s.id) != nullptr, d.step_from_path_change) << "site " << s.id;
+    if (d.step_from_path_change) {
+      EXPECT_EQ(cat.hosting_epoch(s, d.step_round - 1), 0);
+      EXPECT_EQ(cat.hosting_epoch(s, d.step_round), 1);
+    }
+  }
+  EXPECT_EQ(cat.dynamics_records().size(), with);
+  EXPECT_GT(steps, 0u);
+  EXPECT_GT(trends, 0u);
+  EXPECT_GT(path_changes, 0u);
+  EXPECT_LT(with, cat.size() / 4);
 }
 
 /// std::lower_bound's answer, the oracle for CumulativeIndex::find.
@@ -296,9 +471,9 @@ TEST(CumulativeIndex, MatchesLowerBoundOnPlateausAndTinyTables) {
 }
 
 /// FNV-1a over the catalog's every per-site field (field by field, so
-/// padding never enters; the IPv6 presence through the catalog's
-/// accessor, mixed in the order the pinned digests fix), then every
-/// relocation record in site-id order.
+/// padding never enters; the derived listing fields, the IPv6 presence
+/// and the dynamics through the catalog's accessors, mixed in the order
+/// the pinned digests fix), then every relocation record in site-id order.
 std::uint64_t catalog_digest(const SiteCatalog& cat) {
   std::uint64_t h = 1469598103934665603ULL;
   auto mix = [&h](std::uint64_t v, int bytes) {
@@ -313,25 +488,26 @@ std::uint64_t catalog_digest(const SiteCatalog& cat) {
   };
   for (const Site& s : cat.sites()) {
     const V6Presence v6 = cat.v6_presence(s);
+    const Dynamics d = cat.dynamics(s);
     mix(s.id, 4);
-    mix(s.rank, 4);
+    mix(cat.rank(s), 4);
     mix(s.v4_as, 4);
     mix(v6.as, 4);
     mix(s.v4_addr.value(), 4);
     mix_v6(v6.addr);
-    mix(s.v6_from_round, 4);
-    mix(s.v6_until_round, 4);
-    mix(s.first_seen_round, 4);
+    mix(v6.from_round, 4);
+    mix(v6.until_round, 4);
+    mix(cat.first_seen_round(s), 4);
     mix_f(s.page_kb);
     mix_f(v6.page_ratio);
     mix_f(s.server_rate_kBps);
     mix_f(v6.server_factor);
-    mix(s.step_round, 4);
-    mix_f(s.step_factor);
-    mix(s.step_from_path_change ? 1 : 0, 1);
-    mix_f(s.trend_per_round);
-    mix(s.w6d_participant ? 1 : 0, 1);
-    mix(s.from_dns_cache ? 1 : 0, 1);
+    mix(d.step_round, 4);
+    mix_f(d.step_factor);
+    mix(d.step_from_path_change ? 1 : 0, 1);
+    mix_f(d.trend_per_round);
+    mix(v6.w6d_participant ? 1 : 0, 1);
+    mix(cat.from_dns_cache(s) ? 1 : 0, 1);
   }
   for (const Site& s : cat.sites()) {
     const Hosting* r = cat.relocation(s.id);
@@ -367,17 +543,43 @@ TEST(SiteCatalog, GenerateBytesPinned) {
   }
 }
 
+// The server multiplier of a generated step site and trend site, each
+// listed from round 0 and read through the catalog's accessors; a churn
+// entrant's trend counts from its first listed round.
 TEST(Site, ServerMultiplierStepAndTrend) {
-  Site s;
-  s.first_seen_round = 0;
-  s.step_round = 10;
-  s.step_factor = 0.5f;
-  EXPECT_DOUBLE_EQ(s.server_multiplier_at(9), 1.0);
-  EXPECT_DOUBLE_EQ(s.server_multiplier_at(10), 0.5);
-  Site t;
-  t.trend_per_round = 0.01f;
-  // trend_per_round is a float; allow for its representation error.
-  EXPECT_NEAR(t.server_multiplier_at(10), std::pow(1.01, 10), 1e-6);
+  World w;
+  util::Rng rng(16);
+  const CatalogParams p = small_params();
+  const auto cat = SiteCatalog::generate(w.graph, p, rng);
+  const Site* step = nullptr;
+  const Site* trend = nullptr;
+  const Site* late_trend = nullptr;
+  for (const Site& s : cat.sites()) {
+    const Dynamics d = cat.dynamics(s);
+    const std::uint32_t first = cat.first_seen_round(s);
+    if (step == nullptr && first == 0 && d.step_round != kNever) step = &s;
+    if (trend == nullptr && first == 0 && d.trend_per_round != 0.0f) trend = &s;
+    if (late_trend == nullptr && first > 0 && d.trend_per_round != 0.0f) late_trend = &s;
+  }
+  ASSERT_NE(step, nullptr);
+  ASSERT_NE(trend, nullptr);
+  ASSERT_NE(late_trend, nullptr);
+
+  const Dynamics s = cat.dynamics(*step);
+  EXPECT_DOUBLE_EQ(cat.server_multiplier_at(*step, s.step_round - 1), 1.0);
+  EXPECT_DOUBLE_EQ(cat.server_multiplier_at(*step, s.step_round),
+                   static_cast<double>(s.step_factor));
+  EXPECT_DOUBLE_EQ(cat.server_multiplier_at(*step, s.step_round + 5),
+                   static_cast<double>(s.step_factor));
+
+  const double t = cat.dynamics(*trend).trend_per_round;
+  EXPECT_DOUBLE_EQ(cat.server_multiplier_at(*trend, 0), 1.0);
+  EXPECT_NEAR(cat.server_multiplier_at(*trend, 10), std::pow(1.0 + t, 10), 1e-12);
+
+  const std::uint32_t first = cat.first_seen_round(*late_trend);
+  const double lt = cat.dynamics(*late_trend).trend_per_round;
+  EXPECT_DOUBLE_EQ(cat.server_multiplier_at(*late_trend, first), 1.0);
+  EXPECT_NEAR(cat.server_multiplier_at(*late_trend, first + 3), std::pow(1.0 + lt, 3), 1e-12);
 }
 
 }  // namespace

@@ -267,7 +267,7 @@ TEST(MonitorStress, ConcurrentFillsShareRegistryAndRouteMemos) {
   constexpr std::size_t kThreads = 6;
   std::vector<std::uint32_t> dual;
   for (const web::Site& s : w.catalog.sites()) {
-    if (s.dual_stack_at(kRound)) dual.push_back(s.id);
+    if (w.catalog.dual_stack_at(s, kRound)) dual.push_back(s.id);
   }
   ASSERT_GT(dual.size(), 50u);
   for (const VantagePoint& vp : w.vantage_points) {

@@ -174,6 +174,10 @@ TEST(PathRegistry, InternsAndDeduplicates) {
 static_assert(sizeof(Observation) == 24, "observation rows are 24 bytes");
 // A round's counters are u32s: a 1,500-round store holds 48 KB of them.
 static_assert(sizeof(RoundCounters) == 32, "round counters are eight u32s");
+// The catalog's per-site cost: every campaign walks these, and a
+// scale-1.0 world holds 330,000 of them.
+static_assert(sizeof(web::Site) == 28, "catalog sites are 28 bytes");
+static_assert(sizeof(web::Dynamics) == 16, "Dynamics records are 16 bytes");
 
 TEST(PathRegistry, InternsRoutesOverPaths) {
   PathRegistry reg;
@@ -614,7 +618,7 @@ TEST(Monitor, V4OnlySiteClassified) {
 
   const web::Site* v4only = nullptr;
   for (const web::Site& s : w.catalog.sites()) {
-    if (s.v6_from_round == web::kNever) {
+    if (s.v6_record == web::kNoV6Record) {
       v4only = &s;
       break;
     }
@@ -632,7 +636,9 @@ TEST(Monitor, DualStackSiteMeasured) {
 
   int measured = 0, examined = 0;
   for (const web::Site& s : w.catalog.sites()) {
-    if (!s.dual_stack_at(5) || w.catalog.v6_presence(s).page_ratio != 1.0f) continue;
+    if (!w.catalog.dual_stack_at(s, 5) || w.catalog.v6_presence(s).page_ratio != 1.0f) {
+      continue;
+    }
     if (++examined > 40) break;
     const auto obs = mon.monitor_site(s, 5, {}, util::Rng(1000 + s.id));
     if (obs.status == MonitorStatus::kMeasured) {
@@ -660,7 +666,7 @@ TEST(Monitor, DifferentContentDetected) {
 
   const web::Site* diff = nullptr;
   for (const web::Site& s : w.catalog.sites()) {
-    if (s.dual_stack_at(5) && w.catalog.v6_presence(s).page_ratio > 1.06f) {
+    if (w.catalog.dual_stack_at(s, 5) && w.catalog.v6_presence(s).page_ratio > 1.06f) {
       diff = &s;
       break;
     }
@@ -677,7 +683,7 @@ TEST(Monitor, DeterministicGivenSameRng) {
 
   const web::Site* dual = nullptr;
   for (const web::Site& s : w.catalog.sites()) {
-    if (s.dual_stack_at(5)) {
+    if (w.catalog.dual_stack_at(s, 5)) {
       dual = &s;
       break;
     }
@@ -700,7 +706,7 @@ TEST(Monitor, SeparateProviderVpYieldsDivergentPaths) {
 
   int same = 0, diff = 0;
   for (const web::Site& s : w.catalog.sites()) {
-    if (!s.dual_stack_at(5) || w.catalog.different_location(s)) continue;
+    if (!w.catalog.dual_stack_at(s, 5) || w.catalog.different_location(s)) continue;
     const auto obs = mon.monitor_site(s, 5, {}, util::Rng(77 + s.id));
     if (obs.status != MonitorStatus::kMeasured) continue;
     const Route v4 = paths.route(paths.pair(obs.route_pair).v4);
@@ -1194,11 +1200,13 @@ TEST(Campaign, WorkListInvariantSweep) {
                       std::uint64_t one_loss = 0;
                       if (r >= vp.start_round) {
                         for (const web::Site& s : world.catalog.sites()) {
-                          if (!s.in_list_at(r) ||
-                              (s.from_dns_cache && !vp.uses_dns_cache_supplement)) {
+                          if (!world.catalog.in_list_at(s, r) ||
+                              (world.catalog.from_dns_cache(s) &&
+                               !vp.uses_dns_cache_supplement)) {
                             continue;
                           }
-                          dual_clean += lost[s.id] == 0 && s.dual_stack_at(r);
+                          dual_clean +=
+                              lost[s.id] == 0 && world.catalog.dual_stack_at(s, r);
                           one_loss += lost[s.id] == 1;
                         }
                       }
@@ -1227,7 +1235,7 @@ TEST(Campaign, WorkListInvariantSweep) {
                 std::uint64_t w6d_sites = 0;
                 std::uint64_t w6d_lost = 0;
                 for (const web::Site& s : world.catalog.sites()) {
-                  if (!s.w6d_participant) continue;
+                  if (!world.catalog.v6_presence(s).w6d_participant) continue;
                   w6d_sites += kMiniRounds;
                   for (std::size_t mini = 0; mini < kMiniRounds; ++mini) {
                     w6d_lost += lost_queries(root, timeout_prob, 0x60d00000ULL + mini, s.id);
@@ -1258,8 +1266,9 @@ TEST(Campaign, WorkListInvariantSweep) {
                     std::uint64_t expected = 0;
                     if (r >= vp.start_round) {
                       for (const web::Site& s : world.catalog.sites()) {
-                        if (s.in_list_at(r) &&
-                            (!s.from_dns_cache || vp.uses_dns_cache_supplement)) {
+                        if (world.catalog.in_list_at(s, r) &&
+                            (!world.catalog.from_dns_cache(s) ||
+                             vp.uses_dns_cache_supplement)) {
                           ++expected;
                           vp_lost += lost_queries(root, timeout_prob, 0, s.id);
                         }
@@ -1566,7 +1575,9 @@ TEST(ResolvedSiteTable, IndexMatchesSlotsAfterCampaigns) {
       if (evolving) timeline.emplace(scenario::build_timeline(evolving_spec));
       const World& world = evolving ? timeline->world() : small_world().world;
       std::vector<std::uint32_t> v6_from;
-      for (const web::Site& s : world.catalog.sites()) v6_from.push_back(s.v6_from_round);
+      for (const web::Site& s : world.catalog.sites()) {
+        v6_from.push_back(world.catalog.v6_presence(s).from_round);
+      }
       auto campaign = evolving ? std::make_unique<Campaign>(*timeline, cfg)
                                : std::make_unique<Campaign>(world, cfg);
       campaign->run();
@@ -1590,7 +1601,8 @@ TEST(ResolvedSiteTable, IndexMatchesSlotsAfterCampaigns) {
             taken[slot] = true;
             ++found;
             relocated_keys += epoch;
-            granted_keys += world.catalog.site(id).v6_from_round != v6_from[id];
+            granted_keys +=
+                world.catalog.v6_presence(world.catalog.site(id)).from_round != v6_from[id];
           }
         }
         EXPECT_EQ(found, table.size());
@@ -1640,7 +1652,7 @@ TEST(Monitor, TableRowsMatchPerCallResolution) {
   constexpr std::uint32_t kRound = 5;
   std::vector<std::uint32_t> dual;
   for (const web::Site& s : w.catalog.sites()) {
-    if (s.dual_stack_at(kRound)) dual.push_back(s.id);
+    if (w.catalog.dual_stack_at(s, kRound)) dual.push_back(s.id);
   }
   ASSERT_GT(dual.size(), 100u);
   for (const FallbackPolicy policy : {FallbackPolicy::kNone, FallbackPolicy::kSequential}) {
@@ -1664,8 +1676,8 @@ TEST(Monitor, TableRowsMatchPerCallResolution) {
         }
         std::size_t filled = 0;
         for (const std::uint32_t id : dual) {
-          const std::uint32_t slot =
-              cached.resolved_sites().find(id, w.catalog.site(id).hosting_epoch(kRound));
+          const std::uint8_t epoch = w.catalog.hosting_epoch(w.catalog.site(id), kRound);
+          const std::uint32_t slot = cached.resolved_sites().find(id, epoch);
           ASSERT_NE(slot, ResolvedSiteTable::kNoSlot);
           if (cached.resolved_sites().filled(slot)) ++filled;
         }
@@ -1736,14 +1748,14 @@ TEST(Monitor, SiteKeyedDnsMatchesResolverReference) {
           ASSERT_EQ(has_aaaa, aaaa.has_answers()) << "site " << site.id << " round " << r;
           if (!has_a || !has_aaaa) continue;
           const std::uint32_t slot =
-              mon.resolved_sites().find(site.id, site.hosting_epoch(r));
+              mon.resolved_sites().find(site.id, w.catalog.hosting_epoch(site, r));
           ASSERT_NE(slot, ResolvedSiteTable::kNoSlot);
           ASSERT_TRUE(mon.resolved_sites().filled(slot));
           const ResolvedSiteRow& row = mon.resolved_sites().row(slot);
           EXPECT_EQ(row.v4_addr, *a.a) << "site " << site.id;
           EXPECT_EQ(row.v6_addr, *aaaa.aaaa) << "site " << site.id;
-          relocated_answers += site.hosting_epoch(r);
-          late_aaaa_answers += site.v6_from_round == r && r > 0;
+          relocated_answers += w.catalog.hosting_epoch(site, r);
+          late_aaaa_answers += w.catalog.v6_presence(site).from_round == r && r > 0;
         }
       }
       EXPECT_EQ(ref_queries, 2 * decisions);
@@ -1772,7 +1784,8 @@ TEST(Monitor, FilledRowsMatchHostingAtEveryRound) {
                                     std::uint32_t round) {
     std::size_t filled = 0;
     for (const web::Site& site : catalog.sites()) {
-      const std::uint32_t slot = mon.resolved_sites().find(site.id, site.hosting_epoch(round));
+      const std::uint32_t slot =
+          mon.resolved_sites().find(site.id, catalog.hosting_epoch(site, round));
       if (slot == ResolvedSiteTable::kNoSlot || !mon.resolved_sites().filled(slot)) continue;
       ++filled;
       const web::Hosting h = catalog.hosting_at(site, round);
@@ -1787,8 +1800,9 @@ TEST(Monitor, FilledRowsMatchHostingAtEveryRound) {
   std::size_t relocated = 0;
   for (const web::Site& s : w.catalog.sites()) {
     const web::Hosting* moved = w.catalog.relocation(s.id);
-    relocated += moved != nullptr && moved->v4_as != s.v4_as && s.step_round <= w.num_rounds &&
-                 s.dual_stack_at(s.step_round);
+    const std::uint32_t step_round = w.catalog.dynamics(s).step_round;
+    relocated += moved != nullptr && moved->v4_as != s.v4_as && step_round <= w.num_rounds &&
+                 w.catalog.dual_stack_at(s, step_round);
   }
   ASSERT_GT(relocated, 0u) << "small world has no relocated dual-stack site";
   MonitorConfig cfg;
@@ -1800,7 +1814,7 @@ TEST(Monitor, FilledRowsMatchHostingAtEveryRound) {
     for (std::uint32_t r = 0; r <= w.num_rounds; ++r) {
       std::vector<std::uint32_t> dual;
       for (const web::Site& s : w.catalog.sites()) {
-        if (s.dual_stack_at(r)) dual.push_back(s.id);
+        if (w.catalog.dual_stack_at(s, r)) dual.push_back(s.id);
       }
       mon.assign_resolve_slots(dual, r);
       for (const std::uint32_t id : dual) {
@@ -1823,7 +1837,7 @@ TEST(Monitor, FilledRowsMatchHostingAtEveryRound) {
   Campaign campaign(timeline, campaign_cfg);
   std::vector<std::uint32_t> v6_from;
   for (const web::Site& s : timeline.world().catalog.sites()) {
-    v6_from.push_back(s.v6_from_round);
+    v6_from.push_back(timeline.world().catalog.v6_presence(s).from_round);
   }
   for (std::uint32_t r = 0; r <= timeline.world().num_rounds; ++r) {
     campaign.advance_world(r);
@@ -1838,7 +1852,7 @@ TEST(Monitor, FilledRowsMatchHostingAtEveryRound) {
   }
   std::size_t granted = 0;
   for (const web::Site& s : timeline.world().catalog.sites()) {
-    granted += s.v6_from_round != v6_from[s.id];
+    granted += timeline.world().catalog.v6_presence(s).from_round != v6_from[s.id];
   }
   EXPECT_GT(granted, 0u) << "no epoch granted an AAAA record";
 }

@@ -288,6 +288,8 @@ TEST(Determinism, RibBuildThreadCountInvisible) {
               parallel.vantage_points[i].rib.v4_routes());
     EXPECT_EQ(serial.vantage_points[i].rib.v6_routes(),
               parallel.vantage_points[i].rib.v6_routes());
+    // mem.rib_bytes sums these: trie nodes, entry slots and paths.
+    EXPECT_EQ(serial.vantage_points[i].rib.bytes(), parallel.vantage_points[i].rib.bytes());
   }
   // Same campaign on both worlds: any divergent route would surface in
   // the observation dump (paths, origins, speeds).

@@ -38,7 +38,7 @@ const web::SiteCatalog& small_catalog() {
 /// The first site that is dual-stack (`dual`) or never is (`!dual`).
 const web::Site& first_site(bool dual) {
   for (const web::Site& s : small_catalog().sites()) {
-    if ((s.v6_from_round == web::kNever) != dual) return s;
+    if ((s.v6_record == web::kNoV6Record) != dual) return s;
   }
   throw std::logic_error("no such site in the catalog");
 }
@@ -110,9 +110,11 @@ TEST(CatalogDnsBackend, AnswersTrackAdoptionRound) {
 
   // Find a site that adopts v6 mid-campaign.
   const web::Site* mid = nullptr;
+  std::uint32_t from_round = web::kNever;
   for (const web::Site& s : cat.sites()) {
-    if (s.v6_from_round != web::kNever && s.v6_from_round > 2 &&
-        s.v6_from_round <= cat.params().num_rounds) {
+    from_round = cat.v6_presence(s).from_round;
+    if (from_round != web::kNever && from_round > 2 &&
+        from_round <= cat.params().num_rounds) {
       mid = &s;
       break;
     }
@@ -120,10 +122,10 @@ TEST(CatalogDnsBackend, AnswersTrackAdoptionRound) {
   ASSERT_NE(mid, nullptr) << "no mid-campaign adopter generated";
   const std::string host = site_hostname(mid->id);
 
-  const Answer before = resolver.resolve(host, QueryType::kAaaa, mid->v6_from_round - 1);
+  const Answer before = resolver.resolve(host, QueryType::kAaaa, from_round - 1);
   EXPECT_EQ(before.rcode, Rcode::kOk);
   EXPECT_FALSE(before.has_answers());
-  const Answer after = resolver.resolve(host, QueryType::kAaaa, mid->v6_from_round);
+  const Answer after = resolver.resolve(host, QueryType::kAaaa, from_round);
   ASSERT_TRUE(after.aaaa.has_value());
   EXPECT_EQ(*after.aaaa, cat.v6_presence(*mid).addr);
   const Answer a = resolver.resolve(host, QueryType::kA, 0);

@@ -334,6 +334,7 @@ struct CampaignRun {
   std::uint64_t fast_path_sites = 0;
   double sink_shard_bytes = -1;  ///< The mem.sink_shard_bytes gauge; -1 = absent.
   std::uint64_t catalog_bytes = 0;         ///< mem.catalog_bytes.
+  std::uint64_t rib_bytes = 0;             ///< mem.rib_bytes.
   std::uint64_t resolved_slots_bytes = 0;  ///< mem.resolved_slots_bytes.
   std::uint64_t expected_slots_bytes = 0;  ///< The monitors' tables and registries.
   std::uint64_t results_bytes = 0;         ///< mem.results_bytes.
@@ -372,6 +373,7 @@ CampaignRun run_instrumented(std::size_t threads, core::SinkBackend backend,
   out.sites_monitored = reg.counter_value("campaign.sites_monitored");
   out.fast_path_sites = reg.counter_value("campaign.fast_path_sites");
   out.catalog_bytes = reg.counter_value("mem.catalog_bytes");
+  out.rib_bytes = reg.counter_value("mem.rib_bytes");
   out.resolved_slots_bytes = reg.counter_value("mem.resolved_slots_bytes");
   out.results_bytes = reg.counter_value("mem.results_bytes");
   for (std::size_t vp = 0; vp < small_world().vantage_points.size(); ++vp) {
@@ -406,11 +408,17 @@ TEST(MetricsDeterminism, CountersIdenticalAcrossThreadsAndBackends) {
   // The finalized stores' bytes are sizes, not capacities: the same at
   // every thread count and sink backend, and never 0 for stores with rows.
   EXPECT_EQ(reference.counters.find("\"mem.results_bytes\":0,"), std::string::npos);
-  // The memory ledger's owners: the catalog by size, the monitors'
-  // resolved-site slots and index entries and their route registries,
-  // and the stores. Every fill of such a slot is counted, refills
-  // included.
+  // The memory ledger's owners: the catalog by size, the vantage points'
+  // RIBs, the monitors' resolved-site slots and index entries and their
+  // route registries, and the stores. Every fill of such a slot is
+  // counted, refills included.
   EXPECT_EQ(reference.catalog_bytes, small_world().catalog.bytes());
+  std::uint64_t rib_bytes = 0;
+  for (const core::VantagePoint& vp : small_world().vantage_points) {
+    rib_bytes += vp.rib.bytes();
+  }
+  EXPECT_GT(reference.rib_bytes, 0u);
+  EXPECT_EQ(reference.rib_bytes, rib_bytes);
   EXPECT_GT(reference.resolved_slots_bytes, 0u);
   EXPECT_EQ(reference.resolved_slots_bytes, reference.expected_slots_bytes);
   EXPECT_EQ(reference.results_bytes, reference.expected_results_bytes);
@@ -424,6 +432,7 @@ TEST(MetricsDeterminism, CountersIdenticalAcrossThreadsAndBackends) {
       const CampaignRun run = run_instrumented(threads, backend, true);
       EXPECT_EQ(run.counters, reference.counters);
       EXPECT_EQ(run.catalog_bytes, reference.catalog_bytes);
+      EXPECT_EQ(run.rib_bytes, reference.rib_bytes);
       EXPECT_EQ(run.resolved_slots_bytes, reference.resolved_slots_bytes);
       EXPECT_EQ(run.results_bytes, reference.results_bytes);
       EXPECT_EQ(run.observations, reference.observations);

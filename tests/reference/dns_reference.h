@@ -81,7 +81,7 @@ class CatalogResolver {
     const web::Hosting hosting = catalog_.hosting_at(site, round);
     if (type == QueryType::kA) {
       out.a = hosting.v4_addr;
-    } else if (site.dual_stack_at(round)) {
+    } else if (catalog_.dual_stack_at(site, round)) {
       out.aaaa = hosting.v6_addr;
     }
     return out;

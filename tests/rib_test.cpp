@@ -90,5 +90,26 @@ TEST(Rib, PathMemoIsKeptButNotCopied) {
   EXPECT_FALSE(e->path_normal.value().has_value());
 }
 
+// Rib::bytes counts by size: one 12-byte trie node per prefix bit walked
+// (plus each family's root), one entry slot per installed prefix (a
+// withdrawn prefix keeps its slot, a rewrite reuses it) and each entry's
+// AS_PATH elements.
+TEST(Rib, BytesCountNodesEntriesAndPaths) {
+  constexpr std::size_t kNode = 3 * sizeof(std::uint32_t);
+  Rib rib;
+  EXPECT_EQ(rib.bytes(), 2 * kNode);
+  const auto v4 = *ip::Ipv4Prefix::parse("10.0.0.0/8");
+  rib.add_v4(v4, entry(100, {1, 2, 100}));
+  const std::size_t one_v4 = 2 * kNode + 8 * kNode + sizeof(RibEntry) + 3 * sizeof(topo::Asn);
+  EXPECT_EQ(rib.bytes(), one_v4);
+  rib.add_v6(*ip::Ipv6Prefix::parse("2001:db8::/32"), entry(100, {100}));
+  const std::size_t both = one_v4 + 32 * kNode + sizeof(RibEntry) + sizeof(topo::Asn);
+  EXPECT_EQ(rib.bytes(), both);
+  rib.add_v4(v4, entry(100, {7, 100}));  // rewritten in place: one path element fewer
+  EXPECT_EQ(rib.bytes(), both - sizeof(topo::Asn));
+  EXPECT_TRUE(rib.erase_v4(v4));  // the slot stays
+  EXPECT_EQ(rib.bytes(), both - sizeof(topo::Asn));
+}
+
 }  // namespace
 }  // namespace v6mon::bgp

@@ -73,7 +73,7 @@ TEST(WorldBuilder, RibPathsResolveSites) {
     const auto* v4 = vp.rib.lookup_v4(s.v4_addr);
     ASSERT_NE(v4, nullptr) << "IPv4 must be universally routed";
     EXPECT_EQ(v4->origin, s.v4_as);
-    if (s.v6_from_round != web::kNever) {
+    if (s.v6_record != web::kNoV6Record) {
       const web::V6Presence p = world.catalog.v6_presence(s);
       const auto* v6 = vp.rib.lookup_v6(p.addr);
       if (v6 != nullptr) {
@@ -175,7 +175,7 @@ std::vector<bgp::Rib> reference_ribs(const core::World& world) {
   std::set<topo::Asn> dests;
   for (const web::Site& s : world.catalog.sites()) {
     dests.insert(s.v4_as);
-    if (s.v6_from_round != web::kNever) dests.insert(world.catalog.v6_presence(s).as);
+    if (s.v6_record != web::kNoV6Record) dests.insert(world.catalog.v6_presence(s).as);
     if (const web::Hosting* h = world.catalog.relocation(s.id)) {
       dests.insert(h->v4_as);
       if (h->v6_as != topo::kNoAs) dests.insert(h->v6_as);

@@ -98,10 +98,11 @@ std::vector<Fig3aBucket> naive_fig3a(const web::SiteCatalog& catalog,
     b.label = label;
     std::size_t v6 = 0;
     for (const web::Site& s : catalog.sites()) {
-      if (s.from_dns_cache || s.rank == 0 || s.rank > max_rank) continue;
-      if (!s.in_list_at(round)) continue;
+      const std::uint32_t rank = catalog.rank(s);
+      if (catalog.from_dns_cache(s) || rank == 0 || rank > max_rank) continue;
+      if (!catalog.in_list_at(s, round)) continue;
       ++b.sites;
-      if (s.dual_stack_at(round)) ++v6;
+      if (catalog.dual_stack_at(s, round)) ++v6;
     }
     b.reachability =
         b.sites == 0 ? 0.0 : static_cast<double>(v6) / static_cast<double>(b.sites);
@@ -110,16 +111,34 @@ std::vector<Fig3aBucket> naive_fig3a(const web::SiteCatalog& catalog,
   return out;
 }
 
+/// Fig. 1 at one round by its definition: one scan of every site through
+/// the per-site accessors.
+Fig1Point naive_fig1(const web::SiteCatalog& catalog, std::uint32_t round) {
+  std::size_t listed = 0, v6 = 0;
+  for (const web::Site& s : catalog.sites()) {
+    if (catalog.from_dns_cache(s) || !catalog.in_list_at(s, round)) continue;
+    ++listed;
+    if (catalog.dual_stack_at(s, round)) ++v6;
+  }
+  return {round,
+          listed == 0 ? 0.0 : static_cast<double>(v6) / static_cast<double>(listed),
+          listed};
+}
+
 /// fig1_series and fig3a_buckets must reproduce the reference scans
-/// exactly: the same integers, hence bit-identical ratios.
+/// exactly: the same integers, hence bit-identical ratios. The catalog's
+/// own listed_at / reachability_at must agree with the scans too.
 void expect_figures_match_scans(const web::SiteCatalog& catalog,
                                 std::uint32_t num_rounds) {
   const auto series = fig1_series(catalog, num_rounds);
   ASSERT_EQ(series.size(), num_rounds + 1);
   for (std::uint32_t r = 0; r <= num_rounds; ++r) {
+    const Fig1Point want = naive_fig1(catalog, r);
     EXPECT_EQ(series[r].round, r);
-    EXPECT_EQ(series[r].listed, catalog.listed_at(r)) << "round " << r;
-    EXPECT_EQ(series[r].reachability, catalog.reachability_at(r)) << "round " << r;
+    EXPECT_EQ(series[r].listed, want.listed) << "round " << r;
+    EXPECT_EQ(series[r].reachability, want.reachability) << "round " << r;
+    EXPECT_EQ(catalog.listed_at(r), want.listed) << "round " << r;
+    EXPECT_EQ(catalog.reachability_at(r), want.reachability) << "round " << r;
   }
   for (std::uint32_t r = 0; r <= num_rounds + 1; ++r) {
     const auto got = fig3a_buckets(catalog, r);
@@ -160,14 +179,15 @@ TEST(Tables, SinglePassFiguresMatchScansOnChurnedCatalog) {
   // late listings, unlisted supplemental sites with AAAA, and one-round
   // [v6_from, v6_until) windows.
   const auto& sites = catalog.sites();
-  EXPECT_TRUE(std::any_of(sites.begin(), sites.end(), [](const web::Site& s) {
-    return !s.from_dns_cache && s.first_seen_round > 0;
+  EXPECT_TRUE(std::any_of(sites.begin(), sites.end(), [&catalog](const web::Site& s) {
+    return !catalog.from_dns_cache(s) && catalog.first_seen_round(s) > 0;
   }));
-  EXPECT_TRUE(std::any_of(sites.begin(), sites.end(), [](const web::Site& s) {
-    return s.from_dns_cache && s.v6_from_round != web::kNever;
+  EXPECT_TRUE(std::any_of(sites.begin(), sites.end(), [&catalog](const web::Site& s) {
+    return catalog.from_dns_cache(s) && s.v6_record != web::kNoV6Record;
   }));
-  EXPECT_TRUE(std::any_of(sites.begin(), sites.end(), [](const web::Site& s) {
-    return s.v6_from_round != web::kNever && s.v6_until_round == s.v6_from_round + 1;
+  EXPECT_TRUE(std::any_of(sites.begin(), sites.end(), [&catalog](const web::Site& s) {
+    const web::V6Presence v6 = catalog.v6_presence(s);
+    return v6.from_round != web::kNever && v6.until_round == v6.from_round + 1;
   }));
   expect_figures_match_scans(catalog, static_cast<std::uint32_t>(p.num_rounds));
 }

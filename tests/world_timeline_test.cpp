@@ -228,7 +228,7 @@ std::vector<topo::Asn> tracked_dests(const World& w,
     if (w.graph.link(id).v6_tunnel) tracked[w.graph.link(id).a] = 1;
   }
   for (const web::Site& s : w.catalog.sites()) {
-    if (s.v6_from_round != web::kNever) tracked[w.catalog.v6_presence(s).as] = 1;
+    if (s.v6_record != web::kNoV6Record) tracked[w.catalog.v6_presence(s).as] = 1;
     const web::Hosting* h = w.catalog.relocation(s.id);
     if (h != nullptr && h->v6_as != topo::kNoAs) tracked[h->v6_as] = 1;
   }
@@ -435,7 +435,7 @@ TEST(WorldTimeline, SecondRouteSyncRewritesNothing) {
   std::set<topo::Asn> hosts;
   for (const web::Site& s : w.catalog.sites()) {
     hosts.insert(s.v4_as);
-    if (s.v6_from_round != web::kNever) hosts.insert(w.catalog.v6_presence(s).as);
+    if (s.v6_record != web::kNoV6Record) hosts.insert(w.catalog.v6_presence(s).as);
     if (const web::Hosting* h = w.catalog.relocation(s.id)) {
       hosts.insert(h->v4_as);
       if (h->v6_as != topo::kNoAs) hosts.insert(h->v6_as);
@@ -491,8 +491,8 @@ TEST(WorldTimeline, AppliedEpochsKeepWorldSelfConsistent) {
       for (const std::uint32_t site_id : summary.sites_gained_aaaa) {
         const web::Site& site = w.catalog.site(site_id);
         // The AAAA window opens exactly at the epoch boundary...
-        EXPECT_EQ(site.v6_from_round, round);
-        EXPECT_TRUE(site.dual_stack_at(round));
+        EXPECT_EQ(w.catalog.v6_presence(site).from_round, round);
+        EXPECT_TRUE(w.catalog.dual_stack_at(site, round));
         // ...the granted address belongs to the hosting AS in the origin
         // map (DNS answers and BGP origins agree)...
         const web::V6Presence v6 = w.catalog.v6_presence(site);
@@ -513,13 +513,14 @@ TEST(WorldTimeline, AppliedEpochsKeepWorldSelfConsistent) {
 // address from the grant's round on, and a second grant is rejected.
 TEST(WorldTimeline, GrantAppendsV6Record) {
   WorldTimeline timeline = scenario::build_timeline(evolving_spec());
+  const web::SiteCatalog& catalog = timeline.world().catalog;
   // The first epoch that grants an AAAA to a site that never relocates.
   const EpochDeltas* epoch = nullptr;
   const WorldDelta* grant = nullptr;
   for (const EpochDeltas& e : timeline.epochs()) {
     for (const WorldDelta& d : e.deltas) {
       if (d.kind == WorldDeltaKind::kSiteGainsAaaa &&
-          !timeline.world().catalog.site(d.site_id).step_from_path_change) {
+          !catalog.dynamics(catalog.site(d.site_id)).step_from_path_change) {
         epoch = &e;
         grant = &d;
         break;
@@ -533,7 +534,6 @@ TEST(WorldTimeline, GrantAppendsV6Record) {
     if (d.kind == WorldDeltaKind::kSiteGainsAaaa) ++grants;
   }
 
-  const web::SiteCatalog& catalog = timeline.world().catalog;
   const std::uint32_t site_id = grant->site_id;
   EXPECT_EQ(catalog.site(site_id).v6_record, web::kNoV6Record);
   const std::size_t records_before = catalog.v6_records().size();
@@ -548,14 +548,68 @@ TEST(WorldTimeline, GrantAppendsV6Record) {
   EXPECT_EQ(v6.addr, grant->v6_addr);
   EXPECT_EQ(v6.page_ratio, 1.0f);
   EXPECT_EQ(v6.server_factor, grant->v6_server_factor);
+  EXPECT_EQ(v6.from_round, epoch->round);
+  EXPECT_EQ(v6.until_round, web::kNever);
+  EXPECT_FALSE(v6.w6d_participant);
+  EXPECT_FALSE(catalog.dual_stack_at(site, epoch->round - 1));
   for (std::uint32_t round = epoch->round; round <= timeline.world().num_rounds; ++round) {
-    EXPECT_TRUE(site.dual_stack_at(round));
+    EXPECT_TRUE(catalog.dual_stack_at(site, round));
     EXPECT_EQ(catalog.hosting_at(site, round).v6_addr, grant->v6_addr) << "round " << round;
   }
   EXPECT_THROW(timeline.world().catalog.grant_aaaa(site_id, epoch->round + 1, grant->v6_as,
                                                    grant->v6_addr, 1.0f),
                ConfigError);
   EXPECT_EQ(catalog.v6_records().size(), records_before + grants);
+}
+
+// The AAAA window lives in the IPv6 presence record and the step or trend
+// in the Dynamics record: a grant to a site with a step or trend appends
+// the one and leaves the other as it was.
+TEST(WorldTimeline, GrantKeepsDynamicsRecord) {
+  WorldTimeline timeline = scenario::build_timeline(evolving_spec());
+  const web::SiteCatalog& catalog = timeline.world().catalog;
+  const EpochDeltas* epoch = nullptr;
+  const WorldDelta* grant = nullptr;
+  for (const EpochDeltas& e : timeline.epochs()) {
+    for (const WorldDelta& d : e.deltas) {
+      if (d.kind == WorldDeltaKind::kSiteGainsAaaa &&
+          catalog.site(d.site_id).dynamics != web::kNoDynamics) {
+        epoch = &e;
+        grant = &d;
+        break;
+      }
+    }
+    if (grant != nullptr) break;
+  }
+  ASSERT_NE(grant, nullptr) << "the evolving spec grants no AAAA to a site with dynamics";
+
+  const std::uint32_t num_rounds = timeline.world().num_rounds;
+  const std::uint32_t record = catalog.site(grant->site_id).dynamics;
+  const web::Dynamics before = catalog.dynamics(catalog.site(grant->site_id));
+  const std::size_t dynamics_before = catalog.dynamics_records().size();
+  std::vector<double> multiplier_before;
+  std::vector<std::uint8_t> epoch_before;
+  for (std::uint32_t r = 0; r <= num_rounds; ++r) {
+    multiplier_before.push_back(catalog.server_multiplier_at(catalog.site(grant->site_id), r));
+    epoch_before.push_back(catalog.hosting_epoch(catalog.site(grant->site_id), r));
+  }
+  (void)timeline.advance_to(epoch->round);
+
+  const web::Site& site = catalog.site(grant->site_id);
+  ASSERT_NE(site.v6_record, web::kNoV6Record);
+  EXPECT_EQ(site.dynamics, record);
+  EXPECT_EQ(catalog.dynamics_records().size(), dynamics_before);
+  const web::Dynamics after = catalog.dynamics(site);
+  EXPECT_EQ(after.step_round, before.step_round);
+  EXPECT_EQ(after.step_factor, before.step_factor);
+  EXPECT_EQ(after.trend_per_round, before.trend_per_round);
+  EXPECT_EQ(after.step_from_path_change, before.step_from_path_change);
+  EXPECT_TRUE(after.step_round != web::kNever || after.trend_per_round != 0.0f);
+  for (std::uint32_t r = 0; r <= num_rounds; ++r) {
+    EXPECT_EQ(catalog.server_multiplier_at(site, r), multiplier_before[r]) << "round " << r;
+    EXPECT_EQ(catalog.hosting_epoch(site, r), epoch_before[r]) << "round " << r;
+  }
+  EXPECT_EQ(catalog.v6_presence(site).from_round, epoch->round);
 }
 
 // --- 5. Row invalidation against a fresh resolution ------------------------
@@ -710,8 +764,10 @@ TEST(WorldTimeline, RetiredTunnelFailsSixToFourSites) {
   // the end of the campaign under one hosting.
   const web::Site* site = nullptr;
   for (const web::Site& s : world.catalog.sites()) {
-    if (s.v6_from_round >= kRetireRound || s.v6_until_round != web::kNever ||
-        s.first_seen_round > s.v6_from_round || s.step_from_path_change ||
+    const web::V6Presence v6 = world.catalog.v6_presence(s);
+    if (v6.from_round >= kRetireRound || v6.until_round != web::kNever ||
+        world.catalog.first_seen_round(s) > v6.from_round ||
+        world.catalog.dynamics(s).step_from_path_change ||
         !world.catalog.v6_presence(s).addr.is_6to4()) {
       continue;
     }
