@@ -284,6 +284,10 @@ int main(int argc, char** argv) try {
     auto& metrics = obs::metrics();
     metrics.set_gauge("world.ases", static_cast<double>(world.graph.num_ases()));
     metrics.set_gauge("world.sites", static_cast<double>(world.catalog.sites().size()));
+    metrics.set_gauge("world.v6_records",
+                      static_cast<double>(world.catalog.v6_records().size()));
+    metrics.set_gauge("world.vantage_points",
+                      static_cast<double>(world.vantage_points.size()));
     metrics.set_gauge("world.rounds", static_cast<double>(world.num_rounds));
     metrics.set_gauge("campaign.threads",
                       static_cast<double>(campaign.config().threads));

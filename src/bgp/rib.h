@@ -56,7 +56,7 @@ struct RibEntry {
   topo::Asn origin = topo::kNoAs;
   /// [first-hop AS, ..., origin AS]; empty for locally-originated space.
   std::vector<topo::Asn> as_path;
-  /// The path's quality normal, drawn by the first resolved-row fill that
+  /// The path's quality normal, drawn by the first resolved row that
   /// characterizes this route (core::Monitor).
   PathMemo path_normal{};
 
@@ -97,7 +97,7 @@ class Rib {
   /// Withdraw a route (core::sync_vp_routes and prefix withdrawal
   /// deltas). The trie keeps the value's storage alive, so a RibEntry*
   /// cached by a stale ResolvedSiteTable row stays dereferenceable until
-  /// the row is invalidated at the epoch boundary — it just stops being
+  /// the row is purged at the epoch boundary — it just stops being
   /// returned by lookups. Returns false when no exact entry existed.
   bool erase_v4(const ip::Ipv4Prefix& prefix) { return v4_.erase(prefix); }
   bool erase_v6(const ip::Ipv6Prefix& prefix) { return v6_.erase(prefix); }

@@ -249,12 +249,12 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
   // stream. Every other site decision draws its loss per site.
   const bool fate_known = salt == 0 && config_.fast_path;
 
-  // Resolved-site table slot assignment is coordinator-only (we hold this
-  // VP's ingest-epoch mutex): table growth must not race the workers'
-  // lazy per-slot fills inside monitor_site below.
+  // Resolution is coordinator-only (we hold this VP's ingest-epoch
+  // mutex): every row the workers read below exists before the fan-out,
+  // so they only read.
   {
     obs::TraceSpan span(obs::Stage::kSiteResolve);
-    monitor.assign_resolve_slots(sites, round);
+    monitor.resolve_sites(sites, round);
   }
 
   // Every site decision issues both queries; timeouts add per block.
@@ -545,7 +545,7 @@ void Campaign::run_w6d_for_vp(std::size_t vp_index,
   VpStore& store = w6d_stores_[vp_index];
   util::LockGuard epoch(store.epoch_mu);
   // The monitor (and its resolved-site table) is shared with regular
-  // rounds, and run_sites below may grow the table: take the regular
+  // rounds, and run_sites below may resolve new rows: take the regular
   // store's epoch mutex too, so all table mutation for this VP
   // serializes on one lock order (w6d store first, regular store second).
   util::LockGuard regular_epoch(stores_[vp_index].epoch_mu);

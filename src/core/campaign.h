@@ -97,7 +97,7 @@ class Campaign {
 
   /// Apply every pending world epoch with epoch round <= `round`:
   /// advances the timeline, then notifies each vantage point's monitor
-  /// (resolved-row invalidation) and adds sites that gained an AAAA to
+  /// (resolved-row purge) and adds sites that gained an AAAA to
   /// the round walk's candidates.
   /// Coordinator-only, quiescent: no run_round may be in flight.
   /// No-op without a timeline. run() calls this; exposed for tests and
@@ -153,8 +153,9 @@ class Campaign {
   /// (ResultsDb::bytes) to the `mem.results_bytes` counter, the catalog's
   /// (SiteCatalog::bytes) to `mem.catalog_bytes`, the vantage points'
   /// RIBs (Rib::bytes) to `mem.rib_bytes` and the monitors' resolved-site
-  /// tables and route registries (ResolvedSiteTable::bytes,
-  /// PathRegistry::bytes) to `mem.resolved_slots_bytes`. Call after all runs,
+  /// tables (rows, index and key map) and route registries
+  /// (ResolvedSiteTable::bytes, PathRegistry::bytes) to
+  /// `mem.resolved_slots_bytes`. Call after all runs,
   /// before analysis. Idempotent; no run_round / run_w6d calls may
   /// follow. When stores fail (Error, IoError from a spool), every other
   /// store still finalizes and the error of the first failing store —

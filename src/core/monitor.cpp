@@ -69,6 +69,7 @@ namespace {
 struct MonitorMetricIds {
   obs::MetricId ci_exhausted = obs::metrics().counter("monitor.ci_exhausted");
   obs::MetricId rows_invalidated = obs::metrics().counter("monitor.rows_invalidated");
+  obs::MetricId resolved_rows = obs::metrics().counter("monitor.resolved_rows");
   obs::MetricId resolved_slots = obs::metrics().counter("monitor.resolved_slots");
   obs::MetricId row_fills = obs::metrics().counter("monitor.row_fills");
 };
@@ -151,7 +152,6 @@ Monitor::Monitor(const World& world, const VantagePoint& vp, MonitorConfig confi
   // student_t_critical.
   config_.validate();
   gates_ = util::CiGateTable(config_.ci_rel, config_.confidence, config_.max_downloads);
-  resolved_ = ResolvedSiteTable(world_.catalog.size());
 }
 
 Monitor::FamilyMeasurement Monitor::measure_family(
@@ -208,11 +208,10 @@ bool Monitor::characterize_v6_path(ResolvedSiteRow& row) const {
   // 6to4 anycast: the RIB's 2002::/16 route only reaches the relay — the
   // AS path *looks* 1-2 hops long. Packets then ride the IPv4 underlay to
   // the island; add that hidden leg's cost (the Table 7 artifact).
-  if (row.v6_path.valid && row.v6_addr.is_6to4()) {
-    const auto island = world_.origins.origin_v4(row.v6_addr.embedded_6to4_v4());
+  if (row.v6_path.valid && row.island != kNotSixToFour) {
     const topo::AsLink* tunnel = nullptr;
-    if (island.has_value()) {
-      for (const topo::Adjacency& adj : world_.graph.adjacencies(*island)) {
+    if (row.island != kNoIsland) {
+      for (const topo::Adjacency& adj : world_.graph.adjacencies(row.island)) {
         const topo::AsLink& l = world_.graph.link(adj.link_id);
         if (bgp::is_live_tunnel(l)) {
           tunnel = &l;
@@ -239,13 +238,25 @@ bool Monitor::characterize_v6_path(ResolvedSiteRow& row) const {
   return true;
 }
 
-void Monitor::resolve_addresses(const ip::Ipv4Address& v4_addr,
-                                const ip::Ipv6Address& v6_addr,
-                                ResolvedSiteRow& row) const {
-  row.v4_addr = v4_addr;
-  row.v6_addr = v6_addr;
-  row.v4_route = vp_.rib.lookup_v4(v4_addr);
-  row.v6_route = vp_.rib.lookup_v6(v6_addr);
+ResolvedSiteRow Monitor::route_key(const web::Hosting& answers) const {
+  ResolvedSiteRow row;
+  row.v4_route = vp_.rib.lookup_v4(answers.v4_addr);
+  row.v6_route = vp_.rib.lookup_v6(answers.v6_addr);
+  if (answers.v6_addr.is_6to4()) {
+    const auto island = world_.origins.origin_v4(answers.v6_addr.embedded_6to4_v4());
+    V6MON_ASSERT(!island.has_value() || *island < kNoIsland, "origin AS collides with a marker");
+    row.island = island.value_or(kNoIsland);
+  }
+  return row;
+}
+
+ResolvedSiteRow Monitor::resolve_row(const web::Hosting& answers) const {
+  ResolvedSiteRow row = route_key(answers);
+  characterize_row(row);
+  return row;
+}
+
+void Monitor::characterize_row(ResolvedSiteRow& row) const {
   // Verdict precedence matches the original inline phase 2 exactly: null
   // v4 route, null v6 route, 6to4 without a relay leg, invalid v4 path,
   // invalid v6 path. Routes stay recorded even on failure — origins and
@@ -343,45 +354,57 @@ void Monitor::evaluate_fallback(const transport::PathCharacteristics* v4,
 void Monitor::on_world_change(const WorldChangeSummary& summary) {
   current_world_epoch_ = summary.epoch;
 
-  std::uint64_t invalidated = 0;
-  for (std::uint32_t slot = 0; slot < resolved_.size(); ++slot) {
-    if (!resolved_.filled(slot)) continue;
+  std::vector<bool> stale(resolved_.size());
+  for (std::uint32_t id = 0; id < resolved_.size(); ++id) {
     // Stale-row pointer reads are safe here: the RIB trie retains value
     // storage across erase/replace, and this runs on the quiescent
     // coordinator before any post-epoch reader.
-    const ResolvedSiteRow& row = resolved_.row(slot);
+    const ResolvedSiteRow& row = resolved_.row(id);
     const bgp::RibEntry* v6_route = row.v6_route;
-    bool stale;
-    if (v6_route == nullptr || row.v6_addr.is_6to4()) {
+    if (v6_route == nullptr || row.island != kNotSixToFour) {
       // No cached route: one may exist now. 6to4: the anycast election
       // and the island's hidden tunnel leg both change without the
       // cached path crossing a touched AS.
-      stale = summary.v6_data_plane_changed;
+      stale[id] = summary.v6_data_plane_changed;
     } else {
       const std::vector<topo::Asn>& path = v6_route->as_path;
-      stale = summary.dest_changed(v6_route->origin) ||
-              std::any_of(path.begin(), path.end(),
-                          [&](topo::Asn a) { return summary.as_touched(a); });
-    }
-    if (stale) {
-      resolved_.invalidate(slot);
-      ++invalidated;
+      stale[id] = summary.dest_changed(v6_route->origin) ||
+                  std::any_of(path.begin(), path.end(),
+                              [&](topo::Asn a) { return summary.as_touched(a); });
     }
   }
-  obs::metrics().add(monitor_metric_ids().rows_invalidated, invalidated);
+  obs::metrics().add(monitor_metric_ids().rows_invalidated, resolved_.purge(stale));
 }
 
-void Monitor::assign_resolve_slots(std::span<const std::uint32_t> sites,
-                                   std::uint32_t round) {
-  const std::size_t before = resolved_.size();
+void Monitor::resolve_sites(std::span<const std::uint32_t> sites, std::uint32_t round) {
+  const web::SiteCatalog& catalog = world_.catalog;
+  // Records grant_aaaa appended since the last pass get their entries.
+  resolved_.cover(catalog.v6_records().size());
+  std::uint64_t first_sets = 0;
+  std::uint64_t fills = 0;
+  const std::size_t rows_before = resolved_.size();
   for (const std::uint32_t id : sites) {
-    const web::Site& s = world_.catalog.site(id);
-    const std::uint8_t epoch = world_.catalog.hosting_epoch(s, round);
-    if (resolved_.find(id, epoch) == ResolvedSiteTable::kNoSlot) {
-      resolved_.assign(s, epoch);
+    const web::Site& site = catalog.site(id);
+    // Only a dual-stack site reaches phase 2.
+    if (!catalog.dual_stack_at(site, round)) continue;
+    const std::uint8_t epoch = catalog.hosting_epoch(site, round);
+    if (resolved_.find(site.v6_record, epoch) != ResolvedSiteTable::kNoRow) continue;
+    ResolvedSiteRow row = route_key(catalog.hosting_at(site, round));
+    std::uint32_t row_id = resolved_.find_row(row);
+    if (row_id == ResolvedSiteTable::kNoRow) {
+      characterize_row(row);
+      row.route_pair = routes_->intern_pair(row.v4_route, row.v6_route, vp_.has_as_path);
+      row.world_epoch = current_world_epoch_;
+      row_id = resolved_.add(row);
     }
+    first_sets += resolved_.assign(site.v6_record, epoch, row_id);
+    ++fills;
   }
-  obs::metrics().add(monitor_metric_ids().resolved_slots, resolved_.size() - before);
+  auto& metrics = obs::metrics();
+  const MonitorMetricIds& ids = monitor_metric_ids();
+  metrics.add(ids.resolved_slots, first_sets);
+  metrics.add(ids.row_fills, fills);
+  metrics.add(ids.resolved_rows, resolved_.size() - rows_before);
 }
 
 Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
@@ -418,38 +441,21 @@ Observation Monitor::monitor_site(const web::Site& site, std::uint32_t round,
   }
 
   // --- Phase 2: locate both presences through the RIB --------------------
-  const web::Hosting answers = world_.catalog.hosting_at(site, round);
-
-  // Served from the campaign-lifetime resolved-site table. The first
-  // time a site reaches this phase its row is resolved and filled right
-  // here — by the one worker monitoring the site this epoch, so fills
-  // never race — and later rounds reuse it. Without a slot (a Monitor
-  // driven outside a campaign) the row is resolved per call. The lookup
-  // and the first-sight fill are the worker half of the slot work. A
-  // fill interns the row's route pair into routes_, so later rounds copy
-  // its id.
+  // Read from the row resolve_sites made for this (IPv6 record, hosting
+  // epoch); a site without one (a Monitor driven outside a campaign) is
+  // resolved per call and its route pair interned into routes_.
   ResolvedSiteRow local;
   const ResolvedSiteRow* row = &local;
-  {
-    obs::TraceSpan span(obs::Stage::kSiteResolve);
-    const std::uint32_t slot =
-        resolved_.find(site.id, world_.catalog.hosting_epoch(site, round));
-    if (slot == ResolvedSiteTable::kNoSlot) {
-      resolve_addresses(answers.v4_addr, answers.v6_addr, local);
-      obs.route_pair = routes_->intern_pair(local.v4_route, local.v6_route, vp_.has_as_path);
-    } else {
-      if (!resolved_.filled(slot)) {
-        resolve_addresses(answers.v4_addr, answers.v6_addr, local);
-        resolved_.fill(slot, local,
-                       routes_->intern_pair(local.v4_route, local.v6_route, vp_.has_as_path),
-                       current_world_epoch_);
-        obs::metrics().add(monitor_metric_ids().row_fills);
-      }
-      row = &resolved_.row(slot);
-      obs.route_pair = resolved_.route_pair(slot);
-      V6MON_ASSERT(row->v4_addr == answers.v4_addr && row->v6_addr == answers.v6_addr,
-                   "resolved-site row disagrees with the catalog's answers");
-    }
+  const std::uint32_t row_id =
+      resolved_.find(site.v6_record, world_.catalog.hosting_epoch(site, round));
+  if (row_id == ResolvedSiteTable::kNoRow) {
+    local = resolve_row(world_.catalog.hosting_at(site, round));
+    obs.route_pair = routes_->intern_pair(local.v4_route, local.v6_route, vp_.has_as_path);
+  } else {
+    row = &resolved_.row(row_id);
+    obs.route_pair = row->route_pair;
+    V6MON_ASSERT(row->same_key(route_key(world_.catalog.hosting_at(site, round))),
+                 "resolved-site row disagrees with the RIB's routes for the catalog's answers");
   }
 
   // Conn-establishment pass (ISSUE 9): every dual-stack site that got

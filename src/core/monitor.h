@@ -95,10 +95,12 @@ struct QueryLoss {
 /// Everything it shares across VPs is either immutable for the duration
 /// of a round (the World — mutated only between epoch segments, while no
 /// chain runs, but for the path memos of this VP's own RIB entries, which
-/// are relaxed atomics) or internally synchronized per-instance state
-/// that no other VP can reach (the resolved-site table, route registry
-/// and fallback tally are members, one set per Monitor, one Monitor per
-/// VP; the registry is read by this VP's own sinks).
+/// are relaxed atomics) or per-instance state that no other VP can reach
+/// (the resolved-site table, route registry and fallback tally are
+/// members, one set per Monitor, one Monitor per VP). The table changes
+/// only on this VP's coordinator, and workers only read it; the registry
+/// and the tally are internally synchronized, and the registry is read by
+/// this VP's own sinks.
 class Monitor {
  public:
   Monitor(const World& world, const VantagePoint& vp, MonitorConfig config);
@@ -109,10 +111,9 @@ class Monitor {
   /// (site, round) so threading cannot reorder draws. The stream is
   /// consumed, and taken by reference so that a primed engine
   /// (Mt64Engine::prime) is never copied. The observation's route pair
-  /// is an id of routes(). Non-const because it lazily fills the site's
-  /// resolved-site row on first successful resolution; safe to call
-  /// concurrently for *distinct* sites (each slot is touched by exactly
-  /// one caller per ingest epoch).
+  /// is an id of routes(). Phase 2 reads the site's resolved row when
+  /// resolve_sites made one and resolves per call otherwise, so it is
+  /// safe to call concurrently for any sites.
   [[nodiscard]] Observation monitor_site(const web::Site& site, std::uint32_t round,
                                          QueryLoss loss, util::Rng&& rng);
 
@@ -138,52 +139,49 @@ class Monitor {
   // --- Campaign-lifetime resolved-site rows ------------------------------
   //
   // Everything monitor_site's phase 2 derives (RIB routes, characterized
-  // + 6to4-adjusted paths, the phase-2 verdict) is a pure function of the
-  // immutable world per (site, hosting epoch); resolving it once and
-  // reusing the row leaves only DNS draws and download sampling per
-  // round. Rows are filled *lazily*: the worker monitoring a site writes
-  // its row the first time the site's resolution actually runs, so no
-  // work is ever spent on sites that never reach phase 2. A filled row's
-  // addresses are the catalog's at every round of its hosting epoch
-  // (grant_aaaa only rewrites sites without an AAAA, which have no filled
-  // row), which monitor_site asserts.
-  //
-  // Concurrency: assign_resolve_slots grows the table and must be
-  // serialized with every other use of this Monitor — Campaign holds the
-  // vantage point's ingest-epoch mutex across each round. The lazy fills
-  // are parallel-safe because a site appears at most once per work list,
-  // so each slot is written by exactly one worker per epoch, and the
-  // epoch's join barrier publishes rows to later rounds.
+  // + 6to4-adjusted paths, the phase-2 verdict) is a function of the
+  // site's route pair and 6to4 island; resolving it once per key and
+  // sharing the row leaves only DNS draws and download sampling per
+  // round. The coordinator resolves before each fan-out and workers only
+  // read: Campaign holds the vantage point's ingest-epoch mutex across
+  // each round, so resolve_sites is serialized with every other use of
+  // this Monitor. monitor_site asserts that a row's routes are the RIB's
+  // for the site's answers at that round.
 
-  /// Coordinator-only: ensure table slots exist for `sites` (catalog site
-  /// ids) at `round` before workers run (table growth must not race the
-  /// lazy fills).
-  void assign_resolve_slots(std::span<const std::uint32_t> sites,
-                            std::uint32_t round);
+  /// Coordinator-only: give every site of `sites` (catalog site ids) that
+  /// is dual-stack at `round` a row before workers run, resolving its
+  /// answers' routes and island once per unset index entry and
+  /// characterizing once per new key.
+  void resolve_sites(std::span<const std::uint32_t> sites, std::uint32_t round);
 
   [[nodiscard]] const ResolvedSiteTable& resolved_sites() const { return resolved_; }
 
+  /// Phase-2 resolution of one site's answers against this VP's RIB and
+  /// the world as it stands: the row's key, gate and paths (route_pair
+  /// kNoPair, world_epoch 0). What monitor_site and resolve_sites use.
+  [[nodiscard]] ResolvedSiteRow resolve_row(const web::Hosting& answers) const;
+
   /// This vantage point's route registry: every resolved row's (IPv4
-  /// route, IPv6 route) pair, interned when the row is filled (or, for a
-  /// row resolved without a slot, when monitor_site runs). Observations
+  /// route, IPv6 route) pair, interned when the row is made (or, for a
+  /// site resolved per call, when monitor_site runs). Observations
   /// carry its pair ids until a sink imports them into its store.
-  /// Internally synchronized; it grows while workers fill rows.
+  /// Internally synchronized.
   [[nodiscard]] const PathRegistry& routes() const { return *routes_; }
 
   /// Epoch-boundary row maintenance (coordinator-only, quiescent): the
-  /// world just advanced to `summary.epoch`. Invalidates resolved-site
-  /// rows whose cached IPv6 route (or absence of one), and with it the
-  /// row's characterized paths, may no longer hold:
+  /// world just advanced to `summary.epoch`. Purges resolved rows whose
+  /// cached IPv6 route (or absence of one), and with it the row's
+  /// characterized paths, may no longer hold:
   ///
   ///   - rows routed through a touched AS, or to a changed destination;
   ///   - 6to4 rows and unrouted rows, whenever the v6 data plane changed
   ///     at all (anycast re-election and relay retirement act at a
-  ///     distance, so these are invalidated conservatively).
+  ///     distance, so these are purged conservatively).
   ///
   /// IPv4 state is never invalidated — the delta vocabulary is v6-only.
-  /// Conservative invalidation is byte-safe: refills are deterministic
-  /// functions of the post-epoch world. New fills are stamped with
-  /// `summary.epoch`.
+  /// Conservative invalidation is byte-safe: re-resolutions are
+  /// deterministic functions of the post-epoch world. New rows are
+  /// stamped with `summary.epoch`.
   void on_world_change(const WorldChangeSummary& summary);
 
   /// Outcome of one family's repeat-until-CI download loop. Public only
@@ -209,16 +207,17 @@ class Monitor {
                                    transport::DownloadTally& tally) const;
 
  private:
-  /// Phase-2 resolution against explicit addresses (the row content
-  /// shared by table fills and the inline fallback).
-  void resolve_addresses(const ip::Ipv4Address& v4_addr,
-                         const ip::Ipv6Address& v6_addr,
-                         ResolvedSiteRow& row) const;
+  /// A row with only its key set: the RIB routes of `answers` and the
+  /// 6to4 island of its IPv6 address.
+  [[nodiscard]] ResolvedSiteRow route_key(const web::Hosting& answers) const;
+
+  /// Fill the gate and paths of a row whose key is set.
+  void characterize_row(ResolvedSiteRow& row) const;
 
   /// characterize_path from this VP plus the path's quality factor. Runs
-  /// once per row fill: the resolved-site row is the memo, and the
+  /// once per new row key: the resolved-site row is the memo, and the
   /// route's own memo keeps the quality's normal draw
-  /// (transport::path_normal) for every later fill through it.
+  /// (transport::path_normal) for every later row through it.
   [[nodiscard]] transport::PathCharacteristics characterize(const bgp::RibEntry& route,
                                                             ip::Family family) const;
 
@@ -259,12 +258,13 @@ class Monitor {
   /// Precomputed CI stopping gates for (ci_rel, confidence) over
   /// n in [2, max_downloads]; built after config validation.
   util::CiGateTable gates_;
-  /// Write-once per-(site, hosting epoch) phase-2 rows; see class comment.
+  /// Phase-2 rows shared per key, indexed per (IPv6 record, hosting
+  /// epoch); see ResolvedSiteTable.
   ResolvedSiteTable resolved_;
   /// The rows' route pairs (see routes()); behind a pointer so Monitor
   /// stays movable.
   std::unique_ptr<PathRegistry> routes_;
-  /// World epoch stamped onto new resolved-row fills; bumped by
+  /// World epoch stamped onto new resolved rows; bumped by
   /// on_world_change at quiescent round boundaries only.
   std::uint32_t current_world_epoch_ = 0;
 };

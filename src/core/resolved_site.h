@@ -2,137 +2,116 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/rib.h"
 #include "core/results.h"
-#include "ip/ipv4.h"
-#include "ip/ipv6.h"
+#include "topo/as_graph.h"
 #include "transport/path.h"
 #include "util/contracts.h"
-#include "web/site.h"
 
 namespace v6mon::core {
 
-/// One site's resolved phase-2 state, as computed by Monitor: the table
-/// row, and the per-call row monitor_site resolves into when no table
-/// row applies.
+/// A row's 6to4 island when its IPv6 address is not a 6to4 address.
+inline constexpr topo::Asn kNotSixToFour = topo::kNoAs;
+/// A row's 6to4 island when the embedded IPv4 address has no origin AS.
+inline constexpr topo::Asn kNoIsland = topo::kNoAs - 1;
+
+/// One route pair's resolved phase-2 state: everything monitor_site's
+/// phase 2 derives from a site's answers is a function of the pair's key
+/// — the RIB routes of the two addresses and the 6to4 island — so sites
+/// with equal keys share one row. A row keeps no addresses.
 struct ResolvedSiteRow {
-  ip::Ipv4Address v4_addr;
-  ip::Ipv6Address v6_addr;
-  /// The pipeline's phase-2 verdict given both DNS answers exist:
-  /// kMeasured = proceed to the download phases, otherwise the terminal
-  /// status (null route, no 6to4 relay, invalid path), with the original
-  /// check precedence preserved.
-  MonitorStatus gate = MonitorStatus::kMeasured;
+  /// The key: the routes (null = no route) and `island`.
   const bgp::RibEntry* v4_route = nullptr;
   const bgp::RibEntry* v6_route = nullptr;
   /// Characterized paths, with the 6to4 hidden-leg adjustment already
   /// applied to the v6 side.
   transport::PathCharacteristics v4_path;
   transport::PathCharacteristics v6_path;
-};
+  /// The origin AS of a 6to4 address's embedded IPv4 address, or
+  /// kNotSixToFour / kNoIsland. Placed here, it packs with the fields below.
+  topo::Asn island = kNotSixToFour;
+  /// The pair id of the two routes in the owning Monitor's registry.
+  PairId route_pair = kNoPair;
+  /// World epoch the row was resolved under (0 = the seed world).
+  std::uint32_t world_epoch = 0;
+  /// The pipeline's phase-2 verdict given both DNS answers exist:
+  /// kMeasured = proceed to the download phases, otherwise the terminal
+  /// status (null route, no 6to4 relay, invalid path), with the original
+  /// check precedence preserved.
+  MonitorStatus gate = MonitorStatus::kMeasured;
 
-/// Cache of per-(vantage, site) phase-2 state that is a pure function of
-/// the world at a world epoch: addresses, RIB routes, characterized +
-/// 6to4-adjusted paths and the phase-2 gate verdict. One row per
-/// slot, keyed by (site, hosting epoch — web::SiteCatalog::hosting_epoch);
-/// materialized on first use and reused for every later round, so only DNS
-/// draws and download sampling remain per-round work. Page sizes and
-/// server rates are not cached: monitor_site reads them from the live
-/// catalog entry.
-///
-/// The index holds assigned keys only, so a table's memory follows the
-/// sites that reached phase 2 (the dual-stack ones), not the catalog.
-///
-/// Concurrency protocol (no internal locks, mirroring the RIB-build
-/// pattern): slot assignment (index and vector growth) is coordinator-only —
-/// Campaign serializes it under the vantage point's ingest-epoch mutex —
-/// then fills happen lazily inside monitor_site. A site appears at most
-/// once per work list, so each slot is written by exactly one worker per
-/// epoch (slots are *disjoint* across workers), and the epoch's join
-/// barrier publishes the rows to every later round.
-///
-/// Cross-VP confinement (ISSUE 10): each table is owned by one VP's
-/// Monitor and only reached through it; the campaign runs that VP's
-/// rounds as one chain on one thread, so overlapping *other* VPs'
-/// rounds never touch this table — the protocol above is unchanged by
-/// cross-VP concurrency. The w6d path keeps it true by taking
-/// the regular store's epoch mutex inside the w6d store's
-/// (run_w6d_for_vp), so a VP's W6D mini-rounds and its regular rounds
-/// cannot interleave table growth either.
+  [[nodiscard]] bool same_key(const ResolvedSiteRow& o) const {
+    return v4_route == o.v4_route && v6_route == o.v6_route && island == o.island;
+  }
+};
+static_assert(sizeof(ResolvedSiteRow) == 112, "a row is two routes, two paths and 16 bytes");
+
+/// One vantage point's phase-2 rows, one per key, behind a dense index
+/// keyed by `2 * v6_record + hosting epoch` (web::Site::v6_record,
+/// web::SiteCatalog::hosting_epoch): every site that reaches phase 2 is
+/// dual-stack and so has an IPv6 presence record, and records cover about
+/// 1% of the catalog. Rows, keys and index entries change only on the
+/// owning vantage point's coordinator (Monitor::resolve_sites before a
+/// round's fan-out, Monitor::on_world_change between rounds); workers only
+/// read, and the fan-out's start and join publish every change.
 class ResolvedSiteTable {
  public:
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  static constexpr std::uint32_t kNoRow = 0xffffffffu;
 
-  ResolvedSiteTable() = default;
-  explicit ResolvedSiteTable(std::size_t catalog_sites);
+  /// Give records [0, v6_records) index entries; never shrinks.
+  void cover(std::size_t v6_records);
 
-  /// Slot of (site, hosting epoch), or kNoSlot. Lock-free read.
-  [[nodiscard]] std::uint32_t find(std::uint32_t site_id, std::uint8_t epoch) const {
+  /// Row of (IPv6 record, hosting epoch), or kNoRow (including records
+  /// the index does not cover). Lock-free read.
+  [[nodiscard]] std::uint32_t find(std::uint32_t v6_record, std::uint8_t epoch) const {
     V6MON_ASSERT(epoch <= 1, "hosting epoch must be 0 or 1");
-    const auto it = slot_of_.find(std::uint64_t{site_id} * 2 + epoch);
-    return it == slot_of_.end() ? kNoSlot : it->second;
+    const std::size_t at = std::size_t{v6_record} * 2 + epoch;
+    const std::uint32_t id = at < index_.size() ? index_[at] : kNoRow;
+    return id == kPurged ? kNoRow : id;
   }
+  /// Row with `key`'s key (routes and island), or kNoRow.
+  [[nodiscard]] std::uint32_t find_row(const ResolvedSiteRow& key) const;
 
-  /// Coordinator-only: create an unfilled slot for (site, hosting epoch);
-  /// the resolved row arrives via fill().
-  /// Requires the slot not to exist.
-  std::uint32_t assign(const web::Site& site, std::uint8_t epoch);
+  /// Coordinator-only: append `row`, whose key must be new; returns its id.
+  std::uint32_t add(const ResolvedSiteRow& row);
+  /// Coordinator-only: point the unset entry (IPv6 record, hosting
+  /// epoch) at `row`. Returns whether the entry was never set before
+  /// (purge resets entries).
+  bool assign(std::uint32_t v6_record, std::uint8_t epoch, std::uint32_t row);
 
-  /// Store a resolved row and its routes' pair id (of the owning
-  /// Monitor's registry), stamping the world epoch it was resolved under.
-  /// Safe to call concurrently for distinct slots; each slot is filled at
-  /// most once *per world epoch* — a row invalidated at an epoch boundary
-  /// refills through the same path.
-  void fill(std::uint32_t slot, const ResolvedSiteRow& row, PairId route_pair,
-            std::uint32_t world_epoch);
+  /// Coordinator-only, quiescent: drop every row `stale` marks, with its
+  /// key and the index entries that point at it, so the next resolution
+  /// of those entries characterizes afresh. Surviving rows keep their
+  /// order and may take new ids. Returns the rows dropped.
+  std::size_t purge(const std::vector<bool>& stale);
 
-  /// Epoch-boundary invalidation (coordinator-only, quiescent): clear
-  /// the filled flag so the next round's lazy fill re-resolves the row
-  /// against the post-epoch RIB and paths. The cached RibEntry pointers
-  /// stay dereferenceable until then (the RIB trie retains value
-  /// storage), but no reader sees them: every read is gated on filled().
-  void invalidate(std::uint32_t slot);
-
-  [[nodiscard]] std::size_t size() const { return slots_.size(); }
-  /// Bytes of the slots and index entries, by size (not capacity; hash
-  /// buckets are not counted).
+  [[nodiscard]] std::size_t size() const { return rows_.size(); }
+  [[nodiscard]] const ResolvedSiteRow& row(std::uint32_t id) const { return rows_[id]; }
+  /// Index entries (two per covered IPv6 record).
+  [[nodiscard]] std::size_t index_size() const { return index_.size(); }
+  /// Bytes of the rows, the index and the key map, by capacity.
   [[nodiscard]] std::size_t bytes() const {
-    return slots_.size() * sizeof(Slot) + slot_of_.size() * sizeof(decltype(slot_of_)::value_type);
-  }
-  [[nodiscard]] const ResolvedSiteRow& row(std::uint32_t slot) const {
-    return slots_[slot].row;
-  }
-  /// The pair id of the row's two routes.
-  [[nodiscard]] PairId route_pair(std::uint32_t slot) const {
-    return slots_[slot].route_pair;
-  }
-  [[nodiscard]] std::uint32_t site_id(std::uint32_t slot) const {
-    return slots_[slot].site_id;
-  }
-  [[nodiscard]] bool filled(std::uint32_t slot) const { return slots_[slot].filled; }
-  /// World epoch the row was last resolved under (0 = the seed world).
-  [[nodiscard]] std::uint32_t world_epoch(std::uint32_t slot) const {
-    return slots_[slot].world_epoch;
+    return rows_.capacity() * sizeof(ResolvedSiteRow) +
+           (index_.capacity() + buckets_.capacity()) * sizeof(std::uint32_t);
   }
 
  private:
-  /// The pair id sits beside the row, in what would be the slot's tail
-  /// padding: inside the row it would widen every slot by 8 bytes.
-  struct Slot {
-    ResolvedSiteRow row;
-    std::uint32_t site_id = 0;
-    std::uint32_t world_epoch = 0;
-    PairId route_pair = kNoPair;
-    bool filled = false;
-  };
+  /// An index entry purge reset: unset, but set before.
+  static constexpr std::uint32_t kPurged = kNoRow - 1;
 
-  std::size_t catalog_sites_ = 0;
-  /// 2 * site_id + hosting epoch -> slot.
-  std::unordered_map<std::uint64_t, std::uint32_t> slot_of_;
-  std::vector<Slot> slots_;
+  [[nodiscard]] std::size_t home_bucket(const ResolvedSiteRow& key) const;
+  /// Rebuild the key map over every row with `buckets` buckets.
+  void rehash(std::size_t buckets);
+  void insert_key(std::uint32_t id);
+
+  std::vector<ResolvedSiteRow> rows_;
+  /// 2 * v6_record + hosting epoch -> row id, kNoRow or kPurged.
+  std::vector<std::uint32_t> index_;
+  /// The key map: open addressing with linear probing over row ids
+  /// (kNoRow = empty), a power of two at most half full.
+  std::vector<std::uint32_t> buckets_;
 };
 
 }  // namespace v6mon::core

@@ -55,6 +55,7 @@ constexpr const char* kCounterNames[] = {
     "mem.results_bytes",
     "mem.rib_bytes",
     "monitor.ci_exhausted",
+    "monitor.resolved_rows",
     "monitor.resolved_slots",
     "monitor.row_fills",
     "monitor.rows_invalidated",

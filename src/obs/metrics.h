@@ -49,8 +49,8 @@ enum class Stage : std::uint8_t {
   kRibBuild,         ///< BGP convergence + RIB insertion (world build).
   kIngestFlush,      ///< Round-boundary sink flush into the results store.
   kAnalysis,         ///< The Fig. 4 analysis pass over a finalized store.
-  kSiteResolve,      ///< Resolved-site slots: assignment (coordinator), lookup
-                     ///< and first-sight fill (workers, in monitor_site).
+  kSiteResolve,      ///< Resolved-site rows: the coordinator's resolution
+                     ///< pass before each fan-out (Monitor::resolve_sites).
   kWorkList,         ///< A round's work list: candidate walk + shuffle.
   kCatalogBuild,     ///< Site catalog generation (world build).
   kEpochAdvance,     ///< WorldTimeline::advance_to applying due epochs.

@@ -254,13 +254,15 @@ void expect_equal_counters(const RoundCounters& a, const RoundCounters& b,
   EXPECT_EQ(a.measured, b.measured) << "vp=" << vp << " round=" << round;
 }
 
-// Workers filling distinct resolved-site rows of one Monitor at once, as
-// a campaign round does: the fills intern their route pairs into the
+// Workers running sites of one Monitor at once. Without resolved rows
+// every call resolves per call: it interns its route pair into the
 // Monitor's one registry under its mutex, and sites that share a RIB
 // route race its path memo (a relaxed atomic; racing workers store the
-// same bits). Under TSan an unguarded intern or a plain memo write is a
-// hard failure; on plain builds every observation, pair by content,
-// must equal a serial Monitor's.
+// same bits). With rows resolved by resolve_sites beforehand, as a
+// campaign round does, the workers only read the shared rows. Under TSan
+// an unguarded intern, a plain memo write or a row written during the
+// fan-out is a hard failure; on plain builds every observation, pair by
+// content, must equal a serial Monitor's.
 TEST(MonitorStress, ConcurrentFillsShareRegistryAndRouteMemos) {
   const World& w = stress_world();
   constexpr std::uint32_t kRound = 3;
@@ -274,26 +276,36 @@ TEST(MonitorStress, ConcurrentFillsShareRegistryAndRouteMemos) {
     SCOPED_TRACE(vp.name);
     Monitor serial(w, vp, {});
     Monitor raced(w, vp, {});
-    serial.assign_resolve_slots(dual, kRound);
-    raced.assign_resolve_slots(dual, kRound);
+    Monitor resolved(w, vp, {});
+    resolved.resolve_sites(dual, kRound);
+    ASSERT_GT(resolved.resolved_sites().size(), 0u);
     const auto observe = [&](Monitor& m, std::uint32_t id) {
       return m.monitor_site(w.catalog.site(id), kRound, {}, util::Rng(id));
     };
-    std::vector<Observation> want, got(dual.size());
+    std::vector<Observation> want;
     for (const std::uint32_t id : dual) want.push_back(observe(serial, id));
-    std::latch start(kThreads);
-    std::vector<std::thread> threads;
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        start.arrive_and_wait();
-        for (std::size_t i = t; i < dual.size(); i += kThreads) {
-          got[i] = observe(raced, dual[i]);
-        }
-      });
+    const auto run_concurrently = [&](Monitor& m) {
+      std::vector<Observation> got(dual.size());
+      std::latch start(kThreads);
+      std::vector<std::thread> threads;
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          start.arrive_and_wait();
+          for (std::size_t i = t; i < dual.size(); i += kThreads) {
+            got[i] = observe(m, dual[i]);
+          }
+        });
+      }
+      for (std::thread& th : threads) th.join();
+      return got;
+    };
+    const std::vector<Observation> got = run_concurrently(raced);
+    const std::vector<Observation> read = run_concurrently(resolved);
+    EXPECT_EQ(raced.resolved_sites().size(), 0u);
+    for (const Monitor* m : {&raced, &resolved}) {
+      EXPECT_EQ(m->routes().pair_count(), serial.routes().pair_count());
+      EXPECT_EQ(m->routes().bytes(), serial.routes().bytes());
     }
-    for (std::thread& th : threads) th.join();
-    EXPECT_EQ(raced.routes().pair_count(), serial.routes().pair_count());
-    EXPECT_EQ(raced.routes().bytes(), serial.routes().bytes());
     const auto text = [](const PathRegistry& reg, PairId id) {
       const RoutePair p = reg.pair(id);
       std::string out;
@@ -310,6 +322,11 @@ TEST(MonitorStress, ConcurrentFillsShareRegistryAndRouteMemos) {
       EXPECT_EQ(got[i].v4_speed_kBps, want[i].v4_speed_kBps);
       EXPECT_EQ(got[i].v6_speed_kBps, want[i].v6_speed_kBps);
       EXPECT_EQ(text(raced.routes(), got[i].route_pair),
+                text(serial.routes(), want[i].route_pair));
+      EXPECT_EQ(read[i].status, want[i].status);
+      EXPECT_EQ(read[i].v4_speed_kBps, want[i].v4_speed_kBps);
+      EXPECT_EQ(read[i].v6_speed_kBps, want[i].v6_speed_kBps);
+      EXPECT_EQ(text(resolved.routes(), read[i].route_pair),
                 text(serial.routes(), want[i].route_pair));
     }
   }

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -16,6 +18,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/campaign.h"
@@ -1108,20 +1111,23 @@ TEST(Campaign, WorkListInvariantSweep) {
     }
     return lost;
   };
-  // stamps[vp][slot]: the world epoch the slot's row last carried.
+  // stamps[vp][key]: the world epoch the row with that key last carried.
+  // A purged key comes back only in a later epoch, so a key's stamp
+  // never goes backward.
+  using RowKey = std::tuple<const bgp::RibEntry*, const bgp::RibEntry*, topo::Asn>;
   const auto check_epoch_stamps = [](const Campaign& campaign, std::size_t num_vps,
                                      std::uint32_t current_epoch,
-                                     std::vector<std::vector<std::uint32_t>>& stamps) {
+                                     std::vector<std::map<RowKey, std::uint32_t>>& stamps) {
     stamps.resize(num_vps);
     for (std::size_t v = 0; v < num_vps; ++v) {
       const ResolvedSiteTable& table = campaign.monitor(v).resolved_sites();
-      stamps[v].resize(table.size(), 0);
-      for (std::uint32_t slot = 0; slot < table.size(); ++slot) {
-        if (!table.filled(slot)) continue;
-        const std::uint32_t stamp = table.world_epoch(slot);
-        EXPECT_LE(stamp, current_epoch) << "vp " << v << " slot " << slot;
-        EXPECT_GE(stamp, stamps[v][slot]) << "vp " << v << " slot " << slot;
-        stamps[v][slot] = stamp;
+      for (std::uint32_t id = 0; id < table.size(); ++id) {
+        const ResolvedSiteRow& row = table.row(id);
+        const std::uint32_t stamp = row.world_epoch;
+        std::uint32_t& last = stamps[v][RowKey{row.v4_route, row.v6_route, row.island}];
+        EXPECT_LE(stamp, current_epoch) << "vp " << v << " row " << id;
+        EXPECT_GE(stamp, last) << "vp " << v << " row " << id;
+        last = stamp;
       }
     }
   };
@@ -1176,7 +1182,7 @@ TEST(Campaign, WorkListInvariantSweep) {
                 const auto world_epoch = [&] {
                   return evolving ? timeline->current_epoch() : std::uint32_t{0};
                 };
-                std::vector<std::vector<std::uint32_t>> stamps;
+                std::vector<std::map<RowKey, std::uint32_t>> stamps;
                 if (fast_path) {
                   // One (VP, round) at a time, so that each one's monitored and
                   // coin-settled sites can be held to a brute-force count: the
@@ -1484,80 +1490,153 @@ TEST(Campaign, RejectsRoundCountAtMonitorKeyLimit) {
 
 // --- Resolved-site table and monitor_site's two read paths ---------------
 
-TEST(ResolvedSiteTable, FindOnUnassignedKeyReturnsNoSlot) {
-  ResolvedSiteTable table(4);
-  EXPECT_EQ(table.size(), 0u);
-  EXPECT_EQ(table.find(0, 0), ResolvedSiteTable::kNoSlot);
-  EXPECT_EQ(table.find(3, 1), ResolvedSiteTable::kNoSlot);
-  EXPECT_EQ(table.find(4, 0), ResolvedSiteTable::kNoSlot);  // beyond the catalog
+// Rows keyed by `routes`' addresses: the table compares and hashes a
+// row's route pointers, never follows them.
+ResolvedSiteRow keyed_row(const bgp::RibEntry* v4, const bgp::RibEntry* v6,
+                          topo::Asn island = kNotSixToFour) {
+  ResolvedSiteRow row;
+  row.v4_route = v4;
+  row.v6_route = v6;
+  row.island = island;
+  return row;
+}
 
-  web::Site site;
-  site.id = 2;
-  const std::uint32_t slot = table.assign(site, 1);
+TEST(ResolvedSiteTable, FindOnUnassignedKeyReturnsNoSlot) {
+  const std::array<bgp::RibEntry, 2> routes{};
+  ResolvedSiteTable table;
+  table.cover(2);
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.index_size(), 4u);
+  EXPECT_EQ(table.find(0, 0), ResolvedSiteTable::kNoRow);
+  EXPECT_EQ(table.find(1, 1), ResolvedSiteTable::kNoRow);
+  EXPECT_EQ(table.find(2, 0), ResolvedSiteTable::kNoRow);  // beyond the index
+  EXPECT_EQ(table.find_row(keyed_row(&routes[0], &routes[1])), ResolvedSiteTable::kNoRow);
+
+  const std::uint32_t id = table.add(keyed_row(&routes[0], &routes[1]));
+  EXPECT_TRUE(table.assign(1, 1, id));
   EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(table.find(2, 1), slot);
-  EXPECT_EQ(table.find(2, 0), ResolvedSiteTable::kNoSlot);
-  EXPECT_EQ(table.site_id(slot), 2u);
-  EXPECT_FALSE(table.filled(slot));
+  EXPECT_EQ(table.find(1, 1), id);
+  EXPECT_EQ(table.find(1, 0), ResolvedSiteTable::kNoRow);
+  EXPECT_EQ(table.find_row(keyed_row(&routes[0], &routes[1])), id);
+  // Each key part counts: the families swapped, another island, no route.
+  EXPECT_EQ(table.find_row(keyed_row(&routes[1], &routes[0])), ResolvedSiteTable::kNoRow);
+  EXPECT_EQ(table.find_row(keyed_row(&routes[0], &routes[1], kNoIsland)),
+            ResolvedSiteTable::kNoRow);
+  EXPECT_EQ(table.find_row(keyed_row(&routes[0], nullptr)), ResolvedSiteTable::kNoRow);
+
+  // Covering grows the index and keeps what it holds; it never shrinks.
+  table.cover(1);
+  EXPECT_EQ(table.index_size(), 4u);
+  table.cover(3);
+  EXPECT_EQ(table.index_size(), 6u);
+  EXPECT_EQ(table.find(1, 1), id);
+  EXPECT_EQ(table.find(2, 0), ResolvedSiteTable::kNoRow);
 }
 
 #if V6MON_CONTRACT_LEVEL >= 1
 
 TEST(ResolvedSiteTable, AssignRejectsDuplicateAndOutOfCatalogKeys) {
-  ResolvedSiteTable table(4);
-  web::Site site;
-  site.id = 1;
-  (void)table.assign(site, 0);
-  EXPECT_THROW((void)table.assign(site, 0), ContractError);
-  EXPECT_THROW((void)table.assign(site, 2), ContractError);
-  site.id = 4;
-  EXPECT_THROW((void)table.assign(site, 0), ContractError);
+  const std::array<bgp::RibEntry, 2> routes{};
+  ResolvedSiteTable table;
+  table.cover(2);
+  const std::uint32_t id = table.add(keyed_row(&routes[0], &routes[1]));
+  EXPECT_TRUE(table.assign(1, 0, id));
+  EXPECT_THROW((void)table.assign(1, 0, id), ContractError);      // already set
+  EXPECT_THROW((void)table.assign(1, 2, id), ContractError);      // no such epoch
+  EXPECT_THROW((void)table.assign(2, 0, id), ContractError);      // beyond the records
+  EXPECT_THROW((void)table.assign(0, 0, id + 1), ContractError);  // no such row
+  EXPECT_THROW((void)table.add(keyed_row(&routes[0], &routes[1])), ContractError);
   EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.find(0, 0), ResolvedSiteTable::kNoRow);
 }
 
-// Hosting epochs are 0 and 1: find(s, 2) would otherwise read the key
-// of (s + 1, 0).
+// Hosting epochs are 0 and 1: find(r, 2) would otherwise read the entry
+// of (r + 1, 0).
 TEST(ResolvedSiteTableDeathTest, FindRejectsHostingEpochAboveOne) {
-  ResolvedSiteTable table(4);
-  web::Site site;
-  site.id = 2;
-  (void)table.assign(site, 0);
-  EXPECT_DEATH((void)table.find(1, 2), "hosting epoch must be 0 or 1");
+  const std::array<bgp::RibEntry, 2> routes{};
+  ResolvedSiteTable table;
+  table.cover(4);
+  EXPECT_TRUE(table.assign(1, 0, table.add(keyed_row(&routes[0], &routes[1]))));
+  EXPECT_DEATH((void)table.find(0, 2), "hosting epoch must be 0 or 1");
 }
 
 #endif  // V6MON_CONTRACT_LEVEL >= 1
 
+// Equal keys share one row; a purge drops the stale rows with their keys
+// and resets the entries that pointed at them, survivors keep their
+// content under new ids, and a refill through the same key makes a new
+// row with the new stamp.
 TEST(ResolvedSiteTable, FillStampsWorldEpochAndInvalidateAllowsRefill) {
-  ResolvedSiteTable table(2);
-  web::Site site;
-  site.id = 1;
-  const std::uint32_t slot = table.assign(site, 0);
+  const std::array<bgp::RibEntry, 4> routes{};
+  ResolvedSiteTable table;
+  table.cover(3);
+  ResolvedSiteRow a = keyed_row(&routes[0], &routes[1]);
+  a.route_pair = 7;
+  a.world_epoch = 3;
+  a.gate = MonitorStatus::kV6DownloadFailed;
+  const std::uint32_t id_a = table.add(a);
+  EXPECT_TRUE(table.assign(0, 0, id_a));
+  EXPECT_TRUE(table.assign(1, 0, id_a));
+  ResolvedSiteRow b = keyed_row(&routes[2], &routes[3], 64);
+  b.world_epoch = 3;
+  const std::uint32_t id_b = table.add(b);
+  EXPECT_TRUE(table.assign(2, 1, id_b));
+  EXPECT_EQ(table.size(), 2u);
+  EXPECT_EQ(table.row(id_a).world_epoch, 3u);
+  EXPECT_EQ(table.row(id_a).route_pair, 7u);
+  EXPECT_EQ(table.row(id_a).gate, MonitorStatus::kV6DownloadFailed);
 
-  ResolvedSiteRow row;
-  row.v4_addr = ip::Ipv4Address(0x0a000001u);
-  row.gate = MonitorStatus::kV6DownloadFailed;
-  table.fill(slot, row, /*route_pair=*/7, 3);
-  EXPECT_TRUE(table.filled(slot));
-  EXPECT_EQ(table.world_epoch(slot), 3u);
-  EXPECT_EQ(table.route_pair(slot), 7u);
-  EXPECT_EQ(table.row(slot).v4_addr, row.v4_addr);
-  EXPECT_EQ(table.row(slot).gate, MonitorStatus::kV6DownloadFailed);
+  EXPECT_EQ(table.purge({false, false}), 0u);
+  EXPECT_EQ(table.find(0, 0), id_a);
+  EXPECT_EQ(table.purge({true, false}), 1u);
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.find(0, 0), ResolvedSiteTable::kNoRow);
+  EXPECT_EQ(table.find(1, 0), ResolvedSiteTable::kNoRow);
+  EXPECT_EQ(table.find_row(a), ResolvedSiteTable::kNoRow);
+  const std::uint32_t moved = table.find(2, 1);
+  ASSERT_NE(moved, ResolvedSiteTable::kNoRow);
+  EXPECT_TRUE(table.row(moved).same_key(b));
+  EXPECT_EQ(table.find_row(b), moved);
 
-  table.invalidate(slot);
-  EXPECT_FALSE(table.filled(slot));
-  row.gate = MonitorStatus::kMeasured;
-  table.fill(slot, row, kNoPair, 5);
-  EXPECT_TRUE(table.filled(slot));
-  EXPECT_EQ(table.world_epoch(slot), 5u);
-  EXPECT_EQ(table.route_pair(slot), kNoPair);
-  EXPECT_EQ(table.row(slot).gate, MonitorStatus::kMeasured);
+  a.world_epoch = 5;
+  a.route_pair = kNoPair;
+  a.gate = MonitorStatus::kMeasured;
+  const std::uint32_t refill = table.add(a);
+  EXPECT_FALSE(table.assign(0, 0, refill)) << "a purged entry was set before";
+  EXPECT_EQ(table.find(0, 0), refill);
+  EXPECT_EQ(table.row(refill).world_epoch, 5u);
+  EXPECT_EQ(table.row(refill).route_pair, kNoPair);
+  EXPECT_EQ(table.row(refill).gate, MonitorStatus::kMeasured);
 }
 
-// The hash index against the slots it points at, after a frozen and an
-// evolving campaign (relocated sites take hosting-epoch-1 keys, epochs
-// grant AAAA records) at 1 and 4 threads: every (site, hosting epoch)
-// key finds nothing or a slot of that site, no two keys share a slot,
-// and the keys found are exactly the table's slots.
+// The open-addressing key map through its growth and a purge that drops
+// every other row: every surviving key finds its own row, no dropped key
+// finds one, and the ledger counts capacities.
+TEST(ResolvedSiteTable, KeyMapFindsEveryRowAcrossGrowthAndPurge) {
+  const std::vector<bgp::RibEntry> routes(40);
+  ResolvedSiteTable table;
+  std::vector<ResolvedSiteRow> keys;
+  for (std::size_t i = 0; i < routes.size(); ++i) {
+    for (const topo::Asn island : {kNotSixToFour, kNoIsland, topo::Asn{9}}) {
+      keys.push_back(keyed_row(&routes[i], &routes[(i * 7) % routes.size()], island));
+      EXPECT_EQ(table.add(keys.back()), keys.size() - 1);
+    }
+  }
+  for (std::uint32_t id = 0; id < keys.size(); ++id) EXPECT_EQ(table.find_row(keys[id]), id);
+  EXPECT_GE(table.bytes(), keys.size() * (sizeof(ResolvedSiteRow) + 2 * sizeof(std::uint32_t)));
+  std::vector<bool> stale(keys.size());
+  for (std::size_t id = 0; id < keys.size(); id += 2) stale[id] = true;
+  EXPECT_EQ(table.purge(stale), keys.size() / 2);
+  for (std::uint32_t id = 0; id < keys.size(); ++id) {
+    EXPECT_EQ(table.find_row(keys[id]), id % 2 == 0 ? ResolvedSiteTable::kNoRow : id / 2);
+  }
+}
+
+// A campaign's index against the rows it points at, after a frozen and an
+// evolving campaign (relocated sites take hosting-epoch-1 entries, epochs
+// grant AAAA records) at 1 and 4 threads: the index covers every IPv6
+// record, every set entry finds a row, every row is found by some entry
+// and by its own key, and rows are shared across entries.
 TEST(ResolvedSiteTable, IndexMatchesSlotsAfterCampaigns) {
   scenario::WorldSpec evolving_spec = small_world().spec;
   evolving_spec.evolution.enabled = true;
@@ -1574,10 +1653,7 @@ TEST(ResolvedSiteTable, IndexMatchesSlotsAfterCampaigns) {
       std::optional<WorldTimeline> timeline;
       if (evolving) timeline.emplace(scenario::build_timeline(evolving_spec));
       const World& world = evolving ? timeline->world() : small_world().world;
-      std::vector<std::uint32_t> v6_from;
-      for (const web::Site& s : world.catalog.sites()) {
-        v6_from.push_back(world.catalog.v6_presence(s).from_round);
-      }
+      const std::size_t generated_records = world.catalog.v6_records().size();
       auto campaign = evolving ? std::make_unique<Campaign>(*timeline, cfg)
                                : std::make_unique<Campaign>(world, cfg);
       campaign->run();
@@ -1585,30 +1661,125 @@ TEST(ResolvedSiteTable, IndexMatchesSlotsAfterCampaigns) {
 
       std::size_t relocated_keys = 0;
       std::size_t granted_keys = 0;
+      std::size_t shared_rows = 0;
       for (std::size_t v = 0; v < world.vantage_points.size(); ++v) {
         SCOPED_TRACE(testing::Message() << "vp=" << v);
         const ResolvedSiteTable& table = campaign->monitor(v).resolved_sites();
         ASSERT_GT(table.size(), 0u);
-        std::vector<bool> taken(table.size(), false);
-        std::size_t found = 0;
-        for (std::uint32_t id = 0; id < world.catalog.size(); ++id) {
+        EXPECT_EQ(table.index_size(), 2 * world.catalog.v6_records().size());
+        std::vector<std::size_t> found(table.size(), 0);
+        for (std::uint32_t record = 0; 2 * std::size_t{record} < table.index_size(); ++record) {
           for (const std::uint8_t epoch : {std::uint8_t{0}, std::uint8_t{1}}) {
-            const std::uint32_t slot = table.find(id, epoch);
-            if (slot == ResolvedSiteTable::kNoSlot) continue;
-            ASSERT_LT(slot, table.size()) << "site " << id;
-            EXPECT_EQ(table.site_id(slot), id);
-            EXPECT_FALSE(taken[slot]) << "slot " << slot << " found by two keys";
-            taken[slot] = true;
-            ++found;
+            const std::uint32_t id = table.find(record, epoch);
+            if (id == ResolvedSiteTable::kNoRow) continue;
+            ASSERT_LT(id, table.size()) << "record " << record;
+            ++found[id];
             relocated_keys += epoch;
-            granted_keys +=
-                world.catalog.v6_presence(world.catalog.site(id)).from_round != v6_from[id];
+            granted_keys += record >= generated_records;
           }
         }
-        EXPECT_EQ(found, table.size());
+        for (std::uint32_t id = 0; id < table.size(); ++id) {
+          EXPECT_GT(found[id], 0u) << "row " << id << " found by no entry";
+          EXPECT_EQ(table.find_row(table.row(id)), id) << "row " << id;
+          shared_rows += found[id] > 1;
+        }
       }
-      EXPECT_GT(relocated_keys, 0u) << "no relocated site took an epoch-1 slot";
-      EXPECT_EQ(granted_keys > 0, evolving) << "AAAA grants and slots disagree";
+      EXPECT_GT(relocated_keys, 0u) << "no relocated site took an epoch-1 entry";
+      EXPECT_EQ(granted_keys > 0, evolving) << "AAAA grants and index entries disagree";
+      EXPECT_GT(shared_rows, 0u) << "no two entries share a row";
+    }
+  }
+}
+
+// Every resolved path field, bit for bit.
+void expect_same_path(const transport::PathCharacteristics& a,
+                      const transport::PathCharacteristics& b) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.rtt_ms), std::bit_cast<std::uint64_t>(b.rtt_ms));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.bottleneck_kBps),
+            std::bit_cast<std::uint64_t>(b.bottleneck_kBps));
+  EXPECT_EQ(a.as_hops, b.as_hops);
+  EXPECT_EQ(a.underlying_hops, b.underlying_hops);
+  EXPECT_EQ(a.via_tunnel, b.via_tunnel);
+  EXPECT_EQ(a.valid, b.valid);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.quality), std::bit_cast<std::uint64_t>(b.quality));
+}
+
+// The oracle for the shared rows: after frozen and evolving campaigns at
+// 1 and 4 threads through the mutex and the sharded sink, every set index
+// entry's row equals a fresh resolution of hosting_at at every
+// dual-stack round of that hosting epoch, in the world as it stands, and
+// sites whose fresh keys are equal point at one row id.
+TEST(ResolvedSiteTable, SetEntriesMatchFreshResolution) {
+  scenario::WorldSpec evolving_spec = small_world().spec;
+  evolving_spec.evolution.enabled = true;
+  evolving_spec.evolution.delta_rate = 4.0;
+  evolving_spec.evolution.epoch_interval = 2;
+  evolving_spec.evolution.max_as_fraction = 0.05;
+  evolving_spec.evolution.depletion_round = 4;
+  for (const bool evolving : {false, true}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      for (const SinkBackend sink : {SinkBackend::kMutex, SinkBackend::kSharded}) {
+        SCOPED_TRACE(testing::Message() << "evolving=" << evolving << " threads=" << threads
+                                        << " sink=" << static_cast<int>(sink));
+        CampaignConfig cfg;
+        cfg.seed = 11;
+        cfg.threads = threads;
+        cfg.sink = sink;
+        std::optional<WorldTimeline> timeline;
+        if (evolving) timeline.emplace(scenario::build_timeline(evolving_spec));
+        const World& world = evolving ? timeline->world() : small_world().world;
+        auto campaign = evolving ? std::make_unique<Campaign>(*timeline, cfg)
+                                 : std::make_unique<Campaign>(world, cfg);
+        campaign->run();
+        campaign->run_w6d();
+
+        const web::SiteCatalog& catalog = world.catalog;
+        std::vector<std::uint32_t> site_of(catalog.v6_records().size(), 0);
+        for (const web::Site& s : catalog.sites()) {
+          if (s.v6_record != web::kNoV6Record) site_of[s.v6_record] = s.id;
+        }
+        std::size_t checked = 0;
+        for (std::size_t v = 0; v < world.vantage_points.size(); ++v) {
+          const Monitor& monitor = campaign->monitor(v);
+          const ResolvedSiteTable& table = monitor.resolved_sites();
+          std::map<std::tuple<const bgp::RibEntry*, const bgp::RibEntry*, topo::Asn>,
+                   std::uint32_t>
+              row_of_key;
+          for (std::uint32_t record = 0; record < site_of.size(); ++record) {
+            const web::Site& site = catalog.site(site_of[record]);
+            for (const std::uint8_t epoch : {std::uint8_t{0}, std::uint8_t{1}}) {
+              const std::uint32_t id = table.find(record, epoch);
+              if (id == ResolvedSiteTable::kNoRow) continue;
+              SCOPED_TRACE(testing::Message() << "vp=" << v << " site=" << site.id
+                                              << " epoch=" << int{epoch});
+              const ResolvedSiteRow& row = table.row(id);
+              const auto [it, fresh_key] =
+                  row_of_key.try_emplace({row.v4_route, row.v6_route, row.island}, id);
+              EXPECT_EQ(it->second, id) << "equal keys, two rows";
+              std::size_t rounds = 0;
+              for (std::uint32_t r = 0; r <= world.num_rounds; ++r) {
+                if (catalog.hosting_epoch(site, r) != epoch || !catalog.dual_stack_at(site, r)) {
+                  continue;
+                }
+                ++rounds;
+                const ResolvedSiteRow want = monitor.resolve_row(catalog.hosting_at(site, r));
+                ASSERT_TRUE(row.same_key(want)) << "round " << r;
+                EXPECT_EQ(row.gate, want.gate) << "round " << r;
+                expect_same_path(row.v4_path, want.v4_path);
+                expect_same_path(row.v6_path, want.v6_path);
+              }
+              EXPECT_GT(rounds, 0u) << "an entry no round of its epoch could set";
+              const RoutePair pair = monitor.routes().pair(row.route_pair);
+              EXPECT_EQ(monitor.routes().route(pair.v4).origin,
+                        row.v4_route != nullptr ? row.v4_route->origin : topo::kNoAs);
+              EXPECT_EQ(monitor.routes().route(pair.v6).origin,
+                        row.v6_route != nullptr ? row.v6_route->origin : topo::kNoAs);
+              ++checked;
+            }
+          }
+        }
+        EXPECT_GT(checked, 0u);
+      }
     }
   }
 }
@@ -1643,10 +1814,10 @@ void expect_same_observation(const Observation& a, const PathRegistry& ra,
   expect_same_route(ra, pa.v6, rb, pb.v6);
 }
 
-// A Monitor reading table rows (slots assigned, filled on the first call,
-// reused on the second) and a Monitor without slots (every call resolves
-// into its per-call row) must agree field for field, with and without the
-// conn layer reading the rows' paths.
+// A Monitor reading shared table rows (resolved by resolve_sites, read by
+// both passes) and a Monitor without rows (every call resolves into its
+// per-call row) must agree field for field, with and without the conn
+// layer reading the rows' paths.
 TEST(Monitor, TableRowsMatchPerCallResolution) {
   const World& w = small_world().world;
   constexpr std::uint32_t kRound = 5;
@@ -1662,8 +1833,9 @@ TEST(Monitor, TableRowsMatchPerCallResolution) {
       SCOPED_TRACE("vp=" + vp.name + " policy=" + std::to_string(static_cast<int>(policy)));
       Monitor cached(w, vp, cfg);
       Monitor uncached(w, vp, cfg);
-      cached.assign_resolve_slots(dual, kRound);
-      for (const std::uint64_t pass : {0u, 1u}) {  // 0 fills the rows, 1 reuses them
+      cached.resolve_sites(dual, kRound);
+      EXPECT_LT(cached.resolved_sites().size(), dual.size()) << "no site shares a row";
+      for (const std::uint64_t pass : {0u, 1u}) {
         for (const std::uint32_t id : dual) {
           const web::Site& site = w.catalog.site(id);
           const std::uint64_t seed = (pass << 32) | id;
@@ -1674,14 +1846,12 @@ TEST(Monitor, TableRowsMatchPerCallResolution) {
           SCOPED_TRACE("pass=" + std::to_string(pass) + " site=" + std::to_string(id));
           expect_same_observation(a, cached.routes(), b, uncached.routes());
         }
-        std::size_t filled = 0;
         for (const std::uint32_t id : dual) {
-          const std::uint8_t epoch = w.catalog.hosting_epoch(w.catalog.site(id), kRound);
-          const std::uint32_t slot = cached.resolved_sites().find(id, epoch);
-          ASSERT_NE(slot, ResolvedSiteTable::kNoSlot);
-          if (cached.resolved_sites().filled(slot)) ++filled;
+          const web::Site& site = w.catalog.site(id);
+          EXPECT_NE(cached.resolved_sites().find(site.v6_record,
+                                                 w.catalog.hosting_epoch(site, kRound)),
+                    ResolvedSiteTable::kNoRow);
         }
-        EXPECT_EQ(filled, dual.size());
       }
       EXPECT_EQ(uncached.resolved_sites().size(), 0u);
       const FallbackStats fa = cached.fallback_stats();
@@ -1714,7 +1884,7 @@ TEST(Monitor, SiteKeyedDnsMatchesResolverReference) {
       std::uint64_t ref_queries = 0, ref_timeouts = 0, decisions = 0, timeouts = 0;
       std::uint64_t relocated_answers = 0, late_aaaa_answers = 0;
       for (std::uint32_t r = 0; r <= w.num_rounds; ++r) {
-        mon.assign_resolve_slots(all, r);
+        mon.resolve_sites(all, r);
         for (const web::Site& site : w.catalog.sites()) {
           const std::uint64_t seed = (std::uint64_t{r} << 32) | site.id;
           util::Rng coin(seed);
@@ -1747,13 +1917,13 @@ TEST(Monitor, SiteKeyedDnsMatchesResolverReference) {
           ASSERT_EQ(has_a, a.has_answers()) << "site " << site.id << " round " << r;
           ASSERT_EQ(has_aaaa, aaaa.has_answers()) << "site " << site.id << " round " << r;
           if (!has_a || !has_aaaa) continue;
-          const std::uint32_t slot =
-              mon.resolved_sites().find(site.id, w.catalog.hosting_epoch(site, r));
-          ASSERT_NE(slot, ResolvedSiteTable::kNoSlot);
-          ASSERT_TRUE(mon.resolved_sites().filled(slot));
-          const ResolvedSiteRow& row = mon.resolved_sites().row(slot);
-          EXPECT_EQ(row.v4_addr, *a.a) << "site " << site.id;
-          EXPECT_EQ(row.v6_addr, *aaaa.aaaa) << "site " << site.id;
+          const std::uint32_t id =
+              mon.resolved_sites().find(site.v6_record, w.catalog.hosting_epoch(site, r));
+          ASSERT_NE(id, ResolvedSiteTable::kNoRow);
+          const ResolvedSiteRow& row = mon.resolved_sites().row(id);
+          EXPECT_EQ(row.v4_route, mon.vantage_point().rib.lookup_v4(*a.a)) << "site " << site.id;
+          EXPECT_EQ(row.v6_route, mon.vantage_point().rib.lookup_v6(*aaaa.aaaa))
+              << "site " << site.id;
           relocated_answers += w.catalog.hosting_epoch(site, r);
           late_aaaa_answers += w.catalog.v6_presence(site).from_round == r && r > 0;
         }
@@ -1773,25 +1943,30 @@ TEST(Monitor, SiteKeyedDnsMatchesResolverReference) {
   }
 }
 
-// Every site's answers come from SiteCatalog::hosting_at, so a filled
-// resolved-site row holds the catalog's addresses at every round of its
-// hosting epoch: relocated sites move to their epoch-1 slot at the step
-// round, and grant_aaaa rewrites only sites that had no AAAA. Check every
-// filled row against hosting_at after every round, on the frozen small
-// world (direct monitor_site calls) and on an evolving campaign.
+// Every site's answers come from SiteCatalog::hosting_at, so the row a
+// dual-stack site's index entry points at holds the RIB's routes for the
+// catalog's addresses at every round of its hosting epoch: relocated
+// sites move to their epoch-1 entry at the step round, and grant_aaaa
+// appends a record for a site that had no AAAA. Check every set entry of
+// a site dual-stack at the round against hosting_at after every round, on
+// the frozen small world (direct monitor_site calls) and on an evolving
+// campaign.
 TEST(Monitor, FilledRowsMatchHostingAtEveryRound) {
   const auto expect_rows_match = [](const Monitor& mon, const web::SiteCatalog& catalog,
                                     std::uint32_t round) {
     std::size_t filled = 0;
+    const bgp::Rib& rib = mon.vantage_point().rib;
     for (const web::Site& site : catalog.sites()) {
-      const std::uint32_t slot =
-          mon.resolved_sites().find(site.id, catalog.hosting_epoch(site, round));
-      if (slot == ResolvedSiteTable::kNoSlot || !mon.resolved_sites().filled(slot)) continue;
+      if (!catalog.dual_stack_at(site, round)) continue;
+      const std::uint32_t id =
+          mon.resolved_sites().find(site.v6_record, catalog.hosting_epoch(site, round));
+      if (id == ResolvedSiteTable::kNoRow) continue;
       ++filled;
       const web::Hosting h = catalog.hosting_at(site, round);
-      const ResolvedSiteRow& row = mon.resolved_sites().row(slot);
-      EXPECT_EQ(row.v4_addr, h.v4_addr) << "site " << site.id << " round " << round;
-      EXPECT_EQ(row.v6_addr, h.v6_addr) << "site " << site.id << " round " << round;
+      const ResolvedSiteRow& row = mon.resolved_sites().row(id);
+      EXPECT_EQ(row.v4_route, rib.lookup_v4(h.v4_addr)) << "site " << site.id << " round " << round;
+      EXPECT_EQ(row.v6_route, rib.lookup_v6(h.v6_addr)) << "site " << site.id << " round " << round;
+      EXPECT_EQ(row.island != kNotSixToFour, h.v6_addr.is_6to4()) << "site " << site.id;
     }
     return filled;
   };
@@ -1816,7 +1991,7 @@ TEST(Monitor, FilledRowsMatchHostingAtEveryRound) {
       for (const web::Site& s : w.catalog.sites()) {
         if (w.catalog.dual_stack_at(s, r)) dual.push_back(s.id);
       }
-      mon.assign_resolve_slots(dual, r);
+      mon.resolve_sites(dual, r);
       for (const std::uint32_t id : dual) {
         (void)mon.monitor_site(w.catalog.site(id), r, {},
                                util::Rng((std::uint64_t{r} << 32) | id));

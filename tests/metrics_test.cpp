@@ -167,7 +167,7 @@ TEST(Metrics, CountersJsonIsSortedAndCoversAllStages) {
   for (const char* key :
        {"campaign.fast_path_coin_sites", "campaign.sites_monitored",
         "dns.queries", "ingest.flushes", "monitor.ci_exhausted",
-        "monitor.resolved_slots", "monitor.rows_invalidated",
+        "monitor.resolved_rows", "monitor.resolved_slots", "monitor.rows_invalidated",
         "stage.analysis.calls", "stage.catalog_build.calls",
         "stage.dns_resolve.calls", "stage.epoch_advance.calls", "stage.identity_fetch.calls", "stage.ingest_flush.calls",
         "stage.repeat_downloads.calls", "stage.rib_build.calls",
@@ -336,6 +336,8 @@ struct CampaignRun {
   std::uint64_t catalog_bytes = 0;         ///< mem.catalog_bytes.
   std::uint64_t rib_bytes = 0;             ///< mem.rib_bytes.
   std::uint64_t resolved_slots_bytes = 0;  ///< mem.resolved_slots_bytes.
+  std::uint64_t resolved_rows = 0;         ///< monitor.resolved_rows.
+  std::uint64_t row_fills = 0;             ///< monitor.row_fills.
   std::uint64_t expected_slots_bytes = 0;  ///< The monitors' tables and registries.
   std::uint64_t results_bytes = 0;         ///< mem.results_bytes.
   std::uint64_t expected_results_bytes = 0;  ///< The stores' bytes, summed.
@@ -375,6 +377,8 @@ CampaignRun run_instrumented(std::size_t threads, core::SinkBackend backend,
   out.catalog_bytes = reg.counter_value("mem.catalog_bytes");
   out.rib_bytes = reg.counter_value("mem.rib_bytes");
   out.resolved_slots_bytes = reg.counter_value("mem.resolved_slots_bytes");
+  out.resolved_rows = reg.counter_value("monitor.resolved_rows");
+  out.row_fills = reg.counter_value("monitor.row_fills");
   out.results_bytes = reg.counter_value("mem.results_bytes");
   for (std::size_t vp = 0; vp < small_world().vantage_points.size(); ++vp) {
     out.expected_slots_bytes += campaign.monitor(vp).resolved_sites().bytes() +
@@ -402,16 +406,20 @@ TEST(MetricsDeterminism, CountersIdenticalAcrossThreadsAndBackends) {
   // The injected DNS loss must be visible in the export — a zero here
   // means Resolver::Stats::timeouts never reached the registry.
   EXPECT_EQ(reference.counters.find("\"dns.timeouts\":0,"), std::string::npos);
-  // Slot assignment runs on each VP's chain, once per (site, hosting
-  // epoch) the monitor reaches: the same count at every thread count.
+  // Resolution runs on each VP's coordinator, once per (IPv6 record,
+  // hosting epoch) index entry it reaches, and characterizes once per new
+  // route-pair key: the same counts at every thread count, with fewer
+  // rows than entries because sites share rows.
   EXPECT_EQ(reference.counters.find("\"monitor.resolved_slots\":0,"), std::string::npos);
+  EXPECT_GT(reference.resolved_rows, 0u);
+  EXPECT_LT(reference.resolved_rows, reference.row_fills);
   // The finalized stores' bytes are sizes, not capacities: the same at
   // every thread count and sink backend, and never 0 for stores with rows.
   EXPECT_EQ(reference.counters.find("\"mem.results_bytes\":0,"), std::string::npos);
   // The memory ledger's owners: the catalog by size, the vantage points'
-  // RIBs, the monitors' resolved-site slots and index entries and their
-  // route registries, and the stores. Every fill of such a slot is
-  // counted, refills included.
+  // RIBs, the monitors' resolved-site rows, index and key map by capacity
+  // and their route registries, and the stores. Every resolution of an
+  // index entry is counted, re-resolutions after a purge included.
   EXPECT_EQ(reference.catalog_bytes, small_world().catalog.bytes());
   std::uint64_t rib_bytes = 0;
   for (const core::VantagePoint& vp : small_world().vantage_points) {
@@ -434,6 +442,8 @@ TEST(MetricsDeterminism, CountersIdenticalAcrossThreadsAndBackends) {
       EXPECT_EQ(run.catalog_bytes, reference.catalog_bytes);
       EXPECT_EQ(run.rib_bytes, reference.rib_bytes);
       EXPECT_EQ(run.resolved_slots_bytes, reference.resolved_slots_bytes);
+      EXPECT_EQ(run.resolved_rows, reference.resolved_rows);
+      EXPECT_EQ(run.row_fills, reference.row_fills);
       EXPECT_EQ(run.results_bytes, reference.results_bytes);
       EXPECT_EQ(run.observations, reference.observations);
       EXPECT_EQ(run.dns_queries, 2 * (run.sites_monitored + run.fast_path_sites));

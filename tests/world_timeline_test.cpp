@@ -639,9 +639,10 @@ struct RowCheckCounts {
 };
 
 /// Runs an evolving campaign on the reference schedule and, after every
-/// round, checks each VP's filled resolved-site rows against a fresh
-/// resolution in the current world: the same RIB routes for the row's
-/// addresses, and — for every side resolve_addresses characterizes —
+/// round, checks the resolved-site row of every site dual-stack at that
+/// round, in each VP whose index has an entry for it, against a fresh
+/// resolution in the current world: the same RIB routes for the site's
+/// answers, and — for every side Monitor::resolve_row characterizes —
 /// the same characterize_path + path_quality. 6to4 v6 paths carry the
 /// hidden relay leg on top; RetiredTunnelFailsSixToFourSites covers
 /// them. Every RIB entry a fill characterized holds its path's normal
@@ -673,24 +674,27 @@ RowCheckCounts check_rows_every_round(const scenario::WorldSpec& spec,
         return pc;
       };
       const ResolvedSiteTable& rows = run.campaign->monitor(vp).resolved_sites();
-      for (std::uint32_t slot = 0; slot < rows.size(); ++slot) {
-        if (!rows.filled(slot)) continue;
-        SCOPED_TRACE("vp=" + std::to_string(vp) +
-                     " site=" + std::to_string(rows.site_id(slot)));
-        ASSERT_LE(rows.world_epoch(slot), epoch);
-        if (rows.world_epoch(slot) < epoch) ++counts.survivors;
-        if (rows.world_epoch(slot) > 0) ++counts.refills;
+      for (const web::Site& site : w.catalog.sites()) {
+        if (!w.catalog.dual_stack_at(site, round)) continue;
+        const std::uint32_t id =
+            rows.find(site.v6_record, w.catalog.hosting_epoch(site, round));
+        if (id == ResolvedSiteTable::kNoRow) continue;
+        SCOPED_TRACE("vp=" + std::to_string(vp) + " site=" + std::to_string(site.id));
+        const ResolvedSiteRow& row = rows.row(id);
+        ASSERT_LE(row.world_epoch, epoch);
+        if (row.world_epoch < epoch) ++counts.survivors;
+        if (row.world_epoch > 0) ++counts.refills;
 
-        const ResolvedSiteRow& row = rows.row(slot);
-        const bgp::RibEntry* v4 = point.rib.lookup_v4(row.v4_addr);
-        const bgp::RibEntry* v6 = point.rib.lookup_v6(row.v6_addr);
+        const web::Hosting answers = w.catalog.hosting_at(site, round);
+        const bgp::RibEntry* v4 = point.rib.lookup_v4(answers.v4_addr);
+        const bgp::RibEntry* v6 = point.rib.lookup_v6(answers.v6_addr);
         expect_same_route(row.v4_route, v4);
         expect_same_route(row.v6_route, v6);
         const bool both = v4 != nullptr && v6 != nullptr;
         if (v4 != nullptr && (both || all_routed_sides)) {
           expect_same_path(row.v4_path, fresh(*v4, ip::Family::kIpv4));
         }
-        if (v6 != nullptr && (both || all_routed_sides) && !row.v6_addr.is_6to4()) {
+        if (v6 != nullptr && (both || all_routed_sides) && !answers.v6_addr.is_6to4()) {
           expect_same_path(row.v6_path, fresh(*v6, ip::Family::kIpv6));
         }
         for (const bgp::RibEntry* used : {row.v4_route, row.v6_route}) {
@@ -713,8 +717,8 @@ RowCheckCounts check_rows_every_round(const scenario::WorldSpec& spec,
 
 // The resolved-site rows are the only memo of RIB lookups and path
 // characterizations, and Monitor::on_world_change is their only
-// invalidation. Every filled row must equal a fresh resolution after
-// every round — in particular the rows stamped before the current
+// invalidation. Every row an index entry points at must equal a fresh
+// resolution after every round — in particular the rows stamped before the current
 // epoch, which survived at least one boundary. evolving_spec's dense
 // deltas touch nearly every path each epoch, so a sparser stream (where
 // most rows survive) runs too.
@@ -802,10 +806,10 @@ TEST(WorldTimeline, RetiredTunnelFailsSixToFourSites) {
     // VP-a monitors from round 0; its row for the site is refilled on
     // the first round after the boundary.
     const ResolvedSiteTable& rows = campaign.monitor(0).resolved_sites();
-    const std::uint32_t slot = rows.find(site_id, 0);
-    if (slot == ResolvedSiteTable::kNoSlot || !rows.filled(slot)) return;
+    const std::uint32_t id = rows.find(campaign.world().catalog.site(site_id).v6_record, 0);
+    if (id == ResolvedSiteTable::kNoRow) return;
     SCOPED_TRACE("round=" + std::to_string(round));
-    const ResolvedSiteRow& row = rows.row(slot);
+    const ResolvedSiteRow& row = rows.row(id);
     ASSERT_NE(row.v6_route, nullptr) << "the 2002::/16 route is gone";
     if (round < kRetireRound) {
       EXPECT_TRUE(row.v6_path.valid);
