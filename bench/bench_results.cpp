@@ -1,12 +1,12 @@
 // Ingest throughput of the ObservationSink backends: the single-mutex
 // reference store vs the per-worker sharded store, at 1 and 8 ingest
-// threads. A source registry (a vantage point's Monitor::routes()) holds
-// a small working set of route pairs — a few hundred distinct pairs
-// cover almost every observation in a campaign — and the hot loop
-// records observations carrying its pair ids and bumps round counters.
-// The timed region is ingest + the round-boundary flush (threads are
-// spawned and parked on a latch beforehand), so the sharded numbers
-// include the pair import and merge cost they defer to the epoch
+// threads. The store's registry (in a campaign, its vantage point's
+// Monitor::routes()) holds a small working set of route pairs — a few
+// hundred distinct pairs cover almost every observation in a campaign —
+// and the hot loop records observations carrying their pair ids and
+// bumps round counters. The timed region is ingest + the round-boundary
+// flush (threads are spawned and parked on a latch beforehand), so the
+// sharded numbers include the merge cost they defer to the epoch
 // boundary.
 //
 // This is the before/after evidence for the sharded results layer: the
@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -35,7 +36,7 @@ constexpr std::size_t kPathPool = 200;
 
 /// Plausible route pairs over AS paths of 2-5 hops, interned into
 /// `source` — mirrors a campaign, where a few hundred distinct pairs
-/// cover almost all observations.
+/// cover almost all observations of a vantage point.
 std::vector<core::PairId> pair_pool(core::PathRegistry& source) {
   std::vector<core::RouteId> routes;
   routes.reserve(kPathPool);
@@ -81,11 +82,11 @@ void ingest_rows(core::ObservationSink& sink, const std::vector<core::PairId>& i
 template <typename Sink>
 void bm_ingest(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
-  core::PathRegistry source;
-  const std::vector<core::PairId> pool = pair_pool(source);
+  const auto source = std::make_shared<core::PathRegistry>();
+  const std::vector<core::PairId> pool = pair_pool(*source);
   for (auto _ : state) {
-    core::ResultsDb db;
-    Sink sink(db, source);
+    core::ResultsDb db(source);
+    Sink sink(db);
     // Spawn and park the workers outside the timed region: the metric
     // is ingest throughput, not pthread_create.
     std::atomic<bool> go{false};
@@ -128,8 +129,7 @@ BENCHMARK(BM_IngestSharded)->Arg(1)->Arg(8)->UseManualTime()->Unit(benchmark::kM
 void BM_FlushAfterRounds(benchmark::State& state) {
   const auto rounds = static_cast<std::uint32_t>(state.range(0));
   core::ResultsDb db;
-  const core::PathRegistry source;
-  core::ShardedSink sink(db, source);
+  core::ShardedSink sink(db);
   core::ObservationSink::Lane& lane = sink.lane();
   lane.count(rounds - 1, core::MonitorStatus::kV4Only);
   sink.flush();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <exception>
 #include <optional>
 #include <span>
 
@@ -119,22 +120,21 @@ CampaignConfig Campaign::resolve(CampaignConfig config) {
   return config;
 }
 
-void Campaign::init_store(VpStore& store, std::size_t vp_index,
-                          const char* tag) const {
-  store.db = std::make_unique<ResultsDb>();
-  // Rows arrive with pair ids of the VP's registry; the sink imports them.
-  const PathRegistry& source = monitors_[vp_index].routes();
+void Campaign::init_store(VpStore& store, std::size_t vp_index, const char* tag) {
+  // Rows carry pair ids of the VP's registry, and the store reads it.
+  Monitor& monitor = monitors_[vp_index];
+  store.db = std::make_unique<ResultsDb>(monitor.shared_routes());
   switch (config_.sink) {
     case SinkBackend::kMutex:
-      store.sink = std::make_unique<MutexSink>(*store.db, source);
+      store.sink = std::make_unique<MutexSink>(*store.db);
       break;
     case SinkBackend::kSharded:
-      store.sink = std::make_unique<ShardedSink>(*store.db, source);
+      store.sink = std::make_unique<ShardedSink>(*store.db);
       break;
     case SinkBackend::kSpool:
       store.spool_path =
           config_.spool_dir + "/vp" + std::to_string(vp_index) + tag + ".spool";
-      store.sink = std::make_unique<SpoolSink>(store.spool_path, source);
+      store.sink = std::make_unique<SpoolSink>(store.spool_path, monitor.routes());
       break;
   }
   V6MON_ENSURE(store.sink != nullptr, "unhandled sink backend");
@@ -266,7 +266,7 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
   // Returns the queries the site lost.
   const auto monitor_one = [&](std::uint32_t site_id, util::Rng&& rng) {
     // The worker's private lane: recording and counting touch no shared
-    // state; the sink imports the rows' route pairs into its store.
+    // state.
     ObservationSink::Lane& lane = sink.lane();
     const web::Site& site = world_.catalog.site(site_id);
     // The DNS loss stream is keyed only per (site, salt), so in regular
@@ -590,10 +590,6 @@ void Campaign::run_w6d() {
 void Campaign::finalize() {
   if (finalized_) return;
   finalized_ = true;
-  // Stores share nothing, so they finish, replay and sort in parallel.
-  // A failing store (a spool that cannot be replayed) does not stop the
-  // others; parallel_index rethrows the lowest store index's error, so
-  // which error surfaces does not depend on the schedule.
   std::vector<VpStore*> stores;
   for (std::deque<VpStore>* group : {&stores_, &w6d_stores_}) {
     for (VpStore& store : *group) stores.push_back(&store);
@@ -605,18 +601,34 @@ void Campaign::finalize() {
     for (const VpStore* store : stores) shard_bytes += store->sink->bytes();
     obs::metrics().set_gauge("mem.sink_shard_bytes", static_cast<double>(shard_bytes));
   }
-  parallel_index(pool_, stores.size(), [&stores](std::size_t i) {
+  // A VP's two stores read one registry, and a spool replay interns into
+  // it (content that is already there), so every store ends ingest before
+  // any store freezes the registry: two passes on the campaign pool. A
+  // failing store (a spool that cannot be written or replayed) does not
+  // stop the others, and the error of the lowest store index surfaces,
+  // whatever the schedule.
+  std::vector<std::exception_ptr> failed(stores.size());
+  parallel_index(pool_, stores.size(), [&stores, &failed](std::size_t i) {
     VpStore& store = *stores[i];
     util::LockGuard epoch(store.epoch_mu);
-    store.sink->finish();
-    if (!store.spool_path.empty()) {
-      // Out-of-core campaign: pull the spooled rows back in for the
-      // analysis pass. The replayed store is indistinguishable from an
-      // in-memory run (tests assert byte equality).
-      replay_spool_file(store.spool_path, *store.db);
+    try {
+      store.sink->finish();
+      if (!store.spool_path.empty()) {
+        // Out-of-core campaign: pull the spooled rows back in for the
+        // analysis pass. The replayed store is indistinguishable from an
+        // in-memory run (tests assert byte equality).
+        replay_spool_file(store.spool_path, *store.db);
+      }
+    } catch (...) {
+      failed[i] = std::current_exception();
     }
-    store.db->finalize();
   });
+  parallel_index(pool_, stores.size(), [&stores, &failed](std::size_t i) {
+    if (!failed[i]) stores[i]->db->finalize();
+  });
+  for (const std::exception_ptr& e : failed) {
+    if (e) std::rethrow_exception(e);
+  }
   // The memory ledger's owners, by size: functions of the study alone,
   // so they read the same at any thread count.
   const CampaignMetricIds& ids = campaign_metric_ids();
@@ -627,6 +639,7 @@ void Campaign::finalize() {
   std::size_t rib_bytes = 0;
   for (const VantagePoint& vp : world_.vantage_points) rib_bytes += vp.rib.bytes();
   obs::metrics().add(ids.rib_bytes, rib_bytes);
+  // Each VP's one registry is counted here, with its resolved-site table.
   std::size_t slot_bytes = 0;
   for (const Monitor& m : monitors_) {
     slot_bytes += m.resolved_sites().bytes() + m.routes().bytes();

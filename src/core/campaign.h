@@ -147,9 +147,10 @@ class Campaign {
   /// per-VP split this keeps.
   [[nodiscard]] dns::Resolver::Stats dns_stats(std::size_t vp_index) const;
 
-  /// End ingest and build the analysis views: close sinks (replaying
-  /// spool files for the kSpool backend) and finalize every ResultsDb,
-  /// the stores in parallel on the campaign pool. Adds the stores' bytes
+  /// End ingest and build the analysis views: close every sink
+  /// (replaying spool files for the kSpool backend), then finalize every
+  /// ResultsDb, which freezes the VPs' registries; each pass runs the
+  /// stores in parallel on the campaign pool. Adds the stores' bytes
   /// (ResultsDb::bytes) to the `mem.results_bytes` counter, the catalog's
   /// (SiteCatalog::bytes) to `mem.catalog_bytes`, the vantage points'
   /// RIBs (Rib::bytes) to `mem.rib_bytes` and the monitors' resolved-site
@@ -237,8 +238,9 @@ class Campaign {
                                       std::uint32_t first_seen) const;
   };
 
-  /// Populate a freshly emplaced store in place (VpStore is immovable).
-  void init_store(VpStore& store, std::size_t vp_index, const char* tag) const;
+  /// Populate a freshly emplaced store in place (VpStore is immovable),
+  /// on the vantage point's registry.
+  void init_store(VpStore& store, std::size_t vp_index, const char* tag);
   /// Measure `sites` for one vantage point and flush the ingest epoch.
   /// Fans the sites out through parallel_index, or loops them on the
   /// calling thread when there are too few to pay for waking helpers

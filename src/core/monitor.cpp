@@ -146,7 +146,7 @@ Monitor::Monitor(const World& world, const VantagePoint& vp, MonitorConfig confi
       conn_(config.conn),
       conn_needs_paths_(config.fallback != FallbackPolicy::kNone),
       fallback_(std::make_unique<FallbackAccumulator>()),
-      routes_(std::make_unique<PathRegistry>()) {
+      routes_(std::make_shared<PathRegistry>()) {
   // Validate before building the gate table: an out-of-domain confidence
   // must surface as ConfigError, not as a contract violation inside
   // student_t_critical.

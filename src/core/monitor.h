@@ -100,7 +100,7 @@ struct QueryLoss {
 /// members, one set per Monitor, one Monitor per VP). The table changes
 /// only on this VP's coordinator, and workers only read it; the registry
 /// and the tally are internally synchronized, and the registry is read by
-/// this VP's own sinks.
+/// this VP's own stores and spool sinks.
 class Monitor {
  public:
   Monitor(const World& world, const VantagePoint& vp, MonitorConfig config);
@@ -164,9 +164,11 @@ class Monitor {
   /// This vantage point's route registry: every resolved row's (IPv4
   /// route, IPv6 route) pair, interned when the row is made (or, for a
   /// site resolved per call, when monitor_site runs). Observations
-  /// carry its pair ids until a sink imports them into its store.
+  /// carry its pair ids, and the VP's stores read it (shared_routes()).
   /// Internally synchronized.
   [[nodiscard]] const PathRegistry& routes() const { return *routes_; }
+  /// routes(), for a store to read the same registry.
+  [[nodiscard]] const std::shared_ptr<PathRegistry>& shared_routes() { return routes_; }
 
   /// Epoch-boundary row maintenance (coordinator-only, quiescent): the
   /// world just advanced to `summary.epoch`. Purges resolved rows whose
@@ -261,9 +263,8 @@ class Monitor {
   /// Phase-2 rows shared per key, indexed per (IPv6 record, hosting
   /// epoch); see ResolvedSiteTable.
   ResolvedSiteTable resolved_;
-  /// The rows' route pairs (see routes()); behind a pointer so Monitor
-  /// stays movable.
-  std::unique_ptr<PathRegistry> routes_;
+  /// The rows' route pairs (see routes()); shared with the VP's stores.
+  std::shared_ptr<PathRegistry> routes_;
   /// World epoch stamped onto new resolved rows; bumped by
   /// on_world_change at quiescent round boundaries only.
   std::uint32_t current_world_epoch_ = 0;

@@ -70,21 +70,6 @@ PairId PathRegistry::intern_pair(const bgp::RibEntry* v4, const bgp::RibEntry* v
   return intern_pair_locked(r4, intern_entry_locked(v6, as_paths));
 }
 
-PairId PathRegistry::import_pair(const PathRegistry& from, PairId id) {
-  if (id == kNoPair) return kNoPair;
-  const RoutePair p = from.pair(id);
-  const auto import_route = [&](RouteId r) {
-    if (r == kNoRoute) return kNoRoute;
-    const Route route = from.route(r);
-    // Interned paths never move or change, so the reference outlives
-    // from's lock.
-    return route.path == kNoPath ? intern_route(route.origin, kNoPath)
-                                 : intern_route(route.origin, from.path(route.path));
-  };
-  const RouteId v4 = import_route(p.v4);
-  return intern_pair(v4, import_route(p.v6));
-}
-
 PathId PathRegistry::intern_locked(std::span<const topo::Asn> path) {
   const SpanKey probe{path.data(), static_cast<std::uint32_t>(path.size())};
   const auto it = index_.find(probe);
@@ -281,7 +266,7 @@ void ResultsDb::finalize() {
     }
   }
   site_begin_.push_back(rows_.size());
-  paths_.freeze();
+  paths_->freeze();
   finalized_ = true;
 }
 
@@ -289,8 +274,7 @@ std::size_t ResultsDb::bytes() const {
   V6MON_REQUIRE(finalized_, "bytes() requires a finalized ResultsDb");
   util::LockGuard lock(mu_);
   return rows_.size() * sizeof(Observation) + site_ids_.size() * sizeof(std::uint32_t) +
-         site_begin_.size() * sizeof(std::size_t) + rounds_.size() * sizeof(RoundCounters) +
-         paths_.bytes();
+         site_begin_.size() * sizeof(std::size_t) + rounds_.size() * sizeof(RoundCounters);
 }
 
 namespace {
@@ -490,7 +474,7 @@ void ResultsDb::write_csv(std::ostream& out, std::size_t threads) const {
       "v4_origin,v6_origin,v4_path,v6_path\n";
   out.write(kHeader.data(), static_cast<std::streamsize>(kHeader.size()));
   if (!out.fail()) {
-    CsvDump dump(out, paths_, rows_);
+    CsvDump dump(out, *paths_, rows_);
     const std::size_t workers = std::min(resolve_threads(threads), dump.chunks());
     if (workers <= 1) {
       dump.run_worker();

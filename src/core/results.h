@@ -4,6 +4,7 @@
 #include <deque>
 #include <initializer_list>
 #include <limits>
+#include <memory>
 #include <ostream>
 #include <span>
 #include <string>
@@ -79,11 +80,12 @@ struct RoutePair {
 ///
 /// The path index hashes and compares the ASN *span* directly — no
 /// serialized string key — so the common already-interned lookup does
-/// zero allocations. Thread-safe behind one mutex: each vantage point's
-/// Monitor interns a resolved row's pair when it fills the row, and each
-/// sink imports the pairs its rows use into its store's registry by
-/// content; ids are therefore stable within one registry but not an
-/// observable across runs (path, route and pair *content* is).
+/// zero allocations. Thread-safe behind one mutex. A vantage point has
+/// one registry: its Monitor interns a resolved row's pair when it fills
+/// the row, and the VP's two ResultsDbs (regular and W6D) read the same
+/// object, so an observation's pair id is valid from the monitor to the
+/// CSV. Ids follow interning order; only path, route and pair *content*
+/// reaches any output.
 ///
 /// Two phases, like ResultsDb: `freeze()` (ResultsDb::finalize calls it)
 /// ends interning, and every read after it takes no lock.
@@ -110,9 +112,6 @@ class PathRegistry {
   /// with it, under one lock (thread-safe). A null entry is no route;
   /// `as_paths` false records kNoPath (a vantage point without AS paths).
   PairId intern_pair(const bgp::RibEntry* v4, const bgp::RibEntry* v6, bool as_paths);
-  /// Intern `from`'s pair `id` into this registry by content: its routes
-  /// and their paths (thread-safe; `from` may be in use by others).
-  PairId import_pair(const PathRegistry& from, PairId id);
 
   [[nodiscard]] const std::vector<topo::Asn>& path(PathId id) const;
   /// The route's origin and path id; kNoRoute reads as {kNoAs, kNoPath}.
@@ -139,8 +138,13 @@ class PathRegistry {
   [[nodiscard]] std::string to_string(PathId id) const;
 
   /// End interning: later reads take no lock, and intern calls are
-  /// contract errors. Call once, after the last intern (phase barrier).
+  /// contract errors. Call after the last intern (phase barrier); a
+  /// shared registry is frozen by each store that reads it.
   void freeze();
+  [[nodiscard]] bool frozen() const {
+    util::LockGuard lock(mu_);
+    return frozen_;
+  }
 
   /// Bytes of the interned content: every path's vector and hops, every
   /// route and every pair record. A function of the content alone, so
@@ -209,8 +213,7 @@ struct Observation {
   std::uint16_t v4_samples = 0;
   std::uint16_t v6_samples = 0;
   /// Origin AS and AS_PATH of each family per the VP's RIB: a pair of
-  /// the store's PathRegistry, or of the VP's (the Monitor's) before a
-  /// sink imports it.
+  /// the VP's PathRegistry (Monitor::routes()), which its stores read.
   PairId route_pair = kNoPair;
 };
 static_assert(sizeof(Observation) == 24, "an observation row is 24 bytes");
@@ -273,6 +276,12 @@ using SiteSeries = std::span<const Observation>;
 /// database; every write of them requires an unfinalized one.
 class ResultsDb {
  public:
+  /// A store on a fresh registry of its own.
+  ResultsDb() : ResultsDb(std::make_shared<PathRegistry>()) {}
+  /// A store whose rows' pair ids are `paths`' ids: a vantage point's
+  /// registry, shared with its Monitor and its other store.
+  explicit ResultsDb(std::shared_ptr<PathRegistry> paths) : paths_(std::move(paths)) {}
+
   /// Record a full observation (dual-stack sites). Thread-safe.
   void add(const Observation& obs);
 
@@ -282,17 +291,16 @@ class ResultsDb {
   void count_listed(std::uint32_t round, std::uint64_t n);
 
   /// Bulk ingest from a sink merge: appends the batch under one lock.
-  /// The batch's pair ids must already refer to this database's
-  /// registry. Relative order of add() rows and merged batches is
-  /// preserved.
+  /// Pair ids are paths()' ids. Relative order of add() rows and merged
+  /// batches is preserved.
   void merge_rows(std::span<const Observation> batch);
   /// Fold per-round counter deltas in: `deltas[i]` is round
   /// `first_round + i`'s (a sink flush's touched range, or one spool
   /// record). One lock for the whole range.
   void merge_counters(std::uint32_t first_round, std::span<const RoundCounters> deltas);
 
-  [[nodiscard]] PathRegistry& paths() { return paths_; }
-  [[nodiscard]] const PathRegistry& paths() const { return paths_; }
+  [[nodiscard]] PathRegistry& paths() { return *paths_; }
+  [[nodiscard]] const PathRegistry& paths() const { return *paths_; }
 
   /// Number of sites with at least one observation. Requires finalize().
   [[nodiscard]] std::size_t num_sites() const { return site_ids_.size(); }
@@ -320,9 +328,9 @@ class ResultsDb {
   [[nodiscard]] bool finalized() const { return finalized_; }
 
   /// Bytes the finalized store holds: rows x sizeof(Observation), the
-  /// site index, the round counters and the registry's paths, routes and
-  /// pairs (sizes, not capacities, so the figure is the same at any
-  /// thread count and sink backend). Requires finalize().
+  /// site index and the round counters (sizes, not capacities, so the
+  /// figure is the same at any thread count and sink backend). The
+  /// registry is not counted: it may be shared. Requires finalize().
   [[nodiscard]] std::size_t bytes() const;
 
   /// Stream the observation dump (sorted by site, round) as CSV — no
@@ -341,7 +349,8 @@ class ResultsDb {
 
  private:
   mutable util::Mutex mu_;
-  PathRegistry paths_;  ///< Internally synchronized (its own mutex).
+  /// Internally synchronized (its own mutex); possibly shared.
+  std::shared_ptr<PathRegistry> paths_;
   /// Phase contract: appended under mu_ during ingest, sorted in place by
   /// finalize() (which holds mu_), and read lock-free afterwards. Ingest
   /// and analysis are separate phases — Campaign::finalize() is the

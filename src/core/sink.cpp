@@ -33,16 +33,7 @@ std::uint64_t next_sink_id() {
 
 }  // namespace
 
-PairId PairRemap::operator()(PairId id, PathRegistry& target) {
-  if (id == kNoPair) return kNoPair;
-  if (id >= map_.size()) map_.resize(std::size_t{id} + 1, kNoPair);
-  PairId& mapped = map_[id];
-  if (mapped == kNoPair) mapped = target.import_pair(*source_, id);
-  return mapped;
-}
-
-ShardedSinkBase::ShardedSinkBase(const PathRegistry& source)
-    : id_(next_sink_id()), remap_(source) {}
+ShardedSinkBase::ShardedSinkBase() : id_(next_sink_id()) {}
 
 ShardedSinkBase::~ShardedSinkBase() = default;
 
@@ -75,7 +66,7 @@ std::size_t ShardedSinkBase::shard_count() const {
 
 std::size_t ShardedSinkBase::bytes() const {
   util::LockGuard lock(shards_mu_);
-  std::size_t total = remap_.bytes();
+  std::size_t total = 0;
   for (const Shard& s : shards_) {
     total += s.staged_.capacity() * sizeof(Observation) +
              s.counters_.capacity() * sizeof(RoundCounters);
@@ -87,15 +78,26 @@ void ShardedSinkBase::flush() {
   // Coordinator-only by contract; the lock still guards against a late
   // worker's lane() cache miss racing shard creation.
   util::LockGuard lock(shards_mu_);
-  PathRegistry& target = canonical_paths();
+  // The first shard that counted anything collects every other shard's
+  // deltas in its own window.
+  Shard* total = nullptr;
   for (Shard& s : shards_) {
-    // Each source pair is imported once over the campaign, by the first
-    // flush that sees it.
-    for (Observation& o : s.staged_) o.route_pair = remap_(o.route_pair, target);
-    merge_batch(s.staged_, s.lo_, s.counters_);
+    merge_rows(s.staged_);
     // Keep the capacities: the next epoch refills both.
     s.staged_.clear();
+    if (s.counters_.empty()) continue;
+    if (total == nullptr) {
+      total = &s;
+      continue;
+    }
+    for (std::uint32_t i = 0; i < s.counters_.size(); ++i) {
+      total->touch(s.lo_ + i) += s.counters_[i];
+    }
     s.counters_.clear();
+  }
+  if (total != nullptr) {
+    merge_counters(total->lo_, total->counters_);
+    total->counters_.clear();
   }
 }
 

@@ -19,10 +19,9 @@ namespace v6mon::core {
 /// per-worker shards, an out-of-core spool) can change without the
 /// monitor or the analysis noticing.
 ///
-/// Observations arrive carrying pair ids of the sink's *source*
-/// registry, the vantage point's Monitor::routes(). Each sink keeps one
-/// PairRemap from those ids to its store's registry, so a store holds
-/// exactly the pairs, routes and paths its own rows use.
+/// Observations carry pair ids of their vantage point's registry
+/// (Monitor::routes()), which the VP's stores read as well: no sink
+/// translates ids.
 ///
 /// Threading contract:
 ///  * `lane()` / `Lane` methods may be called concurrently from any
@@ -45,7 +44,7 @@ class ObservationSink {
     Lane& operator=(const Lane&) = delete;
     virtual ~Lane() = default;
 
-    /// Record one observation (its pair id is the source registry's).
+    /// Record one observation.
     virtual void record(const Observation& obs) = 0;
     /// Bucket one monitoring status into the round's counters.
     virtual void count(std::uint32_t round, MonitorStatus status) = 0;
@@ -77,37 +76,17 @@ class ObservationSink {
   virtual void finish() { flush(); }
 
   /// Bytes the sink itself holds between flushes: container capacities of
-  /// its per-worker staging state and of the pair remap the staging feeds
-  /// (coordinator-only). Zero for a sink that stages nothing.
+  /// its per-worker staging state (coordinator-only). Zero for a sink
+  /// that stages nothing.
   [[nodiscard]] virtual std::size_t bytes() const { return 0; }
-};
-
-/// A source registry's pair ids -> a target registry's, filled lazily:
-/// the first row that carries a pair imports it by content
-/// (PathRegistry::import_pair), and every later row reads the map. Not
-/// synchronized: its sink serializes the calls.
-class PairRemap {
- public:
-  explicit PairRemap(const PathRegistry& source) : source_(&source) {}
-
-  /// `id`'s pair in `target`, importing it on first sight.
-  [[nodiscard]] PairId operator()(PairId id, PathRegistry& target);
-  /// Capacity of the map.
-  [[nodiscard]] std::size_t bytes() const { return map_.capacity() * sizeof(PairId); }
-
- private:
-  const PathRegistry* source_;
-  /// Source pair id -> target pair id; kNoPair until imported.
-  std::vector<PairId> map_;
 };
 
 /// Baseline backend: every lane call goes straight to the ResultsDb
 /// behind its global mutex — the pre-sharding behaviour, kept as the
 /// reference implementation and the `bench_results` comparison point.
-/// The pair import runs under the sink's own mutex at record time.
 class MutexSink final : public ObservationSink {
  public:
-  MutexSink(ResultsDb& db, const PathRegistry& source) : lane_(db, source) {}
+  explicit MutexSink(ResultsDb& db) : lane_(db) {}
 
   [[nodiscard]] Lane& lane() override { return lane_; }
   void count_listed(std::uint32_t round, std::uint64_t n) override {
@@ -118,15 +97,8 @@ class MutexSink final : public ObservationSink {
  private:
   class DbLane final : public Lane {
    public:
-    DbLane(ResultsDb& db, const PathRegistry& source) : db_(&db), remap_(source) {}
-    void record(const Observation& obs) override {
-      Observation row = obs;
-      {
-        util::LockGuard lock(mu_);
-        row.route_pair = remap_(obs.route_pair, db_->paths());
-      }
-      db_->add(row);
-    }
+    explicit DbLane(ResultsDb& db) : db_(&db) {}
+    void record(const Observation& obs) override { db_->add(obs); }
     void count(std::uint32_t round, MonitorStatus status) override {
       db_->count(round, status);
     }
@@ -138,8 +110,6 @@ class MutexSink final : public ObservationSink {
 
    private:
     ResultsDb* db_;
-    util::Mutex mu_;
-    PairRemap remap_ V6MON_GUARDED_BY(mu_);
   };
   DbLane lane_;
 };
@@ -148,46 +118,42 @@ class MutexSink final : public ObservationSink {
 /// the spool writer: each worker thread gets a private shard
 /// (observation buffer + round counters), so the record/count hot path
 /// touches no shared state at all — no mutex, no atomic. `flush()` walks
-/// the shards on the coordinator, maps each row's source pair id to a
-/// `canonical_paths()` id through the sink's one PairRemap, and hands
-/// each batch to `merge_batch()`.
+/// the shards on the coordinator, hands each shard's rows to
+/// `merge_rows()`, and sums the shards' counter windows into one delta
+/// per touched round for one `merge_counters()` call.
 ///
 /// Determinism: within one ingest epoch a site is monitored at most
 /// once, so per-site observation order is epoch order regardless of
 /// which shard a row landed in, and ResultsDb::finalize() stable-sorts
 /// rows by (site, round) — every downstream byte is invariant to thread
-/// count and to shard arrival order. Canonical path, route and pair *ids*
-/// do depend on merge order; their *content* (the only registry
-/// observable that reaches output) does not.
+/// count and to shard arrival order. The counter deltas are sums over
+/// the shards, so they do not depend on how many shards there are.
 class ShardedSinkBase : public ObservationSink {
  public:
   ~ShardedSinkBase() override;
 
   [[nodiscard]] Lane& lane() final;
   void flush() final;
-  /// Capacities of every shard's staged rows and counter window, and of
-  /// the pair remap.
+  /// Capacities of every shard's staged rows and counter window.
   [[nodiscard]] std::size_t bytes() const final;
 
   /// Number of shards materialized so far (== distinct ingest threads).
   [[nodiscard]] std::size_t shard_count() const;
 
  protected:
-  /// `source`: the registry the recorded rows' pair ids belong to.
-  explicit ShardedSinkBase(const PathRegistry& source);
+  ShardedSinkBase();
 
-  /// The registry flush() imports the rows' pairs into (by content), so
-  /// the batches handed to merge_batch() carry its ids.
-  [[nodiscard]] virtual PathRegistry& canonical_paths() = 0;
-  /// Receive one shard's batch: rows carry canonical pair ids;
-  /// `counters[i]` is round `first_round + i`'s delta since the previous
-  /// flush, over the range of rounds the shard's count/count_n calls
-  /// touched in this epoch (empty when it counted nothing; rounds inside
-  /// the range can still be all-zero, and merge treats those as no-ops).
-  /// Both spans are only borrowed — the shard clears and reuses its
-  /// buffers after the call.
-  virtual void merge_batch(std::span<const Observation> rows, std::uint32_t first_round,
-                           std::span<const RoundCounters> counters) = 0;
+  /// Receive one shard's rows. Only borrowed: the shard clears and
+  /// reuses its buffer after the call.
+  virtual void merge_rows(std::span<const Observation> rows) = 0;
+  /// Receive the flush's counter deltas, after every shard's rows:
+  /// `deltas[i]` is round `first_round + i`'s sum over the shards since
+  /// the previous flush, over the range of rounds their count/count_n
+  /// calls touched (rounds inside the range can still be all-zero, and
+  /// merge treats those as no-ops). Not called when no shard counted.
+  /// Only borrowed.
+  virtual void merge_counters(std::uint32_t first_round,
+                              std::span<const RoundCounters> deltas) = 0;
 
  private:
   class Shard final : public Lane {
@@ -227,7 +193,8 @@ class ShardedSinkBase : public ObservationSink {
     /// counters_[i] is round lo_ + i's (lo_ is stale while the window is
     /// empty). One ingest epoch counts one round, so the window holds
     /// that epoch's rounds, not every round the shard has seen; a flush
-    /// merges it and clears it, keeping the capacity.
+    /// sums it into the first counting shard's window, merges that and
+    /// clears both, keeping the capacity.
     std::vector<RoundCounters> counters_;
     std::uint32_t lo_ = 0;
   };
@@ -240,28 +207,24 @@ class ShardedSinkBase : public ObservationSink {
   /// — that handoff is the sink's epoch contract, not a lock.
   mutable util::Mutex shards_mu_;
   std::deque<Shard> shards_ V6MON_GUARDED_BY(shards_mu_);  ///< Deque: addresses stable as shards join.
-  /// Source pair id -> canonical_paths() id; used by flush() alone.
-  PairRemap remap_ V6MON_GUARDED_BY(shards_mu_);
 };
 
-/// In-memory sharded backend: flush imports the rows' pairs into the
-/// database's own registry and bulk-merges rows and counter deltas (one
-/// lock per shard per round instead of one per observation).
+/// In-memory sharded backend: flush bulk-merges each shard's rows and
+/// then the summed counter deltas (one store lock each, instead of one
+/// per observation).
 class ShardedSink final : public ShardedSinkBase {
  public:
-  ShardedSink(ResultsDb& db, const PathRegistry& source)
-      : ShardedSinkBase(source), db_(&db) {}
+  explicit ShardedSink(ResultsDb& db) : db_(&db) {}
 
   void count_listed(std::uint32_t round, std::uint64_t n) override {
     db_->count_listed(round, n);
   }
 
  protected:
-  PathRegistry& canonical_paths() override { return db_->paths(); }
-  void merge_batch(std::span<const Observation> rows, std::uint32_t first_round,
-                   std::span<const RoundCounters> counters) override {
-    db_->merge_rows(rows);
-    db_->merge_counters(first_round, counters);
+  void merge_rows(std::span<const Observation> rows) override { db_->merge_rows(rows); }
+  void merge_counters(std::uint32_t first_round,
+                      std::span<const RoundCounters> deltas) override {
+    db_->merge_counters(first_round, deltas);
   }
 
  private:

@@ -86,7 +86,7 @@ class Reader {
 // --- SpoolWriter ------------------------------------------------------------
 
 SpoolWriter::SpoolWriter(const std::string& path)
-    : out_(path, std::ios::binary | std::ios::trunc) {
+    : path_(path), out_(path, std::ios::binary | std::ios::trunc) {
   if (!out_) throw Error("spool: cannot open '" + path + "' for writing");
   out_.write(kMagic, sizeof(kMagic));
 }
@@ -166,18 +166,19 @@ void SpoolWriter::close() {
 
 // --- SpoolSink --------------------------------------------------------------
 
-void SpoolSink::merge_batch(std::span<const Observation> rows, std::uint32_t first_round,
-                            std::span<const RoundCounters> counters) {
-  // Spool path ids are reg_'s ids: define the ones this batch's shard
-  // sighted first, in id order, before any row can reference them.
-  for (const std::size_t total = reg_.size(); defined_paths_ < total; ++defined_paths_) {
-    writer_.path_def(reg_.path(static_cast<PathId>(defined_paths_)));
+void SpoolSink::merge_rows(std::span<const Observation> rows) {
+  // Define the paths interned since the last batch, in id order, before
+  // any row can reference them.
+  for (const std::size_t total = routes_->size(); defined_paths_ < total; ++defined_paths_) {
+    writer_.path_def(routes_->path(static_cast<PathId>(defined_paths_)));
   }
-  for (const Observation& o : rows) writer_.observation(o, reg_);
-  // Rounds outside the touched range are all-zero: skipping them skips
-  // no record.
-  for (std::uint32_t i = 0; i < counters.size(); ++i) {
-    const RoundCounters& c = counters[i];
+  for (const Observation& o : rows) writer_.observation(o, *routes_);
+}
+
+void SpoolSink::merge_counters(std::uint32_t first_round,
+                               std::span<const RoundCounters> deltas) {
+  for (std::uint32_t i = 0; i < deltas.size(); ++i) {
+    const RoundCounters& c = deltas[i];
     if (c.listed == 0 && c.v4_only == 0 && c.v6_only == 0 && c.dual == 0 &&
         c.dns_failed == 0 && c.measured == 0 && c.different_content == 0 &&
         c.download_failed == 0) {
@@ -185,6 +186,12 @@ void SpoolSink::merge_batch(std::span<const Observation> rows, std::uint32_t fir
     }
     writer_.counters(first_round + i, c);
   }
+}
+
+void SpoolSink::finish() {
+  flush();
+  writer_.close();
+  if (!writer_.ok()) throw IoError("spool: write to '" + writer_.path() + "' failed");
 }
 
 // --- Replay -----------------------------------------------------------------

@@ -19,7 +19,8 @@ namespace v6mon::core {
 /// Format (version 1, little-endian, fixed-width):
 ///   8-byte magic "V6SPOOL1", then tagged records:
 ///     0x01 PathDef   u32 hop count, then hop x u32 ASNs. Defines the
-///                    next sequential spool path id (0, 1, 2, ...).
+///                    next sequential spool path id (0, 1, 2, ...); the
+///                    writer's spool ids are its registry's path ids.
 ///     0x02 Obs       u32 site, u32 round, u8 status, u32 v4 speed bits,
 ///                    u32 v6 speed bits (IEEE-754 binary32), u16/u16
 ///                    sample counts, u32/u32 spool path ids (0xffffffff
@@ -33,7 +34,9 @@ namespace v6mon::core {
 /// In memory an observation holds one route-pair id; the writer expands
 /// it into each family's (path id, origin) fields, and replay re-interns
 /// them as a pair of routes of the database registry. Counters are u32
-/// in memory (RoundCounters); the format keeps u64 fields.
+/// in memory (RoundCounters); the format keeps u64 fields. SpoolSink
+/// writes one Counters record per non-zero round delta per flush, so a
+/// spool's size does not depend on the thread count.
 class SpoolWriter {
  public:
   /// Creates/truncates `path` and writes the header. Throws
@@ -52,10 +55,13 @@ class SpoolWriter {
   /// Append a per-round counter delta (all-zero deltas may be skipped).
   void counters(std::uint32_t round, const RoundCounters& delta);
 
-  /// Write the end record and close. Idempotent; the destructor calls it.
+  /// Write the end record, flush and close. Idempotent; the destructor
+  /// calls it. Throws nothing: a failed flush or close shows in ok().
   void close();
-  /// False after any stream failure (disk full, closed device).
-  [[nodiscard]] bool ok() const { return out_.good() || closed_; }
+  /// False after any stream failure (disk full, closed device),
+  /// including one in close().
+  [[nodiscard]] bool ok() const { return out_.good(); }
+  [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
   void u8(std::uint8_t v);
@@ -63,42 +69,43 @@ class SpoolWriter {
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
 
+  const std::string path_;
   std::ofstream out_;
   std::uint64_t observations_ = 0;
   bool closed_ = false;
 };
 
 /// Spool-backed sink: worker lanes are the usual lock-free shards; at
-/// each round boundary the flush imports the rows' pairs into a
-/// spool-global registry, and the batch streams to disk behind PathDef
-/// records for the paths it sighted first. Only shard buffers and the
-/// registry stay in memory — observation storage is out-of-core.
+/// each round boundary the batch streams to disk behind PathDef records
+/// for the registry paths no earlier batch defined. Only shard buffers
+/// stay in memory — observation storage is out-of-core.
 class SpoolSink final : public ShardedSinkBase {
  public:
-  /// `source`: the registry the recorded rows' pair ids belong to.
-  SpoolSink(const std::string& path, const PathRegistry& source)
-      : ShardedSinkBase(source), writer_(path) {}
+  /// `routes`: the registry the recorded rows' pair ids belong to (the
+  /// vantage point's); spool path ids are its path ids. It only grows,
+  /// so a path defined once keeps its id.
+  SpoolSink(const std::string& path, const PathRegistry& routes)
+      : routes_(&routes), writer_(path) {}
 
   void count_listed(std::uint32_t round, std::uint64_t n) override {
     RoundCounters delta;
     add_count(delta.listed, n);
     writer_.counters(round, delta);
   }
-  void finish() override {
-    flush();
-    writer_.close();
-  }
+  /// Flush and close the file. Throws IoError naming the file when any
+  /// write to it failed.
+  void finish() override;
 
   [[nodiscard]] bool ok() const { return writer_.ok(); }
 
  protected:
-  PathRegistry& canonical_paths() override { return reg_; }
-  void merge_batch(std::span<const Observation> rows, std::uint32_t first_round,
-                   std::span<const RoundCounters> counters) override;
+  void merge_rows(std::span<const Observation> rows) override;
+  void merge_counters(std::uint32_t first_round,
+                      std::span<const RoundCounters> deltas) override;
 
  private:
-  PathRegistry reg_;  ///< Spool-global ids; dedupes across shards.
-  std::size_t defined_paths_ = 0;  ///< reg_ paths with a PathDef written.
+  const PathRegistry* routes_;
+  std::size_t defined_paths_ = 0;  ///< routes_ paths with a PathDef written.
   SpoolWriter writer_;
 };
 

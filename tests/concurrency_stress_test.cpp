@@ -128,9 +128,9 @@ TEST(PathRegistryStress, ConcurrentInterningStaysConsistent) {
 
 // Many threads hammering one ShardedSink through their thread-local
 // lanes: record and count run with zero shared-lock traffic on the hot
-// path, while the workers intern their route pairs into one shared
-// source registry (as concurrent resolved-row fills do), then one flush
-// imports the pairs and merges everything. Under TSan any accidental
+// path, while the workers intern their route pairs into the store's
+// registry (as concurrent resolved-row fills would), then one flush
+// merges everything. Under TSan any accidental
 // sharing between shards (or between a lane and the merge) is a hard
 // failure; on plain builds the totals double as a lost-update detector
 // against a serial mutex-store reference.
@@ -169,11 +169,10 @@ TEST(ShardedSinkStress, ConcurrentLaneIngestLosesNothing) {
   };
 
   ResultsDb sharded_db, mutex_db;
-  PathRegistry sharded_source, mutex_source;
-  ShardedSink sharded(sharded_db, sharded_source);
-  MutexSink mutexed(mutex_db, mutex_source);
-  drive(sharded, sharded_source, /*parallel=*/true);
-  drive(mutexed, mutex_source, /*parallel=*/false);
+  ShardedSink sharded(sharded_db);
+  MutexSink mutexed(mutex_db);
+  drive(sharded, sharded_db.paths(), /*parallel=*/true);
+  drive(mutexed, mutex_db.paths(), /*parallel=*/false);
   EXPECT_GE(sharded.shard_count(), 1u);
   sharded_db.finalize();
   mutex_db.finalize();
@@ -182,8 +181,8 @@ TEST(ShardedSinkStress, ConcurrentLaneIngestLosesNothing) {
   EXPECT_EQ(sharded_db.num_sites(),
             static_cast<std::size_t>(kThreads) * kRowsPerThread);
   EXPECT_EQ(sharded_db.num_sites(), mutex_db.num_sites());
-  // Concurrent interning deduped the source, and the flush imported it.
-  EXPECT_EQ(sharded_source.pair_count(), kDistinctPaths);
+  // Concurrent interning deduped the registry.
+  EXPECT_EQ(sharded_db.paths().pair_count(), kDistinctPaths);
   EXPECT_EQ(sharded_db.paths().size(), mutex_db.paths().size());
   EXPECT_EQ(sharded_db.paths().route_count(), mutex_db.paths().route_count());
   EXPECT_EQ(sharded_db.paths().pair_count(), mutex_db.paths().pair_count());

@@ -235,21 +235,8 @@ TEST(PathRegistry, InternsPairsOverRoutes) {
   EXPECT_EQ(reg.path(reg.route(reg.pair(rib).v6).path), e6.as_path);
   EXPECT_EQ(reg.route(reg.pair(reg.intern_pair(&e4, &e6, false)).v4).path, kNoPath);
   EXPECT_EQ(reg.intern_pair(nullptr, nullptr, true), kNoPair);
-
-  // Import by content: the same routes and paths, ids of the target.
-  PathRegistry other;
-  other.intern({9, 9, 9});
-  const PairId imported = other.import_pair(reg, rib);
-  EXPECT_EQ(other.import_pair(reg, rib), imported);
-  EXPECT_EQ(other.import_pair(reg, kNoPair), kNoPair);
-  const RoutePair p = other.pair(imported);
-  EXPECT_EQ(other.route(p.v4).origin, 3u);
-  EXPECT_EQ(other.path(other.route(p.v4).path), e4.as_path);
-  EXPECT_EQ(other.path(other.route(p.v6).path), e6.as_path);
-  EXPECT_EQ(other.route(other.pair(other.import_pair(reg, v6_only)).v6).path, kNoPath);
-  EXPECT_EQ(other.pair_count(), 2u);
-  EXPECT_EQ(other.size(), 3u);  // {9, 9, 9} and the two RIB paths
 }
+
 TEST(ResultsDb, CountersBucketStatuses) {
   ResultsDb db;
   db.count(0, MonitorStatus::kV4Only);
@@ -727,9 +714,10 @@ TEST(Monitor, SeparateProviderVpYieldsDivergentPaths) {
 // a VP with AS paths (no path at one without). A family with no RIB route
 // records kNoRoute: every third v6 prefix is withdrawn from each RIB so
 // that some dual-stack sites have none. Regular and W6D stores, on a
-// frozen world, so the RIB is the one the campaign read. Each store's
-// registry holds exactly the pairs, routes and paths its rows reference,
-// though both stores of a VP import from the one VP registry.
+// frozen world, so the RIB is the one the campaign read. Both stores read
+// the VP's one registry, and it holds exactly the pairs, routes and paths
+// their rows reference: without DNS loss every row the monitor resolves
+// is recorded.
 TEST(Campaign, RecordedRoutesMatchRibLookups) {
   scenario::WorldSpec spec = small_world().spec;
   spec.vantage_points[1].has_as_path = false;
@@ -752,8 +740,12 @@ TEST(Campaign, RecordedRoutesMatchRibLookups) {
     const VantagePoint& vp = world.vantage_points[v];
     SCOPED_TRACE("vp=" + vp.name);
     std::size_t rows = 0, unrouted = 0;
+    const PathRegistry& reg = campaign.monitor(v).routes();
+    std::set<PairId> pairs;
+    std::set<RouteId> routes;
+    std::set<PathId> paths;
     for (const ResultsDb* db : {&campaign.results(v), &campaign.w6d_results(v)}) {
-      const PathRegistry& reg = db->paths();
+      ASSERT_EQ(&db->paths(), &reg);
       const auto expect_route = [&](RouteId id, const bgp::RibEntry* rib) {
         if (rib == nullptr) {
           EXPECT_EQ(id, kNoRoute);
@@ -770,9 +762,6 @@ TEST(Campaign, RecordedRoutesMatchRibLookups) {
         ASSERT_NE(r.path, kNoPath);
         EXPECT_EQ(reg.path(r.path), rib->as_path);
       };
-      std::set<PairId> pairs;
-      std::set<RouteId> routes;
-      std::set<PathId> paths;
       for (const std::uint32_t site : db->site_ids()) {
         for (const Observation& o : db->series(site)) {
           const web::Hosting h = world.catalog.hosting_at(world.catalog.site(site), o.round);
@@ -789,10 +778,10 @@ TEST(Campaign, RecordedRoutesMatchRibLookups) {
           ++rows;
         }
       }
-      EXPECT_EQ(pairs.size(), reg.pair_count());
-      EXPECT_EQ(routes.size(), reg.route_count());
-      EXPECT_EQ(paths.size(), reg.size());
     }
+    EXPECT_EQ(pairs.size(), reg.pair_count());
+    EXPECT_EQ(routes.size(), reg.route_count());
+    EXPECT_EQ(paths.size(), reg.size());
     EXPECT_GT(rows, 100u);
     EXPECT_GT(unrouted, 0u);
   }
@@ -1449,6 +1438,36 @@ TEST(Campaign, FinalizeThrowsFirstFailingSpoolStore) {
     }
     std::filesystem::remove_all(dir);
   }
+}
+
+// A vantage point has one route registry: its monitor interns into it,
+// and its regular and W6D stores read it, frozen once finalize() is done.
+TEST(Campaign, VpStoresShareOneFrozenRegistry) {
+  const auto& w = small_world().world;
+  const std::string dir = ::testing::TempDir() + "/shared_registry_" +
+                          ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::filesystem::create_directories(dir);
+  for (const SinkBackend sink :
+       {SinkBackend::kMutex, SinkBackend::kSharded, SinkBackend::kSpool}) {
+    SCOPED_TRACE("sink=" + std::to_string(static_cast<int>(sink)));
+    CampaignConfig cfg;
+    cfg.seed = 5;
+    cfg.threads = 4;
+    cfg.sink = sink;
+    cfg.spool_dir = dir;
+    Campaign campaign(w, cfg);
+    campaign.run();
+    campaign.run_w6d();
+    campaign.finalize();
+    for (std::size_t vp = 0; vp < w.vantage_points.size(); ++vp) {
+      const PathRegistry& routes = campaign.monitor(vp).routes();
+      EXPECT_EQ(&campaign.results(vp).paths(), &routes);
+      EXPECT_EQ(&campaign.w6d_results(vp).paths(), &routes);
+      EXPECT_TRUE(routes.frozen());
+      EXPECT_GT(routes.pair_count(), 0u);
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 #if V6MON_CONTRACT_LEVEL >= 1

@@ -10,11 +10,14 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "analysis/report.h"
 #include "analysis/tables.h"
 #include "core/campaign.h"
+#include "core/world_timeline.h"
 #include "reference_schedule.h"
+#include "scenario/evolution.h"
 #include "scenario/world_builder.h"
 
 namespace v6mon::core {
@@ -199,6 +202,120 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, SinkBackendMatrix,
                            }
                            return "Unknown";
                          });
+
+// --- One registry per vantage point -----------------------------------------
+//
+// Only a VP's coordinator interns into its registry, in work-list order,
+// so the registry's content in id order is a function of the study: the
+// same at every thread count and sink backend, frozen or evolving. The
+// spool writes each registry path once and one counter record per
+// non-zero round delta per flush, so its files are the same size at every
+// thread count. (The fast path's work lists differ from the full
+// pipeline's, so registries are not compared across `fast_path`.)
+
+/// A registry's content in id order: every path, route and pair.
+std::string registry_text(const PathRegistry& reg) {
+  std::string out;
+  for (PathId id = 0; id < reg.size(); ++id) out += reg.to_string(id) + "\n";
+  for (RouteId id = 0; id < reg.route_count(); ++id) {
+    const Route r = reg.route(id);
+    out += std::to_string(r.origin) + " " + std::to_string(r.path) + "\n";
+  }
+  for (PairId id = 0; id < reg.pair_count(); ++id) {
+    const RoutePair p = reg.pair(id);
+    out += std::to_string(p.v4) + " " + std::to_string(p.v6) + "\n";
+  }
+  return out;
+}
+
+/// A finished study (regular rounds, W6D, finalize) on tiny_world, or on
+/// its evolving twin: an epoch every second round plus the inflections.
+struct Study {
+  std::unique_ptr<WorldTimeline> timeline;  ///< Null for the frozen world.
+  std::unique_ptr<Campaign> campaign;
+};
+
+Study run_study(bool evolving, SinkBackend sink, unsigned threads,
+                const std::string& spool_dir) {
+  CampaignConfig cfg;
+  cfg.seed = 2011;
+  cfg.threads = threads;
+  cfg.sink = sink;
+  cfg.spool_dir = spool_dir;
+  std::filesystem::create_directories(spool_dir);
+  Study study;
+  if (!evolving) {
+    study.campaign = run_campaign(tiny_world(), cfg);
+    return study;
+  }
+  scenario::WorldSpec spec = tiny_spec();
+  spec.evolution.enabled = true;
+  spec.evolution.delta_rate = 4.0;
+  spec.evolution.epoch_interval = 2;
+  spec.evolution.max_as_fraction = 0.05;
+  spec.evolution.depletion_round = 4;
+  study.timeline = std::make_unique<WorldTimeline>(scenario::build_timeline(spec));
+  EXPECT_GT(study.timeline->num_epochs(), 0u);
+  study.campaign = std::make_unique<Campaign>(*study.timeline, cfg);
+  study.campaign->run();
+  study.campaign->run_w6d();
+  study.campaign->finalize();
+  return study;
+}
+
+TEST(Determinism, VpRegistryContentInvisibleToThreadsAndSinks) {
+  const std::string dir = ::testing::TempDir() + "/registry";
+  for (const bool evolving : {false, true}) {
+    SCOPED_TRACE(evolving ? "evolving" : "frozen");
+    std::vector<std::string> reference;
+    int cell = 0;
+    for (const unsigned threads : {1u, 4u, 8u}) {
+      for (const SinkBackend sink :
+           {SinkBackend::kMutex, SinkBackend::kSharded, SinkBackend::kSpool}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " sink=" + std::to_string(static_cast<int>(sink)));
+        const Study study =
+            run_study(evolving, sink, threads, dir + "/" + std::to_string(cell++));
+        std::vector<std::string> texts;
+        for (std::size_t vp = 0; vp < tiny_world().vantage_points.size(); ++vp) {
+          texts.push_back(registry_text(study.campaign->monitor(vp).routes()));
+        }
+        if (reference.empty()) {
+          reference = texts;
+        } else {
+          EXPECT_EQ(texts, reference);
+        }
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Determinism, SpoolSizeInvisibleToThreads) {
+  const std::string dir = ::testing::TempDir() + "/spool_size";
+  for (const bool evolving : {false, true}) {
+    SCOPED_TRACE(evolving ? "evolving" : "frozen");
+    std::vector<std::uintmax_t> reference;
+    for (const unsigned threads : {1u, 4u, 8u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      const std::string cell_dir = dir + "/t" + std::to_string(threads);
+      const Study study = run_study(evolving, SinkBackend::kSpool, threads, cell_dir);
+      std::vector<std::uintmax_t> sizes;
+      for (std::size_t vp = 0; vp < tiny_world().vantage_points.size(); ++vp) {
+        for (const char* tag : {"", "_w6d"}) {
+          sizes.push_back(std::filesystem::file_size(
+              cell_dir + "/vp" + std::to_string(vp) + tag + ".spool"));
+        }
+      }
+      if (reference.empty()) {
+        reference = sizes;
+      } else {
+        EXPECT_EQ(sizes, reference);
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
 
 // --- Campaign schedule matrix -----------------------------------------------
 //

@@ -452,8 +452,7 @@ TEST(MetricsDeterminism, CountersIdenticalAcrossThreadsAndBackends) {
 }
 
 // Campaign::finalize() sums what the sinks stage into a gauge: shards hold
-// rows and counter windows beside their sink's pair remap, and the mutex
-// sink stages nothing.
+// rows and counter windows, and the mutex sink stages nothing.
 TEST(MetricsDeterminism, SinkShardBytesGaugeNamesStagingMemory) {
   EXPECT_EQ(run_instrumented(2, core::SinkBackend::kMutex, true).sink_shard_bytes, 0.0);
   for (const core::SinkBackend backend :

@@ -2,13 +2,14 @@
 // store, and the binary spool. The contract under test is simple to
 // state and strict: whatever backend carried the observations, the
 // finalized ResultsDb — rows, counters, path contents, CSV bytes — is
-// identical. Rows arrive with pair ids of a source registry (a vantage
-// point's Monitor::routes()), which each sink imports into its store.
+// identical. Rows carry pair ids of the store's registry (in a campaign,
+// its vantage point's Monitor::routes()); no sink translates them.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <deque>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <initializer_list>
@@ -50,9 +51,9 @@ std::string test_spool_path(const std::string& stem) {
 
 /// Drive any sink through two epochs with a handful of observations and
 /// counters, mimicking what campaign rounds do: pairs are interned into
-/// `source` (the sink's) as resolved-row fills intern them. The first
-/// epoch counts round `first`, the second round `second` (either may be
-/// the lower).
+/// `source` (the registry the sink's rows refer to) as resolved-row fills
+/// intern them. The first epoch counts round `first`, the second round
+/// `second` (either may be the lower).
 void drive(ObservationSink& sink, PathRegistry& source, std::uint16_t first = 0,
            std::uint16_t second = 1) {
   ObservationSink::Lane& lane = sink.lane();
@@ -114,42 +115,42 @@ void expect_same_finalized(const ResultsDb& a, const ResultsDb& b) {
 
 TEST(Sink, ShardedMatchesMutexReference) {
   ResultsDb mdb, sdb;
-  PathRegistry source;
-  MutexSink msink(mdb, source);
-  ShardedSink ssink(sdb, source);
-  drive(msink, source);
-  drive(ssink, source);
+  MutexSink msink(mdb);
+  ShardedSink ssink(sdb);
+  drive(msink, mdb.paths());
+  drive(ssink, sdb.paths());
   mdb.finalize();
   sdb.finalize();
   expect_same_finalized(mdb, sdb);
   EXPECT_EQ(ssink.shard_count(), 1u);  // single-threaded drive: one shard
 }
 
-// A store's registry holds exactly the pairs, routes and paths its own
-// rows use, whatever else the source holds: the source is shared by a
-// vantage point's two stores (regular and W6D), and a pair one of them
-// records must not reach the other.
-TEST(Sink, StoreRegistryHoldsOnlyRecordedPairs) {
-  PathRegistry source;
-  const RouteId kept = source.intern_route(7, source.intern({1, 2, 7}));
-  const RouteId pathless = source.intern_route(9, kNoPath);
-  const PairId recorded = source.intern_pair(kept, pathless);
+// A vantage point's two stores (regular and W6D) read the VP's one
+// registry: whatever the backend, a row keeps the pair id it was recorded
+// with, and no store adds a path, route or pair of its own. The spool
+// writes the registry's path ids, so a replay into a store on the same
+// registry finds every pair it interns already there.
+TEST(Sink, RowsKeepTheirRegistryPairIds) {
+  const auto vp = std::make_shared<PathRegistry>();
+  const RouteId kept = vp->intern_route(7, vp->intern({1, 2, 7}));
+  const RouteId pathless = vp->intern_route(9, kNoPath);
+  const PairId recorded = vp->intern_pair(kept, pathless);
   // Never recorded: a pair over a path and a route no row uses.
-  (void)source.intern_pair(source.intern_route(8, source.intern({5, 6, 8})), kept);
-  const std::string path = test_spool_path("only-recorded");
+  (void)vp->intern_pair(vp->intern_route(8, vp->intern({5, 6, 8})), kept);
+  const std::string path = test_spool_path("shared");
   const auto feed = [&](ObservationSink& sink) {
     sink.lane().record(sample_obs(10, 0, recorded));
     sink.lane().record(sample_obs(11, 0, recorded));
     sink.lane().record(sample_obs(12, 0, kNoPair));
     sink.finish();
   };
-  ResultsDb mdb, sdb, pdb;
-  MutexSink msink(mdb, source);
-  ShardedSink ssink(sdb, source);
+  ResultsDb mdb(vp), sdb(vp), pdb(vp);
+  MutexSink msink(mdb);
+  ShardedSink ssink(sdb);
   feed(msink);
   feed(ssink);
   {
-    SpoolSink spool(path, source);
+    SpoolSink spool(path, *vp);
     feed(spool);
     EXPECT_TRUE(spool.ok());
   }
@@ -157,25 +158,26 @@ TEST(Sink, StoreRegistryHoldsOnlyRecordedPairs) {
   std::remove(path.c_str());
   for (ResultsDb* db : {&mdb, &sdb, &pdb}) {
     db->finalize();
-    EXPECT_EQ(db->paths().size(), 1u);
-    EXPECT_EQ(db->paths().route_count(), 2u);
-    EXPECT_EQ(db->paths().pair_count(), 1u);
-    const RoutePair p = db->paths().pair(db->series(10)[0].route_pair);
-    EXPECT_EQ(db->paths().path(db->paths().route(p.v4).path),
-              (std::vector<topo::Asn>{1, 2, 7}));
-    EXPECT_EQ(db->paths().route(p.v6).origin, 9u);
+    EXPECT_EQ(&db->paths(), vp.get());
+    EXPECT_EQ(db->series(10)[0].route_pair, recorded);
+    EXPECT_EQ(db->series(11)[0].route_pair, recorded);
     EXPECT_EQ(db->series(12)[0].route_pair, kNoPair);
   }
-  EXPECT_EQ(source.pair_count(), 2u);
+  EXPECT_TRUE(vp->frozen());
+  EXPECT_EQ(vp->size(), 2u);
+  EXPECT_EQ(vp->route_count(), 3u);
+  EXPECT_EQ(vp->pair_count(), 2u);
+  EXPECT_EQ(mdb.to_csv(), pdb.to_csv());
+  EXPECT_EQ(sdb.to_csv(), pdb.to_csv());
 }
 
 TEST(Sink, SpoolRoundTripMatchesMutexReference) {
   const std::string path = test_spool_path("roundtrip");
   ResultsDb mdb, sdb;
-  PathRegistry source;
-  MutexSink msink(mdb, source);
-  drive(msink, source);
+  MutexSink msink(mdb);
+  drive(msink, mdb.paths());
   {
+    PathRegistry source;
     SpoolSink spool(path, source);
     drive(spool, source);
     EXPECT_TRUE(spool.ok());
@@ -194,12 +196,12 @@ TEST(Sink, SpoolRoundTripMatchesMutexReference) {
 TEST(Sink, LateFirstRoundMatchesAcrossBackends) {
   const std::string path = test_spool_path("late");
   ResultsDb mdb, sdb, pdb;
-  PathRegistry source;
-  MutexSink msink(mdb, source);
-  ShardedSink ssink(sdb, source);
-  drive(msink, source, 1200, 700);
-  drive(ssink, source, 1200, 700);
+  MutexSink msink(mdb);
+  ShardedSink ssink(sdb);
+  drive(msink, mdb.paths(), 1200, 700);
+  drive(ssink, sdb.paths(), 1200, 700);
   {
+    PathRegistry source;
     SpoolSink spool(path, source);
     drive(spool, source, 1200, 700);
     EXPECT_TRUE(spool.ok());
@@ -232,9 +234,8 @@ TEST(Sink, OneShardPerThreadAfterLaneCacheEviction) {
   constexpr std::size_t kSinks = 20;  // more than the lane cache holds
   constexpr std::uint32_t kPasses = 5;
   std::deque<ResultsDb> dbs(kSinks);
-  const PathRegistry source;
   std::vector<std::unique_ptr<ShardedSink>> sinks;
-  for (ResultsDb& db : dbs) sinks.push_back(std::make_unique<ShardedSink>(db, source));
+  for (ResultsDb& db : dbs) sinks.push_back(std::make_unique<ShardedSink>(db));
   for (std::uint32_t pass = 0; pass < kPasses; ++pass) {
     for (const auto& sink : sinks) {
       sink->lane().count(pass, MonitorStatus::kV4Only);
@@ -254,7 +255,7 @@ TEST(Sink, OneShardPerThreadAfterLaneCacheEviction) {
 // Each ingest epoch counts one round, so a shard's counter window holds
 // that round and no other: after every flush the sink's staging bytes stay
 // at one round's counters however late the round. The epochs record no
-// rows, so bytes() is the window alone (the pair remap stays empty).
+// rows, so bytes() is the window alone.
 
 void expect_one_round_window(ObservationSink& sink) {
   constexpr std::uint32_t kEpochs = 1500;
@@ -271,8 +272,7 @@ void expect_one_round_window(ObservationSink& sink) {
 
 TEST(Sink, ShardedCounterWindowHoldsOneEpoch) {
   ResultsDb db;
-  const PathRegistry source;
-  ShardedSink sink(db, source);
+  ShardedSink sink(db);
   expect_one_round_window(sink);
   ASSERT_EQ(db.rounds(), 1500u);
   for (std::uint32_t r = 0; r < 1500; ++r) {
@@ -284,13 +284,13 @@ TEST(Sink, ShardedCounterWindowHoldsOneEpoch) {
 TEST(Sink, SpoolCounterWindowHoldsOneEpoch) {
   const std::string path = test_spool_path("window");
   ResultsDb mdb, sdb;
-  const PathRegistry source;
   {
+    const PathRegistry source;
     SpoolSink spool(path, source);
     expect_one_round_window(spool);
     EXPECT_TRUE(spool.ok());
   }
-  MutexSink msink(mdb, source);
+  MutexSink msink(mdb);
   expect_one_round_window(msink);
   replay_spool_file(path, sdb);
   expect_same_counters(sdb, mdb);
@@ -335,9 +335,8 @@ const std::vector<Epoch>& range_epochs() {
 
 TEST(Sink, ShardedFlushMergesTouchedRoundsOnly) {
   ResultsDb mdb, sdb;
-  const PathRegistry source;
-  MutexSink msink(mdb, source);
-  ShardedSink ssink(sdb, source);
+  MutexSink msink(mdb);
+  ShardedSink ssink(sdb);
   // Lock-step: after every flush the store equals the reference.
   for (std::size_t e = 0; e < range_epochs().size(); ++e) {
     SCOPED_TRACE("epoch " + std::to_string(e));
@@ -360,9 +359,9 @@ TEST(Sink, ShardedFlushMergesTouchedRoundsOnly) {
 TEST(Sink, SpoolFlushMergesTouchedRoundsOnly) {
   const std::string path = test_spool_path("ranges");
   ResultsDb mdb, sdb;
-  const PathRegistry source;
-  MutexSink msink(mdb, source);
+  MutexSink msink(mdb);
   {
+    const PathRegistry source;
     SpoolSink spool(path, source);
     for (const Epoch& epoch : range_epochs()) {
       epoch(msink);
@@ -385,6 +384,25 @@ TEST(Sink, SpoolWriterRejectsUnopenablePath) {
   ResultsDb db;
   EXPECT_THROW(replay_spool_file("/nonexistent-dir-v6mon/x.spool", db),
                v6mon::Error);
+}
+
+// A spool on a full disk: the writes fail inside the stream's buffer,
+// and finish() must say so instead of leaving a truncated file for the
+// replay to trip over.
+TEST(Sink, SpoolFinishThrowsOnFullDisk) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const PathRegistry source;
+  SpoolSink spool("/dev/full", source);
+  for (std::uint32_t site = 0; site < 5000; ++site) {
+    spool.lane().record(sample_obs(site, 0, kNoPair));
+  }
+  try {
+    spool.finish();
+    ADD_FAILURE() << "finish() on a full disk did not throw";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(spool.ok());
 }
 
 // --- Malformed spool streams ----------------------------------------------
