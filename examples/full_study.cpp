@@ -19,8 +19,8 @@
 //   build without the conn layer; the other modes add the fallback-tax
 //   table (full_study_out/fallback.csv) on top of the paper outputs,
 //   which stay byte-identical across all three modes.
-//   sink: sharded (default) | mutex | spool — the ingest backend; a pure
-//   performance/memory knob, every backend emits identical bytes. spool
+//   sink: sharded (default) | spool — the ingest backend; a pure
+//   performance/memory knob, both emit identical bytes. spool
 //   streams observations to full_study_out/*.spool during the campaign
 //   and replays them for the analysis (out-of-core mode).
 //
@@ -75,10 +75,13 @@ void show(analysis::Artifact a, const util::TextTable& table) {
 }
 
 core::SinkBackend parse_sink(const char* arg) {
-  if (std::strcmp(arg, "mutex") == 0) return core::SinkBackend::kMutex;
   if (std::strcmp(arg, "spool") == 0) return core::SinkBackend::kSpool;
   if (std::strcmp(arg, "sharded") == 0) return core::SinkBackend::kSharded;
-  std::fprintf(stderr, "unknown sink '%s' (want sharded|mutex|spool)\n", arg);
+  if (std::strcmp(arg, "mutex") == 0) {
+    std::fprintf(stderr, "the mutex sink was removed (want sharded|spool)\n");
+  } else {
+    std::fprintf(stderr, "unknown sink '%s' (want sharded|spool)\n", arg);
+  }
   std::exit(2);
 }
 
@@ -160,6 +163,8 @@ int main(int argc, char** argv) try {
   double scale = have_spec ? spec.scale : 1.0;
   if (pos.size() > 0) seed = examples::number_arg<std::uint64_t>(pos[0], "seed");
   if (pos.size() > 1) scale = examples::scale_arg(pos[1]);
+  const core::SinkBackend sink =
+      pos.size() > 2 ? parse_sink(pos[2]) : core::SinkBackend::kSharded;
 
   std::error_code dir_error;
   std::filesystem::create_directories("full_study_out", dir_error);
@@ -196,7 +201,7 @@ int main(int argc, char** argv) try {
   if (have_spec && pos.size() > 0 && spec.campaign.seed == spec.world_seed) {
     cfg.seed = seed;
   }
-  if (pos.size() > 2) cfg.sink = parse_sink(pos[2]);
+  if (pos.size() > 2) cfg.sink = sink;
   // The flag overrides a scenario file's fallback.policy, like the
   // positional seed/scale/sink do their keys.
   if (fallback_arg != nullptr) cfg.monitor.fallback = parse_fallback(fallback_arg);

@@ -17,10 +17,19 @@ namespace v6mon::core {
 
 namespace {
 
+/// MonitorStatus values, kDnsFailed (0) through kMeasured.
+constexpr std::size_t kNumStatuses = static_cast<std::size_t>(MonitorStatus::kMeasured) + 1;
+
+/// Whether the store keeps a site's observation as a row: every outcome
+/// past DNS of a dual-stack site. The rest only count.
+[[nodiscard]] constexpr bool records_row(MonitorStatus s) {
+  return s == MonitorStatus::kMeasured || s == MonitorStatus::kDifferentContent ||
+         s == MonitorStatus::kV4DownloadFailed || s == MonitorStatus::kV6DownloadFailed;
+}
+
 /// Campaign-layer counter handles. Status counters are indexed by the
-/// MonitorStatus enum value so workers count without a name lookup; all
-/// of them are deterministic in thread count and sink backend (each is
-/// incremented exactly once per listed site per round).
+/// MonitorStatus enum value; all of them are deterministic in thread
+/// count and sink backend (each counts every listed site once per round).
 struct CampaignMetricIds {
   obs::MetricId fast_path_sites = obs::metrics().counter("campaign.fast_path_sites");
   obs::MetricId fast_path_coin_sites =
@@ -32,9 +41,10 @@ struct CampaignMetricIds {
   obs::MetricId catalog_bytes = obs::metrics().counter("mem.catalog_bytes");
   obs::MetricId rib_bytes = obs::metrics().counter("mem.rib_bytes");
   obs::MetricId resolved_slots_bytes = obs::metrics().counter("mem.resolved_slots_bytes");
+  obs::MetricId work_list_bytes = obs::metrics().counter("mem.work_list_bytes");
   obs::MetricId dns_queries = obs::metrics().counter("dns.queries");
   obs::MetricId dns_timeouts = obs::metrics().counter("dns.timeouts");
-  obs::MetricId status[7] = {
+  obs::MetricId status[kNumStatuses] = {
       obs::metrics().counter("monitor.status.dns-failed"),
       obs::metrics().counter("monitor.status.v4-only"),
       obs::metrics().counter("monitor.status.v6-only"),
@@ -124,20 +134,11 @@ void Campaign::init_store(VpStore& store, std::size_t vp_index, const char* tag)
   // Rows carry pair ids of the VP's registry, and the store reads it.
   Monitor& monitor = monitors_[vp_index];
   store.db = std::make_unique<ResultsDb>(monitor.shared_routes());
-  switch (config_.sink) {
-    case SinkBackend::kMutex:
-      store.sink = std::make_unique<MutexSink>(*store.db);
-      break;
-    case SinkBackend::kSharded:
-      store.sink = std::make_unique<ShardedSink>(*store.db);
-      break;
-    case SinkBackend::kSpool:
-      store.spool_path =
-          config_.spool_dir + "/vp" + std::to_string(vp_index) + tag + ".spool";
-      store.sink = std::make_unique<SpoolSink>(store.spool_path, monitor.routes());
-      break;
+  if (config_.sink == SinkBackend::kSpool) {
+    store.spool = std::make_unique<SpoolSink>(
+        config_.spool_dir + "/vp" + std::to_string(vp_index) + tag + ".spool",
+        monitor.routes());
   }
-  V6MON_ENSURE(store.sink != nullptr, "unhandled sink backend");
 }
 
 Campaign::SiteScanIndex::SiteScanIndex(const web::SiteCatalog& catalog) {
@@ -237,10 +238,9 @@ void Campaign::advance_world(std::uint32_t round) {
 }
 
 void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
-                         const std::vector<std::uint32_t>& sites,
-                         ObservationSink& sink, std::uint64_t salt) {
+                         const std::vector<std::uint32_t>& sites, VpStore& store,
+                         std::uint64_t salt, RoundCounters delta) {
   V6MON_REQUIRE(vp_index < monitors_.size(), "vantage point index out of range");
-  if (sites.empty()) return;
   Monitor& monitor = monitors_[vp_index];
   const util::Rng root(config_.seed);
   const double timeout_prob = config_.monitor.dns.timeout_prob;
@@ -249,9 +249,9 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
   // stream. Every other site decision draws its loss per site.
   const bool fate_known = salt == 0 && config_.fast_path;
 
-  // Resolution is coordinator-only (we hold this VP's ingest-epoch
-  // mutex): every row the workers read below exists before the fan-out,
-  // so they only read.
+  // Resolution is coordinator-only (we hold this VP's epoch mutex): every
+  // row the workers read below exists before the fan-out, so they only
+  // read.
   {
     obs::TraceSpan span(obs::Stage::kSiteResolve);
     monitor.resolve_sites(sites, round);
@@ -263,11 +263,11 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
   dns_tally.queries.fetch_add(queries, std::memory_order_relaxed);
   obs::metrics().add(campaign_metric_ids().dns_queries, queries);
 
+  // Site i's observation lands in slot i: workers share no other state.
+  std::vector<Observation> rows(sites.size());
   // Returns the queries the site lost.
-  const auto monitor_one = [&](std::uint32_t site_id, util::Rng&& rng) {
-    // The worker's private lane: recording and counting touch no shared
-    // state.
-    ObservationSink::Lane& lane = sink.lane();
+  const auto monitor_one = [&](std::size_t i, util::Rng&& rng) {
+    const std::uint32_t site_id = sites[i];
     const web::Site& site = world_.catalog.site(site_id);
     // The DNS loss stream is keyed only per (site, salt), so in regular
     // rounds a site draws the same timeouts at every round and vantage
@@ -277,20 +277,7 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
         fate_known ? QueryLoss{(fate & SiteScanIndex::kFirstQueryLost) != 0,
                                (fate & SiteScanIndex::kSecondQueryLost) != 0}
                    : draw_query_loss(root, timeout_prob, salt, site_id);
-    const Observation obs =
-        monitor.monitor_site(site, round, loss, std::move(rng));
-    lane.count(round, obs.status);
-    auto& metrics = obs::metrics();
-    const auto& ids = campaign_metric_ids();
-    metrics.add(ids.sites_monitored);
-    metrics.add(ids.status_id(obs.status));
-    if (obs.status == MonitorStatus::kMeasured ||
-        obs.status == MonitorStatus::kDifferentContent ||
-        obs.status == MonitorStatus::kV4DownloadFailed ||
-        obs.status == MonitorStatus::kV6DownloadFailed) {
-      lane.record(obs);
-      metrics.add(ids.ingest_rows);
-    }
+    rows[i] = monitor.monitor_site(site, round, loss, std::move(rng));
     return loss.timeouts();
   };
   // Every RNG stream is keyed by data — never by block bounds or worker
@@ -298,13 +285,13 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
   // threads=1 reproduces threads=N bit-for-bit. The monitor streams are
   // keyed per (vp, round, site, salt) and seeded a block at a time.
   const auto monitor_block = [&](std::size_t block) {
+    const std::size_t first = block * kLanes;
     const std::span<const std::uint32_t> ids =
-        std::span(sites).subspan(block * kLanes).first(
-            std::min(kLanes, sites.size() - block * kLanes));
+        std::span(sites).subspan(first).first(std::min(kLanes, sites.size() - first));
     MonitorStreams streams(root, vp_index, round, salt, ids);
     std::uint64_t timeouts = 0;
     for (std::size_t k = 0; k < ids.size(); ++k) {
-      timeouts += monitor_one(ids[k], std::move(streams[k]));
+      timeouts += monitor_one(first + k, std::move(streams[k]));
     }
     if (timeouts != 0) {
       dns_tally.timeouts.fetch_add(timeouts, std::memory_order_relaxed);
@@ -319,16 +306,37 @@ void Campaign::run_sites(std::size_t vp_index, std::uint32_t round,
   } else {
     parallel_index(pool_, blocks, monitor_block);
   }
-  // Round boundary: merge every worker shard into the backing store (or
-  // stream it to the spool) in one deterministic pass.
+  // Round boundary, on this thread alone: fold the statuses into the
+  // round's counters, keep the rows the store records (in work-list
+  // order, so the batch does not depend on the schedule), and ingest.
+  auto& metrics = obs::metrics();
+  const CampaignMetricIds& ids = campaign_metric_ids();
   {
     obs::TraceSpan span(obs::Stage::kIngestFlush);
-    sink.flush();
+    std::array<std::uint64_t, kNumStatuses> by_status{};
+    std::size_t kept = 0;
+    for (const Observation& o : rows) {
+      ++by_status[static_cast<std::size_t>(o.status)];
+      if (records_row(o.status)) rows[kept++] = o;
+    }
+    rows.resize(kept);
+    for (std::size_t s = 0; s < kNumStatuses; ++s) {
+      if (by_status[s] == 0) continue;
+      apply_status(delta, static_cast<MonitorStatus>(s), by_status[s]);
+      metrics.add(ids.status[s], by_status[s]);
+    }
+    if (store.spool != nullptr) {
+      store.spool->ingest(round, rows, delta);
+    } else {
+      store.db->merge_rows(rows);
+      store.db->merge_counters(round, std::span(&delta, 1));
+    }
   }
-  auto& metrics = obs::metrics();
-  metrics.add(campaign_metric_ids().ingest_flushes);
-  // The flush is also the metrics merge boundary: worker-thread shards
-  // fold into the registry totals while no lane traffic is in flight.
+  metrics.add(ids.sites_monitored, sites.size());
+  metrics.add(ids.ingest_rows, rows.size());
+  metrics.add(ids.ingest_flushes);
+  // The ingest is also the metrics merge boundary: worker-thread shards
+  // fold into the registry totals while no worker records.
   metrics.merge_shards();
 }
 
@@ -384,12 +392,11 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
   if (round < vp.start_round) return;
   ensure_work_index();
   VpStore& store = stores_[vp_index];
-  // One ingest epoch at a time per store: concurrent run_round calls on
-  // the same vantage point serialize here, upholding the sink's
-  // flush-without-lane-traffic contract.
+  // One round at a time per store: concurrent run_round calls on the same
+  // vantage point serialize here.
   util::LockGuard epoch(store.epoch_mu);
-  ObservationSink& sink = *store.sink;
-  ObservationSink::Lane& lane = sink.lane();  // coordinator's own lane
+  // The listed and settled counts; run_sites adds the measured statuses.
+  RoundCounters delta;
 
   // Collect this round's work list. The fast path settles every site
   // whose DNS fate decides its outcome: no query lost on a site without
@@ -467,16 +474,16 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
     settled_v4 += listed - listed_candidates;
     if (const std::uint64_t settled = settled_v4 + settled_v6 + settled_failed;
         settled != 0) {
-      // Settled sites count exactly as monitor_site would have: lane and
+      // Settled sites count exactly as monitor_site would have: round and
       // status totals, plus the two queries each would have issued and
       // the ones it would have lost, so outputs, counters and dns_stats
       // are invariant to the fast_path knob. Batched: the fast path covers
       // the vast majority of the catalog, and per-site bookkeeping would
       // cost more than the fast path itself — counters are additive, so
       // one add per bucket is byte-identical to that many adds.
-      lane.count_n(round, MonitorStatus::kV4Only, settled_v4);
-      lane.count_n(round, MonitorStatus::kV6Only, settled_v6);
-      lane.count_n(round, MonitorStatus::kDnsFailed, settled_failed);
+      apply_status(delta, MonitorStatus::kV4Only, settled_v4);
+      apply_status(delta, MonitorStatus::kV6Only, settled_v6);
+      apply_status(delta, MonitorStatus::kDnsFailed, settled_failed);
       const std::uint64_t queries = kQueriesPerSite * settled;
       const std::uint64_t timeouts = kQueriesPerSite * both_lost + coin_sites;
       DnsTally& tally = dns_tallies_[vp_index];
@@ -492,7 +499,7 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
       metrics.add(ids.dns_queries, queries);
       metrics.add(ids.dns_timeouts, timeouts);
     }
-    sink.count_listed(round, listed);
+    add_count(delta.listed, listed);
 
     // Randomize monitoring order (the paper randomizes per round to avoid
     // time-of-day bias). Chained derivation — one child per key component
@@ -502,13 +509,13 @@ void Campaign::run_round(std::size_t vp_index, std::uint32_t round) {
     // identically to vp=1, round=0.) The shuffle only permutes the work
     // list; every observable is keyed by (site, round), so outputs are
     // byte-identical under the rekey — tests/determinism_test.cpp pins the
-    // schedule/threads/sink matrix against the serial mutex reference and
+    // schedule/threads/sink matrix against the serial in-memory reference and
     // tests/rng_test.cpp pins the collision-freedom itself.
     util::Rng order = root.child("order", vp_index).child("round", round);
     order.shuffle(work);
   }
 
-  run_sites(vp_index, round, work, sink, /*salt=*/0);
+  run_sites(vp_index, round, work, store, /*salt=*/0, delta);
 }
 
 void Campaign::run() {
@@ -552,10 +559,9 @@ void Campaign::run_w6d_for_vp(std::size_t vp_index,
   for (std::size_t mini = 0; mini < config_.w6d_mini_rounds; ++mini) {
     // All mini-rounds happen at the W6D calendar round (same DNS state)
     // but with independent randomness. Each run_sites call is one
-    // ingest epoch, flushed at its end, so a site's mini-round
-    // observations land in mini order.
-    run_sites(vp_index, world_.w6d_round, participants, *store.sink,
-              /*salt=*/0x60d00000ULL + mini);
+    // ingest, so a site's mini-round observations land in mini order.
+    run_sites(vp_index, world_.w6d_round, participants, store,
+              /*salt=*/0x60d00000ULL + mini, RoundCounters{});
   }
 }
 
@@ -575,6 +581,8 @@ void Campaign::run_w6d() {
       participants.push_back(s.id);
     }
   }
+  // Without participants the event records nothing, not even a round.
+  if (participants.empty()) return;
   // One chain per participating vantage point: a VP's whole mini-round
   // sequence runs on one thread, so mini ordering and the w6d-store ->
   // regular-store lock order hold while different VPs' events run
@@ -594,13 +602,6 @@ void Campaign::finalize() {
   for (std::deque<VpStore>* group : {&stores_, &w6d_stores_}) {
     for (VpStore& store : *group) stores.push_back(&store);
   }
-  // What the sinks' shards hold once ingest ends. A gauge: the shard count
-  // follows the thread count.
-  if (obs::metrics().enabled()) {
-    std::size_t shard_bytes = 0;
-    for (const VpStore* store : stores) shard_bytes += store->sink->bytes();
-    obs::metrics().set_gauge("mem.sink_shard_bytes", static_cast<double>(shard_bytes));
-  }
   // A VP's two stores read one registry, and a spool replay interns into
   // it (content that is already there), so every store ends ingest before
   // any store freezes the registry: two passes on the campaign pool. A
@@ -611,14 +612,13 @@ void Campaign::finalize() {
   parallel_index(pool_, stores.size(), [&stores, &failed](std::size_t i) {
     VpStore& store = *stores[i];
     util::LockGuard epoch(store.epoch_mu);
+    if (store.spool == nullptr) return;
     try {
-      store.sink->finish();
-      if (!store.spool_path.empty()) {
-        // Out-of-core campaign: pull the spooled rows back in for the
-        // analysis pass. The replayed store is indistinguishable from an
-        // in-memory run (tests assert byte equality).
-        replay_spool_file(store.spool_path, *store.db);
-      }
+      store.spool->finish();
+      // Out-of-core campaign: pull the spooled rows back in for the
+      // analysis pass. The replayed store is indistinguishable from an
+      // in-memory run (tests assert byte equality).
+      replay_spool_file(store.spool->path(), *store.db);
     } catch (...) {
       failed[i] = std::current_exception();
     }
@@ -645,6 +645,13 @@ void Campaign::finalize() {
     slot_bytes += m.resolved_sites().bytes() + m.routes().bytes();
   }
   obs::metrics().add(ids.resolved_slots_bytes, slot_bytes);
+  // The round walk's index, shared by every vantage point.
+  std::size_t work_list_bytes = scan_.flags.size() * sizeof(std::uint8_t) +
+                                scan_.candidates.size() * sizeof(SiteScanIndex::Candidate);
+  for (const std::vector<std::uint32_t>& counts : scan_.listed) {
+    work_list_bytes += counts.size() * sizeof(std::uint32_t);
+  }
+  obs::metrics().add(ids.work_list_bytes, work_list_bytes);
 }
 
 }  // namespace v6mon::core

@@ -12,7 +12,7 @@
 
 #include "core/monitor.h"
 #include "core/results.h"
-#include "core/sink.h"
+#include "core/spool.h"
 #include "core/thread_pool.h"
 #include "core/world.h"
 
@@ -20,11 +20,10 @@ namespace v6mon::core {
 
 class WorldTimeline;
 
-/// Which ObservationSink backend the campaign ingests through (see
-/// core/sink.h). All backends produce byte-identical observables.
+/// Where a round's rows go once the coordinator ingests them. Both
+/// backends produce byte-identical observables.
 enum class SinkBackend : std::uint8_t {
-  kMutex,    ///< Reference store: one global mutex per observation.
-  kSharded,  ///< Per-worker shards, lock-free hot path (default).
+  kSharded,  ///< In memory: each round merges into the ResultsDb (default).
   kSpool,    ///< Out-of-core: binary spool files, replayed at finalize().
 };
 
@@ -104,12 +103,13 @@ class Campaign {
   /// examples that drive rounds manually.
   void advance_world(std::uint32_t round);
 
-  /// Run one round for one vantage point (exposed for tests/examples).
-  /// Safe to call concurrently from several threads — ingest epochs on
-  /// one vantage point's store are serialized internally. The first
-  /// round of a campaign (here or in run()) fills in the per-site DNS
-  /// fates the fast path reads, over the campaign pool, and builds the
-  /// work-list index; racing first callers wait for that one build.
+  /// Run one round for one vantage point (exposed for tests/examples) and
+  /// ingest it, its counters included, before returning. Safe to call
+  /// concurrently from several threads — rounds on one vantage point's
+  /// store are serialized internally. The first round of a campaign (here
+  /// or in run()) fills in the per-site DNS fates the fast path reads,
+  /// over the campaign pool, and builds the work-list index; racing first
+  /// callers wait for that one build.
   /// Requires round < kMaxCampaignRounds.
   void run_round(std::size_t vp_index, std::uint32_t round);
 
@@ -147,8 +147,8 @@ class Campaign {
   /// per-VP split this keeps.
   [[nodiscard]] dns::Resolver::Stats dns_stats(std::size_t vp_index) const;
 
-  /// End ingest and build the analysis views: close every sink
-  /// (replaying spool files for the kSpool backend), then finalize every
+  /// End ingest and build the analysis views: close and replay every
+  /// spool file (the kSpool backend), then finalize every
   /// ResultsDb, which freezes the VPs' registries; each pass runs the
   /// stores in parallel on the campaign pool. Adds the stores' bytes
   /// (ResultsDb::bytes) to the `mem.results_bytes` counter, the catalog's
@@ -156,25 +156,27 @@ class Campaign {
   /// RIBs (Rib::bytes) to `mem.rib_bytes` and the monitors' resolved-site
   /// tables (rows, index and key map) and route registries
   /// (ResolvedSiteTable::bytes, PathRegistry::bytes) to
-  /// `mem.resolved_slots_bytes`. Call after all runs,
-  /// before analysis. Idempotent; no run_round / run_w6d calls may
+  /// `mem.resolved_slots_bytes`, and the round walk's site flags, listed
+  /// counts and candidates (by size) to `mem.work_list_bytes`. Call after
+  /// all runs, before analysis. Idempotent; no run_round / run_w6d calls may
   /// follow. When stores fail (Error, IoError from a spool), every other
   /// store still finalizes and the error of the first failing store —
   /// regular stores in VP order, then W6D stores — is thrown.
   void finalize();
 
  private:
-  /// One vantage point's results store: the database, the ingest sink in
-  /// front of it, and the epoch lock serializing rounds on this store.
+  /// One vantage point's results store: the database, the spool in front
+  /// of it for the kSpool backend, and the epoch lock serializing rounds
+  /// on this store.
   struct VpStore {
     std::unique_ptr<ResultsDb> db;
-    std::unique_ptr<ObservationSink> sink;
-    std::string spool_path;  ///< Non-empty for the kSpool backend.
-    /// Ingest-epoch capability: held for the whole of a round (or a
-    /// finalize) on this store, serializing epochs so the sink's
-    /// flush-without-lane-traffic contract holds. It guards a *protocol*
-    /// (exclusive use of `sink`), not a field — `db`/`sink` themselves
-    /// are set once at construction and internally synchronized.
+    /// Non-null for the kSpool backend: rounds stream here and are
+    /// replayed into `db` at finalize().
+    std::unique_ptr<SpoolSink> spool;
+    /// Held for the whole of a round (or a finalize) on this store. It
+    /// guards a *protocol* (one round's resolution and ingest at a time
+    /// per vantage point), not a field: `db`/`spool` are set once at
+    /// construction, and `spool` is used only under this lock.
     util::Mutex epoch_mu;
   };
 
@@ -241,13 +243,16 @@ class Campaign {
   /// Populate a freshly emplaced store in place (VpStore is immovable),
   /// on the vantage point's registry.
   void init_store(VpStore& store, std::size_t vp_index, const char* tag);
-  /// Measure `sites` for one vantage point and flush the ingest epoch.
+  /// Measure `sites` for one vantage point, then ingest the round into
+  /// `store` on the calling thread: the recorded rows in work-list order
+  /// and `delta` (the caller's listed and settled counts) plus every
+  /// measured site's status, in one batch, even when `sites` is empty.
   /// Fans the sites out through parallel_index, or loops them on the
   /// calling thread when there are too few to pay for waking helpers
   /// (kFanOutSitesPerWorker) — a pure scheduling choice.
   void run_sites(std::size_t vp_index, std::uint32_t round,
-                 const std::vector<std::uint32_t>& sites, ObservationSink& sink,
-                 std::uint64_t salt);
+                 const std::vector<std::uint32_t>& sites, VpStore& store,
+                 std::uint64_t salt, RoundCounters delta);
   void run_w6d_for_vp(std::size_t vp_index,
                       const std::vector<std::uint32_t>& participants);
   /// On first use: set the fate bits of scan_.flags (fast path on only),

@@ -209,16 +209,6 @@ RoundCounters& ResultsDb::round_slot(std::uint32_t round) {
   return rounds_[i];
 }
 
-void ResultsDb::count(std::uint32_t round, MonitorStatus status, std::uint64_t n) {
-  util::LockGuard lock(mu_);
-  apply_status(round_slot(round), status, n);
-}
-
-void ResultsDb::count_listed(std::uint32_t round, std::uint64_t n) {
-  util::LockGuard lock(mu_);
-  add_count(round_slot(round).listed, n);
-}
-
 void ResultsDb::merge_counters(std::uint32_t first_round,
                                std::span<const RoundCounters> deltas) {
   if (deltas.empty()) return;

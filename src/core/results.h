@@ -254,11 +254,11 @@ inline RoundCounters& operator+=(RoundCounters& a, const RoundCounters& b) {
 }
 
 /// Bucket `n` occurrences of one monitoring status into the round's
-/// counters — the single definition of the status→counter mapping,
-/// shared by the mutex store and every sink shard. The bulk form exists
-/// for the campaign fast path, which settles hundreds of thousands of
-/// v4-only sites per round: counters are additive, so one add of `n` is
-/// byte-identical to `n` adds of one.
+/// counters — the single definition of the status→counter mapping. The
+/// bulk form exists for the campaign, which settles hundreds of thousands
+/// of v4-only sites per round and folds a round's statuses in one pass:
+/// counters are additive, so one add of `n` is byte-identical to `n` adds
+/// of one.
 void apply_status(RoundCounters& c, MonitorStatus status, std::uint64_t n = 1);
 
 /// A read-only window onto one site's observations: a contiguous run of
@@ -285,18 +285,13 @@ class ResultsDb {
   /// Record a full observation (dual-stack sites). Thread-safe.
   void add(const Observation& obs);
 
-  /// Bump per-round counters (by `n` at once — one lock however many
-  /// sites are settled). Thread-safe.
-  void count(std::uint32_t round, MonitorStatus status, std::uint64_t n = 1);
-  void count_listed(std::uint32_t round, std::uint64_t n);
-
-  /// Bulk ingest from a sink merge: appends the batch under one lock.
+  /// Bulk ingest of one round's rows: appends the batch under one lock.
   /// Pair ids are paths()' ids. Relative order of add() rows and merged
   /// batches is preserved.
   void merge_rows(std::span<const Observation> batch);
   /// Fold per-round counter deltas in: `deltas[i]` is round
-  /// `first_round + i`'s (a sink flush's touched range, or one spool
-  /// record). One lock for the whole range.
+  /// `first_round + i`'s (one campaign round, or one spool record). One
+  /// lock for the whole range.
   void merge_counters(std::uint32_t first_round, std::span<const RoundCounters> deltas);
 
   [[nodiscard]] PathRegistry& paths() { return *paths_; }

@@ -166,30 +166,18 @@ void SpoolWriter::close() {
 
 // --- SpoolSink --------------------------------------------------------------
 
-void SpoolSink::merge_rows(std::span<const Observation> rows) {
+void SpoolSink::ingest(std::uint32_t round, std::span<const Observation> rows,
+                       const RoundCounters& delta) {
   // Define the paths interned since the last batch, in id order, before
   // any row can reference them.
   for (const std::size_t total = routes_->size(); defined_paths_ < total; ++defined_paths_) {
     writer_.path_def(routes_->path(static_cast<PathId>(defined_paths_)));
   }
   for (const Observation& o : rows) writer_.observation(o, *routes_);
-}
-
-void SpoolSink::merge_counters(std::uint32_t first_round,
-                               std::span<const RoundCounters> deltas) {
-  for (std::uint32_t i = 0; i < deltas.size(); ++i) {
-    const RoundCounters& c = deltas[i];
-    if (c.listed == 0 && c.v4_only == 0 && c.v6_only == 0 && c.dual == 0 &&
-        c.dns_failed == 0 && c.measured == 0 && c.different_content == 0 &&
-        c.download_failed == 0) {
-      continue;  // all-zero delta: skip the record, replay adds nothing
-    }
-    writer_.counters(first_round + i, c);
-  }
+  writer_.counters(round, delta);
 }
 
 void SpoolSink::finish() {
-  flush();
   writer_.close();
   if (!writer_.ok()) throw IoError("spool: write to '" + writer_.path() + "' failed");
 }

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "core/results.h"
-#include "core/sink.h"
 
 namespace v6mon::core {
 
@@ -35,8 +34,8 @@ namespace v6mon::core {
 /// it into each family's (path id, origin) fields, and replay re-interns
 /// them as a pair of routes of the database registry. Counters are u32
 /// in memory (RoundCounters); the format keeps u64 fields. SpoolSink
-/// writes one Counters record per non-zero round delta per flush, so a
-/// spool's size does not depend on the thread count.
+/// writes one Counters record per ingest, and rows in work-list order, so
+/// a spool's bytes do not depend on the thread count.
 class SpoolWriter {
  public:
   /// Creates/truncates `path` and writes the header. Throws
@@ -52,7 +51,7 @@ class SpoolWriter {
   /// Append one observation. Its pair id is `routes`' id, and the pair's
   /// path ids are spool ids already defined.
   void observation(const Observation& obs, const PathRegistry& routes);
-  /// Append a per-round counter delta (all-zero deltas may be skipped).
+  /// Append a per-round counter delta.
   void counters(std::uint32_t round, const RoundCounters& delta);
 
   /// Write the end record, flush and close. Idempotent; the destructor
@@ -75,33 +74,30 @@ class SpoolWriter {
   bool closed_ = false;
 };
 
-/// Spool-backed sink: worker lanes are the usual lock-free shards; at
-/// each round boundary the batch streams to disk behind PathDef records
-/// for the registry paths no earlier batch defined. Only shard buffers
-/// stay in memory — observation storage is out-of-core.
-class SpoolSink final : public ShardedSinkBase {
+/// Out-of-core store of one vantage point's rounds: each ingest streams
+/// its batch to disk behind PathDef records for the registry paths no
+/// earlier batch defined, then writes the batch's one Counters record.
+/// Nothing but the writer's buffer stays in memory. Coordinator-only:
+/// the campaign ingests one batch at a time per store.
+class SpoolSink {
  public:
-  /// `routes`: the registry the recorded rows' pair ids belong to (the
+  /// `routes`: the registry the ingested rows' pair ids belong to (the
   /// vantage point's); spool path ids are its path ids. It only grows,
   /// so a path defined once keeps its id.
   SpoolSink(const std::string& path, const PathRegistry& routes)
       : routes_(&routes), writer_(path) {}
 
-  void count_listed(std::uint32_t round, std::uint64_t n) override {
-    RoundCounters delta;
-    add_count(delta.listed, n);
-    writer_.counters(round, delta);
-  }
-  /// Flush and close the file. Throws IoError naming the file when any
-  /// write to it failed.
-  void finish() override;
+  /// Append one batch: `rows`, then `delta` as `round`'s Counters record
+  /// (written even when all-zero, so a replay counts the round as the
+  /// in-memory store does).
+  void ingest(std::uint32_t round, std::span<const Observation> rows,
+              const RoundCounters& delta);
+  /// Close the file. Throws IoError naming the file when any write to it
+  /// failed.
+  void finish();
 
   [[nodiscard]] bool ok() const { return writer_.ok(); }
-
- protected:
-  void merge_rows(std::span<const Observation> rows) override;
-  void merge_counters(std::uint32_t first_round,
-                      std::span<const RoundCounters> deltas) override;
+  [[nodiscard]] const std::string& path() const { return writer_.path(); }
 
  private:
   const PathRegistry* routes_;

@@ -14,8 +14,7 @@ namespace v6mon::obs {
 namespace {
 
 /// Per-thread shard lookup, keyed by a process-unique registry id (never
-/// by pointer — a destroyed registry's address can be reused; same
-/// discipline as core::ShardedSinkBase's lane cache).
+/// by pointer — a destroyed registry's address can be reused).
 struct ShardSlot {
   std::uint64_t registry_id = 0;  ///< 0 = empty (ids start at 1).
   void* shard = nullptr;
@@ -54,6 +53,7 @@ constexpr const char* kCounterNames[] = {
     "mem.resolved_slots_bytes",
     "mem.results_bytes",
     "mem.rib_bytes",
+    "mem.work_list_bytes",
     "monitor.ci_exhausted",
     "monitor.resolved_rows",
     "monitor.resolved_slots",

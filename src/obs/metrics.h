@@ -80,7 +80,7 @@ using MetricId = std::uint32_t;
 /// Low-overhead metrics store: named counters, gauges, and fixed-bin
 /// latency histograms, plus per-stage wall-time accumulators.
 ///
-/// Sharding discipline (same as core::ShardedSink): every recording
+/// Sharding discipline: every recording
 /// thread owns a private shard — counter/histogram cells are relaxed
 /// atomics on cachelines only that thread writes, so the record hot path
 /// takes no lock and contends on nothing. `merge_shards()` folds the

@@ -82,10 +82,13 @@ bool parse_bool(std::string_view v, std::size_t line) {
 }
 
 core::SinkBackend parse_sink(std::string_view v, std::size_t line) {
-  if (v == "mutex") return core::SinkBackend::kMutex;
   if (v == "sharded") return core::SinkBackend::kSharded;
   if (v == "spool") return core::SinkBackend::kSpool;
-  fail(line, "expected mutex|sharded|spool, got '" + std::string(v) + "'");
+  if (v == "mutex") {
+    fail(line, "the mutex sink was removed: every round is ingested once by its "
+               "coordinator; use sharded or spool");
+  }
+  fail(line, "expected sharded|spool, got '" + std::string(v) + "'");
 }
 
 core::FallbackPolicy parse_fallback(std::string_view v, std::size_t line) {

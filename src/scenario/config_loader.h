@@ -18,7 +18,7 @@ namespace v6mon::scenario {
 ///     world.seed   = 2011
 ///     world.scale  = 0.1
 ///     campaign.threads = 8
-///     campaign.sink    = sharded        # mutex | sharded | spool
+///     campaign.sink    = sharded        # sharded | spool
 ///     monitor.ci_rel   = 0.10
 ///     dns.timeout_prob = 0.01
 ///     evolution.enabled        = true   # evolving-world delta stream

@@ -21,7 +21,6 @@
 #include "core/campaign.h"
 #include "core/monitor.h"
 #include "core/results.h"
-#include "core/sink.h"
 #include "core/thread_pool.h"
 #include "reference_schedule.h"
 #include "scenario/world_builder.h"
@@ -122,80 +121,6 @@ TEST(PathRegistryStress, ConcurrentInterningStaysConsistent) {
     EXPECT_EQ(ids[static_cast<std::size_t>(t)], ids[0])
         << "interning must dedup to identical ids on every thread";
   }
-}
-
-// --- Sharded sink ingest ---------------------------------------------------
-
-// Many threads hammering one ShardedSink through their thread-local
-// lanes: record and count run with zero shared-lock traffic on the hot
-// path, while the workers intern their route pairs into the store's
-// registry (as concurrent resolved-row fills would), then one flush
-// merges everything. Under TSan any accidental
-// sharing between shards (or between a lane and the merge) is a hard
-// failure; on plain builds the totals double as a lost-update detector
-// against a serial mutex-store reference.
-TEST(ShardedSinkStress, ConcurrentLaneIngestLosesNothing) {
-  constexpr int kThreads = 8;
-  constexpr std::uint32_t kRowsPerThread = 4000;
-  constexpr topo::Asn kDistinctPaths = 48;
-
-  const auto drive = [&](ObservationSink& sink, PathRegistry& source, bool parallel) {
-    const auto worker = [&sink, &source](int t) {
-      ObservationSink::Lane& lane = sink.lane();
-      for (std::uint32_t i = 0; i < kRowsPerThread; ++i) {
-        const topo::Asn p = (i + static_cast<topo::Asn>(t) * 7) % kDistinctPaths;
-        Observation o;
-        o.site = static_cast<std::uint32_t>(t) * kRowsPerThread + i;
-        o.round = static_cast<std::uint16_t>(i % 5);
-        o.status = MonitorStatus::kMeasured;
-        o.v4_speed_kBps = static_cast<float>(t + 1);
-        o.v6_speed_kBps = static_cast<float>(i % 97);
-        o.route_pair = source.intern_pair(
-            source.intern_route(p + 1, std::vector<topo::Asn>{p, p + 1}),
-            source.intern_route(p + 3, std::vector<topo::Asn>{p, p + 2, p + 3}));
-        lane.record(o);
-        lane.count(o.round, o.status);
-      }
-    };
-    if (parallel) {
-      std::vector<std::thread> threads;
-      for (int t = 0; t < kThreads; ++t) threads.emplace_back(worker, t);
-      for (std::thread& th : threads) th.join();
-    } else {
-      for (int t = 0; t < kThreads; ++t) worker(t);
-    }
-    sink.count_listed(0, kThreads * kRowsPerThread);
-    sink.finish();
-  };
-
-  ResultsDb sharded_db, mutex_db;
-  ShardedSink sharded(sharded_db);
-  MutexSink mutexed(mutex_db);
-  drive(sharded, sharded_db.paths(), /*parallel=*/true);
-  drive(mutexed, mutex_db.paths(), /*parallel=*/false);
-  EXPECT_GE(sharded.shard_count(), 1u);
-  sharded_db.finalize();
-  mutex_db.finalize();
-
-  // Every row arrived exactly once, into the right site slot.
-  EXPECT_EQ(sharded_db.num_sites(),
-            static_cast<std::size_t>(kThreads) * kRowsPerThread);
-  EXPECT_EQ(sharded_db.num_sites(), mutex_db.num_sites());
-  // Concurrent interning deduped the registry.
-  EXPECT_EQ(sharded_db.paths().pair_count(), kDistinctPaths);
-  EXPECT_EQ(sharded_db.paths().size(), mutex_db.paths().size());
-  EXPECT_EQ(sharded_db.paths().route_count(), mutex_db.paths().route_count());
-  EXPECT_EQ(sharded_db.paths().pair_count(), mutex_db.paths().pair_count());
-  // Counter deltas merged without loss.
-  for (std::uint32_t r = 0; r < 5; ++r) {
-    EXPECT_EQ(sharded_db.round_counters(r).measured,
-              mutex_db.round_counters(r).measured)
-        << "round " << r;
-  }
-  EXPECT_EQ(sharded_db.round_counters(0).listed, mutex_db.round_counters(0).listed);
-  // Sites are unique here, so the full dumps must agree byte for byte
-  // (path *ids* may differ; the CSV renders path content).
-  EXPECT_EQ(sharded_db.to_csv(), mutex_db.to_csv());
 }
 
 // --- Overlapping Campaign rounds -----------------------------------------

@@ -119,11 +119,19 @@ TEST(ConfigLoader, EveryKeyLands) {
 }
 
 TEST(ConfigLoader, SinkSpellings) {
-  EXPECT_EQ(parse_scenario("campaign.sink = mutex\n").campaign.sink,
-            core::SinkBackend::kMutex);
   EXPECT_EQ(parse_scenario("campaign.sink = sharded\n").campaign.sink,
             core::SinkBackend::kSharded);
+  EXPECT_EQ(parse_scenario("campaign.sink = spool\n").campaign.sink,
+            core::SinkBackend::kSpool);
   EXPECT_THROW(parse_scenario("campaign.sink = ring\n"), ParseError);
+  // The mutex sink is gone: its spelling names the removal.
+  try {
+    (void)parse_scenario("campaign.sink = mutex\n");
+    ADD_FAILURE() << "campaign.sink = mutex parsed";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("mutex sink was removed"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ConfigLoader, BoolSpellings) {

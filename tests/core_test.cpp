@@ -238,14 +238,16 @@ TEST(PathRegistry, InternsPairsOverRoutes) {
 }
 
 TEST(ResultsDb, CountersBucketStatuses) {
+  RoundCounters deltas[2];
+  apply_status(deltas[0], MonitorStatus::kV4Only);
+  apply_status(deltas[0], MonitorStatus::kV4Only);
+  apply_status(deltas[0], MonitorStatus::kMeasured);
+  apply_status(deltas[0], MonitorStatus::kDifferentContent);
+  apply_status(deltas[0], MonitorStatus::kV6DownloadFailed);
+  apply_status(deltas[1], MonitorStatus::kV6Only);
+  deltas[0].listed = 5;
   ResultsDb db;
-  db.count(0, MonitorStatus::kV4Only);
-  db.count(0, MonitorStatus::kV4Only);
-  db.count(0, MonitorStatus::kMeasured);
-  db.count(0, MonitorStatus::kDifferentContent);
-  db.count(0, MonitorStatus::kV6DownloadFailed);
-  db.count(1, MonitorStatus::kV6Only);
-  db.count_listed(0, 5);
+  db.merge_counters(0, deltas);
   const RoundCounters& c0 = db.round_counters(0);
   EXPECT_EQ(c0.v4_only, 2u);
   EXPECT_EQ(c0.measured, 1u);
@@ -1447,8 +1449,7 @@ TEST(Campaign, VpStoresShareOneFrozenRegistry) {
   const std::string dir = ::testing::TempDir() + "/shared_registry_" +
                           ::testing::UnitTest::GetInstance()->current_test_info()->name();
   std::filesystem::create_directories(dir);
-  for (const SinkBackend sink :
-       {SinkBackend::kMutex, SinkBackend::kSharded, SinkBackend::kSpool}) {
+  for (const SinkBackend sink : {SinkBackend::kSharded, SinkBackend::kSpool}) {
     SCOPED_TRACE("sink=" + std::to_string(static_cast<int>(sink)));
     CampaignConfig cfg;
     cfg.seed = 5;
@@ -1475,6 +1476,60 @@ TEST(Campaign, VpStoresShareOneFrozenRegistry) {
 // run() checks finalize() on the calling thread, before any round runs on
 // a pool worker: a contract violation thrown from inside a worker would
 // terminate the process instead of reaching the caller.
+// run_round ingests its round, counters included, before it returns:
+// right after it, and long before finalize(), the round's four exclusive
+// status buckets add up to its listed count. That includes rounds whose
+// work list is empty because the round walk settled every listed site.
+// The world is the multi-VP study of bench/study: 16 vantage points x
+// 1,500 rounds of a 250-site catalog, where most rounds have nothing to
+// measure.
+TEST(Campaign, RoundCountersCompleteAfterEveryRound) {
+  scenario::WorldSpec spec;
+  spec.seed = 2011;
+  spec.topology.num_tier1 = 4;
+  spec.topology.num_transit = 30;
+  spec.topology.num_stub = 150;
+  spec.catalog.initial_sites = 250;
+  spec.catalog.churn_per_round = 1;
+  spec.catalog.num_rounds = 1500;
+  spec.w6d_round = 750;
+  const scenario::V6UplinkMode modes[] = {scenario::V6UplinkMode::kSameProviders,
+                                          scenario::V6UplinkMode::kSubsetProviders,
+                                          scenario::V6UplinkMode::kSeparateProvider};
+  const topo::Region regions[] = {topo::Region::kNorthAmerica, topo::Region::kEurope,
+                                  topo::Region::kAsia};
+  for (int i = 0; i < 16; ++i) {
+    spec.vantage_points.push_back(
+        {.name = "VP-" + std::to_string(i),
+         .type = i % 2 == 0 ? VantagePoint::Type::kAcademic : VantagePoint::Type::kCommercial,
+         .region = regions[i % 3],
+         .start_round = static_cast<std::uint32_t>(i % 4),
+         .has_as_path = true,
+         .whitelisted = false,
+         .uses_dns_cache_supplement = i % 4 == 0,
+         .num_v4_providers = 1 + i % 2,
+         .v6_mode = modes[i % 3]});
+  }
+  const World w = scenario::build_world(spec);
+  CampaignConfig cfg = scenario::paper_campaign_config(2011);
+  cfg.threads = 2;
+  Campaign campaign(w, cfg);
+  std::size_t settled_only = 0;  // listed rounds in which no site was dual-stack
+  for (std::uint32_t round = 0; round <= w.num_rounds; ++round) {
+    for (std::size_t vp = 0; vp < w.vantage_points.size(); ++vp) {
+      campaign.run_round(vp, round);
+      if (round < w.vantage_points[vp].start_round) continue;
+      const RoundCounters& c = campaign.results(vp).round_counters(round);
+      ASSERT_EQ(std::uint64_t{c.v4_only} + c.v6_only + c.dual + c.dns_failed, c.listed)
+          << "vp " << vp << " round " << round;
+      if (c.listed != 0 && c.dual == 0) ++settled_only;
+    }
+  }
+  EXPECT_GT(settled_only, 0u);
+  campaign.run_w6d();
+  campaign.finalize();
+}
+
 TEST(Campaign, RunAfterFinalizeThrows) {
   const auto& w = small_world().world;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -1724,7 +1779,7 @@ void expect_same_path(const transport::PathCharacteristics& a,
 }
 
 // The oracle for the shared rows: after frozen and evolving campaigns at
-// 1 and 4 threads through the mutex and the sharded sink, every set index
+// 1 and 4 threads, every set index
 // entry's row equals a fresh resolution of hosting_at at every
 // dual-stack round of that hosting epoch, in the world as it stands, and
 // sites whose fresh keys are equal point at one row id.
@@ -1737,68 +1792,64 @@ TEST(ResolvedSiteTable, SetEntriesMatchFreshResolution) {
   evolving_spec.evolution.depletion_round = 4;
   for (const bool evolving : {false, true}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      for (const SinkBackend sink : {SinkBackend::kMutex, SinkBackend::kSharded}) {
-        SCOPED_TRACE(testing::Message() << "evolving=" << evolving << " threads=" << threads
-                                        << " sink=" << static_cast<int>(sink));
-        CampaignConfig cfg;
-        cfg.seed = 11;
-        cfg.threads = threads;
-        cfg.sink = sink;
-        std::optional<WorldTimeline> timeline;
-        if (evolving) timeline.emplace(scenario::build_timeline(evolving_spec));
-        const World& world = evolving ? timeline->world() : small_world().world;
-        auto campaign = evolving ? std::make_unique<Campaign>(*timeline, cfg)
-                                 : std::make_unique<Campaign>(world, cfg);
-        campaign->run();
-        campaign->run_w6d();
+      SCOPED_TRACE(testing::Message() << "evolving=" << evolving << " threads=" << threads);
+      CampaignConfig cfg;
+      cfg.seed = 11;
+      cfg.threads = threads;
+      std::optional<WorldTimeline> timeline;
+      if (evolving) timeline.emplace(scenario::build_timeline(evolving_spec));
+      const World& world = evolving ? timeline->world() : small_world().world;
+      auto campaign = evolving ? std::make_unique<Campaign>(*timeline, cfg)
+                               : std::make_unique<Campaign>(world, cfg);
+      campaign->run();
+      campaign->run_w6d();
 
-        const web::SiteCatalog& catalog = world.catalog;
-        std::vector<std::uint32_t> site_of(catalog.v6_records().size(), 0);
-        for (const web::Site& s : catalog.sites()) {
-          if (s.v6_record != web::kNoV6Record) site_of[s.v6_record] = s.id;
-        }
-        std::size_t checked = 0;
-        for (std::size_t v = 0; v < world.vantage_points.size(); ++v) {
-          const Monitor& monitor = campaign->monitor(v);
-          const ResolvedSiteTable& table = monitor.resolved_sites();
-          std::map<std::tuple<const bgp::RibEntry*, const bgp::RibEntry*, topo::Asn>,
-                   std::uint32_t>
-              row_of_key;
-          for (std::uint32_t record = 0; record < site_of.size(); ++record) {
-            const web::Site& site = catalog.site(site_of[record]);
-            for (const std::uint8_t epoch : {std::uint8_t{0}, std::uint8_t{1}}) {
-              const std::uint32_t id = table.find(record, epoch);
-              if (id == ResolvedSiteTable::kNoRow) continue;
-              SCOPED_TRACE(testing::Message() << "vp=" << v << " site=" << site.id
-                                              << " epoch=" << int{epoch});
-              const ResolvedSiteRow& row = table.row(id);
-              const auto [it, fresh_key] =
-                  row_of_key.try_emplace({row.v4_route, row.v6_route, row.island}, id);
-              EXPECT_EQ(it->second, id) << "equal keys, two rows";
-              std::size_t rounds = 0;
-              for (std::uint32_t r = 0; r <= world.num_rounds; ++r) {
-                if (catalog.hosting_epoch(site, r) != epoch || !catalog.dual_stack_at(site, r)) {
-                  continue;
-                }
-                ++rounds;
-                const ResolvedSiteRow want = monitor.resolve_row(catalog.hosting_at(site, r));
-                ASSERT_TRUE(row.same_key(want)) << "round " << r;
-                EXPECT_EQ(row.gate, want.gate) << "round " << r;
-                expect_same_path(row.v4_path, want.v4_path);
-                expect_same_path(row.v6_path, want.v6_path);
+      const web::SiteCatalog& catalog = world.catalog;
+      std::vector<std::uint32_t> site_of(catalog.v6_records().size(), 0);
+      for (const web::Site& s : catalog.sites()) {
+        if (s.v6_record != web::kNoV6Record) site_of[s.v6_record] = s.id;
+      }
+      std::size_t checked = 0;
+      for (std::size_t v = 0; v < world.vantage_points.size(); ++v) {
+        const Monitor& monitor = campaign->monitor(v);
+        const ResolvedSiteTable& table = monitor.resolved_sites();
+        std::map<std::tuple<const bgp::RibEntry*, const bgp::RibEntry*, topo::Asn>,
+                 std::uint32_t>
+            row_of_key;
+        for (std::uint32_t record = 0; record < site_of.size(); ++record) {
+          const web::Site& site = catalog.site(site_of[record]);
+          for (const std::uint8_t epoch : {std::uint8_t{0}, std::uint8_t{1}}) {
+            const std::uint32_t id = table.find(record, epoch);
+            if (id == ResolvedSiteTable::kNoRow) continue;
+            SCOPED_TRACE(testing::Message() << "vp=" << v << " site=" << site.id
+                                            << " epoch=" << int{epoch});
+            const ResolvedSiteRow& row = table.row(id);
+            const auto [it, fresh_key] =
+                row_of_key.try_emplace({row.v4_route, row.v6_route, row.island}, id);
+            EXPECT_EQ(it->second, id) << "equal keys, two rows";
+            std::size_t rounds = 0;
+            for (std::uint32_t r = 0; r <= world.num_rounds; ++r) {
+              if (catalog.hosting_epoch(site, r) != epoch || !catalog.dual_stack_at(site, r)) {
+                continue;
               }
-              EXPECT_GT(rounds, 0u) << "an entry no round of its epoch could set";
-              const RoutePair pair = monitor.routes().pair(row.route_pair);
-              EXPECT_EQ(monitor.routes().route(pair.v4).origin,
-                        row.v4_route != nullptr ? row.v4_route->origin : topo::kNoAs);
-              EXPECT_EQ(monitor.routes().route(pair.v6).origin,
-                        row.v6_route != nullptr ? row.v6_route->origin : topo::kNoAs);
-              ++checked;
+              ++rounds;
+              const ResolvedSiteRow want = monitor.resolve_row(catalog.hosting_at(site, r));
+              ASSERT_TRUE(row.same_key(want)) << "round " << r;
+              EXPECT_EQ(row.gate, want.gate) << "round " << r;
+              expect_same_path(row.v4_path, want.v4_path);
+              expect_same_path(row.v6_path, want.v6_path);
             }
+            EXPECT_GT(rounds, 0u) << "an entry no round of its epoch could set";
+            const RoutePair pair = monitor.routes().pair(row.route_pair);
+            EXPECT_EQ(monitor.routes().route(pair.v4).origin,
+                      row.v4_route != nullptr ? row.v4_route->origin : topo::kNoAs);
+            EXPECT_EQ(monitor.routes().route(pair.v6).origin,
+                      row.v6_route != nullptr ? row.v6_route->origin : topo::kNoAs);
+            ++checked;
           }
         }
-        EXPECT_GT(checked, 0u);
       }
+      EXPECT_GT(checked, 0u);
     }
   }
 }

@@ -144,11 +144,11 @@ TEST(Determinism, ThreadCountInvisibleUnderFailureInjection) {
 
 // --- Sink-backend matrix ----------------------------------------------------
 //
-// The ingest backend (single-mutex store, per-worker sharded store, or
-// binary spool with replay) must be as invisible as the thread count:
-// every (backend, threads) cell of the matrix reproduces the serial
-// mutex reference byte for byte — observation CSVs, per-round counters,
-// and the analysis tables built on top.
+// The ingest backend (the in-memory store, or the binary spool with
+// replay) must be as invisible as the thread count: every (backend,
+// threads) cell of the matrix reproduces the serial in-memory reference
+// (threads = 1) byte for byte — observation CSVs, per-round counters, and
+// the analysis tables built on top.
 
 std::unique_ptr<Campaign> run_with(SinkBackend sink, unsigned threads,
                                    std::uint64_t seed, const std::string& spool_dir,
@@ -170,7 +170,7 @@ class SinkBackendMatrix : public ::testing::TestWithParam<SinkBackend> {};
 TEST_P(SinkBackendMatrix, ByteIdenticalToSerialMutexReference) {
   const std::string dir = ::testing::TempDir();
   const auto reference =
-      run_with(SinkBackend::kMutex, 1, 2011, dir + "/ref");
+      run_with(SinkBackend::kSharded, 1, 2011, dir + "/ref");
   const auto serial = run_with(GetParam(), 1, 2011, dir + "/t1");
   const auto parallel = run_with(GetParam(), 8, 2011, dir + "/t8");
 
@@ -183,7 +183,7 @@ TEST_P(SinkBackendMatrix, ByteIdenticalToSerialMutexReference) {
 TEST_P(SinkBackendMatrix, ByteIdenticalUnderFailureInjection) {
   const std::string dir = ::testing::TempDir();
   const auto reference =
-      run_with(SinkBackend::kMutex, 1, 404, dir + "/fref", 0.2, 0.05);
+      run_with(SinkBackend::kSharded, 1, 404, dir + "/fref", 0.2, 0.05);
   const auto parallel = run_with(GetParam(), 8, 404, dir + "/ft8", 0.2, 0.05);
 
   expect_identical_observables(*reference, *parallel);
@@ -191,12 +191,10 @@ TEST_P(SinkBackendMatrix, ByteIdenticalUnderFailureInjection) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, SinkBackendMatrix,
-                         ::testing::Values(SinkBackend::kMutex,
-                                           SinkBackend::kSharded,
+                         ::testing::Values(SinkBackend::kSharded,
                                            SinkBackend::kSpool),
                          [](const auto& cell) {
                            switch (cell.param) {
-                             case SinkBackend::kMutex: return "Mutex";
                              case SinkBackend::kSharded: return "Sharded";
                              case SinkBackend::kSpool: return "Spool";
                            }
@@ -208,9 +206,9 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, SinkBackendMatrix,
 // Only a VP's coordinator interns into its registry, in work-list order,
 // so the registry's content in id order is a function of the study: the
 // same at every thread count and sink backend, frozen or evolving. The
-// spool writes each registry path once and one counter record per
-// non-zero round delta per flush, so its files are the same size at every
-// thread count. (The fast path's work lists differ from the full
+// spool writes each registry path once, each round's rows in work-list
+// order and one counter record per round, so its files are the same size
+// at every thread count. (The fast path's work lists differ from the full
 // pipeline's, so registries are not compared across `fast_path`.)
 
 /// A registry's content in id order: every path, route and pair.
@@ -270,8 +268,7 @@ TEST(Determinism, VpRegistryContentInvisibleToThreadsAndSinks) {
     std::vector<std::string> reference;
     int cell = 0;
     for (const unsigned threads : {1u, 4u, 8u}) {
-      for (const SinkBackend sink :
-           {SinkBackend::kMutex, SinkBackend::kSharded, SinkBackend::kSpool}) {
+      for (const SinkBackend sink : {SinkBackend::kSharded, SinkBackend::kSpool}) {
         SCOPED_TRACE("threads=" + std::to_string(threads) +
                      " sink=" + std::to_string(static_cast<int>(sink)));
         const Study study =
@@ -321,9 +318,9 @@ TEST(Determinism, SpoolSizeInvisibleToThreads) {
 //
 // Campaign::run()'s schedule (concurrent per-VP round chains, sites
 // fanned out or looped inline) is a scheduling layer, not a semantic
-// one. The reference bypasses it — mutex sink, one thread, the serial
-// per-round loop of reference_schedule.h — and every cell across threads
-// and sink backends must reproduce it byte for byte. A round fans out
+// one. The reference bypasses it — in-memory store, one thread, the
+// serial per-round loop of reference_schedule.h — and every cell across
+// threads and sink backends must reproduce it byte for byte. A round fans out
 // only with at least 16 sites per worker. Without DNS loss tiny_world's
 // regular rounds queue 56 to 492 sites (its dual-stack sites) and its
 // W6D mini-rounds 190, so in CampaignScheduleInvisible:
@@ -345,7 +342,6 @@ std::unique_ptr<Campaign> run_reference(std::uint64_t seed,
   CampaignConfig cfg;
   cfg.seed = seed;
   cfg.threads = 1;
-  cfg.sink = SinkBackend::kMutex;
   cfg.monitor.dns.timeout_prob = dns_timeout_prob;
   cfg.monitor.download.failure_prob = dl_failure_prob;
   auto campaign = std::make_unique<Campaign>(tiny_world(), cfg);
@@ -356,25 +352,15 @@ std::unique_ptr<Campaign> run_reference(std::uint64_t seed,
 TEST(Determinism, CampaignScheduleInvisible) {
   const std::string dir = ::testing::TempDir();
   const auto reference = run_reference(2011);
-  const struct {
-    SinkBackend sink;
-    unsigned threads;
-    const char* tag;
-  } cells[] = {
-      {SinkBackend::kMutex, 1, "mutex-t1-exec"},
-      {SinkBackend::kSharded, 2, "sharded-t2-exec"},
-      {SinkBackend::kSharded, 6, "sharded-t6-exec"},
-      {SinkBackend::kSharded, 16, "sharded-t16-exec"},
-      {SinkBackend::kMutex, 8, "mutex-t8-exec"},
-      {SinkBackend::kSharded, 8, "sharded-t8-exec"},
-      {SinkBackend::kSpool, 8, "spool-t8-exec"},
-  };
-  for (const auto& cell : cells) {
-    SCOPED_TRACE(cell.tag);
-    const auto run =
-        run_with(cell.sink, cell.threads, 2011, dir + "/x-" + cell.tag);
-    expect_identical_observables(*reference, *run);
-    EXPECT_EQ(table4_csv(*reference), table4_csv(*run));
+  for (const SinkBackend sink : {SinkBackend::kSharded, SinkBackend::kSpool}) {
+    for (const unsigned threads : {1u, 2u, 6u, 8u, 16u}) {
+      const std::string tag = std::string(sink == SinkBackend::kSpool ? "spool" : "sharded") +
+                              "-t" + std::to_string(threads);
+      SCOPED_TRACE(tag);
+      const auto run = run_with(sink, threads, 2011, dir + "/x-" + tag);
+      expect_identical_observables(*reference, *run);
+      EXPECT_EQ(table4_csv(*reference), table4_csv(*run));
+    }
   }
 }
 

@@ -10,7 +10,7 @@
 //     fallback rates silently depend on.
 //  3. Campaign-level determinism: kSequential / kRace tallies, conn.*
 //     counters and the handshake histogram are byte-identical across
-//     threads {1,8} x sinks {mutex,sharded,spool}; observation CSVs are
+//     threads {1,8} x sinks {sharded,spool}; observation CSVs are
 //     byte-identical across all three policies (the conn layer draws
 //     from its own child stream); kNone leaves every fallback stat at
 //     zero. Plus the ISSUE 9 satellite bugfix pins: the all-attempts-fail
@@ -385,14 +385,14 @@ void expect_snapshot_eq(const ConnSnapshot& a, const ConnSnapshot& b) {
 
 TEST(FallbackDeterminism, TalliesInvariantAcrossThreadsAndSinks) {
   // The full {threads} x {sink} matrix for both enabled policies, each
-  // cell compared against the serial mutex reference. DNS timeout
+  // cell compared against the serial in-memory reference. DNS timeout
   // injection rides along so dns.timeouts is pinned in the same matrix
   // (the ISSUE 9 resolver-accounting satellite).
   const World& world = tiny_world();
   for (const FallbackPolicy policy :
        {FallbackPolicy::kSequential, FallbackPolicy::kRace}) {
     SCOPED_TRACE(fallback_policy_name(policy));
-    CampaignConfig ref_cfg = fallback_cfg(policy, 1, SinkBackend::kMutex);
+    CampaignConfig ref_cfg = fallback_cfg(policy, 1, SinkBackend::kSharded);
     ref_cfg.monitor.dns.timeout_prob = 0.1;
     const ConnSnapshot reference = run_and_snapshot(world, ref_cfg);
 
@@ -407,10 +407,9 @@ TEST(FallbackDeterminism, TalliesInvariantAcrossThreadsAndSinks) {
     ASSERT_GT(evaluated, 0u);
     EXPECT_GT(reference.dns_timeouts, 0u);
 
-    for (const SinkBackend sink :
-         {SinkBackend::kMutex, SinkBackend::kSharded, SinkBackend::kSpool}) {
+    for (const SinkBackend sink : {SinkBackend::kSharded, SinkBackend::kSpool}) {
       for (const unsigned threads : {1u, 8u}) {
-        if (sink == SinkBackend::kMutex && threads == 1) continue;  // reference
+        if (sink == SinkBackend::kSharded && threads == 1) continue;  // reference
         SCOPED_TRACE("sink " + std::to_string(static_cast<int>(sink)) +
                      " threads " + std::to_string(threads));
         CampaignConfig cfg = fallback_cfg(policy, threads, sink);

@@ -98,8 +98,9 @@ TEST_F(FullStudy, MetricsExportLeadsWithManifest) {
 }
 
 TEST_F(FullStudy, BadPositionalArgumentsExitTwo) {
-  // Scale 0 is outside the paper world's domain; "abc" is not a seed.
-  for (const char* args : {"2011 0", "abc", "2011 0.05x"}) {
+  // Scale 0 is outside the paper world's domain; "abc" is not a seed; the
+  // mutex sink was removed.
+  for (const char* args : {"2011 0", "abc", "2011 0.05x", "2011 0.1 mutex"}) {
     const Outcome r = run(args);
     EXPECT_EQ(r.exit_code, 2) << "full_study " << args << ": " << r.err;
     EXPECT_FALSE(r.err.empty()) << "full_study " << args;

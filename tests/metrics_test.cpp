@@ -332,7 +332,7 @@ struct CampaignRun {
   std::uint64_t dns_queries = 0;
   std::uint64_t sites_monitored = 0;
   std::uint64_t fast_path_sites = 0;
-  double sink_shard_bytes = -1;  ///< The mem.sink_shard_bytes gauge; -1 = absent.
+  std::uint64_t work_list_bytes = 0;       ///< mem.work_list_bytes.
   std::uint64_t catalog_bytes = 0;         ///< mem.catalog_bytes.
   std::uint64_t rib_bytes = 0;             ///< mem.rib_bytes.
   std::uint64_t resolved_slots_bytes = 0;  ///< mem.resolved_slots_bytes.
@@ -380,16 +380,12 @@ CampaignRun run_instrumented(std::size_t threads, core::SinkBackend backend,
   out.resolved_rows = reg.counter_value("monitor.resolved_rows");
   out.row_fills = reg.counter_value("monitor.row_fills");
   out.results_bytes = reg.counter_value("mem.results_bytes");
+  out.work_list_bytes = reg.counter_value("mem.work_list_bytes");
   for (std::size_t vp = 0; vp < small_world().vantage_points.size(); ++vp) {
     out.expected_slots_bytes += campaign.monitor(vp).resolved_sites().bytes() +
                                 campaign.monitor(vp).routes().bytes();
     out.expected_results_bytes +=
         campaign.results(vp).bytes() + campaign.w6d_results(vp).bytes();
-  }
-  const std::string json = reg.to_json();
-  const std::string key = "\"mem.sink_shard_bytes\": ";
-  if (const std::size_t at = json.find(key); at != std::string::npos) {
-    out.sink_shard_bytes = std::stod(json.substr(at + key.size()));
   }
   reg.set_enabled(false);
   reg.reset();
@@ -398,7 +394,7 @@ CampaignRun run_instrumented(std::size_t threads, core::SinkBackend backend,
 
 TEST(MetricsDeterminism, CountersIdenticalAcrossThreadsAndBackends) {
   const CampaignRun reference =
-      run_instrumented(1, core::SinkBackend::kMutex, /*with_metrics=*/true);
+      run_instrumented(1, core::SinkBackend::kSharded, /*with_metrics=*/true);
   // A campaign this size must actually exercise the counters, or this
   // test compares empty exports: "sites_monitored" must not read 0.
   EXPECT_EQ(reference.counters.find("\"campaign.sites_monitored\":0,"),
@@ -433,8 +429,7 @@ TEST(MetricsDeterminism, CountersIdenticalAcrossThreadsAndBackends) {
   EXPECT_EQ(reference.counters.find("\"monitor.row_fills\":0,"), std::string::npos);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
     for (const core::SinkBackend backend :
-         {core::SinkBackend::kMutex, core::SinkBackend::kSharded,
-          core::SinkBackend::kSpool}) {
+         {core::SinkBackend::kSharded, core::SinkBackend::kSpool}) {
       SCOPED_TRACE(testing::Message() << "threads=" << threads << " backend="
                                       << static_cast<int>(backend));
       const CampaignRun run = run_instrumented(threads, backend, true);
@@ -451,17 +446,25 @@ TEST(MetricsDeterminism, CountersIdenticalAcrossThreadsAndBackends) {
   }
 }
 
-// Campaign::finalize() sums what the sinks stage into a gauge: shards hold
-// rows and counter windows, and the mutex sink stages nothing.
-TEST(MetricsDeterminism, SinkShardBytesGaugeNamesStagingMemory) {
-  EXPECT_EQ(run_instrumented(2, core::SinkBackend::kMutex, true).sink_shard_bytes, 0.0);
+// Campaign::finalize() adds the round walk's index to the ledger: a flag
+// byte per site, the listed counts of every round for both supplement
+// classes, and the candidates the walk visits. Sizes, not capacities, so
+// the figure is a function of the study alone.
+TEST(MetricsDeterminism, WorkListBytesSameAtAnyThreadCount) {
+  const CampaignRun one = run_instrumented(1, core::SinkBackend::kSharded, true);
+  const std::uint64_t fixed =
+      small_world().catalog.size() + 2 * core::kMaxCampaignRounds * sizeof(std::uint32_t);
+  // Above the flags and listed counts by the candidates alone: sites with
+  // an AAAA window or a lost DNS query, a few bytes each.
+  EXPECT_GT(one.work_list_bytes, fixed);
+  EXPECT_LT(one.work_list_bytes, fixed + 32 * small_world().catalog.size());
   for (const core::SinkBackend backend :
        {core::SinkBackend::kSharded, core::SinkBackend::kSpool}) {
     SCOPED_TRACE(testing::Message() << "backend=" << static_cast<int>(backend));
-    EXPECT_GT(run_instrumented(2, backend, true).sink_shard_bytes, 0.0);
+    EXPECT_EQ(run_instrumented(4, backend, true).work_list_bytes, one.work_list_bytes);
   }
-  // Metrics off: no gauge is set.
-  EXPECT_EQ(run_instrumented(2, core::SinkBackend::kSharded, false).sink_shard_bytes, -1.0);
+  // Metrics off: nothing is counted.
+  EXPECT_EQ(run_instrumented(4, core::SinkBackend::kSharded, false).work_list_bytes, 0u);
 }
 
 // Every site decision issues one A and one AAAA query, whether the

@@ -1,25 +1,24 @@
-// ObservationSink backends: the mutex reference, the sharded in-memory
-// store, and the binary spool. The contract under test is simple to
-// state and strict: whatever backend carried the observations, the
-// finalized ResultsDb — rows, counters, path contents, CSV bytes — is
-// identical. Rows carry pair ids of the store's registry (in a campaign,
-// its vantage point's Monitor::routes()); no sink translates them.
+// The two ingest targets of a campaign round: the in-memory ResultsDb
+// (merge_rows + merge_counters) and the binary spool (SpoolSink::ingest,
+// replayed at finalize). The contract under test is simple to state and
+// strict: whichever target took the batches, the finalized ResultsDb —
+// rows, counters, path contents, CSV bytes — is identical. Rows carry pair
+// ids of the store's registry (in a campaign, its vantage point's
+// Monitor::routes()); neither target translates them.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <deque>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <initializer_list>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/results.h"
-#include "core/sink.h"
 #include "core/spool.h"
 #include "util/error.h"
 
@@ -49,40 +48,71 @@ std::string test_spool_path(const std::string& stem) {
          info->name() + ".spool";
 }
 
-/// Drive any sink through two epochs with a handful of observations and
-/// counters, mimicking what campaign rounds do: pairs are interned into
-/// `source` (the registry the sink's rows refer to) as resolved-row fills
-/// intern them. The first epoch counts round `first`, the second round
-/// `second` (either may be the lower).
-void drive(ObservationSink& sink, PathRegistry& source, std::uint16_t first = 0,
+/// One round's ingest, as Campaign hands it to a store: the recorded rows
+/// and the round's counter delta.
+struct Batch {
+  std::uint32_t round = 0;
+  std::vector<Observation> rows;
+  RoundCounters delta;
+};
+
+void ingest(ResultsDb& db, const Batch& b) {
+  db.merge_rows(b.rows);
+  db.merge_counters(b.round, std::span(&b.delta, 1));
+}
+
+void ingest(SpoolSink& spool, const Batch& b) { spool.ingest(b.round, b.rows, b.delta); }
+
+/// Ingest two rounds with a handful of observations and counters through
+/// `ingest`, mimicking what campaign rounds do: pairs are interned into
+/// `source` (the registry the rows refer to) as resolved-row fills intern
+/// them, the second round's after the first round was ingested. The first
+/// round is `first`, the second `second` (either may be the lower).
+template <typename Ingest>
+void drive(PathRegistry& source, Ingest&& ingest, std::uint16_t first = 0,
            std::uint16_t second = 1) {
-  ObservationSink::Lane& lane = sink.lane();
+  Batch one;
+  one.round = first;
   const RouteId a = source.intern_route(7, source.intern({1, 2, 3}));
   const RouteId b = source.intern_route(9, source.intern({1, 2, 4}));
   const RouteId local = source.intern_route(9, source.intern({}));
-  lane.record(sample_obs(10, first, source.intern_pair(a, b)));
-  lane.record(sample_obs(11, first, source.intern_pair(b, local)));
+  one.rows.push_back(sample_obs(10, first, source.intern_pair(a, b)));
+  one.rows.push_back(sample_obs(11, first, source.intern_pair(b, local)));
   // A VP without AS paths: origins only.
   Observation pathless = sample_obs(
       12, first,
       source.intern_pair(source.intern_route(7, kNoPath), source.intern_route(9, kNoPath)));
   pathless.status = MonitorStatus::kV6DownloadFailed;
-  lane.record(pathless);
-  lane.count(first, MonitorStatus::kMeasured);
-  lane.count(first, MonitorStatus::kMeasured);
-  lane.count(first, MonitorStatus::kV6DownloadFailed);
-  lane.count(first, MonitorStatus::kV4Only);
-  sink.count_listed(first, 40);
-  sink.flush();
+  one.rows.push_back(pathless);
+  apply_status(one.delta, MonitorStatus::kMeasured, 2);
+  apply_status(one.delta, MonitorStatus::kV6DownloadFailed);
+  apply_status(one.delta, MonitorStatus::kV4Only);
+  one.delta.listed = 40;
+  ingest(one);
 
-  // Second epoch: revisit one site, one new path, a new round's counters.
-  ObservationSink::Lane& lane2 = sink.lane();
+  // Second round: revisit one site, one new path, a new round's counters.
+  Batch two;
+  two.round = second;
   const RouteId c = source.intern_route(8, source.intern({9, 8}));
-  lane2.record(sample_obs(10, second, source.intern_pair(c, c)));
-  lane2.record(sample_obs(13, second, source.intern_pair(kNoRoute, c)));
-  lane2.count(second, MonitorStatus::kMeasured);
-  sink.count_listed(second, 41);
-  sink.finish();
+  two.rows.push_back(sample_obs(10, second, source.intern_pair(c, c)));
+  two.rows.push_back(sample_obs(13, second, source.intern_pair(kNoRoute, c)));
+  apply_status(two.delta, MonitorStatus::kMeasured);
+  two.delta.listed = 41;
+  ingest(two);
+}
+
+/// drive() into an in-memory store on its own registry.
+void drive(ResultsDb& db, std::uint16_t first = 0, std::uint16_t second = 1) {
+  drive(db.paths(), [&db](const Batch& b) { ingest(db, b); }, first, second);
+}
+
+/// drive() into a spool at `path`, then close it.
+void drive_spool(const std::string& path, std::uint16_t first = 0, std::uint16_t second = 1) {
+  PathRegistry source;
+  SpoolSink spool(path, source);
+  drive(source, [&spool](const Batch& b) { ingest(spool, b); }, first, second);
+  spool.finish();
+  EXPECT_TRUE(spool.ok());
 }
 
 void expect_same_counters(const ResultsDb& got, const ResultsDb& want) {
@@ -113,23 +143,11 @@ void expect_same_finalized(const ResultsDb& a, const ResultsDb& b) {
   EXPECT_EQ(a.bytes(), b.bytes());
 }
 
-TEST(Sink, ShardedMatchesMutexReference) {
-  ResultsDb mdb, sdb;
-  MutexSink msink(mdb);
-  ShardedSink ssink(sdb);
-  drive(msink, mdb.paths());
-  drive(ssink, sdb.paths());
-  mdb.finalize();
-  sdb.finalize();
-  expect_same_finalized(mdb, sdb);
-  EXPECT_EQ(ssink.shard_count(), 1u);  // single-threaded drive: one shard
-}
-
 // A vantage point's two stores (regular and W6D) read the VP's one
-// registry: whatever the backend, a row keeps the pair id it was recorded
-// with, and no store adds a path, route or pair of its own. The spool
-// writes the registry's path ids, so a replay into a store on the same
-// registry finds every pair it interns already there.
+// registry: whichever target took the rows, a row keeps the pair id it
+// was recorded with, and no store adds a path, route or pair of its own.
+// The spool writes the registry's path ids, so a replay into a store on
+// the same registry finds every pair it interns already there.
 TEST(Sink, RowsKeepTheirRegistryPairIds) {
   const auto vp = std::make_shared<PathRegistry>();
   const RouteId kept = vp->intern_route(7, vp->intern({1, 2, 7}));
@@ -138,25 +156,20 @@ TEST(Sink, RowsKeepTheirRegistryPairIds) {
   // Never recorded: a pair over a path and a route no row uses.
   (void)vp->intern_pair(vp->intern_route(8, vp->intern({5, 6, 8})), kept);
   const std::string path = test_spool_path("shared");
-  const auto feed = [&](ObservationSink& sink) {
-    sink.lane().record(sample_obs(10, 0, recorded));
-    sink.lane().record(sample_obs(11, 0, recorded));
-    sink.lane().record(sample_obs(12, 0, kNoPair));
-    sink.finish();
-  };
-  ResultsDb mdb(vp), sdb(vp), pdb(vp);
-  MutexSink msink(mdb);
-  ShardedSink ssink(sdb);
-  feed(msink);
-  feed(ssink);
+  Batch batch;
+  batch.rows = {sample_obs(10, 0, recorded), sample_obs(11, 0, recorded),
+                sample_obs(12, 0, kNoPair)};
+  ResultsDb mdb(vp), pdb(vp);
+  ingest(mdb, batch);
   {
     SpoolSink spool(path, *vp);
-    feed(spool);
+    ingest(spool, batch);
+    spool.finish();
     EXPECT_TRUE(spool.ok());
   }
   replay_spool_file(path, pdb);
   std::remove(path.c_str());
-  for (ResultsDb* db : {&mdb, &sdb, &pdb}) {
+  for (ResultsDb* db : {&mdb, &pdb}) {
     db->finalize();
     EXPECT_EQ(&db->paths(), vp.get());
     EXPECT_EQ(db->series(10)[0].route_pair, recorded);
@@ -168,20 +181,13 @@ TEST(Sink, RowsKeepTheirRegistryPairIds) {
   EXPECT_EQ(vp->route_count(), 3u);
   EXPECT_EQ(vp->pair_count(), 2u);
   EXPECT_EQ(mdb.to_csv(), pdb.to_csv());
-  EXPECT_EQ(sdb.to_csv(), pdb.to_csv());
 }
 
 TEST(Sink, SpoolRoundTripMatchesMutexReference) {
   const std::string path = test_spool_path("roundtrip");
   ResultsDb mdb, sdb;
-  MutexSink msink(mdb);
-  drive(msink, mdb.paths());
-  {
-    PathRegistry source;
-    SpoolSink spool(path, source);
-    drive(spool, source);
-    EXPECT_TRUE(spool.ok());
-  }
+  drive(mdb);
+  drive_spool(path);
   replay_spool_file(path, sdb);
   mdb.finalize();
   sdb.finalize();
@@ -190,25 +196,16 @@ TEST(Sink, SpoolRoundTripMatchesMutexReference) {
 }
 
 // A store whose first counted round is late, then a lower one: the round
-// array starts at the lowest round counted, and every backend must still
+// array starts at the lowest round counted, and both targets must still
 // report the same rounds() and the same counters for every round, zero
 // below the first.
 TEST(Sink, LateFirstRoundMatchesAcrossBackends) {
   const std::string path = test_spool_path("late");
-  ResultsDb mdb, sdb, pdb;
-  MutexSink msink(mdb);
-  ShardedSink ssink(sdb);
-  drive(msink, mdb.paths(), 1200, 700);
-  drive(ssink, sdb.paths(), 1200, 700);
-  {
-    PathRegistry source;
-    SpoolSink spool(path, source);
-    drive(spool, source, 1200, 700);
-    EXPECT_TRUE(spool.ok());
-  }
+  ResultsDb mdb, pdb;
+  drive(mdb, 1200, 700);
+  drive_spool(path, 1200, 700);
   replay_spool_file(path, pdb);
   mdb.finalize();
-  sdb.finalize();
   pdb.finalize();
   ASSERT_EQ(mdb.rounds(), 1201u);
   EXPECT_EQ(mdb.round_counters(1200).listed, 40u);
@@ -216,167 +213,29 @@ TEST(Sink, LateFirstRoundMatchesAcrossBackends) {
   EXPECT_EQ(mdb.round_counters(700).listed, 41u);
   EXPECT_EQ(mdb.round_counters(699).listed, 0u);
   EXPECT_EQ(mdb.round_counters(701).listed, 0u);
-  {
-    SCOPED_TRACE("sharded");
-    expect_same_finalized(sdb, mdb);
-  }
-  {
-    SCOPED_TRACE("spool");
-    expect_same_finalized(pdb, mdb);
-  }
+  expect_same_finalized(pdb, mdb);
   std::remove(path.c_str());
 }
 
-// A thread that feeds more sinks in turn than its lane cache holds misses
-// the cache on every pass; each miss must find the thread's shard again,
-// not mint another one.
-TEST(Sink, OneShardPerThreadAfterLaneCacheEviction) {
-  constexpr std::size_t kSinks = 20;  // more than the lane cache holds
-  constexpr std::uint32_t kPasses = 5;
-  std::deque<ResultsDb> dbs(kSinks);
-  std::vector<std::unique_ptr<ShardedSink>> sinks;
-  for (ResultsDb& db : dbs) sinks.push_back(std::make_unique<ShardedSink>(db));
-  for (std::uint32_t pass = 0; pass < kPasses; ++pass) {
-    for (const auto& sink : sinks) {
-      sink->lane().count(pass, MonitorStatus::kV4Only);
-      sink->flush();
-    }
-  }
-  for (std::size_t i = 0; i < kSinks; ++i) {
-    EXPECT_EQ(sinks[i]->shard_count(), 1u) << "sink " << i;
-    for (std::uint32_t pass = 0; pass < kPasses; ++pass) {
-      EXPECT_EQ(dbs[i].round_counters(pass).v4_only, 1u) << "sink " << i;
-    }
-  }
-}
-
-// --- Counter window ---------------------------------------------------------
-//
-// Each ingest epoch counts one round, so a shard's counter window holds
-// that round and no other: after every flush the sink's staging bytes stay
-// at one round's counters however late the round. The epochs record no
-// rows, so bytes() is the window alone.
-
-void expect_one_round_window(ObservationSink& sink) {
-  constexpr std::uint32_t kEpochs = 1500;
-  for (std::uint32_t round = 0; round < kEpochs; ++round) {
-    ObservationSink::Lane& lane = sink.lane();
-    lane.count(round, MonitorStatus::kV4Only);
-    lane.count_n(round, MonitorStatus::kMeasured, round % 3);
-    sink.count_listed(round, 1 + round % 3);
-    sink.flush();
-    ASSERT_LE(sink.bytes(), sizeof(RoundCounters)) << "after round " << round;
-  }
-  sink.finish();
-}
-
-TEST(Sink, ShardedCounterWindowHoldsOneEpoch) {
-  ResultsDb db;
-  ShardedSink sink(db);
-  expect_one_round_window(sink);
-  ASSERT_EQ(db.rounds(), 1500u);
-  for (std::uint32_t r = 0; r < 1500; ++r) {
-    EXPECT_EQ(db.round_counters(r).v4_only, 1u) << "round " << r;
-    EXPECT_EQ(db.round_counters(r).measured, r % 3) << "round " << r;
-  }
-}
-
-TEST(Sink, SpoolCounterWindowHoldsOneEpoch) {
-  const std::string path = test_spool_path("window");
-  ResultsDb mdb, sdb;
+// A round that lists no site and records nothing still is a round of the
+// store: the spool writes its all-zero Counters record, so the replay
+// reports the same rounds() as the in-memory store.
+TEST(Sink, EmptyRoundCountsAlikeInBothTargets) {
+  const std::string path = test_spool_path("empty");
+  Batch empty;
+  empty.round = 9;
+  ResultsDb mdb, pdb;
+  ingest(mdb, empty);
   {
     const PathRegistry source;
     SpoolSink spool(path, source);
-    expect_one_round_window(spool);
-    EXPECT_TRUE(spool.ok());
-  }
-  MutexSink msink(mdb);
-  expect_one_round_window(msink);
-  replay_spool_file(path, sdb);
-  expect_same_counters(sdb, mdb);
-  std::remove(path.c_str());
-}
-
-// --- Flush range ------------------------------------------------------------
-//
-// A shard flushes only the rounds it counted since its last flush. These
-// epochs touch a wide range with a gap, count a low round after a high
-// one and a high one after a low one, revisit a flushed round, and flush
-// with no traffic at all: a range that missed a round would drop or
-// delay its counts, and a flush that did not zero what it merged would
-// add it again on the next flush.
-
-using Epoch = std::function<void(ObservationSink&)>;
-
-const std::vector<Epoch>& range_epochs() {
-  static const std::vector<Epoch> epochs = {
-      [](ObservationSink& sink) {
-        ObservationSink::Lane& lane = sink.lane();
-        lane.record(sample_obs(10, 3, kNoPair));
-        lane.count(1200, MonitorStatus::kMeasured);
-        lane.count_n(3, MonitorStatus::kV4Only, 5);
-        lane.count(3, MonitorStatus::kDifferentContent);
-        sink.count_listed(3, 7);
-      },
-      [](ObservationSink& sink) {
-        ObservationSink::Lane& lane = sink.lane();
-        lane.count(7, MonitorStatus::kDnsFailed);
-        lane.count_n(8, MonitorStatus::kV6Only, 2);
-        lane.count_n(9, MonitorStatus::kV4Only, 0);  // counts nothing, touches nothing
-      },
-      [](ObservationSink&) {},  // an empty epoch
-      [](ObservationSink& sink) {
-        sink.lane().count(1200, MonitorStatus::kV6DownloadFailed);
-      },
-      [](ObservationSink&) {},  // no traffic: must change nothing
-  };
-  return epochs;
-}
-
-TEST(Sink, ShardedFlushMergesTouchedRoundsOnly) {
-  ResultsDb mdb, sdb;
-  MutexSink msink(mdb);
-  ShardedSink ssink(sdb);
-  // Lock-step: after every flush the store equals the reference.
-  for (std::size_t e = 0; e < range_epochs().size(); ++e) {
-    SCOPED_TRACE("epoch " + std::to_string(e));
-    range_epochs()[e](msink);
-    range_epochs()[e](ssink);
-    msink.flush();
-    ssink.flush();
-    expect_same_counters(sdb, mdb);
-  }
-  ASSERT_EQ(mdb.rounds(), 1201u);
-  EXPECT_EQ(mdb.round_counters(3).v4_only, 5u);
-  EXPECT_EQ(mdb.round_counters(8).v6_only, 2u);
-  EXPECT_EQ(mdb.round_counters(1200).dual, 2u);
-  ssink.finish();
-  mdb.finalize();
-  sdb.finalize();
-  expect_same_finalized(mdb, sdb);
-}
-
-TEST(Sink, SpoolFlushMergesTouchedRoundsOnly) {
-  const std::string path = test_spool_path("ranges");
-  ResultsDb mdb, sdb;
-  MutexSink msink(mdb);
-  {
-    const PathRegistry source;
-    SpoolSink spool(path, source);
-    for (const Epoch& epoch : range_epochs()) {
-      epoch(msink);
-      epoch(spool);
-      spool.flush();
-    }
+    ingest(spool, empty);
     spool.finish();
-    EXPECT_TRUE(spool.ok());
   }
-  replay_spool_file(path, sdb);
-  expect_same_counters(sdb, mdb);
-  mdb.finalize();
-  sdb.finalize();
-  expect_same_finalized(mdb, sdb);
+  replay_spool_file(path, pdb);
   std::remove(path.c_str());
+  EXPECT_EQ(mdb.rounds(), 10u);
+  expect_same_counters(pdb, mdb);
 }
 
 TEST(Sink, SpoolWriterRejectsUnopenablePath) {
@@ -393,9 +252,11 @@ TEST(Sink, SpoolFinishThrowsOnFullDisk) {
   if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   const PathRegistry source;
   SpoolSink spool("/dev/full", source);
+  Batch batch;
   for (std::uint32_t site = 0; site < 5000; ++site) {
-    spool.lane().record(sample_obs(site, 0, kNoPair));
+    batch.rows.push_back(sample_obs(site, 0, kNoPair));
   }
+  ingest(spool, batch);
   try {
     spool.finish();
     ADD_FAILURE() << "finish() on a full disk did not throw";
@@ -409,11 +270,7 @@ TEST(Sink, SpoolFinishThrowsOnFullDisk) {
 
 std::string valid_spool_bytes() {
   const std::string path = test_spool_path("valid");
-  {
-    PathRegistry source;
-    SpoolSink spool(path, source);
-    drive(spool, source);
-  }
+  drive_spool(path);
   std::ifstream in(path, std::ios::binary);
   std::stringstream buf;
   buf << in.rdbuf();

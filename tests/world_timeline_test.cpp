@@ -151,12 +151,12 @@ TEST(WorldTimeline, EmptyTimelineCampaignIsByteIdenticalToFrozenWorld) {
 
 // --- 2. Evolving determinism matrix ----------------------------------------
 
-/// The serial reference (reference_schedule.h): mutex sink, one thread,
-/// round-major advance_world(r) + run_round(vp, r), then W6D.
+/// The serial reference (reference_schedule.h): in-memory store, one
+/// thread, round-major advance_world(r) + run_round(vp, r), then W6D.
 EvolvingRun run_evolving_reference(const scenario::WorldSpec& spec,
                                    CampaignConfig cfg) {
   cfg.threads = 1;
-  cfg.sink = SinkBackend::kMutex;
+  cfg.sink = SinkBackend::kSharded;
   EvolvingRun run = start_evolving(spec, cfg);
   run_reference_schedule(*run.campaign, /*evolving=*/true);
   return run;
@@ -180,8 +180,7 @@ TEST(WorldTimeline, EvolvingCampaignThreadAndSinkInvisible) {
   const std::string dir = ::testing::TempDir();
   int cell = 0;
   for (const unsigned threads : {1u, 2u, 8u}) {
-    for (const SinkBackend sink :
-         {SinkBackend::kMutex, SinkBackend::kSharded, SinkBackend::kSpool}) {
+    for (const SinkBackend sink : {SinkBackend::kSharded, SinkBackend::kSpool}) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " sink=" + std::to_string(static_cast<int>(sink)));
       CampaignConfig cfg = reference.campaign->config();
@@ -652,7 +651,6 @@ RowCheckCounts check_rows_every_round(const scenario::WorldSpec& spec,
   CampaignConfig cfg;
   cfg.seed = 2011;
   cfg.threads = 1;
-  cfg.sink = SinkBackend::kMutex;
   cfg.monitor.fallback = policy;
   // kNone characterizes only rows routed in both families; a fallback
   // policy also characterizes the routed side of a failed row.
@@ -798,7 +796,6 @@ TEST(WorldTimeline, RetiredTunnelFailsSixToFourSites) {
   CampaignConfig cfg;
   cfg.seed = 2011;
   cfg.threads = 1;
-  cfg.sink = SinkBackend::kMutex;
   Campaign campaign(timeline, cfg);
   std::size_t rows_before = 0;
   std::size_t rows_after = 0;
