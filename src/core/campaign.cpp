@@ -141,6 +141,46 @@ void Campaign::init_store(VpStore& store, std::size_t vp_index, const char* tag)
   }
 }
 
+void Campaign::expect_rows(VpStore& store, std::size_t rows) {
+  store.expected_rows = rows;
+  if (store.spool == nullptr) store.db->reserve(rows);
+}
+
+std::size_t Campaign::regular_rows(std::size_t vp_index) const {
+  const VantagePoint& vp = world_.vantage_points[vp_index];
+  const std::uint32_t end = world_.num_rounds + 1;  // run() measures [0, end)
+  // The rounds a site with AAAA window [from, until) is on the VP's work
+  // list: listed, dual-stack, at or after the VP's start, with a clean
+  // DNS fate under the fast path.
+  const auto work_rounds = [&](std::uint32_t first_seen, std::uint32_t from,
+                               std::uint32_t until, std::uint8_t flags) -> std::size_t {
+    if (from == web::kNever) return 0;
+    if ((flags & SiteScanIndex::kViaDnsCache) != 0 && !vp.uses_dns_cache_supplement) return 0;
+    if (config_.fast_path && (flags & SiteScanIndex::kFate) != 0) return 0;
+    const std::uint32_t lo = std::max({first_seen, from, vp.start_round});
+    const std::uint32_t hi = std::min(until, end);
+    return lo < hi ? hi - lo : 0;
+  };
+  std::size_t rows = 0;
+  for (const SiteScanIndex::Candidate& c : scan_.candidates) {
+    rows += work_rounds(c.first_seen, c.v6_from, c.v6_until, c.flags);
+  }
+  if (timeline_ != nullptr) {
+    // A pending grant opens a window at its epoch round that never
+    // closes; advance_world adds its site to the candidates then.
+    const web::SiteCatalog& catalog = world_.catalog;
+    const std::vector<EpochDeltas>& epochs = timeline_->epochs();
+    for (std::size_t e = timeline_->current_epoch(); e < epochs.size(); ++e) {
+      for (const WorldDelta& d : epochs[e].deltas) {
+        if (d.kind != WorldDeltaKind::kSiteGainsAaaa) continue;
+        rows += work_rounds(catalog.first_seen_round(catalog.site(d.site_id)),
+                            epochs[e].round, web::kNever, scan_.flags[d.site_id]);
+      }
+    }
+  }
+  return rows;
+}
+
 Campaign::SiteScanIndex::SiteScanIndex(const web::SiteCatalog& catalog) {
   flags.resize(catalog.size(), 0);
   for (std::vector<std::uint32_t>& counts : listed) {
@@ -371,6 +411,9 @@ void Campaign::ensure_work_index() {
         }
       }
     }
+    for (std::size_t vp = 0; vp < stores_.size(); ++vp) {
+      expect_rows(stores_[vp], regular_rows(vp));
+    }
   });
 }
 
@@ -556,6 +599,8 @@ void Campaign::run_w6d_for_vp(std::size_t vp_index,
   // store's epoch mutex too, so all table mutation for this VP
   // serializes on one lock order (w6d store first, regular store second).
   util::LockGuard regular_epoch(stores_[vp_index].epoch_mu);
+  // Each mini-round records at most one row per participant.
+  expect_rows(store, participants.size() * config_.w6d_mini_rounds);
   for (std::size_t mini = 0; mini < config_.w6d_mini_rounds; ++mini) {
     // All mini-rounds happen at the W6D calendar round (same DNS state)
     // but with independent randomness. Each run_sites call is one
@@ -616,8 +661,10 @@ void Campaign::finalize() {
     try {
       store.spool->finish();
       // Out-of-core campaign: pull the spooled rows back in for the
-      // analysis pass. The replayed store is indistinguishable from an
-      // in-memory run (tests assert byte equality).
+      // analysis pass, into rows allocated once. The replayed store is
+      // indistinguishable from an in-memory run (tests assert byte
+      // equality).
+      store.db->reserve(store.expected_rows);
       replay_spool_file(store.spool->path(), *store.db);
     } catch (...) {
       failed[i] = std::current_exception();

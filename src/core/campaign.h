@@ -178,6 +178,9 @@ class Campaign {
     /// per vantage point), not a field: `db`/`spool` are set once at
     /// construction, and `spool` is used only under this lock.
     util::Mutex epoch_mu;
+    /// Rows the store is expected to end with (expect_rows); a spool
+    /// store reserves them just before its replay.
+    std::size_t expected_rows = 0;
   };
 
   /// Everything a round's work list is built from, so that building it
@@ -243,6 +246,16 @@ class Campaign {
   /// Populate a freshly emplaced store in place (VpStore is immovable),
   /// on the vantage point's registry.
   void init_store(VpStore& store, std::size_t vp_index, const char* tag);
+  /// Record that `store` will end with `rows` rows, and reserve them now
+  /// for an in-memory store (a spool store reserves before its replay),
+  /// so the store allocates its rows once.
+  static void expect_rows(VpStore& store, std::size_t rows);
+  /// The rows run() records in vantage point `vp_index`'s regular store,
+  /// from the round walk's candidates and the pending AAAA grants: under
+  /// the fast path every work-list site records one row, so the count is
+  /// exact; with it off, an upper bound. Call after the candidates are
+  /// built and before any epoch is applied.
+  [[nodiscard]] std::size_t regular_rows(std::size_t vp_index) const;
   /// Measure `sites` for one vantage point, then ingest the round into
   /// `store` on the calling thread: the recorded rows in work-list order
   /// and `delta` (the caller's listed and settled counts) plus every
@@ -256,8 +269,9 @@ class Campaign {
   void run_w6d_for_vp(std::size_t vp_index,
                       const std::vector<std::uint32_t>& participants);
   /// On first use: set the fate bits of scan_.flags (fast path on only),
-  /// then build scan_.candidates. Thread-safe: concurrent first callers
-  /// block until the one build is done.
+  /// then build scan_.candidates and size every regular store
+  /// (regular_rows). Thread-safe: concurrent first callers block until
+  /// the one build is done.
   void ensure_work_index();
 
   /// Fill in config.threads when left at 0 (done before pool_ spins up).

@@ -1,12 +1,16 @@
 #include "core/results.h"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string_view>
+#include <utility>
 
 #include "bgp/rib.h"
 #include "core/thread_pool.h"
@@ -197,6 +201,12 @@ void ResultsDb::merge_rows(std::span<const Observation> batch) {
   rows_.insert(rows_.end(), batch.begin(), batch.end());
 }
 
+void ResultsDb::reserve(std::size_t rows) {
+  util::LockGuard lock(mu_);
+  V6MON_REQUIRE(!finalized_, "reserve() after finalize()");
+  rows_.reserve(rows);
+}
+
 RoundCounters& ResultsDb::round_slot(std::uint32_t round) {
   if (rounds_.empty()) {
     first_round_ = round;
@@ -241,21 +251,110 @@ const RoundCounters& ResultsDb::round_counters(std::uint32_t round) const {
   return rounds_[round - first_round_];
 }
 
+namespace {
+
+/// Open-addressing map from a site id to its slot, the order in which
+/// the site first appeared. Sized by the sites present, not by the
+/// catalog: a campaign store holds a few thousand sites of a million.
+class SiteSlots {
+ public:
+  /// The site's slot, appending one for a site not seen before.
+  std::uint32_t slot(std::uint32_t site) {
+    if (2 * (sites_.size() + 1) > table_.size()) grow();
+    for (std::size_t i = home(site);; i = (i + 1) & (table_.size() - 1)) {
+      Entry& e = table_[i];
+      if (e.slot == kEmpty) {
+        e = {site, static_cast<std::uint32_t>(sites_.size())};
+        sites_.push_back(site);
+        return e.slot;
+      }
+      if (e.site == site) return e.slot;
+    }
+  }
+  /// Site of each slot, in slot order.
+  [[nodiscard]] const std::vector<std::uint32_t>& sites() const { return sites_; }
+
+ private:
+  struct Entry {
+    std::uint32_t site = 0;
+    std::uint32_t slot = kEmpty;
+  };
+  static constexpr std::uint32_t kEmpty = 0xffffffffu;
+
+  [[nodiscard]] std::size_t home(std::uint32_t site) const {
+    // Fibonacci hashing: the top bits of a golden-ratio product.
+    return static_cast<std::size_t>((site * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  /// Double the table (64 entries at first) and re-place every site.
+  void grow() {
+    const std::size_t size = table_.empty() ? 64 : 2 * table_.size();
+    shift_ = 64 - std::countr_zero(size);
+    table_.assign(size, Entry{});
+    for (std::uint32_t slot = 0; slot < sites_.size(); ++slot) {
+      std::size_t i = home(sites_[slot]);
+      while (table_[i].slot != kEmpty) i = (i + 1) & (size - 1);
+      table_[i] = {sites_[slot], slot};
+    }
+  }
+
+  std::vector<Entry> table_;  ///< Power-of-two size, at most half full.
+  std::vector<std::uint32_t> sites_;
+  int shift_ = 64;
+};
+
+}  // namespace
+
 void ResultsDb::finalize() {
   util::LockGuard lock(mu_);
   V6MON_REQUIRE(!finalized_, "finalize() called twice");
-  // Stable, so rows sharing one (site, round) — W6D mini-rounds, each a
-  // separate ingest epoch — keep their arrival order.
-  std::stable_sort(rows_.begin(), rows_.end(), [](const Observation& a, const Observation& b) {
-    return a.site != b.site ? a.site < b.site : a.round < b.round;
-  });
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    if (i == 0 || rows_[i].site != rows_[i - 1].site) {
-      site_ids_.push_back(rows_[i].site);
-      site_begin_.push_back(i);
+  V6MON_REQUIRE(rows_.size() < std::numeric_limits<std::uint32_t>::max(),
+                "too many rows for one store");
+  const auto n = static_cast<std::uint32_t>(rows_.size());
+  // Counting placement, the stable sort by (site, round) without a second
+  // row buffer. dest[i] first holds row i's site slot, then the row's
+  // final position.
+  std::vector<std::uint32_t> dest(n);
+  SiteSlots slots;
+  for (std::uint32_t i = 0; i < n; ++i) dest[i] = slots.slot(rows_[i].site);
+  const std::vector<std::uint32_t>& sites = slots.sites();
+  // Rows per slot, then each slot's next position.
+  std::vector<std::uint32_t> next(sites.size(), 0);
+  for (const std::uint32_t slot : dest) ++next[slot];
+  std::vector<std::uint32_t> by_site(sites.size());
+  std::iota(by_site.begin(), by_site.end(), 0u);
+  std::sort(by_site.begin(), by_site.end(),
+            [&sites](std::uint32_t a, std::uint32_t b) { return sites[a] < sites[b]; });
+  site_ids_.reserve(sites.size());
+  site_begin_.reserve(sites.size() + 1);
+  std::uint32_t offset = 0;
+  for (const std::uint32_t slot : by_site) {
+    site_ids_.push_back(sites[slot]);
+    site_begin_.push_back(offset);
+    offset += std::exchange(next[slot], offset);
+  }
+  site_begin_.push_back(n);
+  // Positions handed out in arrival order keep rows sharing one (site,
+  // round), W6D mini-rounds, in their ingest order.
+  for (std::uint32_t& d : dest) d = next[d]++;
+  // Cycle walking: each swap puts one row in its final place.
+  for (std::uint32_t i = 0; i < n; ++i) {
+    while (dest[i] != i) {
+      const std::uint32_t d = dest[i];
+      std::swap(rows_[i], rows_[d]);
+      std::swap(dest[i], dest[d]);
     }
   }
-  site_begin_.push_back(rows_.size());
+  // A campaign ingests rounds in order, so each run already is in round
+  // order; a run that arrived out of order is sorted alone.
+  const auto by_round = [](const Observation& a, const Observation& b) {
+    return a.round < b.round;
+  };
+  for (std::size_t k = 0; k < site_ids_.size(); ++k) {
+    const auto first = rows_.begin() + static_cast<std::ptrdiff_t>(site_begin_[k]);
+    const auto last = rows_.begin() + static_cast<std::ptrdiff_t>(site_begin_[k + 1]);
+    if (!std::is_sorted(first, last, by_round)) std::stable_sort(first, last, by_round);
+  }
   paths_->freeze();
   finalized_ = true;
 }

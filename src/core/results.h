@@ -270,10 +270,11 @@ using SiteSeries = std::span<const Observation>;
 /// (site, round) observation.
 ///
 /// Two phases. During ingest `add`/`merge_rows` append rows in arrival
-/// order. `finalize()`, called once after ingest, stable-sorts the rows
-/// in place by (site, round) and indexes each site's run. Every read of
-/// the rows (`series`, `site_ids`, `write_csv`) requires a finalized
-/// database; every write of them requires an unfinalized one.
+/// order, into room `reserve` may have set aside. `finalize()`, called
+/// once after ingest, orders the rows in place by (site, round), stable,
+/// and indexes each site's run. Every read of the rows (`series`,
+/// `site_ids`, `write_csv`) requires a finalized database; every write
+/// of them requires an unfinalized one.
 class ResultsDb {
  public:
   /// A store on a fresh registry of its own.
@@ -289,6 +290,15 @@ class ResultsDb {
   /// Pair ids are paths()' ids. Relative order of add() rows and merged
   /// batches is preserved.
   void merge_rows(std::span<const Observation> batch);
+  /// Set aside room for `rows` rows in all, so that ingest up to that
+  /// many allocates nothing more. A hint: ingest past it still appends.
+  void reserve(std::size_t rows);
+  /// Rows the store has room for without allocating (read-only; for
+  /// tests of the reservation).
+  [[nodiscard]] std::size_t row_capacity() const {
+    util::LockGuard lock(mu_);
+    return rows_.capacity();
+  }
   /// Fold per-round counter deltas in: `deltas[i]` is round
   /// `first_round + i`'s (one campaign round, or one spool record). One
   /// lock for the whole range.
@@ -315,10 +325,11 @@ class ResultsDb {
     return rounds_.empty() ? 0 : first_round_ + rounds_.size();
   }
 
-  /// Sort the rows by (site, round), index each site's run and freeze
+  /// Order the rows by (site, round), index each site's run and freeze
   /// the registry. Rows sharing one (site, round) (W6D mini-rounds) keep
-  /// their ingest order. Call exactly once, after ingest and before
-  /// analysis.
+  /// their ingest order. The rows are placed in place by counting, O(n)
+  /// with 4 bytes of scratch per row: no second row buffer. Call exactly
+  /// once, after ingest and before analysis.
   void finalize();
   [[nodiscard]] bool finalized() const { return finalized_; }
 
@@ -346,8 +357,8 @@ class ResultsDb {
   mutable util::Mutex mu_;
   /// Internally synchronized (its own mutex); possibly shared.
   std::shared_ptr<PathRegistry> paths_;
-  /// Phase contract: appended under mu_ during ingest, sorted in place by
-  /// finalize() (which holds mu_), and read lock-free afterwards. Ingest
+  /// Phase contract: appended under mu_ during ingest, ordered in place
+  /// by finalize() (which holds mu_), and read lock-free afterwards. Ingest
   /// and analysis are separate phases — Campaign::finalize() is the
   /// barrier — so `rows_` and the fields finalize() publishes are
   /// intentionally NOT lock-annotated.

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <random>
 #include <set>
 #include <span>
 #include <sstream>
@@ -347,6 +348,136 @@ TEST(ResultsDb, SeriesOfAbsentSiteIsEmpty) {
   for (const std::uint32_t absent : {0u, 4u, 6u, 50u, 101u, 0xffffffefu, 0xffffffffu}) {
     EXPECT_TRUE(db.series(absent).empty()) << absent;
   }
+}
+
+/// A store's rows as ingest batches: each batch is one merge_rows call, or
+/// add() calls row by row when `one_by_one`.
+struct IngestPlan {
+  std::string name;
+  std::vector<std::vector<Observation>> batches;
+  bool one_by_one = false;
+};
+
+/// finalize() places rows by counting; the oracle is std::stable_sort by
+/// (site, round) over the arrival order. Every row carries its arrival
+/// index in `route_pair` and `v4_speed_kBps`, so a row that moved to the
+/// wrong place among equal keys shows.
+void expect_finalize_matches_stable_sort(const IngestPlan& plan) {
+  SCOPED_TRACE(plan.name);
+  ResultsDb db;
+  std::vector<Observation> oracle;
+  for (const std::vector<Observation>& batch : plan.batches) {
+    std::vector<Observation> tagged = batch;
+    for (Observation& o : tagged) {
+      o.route_pair = static_cast<PairId>(oracle.size());
+      o.v4_speed_kBps = static_cast<float>(oracle.size());
+      oracle.push_back(o);
+    }
+    if (plan.one_by_one) {
+      for (const Observation& o : tagged) db.add(o);
+    } else {
+      db.merge_rows(tagged);
+    }
+  }
+  db.finalize();
+  std::stable_sort(oracle.begin(), oracle.end(), [](const Observation& a, const Observation& b) {
+    return a.site != b.site ? a.site < b.site : a.round < b.round;
+  });
+  std::vector<std::uint32_t> sites;
+  for (const Observation& o : oracle) {
+    if (sites.empty() || sites.back() != o.site) sites.push_back(o.site);
+  }
+  ASSERT_EQ(db.site_ids(), sites);
+  std::size_t next = 0;
+  for (const std::uint32_t site : sites) {
+    const SiteSeries series = db.series(site);
+    for (const Observation& o : series) {
+      ASSERT_LT(next, oracle.size());
+      const Observation& want = oracle[next++];
+      ASSERT_EQ(o.site, want.site) << "row " << next - 1;
+      ASSERT_EQ(o.round, want.round) << "row " << next - 1;
+      ASSERT_EQ(o.route_pair, want.route_pair) << "row " << next - 1;
+      ASSERT_EQ(o.v4_speed_kBps, want.v4_speed_kBps) << "row " << next - 1;
+    }
+  }
+  EXPECT_EQ(next, oracle.size());
+}
+
+TEST(ResultsDb, FinalizeMatchesStableSortOracle) {
+  std::mt19937_64 rng(44);
+  const auto below = [&rng](std::uint64_t n) {
+    return static_cast<std::uint32_t>(std::uniform_int_distribution<std::uint64_t>(0, n - 1)(rng));
+  };
+  const auto row = [](std::uint32_t site, std::uint32_t round) {
+    Observation o;
+    o.site = site;
+    o.round = static_cast<std::uint16_t>(round);
+    o.status = MonitorStatus::kMeasured;
+    return o;
+  };
+  std::vector<IngestPlan> plans;
+  plans.push_back({"empty store", {}});
+  plans.push_back({"one row", {{row(9, 3)}}});
+  // A campaign: one batch per round, each a shuffled work list of a
+  // sparse set of site ids, the largest ids included.
+  for (int trial = 0; trial < 4; ++trial) {
+    IngestPlan plan{"shuffled batches #" + std::to_string(trial), {}};
+    std::vector<std::uint32_t> pool;
+    for (std::uint32_t i = 0, n = 1 + below(400); i < n; ++i) {
+      pool.push_back(i % 7 == 0 ? 0xffffffffu - i : below(5'000'000));
+    }
+    for (std::uint32_t round = 0, rounds = 1 + below(60); round < rounds; ++round) {
+      std::vector<std::uint32_t> work = pool;
+      std::shuffle(work.begin(), work.end(), rng);
+      work.resize(below(static_cast<std::uint64_t>(work.size()) + 1));
+      std::vector<Observation> batch;
+      for (const std::uint32_t site : work) batch.push_back(row(site, round));
+      plan.batches.push_back(std::move(batch));
+    }
+    plan.one_by_one = trial % 2 == 1;
+    plans.push_back(std::move(plan));
+  }
+  // W6D mini-rounds: every batch repeats the same (site, round) keys.
+  {
+    IngestPlan plan{"duplicate (site, round) keys", {}};
+    for (int mini = 0; mini < 12; ++mini) {
+      std::vector<Observation> batch;
+      for (std::uint32_t site = 0; site < 300; site += 1 + below(5)) {
+        batch.push_back(row(site * 31, 700));
+      }
+      std::shuffle(batch.begin(), batch.end(), rng);
+      plan.batches.push_back(std::move(batch));
+    }
+    plans.push_back(std::move(plan));
+  }
+  // Rounds arriving in descending order, and in random order with ties.
+  {
+    IngestPlan descending{"descending rounds", {}};
+    for (std::uint32_t round = 40; round-- > 0;) {
+      std::vector<Observation> batch;
+      for (std::uint32_t site = 0; site < 50; ++site) {
+        if (below(3) != 0) batch.push_back(row(site, round));
+      }
+      descending.batches.push_back(std::move(batch));
+    }
+    plans.push_back(std::move(descending));
+    IngestPlan random{"random rounds", {{}}, true};
+    for (int i = 0; i < 5'000; ++i) random.batches[0].push_back(row(below(90), below(30)));
+    plans.push_back(std::move(random));
+  }
+  // One site over 1,500 rounds, as in the multi-VP study, among a few
+  // others.
+  {
+    IngestPlan plan{"one site of 1,500 rows", {}};
+    for (std::uint32_t round = 0; round < 1'500; ++round) {
+      std::vector<Observation> batch{row(77, round)};
+      if (round % 100 == 0) batch.push_back(row(below(200), round));
+      std::shuffle(batch.begin(), batch.end(), rng);
+      plan.batches.push_back(std::move(batch));
+    }
+    plans.push_back(std::move(plan));
+  }
+  for (const IngestPlan& plan : plans) expect_finalize_matches_stable_sort(plan);
 }
 
 #if V6MON_CONTRACT_LEVEL >= 1
@@ -1466,6 +1597,87 @@ TEST(Campaign, VpStoresShareOneFrozenRegistry) {
       EXPECT_EQ(&campaign.w6d_results(vp).paths(), &routes);
       EXPECT_TRUE(routes.frozen());
       EXPECT_GT(routes.pair_count(), 0u);
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Under the fast path every work-list site records exactly one row, so
+// the round walk sizes each regular store exactly: an in-memory store
+// reserves its rows when the walk's index is built, a spool store just
+// before its replay, and neither allocates rows again. A W6D store
+// reserves one row per participant and mini-round, an upper bound.
+TEST(Campaign, StoresAllocateTheirRowsOnce) {
+  const std::string dir = ::testing::TempDir() + "/rows_once_" +
+                          ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::filesystem::create_directories(dir);
+  for (const bool evolving : {false, true}) {
+    scenario::WorldSpec spec = scenario::paper_spec(2011, 0.1);
+    spec.evolution.enabled = evolving;
+    std::optional<World> frozen;
+    if (!evolving) frozen.emplace(scenario::build_world(spec));
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      // The in-memory store's reservation, per VP, for the spool run.
+      std::vector<std::size_t> reserved(spec.vantage_points.size(), 0);
+      for (const SinkBackend sink : {SinkBackend::kSharded, SinkBackend::kSpool}) {
+        SCOPED_TRACE("evolving=" + std::to_string(evolving) +
+                     " threads=" + std::to_string(threads) +
+                     " sink=" + std::to_string(static_cast<int>(sink)));
+        CampaignConfig cfg = scenario::paper_campaign_config(2011);
+        ASSERT_TRUE(cfg.fast_path);
+        cfg.threads = threads;
+        cfg.sink = sink;
+        cfg.spool_dir = dir;
+        std::optional<WorldTimeline> timeline;
+        std::optional<Campaign> campaign;
+        if (evolving) {
+          timeline.emplace(scenario::build_timeline(spec));
+          ASSERT_FALSE(timeline->empty());
+          campaign.emplace(*timeline, cfg);
+        } else {
+          campaign.emplace(*frozen, cfg);
+        }
+        const World& w = campaign->world();
+        // Run round by round, as run() does, reading every store's
+        // capacity after each round.
+        for (std::uint32_t round = 0; round <= w.num_rounds; ++round) {
+          campaign->advance_world(round);
+          for (std::size_t vp = 0; vp < w.vantage_points.size(); ++vp) {
+            campaign->run_round(vp, round);
+            if (round < w.vantage_points[vp].start_round) continue;
+            const std::size_t capacity = campaign->results(vp).row_capacity();
+            if (sink == SinkBackend::kSpool) {
+              ASSERT_EQ(capacity, 0u) << "vp " << vp << " round " << round;
+            } else if (round == w.vantage_points[vp].start_round) {
+              reserved[vp] = capacity;
+            } else {
+              ASSERT_EQ(capacity, reserved[vp]) << "vp " << vp << " round " << round;
+            }
+          }
+        }
+        campaign->run_w6d();
+        campaign->finalize();
+        std::size_t participants = 0;
+        for (const web::V6Presence& record : w.catalog.v6_records()) {
+          participants += record.w6d_participant ? 1 : 0;
+        }
+        for (std::size_t vp = 0; vp < w.vantage_points.size(); ++vp) {
+          SCOPED_TRACE("vp " + std::to_string(vp));
+          const auto rows = [](const ResultsDb& db) {
+            std::size_t n = 0;
+            for (const std::uint32_t site : db.site_ids()) n += db.series(site).size();
+            return n;
+          };
+          const ResultsDb& regular = campaign->results(vp);
+          EXPECT_GT(rows(regular), 0u);
+          EXPECT_EQ(rows(regular), reserved[vp]);
+          EXPECT_EQ(regular.row_capacity(), reserved[vp]);
+          const ResultsDb& w6d = campaign->w6d_results(vp);
+          const bool in_w6d = w.vantage_points[vp].start_round <= w.w6d_round;
+          EXPECT_EQ(w6d.row_capacity(), in_w6d ? participants * cfg.w6d_mini_rounds : 0);
+          EXPECT_LE(rows(w6d), w6d.row_capacity());
+        }
+      }
     }
   }
   std::filesystem::remove_all(dir);
