@@ -68,15 +68,17 @@ ParityRow parity_row(const std::vector<analysis::VpReport>& reports) {
       }
       ases += 1.0;
     }
-    for (const auto& s : r.kept_classified) {
-      if (s.category == analysis::Category::kDl) continue;
-      if (s.assessment.v4_speed <= 0.0 || s.assessment.v6_speed <= 0.0) continue;
+    for (const auto& a : r.assessments) {
+      if (a.outcome != analysis::SiteOutcome::kKept) continue;
+      const auto category = analysis::category_of(a);
+      if (!category || *category == analysis::Category::kDl) continue;
+      if (a.v4_speed <= 0.0 || a.v6_speed <= 0.0) continue;
       // Geometric means: per-path quality is lognormal, so an arithmetic
       // mean of ratios would be Jensen-biased upward.
-      const double log_ratio = std::log(s.assessment.v6_speed / s.assessment.v4_speed);
+      const double log_ratio = std::log(a.v6_speed / a.v4_speed);
       sl_log += log_ratio;
       sl_n += 1.0;
-      if (s.category == analysis::Category::kDp) {
+      if (*category == analysis::Category::kDp) {
         dp_log += log_ratio;
         dp_n += 1.0;
       }

@@ -3,16 +3,19 @@
 #include <algorithm>
 #include <cmath>
 
+#include "analysis/report.h"
 #include "util/stats.h"
 
 namespace v6mon::analysis {
 
-std::vector<AsPerf> evaluate_dest_ases(const std::vector<ClassifiedSite>& sites,
+std::vector<AsPerf> evaluate_dest_ases(const std::vector<SiteAssessment>& assessments,
                                        Category category,
                                        const AsLevelParams& params) {
-  std::map<topo::Asn, std::vector<const ClassifiedSite*>> by_as;
-  for (const ClassifiedSite& s : sites) {
-    if (s.category == category) by_as[s.dest_as].push_back(&s);
+  std::map<topo::Asn, std::vector<const SiteAssessment*>> by_as;
+  for (const SiteAssessment& a : assessments) {
+    if (a.outcome == SiteOutcome::kKept && category_of(a) == category) {
+      by_as[a.v4_origin].push_back(&a);
+    }
   }
 
   std::vector<AsPerf> out;
@@ -22,17 +25,15 @@ std::vector<AsPerf> evaluate_dest_ases(const std::vector<ClassifiedSite>& sites,
     perf.as = asn;
     perf.sites = members.size();
     double v4 = 0.0, v6 = 0.0;
-    for (const ClassifiedSite* s : members) {
-      v4 += s->assessment.v4_speed;
-      v6 += s->assessment.v6_speed;
+    for (const SiteAssessment* s : members) {
+      v4 += s->v4_speed;
+      v6 += s->v6_speed;
       // Site-level comparability: the zero-mode membership test.
       const bool within_band =
-          s->assessment.v4_speed > 0.0 &&
-          std::fabs(s->assessment.v6_speed - s->assessment.v4_speed) <=
-              params.tolerance * s->assessment.v4_speed;
-      if (within_band || (!params.symmetric &&
-                          s->assessment.v6_speed >= s->assessment.v4_speed)) {
-        perf.comparable_sites.push_back(s->assessment.site);
+          s->v4_speed > 0.0 &&
+          std::fabs(s->v6_speed - s->v4_speed) <= params.tolerance * s->v4_speed;
+      if (within_band || (!params.symmetric && s->v6_speed >= s->v4_speed)) {
+        ++perf.comparable;
       }
     }
     perf.v4_mean = v4 / static_cast<double>(members.size());
@@ -44,7 +45,7 @@ std::vector<AsPerf> evaluate_dest_ases(const std::vector<ClassifiedSite>& sites,
             : util::comparable_or_better(perf.v6_mean, perf.v4_mean, params.tolerance);
     if (as_similar) {
       perf.category = AsCategory::kSimilar;
-    } else if (!perf.comparable_sites.empty()) {
+    } else if (perf.comparable > 0) {
       perf.category = AsCategory::kZeroMode;
     } else if (perf.sites < params.small_n) {
       perf.category = AsCategory::kSmallN;
@@ -70,15 +71,15 @@ AsCategoryShares summarize(const std::vector<AsPerf>& ases) {
   return s;
 }
 
-std::vector<CrossCheckResult> cross_check(const std::vector<std::vector<AsPerf>>& per_vp) {
+std::vector<CrossCheckResult> cross_check(const std::vector<VpReport>& vps) {
   // Index AS -> categories per VP.
   std::map<topo::Asn, std::vector<std::pair<std::size_t, AsCategory>>> seen;
-  for (std::size_t vp = 0; vp < per_vp.size(); ++vp) {
-    for (const AsPerf& a : per_vp[vp]) {
+  for (std::size_t vp = 0; vp < vps.size(); ++vp) {
+    for (const AsPerf& a : vps[vp].sp_ases) {
       seen[a.as].emplace_back(vp, a.category);
     }
   }
-  std::vector<CrossCheckResult> out(per_vp.size());
+  std::vector<CrossCheckResult> out(vps.size());
   for (const auto& [asn, entries] : seen) {
     if (entries.size() < 2) continue;  // no cross-check possible
     bool agree = true;
@@ -93,40 +94,35 @@ std::vector<CrossCheckResult> cross_check(const std::vector<std::vector<AsPerf>>
   return out;
 }
 
-std::set<topo::Asn> good_as_set(
-    const std::vector<std::vector<AsPerf>>& sp_per_vp,
-    const std::vector<std::vector<ClassifiedSite>>& sp_sites_per_vp,
-    const std::vector<const core::PathRegistry*>& registries) {
-  // Destination ASes judged similar, per VP.
+std::set<topo::Asn> good_as_set(const std::vector<VpReport>& vps) {
   std::set<topo::Asn> good;
-  for (std::size_t vp = 0; vp < sp_per_vp.size(); ++vp) {
+  for (const VpReport& vp : vps) {
+    // Destination ASes judged similar from this VP.
     std::set<topo::Asn> similar_dests;
-    for (const AsPerf& a : sp_per_vp[vp]) {
+    for (const AsPerf& a : vp.sp_ases) {
       if (a.category == AsCategory::kSimilar) similar_dests.insert(a.as);
     }
     // Every AS on a v6 path to a similar destination is "good".
-    for (const ClassifiedSite& s : sp_sites_per_vp[vp]) {
-      if (s.category != Category::kSp) continue;
-      if (similar_dests.count(s.dest_as) == 0) continue;
-      if (s.assessment.v6_path == core::kNoPath) continue;
-      for (topo::Asn hop : registries[vp]->path(s.assessment.v6_path)) {
-        good.insert(hop);
-      }
+    for (const SiteAssessment& a : vp.assessments) {
+      if (a.outcome != SiteOutcome::kKept || category_of(a) != Category::kSp) continue;
+      if (similar_dests.count(a.v4_origin) == 0) continue;
+      if (a.v6_path == core::kNoPath) continue;
+      for (topo::Asn hop : vp.view.paths().path(a.v6_path)) good.insert(hop);
     }
   }
   return good;
 }
 
-GoodAsCoverage good_as_coverage(const std::vector<ClassifiedSite>& dp_sites,
+GoodAsCoverage good_as_coverage(const std::vector<SiteAssessment>& assessments,
                                 const std::set<topo::Asn>& good,
                                 const core::PathRegistry& registry) {
   GoodAsCoverage cov;
   std::set<core::PathId> seen_paths;  // one sample per distinct DP v6 path
-  for (const ClassifiedSite& s : dp_sites) {
-    if (s.category != Category::kDp) continue;
-    if (s.assessment.v6_path == core::kNoPath) continue;
-    if (!seen_paths.insert(s.assessment.v6_path).second) continue;
-    const auto& path = registry.path(s.assessment.v6_path);
+  for (const SiteAssessment& a : assessments) {
+    if (a.outcome != SiteOutcome::kKept || category_of(a) != Category::kDp) continue;
+    if (a.v6_path == core::kNoPath) continue;
+    if (!seen_paths.insert(a.v6_path).second) continue;
+    const auto& path = registry.path(a.v6_path);
     // Every AS on the path counts, including the destination: a DP
     // destination is itself "good" only when some other vantage point saw
     // it in SP with comparable performance — which is why the paper's

@@ -10,6 +10,8 @@
 
 namespace v6mon::analysis {
 
+struct VpReport;
+
 /// Category of a destination AS after the paper's SP/DP evaluation
 /// (Tables 8 and 11 rows):
 enum class AsCategory : std::uint8_t {
@@ -36,9 +38,9 @@ struct AsPerf {
   double v4_mean = 0.0;  ///< Mean of site means (kbytes/sec).
   double v6_mean = 0.0;
   AsCategory category = AsCategory::kSimilar;
-  /// Sites whose own v6/v4 difference is within tolerance (the zero-mode
-  /// membership set, used by the cross-VP server-exoneration step).
-  std::vector<std::uint32_t> comparable_sites;
+  /// Sites whose own v6/v4 difference is within tolerance: an AS that is
+  /// worse overall with at least one of them is zero-mode.
+  std::size_t comparable = 0;
 
   bool operator==(const AsPerf&) const = default;
 };
@@ -53,10 +55,10 @@ struct AsLevelParams {
   bool symmetric = false;
 };
 
-/// Group classified sites of one category by destination AS and evaluate
-/// each AS per the paper's Fig. 4 logic.
+/// Group the kept sites of one category by destination AS (category_of)
+/// and evaluate each AS per the paper's Fig. 4 logic.
 [[nodiscard]] std::vector<AsPerf> evaluate_dest_ases(
-    const std::vector<ClassifiedSite>& sites, Category category,
+    const std::vector<SiteAssessment>& assessments, Category category,
     const AsLevelParams& params = {});
 
 /// Summary proportions over a set of evaluated ASes.
@@ -79,19 +81,16 @@ struct CrossCheckResult {
   std::size_t positive = 0;  ///< Same category from every VP that saw it.
   std::size_t negative = 0;  ///< Category disagreement.
 };
-/// `per_vp` holds each vantage point's SP evaluation. Returns one result
-/// per vantage point: how many of *its* ASes were confirmed (+) or
+/// Reads each report's SP evaluation (`sp_ases`). Returns one result per
+/// vantage point: how many of *its* ASes were confirmed (+) or
 /// contradicted (-) by at least one other VP.
-[[nodiscard]] std::vector<CrossCheckResult> cross_check(
-    const std::vector<std::vector<AsPerf>>& per_vp);
+[[nodiscard]] std::vector<CrossCheckResult> cross_check(const std::vector<VpReport>& vps);
 
-/// The "good AS" set: every AS appearing on an IPv6 path to an SP
-/// destination AS evaluated as similar — from any vantage point. These
-/// ASes demonstrably forward IPv6 as well as IPv4 (H1 evidence).
-[[nodiscard]] std::set<topo::Asn> good_as_set(
-    const std::vector<std::vector<AsPerf>>& sp_per_vp,
-    const std::vector<std::vector<ClassifiedSite>>& sp_sites_per_vp,
-    const std::vector<const core::PathRegistry*>& registries);
+/// The "good AS" set: every AS appearing on the IPv6 path of a kept SP
+/// site whose destination AS was evaluated as similar — from any vantage
+/// point (each report's `sp_ases`, `assessments` and route registry).
+/// These ASes demonstrably forward IPv6 as well as IPv4 (H1 evidence).
+[[nodiscard]] std::set<topo::Asn> good_as_set(const std::vector<VpReport>& vps);
 
 /// Table 13: distribution of the fraction of known-good ASes on each DP
 /// destination's IPv6 path (destination included — it can only be good
@@ -105,8 +104,9 @@ struct GoodAsCoverage {
     return paths == 0 ? 0.0 : static_cast<double>(buckets[b]) / static_cast<double>(paths);
   }
 };
+/// Runs over the kept DP sites among `assessments`.
 [[nodiscard]] GoodAsCoverage good_as_coverage(
-    const std::vector<ClassifiedSite>& dp_sites, const std::set<topo::Asn>& good,
+    const std::vector<SiteAssessment>& assessments, const std::set<topo::Asn>& good,
     const core::PathRegistry& registry);
 
 }  // namespace v6mon::analysis

@@ -4,57 +4,25 @@
 
 namespace v6mon::analysis {
 
-std::vector<ClassifiedSite> classify_sites(
-    const std::vector<SiteAssessment>& assessments) {
-  std::vector<ClassifiedSite> out;
-  out.reserve(assessments.size());
-  for (const SiteAssessment& a : assessments) {
-    if (a.v4_origin == topo::kNoAs || a.v6_origin == topo::kNoAs) continue;
-    ClassifiedSite c;
-    c.assessment = a;
-    if (a.v4_origin != a.v6_origin) {
-      c.category = Category::kDl;
-      c.dest_as = a.v4_origin;
-    } else {
-      c.dest_as = a.v4_origin;
-      // Path ids come from one shared registry per vantage point, so id
-      // equality is sequence equality.
-      c.category = (a.v4_path == a.v6_path && a.v4_path != core::kNoPath)
-                       ? Category::kSp
-                       : Category::kDp;
-      if (a.v4_path == core::kNoPath && a.v6_path == core::kNoPath) {
-        // Both local to the vantage point's AS: identical (empty) paths.
-        c.category = Category::kSp;
-      }
-      // SL sites (same AS) split exactly into SP ∪ DP; a DL label here
-      // would contradict the equal-origin branch we are in.
-      V6MON_ASSERT(c.category == Category::kSp || c.category == Category::kDp,
-                   "same-origin site must be SP or DP");
+std::optional<Category> category_of(const SiteAssessment& a) {
+  if (a.v4_origin == topo::kNoAs || a.v6_origin == topo::kNoAs) return std::nullopt;
+  Category c = Category::kDl;
+  if (a.v4_origin == a.v6_origin) {
+    // Path ids come from one shared registry per vantage point, so id
+    // equality is sequence equality.
+    c = (a.v4_path == a.v6_path && a.v4_path != core::kNoPath) ? Category::kSp
+                                                                : Category::kDp;
+    if (a.v4_path == core::kNoPath && a.v6_path == core::kNoPath) {
+      // Both local to the vantage point's AS: identical (empty) paths.
+      c = Category::kSp;
     }
-    V6MON_ENSURE(c.dest_as != topo::kNoAs,
-                 "classified sites carry a destination AS");
-    out.push_back(c);
+    // SL sites (same AS) split exactly into SP ∪ DP; a DL label here
+    // would contradict the equal-origin branch we are in.
+    V6MON_ASSERT(c == Category::kSp || c == Category::kDp,
+                 "same-origin site must be SP or DP");
   }
-  V6MON_ENSURE(out.size() <= assessments.size(),
-               "classification cannot invent sites");
-  return out;
-}
-
-CategoryCounts count_categories(const std::vector<ClassifiedSite>& sites) {
-  CategoryCounts counts;
-  for (const ClassifiedSite& s : sites) {
-    switch (s.category) {
-      case Category::kDl: ++counts.dl; break;
-      case Category::kSp: ++counts.sp; break;
-      case Category::kDp: ++counts.dp; break;
-      default: V6MON_UNREACHABLE("Category enum out of range");
-    }
-  }
-  // The DL / SP / DP partition is exhaustive and disjoint (Fig. 4): every
-  // site lands in exactly one bucket.
-  V6MON_ENSURE(counts.dl + counts.sp + counts.dp == sites.size(),
-               "category partition must cover every classified site");
-  return counts;
+  V6MON_ENSURE(a.v4_origin != topo::kNoAs, "classified sites carry a destination AS");
+  return c;
 }
 
 }  // namespace v6mon::analysis

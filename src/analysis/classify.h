@@ -1,6 +1,6 @@
 #pragma once
 
-#include <vector>
+#include <optional>
 
 #include "analysis/assessment.h"
 
@@ -25,22 +25,14 @@ enum class Category : std::uint8_t { kDl, kSp, kDp };
   return "?";
 }
 
-/// A site with its Fig. 4 category.
-struct ClassifiedSite {
-  SiteAssessment assessment;
-  Category category = Category::kSp;
-  /// For SL sites the (common) destination AS; for DL sites the IPv4 AS.
-  topo::Asn dest_as = topo::kNoAs;
-
-  bool operator==(const ClassifiedSite&) const = default;
-};
-
-/// Classify assessed sites. Only sites with both origins known (i.e. the
-/// vantage point had AS_PATH data and both lookups succeeded) can be
-/// classified; others are skipped. Pass only kept sites for the main
-/// analysis; removed sites go through the same function for Table 5.
-[[nodiscard]] std::vector<ClassifiedSite> classify_sites(
-    const std::vector<SiteAssessment>& assessments);
+/// The Fig. 4 category of an assessed site, from its two origin ASes and
+/// two AS paths alone. A site has one only when both origins are known
+/// (the vantage point had AS_PATH data and both lookups succeeded);
+/// otherwise none. Its destination AS is `a.v4_origin` in every category
+/// (the common AS of an SP/DP site, the IPv4 AS of a DL site). Readers
+/// derive the category wherever they need it: the main analysis from
+/// kept sites, Table 5 from removed ones.
+[[nodiscard]] std::optional<Category> category_of(const SiteAssessment& a);
 
 /// Count sites per category.
 struct CategoryCounts {
@@ -48,6 +40,5 @@ struct CategoryCounts {
   std::size_t sp = 0;
   std::size_t dp = 0;
 };
-[[nodiscard]] CategoryCounts count_categories(const std::vector<ClassifiedSite>& sites);
 
 }  // namespace v6mon::analysis

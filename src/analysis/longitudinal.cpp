@@ -70,10 +70,12 @@ LongitudinalView longitudinal_view(core::ObservationView view,
 
   // ---- Per-window category tallies -------------------------------------
   // Each site contributes its last measured observation per window (the
-  // settled post-epoch routing state), classified exactly like
-  // classify_sites: different origin ASes -> DL; same AS with equal /
-  // differing modal paths -> SP / DP. Sites without both origins (no
-  // AS_PATH feed, failed lookups) are skipped, as in the paper.
+  // settled post-epoch routing state): different origin ASes -> DL; same
+  // AS with equal / differing paths -> SP / DP. Sites without both
+  // origins (no AS_PATH feed, failed lookups) are skipped, as in the
+  // paper. Unlike category_of, which reads a site's modal paths, a
+  // same-AS site counts only when both families have an AS path: a local
+  // or half-local site is in no window's SP or DP tally.
   for (const std::uint32_t site : view.site_ids()) {
     const core::SiteSeries s = view.series(site);
     std::size_t i = 0;

@@ -2,6 +2,7 @@
 
 #include "core/thread_pool.h"
 #include "obs/metrics.h"
+#include "util/contracts.h"
 
 namespace v6mon::analysis {
 
@@ -12,16 +13,27 @@ VpReport analyze_vp(const std::string& name, core::ObservationView view,
   r.name = name;
   r.view = view;
   r.assessments = assess_sites(view, ap, pool);
-  for (const SiteAssessment& a : r.assessments) {
-    (a.outcome == SiteOutcome::kKept ? r.kept : r.removed).push_back(a);
-  }
-  r.kept_classified = classify_sites(r.kept);
-  r.removed_classified = classify_sites(r.removed);
-  r.sp_ases = evaluate_dest_ases(r.kept_classified, Category::kSp, lp);
+  r.sp_ases = evaluate_dest_ases(r.assessments, Category::kSp, lp);
   AsLevelParams dp_params = lp;
   dp_params.symmetric = true;  // Table 11 asks for *equal* performance
-  r.dp_ases = evaluate_dest_ases(r.kept_classified, Category::kDp, dp_params);
+  r.dp_ases = evaluate_dest_ases(r.assessments, Category::kDp, dp_params);
   return r;
+}
+
+CategoryCounts VpReport::kept_counts() const {
+  CategoryCounts counts;
+  for (const SiteAssessment& a : assessments) {
+    if (a.outcome != SiteOutcome::kKept) continue;
+    const std::optional<Category> c = category_of(a);
+    if (!c) continue;
+    switch (*c) {
+      case Category::kDl: ++counts.dl; break;
+      case Category::kSp: ++counts.sp; break;
+      case Category::kDp: ++counts.dp; break;
+      default: V6MON_UNREACHABLE("Category enum out of range");
+    }
+  }
+  return counts;
 }
 
 std::vector<VpReport> analyze_world(const core::World& world,
@@ -47,6 +59,13 @@ std::vector<VpReport> analyze_world(const core::World& world,
     core::ThreadPool pool(workers);
     core::parallel_index(pool, vps.size(), [&](std::size_t k) { analyze(k, &pool); });
   }
+  std::size_t bytes = 0;
+  for (const VpReport& r : out) {
+    bytes += r.assessments.size() * sizeof(SiteAssessment) +
+             (r.sp_ases.size() + r.dp_ases.size()) * sizeof(AsPerf);
+  }
+  static const obs::MetricId report_bytes = obs::metrics().counter("mem.report_bytes");
+  obs::metrics().add(report_bytes, bytes);
   return out;
 }
 

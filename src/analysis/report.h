@@ -18,19 +18,16 @@ struct VpReport {
   /// replayed spool — the table builders cannot tell the difference).
   core::ObservationView view;
 
-  std::vector<SiteAssessment> assessments;  ///< All assessed sites.
-  std::vector<SiteAssessment> kept;
-  std::vector<SiteAssessment> removed;
-
-  std::vector<ClassifiedSite> kept_classified;
-  std::vector<ClassifiedSite> removed_classified;
+  /// One record per assessed site, in ascending site order. Readers
+  /// filter it in place: kept or removed by `outcome`, the Fig. 4
+  /// category by category_of.
+  std::vector<SiteAssessment> assessments;
 
   std::vector<AsPerf> sp_ases;  ///< SP destination-AS evaluation (Table 8).
   std::vector<AsPerf> dp_ases;  ///< DP destination-AS evaluation (Table 11).
 
-  [[nodiscard]] CategoryCounts kept_counts() const {
-    return count_categories(kept_classified);
-  }
+  /// Kept sites per category (Table 4).
+  [[nodiscard]] CategoryCounts kept_counts() const;
 };
 
 /// Run the full Fig. 4 pipeline over one vantage point's observations
@@ -48,7 +45,9 @@ struct VpReport {
 /// and each VP's sanitization under them, run on a pool of `threads`
 /// workers (0 = one per hardware thread); 1 builds no pool and runs
 /// serially. The reports, in world order, do not depend on it
-/// (analyze_vp with a null pool is the serial reference).
+/// (analyze_vp with a null pool is the serial reference). With metrics
+/// on, the reports' assessment and AsPerf records are added, by size, to
+/// the `mem.report_bytes` counter.
 [[nodiscard]] std::vector<VpReport> analyze_world(
     const core::World& world, const std::vector<core::ObservationView>& views,
     const AssessmentParams& ap = {}, const AsLevelParams& lp = {},

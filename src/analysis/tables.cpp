@@ -111,7 +111,8 @@ util::TextTable fig3a_table(const std::vector<Fig3aBucket>& buckets) {
 Fig3b fig3b_sample_bias(const VpReport& vp, const web::SiteCatalog& catalog) {
   Fig3b f;
   std::size_t top_faster = 0, all_faster = 0;
-  for (const SiteAssessment& a : vp.kept) {
+  for (const SiteAssessment& a : vp.assessments) {
+    if (a.outcome != SiteOutcome::kKept) continue;
     const web::Site& s = catalog.site(a.site);
     const bool faster = a.v6_speed > a.v4_speed;
     ++f.all_n;
@@ -204,12 +205,10 @@ Table2 table2_profiles(const std::vector<VpReport>& vps) {
     const Table2Sets s = table2_sets(vp);
     Table2Col col;
     col.vp = vp.name;
-    std::size_t total = 0;
     for (const SiteAssessment& a : vp.assessments) {
-      if (a.rounds_measured > 0) ++total;
+      if (a.rounds_measured > 0) ++col.sites_total;
+      if (a.outcome == SiteOutcome::kKept) ++col.sites_kept;
     }
-    col.sites_total = total;
-    col.sites_kept = vp.kept.size();
     col.dest_ases_v4 = s.dest_v4.size();
     col.dest_ases_v6 = s.dest_v6.size();
     col.crossed_v4 = s.crossed_v4.size();
@@ -260,7 +259,7 @@ std::vector<Table3Row> table3_sanitization(const std::vector<VpReport>& vps) {
   for (const VpReport& vp : vps) {
     Table3Row r;
     r.vp = vp.name;
-    for (const SiteAssessment& a : vp.removed) {
+    for (const SiteAssessment& a : vp.assessments) {
       switch (a.outcome) {
         case SiteOutcome::kInsufficientSamples: ++r.insufficient; break;
         case SiteOutcome::kStepUp:
@@ -327,13 +326,15 @@ std::vector<Table5Row> table5_removed_bias(const std::vector<VpReport>& vps) {
   for (const VpReport& vp : vps) {
     Table5Row r;
     r.vp = vp.name;
-    for (const ClassifiedSite& s : vp.removed_classified) {
+    for (const SiteAssessment& a : vp.assessments) {
       // Only transition/trend removals: those had sufficient samples.
-      const SiteOutcome o = s.assessment.outcome;
-      if (o == SiteOutcome::kInsufficientSamples || o == SiteOutcome::kKept) continue;
-      const bool good =
-          util::comparable_or_better(s.assessment.v6_speed, s.assessment.v4_speed);
-      switch (s.category) {
+      if (a.outcome == SiteOutcome::kInsufficientSamples || a.outcome == SiteOutcome::kKept) {
+        continue;
+      }
+      const std::optional<Category> c = category_of(a);
+      if (!c) continue;
+      const bool good = util::comparable_or_better(a.v6_speed, a.v4_speed);
+      switch (*c) {
         case Category::kSp: (good ? r.sp_good : r.sp_bad)++; break;
         case Category::kDp: (good ? r.dp_good : r.dp_bad)++; break;
         case Category::kDl: (good ? r.dl_good : r.dl_bad)++; break;
@@ -373,12 +374,12 @@ std::vector<Table6Row> table6_dl_perf(const std::vector<VpReport>& vps) {
     r.vp = vp.name;
     double v4 = 0.0, v6 = 0.0;
     std::size_t v4_ge = 0;
-    for (const ClassifiedSite& s : vp.kept_classified) {
-      if (s.category != Category::kDl) continue;
+    for (const SiteAssessment& a : vp.assessments) {
+      if (a.outcome != SiteOutcome::kKept || category_of(a) != Category::kDl) continue;
       ++r.sites;
-      v4 += s.assessment.v4_speed;
-      v6 += s.assessment.v6_speed;
-      if (s.assessment.v4_speed >= s.assessment.v6_speed) ++v4_ge;
+      v4 += a.v4_speed;
+      v6 += a.v6_speed;
+      if (a.v4_speed >= a.v6_speed) ++v4_ge;
     }
     if (r.sites) {
       r.pct_v4_ge_v6 = static_cast<double>(v4_ge) / static_cast<double>(r.sites);
@@ -430,16 +431,15 @@ HopCountRow hopcount_row(const VpReport& vp, bool sp_only) {
   row.vp = vp.name;
   std::array<double, kHopBuckets> v4_sum{}, v6_sum{};
   std::array<std::size_t, kHopBuckets> v4_n{}, v6_n{};
-  for (const ClassifiedSite& s : vp.kept_classified) {
-    const bool is_sp = s.category == Category::kSp;
-    if (sp_only != is_sp) continue;  // SP rows vs DL+DP rows
-    const std::size_t v4_len = path_len(vp, s.assessment.v4_path);
-    const std::size_t v6_len = path_len(vp, s.assessment.v6_path);
-    const std::size_t b4 = hop_bucket(v4_len);
-    const std::size_t b6 = hop_bucket(v6_len);
-    v4_sum[b4] += s.assessment.v4_speed;
+  for (const SiteAssessment& a : vp.assessments) {
+    if (a.outcome != SiteOutcome::kKept) continue;
+    const std::optional<Category> c = category_of(a);
+    if (!c || sp_only != (*c == Category::kSp)) continue;  // SP rows vs DL+DP rows
+    const std::size_t b4 = hop_bucket(path_len(vp, a.v4_path));
+    const std::size_t b6 = hop_bucket(path_len(vp, a.v6_path));
+    v4_sum[b4] += a.v4_speed;
     ++v4_n[b4];
-    v6_sum[b6] += s.assessment.v6_speed;
+    v6_sum[b6] += a.v6_speed;
     ++v6_n[b6];
   }
   for (std::size_t b = 0; b < kHopBuckets; ++b) {
@@ -487,9 +487,7 @@ util::TextTable hopcount_render(const std::vector<HopCountRow>& rows) {
 // ---------------------------------------------------------------------------
 
 std::vector<Table8Col> table8_sp(const std::vector<VpReport>& vps) {
-  std::vector<std::vector<AsPerf>> per_vp;
-  for (const VpReport& vp : vps) per_vp.push_back(vp.sp_ases);
-  const auto checks = cross_check(per_vp);
+  const auto checks = cross_check(vps);
   std::vector<Table8Col> cols;
   for (std::size_t i = 0; i < vps.size(); ++i) {
     Table8Col c;
@@ -596,19 +594,10 @@ util::TextTable table12_render(const std::vector<Table11Col>& cols) {
 // ---------------------------------------------------------------------------
 
 std::vector<Table13Col> table13_good_as(const std::vector<VpReport>& vps) {
-  std::vector<std::vector<AsPerf>> sp_per_vp;
-  std::vector<std::vector<ClassifiedSite>> sp_sites_per_vp;
-  std::vector<const core::PathRegistry*> registries;
-  for (const VpReport& vp : vps) {
-    sp_per_vp.push_back(vp.sp_ases);
-    sp_sites_per_vp.push_back(vp.kept_classified);
-    registries.push_back(&vp.view.paths());
-  }
-  const std::set<topo::Asn> good = good_as_set(sp_per_vp, sp_sites_per_vp, registries);
-
+  const std::set<topo::Asn> good = good_as_set(vps);
   std::vector<Table13Col> cols;
   for (const VpReport& vp : vps) {
-    cols.push_back({vp.name, good_as_coverage(vp.kept_classified, good, vp.view.paths())});
+    cols.push_back({vp.name, good_as_coverage(vp.assessments, good, vp.view.paths())});
   }
   return cols;
 }

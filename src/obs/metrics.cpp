@@ -50,6 +50,7 @@ constexpr const char* kCounterNames[] = {
     "ingest.flushes",
     "ingest.rows",
     "mem.catalog_bytes",
+    "mem.report_bytes",
     "mem.resolved_slots_bytes",
     "mem.results_bytes",
     "mem.rib_bytes",

@@ -2,26 +2,32 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/report.h"
+
 namespace v6mon::analysis {
 namespace {
 
-ClassifiedSite site(std::uint32_t id, topo::Asn dest, Category cat, double v4,
+/// A kept site whose origins and paths give `cat` under category_of, with
+/// destination AS `dest` (its IPv4 origin).
+SiteAssessment site(std::uint32_t id, topo::Asn dest, Category cat, double v4,
                     double v6, core::PathId v6_path = core::kNoPath) {
-  ClassifiedSite s;
-  s.assessment.site = id;
-  s.assessment.outcome = SiteOutcome::kKept;
-  s.assessment.v4_speed = v4;
-  s.assessment.v6_speed = v6;
-  s.assessment.v4_origin = dest;
-  s.assessment.v6_origin = dest;
-  s.assessment.v6_path = v6_path;
-  s.category = cat;
-  s.dest_as = dest;
+  // An id no test interns: a DP site's IPv4 path differs from its IPv6 one.
+  constexpr core::PathId kOtherPath = 999'999;
+  SiteAssessment s;
+  s.site = id;
+  s.outcome = SiteOutcome::kKept;
+  s.v4_speed = v4;
+  s.v6_speed = v6;
+  s.v4_origin = dest;
+  s.v6_origin = cat == Category::kDl ? dest + 1 : dest;
+  s.v4_path = cat == Category::kDp ? kOtherPath : v6_path;
+  s.v6_path = v6_path;
+  EXPECT_EQ(category_of(s), cat);
   return s;
 }
 
 TEST(EvaluateDestAses, SimilarAs) {
-  std::vector<ClassifiedSite> sites{
+  std::vector<SiteAssessment> sites{
       site(1, 7, Category::kSp, 50.0, 49.0),
       site(2, 7, Category::kSp, 60.0, 57.0),
   };
@@ -35,14 +41,14 @@ TEST(EvaluateDestAses, SimilarAs) {
 }
 
 TEST(EvaluateDestAses, V6BetterIsSimilar) {
-  std::vector<ClassifiedSite> sites{site(1, 7, Category::kSp, 50.0, 70.0)};
+  std::vector<SiteAssessment> sites{site(1, 7, Category::kSp, 50.0, 70.0)};
   const auto out = evaluate_dest_ases(sites, Category::kSp);
   EXPECT_EQ(out[0].category, AsCategory::kSimilar);
 }
 
 TEST(EvaluateDestAses, ZeroModeWhenOneSiteComparable) {
   // AS mean is bad (v6 far worse) but one site has comparable performance.
-  std::vector<ClassifiedSite> sites{
+  std::vector<SiteAssessment> sites{
       site(1, 7, Category::kSp, 50.0, 20.0),
       site(2, 7, Category::kSp, 50.0, 18.0),
       site(3, 7, Category::kSp, 50.0, 17.0),
@@ -52,12 +58,11 @@ TEST(EvaluateDestAses, ZeroModeWhenOneSiteComparable) {
   const auto out = evaluate_dest_ases(sites, Category::kSp);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].category, AsCategory::kZeroMode);
-  ASSERT_EQ(out[0].comparable_sites.size(), 1u);
-  EXPECT_EQ(out[0].comparable_sites[0], 4u);
+  EXPECT_EQ(out[0].comparable, 1u);
 }
 
 TEST(EvaluateDestAses, SmallNWhenFewBadSites) {
-  std::vector<ClassifiedSite> sites{
+  std::vector<SiteAssessment> sites{
       site(1, 7, Category::kSp, 50.0, 20.0),
       site(2, 7, Category::kSp, 50.0, 25.0),
   };
@@ -66,7 +71,7 @@ TEST(EvaluateDestAses, SmallNWhenFewBadSites) {
 }
 
 TEST(EvaluateDestAses, OtherWhenManyBadSites) {
-  std::vector<ClassifiedSite> sites;
+  std::vector<SiteAssessment> sites;
   for (std::uint32_t i = 0; i < 6; ++i) {
     sites.push_back(site(i, 7, Category::kSp, 50.0, 20.0));
   }
@@ -75,11 +80,13 @@ TEST(EvaluateDestAses, OtherWhenManyBadSites) {
 }
 
 TEST(EvaluateDestAses, FiltersByCategory) {
-  std::vector<ClassifiedSite> sites{
+  std::vector<SiteAssessment> sites{
       site(1, 7, Category::kSp, 50.0, 49.0),
       site(2, 8, Category::kDp, 50.0, 30.0),
       site(3, 9, Category::kDl, 50.0, 30.0),
+      site(4, 10, Category::kSp, 50.0, 49.0),
   };
+  sites[3].outcome = SiteOutcome::kStepUp;  // removed sites are not evaluated
   EXPECT_EQ(evaluate_dest_ases(sites, Category::kSp).size(), 1u);
   EXPECT_EQ(evaluate_dest_ases(sites, Category::kDp).size(), 1u);
   EXPECT_EQ(evaluate_dest_ases(sites, Category::kDl).size(), 1u);
@@ -117,7 +124,10 @@ TEST(CrossCheck, AgreementsAndDisagreements) {
   // VP0 sees AS7(similar), AS8(similar), AS9(similar).
   // VP1 sees AS7(zero-mode) -> disagreement; AS8(similar) -> agreement.
   // AS9 only seen once -> no cross-check.
-  const auto checks = cross_check({{a7s, a8s, a9s}, {a7z, a8s}});
+  std::vector<VpReport> vps(2);
+  vps[0].sp_ases = {a7s, a8s, a9s};
+  vps[1].sp_ases = {a7z, a8s};
+  const auto checks = cross_check(vps);
   ASSERT_EQ(checks.size(), 2u);
   EXPECT_EQ(checks[0].positive, 1u);  // AS8
   EXPECT_EQ(checks[0].negative, 1u);  // AS7
@@ -126,9 +136,9 @@ TEST(CrossCheck, AgreementsAndDisagreements) {
 }
 
 TEST(GoodAsSet, CollectsHopsOfGoodSpPaths) {
-  core::PathRegistry reg;
-  const core::PathId good_path = reg.intern({100, 200, 7});
-  const core::PathId other_path = reg.intern({300, 8});
+  core::ResultsDb db;
+  const core::PathId good_path = db.paths().intern({100, 200, 7});
+  const core::PathId other_path = db.paths().intern({300, 8});
 
   AsPerf as7;
   as7.as = 7;
@@ -137,11 +147,14 @@ TEST(GoodAsSet, CollectsHopsOfGoodSpPaths) {
   as8.as = 8;
   as8.category = AsCategory::kZeroMode;  // not similar -> not good
 
-  std::vector<ClassifiedSite> sites{
+  std::vector<VpReport> vps(1);
+  vps[0].view = db;
+  vps[0].sp_ases = {as7, as8};
+  vps[0].assessments = {
       site(1, 7, Category::kSp, 50.0, 49.0, good_path),
       site(2, 8, Category::kSp, 50.0, 20.0, other_path),
   };
-  const auto good = good_as_set({{as7, as8}}, {sites}, {&reg});
+  const auto good = good_as_set(vps);
   EXPECT_EQ(good.count(100), 1u);
   EXPECT_EQ(good.count(200), 1u);
   EXPECT_EQ(good.count(7), 1u);
@@ -158,7 +171,7 @@ TEST(GoodAsCoverage, BucketsIncludeDestination) {
   const core::PathId none_good = reg.intern({60, 61, 97});   // 0/3
   const std::set<topo::Asn> good{1, 2, 96};
 
-  std::vector<ClassifiedSite> dp{
+  std::vector<SiteAssessment> dp{
       site(1, 96, Category::kDp, 50.0, 30.0, fully_good),
       site(2, 99, Category::kDp, 50.0, 30.0, transit_good),
       site(3, 98, Category::kDp, 50.0, 30.0, third_good),
@@ -178,7 +191,7 @@ TEST(GoodAsCoverage, BucketsIncludeDestination) {
 TEST(GoodAsCoverage, IgnoresNonDpSites) {
   core::PathRegistry reg;
   const core::PathId direct = reg.intern({99});  // direct: only the dest AS
-  std::vector<ClassifiedSite> dp{
+  std::vector<SiteAssessment> dp{
       site(1, 99, Category::kSp, 50.0, 30.0, direct),
       site(2, 99, Category::kDp, 50.0, 30.0, direct),
   };

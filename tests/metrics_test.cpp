@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/report.h"
 #include "bgp/route_computer.h"
 #include "core/campaign.h"
 #include "core/monitor.h"
@@ -465,6 +466,43 @@ TEST(MetricsDeterminism, WorkListBytesSameAtAnyThreadCount) {
   }
   // Metrics off: nothing is counted.
   EXPECT_EQ(run_instrumented(4, core::SinkBackend::kSharded, false).work_list_bytes, 0u);
+}
+
+// analyze_world adds its reports to the ledger: one SiteAssessment per
+// assessed site and the SP/DP AsPerf evaluations, by size, so the figure
+// is the same at every analysis thread count.
+TEST(MetricsDeterminism, ReportBytesSameAtAnyThreadCount) {
+  core::CampaignConfig cfg;
+  cfg.seed = 2011;
+  cfg.threads = 2;
+  core::Campaign campaign(small_world(), cfg);
+  campaign.run();
+  campaign.finalize();
+  std::vector<core::ObservationView> views;
+  for (std::size_t vp = 0; vp < small_world().vantage_points.size(); ++vp) {
+    views.emplace_back(campaign.results(vp));
+  }
+  auto& reg = obs::metrics();
+  const auto report_bytes = [&](std::size_t threads, bool with_metrics) {
+    reg.reset();
+    reg.set_enabled(with_metrics);
+    const auto reports = analysis::analyze_world(small_world(), views, {}, {}, threads);
+    const std::uint64_t bytes = reg.counter_value("mem.report_bytes");
+    reg.set_enabled(false);
+    reg.reset();
+    std::uint64_t want = 0;
+    for (const analysis::VpReport& r : reports) {
+      want += r.assessments.size() * sizeof(analysis::SiteAssessment) +
+              (r.sp_ases.size() + r.dp_ases.size()) * sizeof(analysis::AsPerf);
+    }
+    return std::pair{bytes, want};
+  };
+  const auto [one, want] = report_bytes(1, true);
+  EXPECT_GT(want, 0u);
+  EXPECT_EQ(one, want);
+  EXPECT_EQ(report_bytes(4, true).first, one);
+  // Metrics off: nothing is counted.
+  EXPECT_EQ(report_bytes(4, false).first, 0u);
 }
 
 // Every site decision issues one A and one AAAA query, whether the

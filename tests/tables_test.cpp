@@ -57,7 +57,6 @@ TEST(Tables, ReportsCoverAsPathVpsOnly) {
     EXPECT_TRUE(r.name == "Penn" || r.name == "Comcast" || r.name == "UPCB" ||
                 r.name == "LU");
     EXPECT_FALSE(r.assessments.empty());
-    EXPECT_EQ(r.assessments.size(), r.kept.size() + r.removed.size());
   }
 }
 
@@ -236,10 +235,6 @@ void expect_same_reports(const std::vector<VpReport>& a, const std::vector<VpRep
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].name, b[i].name);
     EXPECT_EQ(a[i].assessments, b[i].assessments) << a[i].name;
-    EXPECT_EQ(a[i].kept, b[i].kept) << a[i].name;
-    EXPECT_EQ(a[i].removed, b[i].removed) << a[i].name;
-    EXPECT_EQ(a[i].kept_classified, b[i].kept_classified) << a[i].name;
-    EXPECT_EQ(a[i].removed_classified, b[i].removed_classified) << a[i].name;
     EXPECT_EQ(a[i].sp_ases, b[i].sp_ases) << a[i].name;
     EXPECT_EQ(a[i].dp_ases, b[i].dp_ases) << a[i].name;
   }
@@ -394,7 +389,10 @@ TEST(Tables, AnalyzeWorldThreadCountDoesNotChangeManyVpReports) {
   const auto views = regular_views(world, campaign);
   const auto serial = analyze_each(world, views, nullptr);
   ASSERT_EQ(serial.size(), 16u);
-  for (const VpReport& r : serial) EXPECT_FALSE(r.kept_classified.empty()) << r.name;
+  for (const VpReport& r : serial) {
+    const CategoryCounts c = r.kept_counts();
+    EXPECT_GT(c.dl + c.sp + c.dp, 0u) << r.name;
+  }
   for (const std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE(threads);
     const auto reports = analyze_world(world, views, {}, {}, threads);
@@ -448,6 +446,7 @@ Table2 table2_with_sets(const std::vector<VpReport>& vps) {
     Table2Col col;
     col.vp = vp.name;
     for (const SiteAssessment& a : vp.assessments) {
+      if (a.outcome == SiteOutcome::kKept) ++col.sites_kept;
       if (a.rounds_measured == 0) continue;
       ++col.sites_total;
       if (a.v4_origin != topo::kNoAs) {
@@ -465,7 +464,6 @@ Table2 table2_with_sets(const std::vector<VpReport>& vps) {
         for (topo::Asn hop : vp.view.paths().path(a.v6_path)) s[3].insert(hop);
       }
     }
-    col.sites_kept = vp.kept.size();
     col.dest_ases_v4 = s[0].size();
     col.dest_ases_v6 = s[1].size();
     col.crossed_v4 = s[2].size();
@@ -516,12 +514,12 @@ TEST(Tables, Table2MarksMatchOrderedSets) {
         SiteAssessment a;
         a.site = static_cast<std::uint32_t>(i);
         a.rounds_measured = rng.chance(0.15) ? 0 : rng.uniform_u64(1, 30);
+        if (a.rounds_measured > 0 && rng.chance(0.7)) a.outcome = SiteOutcome::kKept;
         a.v4_origin = pick_origin();
         a.v6_origin = pick_origin();
         a.v4_path = pick_path();
         a.v6_path = pick_path();
         r.assessments.push_back(a);
-        if (a.rounds_measured > 0 && rng.chance(0.7)) r.kept.push_back(a);
       }
       r.view = db;
     }
@@ -549,7 +547,12 @@ TEST(Tables, Table3AccountsForAllRemovals) {
     const auto& r = rows[i];
     const std::size_t total =
         r.insufficient + r.step_up + r.step_down + r.trend_up + r.trend_down;
-    EXPECT_EQ(total, study().reports[i].removed.size()) << r.vp;
+    const auto& assessments = study().reports[i].assessments;
+    const auto removed = std::count_if(assessments.begin(), assessments.end(),
+                                       [](const SiteAssessment& a) {
+                                         return a.outcome != SiteOutcome::kKept;
+                                       });
+    EXPECT_EQ(total, static_cast<std::size_t>(removed)) << r.vp;
     EXPECT_LE(r.step_up_path_change, r.step_up);
     EXPECT_LE(r.step_down_path_change, r.step_down);
     // The catalog injects both steps and trends; expect some of each kind
@@ -566,8 +569,12 @@ TEST(Tables, Table4MatchesCategoryCounts) {
     EXPECT_EQ(rows[i].dl, counts.dl);
     EXPECT_EQ(rows[i].sp, counts.sp);
     EXPECT_EQ(rows[i].dp, counts.dp);
-    EXPECT_EQ(rows[i].dl + rows[i].sp + rows[i].dp,
-              study().reports[i].kept_classified.size());
+    const auto& assessments = study().reports[i].assessments;
+    const auto classified = std::count_if(
+        assessments.begin(), assessments.end(), [](const SiteAssessment& a) {
+          return a.outcome == SiteOutcome::kKept && category_of(a).has_value();
+        });
+    EXPECT_EQ(rows[i].dl + rows[i].sp + rows[i].dp, static_cast<std::size_t>(classified));
   }
   // The paper's Table 4 shape: Penn is DP-dominated, and the parity VPs
   // (UPCB/LU) have a far higher SP share than Penn.
